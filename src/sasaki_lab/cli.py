@@ -18,6 +18,16 @@ from .manifold import SamplePlan
 from .report import map_ordered
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sasaki-lab",
@@ -34,8 +44,8 @@ def _parser() -> argparse.ArgumentParser:
         "--checks", default=None,
         help="comma-separated check names; default is every declared check",
     )
-    p_verify.add_argument("--samples", type=int, default=None, metavar="N",
-                          help="points per chart (default 64)")
+    p_verify.add_argument("--samples", type=_positive_int, default=None,
+                          metavar="N", help="points per chart (default 64)")
     p_verify.add_argument("--seed", type=int, default=None, metavar="S")
     p_verify.add_argument(
         "--tol", type=float, default=None, metavar="T",

@@ -15,6 +15,20 @@ Two properties the rest of the package relies on:
 * ``abs``/``sgn`` raise :class:`KinkError` when differentiated at their kink,
   instead of silently returning a one-sided derivative.
 
+The dual arithmetic (``_add``, ``_mul``, ``_div``, ``_neg``, ``powi`` and
+``_chain``) is written for speed
+without changing a single result.  Each function reads its operands' levels
+once (``type(x) is DScalar``).  Wherever both operands of a value or tangent
+operation are plain ``float``, it does that operation inline, in one
+comprehension, instead of recursing.  Every such fast path performs exactly
+the float operations of the generic recursion, in the same order:
+``x*bv + av*y`` is never reassociated and no zero tangent is skipped, so
+``0*inf``, NaN and ``-0.0`` come out as they would.  Nested levels, ``int``
+and ``np.float64`` operands take the generic recursion, which stays inside
+the same functions.  Mixed operands keep the dispatch of the Python
+operators: ``float * dual`` runs as ``_mul(dual, float)``, just as
+``DScalar.__rmul__`` does.
+
 Linear solves (`solve_linear`) run Gaussian elimination with partial
 pivoting generically over floats and duals, so Jacobian-dependent fields
 (Reeb fields, compatibility endomorphisms, sphere projections) stay
@@ -102,76 +116,89 @@ class DScalar:
         return powi(self, n)
 
 
-def _tag_of(x) -> int:
-    return x.tag if isinstance(x, DScalar) else 0
-
-
-def _parts(x, tag):
-    """Split x into (value, tangents) relative to level `tag`.
-
-    Anything not carrying that tag is constant there: tangents None.
-    """
-    if isinstance(x, DScalar) and x.tag == tag:
-        return x.val, x.tg
-    return x, None
-
-
 def _neg(x):
-    if isinstance(x, DScalar):
-        return DScalar(_neg(x.val), tuple(_neg(t) for t in x.tg), x.tag)
+    if type(x) is DScalar:
+        v = x.val
+        return DScalar(
+            -v if type(v) is float else _neg(v),
+            tuple([-t if type(t) is float else _neg(t) for t in x.tg]),
+            x.tag,
+        )
     return -x
 
 
 def _add(a, b):
-    tag = max(_tag_of(a), _tag_of(b))
-    if tag == 0:
+    ta = a.tag if type(a) is DScalar else 0
+    tb = b.tag if type(b) is DScalar else 0
+    if ta == tb == 0:
         return a + b
-    av, atg = _parts(a, tag)
-    bv, btg = _parts(b, tag)
-    if atg is None:
-        tg = btg
-    elif btg is None:
-        tg = atg
+    # a side of a lower level is a constant at this one
+    av = a.val if ta >= tb else a
+    bv = b.val if tb >= ta else b
+    if ta == tb:
+        tg = tuple([
+            x + y if type(x) is float and type(y) is float else _add(x, y)
+            for x, y in zip(a.tg, b.tg)
+        ])
     else:
-        tg = tuple(_add(x, y) for x, y in zip(atg, btg))
-    return DScalar(_add(av, bv), tg, tag)
+        tg = a.tg if ta > tb else b.tg
+    fast = type(av) is float and type(bv) is float
+    return DScalar(av + bv if fast else _add(av, bv), tg, ta if ta > tb else tb)
 
 
 def _mul(a, b):
-    tag = max(_tag_of(a), _tag_of(b))
-    if tag == 0:
+    ta = a.tag if type(a) is DScalar else 0
+    tb = b.tag if type(b) is DScalar else 0
+    if ta == tb == 0:
         return a * b
-    av, atg = _parts(a, tag)
-    bv, btg = _parts(b, tag)
-    if atg is None:
-        tg = tuple(_mul(av, y) for y in btg)
-    elif btg is None:
-        tg = tuple(_mul(x, bv) for x in atg)
+    av = a.val if ta >= tb else a
+    bv = b.val if tb >= ta else b
+    fa, fb = type(av) is float, type(bv) is float
+    if ta == tb:
+        fast = fa and fb
+        tg = tuple([
+            x * bv + av * y if fast and type(x) is float and type(y) is float
+            else _add(_mul(x, bv), _mul(av, y))
+            for x, y in zip(a.tg, b.tg)
+        ])
+    elif ta > tb:
+        tg = tuple([x * bv if fb and type(x) is float else _mul(x, bv) for x in a.tg])
     else:
-        tg = tuple(_add(_mul(x, bv), _mul(av, y)) for x, y in zip(atg, btg))
-    return DScalar(_mul(av, bv), tg, tag)
+        tg = tuple([av * y if fa and type(y) is float else _mul(av, y) for y in b.tg])
+    return DScalar(av * bv if fa and fb else _mul(av, bv), tg, ta if ta > tb else tb)
 
 
 def _div(a, b):
-    tag = max(_tag_of(a), _tag_of(b))
-    if tag == 0:
-        return a / b
-    av, atg = _parts(a, tag)
-    bv, btg = _parts(b, tag)
-    val = _div(av, bv)
     # d(a/b) = (da - (a/b) db) / b
-    if atg is None:
-        tg = tuple(_div(_neg(_mul(val, y)), bv) for y in btg)
-    elif btg is None:
-        tg = tuple(_div(x, bv) for x in atg)
+    ta = a.tag if type(a) is DScalar else 0
+    tb = b.tag if type(b) is DScalar else 0
+    if ta == tb == 0:
+        return a / b
+    av = a.val if ta >= tb else a
+    bv = b.val if tb >= ta else b
+    fb = type(bv) is float
+    val = av / bv if fb and type(av) is float else _div(av, bv)
+    fast = fb and type(val) is float
+    if ta == tb:
+        tg = tuple([
+            (x + -(val * y)) / bv if fast and type(x) is float and type(y) is float
+            else _div(_add(x, _neg(_mul(val, y))), bv)
+            for x, y in zip(a.tg, b.tg)
+        ])
+    elif ta > tb:
+        tg = tuple([x / bv if fb and type(x) is float else _div(x, bv) for x in a.tg])
     else:
-        tg = tuple(_div(_add(x, _neg(_mul(val, y))), bv) for x, y in zip(atg, btg))
-    return DScalar(val, tg, tag)
+        tg = tuple([
+            -(val * y) / bv if fast and type(y) is float
+            else _div(_neg(_mul(val, y)), bv)
+            for y in b.tg
+        ])
+    return DScalar(val, tg, ta if ta > tb else tb)
 
 
 def powi(x, n: int):
     """x ** n for integer n, generic over floats and duals."""
-    if not isinstance(x, DScalar):
+    if type(x) is not DScalar:
         return float(x) ** n
     if n == 0:
         return 1.0
@@ -179,18 +206,21 @@ def powi(x, n: int):
         return _div(1.0, powi(x, -n))
     v = powi(x.val, n)
     factor = _mul(float(n), powi(x.val, n - 1))
-    return DScalar(v, tuple(_mul(factor, t) for t in x.tg), x.tag)
+    return _chain(x, v, factor)
 
 
 def value_of(x) -> float:
     """Strip all dual layers, returning the underlying float value."""
-    while isinstance(x, DScalar):
+    while type(x) is DScalar:
         x = x.val
     return float(x)
 
 
 def _chain(x: DScalar, val, dval):
-    return DScalar(val, tuple(_mul(dval, t) for t in x.tg), x.tag)
+    fast = type(dval) is float
+    return DScalar(val, tuple([
+        dval * t if fast and type(t) is float else _mul(dval, t) for t in x.tg
+    ]), x.tag)
 
 
 def sin(x):
@@ -289,29 +319,6 @@ def directional_derivative(
 # -- dense linear algebra ---------------------------------------------
 
 PIVOT_THRESHOLD = 1e-12
-
-
-class DenseMatrix:
-    """Row-major dense matrix over floats/duals; thin convenience wrapper."""
-
-    def __init__(self, rows: list[list[Scalar]]):
-        self.rows = [list(r) for r in rows]
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("DenseMatrix must be square")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def mat_vec(self, v: Sequence[Scalar]) -> list:
-        return [sum_(r[j] * v[j] for j in range(self.n)) for r in self.rows]
-
-    def solve(self, b: Sequence[Scalar]) -> list:
-        return solve_linear(self.rows, list(b))
-
-    def solve_info(self, b: Sequence[Scalar]):
-        return solve_linear_info(self.rows, list(b))
 
 
 def sum_(terms) -> Scalar:

@@ -12,6 +12,7 @@ exactly when the verdict is "fail".
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -89,13 +90,19 @@ class CheckReport:
 def verdict_for(max_residual: float, tol: float, fail_floor: float | None) -> str:
     """pass below tol; fail above the floor; inconclusive in between.
 
-    With no floor the gray zone is empty and anything above tol fails.
+    With no floor the gray zone is empty and anything above tol fails.  A
+    NaN residual always fails.
     """
     if max_residual <= tol:
         return PASS
-    if fail_floor is None or max_residual > fail_floor:
+    if fail_floor is None or math.isnan(max_residual) or max_residual > fail_floor:
         return FAIL
     return INCONCLUSIVE
+
+
+def residual_rank(r: float) -> tuple[bool, float]:
+    """Sort key for residuals: NaN ranks above everything, then inf."""
+    return (math.isnan(r), r)
 
 
 def thread_count() -> int:
@@ -144,12 +151,11 @@ def run_residual_check(
             lambda pt, c=chart_name: residual_fn(c, pt[0], pt[1]), list(pts)
         )
         total += len(pts)
-        chart_max = max(res) if res else 0.0
-        per_chart[chart_name] = chart_max
+        per_chart[chart_name] = max(res, key=residual_rank) if res else 0.0
         for (coords, _env), r in zip(pts, res):
-            if r > worst[0]:
+            if residual_rank(r) > residual_rank(worst[0]):
                 worst = (r, chart_name, coords)
-    max_res = max(per_chart.values()) if per_chart else 0.0
+    max_res = max(per_chart.values(), key=residual_rank) if per_chart else 0.0
     verdict = verdict_for(max_res, tol, fail_floor)
     witness = None
     if verdict == FAIL:

@@ -40,13 +40,14 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import exprlang, numkernel as nk
 from .exprlang import Expr
 from .manifold import Atlas, Chart, Point, PointEnv, SamplePlan, sample_chart
-from .report import CheckReport, Witness, verdict_for
+from .report import CheckReport, Witness, residual_rank, verdict_for
 
 
 def map_structure(fn, s):
@@ -55,11 +56,28 @@ def map_structure(fn, s):
     return fn(s)
 
 
-def max_abs(s) -> float:
-    """Largest |value| in a nested component structure."""
+def _copy_lists(s):
+    """Fresh nested lists around the same leaves."""
     if isinstance(s, list):
-        return max((max_abs(x) for x in s), default=0.0)
+        return [_copy_lists(x) if isinstance(x, list) else x for x in s]
+    return s
+
+
+def max_abs(s) -> float:
+    """Largest |value| in a nested component structure; NaN if any is NaN."""
+    if isinstance(s, list):
+        return _max_or_nan([
+            max_abs(x) if isinstance(x, list) else abs(nk.value_of(x)) for x in s
+        ])
     return abs(nk.value_of(s))
+
+
+def _max_or_nan(mags: list) -> float:
+    """max of non-negative magnitudes (0.0 if none), or NaN if one is NaN.
+
+    A sum of non-negative numbers is NaN exactly when one of them is.
+    """
+    return math.nan if math.isnan(sum(mags)) else max(mags, default=0.0)
 
 
 def zeros(dim: int, rank: int):
@@ -137,10 +155,6 @@ class TensorField:
             evaluators[chart_name] = ev
         return cls(name, atlas, valence, evaluators, exprs=parsed)
 
-    @classmethod
-    def from_closure(cls, name, atlas, valence, closures) -> "TensorField":
-        return cls(name, atlas, valence, dict(closures))
-
     def chart_names(self) -> list[str]:
         return sorted(self._evaluators)
 
@@ -163,7 +177,7 @@ class TensorField:
         key = (self, chart)
         if key not in env.memo:
             env.memo[key] = self.evaluator(chart)(env)
-        return map_structure(lambda v: v, env.memo[key])
+        return _copy_lists(env.memo[key])
 
     def at_point(self, p: Point):
         comps = self.at(p.chart, self.atlas.chart(p.chart).env(p.coords))
@@ -211,12 +225,33 @@ def field_jet(T: TensorField, chart_name: str, env: dict):
     chart = T.atlas.chart(chart_name)
     tag, dual_env = _seeded(chart, env)
     out = T.at(chart_name, dual_env)
-    vals = map_structure(lambda v: nk.value_at(v, tag), out)
-    parts = [
-        map_structure(lambda v, i=i: nk.tangent_at(v, tag, i), out)
-        for i in range(chart.dim)
-    ]
-    return vals, parts
+    if isinstance(out, list):
+        return _split_jet(out, tag, chart.dim)
+    return (
+        nk.value_at(out, tag),
+        [nk.tangent_at(out, tag, i) for i in range(chart.dim)],
+    )
+
+
+def _split_jet(s: list, tag: int, dim: int):
+    """(values, partials) of a nested component list at level `tag`, in one walk.
+
+    Leaf for leaf the same as mapping `value_at` and `tangent_at` over `s`:
+    a leaf of that level gives its value and tangents, any other leaf is
+    constant there (itself and 0.0).
+    """
+    constant = (0.0,) * dim
+    vals, tgs = [], []
+    for x in s:
+        if isinstance(x, list):
+            v, tg = _split_jet(x, tag, dim)
+        elif type(x) is nk.DScalar and x.tag == tag:
+            v, tg = x.val, x.tg
+        else:
+            v, tg = x, constant
+        vals.append(v)
+        tgs.append(tg)
+    return vals, [[tg[i] for tg in tgs] for i in range(dim)]
 
 
 # -- smooth maps -------------------------------------------------------
@@ -565,12 +600,6 @@ def contract_form_vector(alpha, X):
     return nk.sum_(a * x for a, x in zip(alpha, X))
 
 
-def two_form_apply(omega, X, Y):
-    """Scalar ω(X, Y) from component structures."""
-    n = len(X)
-    return nk.sum_(omega[i][j] * X[i] * Y[j] for i in range(n) for j in range(n))
-
-
 # -- cross-chart consistency ------------------------------------------
 
 
@@ -615,11 +644,11 @@ def cross_chart_consistency(
                 back = transported.at(t.source, env)
                 diff = _diff_scaled(here, back, sign)
                 total += 1
-                chart_max = max(chart_max, diff)
-                if diff > worst[0]:
+                chart_max = max(chart_max, diff, key=residual_rank)
+                if residual_rank(diff) > residual_rank(worst[0]):
                     worst = (diff, label, coords)
         per_chart[label] = chart_max
-    max_res = max(per_chart.values()) if per_chart else 0.0
+    max_res = max(per_chart.values(), key=residual_rank) if per_chart else 0.0
     verdict = verdict_for(max_res, tol, None)
     witness = (
         Witness(worst[1], tuple(worst[2]), worst[0]) if verdict == "fail" else None
@@ -640,9 +669,7 @@ def cross_chart_consistency(
 def _diff_scaled(a, b, sign: float) -> float:
     """max |a - sign*b| over a nested structure pair."""
     if isinstance(a, list):
-        return max(
-            (_diff_scaled(x, y, sign) for x, y in zip(a, b)), default=0.0
-        )
+        return _max_or_nan([_diff_scaled(x, y, sign) for x, y in zip(a, b)])
     return abs(nk.value_of(a) - sign * nk.value_of(b))
 
 

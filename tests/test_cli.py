@@ -61,6 +61,18 @@ def test_malformed_param_exits_two(capsys):
     assert "NAME=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-3", "two"])
+def test_bad_sample_count_exits_two_before_any_build(count, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built an entry despite bad input")
+
+    monkeypatch.setattr("sasaki_lab.cli.build_example", no_build)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "darboux-1", "--samples", count])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_checks_filter_limits_json(tmp_path, capsys):
     path = tmp_path / "one.json"
     rc = main(

@@ -1,0 +1,493 @@
+"""Property tests for the dual kernel (needs ``hypothesis``; skipped without).
+
+Two oracles:
+
+* the plain recursive kernel, kept below verbatim on a class of its own
+  (``RefDual``): every fast path of ``numkernel`` must give the same result
+  leaf for leaf, at every level, compared by ``repr`` so that ``-0.0``, NaN
+  and the leaf types (``float``, ``int``, ``np.float64``) all count, and
+  must raise the same exception where it raises;
+* central finite differences for order-1 and order-2 derivatives of random
+  straight-line programs.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from sasaki_lab import numkernel as nk  # noqa: E402
+
+# -- the reference: the recursive kernel the fast paths replaced -----------
+
+
+class RefDual:
+    __slots__ = ("val", "tg", "tag")
+
+    def __init__(self, val, tg, tag):
+        self.val = val
+        self.tg = tg
+        self.tag = tag
+
+    def __add__(self, other):
+        return ref_add(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return ref_add(self, ref_neg(other))
+
+    def __rsub__(self, other):
+        return ref_add(ref_neg(self), other)
+
+    def __mul__(self, other):
+        return ref_mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return ref_div(self, other)
+
+    def __rtruediv__(self, other):
+        return ref_div(other, self)
+
+    def __neg__(self):
+        return ref_neg(self)
+
+    def __pow__(self, n):
+        return ref_powi(self, n)
+
+
+def _tag_of(x) -> int:
+    return x.tag if isinstance(x, RefDual) else 0
+
+
+def _parts(x, tag):
+    if isinstance(x, RefDual) and x.tag == tag:
+        return x.val, x.tg
+    return x, None
+
+
+def ref_neg(x):
+    if isinstance(x, RefDual):
+        return RefDual(ref_neg(x.val), tuple(ref_neg(t) for t in x.tg), x.tag)
+    return -x
+
+
+def ref_add(a, b):
+    tag = max(_tag_of(a), _tag_of(b))
+    if tag == 0:
+        return a + b
+    av, atg = _parts(a, tag)
+    bv, btg = _parts(b, tag)
+    if atg is None:
+        tg = btg
+    elif btg is None:
+        tg = atg
+    else:
+        tg = tuple(ref_add(x, y) for x, y in zip(atg, btg))
+    return RefDual(ref_add(av, bv), tg, tag)
+
+
+def ref_mul(a, b):
+    tag = max(_tag_of(a), _tag_of(b))
+    if tag == 0:
+        return a * b
+    av, atg = _parts(a, tag)
+    bv, btg = _parts(b, tag)
+    if atg is None:
+        tg = tuple(ref_mul(av, y) for y in btg)
+    elif btg is None:
+        tg = tuple(ref_mul(x, bv) for x in atg)
+    else:
+        tg = tuple(ref_add(ref_mul(x, bv), ref_mul(av, y)) for x, y in zip(atg, btg))
+    return RefDual(ref_mul(av, bv), tg, tag)
+
+
+def ref_div(a, b):
+    tag = max(_tag_of(a), _tag_of(b))
+    if tag == 0:
+        return a / b
+    av, atg = _parts(a, tag)
+    bv, btg = _parts(b, tag)
+    val = ref_div(av, bv)
+    if atg is None:
+        tg = tuple(ref_div(ref_neg(ref_mul(val, y)), bv) for y in btg)
+    elif btg is None:
+        tg = tuple(ref_div(x, bv) for x in atg)
+    else:
+        tg = tuple(
+            ref_div(ref_add(x, ref_neg(ref_mul(val, y))), bv) for x, y in zip(atg, btg)
+        )
+    return RefDual(val, tg, tag)
+
+
+def ref_powi(x, n):
+    if not isinstance(x, RefDual):
+        return float(x) ** n
+    if n == 0:
+        return 1.0
+    if n < 0:
+        return ref_div(1.0, ref_powi(x, -n))
+    v = ref_powi(x.val, n)
+    factor = ref_mul(float(n), ref_powi(x.val, n - 1))
+    return RefDual(v, tuple(ref_mul(factor, t) for t in x.tg), x.tag)
+
+
+def ref_value_of(x):
+    while isinstance(x, RefDual):
+        x = x.val
+    return float(x)
+
+
+def _chain(x, val, dval):
+    return RefDual(val, tuple(ref_mul(dval, t) for t in x.tg), x.tag)
+
+
+def ref_sin(x):
+    if isinstance(x, RefDual):
+        return _chain(x, ref_sin(x.val), ref_cos(x.val))
+    return math.sin(x)
+
+
+def ref_cos(x):
+    if isinstance(x, RefDual):
+        return _chain(x, ref_cos(x.val), ref_neg(ref_sin(x.val)))
+    return math.cos(x)
+
+
+def ref_exp(x):
+    if isinstance(x, RefDual):
+        v = ref_exp(x.val)
+        return _chain(x, v, v)
+    return math.exp(x)
+
+
+def ref_log(x):
+    if isinstance(x, RefDual):
+        return _chain(x, ref_log(x.val), ref_div(1.0, x.val))
+    return math.log(x)
+
+
+def ref_sqrt(x):
+    if isinstance(x, RefDual):
+        v = ref_sqrt(x.val)
+        return _chain(x, v, ref_div(0.5, v))
+    return math.sqrt(x)
+
+
+def ref_sum(terms):
+    total = 0.0
+    for t in terms:
+        total = total + t
+    return total
+
+
+def ref_solve_linear_info(a_rows, b):
+    n = len(a_rows)
+    matrix_rhs = bool(b) and isinstance(b[0], (list, tuple))
+    a = [list(r) for r in a_rows]
+    rhs = [list(r) for r in b] if matrix_rhs else [[v] for v in b]
+    m = len(rhs[0]) if rhs else 0
+
+    piv_min = math.inf
+    piv_max = 0.0
+    for col in range(n):
+        best, best_mag = col, abs(ref_value_of(a[col][col]))
+        for r in range(col + 1, n):
+            mag = abs(ref_value_of(a[r][col]))
+            if mag > best_mag:
+                best, best_mag = r, mag
+        if best_mag < nk.PIVOT_THRESHOLD:
+            raise nk.SingularMatrix(f"column {col}")
+        if best != col:
+            a[col], a[best] = a[best], a[col]
+            rhs[col], rhs[best] = rhs[best], rhs[col]
+        piv_min = min(piv_min, best_mag)
+        piv_max = max(piv_max, best_mag)
+        for r in range(col + 1, n):
+            if isinstance(a[r][col], RefDual) or ref_value_of(a[r][col]) != 0.0:
+                factor = a[r][col] / a[col][col]
+                for c in range(col + 1, n):
+                    a[r][c] = a[r][c] - factor * a[col][c]
+                for c in range(m):
+                    rhs[r][c] = rhs[r][c] - factor * rhs[col][c]
+                a[r][col] = 0.0
+
+    x = [[0.0] * m for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        for c in range(m):
+            acc = rhs[r][c]
+            for k in range(r + 1, n):
+                acc = acc - a[r][k] * x[k][c]
+            x[r][c] = acc / a[r][r]
+
+    cond = piv_max / piv_min if n else 1.0
+    if matrix_rhs:
+        return x, cond
+    return [row[0] for row in x], cond
+
+
+# -- comparing the two kernels ------------------------------------------
+
+
+def to_ref(x):
+    """The same operand built from RefDual instead of DScalar."""
+    if type(x) is nk.DScalar:
+        return RefDual(to_ref(x.val), tuple(to_ref(t) for t in x.tg), x.tag)
+    if isinstance(x, (list, tuple)):
+        return type(x)(to_ref(v) for v in x)
+    return x
+
+
+def canon(x):
+    """Tags, shapes and the repr of every leaf, for either kernel's duals."""
+    if isinstance(x, (nk.DScalar, RefDual)):
+        return ("dual", x.tag, canon(x.val), tuple(canon(t) for t in x.tg))
+    if isinstance(x, (list, tuple)):
+        return [canon(v) for v in x]
+    return repr(x)
+
+
+def outcome(fn, *args):
+    """canon of fn(*args), or the name of the exception it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return canon(fn(*args))
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc).__name__
+
+
+def assert_same(fast_fn, ref_fn, *args):
+    want = outcome(ref_fn, *to_ref(list(args)))
+    got = outcome(fast_fn, *args)
+    assert got == want
+
+
+# -- operand strategies -------------------------------------------------
+
+LOW, HIGH = nk.new_tag(), nk.new_tag()  # two nested levels, LOW inside HIGH
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, math.inf, -math.inf, math.nan]
+FLOATS = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+CONSTS = st.one_of(FLOATS, st.integers(-3, 3), FLOATS.map(np.float64))
+
+
+KINDS = ("const", "low", "high1", "order2")
+
+
+@st.composite
+def operand_lists(draw, count, kinds=KINDS):
+    """`count` operands sharing the dimensions of the two levels.
+
+    Each operand is one of `kinds`: a constant, an order-1 dual at either
+    level, or an order-2 dual (HIGH over LOW) whose slots are constants or
+    LOW duals.  About half the operands are built from plain floats only,
+    which is what the fast paths are for; the rest mix in ints and
+    np.float64.
+    """
+    d_low, d_high = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    out = []
+    for _ in range(count):
+        leaf = FLOATS if draw(st.booleans()) else CONSTS
+
+        def low():
+            return nk.DScalar(draw(leaf), tuple(draw(leaf) for _ in range(d_low)), LOW)
+
+        def slot():
+            return low() if draw(st.booleans()) else draw(leaf)
+
+        def high(entry):
+            return nk.DScalar(entry(), tuple(entry() for _ in range(d_high)), HIGH)
+
+        kind = draw(st.sampled_from(kinds))
+        if kind == "const":
+            out.append(draw(leaf))
+        elif kind == "low":
+            out.append(low())
+        elif kind == "high1":
+            out.append(high(lambda: draw(leaf)))
+        else:
+            out.append(high(slot))
+    return out
+
+
+ORACLE = settings(max_examples=150, deadline=None)
+
+
+@ORACLE
+@given(st.sampled_from(["add", "sub", "mul", "truediv"]), operand_lists(2))
+def test_binary_operators_match_reference(name, ops):
+    fn = getattr(operator, name)
+    assert_same(fn, fn, *ops)
+
+
+@ORACLE
+@given(operand_lists(2))
+# signed zeros in value and tangent slots, at one level and across two
+@example([nk.DScalar(-0.0, (-0.0, 1.0), LOW), nk.DScalar(0.0, (0.0, -0.0), LOW)])
+@example([nk.DScalar(-0.0, (0.0,), HIGH), 0.0])
+@example([-0.0, nk.DScalar(0.0, (-0.0,), HIGH)])
+def test_kernel_functions_match_reference(ops):
+    a, b = ops
+    assert_same(nk._add, ref_add, a, b)
+    assert_same(nk._mul, ref_mul, a, b)
+    assert_same(nk._div, ref_div, a, b)
+    assert_same(nk._neg, ref_neg, a)
+
+
+@ORACLE
+@given(operand_lists(1), st.integers(-3, 4))
+def test_powi_matches_reference(ops, n):
+    assert_same(nk.powi, ref_powi, ops[0], n)
+
+
+@ORACLE
+@given(operand_lists(1))
+def test_chain_rule_functions_match_reference(ops):
+    x = ops[0]
+    for fast, ref in (
+        (nk.sin, ref_sin), (nk.cos, ref_cos), (nk.exp, ref_exp),
+        (nk.log, ref_log), (nk.sqrt, ref_sqrt),
+    ):
+        assert_same(fast, ref, x)
+    assert repr(nk.value_of(x)) == repr(ref_value_of(to_ref(x)))
+
+
+@ORACLE
+@given(st.integers(0, 6).flatmap(operand_lists))
+def test_sum_matches_reference(ops):
+    assert_same(lambda *ts: nk.sum_(ts), lambda *ts: ref_sum(ts), *ops)
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs) of an n x n system, n in 1..4, with a vector or matrix rhs.
+
+    Half the systems hold constants only.  A strong diagonal keeps most
+    draws solvable, so elimination and back substitution run.
+    """
+    n = draw(st.integers(1, 4))
+    kinds = ("const",) if draw(st.booleans()) else KINDS
+    ops = draw(operand_lists(n * n + 2 * n, kinds))
+    rows = [ops[i * n:(i + 1) * n] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = rows[i][i] + 8.0
+    rest = ops[n * n:]
+    if draw(st.booleans()):
+        return rows, [rest[i:i + 2] for i in range(0, 2 * n, 2)]
+    return rows, rest[:n]
+
+
+@ORACLE
+@given(linear_systems())
+# signed zeros that a skipped zero product would flip, in elimination and
+# in back substitution
+@example(([[1.0, 0.0], [-0.5, 1.0]], [0.0, -0.0]))
+@example(([[1.0, -1.0], [0.0, 1.0]], [-0.0, 0.0]))
+def test_solve_linear_info_matches_reference(system):
+    assert_same(nk.solve_linear_info, ref_solve_linear_info, *system)
+
+
+# -- derivatives against central finite differences ---------------------
+
+STEPS = ["add", "sub", "mul", "div", "sin", "cos", "exp", "sqrt", "log", "pow"]
+
+
+def run_program(program, xs):
+    """Evaluate a straight-line program over floats or duals.
+
+    Registers start as the inputs; each step appends op(r[i], r[j]).  Every
+    step is smooth on all of R, so any input is in its domain.
+    """
+    r = list(xs)
+    for op, i, j, c in program:
+        a, b = r[i % len(r)], r[j % len(r)]
+        if op == "add":
+            v = a + c * b
+        elif op == "sub":
+            v = a - b
+        elif op == "mul":
+            v = a * b
+        elif op == "div":
+            v = a / (1.5 + nk.sin(b))
+        elif op == "sin":
+            v = nk.sin(c * a)
+        elif op == "cos":
+            v = nk.cos(a + c)
+        elif op == "exp":
+            v = nk.exp(nk.sin(a))
+        elif op == "sqrt":
+            v = nk.sqrt(1.0 + a * a)
+        elif op == "log":
+            v = nk.log(2.0 + nk.cos(a))
+        else:
+            v = (1.5 + nk.sin(a)) ** -2 * nk.sin(b) ** 3
+        r.append(v)
+    return r[-1]
+
+
+PROGRAMS = st.lists(
+    st.tuples(
+        st.sampled_from(STEPS), st.integers(0, 20), st.integers(0, 20),
+        st.floats(-2.0, 2.0),
+    ),
+    min_size=1, max_size=6,
+)
+POINTS = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+)
+H = 1e-5
+
+
+def _fd(f, x, i):
+    up, dn = list(x), list(x)
+    up[i] += H
+    dn[i] -= H
+    return (f(up) - f(dn)) / (2 * H)
+
+
+def _gradient(program, x):
+    tag, duals = nk.seed(x)
+    out = run_program(program, duals)
+    return [nk.tangent_at(out, tag, i) for i in range(len(x))]
+
+
+def _close(got, want, scale):
+    return abs(got - want) <= 1e-6 * max(1.0, abs(want), scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PROGRAMS, POINTS)
+def test_first_derivatives_match_finite_differences(program, x):
+    scale = abs(run_program(program, x))
+    for i, g in enumerate(_gradient(program, x)):
+        assert _close(g, _fd(lambda p: run_program(program, p), x, i), scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PROGRAMS, POINTS)
+def test_second_derivatives_match_finite_differences(program, x):
+    low, inner = nk.seed(x)
+    high, outer = nk.seed(inner)
+    out = run_program(program, outer)
+    grad = _gradient(program, x)
+    scale = max([abs(g) for g in grad] + [abs(run_program(program, x))])
+    for i in range(len(x)):
+        d_i = nk.tangent_at(out, high, i)
+        # the value slots of the nested run repeat the order-1 run exactly
+        assert repr(nk.tangent_at(nk.value_at(out, high), low, i)) == repr(grad[i])
+        for j in range(len(x)):
+            want = _fd(lambda p: _gradient(program, p)[i], x, j)
+            assert _close(nk.tangent_at(d_i, low, j), want, scale)

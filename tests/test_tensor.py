@@ -1,6 +1,7 @@
 """Tensor calculus against hand and finite-difference oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -376,6 +377,18 @@ class TestCrossChart:
         )
         assert rep.verdict == "pass"
 
+    def test_nan_components_fail_with_a_nan_witness(self):
+        atlas = self.make_atlas()
+        # consistent where x' > 1.5, NaN (1/(0*inf)) where x' < 1.5
+        v = tn.TensorField.from_exprs("v", atlas, (1, 0), {
+            "A": {(0,): "1"},
+            "B": {(0,): "2 + 1 / ((1 + sgn(x - 1.5)) * 1e400)"},
+        })
+        rep = tn.cross_chart_consistency(v, SamplePlan(points_per_chart=8))
+        assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+        assert math.isnan(rep.witness.residual)
+        assert rep.witness.coords[0] < 0.75  # a point mapped below x' = 1.5
+
 
 def test_field_algebra_helpers():
     atlas = r2_atlas()
@@ -543,3 +556,68 @@ class TestPointMemo:
         assert rep.samples == 4 and len(seen) == 4
         gc.collect()
         assert all(ref() is None for ref in seen)
+
+
+# -- the one-walk jet split -------------------------------------------
+
+
+def _unpack_by_map_structure(out, tag, dim):
+    """The jet unpacking field_jet used to do: one walk per output."""
+    vals = tn.map_structure(lambda v: nk.value_at(v, tag), out)
+    parts = [
+        tn.map_structure(lambda v, i=i: nk.tangent_at(v, tag, i), out)
+        for i in range(dim)
+    ]
+    return vals, parts
+
+
+def _canon(s):
+    """Shape, dual levels and the repr of every leaf."""
+    if isinstance(s, (list, tuple)):
+        return [_canon(x) for x in s]
+    if isinstance(s, nk.DScalar):
+        return ("dual", s.tag, _canon(s.val), tuple(_canon(t) for t in s.tg))
+    return repr(s)
+
+
+RANKED_FIELDS = {
+    0: ((0, 0), {(): "x*sin(p) + z^2"}),
+    1: ((0, 1), {(0,): "-p", (2,): "1", (1,): "exp(x*z)"}),
+    2: ((1, 1), {(0, 1): "x*p", (2, 0): "cos(z)", (1, 1): "-0.0"}),
+    3: ((1, 2), {(0, 1, 2): "x*z", (2, 0, 1): "sin(p)", (1, 1, 1): "2"}),
+}
+
+
+class TestJetSplit:
+    @pytest.mark.parametrize("rank", sorted(RANKED_FIELDS))
+    def test_split_matches_map_structure_unpacking(self, rank):
+        valence, table = RANKED_FIELDS[rank]
+        T = tn.TensorField.from_exprs(f"T{rank}", r3_atlas(), valence, {"O": table})
+        chart = T.atlas.chart("O")
+        env = chart.env((0.3, -0.5, 0.7))
+        tag, dual_env = tn._seeded(chart, env)
+        want = _canon(_unpack_by_map_structure(T.at("O", dual_env), tag, 3))
+        assert _canon(tn.field_jet(T, "O", env)) == want
+        # a jet inside a jet: leaves are duals of the outer level over the
+        # inner one, and inner-level constants stay untouched
+        tag2, dual2 = tn._seeded(chart, dual_env)
+        want2 = _canon(_unpack_by_map_structure(T.at("O", dual2), tag2, 3))
+        assert _canon(tn.field_jet(T, "O", dual_env)) == want2
+
+    @pytest.mark.parametrize("rank", sorted(RANKED_FIELDS))
+    def test_writing_into_a_split_changes_no_later_result(self, rank):
+        valence, table = RANKED_FIELDS[rank]
+        T = tn.TensorField.from_exprs(f"T{rank}", r3_atlas(), valence, {"O": table})
+        env = T.atlas.chart("O").env((0.3, -0.5, 0.7))
+        want = _canon(tn.field_jet(T, "O", env))
+        vals, parts = tn.field_jet(T, "O", env)
+        parts[0] = 99.0
+        if rank:
+            vals[0] = 99.0
+            parts[1][0] = 99.0
+            parts[2].clear()
+        assert _canon(tn.field_jet(T, "O", env)) == want
+        assert _canon(T.at("O", env)) == want[0]
+        if rank >= 2:
+            T.at("O", env)[0][0] = 99.0  # a nested list of the value memo
+            assert _canon(T.at("O", env)) == want[0]
