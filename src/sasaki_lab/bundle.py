@@ -37,10 +37,11 @@ from .manifold import (
     sample_chart,
     sample_points,
 )
-from .report import CheckReport, run_residual_check
+from .report import CheckReport, max_or_nan, run_residual_check
 from .tensor import (
     SmoothMap,
     TensorField,
+    _diff_scaled,
     exterior_derivative,
     field_jet,
     max_abs,
@@ -227,7 +228,7 @@ def symplectic_check(
         ]
         det = abs(nk.determinant(rows))
         # relative deficiency: O(1) when the form degenerates outright
-        return max(r, max(0.0, 1.0 - det / threshold))
+        return max_or_nan([r, 0.0, 1.0 - det / threshold])
 
     return run_residual_check(
         "symplectic_form",
@@ -286,11 +287,9 @@ def homogeneity_check(
 
     def residual(chart, coords, env):
         here = K.at(chart, env)
-        r = 0.0
-        for fac, T in transported:
-            moved = T.at(chart, env)
-            r = max(r, _scaled_diff(moved, here, fac))
-        return r
+        return max_or_nan(
+            [_diff_scaled(T.at(chart, env), here, fac) for fac, T in transported]
+        )
 
     return run_residual_check(
         check_name or f"homogeneity({K.name})",
@@ -301,14 +300,6 @@ def homogeneity_check(
         example=example,
         details={"mode": mode, "weight": weight, "scales": list(scales)},
     )
-
-
-def _scaled_diff(moved, here, fac: float) -> float:
-    if isinstance(moved, list):
-        return max(
-            (_scaled_diff(a, b, fac) for a, b in zip(moved, here)), default=0.0
-        )
-    return abs(nk.value_of(moved) - fac * nk.value_of(here))
 
 
 def require_homogeneous(K, weight, mode, plan, bundle, tol=None):
@@ -351,12 +342,12 @@ def liouville_data(
         dt = dtheta.at(chart_name, env)
         om = omega.at(chart_name, env)
         si = bundle.fiber_index(chart_name)
-        r = abs(nk.value_of(theta.at(chart_name, env)[si]))
         dim = len(om)
-        for i in range(dim):
-            for j in range(dim):
-                r = max(r, abs(nk.value_of(dt[i][j]) - nk.value_of(om[i][j])))
-        return r
+        return max_abs([theta.at(chart_name, env)[si]] + [
+            nk.value_of(dt[i][j]) - nk.value_of(om[i][j])
+            for i in range(dim)
+            for j in range(dim)
+        ])
 
     rep = run_residual_check(
         "liouville_data",
@@ -407,7 +398,7 @@ def calibration_check(
         si = chart_obj.index(FIBER)
         euler = abs(s * parts[si] - vals)
         positive = 0.0 if vals > 0 else abs(vals) + 1e-6
-        return max(euler, positive)
+        return max_or_nan([euler, positive])
 
     return run_residual_check(
         "calibration",
@@ -521,7 +512,7 @@ def decompose_homogeneous_metric(
     )
 
     # positivity of the shadow at base samples
-    mu_max = 0.0
+    mu_vals = []
     for chart in bundle.base.charts:
         for coords, env in sample_chart(chart, plan):
             rows = [
@@ -532,7 +523,8 @@ def decompose_homogeneous_metric(
                 raise NotPositiveDefinite(
                     f"shadow metric eigenvalue {lo:.3e} at {coords} in {chart.name}"
                 )
-            mu_max = max(mu_max, max_abs(mu.at(chart.name, env)))
+            mu_vals.append(mu.at(chart.name, env))
+    mu_max = max_abs(mu_vals)
 
     # reassembly + s-independence of the extracted data
     def residual(chart_name, coords, env):
@@ -541,7 +533,7 @@ def decompose_homogeneous_metric(
         a_val, mu_t, gamma, si = pieces_at(chart_name, env)
         sval, sparts = field_jet(scal, chart_name, env)
         gm = g.at(chart_name, env)
-        r = 0.0
+        comps = []
         for j in range(dim):
             for k in range(dim):
                 rebuilt = (
@@ -550,15 +542,15 @@ def decompose_homogeneous_metric(
                     + mu_t[j] * sparts[k]
                     + sval * gamma[j][k]
                 )
-                r = max(r, abs(nk.value_of(rebuilt) - nk.value_of(gm[j][k])))
+                comps.append(nk.value_of(rebuilt) - nk.value_of(gm[j][k]))
         # data read at this fiber height must match the s=1 extraction
         base_env = {c: env[c] for c in chart.coords if c != FIBER}
         keep = [j for j in range(dim) if j != si]
-        r = max(r, abs(nk.value_of(a_val) - nk.value_of(A.at(chart_name, base_env))))
+        comps.append(nk.value_of(a_val) - nk.value_of(A.at(chart_name, base_env)))
         mu_base = mu.at(chart_name, base_env)
         for idx, j in enumerate(keep):
-            r = max(r, abs(nk.value_of(mu_t[j]) - nk.value_of(mu_base[idx])))
-        return r
+            comps.append(nk.value_of(mu_t[j]) - nk.value_of(mu_base[idx]))
+        return max_abs(comps)
 
     rep = run_residual_check(
         "metric_decomposition",

@@ -15,7 +15,6 @@ import sys
 
 from .corpus import EXAMPLE_KEYS, UnknownKey, build_example, emit_example
 from .manifold import SamplePlan
-from .report import map_ordered
 
 
 def _positive_int(text: str) -> int:
@@ -113,17 +112,11 @@ def _cmd_verify(args) -> int:
                 f"no declared check named {', '.join(missing)} in {args.key}"
             )
 
-    def run_one(ex):
-        rows = []
-        for job in ex.checks:
-            if wanted is not None and job.name not in wanted:
-                continue
-            rep = job.run(plan, args.tol)
-            rows.append((ex.key, job, rep))
-        return rows
-
     results = [
-        row for rows in map_ordered(run_one, examples) for row in rows
+        (ex.key, job, job.run(plan, args.tol))
+        for ex in examples
+        for job in ex.checks
+        if wanted is None or job.name in wanted
     ]
 
     matched = sum(1 for _, job, rep in results if rep.verdict == job.expect)

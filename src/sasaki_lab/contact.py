@@ -27,12 +27,13 @@ from typing import Callable, Optional
 
 from . import numkernel as nk
 from .manifold import Atlas, Chart, SamplePlan, sample_points
-from .report import CheckReport, run_residual_check
+from .report import CheckReport, max_or_nan, run_residual_check
 from .tensor import (
     TensorField,
     exterior_derivative,
     field_jet,
     contract_form_vector,
+    max_abs,
 )
 
 
@@ -120,10 +121,10 @@ def reeb_residual_check(
         xv = xi.at(chart, env)
         dv = deta.at(chart, env)
         dim = len(xv)
-        r = abs(contract_form_vector(ev_, xv) - 1.0)
-        for j in range(dim):
-            r = max(r, abs(nk.sum_(xv[i] * dv[i][j] for i in range(dim))))
-        return r
+        return max_abs(
+            [contract_form_vector(ev_, xv) - 1.0]
+            + [nk.sum_(xv[i] * dv[i][j] for i in range(dim)) for j in range(dim)]
+        )
 
     return run_residual_check(
         "reeb_residual",
@@ -167,7 +168,7 @@ def is_contact_form(
     def residual(chart, coords, env):
         c = contact_top_coefficient(C, chart, env)
         smallest[0] = min(smallest[0], c)
-        return max(0.0, NONDEGENERACY_THRESHOLD - c)
+        return max_or_nan([0.0, NONDEGENERACY_THRESHOLD - c])
 
     rep = run_residual_check(
         "is_contact_form",
@@ -238,13 +239,11 @@ def frame_check(
 
     def residual(chart, coords, env):
         fr = contact_frame(C, chart, env)
-        r = 0.0
-        for vec in fr.vectors:
-            r = max(r, abs(nk.value_of(contract_form_vector(fr.eta_vals, vec))))
+        r = max_abs([contract_form_vector(fr.eta_vals, vec) for vec in fr.vectors])
         rows = [[nk.value_of(x) for x in vec] for vec in fr.vectors]
         rows.append([nk.value_of(x) for x in fr.xi])
         det = abs(nk.determinant(rows))
-        return max(r, max(0.0, NONDEGENERACY_THRESHOLD - det))
+        return max_or_nan([r, 0.0, NONDEGENERACY_THRESHOLD - det])
 
     return run_residual_check(
         "kernel_frame",

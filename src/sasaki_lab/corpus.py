@@ -70,9 +70,9 @@ from .report import (
     FAIL,
     PASS,
     CheckReport,
-    Witness,
+    Reduction,
+    check_report,
     run_residual_check,
-    verdict_for,
 )
 from .sasaki import (
     LeviStructure,
@@ -339,19 +339,9 @@ def _scalar_report(
     details: dict | None = None,
 ) -> CheckReport:
     """Report for a single derived number (no pointwise sampling)."""
-    verdict = verdict_for(residual, tol, None)
-    witness = Witness("-", (), residual) if verdict == FAIL else None
-    return CheckReport(
-        check=name,
-        seed=plan.seed,
-        samples=1,
-        tolerance=tol,
-        max_residual=residual,
-        per_chart={},
-        verdict=verdict,
-        example=key,
-        witness=witness,
-        details=details or {},
+    return check_report(
+        name, Reduction(residual, {}, ("-", (), residual)), tol, plan.seed,
+        samples=1, example=key, details=details,
     )
 
 
@@ -368,7 +358,7 @@ def _build_darboux(n: int, params: dict) -> Example:
     n_fields = n_tensors(struct)
 
     def n_residual(chart, coords, env):
-        return max(max_abs(f.at(chart, env)) for f in n_fields.values())
+        return max_abs([f.at(chart, env) for f in n_fields.values()])
 
     checks = (
         _atlas_job("atlas_consistency", atlas, key),
@@ -526,7 +516,7 @@ def complex_pair_bracket(z1, z2):
 
 def _pair_residual(fields: Iterable) -> Callable:
     def residual(chart, coords, env):
-        return max(max_abs(f.at(chart, env)) for f in fields)
+        return max_abs([f.at(chart, env) for f in fields])
 
     return residual
 
@@ -543,11 +533,9 @@ def _build_mobius_cotangent(params: dict) -> Example:
         want = jmat.at(chart, env)
         got = pair.J.at(chart, env)
         dim = len(want)
-        return max(
-            abs(nk.value_of(want[i][j] - got[i][j]))
-            for i in range(dim)
-            for j in range(dim)
-        )
+        return max_abs([
+            want[i][j] - got[i][j] for i in range(dim) for j in range(dim)
+        ])
 
     # [A2, B2] is the one bracket that does *not* vanish: it equals
     # A1 - i B1, twice the sign-graded kernel-form direction.  The three
@@ -557,15 +545,10 @@ def _build_mobius_cotangent(params: dict) -> Example:
     im_want = tf_add(a1[1], tf_scale(b1[0], -1.0), name="im_mixed")
 
     def mixed_residual(chart, coords, env):
-        r = max_abs(
-            [x - y for x, y in zip(re_ab.at(chart, env), re_want.at(chart, env))]
-        )
-        return max(
-            r,
-            max_abs(
-                [x - y for x, y in zip(im_ab.at(chart, env), im_want.at(chart, env))]
-            ),
-        )
+        return max_abs([
+            [x - y for x, y in zip(re_ab.at(chart, env), re_want.at(chart, env))],
+            [x - y for x, y in zip(im_ab.at(chart, env), im_want.at(chart, env))],
+        ])
 
     eigen_brackets = [
         f for pair_ in (complex_pair_bracket(a1, a2), complex_pair_bracket(b1, b2))
@@ -749,49 +732,39 @@ def _build_mobius_jet(params: dict) -> Example:
         """The cone data descends: the projected form is fiber-independent,
         the projected rotation is graded by the fiber sign, the projected
         metric block scales with the absolute fiber."""
-        r = 0.0
+        comps = []
         e1 = projected_eta(chart, env, 1.0)
         f1 = projected_endo(chart, env, 1.0)
         g1 = projected_metric(chart, env, 1.0)
         for s in _PROBES[1:]:
             es = projected_eta(chart, env, s)
-            r = max(r, max_abs([a - b for a, b in zip(es, e1)]))
+            comps.append([a - b for a, b in zip(es, e1)])
             sg = 1.0 if s > 0 else -1.0
             fs = projected_endo(chart, env, s)
-            r = max(
-                r,
-                max(
-                    abs(nk.value_of(fs[i][j] - sg * f1[i][j]))
-                    for i in range(3)
-                    for j in range(3)
-                ),
-            )
+            comps.append([
+                fs[i][j] - sg * f1[i][j] for i in range(3) for j in range(3)
+            ])
             gs = projected_metric(chart, env, s)
-            r = max(
-                r,
-                max(
-                    abs(nk.value_of(gs[i][j] - abs(s) * g1[i][j]))
-                    for i in range(3)
-                    for j in range(3)
-                ),
-            )
-        return r
+            comps.append([
+                gs[i][j] - abs(s) * g1[i][j] for i in range(3) for j in range(3)
+            ])
+        return max_abs(comps)
 
     metric_here = struct.metric()
 
     def reference_residual(chart, coords, env):
-        r = max_abs(
-            [a - b for a, b in zip(projected_eta(chart, env), contact.eta.at(chart, env))]
-        )
+        comps = [
+            a - b for a, b in zip(projected_eta(chart, env), contact.eta.at(chart, env))
+        ]
         fm = projected_endo(chart, env)
         want_f = struct.phibar.at(chart, env)
         gm = projected_metric(chart, env)
         want_g = metric_here.at(chart, env)
         for i in range(3):
             for j in range(3):
-                r = max(r, abs(nk.value_of(fm[i][j] - want_f[i][j])))
-                r = max(r, abs(nk.value_of(gm[i][j] - want_g[i][j])))
-        return r
+                comps.append(fm[i][j] - want_f[i][j])
+                comps.append(gm[i][j] - want_g[i][j])
+        return max_abs(comps)
 
     sine = _section_map("section_sine", f"{_PI} * cos({_PI} * x)", f"sin({_PI} * x)", base)
     cosine = _section_map(
@@ -805,16 +778,13 @@ def _build_mobius_jet(params: dict) -> Example:
         """A section formula is one tensorial object: pushing its value
         through the overlap gluing lands on the other chart's formula."""
         other = "U" if chart == "O" else "O"
-        r = 0.0
+        comps = []
         for sm in (sine, cosine):
             vals = [nk.value_of(v) for v in section_values(sm, chart, env["x"])]
             moved = apply_transition(base, Point(chart, tuple(vals)), other)
             want = section_values(sm, other, moved.coords[0])
-            r = max(
-                r,
-                max(abs(a - nk.value_of(b)) for a, b in zip(moved.coords, want)),
-            )
-        return r
+            comps += [a - nk.value_of(b) for a, b in zip(moved.coords, want)]
+        return max_abs(comps)
 
     def sections_independent_residual(chart, coords, env):
         p1, z1 = (nk.value_of(v) for v in section_values(sine, chart, env["x"])[1:])
@@ -1067,19 +1037,18 @@ def _build_sphere(n: int, params: dict) -> Example:
     def frame_residual(chart, coords_, env):
         y, m, d = _sphere_frame(env, coords, _LAST_SIGN[chart])
         vals, jac = embed.jet(chart, env)
-        r = abs(nk.value_of(nk.sum_(w * w for w in y) - 4.0))
+        comps = [nk.sum_(w * w for w in y) - 4.0]
         for a in range(dimb + 1):
-            r = max(r, abs(nk.value_of(vals[a] - y[a])))
-            for j in range(dimb):
-                r = max(r, abs(nk.value_of(jac[a][j] - m[a][j])))
+            comps.append(vals[a] - y[a])
+            comps += [jac[a][j] - m[a][j] for j in range(dimb)]
         scale = 64.0 / nk.value_of(d * d)
         for i in range(dimb):
-            r = max(r, abs(nk.value_of(nk.sum_(m[a][i] * y[a] for a in range(dimb + 1)))))
+            comps.append(nk.sum_(m[a][i] * y[a] for a in range(dimb + 1)))
             for j in range(dimb):
                 gram = nk.sum_(m[a][i] * m[a][j] for a in range(dimb + 1))
                 want = scale if i == j else 0.0
-                r = max(r, abs(nk.value_of(gram) - want))
-        return r
+                comps.append(nk.value_of(gram) - want)
+        return max_abs(comps)
 
     eta_pulled = pullback(embed, theta, name="pulled_rotation_form")
     metric_pulled = pullback(embed, flat, name="pulled_flat_metric")
@@ -1093,11 +1062,9 @@ def _build_sphere(n: int, params: dict) -> Example:
     def round_metric_residual(chart, coords_, env):
         got = metric_here.at(chart, env)
         want = metric_pulled.at(chart, env)
-        return max(
-            abs(nk.value_of(got[i][j] - want[i][j]))
-            for i in range(dimb)
-            for j in range(dimb)
-        )
+        return max_abs([
+            got[i][j] - want[i][j] for i in range(dimb) for j in range(dimb)
+        ])
 
     bare = ContactStructure(f"{contact.name}_resolved", atlas, eta)
     solved_reeb = reeb_field(bare)
@@ -1211,8 +1178,8 @@ def _build_product(params: dict) -> Example:
     def beta_invariance_residual(chart, coords, env):
         bv = beta.at(chart, env)
         dv = diag.at(chart, env)
-        pairing = abs(nk.value_of(nk.sum_(b * d for b, d in zip(bv, dv))))
-        return max(pairing, max_abs(l_diag_beta.at(chart, env)))
+        pairing = nk.sum_(b * d for b, d in zip(bv, dv))
+        return max_abs([pairing, l_diag_beta.at(chart, env)])
 
     def beta_closed_residual(chart, coords, env):
         return max_abs(dbeta.at(chart, env))
@@ -1362,9 +1329,11 @@ def _build_main1(params: dict) -> Example:
             a_here * xi_lift[i] - (1.0 + a_here * a_here) * nabla[i]
             for i in range(dim)
         ]
-        r = max(r, max_abs([a - b for a, b in zip(img_nabla, want_nabla)]))
-        r = max(r, max_abs([a - b for a, b in zip(img_xi, want_xi)]))
-        return r
+        return max_abs([
+            r,
+            [a - b for a, b in zip(img_nabla, want_nabla)],
+            [a - b for a, b in zip(img_xi, want_xi)],
+        ])
 
     checks = (
         _atlas_job("atlas_consistency", total, key),

@@ -22,7 +22,7 @@ from . import exprlang, numkernel as nk
 from .bundle import FIBER, PrincipalBundle
 from .contact import ContactStructure, contact_frame
 from .manifold import Atlas, Chart, SamplePlan, TransitionMap, TransitionPiece, sample_points
-from .report import CheckReport, run_residual_check
+from .report import CheckReport, max_or_nan, run_residual_check
 from .sasaki import LeviStructure
 from .tensor import TensorField, max_abs, nijenhuis, zeros
 
@@ -157,14 +157,12 @@ def almost_complex_check(
     def residual(chart, coords, env):
         m = J.at(chart, env)
         dim = len(m)
-        r = 0.0
-        for i in range(dim):
-            for j in range(dim):
-                sq = nk.sum_(m[i][k] * m[k][j] for k in range(dim))
-                r = max(
-                    r, abs(nk.value_of(sq) + (1.0 if i == j else 0.0))
-                )
-        return r
+        return max_abs([
+            nk.value_of(nk.sum_(m[i][k] * m[k][j] for k in range(dim)))
+            + (1.0 if i == j else 0.0)
+            for i in range(dim)
+            for j in range(dim)
+        ])
 
     return run_residual_check(
         "almost_complex",
@@ -215,24 +213,24 @@ def compatibility_check(
         gm = g.at(chart, env)
         m = J.at(chart, env)
         dim = len(m)
-        r = 0.0
+        comps = []
         for i in range(dim):
             for j in range(dim):
                 wj = nk.sum_(om[i][k] * m[k][j] for k in range(dim))
-                r = max(r, abs(nk.value_of(gm[i][j]) - nk.value_of(wj)))
+                comps.append(nk.value_of(gm[i][j]) - nk.value_of(wj))
                 gjj = nk.sum_(
                     gm[k][l] * m[k][i] * m[l][j]
                     for k in range(dim)
                     for l in range(dim)
                 )
-                r = max(r, abs(nk.value_of(gjj) - nk.value_of(gm[i][j])))
+                comps.append(nk.value_of(gjj) - nk.value_of(gm[i][j]))
                 wjj = nk.sum_(
                     om[k][l] * m[k][i] * m[l][j]
                     for k in range(dim)
                     for l in range(dim)
                 )
-                r = max(r, abs(nk.value_of(wjj) - nk.value_of(om[i][j])))
-        return r
+                comps.append(nk.value_of(wjj) - nk.value_of(om[i][j]))
+        return max_abs(comps)
 
     return run_residual_check(
         "compatibility_identity",
@@ -380,16 +378,13 @@ def reconstruct_main1(
         a = nk.value_of(slope.at(chart, base_env))
 
         r_cal = abs(nk.value_of(gm[si][si]) * s * s - s)
-        worst["calibration"] = max(worst["calibration"], r_cal)
 
-        r_sq = 0.0
-        for i in range(dim):
-            for j in range(dim):
-                sq = nk.value_of(
-                    nk.sum_(m[i][k] * m[k][j] for k in range(dim))
-                )
-                r_sq = max(r_sq, abs(sq + (1.0 if i == j else 0.0)))
-        worst["square"] = max(worst["square"], r_sq)
+        r_sq = max_abs([
+            nk.value_of(nk.sum_(m[i][k] * m[k][j] for k in range(dim)))
+            + (1.0 if i == j else 0.0)
+            for i in range(dim)
+            for j in range(dim)
+        ])
         if r_sq > 1e-6:
             raise NotCompatible(
                 f"J² + id reaches {r_sq:.3e} at {coords} in chart {chart}"
@@ -429,39 +424,33 @@ def reconstruct_main1(
             ("xi", "nabla"): eta_of(jnab),
             ("nabla", "nabla"): ds_over_s(jnab),
         }
-        r_w = max(abs(got[k] - want[k]) for k in want)
-        worst["vertical_matrix"] = max(worst["vertical_matrix"], r_w)
+        r_w = max_abs([got[k] - want[k] for k in want])
 
         # W-invariance: the images minus their W-projections vanish
-        r_winv = 0.0
+        rems = []
         for img in (jxi, jnab):
             alpha, beta = eta_of(img), ds_over_s(img)
-            for j in range(dim):
-                rem = img[j] - alpha * xi_t[j] - beta * nabla[j]
-                r_winv = max(r_winv, abs(rem))
-        worst["vertical_invariance"] = max(worst["vertical_invariance"], r_winv)
+            rems += [img[j] - alpha * xi_t[j] - beta * nabla[j] for j in range(dim)]
+        r_winv = max_abs(rems)
 
         # C-invariance: kernel frame vectors stay in ker η ∩ ker ds
         fr = contact_frame(C, chart, base_env)
-        r_cinv = 0.0
-        r_orth = 0.0
+        cinv, orth = [], []
         for vec in fr.vectors:
             lift = [0.0] * dim
             for jb, j in enumerate(k for k in range(dim) if k != si):
                 lift[j] = nk.value_of(vec[jb])
             img = matvec(lift)
-            r_cinv = max(r_cinv, abs(eta_of(img)), abs(img[si]))
+            cinv += [eta_of(img), img[si]]
             for w_vec in (xi_t, nabla):
-                gv = nk.value_of(
+                orth.append(
                     nk.sum_(
                         gm[i][j] * w_vec[i] * lift[j]
                         for i in range(dim)
                         for j in range(dim)
                     )
                 )
-                r_orth = max(r_orth, abs(gv))
-        worst["contact_invariance"] = max(worst["contact_invariance"], r_cinv)
-        worst["orthogonality"] = max(worst["orthogonality"], r_orth)
+        r_cinv, r_orth = max_abs(cinv), max_abs(orth)
 
         norm_xi = nk.value_of(
             nk.sum_(
@@ -471,24 +460,33 @@ def reconstruct_main1(
             )
         )
         r_norm = abs(norm_xi - s * (1.0 + a * a))
-        worst["reeb_norm"] = max(worst["reeb_norm"], r_norm)
 
         # reassembly: g = s((ds/s + aη)² + g_M) against the extraction
         gmb = g_M.at(chart, base_env)
         keep = [j for j in range(dim) if j != si]
-        r_asm = 0.0
+        asm = []
         for ib, i in enumerate(keep):
             for jb, j in enumerate(keep):
                 want_ij = s * (
                     a * a * etav[ib] * etav[jb] + nk.value_of(gmb[ib][jb])
                 )
-                r_asm = max(r_asm, abs(nk.value_of(gm[i][j]) - want_ij))
+                asm.append(nk.value_of(gm[i][j]) - want_ij)
             mixed = s * (1.0 / s) * a * etav[ib]  # g(∂s, ∂_i) = a·η_i
-            r_asm = max(r_asm, abs(nk.value_of(gm[si][i]) - mixed))
-        r_asm = max(r_asm, abs(nk.value_of(gm[si][si]) - 1.0 / s))
-        worst["reassembly"] = max(worst["reassembly"], r_asm)
-
-        return max(r_cal, r_sq, r_w, r_winv, r_cinv, r_orth, r_norm, r_asm)
+            asm.append(nk.value_of(gm[si][i]) - mixed)
+        asm.append(nk.value_of(gm[si][si]) - 1.0 / s)
+        clauses = {
+            "calibration": r_cal,
+            "square": r_sq,
+            "vertical_matrix": r_w,
+            "vertical_invariance": r_winv,
+            "contact_invariance": r_cinv,
+            "orthogonality": r_orth,
+            "reeb_norm": r_norm,
+            "reassembly": max_abs(asm),
+        }
+        for name, r in clauses.items():
+            worst[name] = max_or_nan([worst[name], r])
+        return max_or_nan(list(clauses.values()))
 
     report = run_residual_check(
         "main_reconstruction",

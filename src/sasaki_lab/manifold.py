@@ -24,7 +24,13 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .report import CheckReport, Witness, run_residual_check, verdict_for
+from .report import (
+    CheckReport,
+    check_report,
+    max_or_nan,
+    reduce_residuals,
+    run_residual_check,
+)
 
 
 class EmptyDomain(ValueError):
@@ -285,50 +291,32 @@ def atlas_consistency_check(
     would report here too if an atlas declared them.
     """
     tol = plan.tolerance if tol is None else tol
-    per_chart: dict[str, float] = {}
-    worst = (-1.0, None, None)
-    total = 0
-    for t in atlas.transitions:
-        src = atlas.chart(t.source)
-        label = f"{t.source}->{t.target}"
-        rng = _chart_rng(plan.seed, label)
-        chart_max = 0.0
-        for piece in t.pieces:
-            for coords in _piece_sample(src, piece, plan, rng):
-                env = src.env(coords)
-                fwd = [float(exprlang.eval_expr(e, env)) for e in piece.forward]
-                fenv = atlas.chart(t.target).env(fwd)
-                back = [float(exprlang.eval_expr(e, fenv)) for e in piece.inverse]
-                r = max(abs(b - c) for b, c in zip(back, coords))
-                try:
-                    rev = atlas.transition(t.target, t.source)
-                    rpiece = rev.piece_for(fwd)
-                    back2 = [
-                        float(exprlang.eval_expr(e, fenv)) for e in rpiece.forward
-                    ]
-                    r = max(r, max(abs(b - c) for b, c in zip(back2, coords)))
-                except NoTransition:
-                    pass
-                total += 1
-                chart_max = max(chart_max, r)
-                if r > worst[0]:
-                    worst = (r, label, coords)
-        per_chart[label] = chart_max
-    max_res = max(per_chart.values()) if per_chart else 0.0
-    verdict = verdict_for(max_res, tol, None)
-    witness = (
-        Witness(worst[1], tuple(worst[2]), worst[0]) if verdict == "fail" else None
-    )
-    return CheckReport(
-        check="atlas_consistency",
-        seed=plan.seed,
-        samples=total,
-        tolerance=tol,
-        max_residual=max_res,
-        per_chart=per_chart,
-        verdict=verdict,
+
+    def rows():
+        for t in atlas.transitions:
+            src = atlas.chart(t.source)
+            label = f"{t.source}->{t.target}"
+            rng = _chart_rng(plan.seed, label)
+            for piece in t.pieces:
+                for coords in _piece_sample(src, piece, plan, rng):
+                    env = src.env(coords)
+                    fwd = [float(exprlang.eval_expr(e, env)) for e in piece.forward]
+                    fenv = atlas.chart(t.target).env(fwd)
+                    back = [float(exprlang.eval_expr(e, fenv)) for e in piece.inverse]
+                    diffs = [abs(b - c) for b, c in zip(back, coords)]
+                    try:
+                        rpiece = atlas.transition(t.target, t.source).piece_for(fwd)
+                        back2 = [
+                            float(exprlang.eval_expr(e, fenv)) for e in rpiece.forward
+                        ]
+                        diffs += [abs(b - c) for b, c in zip(back2, coords)]
+                    except NoTransition:
+                        pass
+                    yield label, coords, max_or_nan(diffs)
+
+    return check_report(
+        "atlas_consistency", reduce_residuals(rows()), tol, plan.seed,
         example=example,
-        witness=witness,
     )
 
 

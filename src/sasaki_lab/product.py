@@ -29,7 +29,7 @@ from .kahler import KahlerCandidate, compatibility_tensor, kahlerianization
 from .manifold import Atlas, Chart, SamplePlan, sample_points
 from .report import CheckReport, run_residual_check
 from .sasaki import LeviStructure, sasaki_check
-from .tensor import SmoothMap, TensorField, pullback
+from .tensor import SmoothMap, TensorField, max_abs, pullback
 
 T_COORD = "t"
 T_BOX = (0.5, 2.0)
@@ -158,15 +158,11 @@ def reparametrization_check(
         t = env[T_COORD]
         got = moved.at(chart, env)
         here = product.eta.at(chart, env)
-        r = max(
-            abs(nk.value_of(a) - nk.value_of(b) / t)
-            for a, b in zip(got, here)
-        )
+        comps = [nk.value_of(a) - nk.value_of(b) / t for a, b in zip(got, here)]
         fr = contact_frame(product, chart, env)
         for vec in fr.vectors:
-            pairing = nk.sum_(g * v for g, v in zip(got, vec))
-            r = max(r, abs(nk.value_of(pairing)))
-        return r
+            comps.append(nk.sum_(g * v for g, v in zip(got, vec)))
+        return max_abs(comps)
 
     return run_residual_check(
         "product_reparametrization",
@@ -272,16 +268,17 @@ def distribution_match_check(
     eta_n = normalised.contact.eta
 
     def residual(chart, coords, env):
-        r = 0.0
         here = eta_n.at(chart, env)
-        for vec in contact_frame(raw, chart, env).vectors:
-            pairing = nk.sum_(a * v for a, v in zip(here, vec))
-            r = max(r, abs(nk.value_of(pairing)))
+        pairings = [
+            nk.sum_(a * v for a, v in zip(here, vec))
+            for vec in contact_frame(raw, chart, env).vectors
+        ]
         other = raw.eta.at(chart, env)
-        for vec in contact_frame(normalised.contact, chart, env).vectors:
-            pairing = nk.sum_(a * v for a, v in zip(other, vec))
-            r = max(r, abs(nk.value_of(pairing)))
-        return r
+        pairings += [
+            nk.sum_(a * v for a, v in zip(other, vec))
+            for vec in contact_frame(normalised.contact, chart, env).vectors
+        ]
+        return max_abs(pairings)
 
     return run_residual_check(
         "product_distribution_match",
@@ -474,11 +471,11 @@ def product_routes_check(
     def residual(chart, coords, env):
         got = moved.at(chart, env)
         want = g_ts.at(chart, env)
-        return max(
-            abs(nk.value_of(a) - nk.value_of(b))
+        return max_abs([
+            nk.value_of(a) - nk.value_of(b)
             for ra, rb in zip(got, want)
             for a, b in zip(ra, rb)
-        )
+        ])
 
     return run_residual_check(
         "product_routes",

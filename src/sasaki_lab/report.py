@@ -7,16 +7,22 @@ with the same seed produce byte-identical output -- the CLI relies on this.
 
 The invariant enforced here: a witness (worst offending sample) is attached
 exactly when the verdict is "fail".
+
+Every check reduces its residuals here.  It hands `reduce_residuals` one
+(chart label, coords, residual) row per sample; that takes the maximum
+overall and per chart, ranking NaN above inf above any number, and keeps
+the first strictly-worst row as the witness.  `check_report` turns the
+reduction into a verdict and a report.  Within a sample, components go
+through `max_or_nan` (or `tensor.max_abs`), so a NaN component is never
+lost to ``max(0.0, nan) == 0.0``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 VERSION = "0.1.0"  # keep in sync with pyproject.toml
 
@@ -105,27 +111,81 @@ def residual_rank(r: float) -> tuple[bool, float]:
     return (math.isnan(r), r)
 
 
-def thread_count() -> int:
-    """Worker count from SASAKI_LAB_THREADS (default 1 = serial)."""
-    raw = os.environ.get("SASAKI_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+def max_or_nan(values: list) -> float:
+    """max of the values (0.0 if none), NaN above inf above any number.
 
-
-def map_ordered(fn: Callable, items: Sequence):
-    """Apply fn to items, possibly in a thread pool, preserving order.
-
-    Ordered reduction keeps reports (and their JSON) independent of the
-    worker count.
+    The sum of the values is NaN when one of them is (or when inf meets
+    -inf); only then does the ranked, slower max run.
     """
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    if math.isnan(sum(values)):
+        return max(values, key=residual_rank)
+    return max(values, default=0.0)
+
+
+@dataclass
+class Reduction:
+    """What a stream of residual rows reduces to."""
+
+    max_residual: float
+    per_chart: dict[str, float]
+    worst: Optional[tuple] = None  # (chart, coords, residual) of the witness
+    count: int = 0  # rows reduced
+
+
+def reduce_residuals(rows: Iterable[tuple]) -> Reduction:
+    """Reduce (chart label, coords, residual) rows under `residual_rank`.
+
+    Gives the maximum overall and per chart label, and as the witness the
+    first row whose residual ranks strictly worst.
+    """
+    per_chart: dict[str, float] = {}
+    worst = worst_rank = None
+    count = 0
+    for row in rows:
+        chart, _coords, r = row
+        rank = residual_rank(r)
+        best = per_chart.get(chart)
+        if best is None or rank > residual_rank(best):
+            per_chart[chart] = r
+        if worst is None or rank > worst_rank:
+            worst, worst_rank = row, rank
+        count += 1
+    max_res = max(per_chart.values(), key=residual_rank) if per_chart else 0.0
+    return Reduction(max_res, per_chart, worst, count)
+
+
+def check_report(
+    check: str,
+    red: Reduction,
+    tol: float,
+    seed: int,
+    *,
+    samples: int | None = None,
+    fail_floor: float | None = None,
+    example: str | None = None,
+    details: dict | None = None,
+) -> CheckReport:
+    """The verdict on a reduction, with its worst row as witness on fail.
+
+    ``samples`` defaults to the number of rows reduced.
+    """
+    verdict = verdict_for(red.max_residual, tol, fail_floor)
+    witness = None
+    if verdict == FAIL:
+        chart, coords, r = red.worst
+        witness = Witness(chart=chart, coords=tuple(coords), residual=r)
+    return CheckReport(
+        check=check,
+        seed=seed,
+        samples=red.count if samples is None else samples,
+        tolerance=tol,
+        max_residual=red.max_residual,
+        per_chart=red.per_chart,
+        verdict=verdict,
+        example=example,
+        witness=witness,
+        details=details or {},
+    )
 
 
 def run_residual_check(
@@ -138,37 +198,13 @@ def run_residual_check(
     example: str | None = None,
     details: dict | None = None,
 ) -> CheckReport:
-    """Evaluate a pointwise residual over pre-sampled points and report.
-
-    Each point goes to exactly one worker, so a point's env and the memo it
-    carries are never shared between threads.
-    """
-    per_chart: dict[str, float] = {}
-    worst = (-1.0, None, None)  # residual, chart, coords
-    total = 0
-    for chart_name, pts in sampled:
-        res = map_ordered(
-            lambda pt, c=chart_name: residual_fn(c, pt[0], pt[1]), list(pts)
-        )
-        total += len(pts)
-        per_chart[chart_name] = max(res, key=residual_rank) if res else 0.0
-        for (coords, _env), r in zip(pts, res):
-            if residual_rank(r) > residual_rank(worst[0]):
-                worst = (r, chart_name, coords)
-    max_res = max(per_chart.values(), key=residual_rank) if per_chart else 0.0
-    verdict = verdict_for(max_res, tol, fail_floor)
-    witness = None
-    if verdict == FAIL:
-        witness = Witness(chart=worst[1], coords=tuple(worst[2]), residual=worst[0])
-    return CheckReport(
-        check=check,
-        seed=seed,
-        samples=total,
-        tolerance=tol,
-        max_residual=max_res,
-        per_chart=per_chart,
-        verdict=verdict,
-        example=example,
-        witness=witness,
-        details=details or {},
+    """Evaluate a pointwise residual over pre-sampled points and report."""
+    rows = (
+        (chart, coords, residual_fn(chart, coords, env))
+        for chart, pts in sampled
+        for coords, env in pts
+    )
+    return check_report(
+        check, reduce_residuals(rows), tol, seed,
+        fail_floor=fail_floor, example=example, details=details,
     )

@@ -37,16 +37,16 @@ from . import numkernel as nk
 from .contact import ContactStructure, contact_frame, frame_fields, reeb_field
 from .manifold import SamplePlan, sample_chart, sample_points
 from .report import (
-    FAIL,
-    PASS,
     CheckReport,
-    Witness,
+    Reduction,
+    check_report,
+    max_or_nan,
+    reduce_residuals,
     run_residual_check,
-    verdict_for,
 )
 from .tensor import (
     TensorField,
-    cross_chart_consistency,
+    cross_chart_rows,
     endo_apply,
     field_jet,
     lie_bracket,
@@ -127,26 +127,21 @@ class LeviStructure:
             xiv = xi.at(chart, env)
             etav = C.eta.at(chart, env)
             dim = len(xiv)
-            r = 0.0
+            comps = []
             for k in range(dim):
-                r = max(r, abs(nk.value_of(
-                    nk.sum_(phim[k][j] * xiv[j] for j in range(dim))
-                )))
-                r = max(r, abs(nk.value_of(
-                    nk.sum_(etav[m] * phim[m][k] for m in range(dim))
-                )))
+                comps.append(nk.sum_(phim[k][j] * xiv[j] for j in range(dim)))
+                comps.append(nk.sum_(etav[m] * phim[m][k] for m in range(dim)))
             for k in range(dim):
                 for j in range(dim):
                     sq = nk.sum_(phim[k][m] * phim[m][j] for m in range(dim))
                     want = -(1.0 if k == j else 0.0) + xiv[k] * etav[j]
-                    r = max(r, abs(nk.value_of(sq) - nk.value_of(want)))
+                    comps.append(nk.value_of(sq) - nk.value_of(want))
             rows = [[nk.value_of(x) for x in row] for row in g.at(chart, env)]
             for i in range(dim):
                 for j in range(i):
-                    r = max(r, abs(rows[i][j] - rows[j][i]))
+                    comps.append(rows[i][j] - rows[j][i])
             lam = nk.min_eigenvalue(rows)
-            r = max(r, max(0.0, 1.0 - lam / pd_threshold))
-            return r
+            return max_or_nan([max_abs(comps), 0.0, 1.0 - lam / pd_threshold])
 
         return run_residual_check(
             f"levi_structure({self.name})",
@@ -230,7 +225,7 @@ def pin_flag_residuals(
     so candidates must map the kernel to itself.
     """
     d_eta = C.d_eta()
-    out = {name: 0.0 for name in _FLAG_NAMES}
+    comps = {name: [] for name in _FLAG_NAMES}
     for chart in C.atlas.charts:
         pts = sample_chart(chart, plan)
         center = pts[0][1]
@@ -273,15 +268,10 @@ def pin_flag_residuals(
                     base = pair(vecs[a], vecs[b])
                     lev_ab = pair(vecs[a], imgs[b])
                     lev_ba = pair(vecs[b], imgs[a])
-                    out["invariant_two_form"] = max(
-                        out["invariant_two_form"], abs(pair(imgs[a], imgs[b]) - base)
-                    )
-                    out["symmetric_levi"] = max(
-                        out["symmetric_levi"], abs(lev_ab - lev_ba)
-                    )
-                    out["invariant_levi"] = max(
-                        out["invariant_levi"],
-                        abs(pair(imgs[a], apply(ph, imgs[b])) - lev_ab),
+                    comps["invariant_two_form"].append(pair(imgs[a], imgs[b]) - base)
+                    comps["symmetric_levi"].append(lev_ab - lev_ba)
+                    comps["invariant_levi"].append(
+                        pair(imgs[a], apply(ph, imgs[b])) - lev_ab
                     )
             for (a, b), (br1, br2) in brackets.items():
                 v1 = br1.at(chart.name, env)
@@ -289,10 +279,8 @@ def pin_flag_residuals(
                 val = nk.sum_(
                     etav[k] * (v1[k] + v2[k]) for k in range(dim)
                 )
-                out["kernel_closed"] = max(
-                    out["kernel_closed"], abs(nk.value_of(val))
-                )
-    return out
+                comps["kernel_closed"].append(val)
+    return {name: max_abs(values) for name, values in comps.items()}
 
 
 def frame_conjugations(
@@ -390,25 +378,22 @@ def pin_battery(
             disagreements += 1
             if first_bad is None:
                 first_bad = (idx, res)
-    verdict = PASS if disagreements == 0 else FAIL
-    witness = None
-    if verdict == FAIL:
+    worst = None
+    if first_bad is not None:
         idx, res = first_bad
-        witness = Witness(
-            chart=C.atlas.charts[0].name,
-            coords=(float(idx),),
-            residual=float(max(res.values())),
-        )
-    return CheckReport(
-        check="pin_battery",
-        seed=seed,
+        worst = (C.atlas.charts[0].name, (float(idx),), float(max(res.values())))
+    red = Reduction(
+        float(disagreements),
+        {c.name: float(disagreements) for c in C.atlas.charts},
+        worst,
+    )
+    return check_report(
+        "pin_battery",
+        red,
+        0.0,
+        seed,
         samples=plan.points_per_chart,
-        tolerance=0.0,
-        max_residual=float(disagreements),
-        per_chart={c.name: float(disagreements) for c in C.atlas.charts},
-        verdict=verdict,
         example=example,
-        witness=witness,
         details={
             "candidates": len(candidates),
             "flag_tol": flag_tol,
@@ -440,17 +425,17 @@ def contact_metric_check(
         etav = C.eta.at(chart, env)
         de = d_eta.at(chart, env)
         dim = len(etav)
-        r = 0.0
+        comps = []
         for i in range(dim):
             gi = nk.sum_(gm[i][j] * xiv[j] for j in range(dim))
-            r = max(r, abs(nk.value_of(gi) - nk.value_of(etav[i])))
+            comps.append(nk.value_of(gi) - nk.value_of(etav[i]))
             for j in range(dim):
                 sq = nk.sum_(ph[i][m] * ph[m][j] for m in range(dim))
                 want = -(1.0 if i == j else 0.0) + xiv[i] * etav[j]
-                r = max(r, abs(nk.value_of(sq) - nk.value_of(want)))
+                comps.append(nk.value_of(sq) - nk.value_of(want))
                 gphi = nk.sum_(gm[i][m] * ph[m][j] for m in range(dim))
-                r = max(r, abs(nk.value_of(gphi) - nk.value_of(de[i][j])))
-        return r
+                comps.append(nk.value_of(gphi) - nk.value_of(de[i][j]))
+        return max_abs(comps)
 
     return run_residual_check(
         "contact_metric",
@@ -584,12 +569,7 @@ def sasaki_check(
     tensors = n_tensors(L)
     N1, N3 = tensors["N1"], tensors["N3"]
 
-    route1 = 0.0
-    route2 = 0.0
-    agreement = 0.0
-    spot = 0.0
-    per_chart = {}
-    worst = None
+    route1, route2, agreement, spot, rows = [], [], [], [], []
 
     for chart in C.atlas.charts:
         pts = sample_chart(chart, plan)
@@ -607,16 +587,15 @@ def sasaki_check(
             for F in frames[:2]
         ]
         spot_field = cr_torsion_field(C, L.phibar, scaled[0], scaled[1])
-        chart_res = 0.0
         for coords, env in pts:
             n1v = N1.at(chart.name, env)
             r1 = max_abs(n1v)
-            r2 = max_abs(N3.at(chart.name, env))
+            parts2 = [N3.at(chart.name, env)]  # route two's components
             fr = contact_frame(C, chart.name, env)
             dim = chart.dim
             for (a, b), T in torsions.items():
                 tv = [nk.value_of(v) for v in T.at(chart.name, env)]
-                r2 = max(r2, max(abs(v) for v in tv))
+                parts2.append(tv)
                 contracted = [
                     nk.value_of(
                         nk.sum_(
@@ -627,28 +606,20 @@ def sasaki_check(
                     )
                     for k in range(dim)
                 ]
-                agreement = max(
-                    agreement,
-                    max(abs(tv[k] - contracted[k]) for k in range(dim)),
-                )
+                agreement.append(max_abs([tv[k] - contracted[k] for k in range(dim)]))
             u = 1.0 + 0.3 * env[chart.coords[0]]
             sv = spot_field.at(chart.name, env)
             base = torsions[(0, 1)].at(chart.name, env)
-            spot = max(
-                spot,
-                max(
-                    abs(nk.value_of(sv[k]) / (u * u) - nk.value_of(base[k]))
-                    for k in range(chart.dim)
-                ),
-            )
-            route1 = max(route1, r1)
-            route2 = max(route2, r2)
-            here = max(r1, r2)
-            chart_res = max(chart_res, here)
-            if worst is None or here > worst[2]:
-                worst = (chart.name, coords, here)
-        per_chart[chart.name] = chart_res
+            spot.append(max_abs([
+                nk.value_of(sv[k]) / (u * u) - nk.value_of(base[k])
+                for k in range(chart.dim)
+            ]))
+            r2 = max_abs(parts2)
+            route1.append(r1)
+            route2.append(r2)
+            rows.append((chart.name, coords, max_or_nan([r1, r2])))
 
+    agreement, spot = max_or_nan(agreement), max_or_nan(spot)
     if agreement > 1e-8:
         raise AssertionError(
             f"normality routes disagree by {agreement:.3e}; engine fault"
@@ -657,24 +628,17 @@ def sasaki_check(
         raise AssertionError(
             f"torsion depends on the frame extension by {spot:.3e}; engine fault"
         )
-    max_residual = max(route1, route2)
-    verdict = verdict_for(max_residual, tol, fail_floor)
-    witness = None
-    if verdict == FAIL:
-        witness = Witness(chart=worst[0], coords=tuple(worst[1]), residual=worst[2])
-    return CheckReport(
-        check="sasaki",
-        seed=plan.seed,
+    return check_report(
+        "sasaki",
+        reduce_residuals(rows),
+        tol,
+        plan.seed,
         samples=plan.points_per_chart,
-        tolerance=tol,
-        max_residual=max_residual,
-        per_chart=per_chart,
-        verdict=verdict,
+        fail_floor=fail_floor,
         example=example,
-        witness=witness,
         details={
-            "route_full_tensor": route1,
-            "route_frame_torsion": route2,
+            "route_full_tensor": max_or_nan(route1),
+            "route_frame_torsion": max_or_nan(route2),
             "route_agreement": agreement,
             "extension_spot_check": spot,
         },
@@ -755,7 +719,7 @@ def theorem54_check(
         for col, (i, j) in enumerate(pairs):
             for k in range(dim):
                 gamma[k][i][j] = nk.value_of(sol[k][col])
-        r = 0.0
+        comps = []
         for i in range(dim):
             for k in range(dim):
                 for j in range(dim):
@@ -766,8 +730,8 @@ def theorem54_check(
                     want = 0.5 * (
                         rows[i][j] * xiv[k] - etav[j] * (1.0 if k == i else 0.0)
                     )
-                    r = max(r, abs(nabla - want))
-        return r
+                    comps.append(nabla - want)
+        return max_abs(comps)
 
     return run_residual_check(
         "covariant_derivative_identity",
@@ -801,32 +765,17 @@ def paired_consistency_check(
         ("levi_metric", L.levi_metric(), None),
         ("metric", L.metric(), None),
     ]
-    max_residual = 0.0
-    per_chart: dict[str, float] = {}
-    witness = None
-    details = {}
-    for label, T, sf in jobs:
-        rep = cross_chart_consistency(
-            T, plan, tol=tol, sign_fn=sf, check_name=f"paired({label})"
-        )
-        details[label] = rep.max_residual
-        for name, v in rep.per_chart.items():
-            per_chart[name] = max(per_chart.get(name, 0.0), v)
-        if rep.max_residual > max_residual:
-            max_residual = rep.max_residual
-            witness = rep.witness
-    verdict = PASS if max_residual <= tol else FAIL
-    if verdict == PASS:
-        witness = None
-    return CheckReport(
-        check="paired_consistency",
-        seed=plan.seed,
+    streams = [
+        (label, list(cross_chart_rows(T, plan, sf))) for label, T, sf in jobs
+    ]
+    return check_report(
+        "paired_consistency",
+        reduce_residuals(row for _, rows in streams for row in rows),
+        tol,
+        plan.seed,
         samples=plan.points_per_chart,
-        tolerance=tol,
-        max_residual=max_residual,
-        per_chart=per_chart,
-        verdict=verdict,
         example=example,
-        witness=witness,
-        details=details,
+        details={
+            label: reduce_residuals(rows).max_residual for label, rows in streams
+        },
     )

@@ -40,14 +40,13 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import exprlang, numkernel as nk
 from .exprlang import Expr
 from .manifold import Atlas, Chart, Point, PointEnv, SamplePlan, sample_chart
-from .report import CheckReport, Witness, residual_rank, verdict_for
+from .report import CheckReport, check_report, max_or_nan, reduce_residuals
 
 
 def map_structure(fn, s):
@@ -66,18 +65,10 @@ def _copy_lists(s):
 def max_abs(s) -> float:
     """Largest |value| in a nested component structure; NaN if any is NaN."""
     if isinstance(s, list):
-        return _max_or_nan([
+        return max_or_nan([
             max_abs(x) if isinstance(x, list) else abs(nk.value_of(x)) for x in s
         ])
     return abs(nk.value_of(s))
-
-
-def _max_or_nan(mags: list) -> float:
-    """max of non-negative magnitudes (0.0 if none), or NaN if one is NaN.
-
-    A sum of non-negative numbers is NaN exactly when one of them is.
-    """
-    return math.nan if math.isnan(sum(mags)) else max(mags, default=0.0)
 
 
 def zeros(dim: int, rank: int):
@@ -603,26 +594,16 @@ def contract_form_vector(alpha, X):
 # -- cross-chart consistency ------------------------------------------
 
 
-def cross_chart_consistency(
-    T: TensorField,
-    plan: SamplePlan,
-    tol: float | None = None,
-    sign_fn=None,
-    example: str | None = None,
-    check_name: str | None = None,
-) -> CheckReport:
-    """Compare T's chart data through every declared transition.
+def cross_chart_rows(T: TensorField, plan: SamplePlan, sign_fn=None):
+    """Residual rows comparing T's chart data through every transition.
 
     At samples x of each piece, the source components transformed by the
     transition Jacobian must match the target components at the image,
     optionally up to a piece sign (paired structures hand in sign_fn).
+    Rows are labelled ``source->target``.
     """
     atlas = T.atlas
-    tol = plan.tolerance if tol is None else tol
-    p, q = T.valence
-    per_chart: dict[str, float] = {}
-    worst = (-1.0, None, None)
-    total = 0
+    p = T.valence[0]
     from .manifold import _chart_rng, _piece_sample  # deterministic piece samples
 
     for t in atlas.transitions:
@@ -631,7 +612,6 @@ def cross_chart_consistency(
         src = atlas.chart(t.source)
         label = f"{t.source}->{t.target}"
         rng = _chart_rng(plan.seed, label + ":" + T.name)
-        chart_max = 0.0
         for piece in t.pieces:
             fmap = SmoothMap(
                 "piece", atlas, atlas, {t.source: (t.target, piece.forward)}
@@ -642,34 +622,31 @@ def cross_chart_consistency(
                 env = src.env(coords)
                 here = T.at(t.source, env)
                 back = transported.at(t.source, env)
-                diff = _diff_scaled(here, back, sign)
-                total += 1
-                chart_max = max(chart_max, diff, key=residual_rank)
-                if residual_rank(diff) > residual_rank(worst[0]):
-                    worst = (diff, label, coords)
-        per_chart[label] = chart_max
-    max_res = max(per_chart.values(), key=residual_rank) if per_chart else 0.0
-    verdict = verdict_for(max_res, tol, None)
-    witness = (
-        Witness(worst[1], tuple(worst[2]), worst[0]) if verdict == "fail" else None
-    )
-    return CheckReport(
-        check=check_name or f"cross_chart({T.name})",
-        seed=plan.seed,
-        samples=total,
-        tolerance=tol,
-        max_residual=max_res,
-        per_chart=per_chart,
-        verdict=verdict,
+                yield label, coords, _diff_scaled(here, back, sign)
+
+
+def cross_chart_consistency(
+    T: TensorField,
+    plan: SamplePlan,
+    tol: float | None = None,
+    sign_fn=None,
+    example: str | None = None,
+    check_name: str | None = None,
+) -> CheckReport:
+    """Report on `cross_chart_rows`: T's chart data agree on overlaps."""
+    return check_report(
+        check_name or f"cross_chart({T.name})",
+        reduce_residuals(cross_chart_rows(T, plan, sign_fn)),
+        plan.tolerance if tol is None else tol,
+        plan.seed,
         example=example,
-        witness=witness,
     )
 
 
 def _diff_scaled(a, b, sign: float) -> float:
     """max |a - sign*b| over a nested structure pair."""
     if isinstance(a, list):
-        return _max_or_nan([_diff_scaled(x, y, sign) for x, y in zip(a, b)])
+        return max_or_nan([_diff_scaled(x, y, sign) for x, y in zip(a, b)])
     return abs(nk.value_of(a) - sign * nk.value_of(b))
 
 

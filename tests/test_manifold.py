@@ -1,5 +1,7 @@
 """Chart/atlas plumbing: deterministic sampling, margins, transitions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,24 @@ class TestConsistencyCheck:
         assert rep.witness is not None
         assert rep.witness.chart == "A->B"
         assert rep.max_residual == pytest.approx(0.001)
+
+    def test_nan_inverse_fails_with_witness_on_its_transition(self):
+        # exprlang reads 1e400 as inf, so this inverse evaluates to NaN
+        a = Chart("A", ("x",), ((0.0, 1.0),))
+        b = Chart("B", ("x",), ((0.0, 1.0),))
+        ident = (el.parse("x"),)
+        nan_inverse = (el.parse("(1e400 - 1e400) * x"),)
+        good = TransitionMap("B", "A", (TransitionPiece(((0.0, 1.0),), ident, ident),))
+        bad = TransitionMap(
+            "A", "B", (TransitionPiece(((0.0, 1.0),), ident, nan_inverse),)
+        )
+        rep = atlas_consistency_check(
+            Atlas([a, b], [good, bad]), SamplePlan(points_per_chart=8)
+        )
+        assert rep.verdict == "fail"
+        assert math.isnan(rep.max_residual) and math.isnan(rep.per_chart["A->B"])
+        assert rep.per_chart["B->A"] == 0.0
+        assert rep.witness.chart == "A->B" and math.isnan(rep.witness.residual)
 
 
 def test_report_json_is_deterministic():

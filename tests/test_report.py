@@ -5,7 +5,18 @@ import math
 import pytest
 
 from sasaki_lab import tensor as tn
-from sasaki_lab.report import residual_rank, run_residual_check, verdict_for
+from sasaki_lab.contact import ContactStructure, is_contact_form
+from sasaki_lab.corpus import build_example
+from sasaki_lab.kahler import almost_complex_check
+from sasaki_lab.manifold import Atlas, Chart, SamplePlan, sample_chart
+from sasaki_lab.report import (
+    max_or_nan,
+    reduce_residuals,
+    residual_rank,
+    run_residual_check,
+    verdict_for,
+)
+from sasaki_lab.sasaki import LeviStructure, paired_consistency_check
 
 NAN = math.nan
 
@@ -73,3 +84,77 @@ def test_diff_scaled_reports_nan():
     assert math.isnan(tn._diff_scaled([0.0, NAN], [0.0, 0.0], 1.0))
     assert math.isnan(tn._diff_scaled([[math.inf]], [[math.inf]], 1.0))
     assert tn._diff_scaled([1.0, 2.0], [-1.0, -2.0], -1.0) == 0.0
+
+
+@pytest.mark.parametrize("values", [[0.0, NAN, 1.0], [math.inf, -math.inf, NAN]])
+def test_max_or_nan_ranks_nan_first(values):
+    assert math.isnan(max_or_nan(values))
+
+
+def test_max_or_nan_keeps_plain_max():
+    assert max_or_nan([]) == 0.0
+    assert max_or_nan([0.0, -2.0, 1.5]) == 1.5
+    assert max_or_nan([math.inf, -math.inf]) == math.inf
+
+
+def test_reducer_keeps_first_strictly_worst_row():
+    red = reduce_residuals([
+        ("A", (0.1,), 1.0), ("B", (0.2,), 3.0), ("A", (0.3,), 3.0),
+        ("B", (0.4,), NAN), ("A", (0.5,), NAN),
+    ])
+    assert red.count == 5 and math.isnan(red.max_residual)
+    assert math.isnan(red.per_chart["A"]) and math.isnan(red.per_chart["B"])
+    assert red.worst[:2] == ("B", (0.4,))
+
+
+PLAN = SamplePlan(points_per_chart=16)
+SQUARE = Atlas([Chart("O", ("x", "y"), ((-1.0, 1.0),) * 2)])
+DARBOUX_BOX = Atlas([Chart("O", ("x", "p", "z"), ((-1.0, 1.0),) * 3)])
+
+
+def test_contact_form_with_nan_component_fails():
+    # second component NaN at every point (exprlang reads 1e400 as inf)
+    table = {(0,): "-p", (1,): "1e400 - 1e400", (2,): "1"}
+    eta = tn.TensorField.from_exprs("nan_eta", DARBOUX_BOX, (0, 1), {"O": table})
+    rep = is_contact_form(ContactStructure("nan", DARBOUX_BOX, eta), PLAN)
+    first = sample_chart(DARBOUX_BOX.charts[0], PLAN)[0][0]
+    assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+    assert rep.witness.coords == first and math.isnan(rep.witness.residual)
+
+
+def test_nan_after_finite_component_is_its_own_witness():
+    """J² + id: the (0, 0) entry is 0, the (0, 1) entry NaN where x < 0."""
+
+    def j(env):
+        corner = NAN if env["x"] < 0.0 else 0.0
+        return [[0.0, -1.0], [1.0, corner]]
+
+    rep = almost_complex_check(tn.TensorField("nan_J", SQUARE, (1, 1), {"O": j}), PLAN)
+    pts = sample_chart(SQUARE.charts[0], PLAN)
+    assert pts[0][0][0] >= 0.0  # a finite point comes first
+    first_nan = next(coords for coords, _ in pts if coords[0] < 0.0)
+    assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+    assert rep.witness.coords == first_nan and math.isnan(rep.witness.residual)
+
+
+def test_paired_consistency_with_nan_sub_report_fails():
+    struct = build_example("mobius-jet").structure
+    phibar = struct.phibar
+
+    def nan_corner(chart):
+        def ev(env):
+            m = phibar.at(chart, env)
+            m[0][0] = NAN
+            return m
+
+        return ev
+
+    broken = tn.TensorField(
+        "nan_endo", struct.atlas, (1, 1),
+        {c.name: nan_corner(c.name) for c in struct.atlas.charts},
+    )
+    plan = SamplePlan(points_per_chart=4)
+    assert paired_consistency_check(struct, plan).verdict == "pass"
+    rep = paired_consistency_check(LeviStructure("nan", struct.contact, broken), plan)
+    assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+    assert math.isnan(rep.details["endo"]) and math.isnan(rep.witness.residual)
