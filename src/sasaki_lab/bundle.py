@@ -214,9 +214,7 @@ def symplectize(
     return P, omega
 
 
-def symplectic_check(
-    omega: TensorField, plan: SamplePlan, example: str | None = None
-) -> CheckReport:
+def symplectic_check(omega: TensorField, plan: SamplePlan) -> CheckReport:
     """Closedness (dω = 0) and pointwise nondegeneracy of a 2-form."""
     domega = exterior_derivative(omega)
     threshold = 1e-8
@@ -234,9 +232,7 @@ def symplectic_check(
         "symplectic_form",
         sample_points(omega.atlas, plan),
         residual,
-        plan.tolerance,
-        plan.seed,
-        example=example,
+        plan,
         details={"nondegeneracy_threshold": threshold},
     )
 
@@ -252,8 +248,6 @@ def homogeneity_check(
     bundle: Optional[PrincipalBundle] = None,
     scaling: Optional[Callable[[float], SmoothMap]] = None,
     scales: Optional[tuple] = None,
-    tol: float | None = None,
-    example: str | None = None,
     check_name: str | None = None,
 ) -> CheckReport:
     """Compare h_ν-pullbacks of K against the declared scaling law.
@@ -267,7 +261,6 @@ def homogeneity_check(
         scaling = bundle.scaling
     if scales is None:
         scales = _SCALES[bundle.group]
-    tol = plan.tolerance if tol is None else tol
 
     def factor(nu: float) -> float:
         if mode == "plain":
@@ -295,15 +288,13 @@ def homogeneity_check(
         check_name or f"homogeneity({K.name})",
         sample_points(K.atlas, plan),
         residual,
-        tol,
-        plan.seed,
-        example=example,
+        plan,
         details={"mode": mode, "weight": weight, "scales": list(scales)},
     )
 
 
-def require_homogeneous(K, weight, mode, plan, bundle, tol=None):
-    rep = homogeneity_check(K, weight, mode, plan, bundle=bundle, tol=tol)
+def require_homogeneous(K, weight, mode, plan, bundle):
+    rep = homogeneity_check(K, weight, mode, plan, bundle=bundle)
     if not rep.passed:
         raise NotHomogeneous(
             f"{K.name}: {mode} degree-{weight} law fails at {rep.max_residual:.3e}"
@@ -315,7 +306,6 @@ def liouville_data(
     bundle: PrincipalBundle,
     omega: TensorField,
     plan: SamplePlan | None = None,
-    example: str | None = None,
 ):
     """∇ = s∂s and θ = i_∇ω; optionally certify dθ = ω and θ semibasic."""
     nabla = bundle.liouville()
@@ -350,12 +340,7 @@ def liouville_data(
         ])
 
     rep = run_residual_check(
-        "liouville_data",
-        sample_points(bundle.total, plan),
-        residual,
-        1e-9,
-        plan.seed,
-        example=example,
+        "liouville_data", sample_points(bundle.total, plan), residual, plan
     )
     return nabla, theta, rep
 
@@ -387,7 +372,6 @@ def calibration_check(
     bundle: PrincipalBundle,
     scal: TensorField,
     plan: SamplePlan,
-    example: str | None = None,
 ) -> CheckReport:
     """Positivity plus the Euler identity d𝔰(∇) = 𝔰 (degree-1 law)."""
 
@@ -401,12 +385,7 @@ def calibration_check(
         return max_or_nan([euler, positive])
 
     return run_residual_check(
-        "calibration",
-        sample_points(bundle.total, plan),
-        residual,
-        plan.tolerance,
-        plan.seed,
-        example=example,
+        "calibration", sample_points(bundle.total, plan), residual, plan
     )
 
 
@@ -429,8 +408,6 @@ def decompose_homogeneous_metric(
     g: TensorField,
     scal: TensorField,
     plan: SamplePlan,
-    tol: float | None = None,
-    example: str | None = None,
     skip_homogeneity: bool = False,
 ) -> MetricDecomposition:
     """Split g = A·d𝔰²/𝔰 + d𝔰⊗μ + μ⊗d𝔰 + 𝔰·γ and extract the shadow.
@@ -444,7 +421,6 @@ def decompose_homogeneous_metric(
     NotPositiveDefinite on bad input; the returned report covers reassembly
     at total-space samples and s-independence of the extracted base data.
     """
-    tol = plan.tolerance if tol is None else tol
     if not skip_homogeneity:
         require_homogeneous(g, 1, "positive", plan, bundle)
 
@@ -553,12 +529,7 @@ def decompose_homogeneous_metric(
         return max_abs(comps)
 
     rep = run_residual_check(
-        "metric_decomposition",
-        sample_points(bundle.total, plan),
-        residual,
-        tol,
-        plan.seed,
-        example=example,
+        "metric_decomposition", sample_points(bundle.total, plan), residual, plan
     )
 
     return MetricDecomposition(
@@ -566,7 +537,7 @@ def decompose_homogeneous_metric(
         A=A,
         mu=mu,
         g_M=g_M,
-        calibrated=mu_max <= tol,
+        calibrated=mu_max <= plan.tolerance,
         mu_max=mu_max,
         report=rep,
     )

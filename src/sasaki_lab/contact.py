@@ -105,14 +105,8 @@ def reeb_field(C: ContactStructure) -> TensorField:
     return TensorField(f"reeb({C.name})", C.atlas, (1, 0), closures)
 
 
-def reeb_residual_check(
-    C: ContactStructure,
-    plan: SamplePlan,
-    tol: float | None = None,
-    example: str | None = None,
-) -> CheckReport:
+def reeb_residual_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     """Certify i_ξη = 1 and i_ξ dη = 0 at samples (the defining equations)."""
-    tol = plan.tolerance if tol is None else tol
     xi = C.reeb()
     deta = C.d_eta()
 
@@ -127,12 +121,7 @@ def reeb_residual_check(
         )
 
     return run_residual_check(
-        "reeb_residual",
-        sample_points(C.atlas, plan),
-        residual,
-        tol,
-        plan.seed,
-        example=example,
+        "reeb_residual", sample_points(C.atlas, plan), residual, plan
     )
 
 
@@ -155,28 +144,25 @@ def contact_top_coefficient(C: ContactStructure, chart: str, env: dict) -> float
 NONDEGENERACY_THRESHOLD = 1e-8
 
 
-def is_contact_form(
-    C: ContactStructure, plan: SamplePlan, example: str | None = None
-) -> CheckReport:
+def is_contact_form(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     """Pass iff the top-form coefficient stays above the threshold everywhere.
 
-    Reported residual is the shortfall max(0, threshold − |coefficient|),
-    with tolerance 0; the smallest coefficient seen lands in details.
+    Reported residual is the relative shortfall max(0, 1 − |coefficient| /
+    threshold): 0 on a contact form, about 1 where η∧(dη)^n vanishes.  The
+    smallest coefficient seen lands in details; a NaN coefficient sticks.
     """
     smallest = [math.inf]
 
     def residual(chart, coords, env):
         c = contact_top_coefficient(C, chart, env)
-        smallest[0] = min(smallest[0], c)
-        return max_or_nan([0.0, NONDEGENERACY_THRESHOLD - c])
+        smallest[0] = min(smallest[0], c, key=lambda v: (not math.isnan(v), v))
+        return max_or_nan([0.0, 1.0 - c / NONDEGENERACY_THRESHOLD])
 
     rep = run_residual_check(
         "is_contact_form",
         sample_points(C.atlas, plan),
         residual,
-        0.0,
-        plan.seed,
-        example=example,
+        plan,
         details={"threshold": NONDEGENERACY_THRESHOLD},
     )
     rep.details["min_coefficient"] = smallest[0]
@@ -232,9 +218,7 @@ def frame_fields(C: ContactStructure, chart: str, kept: tuple[int, ...]):
     return out
 
 
-def frame_check(
-    C: ContactStructure, plan: SamplePlan, example: str | None = None
-) -> CheckReport:
+def frame_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     """Frame lies in C and, with ξ appended, spans the tangent space."""
 
     def residual(chart, coords, env):
@@ -246,10 +230,5 @@ def frame_check(
         return max_or_nan([r, 0.0, NONDEGENERACY_THRESHOLD - det])
 
     return run_residual_check(
-        "kernel_frame",
-        sample_points(C.atlas, plan),
-        residual,
-        plan.tolerance,
-        plan.seed,
-        example=example,
+        "kernel_frame", sample_points(C.atlas, plan), residual, plan
     )

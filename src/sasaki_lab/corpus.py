@@ -28,12 +28,10 @@ from . import exprlang
 from . import numkernel as nk
 from .bundle import (
     FIBER,
-    PrincipalBundle,
     cone_over,
     homogeneity_check,
     loop_sign,
     symplectic_check,
-    symplectize,
 )
 from .contact import (
     ContactStructure,
@@ -44,10 +42,10 @@ from .contact import (
 from .kahler import (
     almost_complex_check,
     compatibility_check,
-    compatibility_tensor,
     kahler_integrability_check,
     kahlerianization,
     reconstruct_main1,
+    vertical_slope,
 )
 from .manifold import (
     Atlas,
@@ -119,7 +117,7 @@ class CheckJob:
     """One declared verification: a named runner plus its expected verdict.
 
     ``run(plan, tol)`` executes the check under the given sample plan; a
-    ``tol`` of None means the declared tolerance.  ``expect`` is the
+    ``tol`` of None means the declared ``tolerance``.  ``expect`` is the
     verdict ("pass" or "fail") that counts as a match for this entry.
     """
 
@@ -129,44 +127,42 @@ class CheckJob:
     run: Callable = dc_field(repr=False, compare=False)
 
 
-def _job(name: str, tol: float, fn: Callable, expect: str = PASS) -> CheckJob:
-    def run(plan: SamplePlan, tol_override: float | None = None):
-        return fn(plan, tol if tol_override is None else tol_override)
+@dataclass(frozen=True)
+class _Jobs:
+    """Declares the checks of the gallery entry ``key``.
 
-    return CheckJob(name, expect, tol, run)
+    A check is a function of one `SamplePlan`.  Its job's ``run(plan, tol)``
+    resolves the declared tolerance against ``tol`` once, into the plan the
+    check reads, and stamps ``key`` on the report; nothing else does either.
+    """
 
+    key: str
 
-def _atlas_job(name: str, atlas: Atlas, key: str, tol: float = 1e-10) -> CheckJob:
-    return _job(
-        name,
-        tol,
-        lambda plan, t: atlas_consistency_check(atlas, plan, tol=t, example=key),
-    )
+    def __call__(
+        self, name: str, tolerance: float, check: Callable, expect: str = PASS
+    ) -> CheckJob:
+        def run(plan: SamplePlan, tol: float | None = None) -> CheckReport:
+            t = tolerance if tol is None else tol
+            rep = check(dataclasses.replace(plan, tolerance=t))
+            rep.example = self.key
+            return rep
 
+        return CheckJob(name, expect, tolerance, run)
 
-def _sampled_job(
-    name: str,
-    tol: float,
-    atlas: Atlas,
-    residual: Callable,
-    key: str,
-    expect: str = PASS,
-    details: dict | None = None,
-) -> CheckJob:
-    """Declared check evaluating a pointwise residual over chart samples."""
+    def atlas(self, name: str, atlas: Atlas) -> CheckJob:
+        return self(name, 1e-10, lambda plan: atlas_consistency_check(atlas, plan))
 
-    def run(plan: SamplePlan, t: float | None = None):
-        return run_residual_check(
+    def sampled(
+        self, name: str, tolerance: float, atlas: Atlas, residual: Callable
+    ) -> CheckJob:
+        """A job evaluating a pointwise residual over chart samples."""
+        return self(
             name,
-            sample_points(atlas, plan),
-            residual,
-            tol if t is None else t,
-            plan.seed,
-            example=key,
-            details=dict(details) if details else None,
+            tolerance,
+            lambda plan: run_residual_check(
+                name, sample_points(atlas, plan), residual, plan
+            ),
         )
-
-    return CheckJob(name, expect, tol, run)
 
 
 # -- gallery entries ---------------------------------------------------
@@ -304,22 +300,22 @@ def _jet_base_structure() -> LeviStructure:
 
 
 def _build_mobius_band(params: dict) -> Example:
-    _reject_params("mobius-band", params)
-    bundle = cone_over(_CIRCLE, "Rx", _wrap_sign, name="twisted_line_bundle")
     key = "mobius-band"
+    _reject_params(key, params)
+    bundle = cone_over(_CIRCLE, "Rx", _wrap_sign, name="twisted_line_bundle")
 
-    def loop_run(plan: SamplePlan, tol: float | None = None):
-        tol = 0.0 if tol is None else tol
+    def loop_check(plan: SamplePlan) -> CheckReport:
         sign = loop_sign(bundle, _LOOP_PATH)
         return _scalar_report(
-            "loop_sign", plan, tol, abs(sign - (-1.0)), key,
+            "loop_sign", plan, abs(sign - (-1.0)),
             details={"path": [list(step) for step in _LOOP_PATH], "sign": sign},
         )
 
+    job = _Jobs(key)
     checks = (
-        _atlas_job("atlas_consistency", bundle.total, key),
-        _atlas_job("base_atlas_consistency", bundle.base, key),
-        CheckJob("loop_sign", PASS, 0.0, loop_run),
+        job.atlas("atlas_consistency", bundle.total),
+        job.atlas("base_atlas_consistency", bundle.base),
+        job("loop_sign", 0.0, loop_check),
     )
     return Example(
         key=key,
@@ -335,13 +331,12 @@ def _build_mobius_band(params: dict) -> Example:
 
 
 def _scalar_report(
-    name: str, plan: SamplePlan, tol: float, residual: float, key: str,
-    details: dict | None = None,
+    name: str, plan: SamplePlan, residual: float, details: dict | None = None
 ) -> CheckReport:
     """Report for a single derived number (no pointwise sampling)."""
     return check_report(
-        name, Reduction(residual, {}, ("-", (), residual)), tol, plan.seed,
-        samples=1, example=key, details=details,
+        name, Reduction(residual, {}, ("-", (), residual)), plan,
+        samples=1, details=details,
     )
 
 
@@ -360,39 +355,19 @@ def _build_darboux(n: int, params: dict) -> Example:
     def n_residual(chart, coords, env):
         return max_abs([f.at(chart, env) for f in n_fields.values()])
 
+    job = _Jobs(key)
     checks = (
-        _atlas_job("atlas_consistency", atlas, key),
-        _job(
-            "contact_form", 1e-7,
-            lambda plan, t: is_contact_form(
-                contact, dataclasses.replace(plan, tolerance=t), example=key
-            ),
+        job.atlas("atlas_consistency", atlas),
+        job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
+        job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
+        job("structure_axioms", 1e-8, struct.validate),
+        job("contact_metric", 1e-7, lambda plan: contact_metric_check(struct, plan)),
+        job("sasaki", 1e-7, lambda plan: sasaki_check(struct, plan)),
+        job("killing", 1e-8, lambda plan: killing_check(struct, plan)),
+        job(
+            "second_order_identity", 1e-7, lambda plan: theorem54_check(struct, plan)
         ),
-        _job(
-            "reeb_residual", 1e-9,
-            lambda plan, t: reeb_residual_check(contact, plan, tol=t, example=key),
-        ),
-        _job(
-            "structure_axioms", 1e-8,
-            lambda plan, t: struct.validate(plan, tol=t, example=key),
-        ),
-        _job(
-            "contact_metric", 1e-7,
-            lambda plan, t: contact_metric_check(struct, plan, tol=t, example=key),
-        ),
-        _job(
-            "sasaki", 1e-7,
-            lambda plan, t: sasaki_check(struct, plan, tol=t, example=key),
-        ),
-        _job(
-            "killing", 1e-8,
-            lambda plan, t: killing_check(struct, plan, tol=t, example=key),
-        ),
-        _job(
-            "second_order_identity", 1e-7,
-            lambda plan, t: theorem54_check(struct, plan, tol=t, example=key),
-        ),
-        _sampled_job("torsion_tensors_vanish", 1e-7, atlas, n_residual, key),
+        job.sampled("torsion_tensors_vanish", 1e-7, atlas, n_residual),
     )
     fields = [
         GalleryField("eta", "main", contact.eta, "dsl"),
@@ -565,58 +540,42 @@ def _build_mobius_cotangent(params: dict) -> Example:
     ]
 
     def hom(field, weight, mode):
-        return lambda plan, t: homogeneity_check(
-            field, weight, mode, plan, bundle=pair.bundle, tol=t, example=key,
+        return lambda plan: homogeneity_check(
+            field, weight, mode, plan, bundle=pair.bundle
         )
 
     def crosscheck(field, label):
-        return lambda plan, t: cross_chart_consistency(
-            field, plan, tol=t, example=key, check_name=f"single_valued({label})"
+        return lambda plan: cross_chart_consistency(
+            field, plan, check_name=f"single_valued({label})"
         )
 
+    job = _Jobs(key)
     checks = (
-        _atlas_job("atlas_consistency", total, key),
-        _atlas_job("base_atlas_consistency", struct.atlas, key),
-        _job(
-            "symplectic_form", 1e-8,
-            lambda plan, t: symplectic_check(
-                pair.omega, dataclasses.replace(plan, tolerance=t), example=key
-            ),
+        job.atlas("atlas_consistency", total),
+        job.atlas("base_atlas_consistency", struct.atlas),
+        job("symplectic_form", 1e-8, lambda plan: symplectic_check(pair.omega, plan)),
+        job("single_valued_two_form", 1e-9, crosscheck(pair.omega, "two_form")),
+        job("single_valued_metric", 1e-9, crosscheck(pair.g, "metric")),
+        job("single_valued_complex", 1e-9, crosscheck(jmat, "complex")),
+        job("homogeneous_two_form", 1e-8, hom(pair.omega, 1, "plain")),
+        job("homogeneous_metric", 1e-8, hom(pair.g, 1, "positive")),
+        job("homogeneous_complex", 1e-8, hom(jmat, 0, "half")),
+        job("almost_complex", 1e-8, lambda plan: almost_complex_check(jmat, plan)),
+        job(
+            "integrability", 1e-8, lambda plan: kahler_integrability_check(jmat, plan)
         ),
-        _job("single_valued_two_form", 1e-9, crosscheck(pair.omega, "two_form")),
-        _job("single_valued_metric", 1e-9, crosscheck(pair.g, "metric")),
-        _job("single_valued_complex", 1e-9, crosscheck(jmat, "complex")),
-        _job("homogeneous_two_form", 1e-8, hom(pair.omega, 1, "plain")),
-        _job("homogeneous_metric", 1e-8, hom(pair.g, 1, "positive")),
-        _job("homogeneous_complex", 1e-8, hom(jmat, 0, "half")),
-        _job(
-            "almost_complex", 1e-8,
-            lambda plan, t: almost_complex_check(jmat, plan, tol=t, example=key),
-        ),
-        _job(
-            "integrability", 1e-8,
-            lambda plan, t: kahler_integrability_check(
-                jmat, plan, tol=t, example=key
-            ),
-        ),
-        _job(
+        job(
             "compatibility", 1e-8,
-            lambda plan, t: compatibility_check(
-                pair.omega, pair.g, jmat, plan, tol=t, example=key
-            ),
+            lambda plan: compatibility_check(pair.omega, pair.g, jmat, plan),
         ),
-        _sampled_job("complex_structure_solves_pair", 1e-9, total, mismatch, key),
-        _sampled_job(
-            "eigenframe_commutators", 1e-9, total,
-            _pair_residual(eigen_brackets), key,
+        job.sampled("complex_structure_solves_pair", 1e-9, total, mismatch),
+        job.sampled(
+            "eigenframe_commutators", 1e-9, total, _pair_residual(eigen_brackets)
         ),
-        _sampled_job(
-            "cross_frame_commutators", 1e-9, total,
-            _pair_residual(cross_brackets), key,
+        job.sampled(
+            "cross_frame_commutators", 1e-9, total, _pair_residual(cross_brackets)
         ),
-        _sampled_job(
-            "mixed_commutator_identity", 1e-9, total, mixed_residual, key,
-        ),
+        job.sampled("mixed_commutator_identity", 1e-9, total, mixed_residual),
     )
     fields = [
         GalleryField("eta", "base", struct.contact.eta, "dsl"),
@@ -791,43 +750,32 @@ def _build_mobius_jet(params: dict) -> Example:
         p2, z2 = (nk.value_of(v) for v in section_values(cosine, chart, env["x"])[1:])
         return abs((p1 * z2 - z1 * p2) - math.pi)
 
-    def loop_run(plan: SamplePlan, tol: float | None = None):
-        tol = 0.0 if tol is None else tol
+    def loop_check(plan: SamplePlan) -> CheckReport:
         sign = 1.0
         for src, tgt, idx in _LOOP_PATH:
             t = base.transition(src, tgt)
             sign *= contact.transition_sign(t, t.pieces[idx])
         return _scalar_report(
-            "loop_sign", plan, tol, abs(sign - (-1.0)), key,
+            "loop_sign", plan, abs(sign - (-1.0)),
             details={"path": [list(step) for step in _LOOP_PATH], "sign": sign},
         )
 
+    job = _Jobs(key)
     checks = (
-        _atlas_job("atlas_consistency", base, key),
-        _job(
-            "contact_form", 1e-7,
-            lambda plan, t: is_contact_form(
-                contact, dataclasses.replace(plan, tolerance=t), example=key
-            ),
-        ),
-        _job(
-            "reeb_residual", 1e-9,
-            lambda plan, t: reeb_residual_check(contact, plan, tol=t, example=key),
-        ),
-        _sampled_job("projectable", 1e-9, base, projectable_residual, key),
-        _sampled_job("projection_reference", 1e-9, base, reference_residual, key),
-        _job(
+        job.atlas("atlas_consistency", base),
+        job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
+        job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
+        job.sampled("projectable", 1e-9, base, projectable_residual),
+        job.sampled("projection_reference", 1e-9, base, reference_residual),
+        job(
             "paired_consistency", 1e-8,
-            lambda plan, t: paired_consistency_check(struct, plan, tol=t, example=key),
+            lambda plan: paired_consistency_check(struct, plan),
         ),
-        _job(
-            "sasaki", 1e-8,
-            lambda plan, t: sasaki_check(struct, plan, tol=t, example=key),
-        ),
-        CheckJob("loop_sign", PASS, 0.0, loop_run),
-        _sampled_job("sections_global", 1e-9, _CIRCLE, sections_global_residual, key),
-        _sampled_job(
-            "sections_independent", 1e-9, _CIRCLE, sections_independent_residual, key
+        job("sasaki", 1e-8, lambda plan: sasaki_check(struct, plan)),
+        job("loop_sign", 0.0, loop_check),
+        job.sampled("sections_global", 1e-9, _CIRCLE, sections_global_residual),
+        job.sampled(
+            "sections_independent", 1e-9, _CIRCLE, sections_independent_residual
         ),
     )
     fields = [
@@ -1074,43 +1022,24 @@ def _build_sphere(n: int, params: dict) -> Example:
             [a - b for a, b in zip(solved_reeb.at(chart, env), reeb.at(chart, env))]
         )
 
+    job = _Jobs(key)
     checks = (
-        _atlas_job("atlas_consistency", atlas, key),
-        _sampled_job("embedding_frame", 1e-10, atlas, frame_residual, key),
-        _sampled_job(
-            "contact_form_reference", 1e-9, atlas, eta_reference_residual, key
-        ),
-        _sampled_job("round_metric", 1e-9, atlas, round_metric_residual, key),
-        _sampled_job("reeb_reference", 1e-9, atlas, reeb_reference_residual, key),
-        _job(
-            "contact_form", 1e-7,
-            lambda plan, t: is_contact_form(
-                contact, dataclasses.replace(plan, tolerance=t), example=key
-            ),
-        ),
-        _job(
-            "reeb_residual", 1e-9,
-            lambda plan, t: reeb_residual_check(contact, plan, tol=t, example=key),
-        ),
-        _job(
+        job.atlas("atlas_consistency", atlas),
+        job.sampled("embedding_frame", 1e-10, atlas, frame_residual),
+        job.sampled("contact_form_reference", 1e-9, atlas, eta_reference_residual),
+        job.sampled("round_metric", 1e-9, atlas, round_metric_residual),
+        job.sampled("reeb_reference", 1e-9, atlas, reeb_reference_residual),
+        job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
+        job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
+        job(
             "single_valued_eta", 1e-8,
-            lambda plan, t: cross_chart_consistency(
-                contact.eta, plan, tol=t, example=key,
-                check_name="single_valued(eta)",
+            lambda plan: cross_chart_consistency(
+                contact.eta, plan, check_name="single_valued(eta)"
             ),
         ),
-        _job(
-            "structure_axioms", 1e-8,
-            lambda plan, t: struct.validate(plan, tol=t, example=key),
-        ),
-        _job(
-            "contact_metric", 1e-7,
-            lambda plan, t: contact_metric_check(struct, plan, tol=t, example=key),
-        ),
-        _job(
-            "sasaki", 1e-7,
-            lambda plan, t: sasaki_check(struct, plan, tol=t, example=key),
-        ),
+        job("structure_axioms", 1e-8, struct.validate),
+        job("contact_metric", 1e-7, lambda plan: contact_metric_check(struct, plan)),
+        job("sasaki", 1e-7, lambda plan: sasaki_check(struct, plan)),
     )
     fields = [
         GalleryField("ambient_rotation_form", "ambient", theta, "dsl"),
@@ -1186,49 +1115,29 @@ def _build_product(params: dict) -> Example:
 
     cone_total = pair.bundle.total
 
+    job = _Jobs(key)
     checks = (
-        _atlas_job("atlas_consistency", atlas, key),
-        _job(
-            "contact_form", 1e-7,
-            lambda plan, t: is_contact_form(
-                contact, dataclasses.replace(plan, tolerance=t), example=key
-            ),
-        ),
-        _job(
-            "reeb_residual", 1e-9,
-            lambda plan, t: reeb_residual_check(contact, plan, tol=t, example=key),
-        ),
-        _sampled_job("reeb_is_sum", 1e-9, atlas, reeb_sum_residual, key),
-        _job(
-            "structure_axioms", 1e-8,
-            lambda plan, t: struct.validate(plan, tol=t, example=key),
-        ),
-        _job(
-            "contact_metric", 1e-7,
-            lambda plan, t: contact_metric_check(struct, plan, tol=t, example=key),
-        ),
-        _job(
-            "sasaki", 1e-7,
-            lambda plan, t: sasaki_check(struct, plan, tol=t, example=key),
-        ),
-        _job(
+        job.atlas("atlas_consistency", atlas),
+        job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
+        job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
+        job.sampled("reeb_is_sum", 1e-9, atlas, reeb_sum_residual),
+        job("structure_axioms", 1e-8, struct.validate),
+        job("contact_metric", 1e-7, lambda plan: contact_metric_check(struct, plan)),
+        job("sasaki", 1e-7, lambda plan: sasaki_check(struct, plan)),
+        job(
             "reparametrization_routes", 1e-7,
-            lambda plan, t: product_routes_check(
-                left, right, plan, tol=t, example=key
-            ),
+            lambda plan: product_routes_check(struct, pair, plan),
         ),
-        _sampled_job(
-            "slope_form_invariant", 1e-9, cone_total, beta_invariance_residual, key
+        job.sampled(
+            "slope_form_invariant", 1e-9, cone_total, beta_invariance_residual
         ),
-        _sampled_job(
-            "slope_form_closed", 1e-9, cone_total, beta_closed_residual, key
-        ),
-        _job(
+        job.sampled("slope_form_closed", 1e-9, cone_total, beta_closed_residual),
+        job(
             "slope_form_homogeneous", 1e-9,
-            lambda plan, t: homogeneity_check(
+            lambda plan: homogeneity_check(
                 beta, 0, "plain", plan,
                 scaling=pair.bundle.scaling, scales=(0.5, 2.0),
-                tol=t, example=key, check_name="homogeneity(slope_form)",
+                check_name="homogeneity(slope_form)",
             ),
         ),
     )
@@ -1289,30 +1198,17 @@ def _build_main1(params: dict) -> Example:
     zi = chart.index("z")
 
     def hom(field, weight, mode):
-        return lambda plan, t: homogeneity_check(
-            field, weight, mode, plan, bundle=bundle, tol=t, example=key
-        )
+        return lambda plan: homogeneity_check(field, weight, mode, plan, bundle=bundle)
 
-    def recon(plan: SamplePlan, tol: float | None = None):
-        return reconstruct_main1(
-            contact, bundle, pair.omega, pair.g, plan, tol=tol, example=key
-        )
-
-    def reconstruction_run(plan, t=None):
-        return recon(plan, 1e-6 if t is None else t).report
-
-    cache_key = (key, slope_src)
+    slope = vertical_slope(contact, bundle, pair.g)
 
     def recovery_residual(chart_name, coords, env):
-        if cache_key not in _MAIN1_CACHE:
-            _MAIN1_CACHE[cache_key] = recon(_GATE_PLAN)
-        result = _MAIN1_CACHE[cache_key]
         base_env = {c: v for c, v in env.items() if c != FIBER}
         a_here = exprlang.eval_expr(slope_expr, base_env)
-        got_a = result.slope.at(chart_name, env)
+        got_a = slope.at(chart_name, env)
         r = abs(nk.value_of(_scalar(got_a) - a_here))
 
-        jm = result.J.at(chart_name, env)
+        jm = pair.J.at(chart_name, env)
         dim = chart.dim
         s = env[FIBER]
         # the scaling field and the lifted Reeb field span the vertical
@@ -1335,35 +1231,29 @@ def _build_main1(params: dict) -> Example:
             [a - b for a, b in zip(img_xi, want_xi)],
         ])
 
+    job = _Jobs(key)
     checks = (
-        _atlas_job("atlas_consistency", total, key),
-        _job(
-            "symplectic_form", 1e-8,
-            lambda plan, t: symplectic_check(
-                pair.omega, dataclasses.replace(plan, tolerance=t), example=key
-            ),
-        ),
-        _job("homogeneous_two_form", 1e-8, hom(pair.omega, 1, "plain")),
-        _job("homogeneous_metric", 1e-8, hom(pair.g, 1, "positive")),
-        _job(
-            "almost_complex", 1e-8,
-            lambda plan, t: almost_complex_check(pair.J, plan, tol=t, example=key),
-        ),
-        _job(
+        job.atlas("atlas_consistency", total),
+        job("symplectic_form", 1e-8, lambda plan: symplectic_check(pair.omega, plan)),
+        job("homogeneous_two_form", 1e-8, hom(pair.omega, 1, "plain")),
+        job("homogeneous_metric", 1e-8, hom(pair.g, 1, "positive")),
+        job("almost_complex", 1e-8, lambda plan: almost_complex_check(pair.J, plan)),
+        job(
             "compatibility", 1e-8,
-            lambda plan, t: compatibility_check(
-                pair.omega, pair.g, pair.J, plan, tol=t, example=key
-            ),
+            lambda plan: compatibility_check(pair.omega, pair.g, pair.J, plan),
         ),
-        _job(
+        job(
             "integrability", 1e-8,
-            lambda plan, t: kahler_integrability_check(
-                pair.J, plan, tol=t, example=key
-            ),
+            lambda plan: kahler_integrability_check(pair.J, plan),
             expect=PASS if constant else FAIL,
         ),
-        CheckJob("reconstruction", PASS, 1e-6, reconstruction_run),
-        _sampled_job("slope_recovery", 1e-8, total, recovery_residual, key),
+        job(
+            "reconstruction", 1e-6,
+            lambda plan: reconstruct_main1(
+                contact, bundle, pair.g, pair.J, plan
+            ).report,
+        ),
+        job.sampled("slope_recovery", 1e-8, total, recovery_residual),
     )
     fields = [
         GalleryField("eta", "base", contact.eta, "dsl"),
@@ -1394,9 +1284,6 @@ def _build_main1(params: dict) -> Example:
         checks=checks,
         params={"a": slope_src},
     )
-
-
-_MAIN1_CACHE: dict = {}
 
 
 def _scalar(v):

@@ -148,10 +148,7 @@ def compatibility_tensor(omega: TensorField, g: TensorField) -> TensorField:
     )
 
 
-def almost_complex_check(
-    J: TensorField, plan: SamplePlan, tol: float | None = None,
-    example: str | None = None,
-) -> CheckReport:
+def almost_complex_check(J: TensorField, plan: SamplePlan) -> CheckReport:
     """max ‖J² + id‖ over samples."""
 
     def residual(chart, coords, env):
@@ -165,23 +162,14 @@ def almost_complex_check(
         ])
 
     return run_residual_check(
-        "almost_complex",
-        sample_points(J.atlas, plan),
-        residual,
-        plan.tolerance if tol is None else tol,
-        plan.seed,
-        example=example,
+        "almost_complex", sample_points(J.atlas, plan), residual, plan
     )
 
 
 def kahler_integrability_check(
-    J: TensorField,
-    plan: SamplePlan,
-    tol: float | None = None,
-    fail_floor: float = 1e-3,
-    example: str | None = None,
+    J: TensorField, plan: SamplePlan, fail_floor: float = 1e-3
 ) -> CheckReport:
-    """max ‖N_J‖; residuals between tol and fail_floor are inconclusive."""
+    """max ‖N_J‖; residuals between tolerance and fail_floor are inconclusive."""
     N = nijenhuis(J)
 
     def residual(chart, coords, env):
@@ -191,10 +179,8 @@ def kahler_integrability_check(
         "kahler_integrability",
         sample_points(J.atlas, plan),
         residual,
-        plan.tolerance if tol is None else tol,
-        plan.seed,
+        plan,
         fail_floor=fail_floor,
-        example=example,
     )
 
 
@@ -203,8 +189,6 @@ def compatibility_check(
     g: TensorField,
     J: TensorField,
     plan: SamplePlan,
-    tol: float | None = None,
-    example: str | None = None,
 ) -> CheckReport:
     """Defining identity plus isometry/symplectomorphism invariances."""
 
@@ -233,12 +217,7 @@ def compatibility_check(
         return max_abs(comps)
 
     return run_residual_check(
-        "compatibility_identity",
-        sample_points(J.atlas, plan),
-        residual,
-        plan.tolerance if tol is None else tol,
-        plan.seed,
-        example=example,
+        "compatibility_identity", sample_points(J.atlas, plan), residual, plan
     )
 
 
@@ -254,30 +233,10 @@ class Main1Result:
     report: CheckReport
 
 
-def reconstruct_main1(
-    C: ContactStructure,
-    bundle: PrincipalBundle,
-    omega: TensorField,
-    g: TensorField,
-    plan: SamplePlan,
-    tol: float | None = None,
-    example: str | None = None,
-) -> Main1Result:
-    """Recover the slope, base metric, and vertical J-action from (ω, g).
-
-    Requires the metric to calibrate to the fiber coordinate
-    (g(∇,∇) = s).  The vertical plane W is spanned by the lifted Reeb
-    field and the scaling field; the certified facts are:
-
-      * J restricted to W equals [[a, 1], [−(1+a²), −a]] (columns are
-        the images of ξ and ∇),
-      * W and the contact planes are J-invariant,
-      * ‖ξ‖² = s(1+a²) and W ⟂ C,
-      * the base metric extracted at the unit-fiber lift, η² removed of
-        the slope contribution, reassembles g.
-    """
-    tol = plan.tolerance if tol is None else tol
-    J = compatibility_tensor(omega, g)
+def vertical_slope(
+    C: ContactStructure, bundle: PrincipalBundle, g: TensorField
+) -> TensorField:
+    """The base scalar a with g(∇, ξ-lift) = s·a, read at the unit lift."""
     xi = C.reeb()
 
     def slope_ev(chart_name):
@@ -294,12 +253,37 @@ def reconstruct_main1(
 
         return ev
 
-    slope = TensorField(
+    return TensorField(
         "vertical_slope",
         bundle.base,
         (0, 0),
         {c.name: slope_ev(c.name) for c in bundle.base.charts},
     )
+
+
+def reconstruct_main1(
+    C: ContactStructure,
+    bundle: PrincipalBundle,
+    g: TensorField,
+    J: TensorField,
+    plan: SamplePlan,
+) -> Main1Result:
+    """Recover the slope, base metric, and vertical J-action from (g, J).
+
+    J is the pair's compatibility tensor.  Requires the metric to
+    calibrate to the fiber coordinate (g(∇,∇) = s).  The vertical plane W
+    is spanned by the lifted Reeb field and the scaling field; the
+    certified facts are:
+
+      * J restricted to W equals [[a, 1], [−(1+a²), −a]] (columns are
+        the images of ξ and ∇),
+      * W and the contact planes are J-invariant,
+      * ‖ξ‖² = s(1+a²) and W ⟂ C,
+      * the base metric extracted at the unit-fiber lift, η² removed of
+        the slope contribution, reassembles g.
+    """
+    xi = C.reeb()
+    slope = vertical_slope(C, bundle, g)
 
     def gm_ev(chart_name):
         def ev(env):
@@ -492,15 +476,13 @@ def reconstruct_main1(
         "main_reconstruction",
         sample_points(bundle.total, plan),
         residual,
-        tol,
-        plan.seed,
-        example=example,
+        plan,
         details=worst,
     )
     report.details["failed_clauses"] = sorted(
         name
         for name, value in worst.items()
-        if name != "failed_clauses" and value > tol
+        if name != "failed_clauses" and value > plan.tolerance
     )
     return Main1Result(slope=slope, g_M=g_M, phi_C=phi_C, J=J, report=report)
 

@@ -281,17 +281,13 @@ def _piece_sample(chart: Chart, piece: TransitionPiece, plan: SamplePlan, rng):
     return out
 
 
-def atlas_consistency_check(
-    atlas: Atlas, plan: SamplePlan, tol: float | None = None, example: str | None = None
-) -> CheckReport:
+def atlas_consistency_check(atlas: Atlas, plan: SamplePlan) -> CheckReport:
     """Round-trip every transition piece: inverse(forward(p)) == p.
 
     Also composes each declared opposite pair source->target->source on the
     same samples, which covers 2-cycle cocycle consistency; 3-chart cycles
     would report here too if an atlas declared them.
     """
-    tol = plan.tolerance if tol is None else tol
-
     def rows():
         for t in atlas.transitions:
             src = atlas.chart(t.source)
@@ -314,10 +310,7 @@ def atlas_consistency_check(
                         pass
                     yield label, coords, max_or_nan(diffs)
 
-    return check_report(
-        "atlas_consistency", reduce_residuals(rows()), tol, plan.seed,
-        example=example,
-    )
+    return check_report("atlas_consistency", reduce_residuals(rows()), plan)
 
 
 __all__ = [

@@ -123,8 +123,6 @@ def reparametrization_check(
     C2: ContactStructure,
     product: ContactStructure,
     plan: SamplePlan,
-    tol: float | None = None,
-    example: str | None = None,
 ) -> CheckReport:
     """ker(t·η₁ + η₂) is parametrization-independent.
 
@@ -165,12 +163,7 @@ def reparametrization_check(
         return max_abs(comps)
 
     return run_residual_check(
-        "product_reparametrization",
-        sample_points(product.atlas, plan),
-        residual,
-        plan.tolerance if tol is None else tol,
-        plan.seed,
-        example=example,
+        "product_reparametrization", sample_points(product.atlas, plan), residual, plan
     )
 
 
@@ -261,8 +254,6 @@ def distribution_match_check(
     raw: ContactStructure,
     normalised: LeviStructure,
     plan: SamplePlan,
-    tol: float | None = None,
-    example: str | None = None,
 ) -> CheckReport:
     """Both product constructions cut out the same hyperplane field."""
     eta_n = normalised.contact.eta
@@ -281,12 +272,7 @@ def distribution_match_check(
         return max_abs(pairings)
 
     return run_residual_check(
-        "product_distribution_match",
-        sample_points(raw.atlas, plan),
-        residual,
-        plan.tolerance if tol is None else tol,
-        plan.seed,
-        example=example,
+        "product_distribution_match", sample_points(raw.atlas, plan), residual, plan
     )
 
 
@@ -448,21 +434,17 @@ def ts_reparametrization(
 
 
 def product_routes_check(
-    L1: LeviStructure,
-    L2: LeviStructure,
-    plan: SamplePlan,
-    tol: float = 1e-7,
-    example: str | None = None,
+    Lp: LeviStructure, K: KahlerCandidate, plan: SamplePlan
 ) -> CheckReport:
     """Downstairs and upstairs products agree through (t,s) ↦ (s₁,s₂).
 
-    The cone metric induced from the normalised product's base metric
-    must pull back from the block-sum metric of the factor cones along
-    the explicit reparametrization — an exact identity, checked at
-    samples of the (t, s) cone.
+    ``Lp`` is the `sasakian_product` and ``K`` the `product_kahler_lift`
+    of the same two factors; both gated their factors when built.  The
+    cone metric induced from the normalised product's base metric must
+    pull back from the block-sum metric of the factor cones along the
+    explicit reparametrization — an exact identity, checked at samples of
+    the (t, s) cone.
     """
-    Lp = sasakian_product(L1, L2, plan)
-    K = product_kahler_lift(L1, L2, plan)
     cone = cone_over(Lp.contact.atlas, group="R+", name="product_cone")
     g_ts = induced_metric(cone, Lp.metric(), abs_s_calibration(cone))
     F = ts_reparametrization(K.bundle, cone)
@@ -478,10 +460,5 @@ def product_routes_check(
         ])
 
     return run_residual_check(
-        "product_routes",
-        sample_points(cone.total, plan),
-        residual,
-        tol,
-        plan.seed,
-        example=example,
+        "product_routes", sample_points(cone.total, plan), residual, plan
     )

@@ -12,9 +12,10 @@ Every check reduces its residuals here.  It hands `reduce_residuals` one
 (chart label, coords, residual) row per sample; that takes the maximum
 overall and per chart, ranking NaN above inf above any number, and keeps
 the first strictly-worst row as the witness.  `check_report` turns the
-reduction into a verdict and a report.  Within a sample, components go
-through `max_or_nan` (or `tensor.max_abs`), so a NaN component is never
-lost to ``max(0.0, nan) == 0.0``.
+reduction into a verdict and a report under the check's `SamplePlan`,
+whose ``tolerance`` and ``seed`` are the only ones a check reads.  Within
+a sample, components go through `max_or_nan` (or `tensor.max_abs`), so a
+NaN component is never lost to ``max(0.0, nan) == 0.0``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .manifold import SamplePlan
 
 VERSION = "0.1.0"  # keep in sync with pyproject.toml
 
@@ -157,32 +161,31 @@ def reduce_residuals(rows: Iterable[tuple]) -> Reduction:
 def check_report(
     check: str,
     red: Reduction,
-    tol: float,
-    seed: int,
+    plan: SamplePlan,
     *,
     samples: int | None = None,
     fail_floor: float | None = None,
-    example: str | None = None,
     details: dict | None = None,
 ) -> CheckReport:
-    """The verdict on a reduction, with its worst row as witness on fail.
+    """The verdict on a reduction under ``plan.tolerance``, with its worst
+    row as witness on fail.
 
-    ``samples`` defaults to the number of rows reduced.
+    ``samples`` defaults to the number of rows reduced.  The report's
+    ``example`` stays None; a gallery job stamps its key.
     """
-    verdict = verdict_for(red.max_residual, tol, fail_floor)
+    verdict = verdict_for(red.max_residual, plan.tolerance, fail_floor)
     witness = None
     if verdict == FAIL:
         chart, coords, r = red.worst
         witness = Witness(chart=chart, coords=tuple(coords), residual=r)
     return CheckReport(
         check=check,
-        seed=seed,
+        seed=plan.seed,
         samples=red.count if samples is None else samples,
-        tolerance=tol,
+        tolerance=plan.tolerance,
         max_residual=red.max_residual,
         per_chart=red.per_chart,
         verdict=verdict,
-        example=example,
         witness=witness,
         details=details or {},
     )
@@ -192,10 +195,8 @@ def run_residual_check(
     check: str,
     sampled: Sequence[tuple],  # (chart_name, [(coords, env), ...])
     residual_fn: Callable,  # (chart_name, coords, env) -> float
-    tol: float,
-    seed: int,
+    plan: SamplePlan,
     fail_floor: float | None = None,
-    example: str | None = None,
     details: dict | None = None,
 ) -> CheckReport:
     """Evaluate a pointwise residual over pre-sampled points and report."""
@@ -205,6 +206,5 @@ def run_residual_check(
         for coords, env in pts
     )
     return check_report(
-        check, reduce_residuals(rows), tol, seed,
-        fail_floor=fail_floor, example=example, details=details,
+        check, reduce_residuals(rows), plan, fail_floor=fail_floor, details=details
     )

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import numkernel as nk
-from .contact import ContactStructure, contact_frame, frame_fields, reeb_field
+from .contact import ContactStructure, contact_frame, frame_fields
 from .manifold import SamplePlan, sample_chart, sample_points
 from .report import (
     CheckReport,
@@ -54,7 +54,6 @@ from .tensor import (
     max_abs,
     nijenhuis,
     tf_scale,
-    zeros,
 )
 
 
@@ -113,9 +112,7 @@ class LeviStructure:
     def reeb(self) -> TensorField:
         return self.contact.reeb()
 
-    def validate(
-        self, plan: SamplePlan, tol: float | None = None, example: str | None = None
-    ) -> CheckReport:
+    def validate(self, plan: SamplePlan) -> CheckReport:
         """Defining identities: φ̄ξ = 0, η∘φ̄ = 0, φ̄² = −id + ξ⊗η, g ≻ 0."""
         C = self.contact
         xi = C.reeb()
@@ -147,9 +144,7 @@ class LeviStructure:
             f"levi_structure({self.name})",
             sample_points(self.atlas, plan),
             residual,
-            plan.tolerance if tol is None else tol,
-            plan.seed,
-            example=example,
+            plan,
         )
 
 
@@ -358,13 +353,12 @@ def pin_battery(
     seed: int,
     plan: SamplePlan,
     flag_tol: float = 1e-8,
-    example: str | None = None,
 ) -> CheckReport:
     """Run the four compatibility flags over conjugated candidates.
 
     The flags are mathematically equivalent, so any pairwise disagreement
     on any candidate is an engine bug; the report's residual is the
-    disagreement count.
+    disagreement count.  ``seed`` draws the candidates, ``plan`` the points.
     """
     candidates = frame_conjugations(C, phibar, count, seed)
     rows = []
@@ -390,10 +384,8 @@ def pin_battery(
     return check_report(
         "pin_battery",
         red,
-        0.0,
-        seed,
+        plan,
         samples=plan.points_per_chart,
-        example=example,
         details={
             "candidates": len(candidates),
             "flag_tol": flag_tol,
@@ -407,10 +399,7 @@ def pin_battery(
 # -- metric compatibility and structure tensors ------------------------
 
 
-def contact_metric_check(
-    L: LeviStructure, plan: SamplePlan, tol: float | None = None,
-    example: str | None = None,
-) -> CheckReport:
+def contact_metric_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     """η = g(ξ, ·), φ² = −id + ξ⊗η, dη = g(·, φ·) for φ = phi_gas."""
     C = L.contact
     g = L.metric()
@@ -438,12 +427,7 @@ def contact_metric_check(
         return max_abs(comps)
 
     return run_residual_check(
-        "contact_metric",
-        sample_points(L.atlas, plan),
-        residual,
-        plan.tolerance if tol is None else tol,
-        plan.seed,
-        example=example,
+        "contact_metric", sample_points(L.atlas, plan), residual, plan
     )
 
 
@@ -549,11 +533,7 @@ def cr_torsion_field(
 
 
 def sasaki_check(
-    L: LeviStructure,
-    plan: SamplePlan,
-    tol: float | None = None,
-    fail_floor: float = 1e-3,
-    example: str | None = None,
+    L: LeviStructure, plan: SamplePlan, fail_floor: float = 1e-3
 ) -> CheckReport:
     """Normality by two routes that must agree.
 
@@ -565,7 +545,6 @@ def sasaki_check(
     because it would mean the engine, not the geometry, is wrong.
     """
     C = L.contact
-    tol = plan.tolerance if tol is None else tol
     tensors = n_tensors(L)
     N1, N3 = tensors["N1"], tensors["N3"]
 
@@ -631,11 +610,9 @@ def sasaki_check(
     return check_report(
         "sasaki",
         reduce_residuals(rows),
-        tol,
-        plan.seed,
+        plan,
         samples=plan.points_per_chart,
         fail_floor=fail_floor,
-        example=example,
         details={
             "route_full_tensor": max_or_nan(route1),
             "route_frame_torsion": max_or_nan(route2),
@@ -652,10 +629,7 @@ def _expr_factor(expr: str) -> Callable[[dict], object]:
     return lambda env: exprlang.eval_expr(parsed, env)
 
 
-def killing_check(
-    L: LeviStructure, plan: SamplePlan, tol: float | None = None,
-    example: str | None = None,
-) -> CheckReport:
+def killing_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     """The Reeb field preserves the associated metric: L_ξ g = 0."""
     lg = lie_derivative(L.metric(), L.reeb())
 
@@ -663,19 +637,11 @@ def killing_check(
         return max_abs(lg.at(chart, env))
 
     return run_residual_check(
-        "reeb_killing",
-        sample_points(L.atlas, plan),
-        residual,
-        plan.tolerance if tol is None else tol,
-        plan.seed,
-        example=example,
+        "reeb_killing", sample_points(L.atlas, plan), residual, plan
     )
 
 
-def theorem54_check(
-    L: LeviStructure, plan: SamplePlan, tol: float | None = None,
-    example: str | None = None,
-) -> CheckReport:
+def theorem54_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     """(∇_X φ)Y = ½(g(X, Y)ξ − η(Y)X) with φ the metric-compatible sign.
 
     The one-half is a convention artifact, not a weakening: this package
@@ -734,21 +700,11 @@ def theorem54_check(
         return max_abs(comps)
 
     return run_residual_check(
-        "covariant_derivative_identity",
-        sample_points(L.atlas, plan),
-        residual,
-        plan.tolerance if tol is None else tol,
-        plan.seed,
-        example=example,
+        "covariant_derivative_identity", sample_points(L.atlas, plan), residual, plan
     )
 
 
-def paired_consistency_check(
-    L: LeviStructure,
-    plan: SamplePlan,
-    tol: float | None = None,
-    example: str | None = None,
-) -> CheckReport:
+def paired_consistency_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     """Overlap behavior of all five fields on orientation-twisted atlases.
 
     η, ξ and φ̄ pick up the transition sign; the transverse and full
@@ -756,7 +712,6 @@ def paired_consistency_check(
     into one report.
     """
     C = L.contact
-    tol = plan.tolerance if tol is None else tol
     sign_fn = C.transition_sign if C.paired else None
     jobs = [
         ("eta", C.eta, sign_fn),
@@ -771,10 +726,8 @@ def paired_consistency_check(
     return check_report(
         "paired_consistency",
         reduce_residuals(row for _, rows in streams for row in rows),
-        tol,
-        plan.seed,
+        plan,
         samples=plan.points_per_chart,
-        example=example,
         details={
             label: reduce_residuals(rows).max_residual for label, rows in streams
         },

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import exprlang, numkernel as nk
 from .exprlang import Expr
-from .manifold import Atlas, Chart, Point, PointEnv, SamplePlan, sample_chart
+from .manifold import Atlas, Chart, Point, PointEnv, SamplePlan
 from .report import CheckReport, check_report, max_or_nan, reduce_residuals
 
 
@@ -628,18 +628,14 @@ def cross_chart_rows(T: TensorField, plan: SamplePlan, sign_fn=None):
 def cross_chart_consistency(
     T: TensorField,
     plan: SamplePlan,
-    tol: float | None = None,
     sign_fn=None,
-    example: str | None = None,
     check_name: str | None = None,
 ) -> CheckReport:
     """Report on `cross_chart_rows`: T's chart data agree on overlaps."""
     return check_report(
         check_name or f"cross_chart({T.name})",
         reduce_residuals(cross_chart_rows(T, plan, sign_fn)),
-        plan.tolerance if tol is None else tol,
-        plan.seed,
-        example=example,
+        plan,
     )
 
 

@@ -14,6 +14,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +68,10 @@ def test_acceptance_01_flat_models_normal():
     for n in (1, 2):
         struct = standard_darboux_levi(n)
         reports = [
-            contact_metric_check(struct, FULL_PLAN, tol=1e-7),
-            sasaki_check(struct, FULL_PLAN, tol=1e-7),
-            killing_check(struct, FULL_PLAN, tol=1e-7),
-            theorem54_check(struct, FULL_PLAN, tol=1e-7),
+            contact_metric_check(struct, replace(FULL_PLAN, tolerance=1e-7)),
+            sasaki_check(struct, replace(FULL_PLAN, tolerance=1e-7)),
+            killing_check(struct, replace(FULL_PLAN, tolerance=1e-7)),
+            theorem54_check(struct, replace(FULL_PLAN, tolerance=1e-7)),
         ]
         fields = n_tensors(struct)
         chart = struct.atlas.charts[0]
@@ -256,9 +257,9 @@ def test_acceptance_05_decomposition_round_trip():
 def test_acceptance_06_sphere():
     ex = build_example("sphere-3")
     struct = ex.structure
-    cm = contact_metric_check(struct, FULL_PLAN, tol=1e-7, example=ex.key)
-    sa = sasaki_check(struct, FULL_PLAN, tol=1e-7, example=ex.key)
-    rb = reeb_residual_check(struct.contact, FULL_PLAN, tol=1e-9, example=ex.key)
+    cm = contact_metric_check(struct, replace(FULL_PLAN, tolerance=1e-7))
+    sa = sasaki_check(struct, replace(FULL_PLAN, tolerance=1e-7))
+    rb = reeb_residual_check(struct.contact, replace(FULL_PLAN, tolerance=1e-9))
     for rep in (cm, sa):
         assert rep.verdict == PASS, rep.one_line()
         assert rep.max_residual < 1e-7
@@ -297,8 +298,8 @@ def test_acceptance_07_product():
 def test_acceptance_08_paired_jet():
     ex = build_example("mobius-jet")
     struct = ex.structure
-    pc = paired_consistency_check(struct, FULL_PLAN, tol=1e-8, example=ex.key)
-    sa = sasaki_check(struct, FULL_PLAN, tol=1e-8, example=ex.key)
+    pc = paired_consistency_check(struct, replace(FULL_PLAN, tolerance=1e-8))
+    sa = sasaki_check(struct, replace(FULL_PLAN, tolerance=1e-8))
     for rep in (pc, sa):
         assert rep.verdict == PASS and rep.max_residual < 1e-8, rep.one_line()
     loop = _run(ex.check("loop_sign"))

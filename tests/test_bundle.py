@@ -1,6 +1,7 @@
 """Cone bundles: symplectization, homogeneity laws, metric splitting."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -182,7 +183,9 @@ class TestHomogeneityModes:
 class TestLiouville:
     def test_theta_is_s_eta(self, cone):
         bundle, omega = cone
-        nabla, theta, rep = liouville_data(bundle, omega, PLAN)
+        nabla, theta, rep = liouville_data(
+            bundle, omega, replace(PLAN, tolerance=1e-9)
+        )
         env = {"x": 0.1, "p": 0.7, "z": 0.4, FIBER: 1.5}
         name = bundle.total.charts[0].name
         vals = theta.at(name, env)
@@ -192,7 +195,7 @@ class TestLiouville:
 
     def test_d_theta_recovers_omega(self, cone):
         bundle, omega = cone
-        _, _, rep = liouville_data(bundle, omega, PLAN)
+        _, _, rep = liouville_data(bundle, omega, replace(PLAN, tolerance=1e-9))
         assert rep.max_residual < 1e-10
 
 

@@ -114,6 +114,23 @@ def test_json_dash_writes_payload_to_stdout(capsys):
     assert "checks matched" in captured.err
 
 
+def test_tol_reaches_every_check(capsys):
+    """--tol replaces each declared tolerance, contact_form's included."""
+    rc = main(
+        [
+            "verify", "darboux-1", "--checks", "contact_form,reeb_residual",
+            "--tol", "0.5", "--samples", "4", "--json", "-",
+        ]
+    )
+    entries = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert [(e["declared"]["check"], e["tolerance"]) for e in entries] == [
+        ("contact_form", 0.5),
+        ("reeb_residual", 0.5),
+    ]
+    assert all(e["example"] == "darboux-1" for e in entries)
+
+
 @pytest.mark.parametrize("key", ["darboux-1", "mobius-jet"])
 def test_show_emits_definition_header(key, capsys):
     assert main(["show", key]) == 0

@@ -1,6 +1,7 @@
 """Gallery entries: registry behavior, declared verdicts, and golden files."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,8 @@ def test_declared_checks_match_expectations(key):
             f"{key}/{job.name}: verdict {rep.verdict} != declared {job.expect} "
             f"(max residual {rep.max_residual:.3e})"
         )
+        assert rep.example == key
+        assert rep.tolerance == job.tolerance, f"{key}/{job.name}"
         if rep.verdict == FAIL:
             assert rep.witness is not None
 
@@ -237,7 +240,7 @@ def test_parsed_atlas_is_usable():
     text = (GOLDEN / "mobius-jet.corpus").read_text()
     doc = parse_example_text(text)
     atlas = doc.atlases["main"]
-    rep = atlas_consistency_check(atlas, FAST_PLAN, tol=1e-10)
+    rep = atlas_consistency_check(atlas, replace(FAST_PLAN, tolerance=1e-10))
     assert rep.passed
 
 

@@ -1,5 +1,7 @@
 """Compatibility tensors and the cone reconstruction, against hand oracles."""
 
+from dataclasses import replace
+
 import pytest
 
 from sasaki_lab import exprlang
@@ -92,6 +94,12 @@ def darboux_cone(a_expr="0.0", n=1):
     return L, bundle, omega, g
 
 
+def reconstruct(L, bundle, omega, g):
+    """`reconstruct_main1` on the pair (ω, g) and its compatibility tensor."""
+    J = compatibility_tensor(omega, g)
+    return reconstruct_main1(L.contact, bundle, g, J, PLAN)
+
+
 def matvec(m, v):
     return [
         nk.value_of(nk.sum_(m[k][j] * v[j] for j in range(len(v))))
@@ -119,7 +127,7 @@ class TestCompatibilityTensor:
     def test_defining_identity_and_invariances_on_cone(self):
         _, bundle, omega, g = darboux_cone("0.7")
         J = compatibility_tensor(omega, g)
-        rep = compatibility_check(omega, g, J, PLAN, tol=1e-9)
+        rep = compatibility_check(omega, g, J, replace(PLAN, tolerance=1e-9))
         assert rep.passed, rep.max_residual
 
     def test_cone_swaps_scaling_and_reeb_at_zero_slope(self):
@@ -181,7 +189,7 @@ class TestIntegrability:
 class TestReconstruction:
     def test_recovers_constant_slope(self):
         L, bundle, omega, g = darboux_cone("0.7")
-        res = reconstruct_main1(L.contact, bundle, omega, g, PLAN)
+        res = reconstruct(L, bundle, omega, g)
         assert res.report.passed, res.report.details
         assert res.report.details["failed_clauses"] == []
         for env in ({"x": 0.0, "p": 0.0, "z": 0.0}, {"x": -0.8, "p": 1.2, "z": 0.4}):
@@ -189,7 +197,7 @@ class TestReconstruction:
 
     def test_round_trips_base_metric_and_plane_endo(self):
         L, bundle, omega, g = darboux_cone("0.7")
-        res = reconstruct_main1(L.contact, bundle, omega, g, PLAN)
+        res = reconstruct(L, bundle, omega, g)
         env = {"x": 0.5, "p": -0.9, "z": 0.1}
         p = env["p"]
         assert_rows(
@@ -205,7 +213,7 @@ class TestReconstruction:
 
     def test_zero_slope_vertical_block(self):
         L, bundle, omega, g = darboux_cone("0.0")
-        res = reconstruct_main1(L.contact, bundle, omega, g, PLAN)
+        res = reconstruct(L, bundle, omega, g)
         assert res.report.passed
         assert res.report.details["vertical_matrix"] < 1e-8
         assert res.report.details["reeb_norm"] < 1e-8
@@ -213,7 +221,7 @@ class TestReconstruction:
 
     def test_variable_slope_reconstructs_pointwise(self):
         L, bundle, omega, g = darboux_cone("x")
-        res = reconstruct_main1(L.contact, bundle, omega, g, PLAN)
+        res = reconstruct(L, bundle, omega, g)
         assert res.report.passed, res.report.details
         env = {"x": 0.45, "p": -0.2, "z": 0.9}
         assert nk.value_of(res.slope.at("O", env)) == pytest.approx(0.45)
@@ -222,7 +230,7 @@ class TestReconstruction:
 
     def test_second_stabilizer_dimension(self):
         L, bundle, omega, g = darboux_cone("-1.3", n=2)
-        res = reconstruct_main1(L.contact, bundle, omega, g, PLAN)
+        res = reconstruct(L, bundle, omega, g)
         assert res.report.passed, res.report.details
         env = {"x1": 0.2, "p1": -0.4, "x2": 0.7, "p2": 0.3, "z": 0.0}
         assert nk.value_of(res.slope.at("O", env)) == pytest.approx(-1.3)
@@ -230,22 +238,18 @@ class TestReconstruction:
     def test_incompatible_pair_raises(self):
         L, bundle, omega, g = darboux_cone("0.7")
         with pytest.raises(NotCompatible):
-            reconstruct_main1(
-                L.contact, bundle, omega, tf_scale(g, 2.0), PLAN
-            )
+            reconstruct(L, bundle, omega, tf_scale(g, 2.0))
 
     def test_failed_clause_is_named(self):
         L, bundle, omega, g = darboux_cone("0.7")
-        res = reconstruct_main1(
-            L.contact, bundle, tf_scale(omega, 2.0), tf_scale(g, 2.0), PLAN
-        )
+        res = reconstruct(L, bundle, tf_scale(omega, 2.0), tf_scale(g, 2.0))
         assert res.report.verdict == "fail"
         assert "calibration" in res.report.details["failed_clauses"]
         assert res.report.details["square"] < 1e-10
 
     def test_half_invariance_of_j(self):
         L, bundle, omega, g = darboux_cone("0.7")
-        res = reconstruct_main1(L.contact, bundle, omega, g, PLAN)
+        res = reconstruct(L, bundle, omega, g)
         rep = homogeneity_check(res.J, 0, "half", PLAN, bundle=bundle)
         assert rep.passed, rep.max_residual
 

@@ -1,5 +1,7 @@
 """Products of Darboux structures: forms, Reeb fields, and both routes."""
 
+from dataclasses import replace
+
 import pytest
 
 from sasaki_lab import numkernel as nk
@@ -110,8 +112,8 @@ class TestSasakianProduct:
         L = sasakian_product(
             standard_darboux_levi(1), standard_darboux_levi(1), PLAN
         )
-        assert contact_metric_check(L, PLAN, tol=1e-7).passed
-        rep = sasaki_check(L, PLAN, tol=1e-7)
+        assert contact_metric_check(L, replace(PLAN, tolerance=1e-7)).passed
+        rep = sasaki_check(L, replace(PLAN, tolerance=1e-7))
         assert rep.passed, rep.max_residual
 
     def test_same_distribution_as_raw_product(self):
@@ -250,8 +252,8 @@ class TestSlopeFormAndRoutes:
         )
         beta = invariant_slope_form(K.bundle)
         rep = homogeneity_check(
-            beta, 0, "plain", PLAN,
-            scaling=K.bundle.scaling, scales=(0.5, 2.0), tol=1e-9,
+            beta, 0, "plain", replace(PLAN, tolerance=1e-9),
+            scaling=K.bundle.scaling, scales=(0.5, 2.0),
         )
         assert rep.passed, rep.max_residual
 
@@ -275,7 +277,8 @@ class TestSlopeFormAndRoutes:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_routes_agree_through_reparametrization(self):
+        L1, L2 = standard_darboux_levi(1), standard_darboux_levi(1)
         rep = product_routes_check(
-            standard_darboux_levi(1), standard_darboux_levi(1), PLAN
+            sasakian_product(L1, L2, PLAN), product_kahler_lift(L1, L2, PLAN), PLAN
         )
         assert rep.passed, rep.max_residual

@@ -44,7 +44,7 @@ def _check(residuals, fail_floor=None):
     by_coord = {coords: r for (coords, _), r in zip(points, residuals)}
     return run_residual_check(
         "nan_probe", [("A", points)], lambda chart, coords, env: by_coord[coords],
-        1e-9, 42, fail_floor,
+        SamplePlan(seed=42, tolerance=1e-9), fail_floor,
     )
 
 
@@ -120,6 +120,7 @@ def test_contact_form_with_nan_component_fails():
     first = sample_chart(DARBOUX_BOX.charts[0], PLAN)[0][0]
     assert rep.verdict == "fail" and math.isnan(rep.max_residual)
     assert rep.witness.coords == first and math.isnan(rep.witness.residual)
+    assert math.isnan(rep.details["min_coefficient"])
 
 
 def test_nan_after_finite_component_is_its_own_witness():

@@ -1,6 +1,7 @@
 """Kernel endomorphisms: compatibility, normality, metric identities."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -185,7 +186,7 @@ class TestPinBattery:
         cands = frame_conjugations(flat.contact, flat.phibar, 4, seed=5)
         for cand in cands:
             rep = LeviStructure("cand", flat.contact, cand).validate(
-                PLAN, tol=1e-6
+                replace(PLAN, tolerance=1e-6)
             )
             # square and kernel identities hold; positivity may fail,
             # so only inspect the report when it failed for positivity

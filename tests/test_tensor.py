@@ -549,9 +549,9 @@ class TestPointMemo:
             seen.append(weakref.ref(env))
             return tn.max_abs(N.at(chart, env))
 
+        plan = SamplePlan(seed=42, points_per_chart=4, tolerance=10.0)
         rep = run_residual_check(
-            "memo_release", sample_points(atlas, SamplePlan(points_per_chart=4)),
-            residual, 10.0, 42,
+            "memo_release", sample_points(atlas, plan), residual, plan
         )
         assert rep.samples == 4 and len(seen) == 4
         gc.collect()
