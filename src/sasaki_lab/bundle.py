@@ -46,7 +46,6 @@ from .tensor import (
     field_jet,
     max_abs,
     pullback,
-    pullback_tensor,
     zeros,
 )
 
@@ -78,18 +77,13 @@ class PrincipalBundle:
 
     def liouville(self) -> TensorField:
         """∇ = s ∂s in every chart."""
-        closures = {}
-        for chart in self.total.charts:
-            dim = chart.dim
-            si = chart.index(FIBER)
 
-            def ev(env, dim=dim, si=si):
-                out = [0.0] * dim
-                out[si] = env[FIBER]
-                return out
+        def components(chart, env):
+            out = [0.0] * chart.dim
+            out[chart.index(FIBER)] = env[FIBER]
+            return out
 
-            closures[chart.name] = ev
-        return TensorField("liouville", self.total, (1, 0), closures)
+        return TensorField("liouville", self.total, (1, 0), components)
 
     def scaling(self, nu: float) -> SmoothMap:
         """h_ν: multiply the fiber coordinate by ν, chart by chart."""
@@ -116,9 +110,6 @@ class PrincipalBundle:
         out = exprlang.eval_expr(s_expr, center)
         d = nk.value_of(nk.tangent_at(out, tag, 0))
         return math.copysign(1.0, d)
-
-    def sign_fn(self) -> Callable:
-        return lambda t, piece: self.transition_sign(t, piece)
 
 
 def loop_sign(bundle: PrincipalBundle, path) -> float:
@@ -192,25 +183,20 @@ def symplectize(
         cocycle = C.transition_sign
     P = cone_over(C.atlas, group, cocycle, name=f"cone({C.name})")
 
-    closures = {}
-    for chart in P.total.charts:
+    def components(chart, env):
         dim = chart.dim
         si = chart.index(FIBER)
-        base_chart = C.atlas.chart(chart.name)
+        s = env[FIBER]
+        vals, parts = field_jet(C.eta, chart.name, env)
+        out = zeros(dim, 2)
+        for i in range(dim - 1):
+            out[si][i] = vals[i]
+            out[i][si] = -vals[i]
+            for j in range(dim - 1):
+                out[i][j] = s * (parts[i][j] - parts[j][i])
+        return out
 
-        def ev(env, dim=dim, si=si, base_chart=base_chart):
-            s = env[FIBER]
-            vals, parts = field_jet(C.eta, base_chart.name, env)
-            out = zeros(dim, 2)
-            for i in range(dim - 1):
-                out[si][i] = vals[i]
-                out[i][si] = -vals[i]
-                for j in range(dim - 1):
-                    out[i][j] = s * (parts[i][j] - parts[j][i])
-            return out
-
-        closures[chart.name] = ev
-    omega = TensorField(f"symplectization({C.name})", P.total, (0, 2), closures)
+    omega = TensorField(f"symplectization({C.name})", P.total, (0, 2), components)
     return P, omega
 
 
@@ -268,15 +254,7 @@ def homogeneity_check(
         base = abs(nu) ** weight
         return base if mode == "positive" else math.copysign(base, nu)
 
-    transported = []
-    for nu in scales:
-        F = scaling(nu)
-        T = (
-            pullback(F, K)
-            if K.valence[0] == 0
-            else pullback_tensor(F, K)
-        )
-        transported.append((factor(nu), T))
+    transported = [(factor(nu), pullback(scaling(nu), K)) for nu in scales]
 
     def residual(chart, coords, env):
         here = K.at(chart, env)
@@ -310,18 +288,15 @@ def liouville_data(
     """∇ = s∂s and θ = i_∇ω; optionally certify dθ = ω and θ semibasic."""
     nabla = bundle.liouville()
 
-    closures = {}
-    for chart in bundle.total.charts:
-        dim = chart.dim
+    def liouville_form(chart, env):
+        m = omega.at(chart.name, env)
+        s = env[FIBER]
         si = chart.index(FIBER)
+        return [s * m[si][j] for j in range(chart.dim)]
 
-        def ev(env, dim=dim, si=si):
-            m = omega.at(chart.name, env)
-            s = env[FIBER]
-            return [s * m[si][j] for j in range(dim)]
-
-        closures[chart.name] = ev
-    theta = TensorField(f"liouville_form({omega.name})", bundle.total, (0, 1), closures)
+    theta = TensorField(
+        f"liouville_form({omega.name})", bundle.total, (0, 1), liouville_form
+    )
 
     if plan is None:
         return nabla, theta, None
@@ -355,17 +330,14 @@ def abs_s_calibration(bundle: PrincipalBundle) -> TensorField:
 
 def g_calibration(bundle: PrincipalBundle, g: TensorField) -> TensorField:
     """𝔰 = g(∇, ∇): squared length of the scaling field."""
-    closures = {}
-    for chart in bundle.total.charts:
+
+    def norm2(chart, env):
+        m = g.at(chart.name, env)
+        s = env[FIBER]
         si = chart.index(FIBER)
+        return s * s * m[si][si]
 
-        def ev(env, chart=chart, si=si):
-            m = g.at(chart.name, env)
-            s = env[FIBER]
-            return s * s * m[si][si]
-
-        closures[chart.name] = ev
-    return TensorField(f"norm2_liouville({g.name})", bundle.total, (0, 0), closures)
+    return TensorField(f"norm2_liouville({g.name})", bundle.total, (0, 0), norm2)
 
 
 def calibration_check(
@@ -452,14 +424,11 @@ def decompose_homogeneous_metric(
         ]
         return a_val, mu, gamma, si
 
-    def base_closure(kind: str, chart_name: str):
-        base_chart = bundle.base.chart(chart_name)
-        bdim = base_chart.dim
-
-        def ev(env, kind=kind, chart_name=chart_name, bdim=bdim):
-            env_t = bundle.lift_env(chart_name, env, 1.0)
-            a_val, mu, gamma, si = pieces_at(chart_name, env_t)
-            keep = [j for j in range(bdim + 1) if j != si]
+    def base_field(name: str, valence: tuple[int, int], kind: str) -> TensorField:
+        def components(chart, env):
+            env_t = bundle.lift_env(chart.name, env, 1.0)
+            a_val, mu, gamma, si = pieces_at(chart.name, env_t)
+            keep = [j for j in range(chart.dim + 1) if j != si]
             if kind == "A":
                 return a_val
             if kind == "mu":
@@ -472,20 +441,11 @@ def decompose_homogeneous_metric(
                 for j in keep
             ]
 
-        return ev
+        return TensorField(name, bundle.base, valence, components)
 
-    A = TensorField(
-        "fiber_weight", bundle.base, (0, 0),
-        {c.name: base_closure("A", c.name) for c in bundle.base.charts},
-    )
-    mu = TensorField(
-        "mixed_form", bundle.base, (0, 1),
-        {c.name: base_closure("mu", c.name) for c in bundle.base.charts},
-    )
-    g_M = TensorField(
-        "shadow_metric", bundle.base, (0, 2),
-        {c.name: base_closure("gM", c.name) for c in bundle.base.charts},
-    )
+    A = base_field("fiber_weight", (0, 0), "A")
+    mu = base_field("mixed_form", (0, 1), "mu")
+    g_M = base_field("shadow_metric", (0, 2), "gM")
 
     # positivity of the shadow at base samples
     mu_vals = []
@@ -552,46 +512,42 @@ def induced_calibration(
     stays differentiable; chart-wise it is insensitive to the paired sign
     of η (the form enters squared).
     """
-    closures = {}
-    for chart in bundle.total.charts:
-        base_chart = bundle.base.chart(chart.name)
 
-        def ev(env, chart=chart, base_chart=base_chart):
-            ev_vals = C.eta.at(base_chart.name, env)
-            rows = g_M.at(base_chart.name, env)
-            sol = nk.solve_linear(rows, list(ev_vals))
-            norm2 = nk.sum_(a * b for a, b in zip(ev_vals, sol))
-            s = env[FIBER]
-            mag = nk.absolute(s) if bundle.group == "Rx" else s
-            return mag * nk.sqrt(norm2)
+    def components(chart, env):
+        ev_vals = C.eta.at(chart.name, env)
+        rows = g_M.at(chart.name, env)
+        sol = nk.solve_linear(rows, list(ev_vals))
+        norm2 = nk.sum_(a * b for a, b in zip(ev_vals, sol))
+        s = env[FIBER]
+        mag = nk.absolute(s) if bundle.group == "Rx" else s
+        return mag * nk.sqrt(norm2)
 
-        closures[chart.name] = ev
-    return TensorField(f"induced_calibration({C.name})", bundle.total, (0, 0), closures)
+    return TensorField(
+        f"induced_calibration({C.name})", bundle.total, (0, 0), components
+    )
 
 
 def induced_metric(
     bundle: PrincipalBundle, g_M: TensorField, scal: TensorField
 ) -> TensorField:
     """g̃ = 𝔰·((d𝔰/𝔰)² + lifted g_M): the homogeneous metric of a shadow."""
-    closures = {}
-    for chart in bundle.total.charts:
+
+    def components(chart, env):
         dim = chart.dim
         si = chart.index(FIBER)
-        base_chart = bundle.base.chart(chart.name)
+        sval, sparts = field_jet(scal, chart.name, env)
+        zeta = [sparts[j] / sval for j in range(dim)]
+        gm = g_M.at(chart.name, env)
+        keep = [j for j in range(dim) if j != si]
+        out = zeros(dim, 2)
+        for j in range(dim):
+            for k in range(dim):
+                out[j][k] = sval * zeta[j] * zeta[k]
+        for a, ja in enumerate(keep):
+            for b, jb in enumerate(keep):
+                out[ja][jb] = out[ja][jb] + sval * gm[a][b]
+        return out
 
-        def ev(env, dim=dim, si=si, base_chart=base_chart):
-            sval, sparts = field_jet(scal, chart.name, env)
-            zeta = [sparts[j] / sval for j in range(dim)]
-            gm = g_M.at(base_chart.name, env)
-            keep = [j for j in range(dim) if j != si]
-            out = zeros(dim, 2)
-            for j in range(dim):
-                for k in range(dim):
-                    out[j][k] = sval * zeta[j] * zeta[k]
-            for a, ja in enumerate(keep):
-                for b, jb in enumerate(keep):
-                    out[ja][jb] = out[ja][jb] + sval * gm[a][b]
-            return out
-
-        closures[chart.name] = ev
-    return TensorField(f"induced_metric({g_M.name})", bundle.total, (0, 2), closures)
+    return TensorField(
+        f"induced_metric({g_M.name})", bundle.total, (0, 2), components
+    )

@@ -51,11 +51,6 @@ class ContactStructure:
     def dim(self) -> int:
         return self.atlas.charts[0].dim
 
-    @property
-    def n(self) -> int:
-        """The n in dim = 2n+1."""
-        return (self.dim - 1) // 2
-
     def d_eta(self) -> TensorField:
         if self._deta is None:
             self._deta = exterior_derivative(self.eta)
@@ -85,24 +80,22 @@ def darboux_contact(n: int) -> ContactStructure:
 
 
 def reeb_field(C: ContactStructure) -> TensorField:
-    closures = {}
-    for chart_name in C.eta.chart_names():
-        dim = C.atlas.chart(chart_name).dim
-
-        def ev(env, chart_name=chart_name, dim=dim):
-            ev_vals, parts = field_jet(C.eta, chart_name, env)
-            # rows[j][i] = dη_{ij} + η_i η_j, so rows @ ξ = η picks the Reeb
-            rows = [
-                [
-                    parts[i][j] - parts[j][i] + ev_vals[i] * ev_vals[j]
-                    for i in range(dim)
-                ]
-                for j in range(dim)
+    def components(chart, env):
+        dim = chart.dim
+        ev_vals, parts = field_jet(C.eta, chart.name, env)
+        # rows[j][i] = dη_{ij} + η_i η_j, so rows @ ξ = η picks the Reeb
+        rows = [
+            [
+                parts[i][j] - parts[j][i] + ev_vals[i] * ev_vals[j]
+                for i in range(dim)
             ]
-            return nk.solve_linear(rows, list(ev_vals))
+            for j in range(dim)
+        ]
+        return nk.solve_linear(rows, list(ev_vals))
 
-        closures[chart_name] = ev
-    return TensorField(f"reeb({C.name})", C.atlas, (1, 0), closures)
+    return TensorField(
+        f"reeb({C.name})", C.atlas, (1, 0), components, C.eta.chart_names()
+    )
 
 
 def reeb_residual_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
@@ -203,19 +196,19 @@ def frame_fields(C: ContactStructure, chart: str, kept: tuple[int, ...]):
     checks (almost-CR flag, CR torsion) depend on that.
     """
     xi = C.reeb()
-    out = []
-    for a in kept:
 
-        def ev(env, a=a):
-            ev_vals = C.eta.at(chart, env)
-            xv = xi.at(chart, env)
+    def frame_vector(a):
+        def components(chart, env):
+            ev_vals = C.eta.at(chart.name, env)
+            xv = xi.at(chart.name, env)
             dim = len(ev_vals)
             vec = [0.0] * dim
             vec[a] = 1.0
             return [vec[k] - ev_vals[a] * xv[k] for k in range(dim)]
 
-        out.append(TensorField(f"frame{a}", C.atlas, (1, 0), {chart: ev}))
-    return out
+        return TensorField(f"frame{a}", C.atlas, (1, 0), components, [chart])
+
+    return [frame_vector(a) for a in kept]
 
 
 def frame_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:

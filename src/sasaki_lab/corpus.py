@@ -415,25 +415,24 @@ def _cot_complex_structure(atlas: Atlas) -> TensorField:
     expression: the fiber sign has a kink at s = 0, which the excluded
     band keeps away from samples).
     """
-    closures = {}
-    for chart in atlas.charts:
+
+    def components(chart, env):
         si = chart.index(FIBER)
         xi_, pi_, zi_ = (chart.index(c) for c in ("x", "p", "z"))
+        p, s = env["p"], env[FIBER]
+        sg = nk.signum(s)
+        m = zeros(chart.dim, 2)
+        m[pi_][xi_] = sg
+        m[si][xi_] = sg * p * s
+        m[xi_][pi_] = -sg
+        m[zi_][pi_] = -sg * p
+        m[si][zi_] = -sg * s
+        m[zi_][si] = sg / s
+        return m
 
-        def ev(env, si=si, xi_=xi_, pi_=pi_, zi_=zi_, dim=chart.dim):
-            p, s = env["p"], env[FIBER]
-            sg = nk.signum(s)
-            m = zeros(dim, 2)
-            m[pi_][xi_] = sg
-            m[si][xi_] = sg * p * s
-            m[xi_][pi_] = -sg
-            m[zi_][pi_] = -sg * p
-            m[si][zi_] = -sg * s
-            m[zi_][si] = sg / s
-            return m
-
-        closures[chart.name] = ev
-    return TensorField("half_invariant_complex_structure", atlas, (1, 1), closures)
+    return TensorField(
+        "half_invariant_complex_structure", atlas, (1, 1), components
+    )
 
 
 def _cot_eigenframe(atlas: Atlas):
@@ -445,13 +444,7 @@ def _cot_eigenframe(atlas: Atlas):
     """
 
     def frame_field(name, comp_fn):
-        closures = {}
-        for chart in atlas.charts:
-            def ev(env, chart=chart):
-                return comp_fn(chart, env)
-
-            closures[chart.name] = ev
-        return TensorField(name, atlas, (1, 0), closures)
+        return TensorField(name, atlas, (1, 0), comp_fn)
 
     def along(chart, coord, value):
         out = [0.0] * chart.dim
@@ -674,15 +667,15 @@ def _build_mobius_jet(params: dict) -> Example:
 
     eta_proj = TensorField(
         "projected_kernel_form", base, (0, 1),
-        {c.name: (lambda env, n=c.name: projected_eta(n, env)) for c in base.charts},
+        lambda chart, env: projected_eta(chart.name, env),
     )
     endo_proj = TensorField(
         "projected_rotation", base, (1, 1),
-        {c.name: (lambda env, n=c.name: projected_endo(n, env)) for c in base.charts},
+        lambda chart, env: projected_endo(chart.name, env),
     )
     metric_proj = TensorField(
         "projected_metric", base, (0, 2),
-        {c.name: (lambda env, n=c.name: projected_metric(n, env)) for c in base.charts},
+        lambda chart, env: projected_metric(chart.name, env),
     )
 
     _PROBES = (1.0, 1.7, -1.3)
@@ -931,8 +924,8 @@ def _sphere_fields(atlas: Atlas):
             for i in range(dimb)
         ]
 
-    def eta_ev(env, sign):
-        y, m, d = _sphere_frame(env, coords, sign)
+    def eta_ev(chart, env):
+        y, m, d = _sphere_frame(env, coords, _LAST_SIGN[chart.name])
         half_turn = _quarter_turn(y)
         # eta(v) = <J0 y, M v>/2: covector entries (Mᵀ J0 y)_i / 2
         return [
@@ -940,12 +933,12 @@ def _sphere_fields(atlas: Atlas):
             for i in range(dimb)
         ]
 
-    def reeb_ev(env, sign):
-        y, m, d = _sphere_frame(env, coords, sign)
+    def reeb_ev(chart, env):
+        y, m, d = _sphere_frame(env, coords, _LAST_SIGN[chart.name])
         return tangent_components(m, d, [0.5 * w for w in _quarter_turn(y)])
 
-    def endo_ev(env, sign):
-        y, m, d = _sphere_frame(env, coords, sign)
+    def endo_ev(chart, env):
+        y, m, d = _sphere_frame(env, coords, _LAST_SIGN[chart.name])
         cols = []
         for j in range(dimb):
             img = [m[a][j] for a in range(dimb + 1)]
@@ -955,15 +948,9 @@ def _sphere_fields(atlas: Atlas):
             cols.append(tangent_components(m, d, tangential))
         return [[cols[j][i] for j in range(dimb)] for i in range(dimb)]
 
-    def per_chart(fn):
-        return {
-            c.name: (lambda env, s=_LAST_SIGN[c.name]: fn(env, s))
-            for c in atlas.charts
-        }
-
-    eta = TensorField("sphere_kernel_form", atlas, (0, 1), per_chart(eta_ev))
-    reeb = TensorField("sphere_rotation_field", atlas, (1, 0), per_chart(reeb_ev))
-    endo = TensorField("sphere_endo", atlas, (1, 1), per_chart(endo_ev))
+    eta = TensorField("sphere_kernel_form", atlas, (0, 1), eta_ev)
+    reeb = TensorField("sphere_rotation_field", atlas, (1, 0), reeb_ev)
+    endo = TensorField("sphere_endo", atlas, (1, 1), endo_ev)
     return eta, reeb, endo
 
 
@@ -1364,43 +1351,24 @@ def _emit_atlas(lines: list, akey: str, atlas: Atlas) -> None:
 
 
 def emit_example(ex: Example) -> str:
-    """Render one entry as a definition file (deterministic bytes)."""
-    lines: list[str] = ["corpus-example v1", f"key: {ex.key}"]
-    lines.append(f"summary: {ex.summary}")
-    for pname in sorted(ex.params):
-        lines.append(f"param {pname}: {ex.params[pname]}")
-    for akey, atlas in ex.atlases.items():
-        lines.append("")
-        _emit_atlas(lines, akey, atlas)
-    for gf in ex.fields:
-        lines.append("")
-        p, q = gf.field.valence
-        head = f"field {gf.name} on {gf.atlas_key} valence ({p},{q})"
-        if gf.source == "dsl":
-            lines.append(head + " from dsl")
-            exprs = gf.field.exprs or {}
-            for chart_name in sorted(exprs):
-                table = exprs[chart_name]
-                for idx in sorted(table):
-                    idx_txt = ",".join(str(i) for i in idx)
-                    lines.append(
-                        f"{chart_name} [{idx_txt}] = {exprlang.pretty(table[idx])}"
-                    )
-            lines.append("endfield")
-        else:
-            lines.append(head + " from builtin")
-            lines.append(f"note: {gf.note}")
-            lines.append("endfield")
-    for gm in ex.maps:
-        lines.append("")
-        lines.append(f"map {gm.name} from {gm.src_key} to {gm.dst_key}")
-        for src_chart in sorted(gm.map.pieces):
-            tgt_chart, exprs = gm.map.pieces[src_chart]
-            joined = " | ".join(exprlang.pretty(e) for e in exprs)
-            lines.append(f"{src_chart} -> {tgt_chart}: {joined}")
-        lines.append("endmap")
-    lines.append("")
-    return "\n".join(lines)
+    """Render one entry as a definition file (deterministic bytes).
+
+    DSL fields contribute their component expressions, built-in fields
+    their note, maps their pieces.
+    """
+    fields = [
+        ParsedField(
+            gf.name, gf.atlas_key, gf.field.valence, gf.source,
+            gf.field.exprs or {}, gf.note,
+        )
+        for gf in ex.fields
+    ]
+    maps = [
+        ParsedMap(gm.name, gm.src_key, gm.dst_key, gm.map.pieces) for gm in ex.maps
+    ]
+    return emit_parsed(
+        ParsedExample(ex.key, ex.summary, ex.params, ex.atlases, fields, maps)
+    )
 
 
 # -- definition-file parsing -------------------------------------------
@@ -1567,22 +1535,14 @@ def parse_example_text(text: str) -> ParsedExample:
 
 
 def emit_parsed(doc: ParsedExample) -> str:
-    """Re-render a parsed document; parse-then-emit is byte-stable."""
-    shell = Example(
-        key=doc.key,
-        summary=doc.summary,
-        atlases=doc.atlases,
-        fields=[],
-        maps=[],
-        structure=None,
-        checks=(),
-        params=dict(doc.params),
-    )
-    lines = emit_example(shell).splitlines()
-    # emit_example on the shell covers header and atlases; fields and maps
-    # are re-rendered here from the parsed payload to avoid building
-    # evaluator closures for them.
-    out = lines[: _field_insertion_point(lines)]
+    """Render a definition file; parse-then-emit is byte-stable."""
+    out: list[str] = ["corpus-example v1", f"key: {doc.key}"]
+    out.append(f"summary: {doc.summary}")
+    for pname in sorted(doc.params):
+        out.append(f"param {pname}: {doc.params[pname]}")
+    for akey, atlas in doc.atlases.items():
+        out.append("")
+        _emit_atlas(out, akey, atlas)
     for f in doc.fields:
         out.append("")
         head = (
@@ -1613,29 +1573,17 @@ def emit_parsed(doc: ParsedExample) -> str:
     return "\n".join(out)
 
 
-def _field_insertion_point(lines: list) -> int:
-    for i, ln in enumerate(lines):
-        if ln.startswith("field ") or ln.startswith("map "):
-            return i - 1 if i and lines[i - 1] == "" else i
-    # no fields: drop the trailing blank line, it is re-added at the end
-    return len(lines) - 1 if lines and lines[-1] == "" else len(lines)
-
-
-def golden_dir() -> Path:
-    return Path(__file__).resolve().parents[2] / "golden"
-
-
-def golden_path(key: str) -> Path:
-    return golden_dir() / f"{key}.corpus"
-
-
 def write_golden_files(target: Path | None = None) -> list[Path]:
-    """Write every entry's definition file; returns the paths written."""
-    root = golden_dir() if target is None else target
-    root.mkdir(parents=True, exist_ok=True)
+    """Write every entry's definition file; returns the paths written.
+
+    The default target is the ``golden/`` directory of the source checkout.
+    """
+    if target is None:
+        target = Path(__file__).resolve().parents[2] / "golden"
+    target.mkdir(parents=True, exist_ok=True)
     written = []
     for key in EXAMPLE_KEYS:
-        path = root / f"{key}.corpus"
+        path = target / f"{key}.corpus"
         path.write_text(emit_example(build_example(key)))
         written.append(path)
     return written

@@ -24,7 +24,7 @@ from .contact import ContactStructure, contact_frame
 from .manifold import Atlas, Chart, SamplePlan, TransitionMap, TransitionPiece, sample_points
 from .report import CheckReport, max_or_nan, run_residual_check
 from .sasaki import LeviStructure
-from .tensor import TensorField, max_abs, nijenhuis, zeros
+from .tensor import TensorField, max_abs, nijenhuis, tf_combine, zeros
 
 
 class NotCompatible(ValueError):
@@ -84,38 +84,29 @@ def kahlerianization(
         else exprlang.parse(slope)
     )
 
-    def make(chart_name):
-        si = bundle.fiber_index(chart_name)
+    def cone_metric(chart, env):
+        si = chart.index(FIBER)
+        s = env[FIBER]
+        # calibration |s| on two-sided cones keeps g positive there
+        mag = nk.absolute(s) if bundle.group == "Rx" else s
+        base_env = {c: v for c, v in env.items() if c != FIBER}
+        etav = C.eta.at(chart.name, base_env)
+        gmb = g_M.at(chart.name, base_env)
+        a = exprlang.eval_expr(a_expr, base_env)
+        dim = len(etav) + 1
+        keep = [j for j in range(dim) if j != si]
+        out = [[0.0] * dim for _ in range(dim)]
+        out[si][si] = mag / (s * s)
+        for jb, j in enumerate(keep):
+            out[si][j] = (mag / s) * a * etav[jb]
+            out[j][si] = out[si][j]
+            for kb, k in enumerate(keep):
+                out[j][k] = mag * (
+                    a * a * etav[jb] * etav[kb] + gmb[jb][kb]
+                )
+        return out
 
-        def ev(env):
-            s = env[FIBER]
-            # calibration |s| on two-sided cones keeps g positive there
-            mag = nk.absolute(s) if bundle.group == "Rx" else s
-            base_env = {c: v for c, v in env.items() if c != FIBER}
-            etav = C.eta.at(chart_name, base_env)
-            gmb = g_M.at(chart_name, base_env)
-            a = exprlang.eval_expr(a_expr, base_env)
-            dim = len(etav) + 1
-            keep = [j for j in range(dim) if j != si]
-            out = [[0.0] * dim for _ in range(dim)]
-            out[si][si] = mag / (s * s)
-            for jb, j in enumerate(keep):
-                out[si][j] = (mag / s) * a * etav[jb]
-                out[j][si] = out[si][j]
-                for kb, k in enumerate(keep):
-                    out[j][k] = mag * (
-                        a * a * etav[jb] * etav[kb] + gmb[jb][kb]
-                    )
-            return out
-
-        return ev
-
-    g = TensorField(
-        f"cone_metric({L.name})",
-        bundle.total,
-        (0, 2),
-        {c.name: make(c.name) for c in bundle.total.charts},
-    )
+    g = TensorField(f"cone_metric({L.name})", bundle.total, (0, 2), cone_metric)
     return KahlerCandidate(
         bundle=bundle,
         omega=omega,
@@ -131,20 +122,11 @@ def compatibility_tensor(omega: TensorField, g: TensorField) -> TensorField:
     Both flats contract the second argument; the solve keeps J usable
     inside derivative sweeps.  Raises SingularMatrix where ω degenerates.
     """
-
-    def make(chart_name):
-        def ev(env):
-            om = omega.at(chart_name, env)
-            gm = g.at(chart_name, env)
-            return nk.solve_linear([list(r) for r in om], [list(r) for r in gm])
-
-        return ev
-
-    return TensorField(
+    return tf_combine(
         f"compatibility({omega.name},{g.name})",
-        omega.atlas,
         (1, 1),
-        {c: make(c) for c in omega.chart_names()},
+        [omega, g],
+        lambda cs, env: nk.solve_linear(*cs),
     )
 
 
@@ -239,26 +221,17 @@ def vertical_slope(
     """The base scalar a with g(∇, ξ-lift) = s·a, read at the unit lift."""
     xi = C.reeb()
 
-    def slope_ev(chart_name):
-        si = bundle.fiber_index(chart_name)
+    def slope(chart, env):
+        si = bundle.fiber_index(chart.name)
+        env_t = bundle.lift_env(chart.name, env, 1.0)
+        gm = g.at(chart.name, env_t)
+        xiv = xi.at(chart.name, env)
+        keep = [j for j in range(len(gm)) if j != si]
+        # a = g(∇, ξ)/s = Σ g_{s j} ξ^j; the mixed block carries no
+        # fiber factor for a degree-1 metric, so the unit lift suffices
+        return nk.sum_(gm[si][j] * xiv[jb] for jb, j in enumerate(keep))
 
-        def ev(env):
-            env_t = bundle.lift_env(chart_name, env, 1.0)
-            gm = g.at(chart_name, env_t)
-            xiv = xi.at(chart_name, env)
-            keep = [j for j in range(len(gm)) if j != si]
-            # a = g(∇, ξ)/s = Σ g_{s j} ξ^j; the mixed block carries no
-            # fiber factor for a degree-1 metric, so the unit lift suffices
-            return nk.sum_(gm[si][j] * xiv[jb] for jb, j in enumerate(keep))
-
-        return ev
-
-    return TensorField(
-        "vertical_slope",
-        bundle.base,
-        (0, 0),
-        {c.name: slope_ev(c.name) for c in bundle.base.charts},
-    )
+    return TensorField("vertical_slope", bundle.base, (0, 0), slope)
 
 
 def reconstruct_main1(
@@ -285,58 +258,43 @@ def reconstruct_main1(
     xi = C.reeb()
     slope = vertical_slope(C, bundle, g)
 
-    def gm_ev(chart_name):
-        def ev(env):
-            env_t = bundle.lift_env(chart_name, env, 1.0)
-            gm = g.at(chart_name, env_t)
-            etav = C.eta.at(chart_name, env)
-            a = slope.at(chart_name, env)
-            si = bundle.fiber_index(chart_name)
-            keep = [j for j in range(len(gm)) if j != si]
-            return [
-                [
-                    gm[j][k] - a * a * etav[jb] * etav[kb]
-                    for kb, k in enumerate(keep)
-                ]
-                for jb, j in enumerate(keep)
-            ]
-
-        return ev
-
-    g_M = TensorField(
-        "reconstructed_base_metric",
-        bundle.base,
-        (0, 2),
-        {c.name: gm_ev(c.name) for c in bundle.base.charts},
-    )
-
-    def phi_ev(chart_name):
-        si = bundle.fiber_index(chart_name)
-
-        def ev(env):
-            env_t = bundle.lift_env(chart_name, env, 1.0)
-            m = J.at(chart_name, env_t)
-            etav = C.eta.at(chart_name, env)
-            xiv = xi.at(chart_name, env)
-            keep = [j for j in range(len(m)) if j != si]
-            # v ↦ J(v − η(v)ξ): the base block of J minus the base part
-            # of J(ξ) spread along η, so the Reeb direction maps to zero
-            jxi = [
-                nk.sum_(m[k][l] * xiv[lb] for lb, l in enumerate(keep))
-                for k in keep
-            ]
-            return [
-                [m[k][j] - etav[jb] * jxi[kb] for jb, j in enumerate(keep)]
+    def base_metric(chart, env):
+        env_t = bundle.lift_env(chart.name, env, 1.0)
+        gm = g.at(chart.name, env_t)
+        etav = C.eta.at(chart.name, env)
+        a = slope.at(chart.name, env)
+        si = bundle.fiber_index(chart.name)
+        keep = [j for j in range(len(gm)) if j != si]
+        return [
+            [
+                gm[j][k] - a * a * etav[jb] * etav[kb]
                 for kb, k in enumerate(keep)
             ]
+            for jb, j in enumerate(keep)
+        ]
 
-        return ev
+    g_M = TensorField("reconstructed_base_metric", bundle.base, (0, 2), base_metric)
+
+    def contact_endo(chart, env):
+        si = bundle.fiber_index(chart.name)
+        env_t = bundle.lift_env(chart.name, env, 1.0)
+        m = J.at(chart.name, env_t)
+        etav = C.eta.at(chart.name, env)
+        xiv = xi.at(chart.name, env)
+        keep = [j for j in range(len(m)) if j != si]
+        # v ↦ J(v − η(v)ξ): the base block of J minus the base part
+        # of J(ξ) spread along η, so the Reeb direction maps to zero
+        jxi = [
+            nk.sum_(m[k][l] * xiv[lb] for lb, l in enumerate(keep))
+            for k in keep
+        ]
+        return [
+            [m[k][j] - etav[jb] * jxi[kb] for jb, j in enumerate(keep)]
+            for kb, k in enumerate(keep)
+        ]
 
     phi_C = TensorField(
-        "reconstructed_contact_endo",
-        bundle.base,
-        (1, 1),
-        {c.name: phi_ev(c.name) for c in bundle.base.charts},
+        "reconstructed_contact_endo", bundle.base, (1, 1), contact_endo
     )
 
     worst = {
@@ -549,27 +507,19 @@ def cone_complex_structure(
         else exprlang.parse(slope)
     )
 
-    def make(chart_name):
-        def ev(env):
-            ph = phi.at(chart_name, env)
-            xiv = xi.at(chart_name, env)
-            etav = C.eta.at(chart_name, env)
-            a = exprlang.eval_expr(a_expr, env)
-            n = len(xiv)
-            out = zeros(n + 1, 2)
-            for k in range(n):
-                for j in range(n):
-                    out[k][j] = ph[k][j] - a * etav[j] * xiv[k]
-                out[k][n] = -xiv[k]
-                out[n][k] = (1.0 + a * a) * etav[k]
-            out[n][n] = a
-            return out
+    def components(chart, env):
+        ph = phi.at(chart.name, env)
+        xiv = xi.at(chart.name, env)
+        etav = C.eta.at(chart.name, env)
+        a = exprlang.eval_expr(a_expr, env)
+        n = len(xiv)
+        out = zeros(n + 1, 2)
+        for k in range(n):
+            for j in range(n):
+                out[k][j] = ph[k][j] - a * etav[j] * xiv[k]
+            out[k][n] = -xiv[k]
+            out[n][k] = (1.0 + a * a) * etav[k]
+        out[n][n] = a
+        return out
 
-        return ev
-
-    return TensorField(
-        f"line_extension_endo({L.name})",
-        ext,
-        (1, 1),
-        {c.name: make(c.name) for c in ext.charts},
-    )
+    return TensorField(f"line_extension_endo({L.name})", ext, (1, 1), components)

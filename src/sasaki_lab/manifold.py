@@ -202,9 +202,6 @@ class Atlas:
                 return t
         raise NoTransition(f"no transition {source}->{target}")
 
-    def transit(self, p: Point, target: str) -> Point:
-        return apply_transition(self, p, target)
-
 
 def _chart_rng(seed: int, chart_name: str) -> np.random.Generator:
     crc = zlib.crc32(chart_name.encode("utf-8"))

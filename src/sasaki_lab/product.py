@@ -105,7 +105,7 @@ def contact_product(
         _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), name or "prod"
     )
 
-    def ev(env):
+    def components(chart, env):
         e1, e2 = pf.envs(env)
         v1 = C1.eta.at(pf.chart1.name, e1)
         v2 = C2.eta.at(pf.chart2.name, e2)
@@ -113,7 +113,7 @@ def contact_product(
         return [t * v for v in v1] + list(v2) + [0.0]
 
     eta = TensorField(
-        f"product_eta({C1.name},{C2.name})", pf.atlas, (0, 1), {pf.chart: ev}
+        f"product_eta({C1.name},{C2.name})", pf.atlas, (0, 1), components
     )
     return ContactStructure(name or f"{C1.name}*{C2.name}", pf.atlas, eta)
 
@@ -134,14 +134,14 @@ def reparametrization_check(
         _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), "prod_inv"
     )
 
-    def ev(env):
+    def components(chart, env):
         e1, e2 = pf.envs(env)
         v1 = C1.eta.at(pf.chart1.name, e1)
         v2 = C2.eta.at(pf.chart2.name, e2)
         t = env[T_COORD]
         return list(v1) + [t * v for v in v2] + [0.0]
 
-    eta_inv = TensorField("eta_inverted", pf.atlas, (0, 1), {pf.chart: ev})
+    eta_inv = TensorField("eta_inverted", pf.atlas, (0, 1), components)
     (src_chart,) = product.atlas.charts
     exprs = tuple(src_chart.coords[:-1]) + (f"1 / {T_COORD}",)
     F = SmoothMap.from_exprs(
@@ -198,7 +198,7 @@ def sasakian_product(
     n1, n2 = pf.dims
     dim = n1 + n2 + 1
 
-    def eta_ev(env):
+    def eta_ev(chart, env):
         e1, e2 = pf.envs(env)
         v1 = C1.eta.at(pf.chart1.name, e1)
         v2 = C2.eta.at(pf.chart2.name, e2)
@@ -210,7 +210,7 @@ def sasakian_product(
         f"sasakian_product_eta({L1.name},{L2.name})",
         pf.atlas,
         (0, 1),
-        {pf.chart: eta_ev},
+        eta_ev,
     )
     contact = ContactStructure(
         name or f"{L1.name}*{L2.name}", pf.atlas, eta
@@ -219,7 +219,7 @@ def sasakian_product(
     phi1, phi2 = L1.phibar, L2.phibar
     xi1, xi2 = C1.reeb(), C2.reeb()
 
-    def phi_ev(env):
+    def phi_ev(chart, env):
         e1, e2 = pf.envs(env)
         m1 = phi1.at(pf.chart1.name, e1)
         m2 = phi2.at(pf.chart2.name, e2)
@@ -245,7 +245,7 @@ def sasakian_product(
         f"sasakian_product_endo({L1.name},{L2.name})",
         pf.atlas,
         (1, 1),
-        {pf.chart: phi_ev},
+        phi_ev,
     )
     return LeviStructure(contact.name, contact, phibar)
 
@@ -305,15 +305,13 @@ class ProductBundle:
         (chart,) = self.total.charts
         idx = {c: i for i, c in enumerate(chart.coords)}
 
-        def ev(env):
+        def components(chart, env):
             out = [0.0] * chart.dim
             for f in self.fibers:
                 out[idx[f]] = env[f]
             return out
 
-        return TensorField(
-            "diag_liouville", self.total, (1, 0), {chart.name: ev}
-        )
+        return TensorField("diag_liouville", self.total, (1, 0), components)
 
 
 def _block_sum(name, pf, valence, f1, f2):
@@ -322,7 +320,7 @@ def _block_sum(name, pf, valence, f1, f2):
     dim = n1 + n2
     p, q = valence
 
-    def ev(env):
+    def components(chart, env):
         e1, e2 = pf.envs(env)
         a = f1.at(pf.chart1.name, e1)
         b = f2.at(pf.chart2.name, e2)
@@ -337,7 +335,7 @@ def _block_sum(name, pf, valence, f1, f2):
                 out[n1 + i][n1 + j] = b[i][j]
         return out
 
-    return TensorField(name, pf.atlas, valence, {pf.chart: ev})
+    return TensorField(name, pf.atlas, valence, components)
 
 
 def product_kahler_lift(
@@ -374,11 +372,9 @@ def product_kahler_lift(
     omega = _block_sum("product_omega", pf, (0, 2), K1.omega, K2.omega)
     g = _block_sum("product_metric", pf, (0, 2), K1.g, K2.g)
 
-    def scal_ev(env):
-        return env["s1"] + env["s2"]
-
     scal = TensorField(
-        "product_calibration", pf.atlas, (0, 0), {pf.chart: scal_ev}
+        "product_calibration", pf.atlas, (0, 0),
+        lambda chart, env: env["s1"] + env["s2"],
     )
     return KahlerCandidate(
         bundle=pb,
@@ -400,7 +396,7 @@ def invariant_slope_form(pb: ProductBundle) -> TensorField:
     idx = {c: i for i, c in enumerate(chart.coords)}
     f1, f2 = pb.fibers
 
-    def ev(env):
+    def components(chart, env):
         s1, s2 = env[f1], env[f2]
         total = s1 + s2
         out = [0.0] * chart.dim
@@ -408,7 +404,7 @@ def invariant_slope_form(pb: ProductBundle) -> TensorField:
         out[idx[f2]] = -nk.sqrt(s1 / s2) / total
         return out
 
-    return TensorField("slope_form", pb.total, (0, 1), {chart.name: ev})
+    return TensorField("slope_form", pb.total, (0, 1), components)
 
 
 def ts_reparametrization(

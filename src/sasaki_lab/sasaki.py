@@ -53,6 +53,7 @@ from .tensor import (
     lie_derivative,
     max_abs,
     nijenhuis,
+    tf_combine,
     tf_scale,
 )
 
@@ -79,25 +80,20 @@ class LeviStructure:
     def metric(self) -> TensorField:
         """g = η⊗η + dη(·, φ̄·): the associated Riemannian metric."""
         if "metric" not in self._cache:
-            C, levi = self.contact, self.levi_metric()
 
-            def make(chart_name):
-                def ev(env):
-                    ev_eta = C.eta.at(chart_name, env)
-                    base = levi.at(chart_name, env)
-                    dim = len(ev_eta)
-                    return [
-                        [base[i][j] + ev_eta[i] * ev_eta[j] for j in range(dim)]
-                        for i in range(dim)
-                    ]
+            def metric(cs, env):
+                ev_eta, base = cs
+                dim = len(ev_eta)
+                return [
+                    [base[i][j] + ev_eta[i] * ev_eta[j] for j in range(dim)]
+                    for i in range(dim)
+                ]
 
-                return ev
-
-            self._cache["metric"] = TensorField(
+            self._cache["metric"] = tf_combine(
                 f"metric({self.name})",
-                self.atlas,
                 (0, 2),
-                {c: make(c) for c in self.contact.eta.chart_names()},
+                [self.contact.eta, self.levi_metric()],
+                metric,
             )
         return self._cache["metric"]
 
@@ -150,29 +146,16 @@ class LeviStructure:
 
 def levi_form(C: ContactStructure, phi: TensorField) -> TensorField:
     """(X, Y) ↦ dη(X, φY) as a (0,2) field (symmetric iff φ is compatible)."""
-    d_eta = C.d_eta()
 
-    def make(chart_name):
-        def ev(env):
-            de = d_eta.at(chart_name, env)
-            ph = phi.at(chart_name, env)
-            dim = len(de)
-            return [
-                [
-                    nk.sum_(de[i][k] * ph[k][j] for k in range(dim))
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
+    def levi(cs, env):
+        de, ph = cs
+        dim = len(de)
+        return [
+            [nk.sum_(de[i][k] * ph[k][j] for k in range(dim)) for j in range(dim)]
+            for i in range(dim)
+        ]
 
-        return ev
-
-    return TensorField(
-        f"levi_form({phi.name})",
-        C.atlas,
-        (0, 2),
-        {c: make(c) for c in C.eta.chart_names()},
-    )
+    return tf_combine(f"levi_form({phi.name})", (0, 2), [C.d_eta(), phi], levi)
 
 
 def standard_darboux_levi(n: int = 1) -> LeviStructure:
@@ -304,33 +287,26 @@ def frame_conjugations(
         j0[i + 1][i] = 1.0
 
     def candidate(kmat: np.ndarray, label: str) -> TensorField:
-        def make(chart_name):
-            def ev(env):
-                fr = contact_frame(C, chart_name, env)
-                cols = [fr.xi] + list(fr.vectors)
-                rows = [
-                    [cols[c][i] for c in range(dim)] for i in range(dim)
+        def components(chart, env):
+            fr = contact_frame(C, chart.name, env)
+            cols = [fr.xi] + list(fr.vectors)
+            rows = [[cols[c][i] for c in range(dim)] for i in range(dim)]
+            middle = [[0.0] * dim for _ in range(dim)]
+            for a in range(k):
+                for b in range(k):
+                    middle[1 + a][1 + b] = kmat[a][b]
+            # φ' = E · blockdiag(0, K) · E⁻¹: solve Eᵀ Φᵀ = (E·mid)ᵀ
+            prod = [
+                [
+                    nk.sum_(rows[i][c] * middle[c][j] for c in range(dim))
+                    for j in range(dim)
                 ]
-                middle = [[0.0] * dim for _ in range(dim)]
-                for a in range(k):
-                    for b in range(k):
-                        middle[1 + a][1 + b] = kmat[a][b]
-                # φ' = E · blockdiag(0, K) · E⁻¹: solve Eᵀ Φᵀ = (E·mid)ᵀ
-                prod = [
-                    [
-                        nk.sum_(rows[i][c] * middle[c][j] for c in range(dim))
-                        for j in range(dim)
-                    ]
-                    for i in range(dim)
-                ]
-                solved = nk.solve_linear(_transpose(rows), _transpose(prod))
-                return _transpose(solved)
+                for i in range(dim)
+            ]
+            solved = nk.solve_linear(_transpose(rows), _transpose(prod))
+            return _transpose(solved)
 
-            return ev
-
-        return TensorField(
-            label, C.atlas, (1, 1), {c.name: make(c.name) for c in C.atlas.charts}
-        )
+        return TensorField(label, C.atlas, (1, 1), components)
 
     fields = [candidate(j0, "conjugated_endo_0")]
     while len(fields) < count:
@@ -441,53 +417,35 @@ def n_tensors(L: LeviStructure) -> dict[str, TensorField]:
     """
     C = L.contact
     xi = C.reeb()
-    d_eta = C.d_eta()
-    nij = nijenhuis(L.phibar)
 
-    def n1(chart_name):
-        def ev(env):
-            base = nij.at(chart_name, env)
-            de = d_eta.at(chart_name, env)
-            xiv = xi.at(chart_name, env)
-            dim = len(xiv)
-            return [
-                [
-                    [base[k][i][j] + de[i][j] * xiv[k] for j in range(dim)]
-                    for i in range(dim)
-                ]
-                for k in range(dim)
+    def n1(cs, env):
+        base, de, xiv = cs
+        dim = len(xiv)
+        return [
+            [
+                [base[k][i][j] + de[i][j] * xiv[k] for j in range(dim)]
+                for i in range(dim)
             ]
+            for k in range(dim)
+        ]
 
-        return ev
-
-    charts = C.eta.chart_names()
-    N1 = TensorField("normality_tensor", C.atlas, (1, 2), {c: n1(c) for c in charts})
+    N1 = tf_combine(
+        "normality_tensor", (1, 2), [nijenhuis(L.phibar), C.d_eta(), xi], n1
+    )
 
     def column_field(i: int) -> TensorField:
-        def make(chart_name):
-            def ev(env):
-                ph = L.phibar.at(chart_name, env)
-                return [ph[k][i] for k in range(len(ph))]
-
-            return ev
-
-        return TensorField(
-            f"endo_column_{i}", C.atlas, (1, 0), {c: make(c) for c in charts}
+        return tf_combine(
+            f"endo_column_{i}", (1, 0), [L.phibar],
+            lambda cs, env: [row[i] for row in cs[0]],
         )
 
     dim = C.dim
     lie_cols = [lie_derivative(C.eta, column_field(i)) for i in range(dim)]
 
-    def n2(chart_name):
-        def ev(env):
-            rows = [lc.at(chart_name, env) for lc in lie_cols]
-            return [
-                [rows[i][j] - rows[j][i] for j in range(dim)] for i in range(dim)
-            ]
+    def n2(rows, env):
+        return [[rows[i][j] - rows[j][i] for j in range(dim)] for i in range(dim)]
 
-        return ev
-
-    N2 = TensorField("eta_twist_tensor", C.atlas, (0, 2), {c: n2(c) for c in charts})
+    N2 = tf_combine("eta_twist_tensor", (0, 2), lie_cols, n2)
     N3 = lie_derivative(L.phibar, xi)
     N3.name = "reeb_flow_of_endo"
     N4 = lie_derivative(C.eta, xi)
@@ -506,29 +464,17 @@ def cr_torsion_field(
     b3 = lie_bracket(phiX, Y)
     b4 = lie_bracket(X, phiY)
 
-    def make(chart_name):
-        def ev(env):
-            v1 = b1.at(chart_name, env)
-            v2 = b2.at(chart_name, env)
-            v3 = b3.at(chart_name, env)
-            v4 = b4.at(chart_name, env)
-            ph = phi.at(chart_name, env)
-            dim = len(v1)
-            mixed = [v3[k] + v4[k] for k in range(dim)]
-            return [
-                v1[k]
-                - v2[k]
-                - nk.sum_(ph[k][m] * mixed[m] for m in range(dim))
-                for k in range(dim)
-            ]
+    def torsion(cs, env):
+        v1, v2, v3, v4, ph = cs
+        dim = len(v1)
+        mixed = [v3[k] + v4[k] for k in range(dim)]
+        return [
+            v1[k] - v2[k] - nk.sum_(ph[k][m] * mixed[m] for m in range(dim))
+            for k in range(dim)
+        ]
 
-        return ev
-
-    return TensorField(
-        f"torsion({X.name},{Y.name})",
-        C.atlas,
-        (1, 0),
-        {c: make(c) for c in C.eta.chart_names()},
+    return tf_combine(
+        f"torsion({X.name},{Y.name})", (1, 0), [b1, b2, b3, b4, phi], torsion
     )
 
 

@@ -1,13 +1,14 @@
-"""Tensor fields as chart-wise component evaluators, and their calculus.
+"""Tensor fields as chart-aware component functions, and their calculus.
 
-A :class:`TensorField` maps a chart name to a function ``env -> components``
-where ``env`` is a dict of coordinate scalars and the components come back
-as nested lists, contravariant indices first.  Because every evaluator is
-generic over the scalar type, derivatives never need dedicated code: `jet`
-seeds dual numbers for the chart coordinates, evaluates once, and unpacks
-values and first partials.  Seeding twice (a jet inside a jet) yields the
-second derivatives used by exterior-derivative-of-derived-forms checks and
-Christoffel symbols.
+A :class:`TensorField` holds one function ``components(chart, env)`` for all
+of its charts: given a :class:`~sasaki_lab.manifold.Chart` and an ``env``
+(a dict of coordinate scalars), it returns the components on that chart as
+nested lists, contravariant indices first.  Because every component
+function is generic over the scalar type, derivatives never need dedicated
+code: `field_jet` seeds dual numbers for the chart coordinates, evaluates once,
+and unpacks values and first partials.  Seeding twice (a jet inside a jet)
+yields the second derivatives used by exterior-derivative-of-derived-forms
+checks and Christoffel symbols.
 
 Evaluation is memoized per point.  The env a chart builds for a point
 (:class:`~sasaki_lab.manifold.PointEnv`) carries a memo, and there
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import exprlang, numkernel as nk
 from .exprlang import Expr
@@ -78,25 +79,30 @@ def zeros(dim: int, rank: int):
 
 
 class TensorField:
-    """Chart-wise component evaluator for a (p, q)-tensor field."""
+    """A (p, q)-tensor field: one component function for all of its charts.
+
+    ``components(chart, env)`` gets the :class:`Chart` object; ``charts``
+    names the charts the field has data on (every chart of the atlas by
+    default).
+    """
 
     def __init__(
         self,
         name: str,
         atlas: Atlas,
         valence: tuple[int, int],
-        evaluators: dict[str, Callable[[dict], object]],
+        components: Callable[[Chart, dict], object],
+        charts: Iterable[str] | None = None,
         exprs: dict[str, dict[tuple, Expr]] | None = None,
     ):
         self.name = name
         self.atlas = atlas
         self.valence = valence
-        self._evaluators = evaluators
+        self.components = components
+        if charts is None:
+            charts = [c.name for c in atlas.charts]
+        self._charts = {c: atlas.chart(c) for c in charts}
         self.exprs = exprs  # populated only for DSL-defined fields
-
-    @property
-    def rank(self) -> int:
-        return self.valence[0] + self.valence[1]
 
     @classmethod
     def from_exprs(
@@ -112,48 +118,44 @@ class TensorField:
         symmetry 'sym'/'anti' mirrors rank-2 entries so tables only need
         one triangle; 'none' stores exactly what was given.
         """
+        rank = valence[0] + valence[1]
         parsed: dict[str, dict[tuple, Expr]] = {}
         for chart_name, table in comps.items():
             chart = atlas.chart(chart_name)
             dense: dict[tuple, Expr] = {}
             for idx, e in table.items():
                 idx = tuple(idx)
-                if len(idx) != valence[0] + valence[1]:
+                if len(idx) != rank:
                     raise ValueError(f"{name}: index {idx} has wrong rank")
                 if any(i < 0 or i >= chart.dim for i in idx):
                     raise ValueError(f"{name}: index {idx} out of range")
                 dense[idx] = exprlang.parse(e) if isinstance(e, str) else e
-            if symmetry in ("sym", "anti") and valence[0] + valence[1] == 2:
+            if symmetry in ("sym", "anti") and rank == 2:
                 for (i, j), e in list(dense.items()):
                     if i != j and (j, i) not in dense:
                         dense[(j, i)] = e if symmetry == "sym" else exprlang.Neg(e)
             parsed[chart_name] = dense
 
-        evaluators = {}
-        for chart_name, dense in parsed.items():
-            dim = atlas.chart(chart_name).dim
+        def components(chart, env):
+            dense = parsed[chart.name]
+            if rank == 0:
+                e = dense.get(())
+                return exprlang.eval_expr(e, env) if e is not None else 0.0
+            out = zeros(chart.dim, rank)
+            for idx, e in dense.items():
+                _set(out, idx, exprlang.eval_expr(e, env))
+            return out
 
-            def ev(env, dense=dense, dim=dim):
-                rank = valence[0] + valence[1]
-                if rank == 0:
-                    e = dense.get(())
-                    return exprlang.eval_expr(e, env) if e is not None else 0.0
-                out = zeros(dim, rank)
-                for idx, e in dense.items():
-                    _set(out, idx, exprlang.eval_expr(e, env))
-                return out
-
-            evaluators[chart_name] = ev
-        return cls(name, atlas, valence, evaluators, exprs=parsed)
+        return cls(name, atlas, valence, components, charts=parsed, exprs=parsed)
 
     def chart_names(self) -> list[str]:
-        return sorted(self._evaluators)
+        return sorted(self._charts)
 
-    def evaluator(self, chart: str) -> Callable[[dict], object]:
+    def _chart(self, name: str) -> Chart:
         try:
-            return self._evaluators[chart]
+            return self._charts[name]
         except KeyError:
-            raise KeyError(f"field {self.name!r} has no data on chart {chart!r}")
+            raise KeyError(f"field {self.name!r} has no data on chart {name!r}")
 
     def at(self, chart: str, env: dict):
         """Components on `chart` at `env`, contravariant indices first.
@@ -164,10 +166,10 @@ class TensorField:
         evaluated afresh on every call.
         """
         if not isinstance(env, PointEnv):
-            return self.evaluator(chart)(env)
+            return self.components(self._chart(chart), env)
         key = (self, chart)
         if key not in env.memo:
-            env.memo[key] = self.evaluator(chart)(env)
+            env.memo[key] = self.components(self._chart(chart), env)
         return _copy_lists(env.memo[key])
 
     def at_point(self, p: Point):
@@ -271,9 +273,6 @@ class SmoothMap:
         _, exprs = self.pieces[chart]
         return [exprlang.eval_expr(e, env) for e in exprs]
 
-    def target_chart(self, chart: str) -> str | None:
-        return self.pieces[chart][0]
-
     def jet(self, chart: str, env: dict):
         """(values, jacobian) with jacobian[j][i] = d target_j / d source_i."""
         src = self.source.chart(chart)
@@ -289,6 +288,13 @@ class SmoothMap:
 # -- derivative operators ---------------------------------------------
 
 
+def _common_charts(*fields: TensorField) -> set[str]:
+    charts = set(fields[0].chart_names())
+    for f in fields[1:]:
+        charts &= set(f.chart_names())
+    return charts
+
+
 def exterior_derivative(alpha: TensorField) -> TensorField:
     """d of an antisymmetric (0,k) field, giving (0,k+1).
 
@@ -299,43 +305,39 @@ def exterior_derivative(alpha: TensorField) -> TensorField:
     if p != 0:
         raise ValueError("exterior_derivative expects a covariant form")
 
-    closures = {}
-    for chart_name in alpha.chart_names():
-        chart = alpha.atlas.chart(chart_name)
+    def components(chart, env):
         dim = chart.dim
+        _, parts = field_jet(alpha, chart.name, env)
+        out = zeros(dim, q + 1)
+        for idx in itertools.product(range(dim), repeat=q + 1):
+            acc = 0.0
+            for m in range(q + 1):
+                rest = idx[:m] + idx[m + 1:]
+                term = get_at(parts[idx[m]], rest) if q else parts[idx[m]]
+                acc = acc + term if m % 2 == 0 else acc - term
+            _set(out, idx, acc)
+        return out
 
-        def ev(env, chart=chart, chart_name=chart_name):
-            _, parts = field_jet(alpha, chart_name, env)
-            out = zeros(dim, q + 1)
-            for idx in itertools.product(range(dim), repeat=q + 1):
-                acc = 0.0
-                for m in range(q + 1):
-                    rest = idx[:m] + idx[m + 1:]
-                    term = get_at(parts[idx[m]], rest) if q else parts[idx[m]]
-                    acc = acc + term if m % 2 == 0 else acc - term
-                _set(out, idx, acc)
-            return out
-
-        closures[chart_name] = ev
-    return TensorField(f"d({alpha.name})", alpha.atlas, (0, q + 1), closures)
+    return TensorField(
+        f"d({alpha.name})", alpha.atlas, (0, q + 1), components, alpha.chart_names()
+    )
 
 
 def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
     """[X, Y]^k = X^m ∂_m Y^k − Y^m ∂_m X^k."""
-    closures = {}
-    for chart_name in sorted(set(X.chart_names()) & set(Y.chart_names())):
-        dim = X.atlas.chart(chart_name).dim
 
-        def ev(env, chart_name=chart_name, dim=dim):
-            xv, xp = field_jet(X, chart_name, env)
-            yv, yp = field_jet(Y, chart_name, env)
-            return [
-                nk.sum_(xv[m] * yp[m][k] - yv[m] * xp[m][k] for m in range(dim))
-                for k in range(dim)
-            ]
+    def components(chart, env):
+        dim = chart.dim
+        xv, xp = field_jet(X, chart.name, env)
+        yv, yp = field_jet(Y, chart.name, env)
+        return [
+            nk.sum_(xv[m] * yp[m][k] - yv[m] * xp[m][k] for m in range(dim))
+            for k in range(dim)
+        ]
 
-        closures[chart_name] = ev
-    return TensorField(f"[{X.name},{Y.name}]", X.atlas, (1, 0), closures)
+    return TensorField(
+        f"[{X.name},{Y.name}]", X.atlas, (1, 0), components, _common_charts(X, Y)
+    )
 
 
 def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
@@ -345,30 +347,29 @@ def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
                 + Σ_r ∂_{b_r} X^m T^A_{B[r→m]}.
     """
     p, q = T.valence
-    closures = {}
-    for chart_name in sorted(set(T.chart_names()) & set(X.chart_names())):
-        dim = T.atlas.chart(chart_name).dim
 
-        def ev(env, chart_name=chart_name, dim=dim):
-            tv, tp = field_jet(T, chart_name, env)
-            xv, xp = field_jet(X, chart_name, env)
-            out = zeros(dim, p + q)
-            for idx in itertools.product(range(dim), repeat=p + q):
-                up, down = idx[:p], idx[p:]
-                acc = nk.sum_(xv[m] * get_at(tp[m], idx) for m in range(dim))
-                for r in range(p):
-                    for m in range(dim):
-                        swapped = up[:r] + (m,) + up[r + 1:] + down
-                        acc = acc - xp[m][up[r]] * get_at(tv, swapped)
-                for r in range(q):
-                    for m in range(dim):
-                        swapped = up + down[:r] + (m,) + down[r + 1:]
-                        acc = acc + xp[down[r]][m] * get_at(tv, swapped)
-                _set(out, idx, acc)
-            return out
+    def components(chart, env):
+        dim = chart.dim
+        tv, tp = field_jet(T, chart.name, env)
+        xv, xp = field_jet(X, chart.name, env)
+        out = zeros(dim, p + q)
+        for idx in itertools.product(range(dim), repeat=p + q):
+            up, down = idx[:p], idx[p:]
+            acc = nk.sum_(xv[m] * get_at(tp[m], idx) for m in range(dim))
+            for r in range(p):
+                for m in range(dim):
+                    swapped = up[:r] + (m,) + up[r + 1:] + down
+                    acc = acc - xp[m][up[r]] * get_at(tv, swapped)
+            for r in range(q):
+                for m in range(dim):
+                    swapped = up + down[:r] + (m,) + down[r + 1:]
+                    acc = acc + xp[down[r]][m] * get_at(tv, swapped)
+            _set(out, idx, acc)
+        return out
 
-        closures[chart_name] = ev
-    return TensorField(f"L_{X.name}({T.name})", T.atlas, (p, q), closures)
+    return TensorField(
+        f"L_{X.name}({T.name})", T.atlas, (p, q), components, _common_charts(T, X)
+    )
 
 
 def nijenhuis(J: TensorField) -> TensorField:
@@ -382,145 +383,102 @@ def nijenhuis(J: TensorField) -> TensorField:
     explicit distribution-valued fields by `sasaki.cr_torsion`, where the
     extension question actually matters.
     """
-    closures = {}
-    for chart_name in J.chart_names():
-        dim = J.atlas.chart(chart_name).dim
 
-        def ev(env, chart_name=chart_name, dim=dim):
-            jv, jp = field_jet(J, chart_name, env)
-            out = zeros(dim, 3)
-            for k in range(dim):
-                for a in range(dim):
-                    for b in range(dim):
-                        acc = 0.0
-                        for m in range(dim):
-                            acc = acc + (
-                                jv[m][a] * jp[m][k][b]
-                                - jv[m][b] * jp[m][k][a]
-                                - jv[k][m] * (jp[a][m][b] - jp[b][m][a])
-                            )
-                        out[k][a][b] = acc
-            return out
+    def components(chart, env):
+        dim = chart.dim
+        jv, jp = field_jet(J, chart.name, env)
+        out = zeros(dim, 3)
+        for k in range(dim):
+            for a in range(dim):
+                for b in range(dim):
+                    acc = 0.0
+                    for m in range(dim):
+                        acc = acc + (
+                            jv[m][a] * jp[m][k][b]
+                            - jv[m][b] * jp[m][k][a]
+                            - jv[k][m] * (jp[a][m][b] - jp[b][m][a])
+                        )
+                    out[k][a][b] = acc
+        return out
 
-        closures[chart_name] = ev
-    return TensorField(f"N({J.name})", J.atlas, (1, 2), closures)
+    return TensorField(
+        f"N({J.name})", J.atlas, (1, 2), components, J.chart_names()
+    )
 
 
 def musical_flat(b: TensorField, X: TensorField) -> TensorField:
     """The one-form b(., X): contracts X into the SECOND slot of b."""
-    closures = {}
-    for chart_name in sorted(set(b.chart_names()) & set(X.chart_names())):
-        dim = b.atlas.chart(chart_name).dim
 
-        def ev(env, chart_name=chart_name, dim=dim):
-            bv = b.at(chart_name, env)
-            xv = X.at(chart_name, env)
-            return [
-                nk.sum_(bv[j][i] * xv[i] for i in range(dim)) for j in range(dim)
-            ]
+    def fn(cs, env):
+        bv, xv = cs
+        dim = len(xv)
+        return [nk.sum_(bv[j][i] * xv[i] for i in range(dim)) for j in range(dim)]
 
-        closures[chart_name] = ev
-    return TensorField(f"flat({b.name},{X.name})", b.atlas, (0, 1), closures)
+    return tf_combine(f"flat({b.name},{X.name})", (0, 1), [b, X], fn)
 
 
-def pullback(F: SmoothMap, alpha: TensorField, name: str | None = None) -> TensorField:
-    """Pullback of a covariant tensor along F (no invertibility needed).
+def pullback(F: SmoothMap, T: TensorField, name: str | None = None) -> TensorField:
+    """Pullback of a (p, q)-tensor along F.
 
-    (F*α)_{i_1..i_q}(x) = α_{j_1..j_q}(F x) ∂F^{j_1}/∂x^{i_1} ⋯ .
-    """
-    p, q = alpha.valence
-    if p != 0:
-        raise ValueError("pullback handles covariant tensors; see pullback_tensor")
-    closures = {}
-    for chart_name, (tgt_chart, _) in F.pieces.items():
-        src = F.source.chart(chart_name)
-        dim = src.dim
-
-        def ev(env, chart_name=chart_name, tgt_chart=tgt_chart, dim=dim):
-            vals, jac = F.jet(chart_name, env)
-            tgt_env = alpha.atlas.chart(tgt_chart).env(vals)
-            av = alpha.at(tgt_chart, tgt_env)
-            if q == 0:
-                return av
-            m = len(jac)
-            out = zeros(dim, q)
-            for idx in itertools.product(range(dim), repeat=q):
-                acc = 0.0
-                for jdx in itertools.product(range(m), repeat=q):
-                    term = get_at(av, jdx)
-                    if nk.value_of(term) == 0.0 and not isinstance(term, nk.DScalar):
-                        continue
-                    for slot in range(q):
-                        term = term * jac[jdx[slot]][idx[slot]]
-                    acc = acc + term
-                _set(out, idx, acc)
-            return out
-
-        closures[chart_name] = ev
-    nm = name or f"{F.name}*({alpha.name})"
-    return TensorField(nm, F.source, (0, q), closures)
-
-
-def pullback_tensor(F: SmoothMap, T: TensorField, name: str | None = None) -> TensorField:
-    """Pullback of any small-valence tensor along a local diffeomorphism.
-
-    Contravariant slots transform through the inverse Jacobian, obtained by
-    a linear solve (dual-friendly), so this works inside derivative checks.
+    (F*T)^{a..}_{i..}(x) = T^{b..}_{j..}(F x) (∂F⁻¹)^a_b ⋯ ∂F^j/∂x^i ⋯ :
+    covariant slots contract with the Jacobian, which needs no
+    invertibility.  Contravariant slots (p > 0) contract with the inverse
+    Jacobian, obtained by a linear solve (dual-friendly), so there F must
+    be a local diffeomorphism; the result still works inside derivative
+    checks.
     """
     p, q = T.valence
-    if p == 0:
-        return pullback(F, T, name)
-    closures = {}
-    for chart_name, (tgt_chart, _) in F.pieces.items():
-        src = F.source.chart(chart_name)
-        dim = src.dim
+    rank = p + q
 
-        def ev(env, chart_name=chart_name, tgt_chart=tgt_chart, dim=dim):
-            vals, jac = F.jet(chart_name, env)
-            tgt_env = T.atlas.chart(tgt_chart).env(vals)
-            tv = T.at(tgt_chart, tgt_env)
+    def components(chart, env):
+        dim = chart.dim
+        tgt_chart = F.pieces[chart.name][0]
+        vals, jac = F.jet(chart.name, env)
+        tv = T.at(tgt_chart, T.atlas.chart(tgt_chart).env(vals))
+        if rank == 0:
+            return tv
+        m = len(jac)
+        # factors[r][i][j]: what slot r's input index j contributes to output i
+        factors = []
+        if p:
             # columns of the inverse Jacobian: solve A X = I
             ident = [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
             inv = nk.solve_linear(jac, ident)  # inv[a][j] = (A^{-1})^a_j
-            out = zeros(dim, p + q)
-            for idx in itertools.product(range(dim), repeat=p + q):
-                up, down = idx[:p], idx[p:]
-                acc = 0.0
-                for jdx in itertools.product(range(dim), repeat=p + q):
-                    jup, jdown = jdx[:p], jdx[p:]
-                    term = get_at(tv, jdx)
-                    if nk.value_of(term) == 0.0 and not isinstance(term, nk.DScalar):
-                        continue
-                    for r in range(p):
-                        term = term * inv[up[r]][jup[r]]
-                    for r in range(q):
-                        term = term * jac[jdown[r]][down[r]]
-                    acc = acc + term
-                _set(out, idx, acc)
-            return out
+            factors += [inv] * p
+        factors += [[[jac[j][i] for j in range(m)] for i in range(dim)]] * q
+        out = zeros(dim, rank)
+        for idx in itertools.product(range(dim), repeat=rank):
+            rows = [factors[r][i] for r, i in enumerate(idx)]
+            acc = 0.0
+            for jdx in itertools.product(range(m), repeat=rank):
+                term = get_at(tv, jdx)
+                if nk.value_of(term) == 0.0 and not isinstance(term, nk.DScalar):
+                    continue
+                for row, j in zip(rows, jdx):
+                    term = term * row[j]
+                acc = acc + term
+            _set(out, idx, acc)
+        return out
 
-        closures[chart_name] = ev
     nm = name or f"{F.name}*({T.name})"
-    return TensorField(nm, F.source, (p, q), closures)
+    return TensorField(nm, F.source, (p, q), components, F.pieces)
 
 
 # -- algebra on fields -------------------------------------------------
 
 
 def tf_combine(name, valence, fields, fn) -> TensorField:
-    """Pointwise combination: fn(list of component structures) -> structure."""
-    atlas = fields[0].atlas
-    charts = set(fields[0].chart_names())
-    for f in fields[1:]:
-        charts &= set(f.chart_names())
-    closures = {}
-    for chart_name in sorted(charts):
+    """Pointwise combination: fn(list of component structures, env) -> structure.
 
-        def ev(env, chart_name=chart_name):
-            return fn([f.at(chart_name, env) for f in fields], env)
+    The result lives on the charts all `fields` share.
+    """
 
-        closures[chart_name] = ev
-    return TensorField(name, atlas, valence, closures)
+    def components(chart, env):
+        return fn([f.at(chart.name, env) for f in fields], env)
+
+    return TensorField(
+        name, fields[0].atlas, valence, components, _common_charts(*fields)
+    )
 
 
 def tf_add(a: TensorField, b: TensorField, name=None) -> TensorField:
@@ -536,7 +494,7 @@ def tf_add(a: TensorField, b: TensorField, name=None) -> TensorField:
 
 def tf_scale(T: TensorField, factor, name=None) -> TensorField:
     """factor: a constant or an env->scalar callable."""
-    fn = factor if callable(factor) else (lambda env, c=factor: c)
+    fn = factor if callable(factor) else (lambda env: factor)
     return tf_combine(
         name or f"scale({T.name})",
         T.valence,
@@ -603,11 +561,11 @@ def cross_chart_rows(T: TensorField, plan: SamplePlan, sign_fn=None):
     Rows are labelled ``source->target``.
     """
     atlas = T.atlas
-    p = T.valence[0]
+    charts = T.chart_names()
     from .manifold import _chart_rng, _piece_sample  # deterministic piece samples
 
     for t in atlas.transitions:
-        if t.source not in T._evaluators or t.target not in T._evaluators:
+        if t.source not in charts or t.target not in charts:
             continue
         src = atlas.chart(t.source)
         label = f"{t.source}->{t.target}"
@@ -616,7 +574,7 @@ def cross_chart_rows(T: TensorField, plan: SamplePlan, sign_fn=None):
             fmap = SmoothMap(
                 "piece", atlas, atlas, {t.source: (t.target, piece.forward)}
             )
-            transported = pullback_tensor(fmap, T) if p else pullback(fmap, T)
+            transported = pullback(fmap, T)
             sign = 1.0 if sign_fn is None else sign_fn(t, piece)
             for coords in _piece_sample(src, piece, plan, rng):
                 env = src.env(coords)
@@ -644,8 +602,3 @@ def _diff_scaled(a, b, sign: float) -> float:
     if isinstance(a, list):
         return max_or_nan([_diff_scaled(x, y, sign) for x, y in zip(a, b)])
     return abs(nk.value_of(a) - sign * nk.value_of(b))
-
-
-def evaluate(T: TensorField, p: Point):
-    """Float components of T at a point (public convenience)."""
-    return T.at_point(p)

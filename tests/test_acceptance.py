@@ -391,17 +391,12 @@ def test_acceptance_09b_cartan_formula_on_gallery_fields():
                 d_alpha = tn.exterior_derivative(alpha)
                 lhs = tn.lie_derivative(alpha, X)
 
-                def ixa_ev(chart_name):
-                    def ev(env):
-                        return tn.contract_form_vector(
-                            alpha.at(chart_name, env), X.at(chart_name, env)
-                        )
+                def ixa_ev(chart, env):
+                    return tn.contract_form_vector(
+                        alpha.at(chart.name, env), X.at(chart.name, env)
+                    )
 
-                    return ev
-
-                ixa = TensorField(
-                    "ixa", atlas, (0, 0), {c: ixa_ev(c) for c in charts}
-                )
+                ixa = TensorField("ixa", atlas, (0, 0), ixa_ev, charts=charts)
                 d_ixa = tn.exterior_derivative(ixa)
                 for chart in atlas.charts:
                     if chart.name not in charts:

@@ -24,7 +24,7 @@ from sasaki_lab.bundle import (
     symplectic_check,
     symplectize,
 )
-from sasaki_lab.contact import darboux_contact
+from sasaki_lab.contact import ContactStructure, darboux_contact
 from sasaki_lab.manifold import (
     Atlas,
     Chart,
@@ -61,7 +61,7 @@ def base_metric_rows(p, extra_eta_weight=0.0):
 def cone_metric(bundle, a=0.0, base_rows=base_metric_rows):
     """g = s((ds/s + a·η)² + g_M) over the 3d standard contact chart."""
 
-    def ev(env):
+    def ev(chart, env):
         x, p, s = env["x"], env["p"], env[FIBER]
         eta = [-p, 0.0, 1.0]
         gm = base_rows(p)
@@ -74,8 +74,7 @@ def cone_metric(bundle, a=0.0, base_rows=base_metric_rows):
                 out[b][c] = s * (a * a * eta[b] * eta[c] + gm[b][c])
         return out
 
-    (chart,) = bundle.total.charts
-    return TensorField("cone_metric", bundle.total, (0, 2), {chart.name: ev})
+    return TensorField("cone_metric", bundle.total, (0, 2), ev)
 
 
 class TestConeConstruction:
@@ -131,14 +130,13 @@ class TestSymplectization:
 
     def test_degenerate_form_fails(self, darboux):
         bundle, _ = symplectize(darboux)
-        (chart,) = bundle.total.charts
 
-        def ev(env):
+        def ev(chart, env):
             out = [[0.0] * 4 for _ in range(4)]
             out[0][1], out[1][0] = 1.0, -1.0
             return out
 
-        bad = TensorField("degenerate", bundle.total, (0, 2), {chart.name: ev})
+        bad = TensorField("degenerate", bundle.total, (0, 2), ev)
         rep = symplectic_check(bad, PLAN)
         assert not rep.passed
         assert rep.witness is not None
@@ -197,6 +195,59 @@ class TestLiouville:
         bundle, omega = cone
         _, _, rep = liouville_data(bundle, omega, replace(PLAN, tolerance=1e-9))
         assert rep.max_residual < 1e-10
+
+
+def two_chart_contact():
+    """Charts A and B of one box, each with its own η: dz − p dx and 2dz + p dx."""
+    box = ((-1.0, 1.0),) * 3
+    base = Atlas([Chart(n, ("x", "p", "z"), box) for n in ("A", "B")])
+    eta = TensorField.from_exprs(
+        "eta", base, (0, 1),
+        {"A": {(0,): "-p", (2,): "1"}, "B": {(0,): "p", (2,): "2"}},
+    )
+    return ContactStructure("two-chart", base, eta)
+
+
+class TestTwoChartCone:
+    """Fields built chart by chart use each chart's own data."""
+
+    def test_theta_uses_each_charts_omega(self):
+        bundle, omega = symplectize(two_chart_contact())
+        _, theta, _ = liouville_data(bundle, omega)
+        env = {"x": 0.1, "p": 0.3, "z": 0.4, FIBER: 1.5}
+        assert theta.at("A", env) == pytest.approx([-0.45, 0.0, 1.5, 0.0], abs=1e-12)
+        assert theta.at("B", env) == pytest.approx([0.45, 0.0, 3.0, 0.0], abs=1e-12)
+        for chart in bundle.total.charts:
+            si = chart.index(FIBER)
+            for coords, penv in sample_chart(chart, PLAN):
+                om = omega.at(chart.name, penv)
+                want = [penv[FIBER] * v for v in om[si]]
+                assert theta.at(chart.name, penv) == want
+
+    def test_induced_metric_uses_each_charts_calibration(self):
+        bundle = cone_over(two_chart_contact().atlas)
+        # per chart: g_M = k·id on the base and calibration 𝔰 = c·s
+        k = {"A": 1.0, "B": 2.0}
+        c = {"A": 1.0, "B": 3.0}
+        gM = TensorField.from_exprs(
+            "gM", bundle.base, (0, 2),
+            {n: {(i, i): repr(k[n]) for i in range(3)} for n in k},
+        )
+        scal = TensorField.from_exprs(
+            "scal", bundle.total, (0, 0), {n: {(): f"{c[n]!r} * s"} for n in c}
+        )
+        g = induced_metric(bundle, gM, scal)
+        for chart in bundle.total.charts:
+            n = chart.name
+            for coords, env in sample_chart(chart, PLAN):
+                s = env[FIBER]
+                want = [[0.0] * 4 for _ in range(4)]
+                for i in range(3):
+                    want[i][i] = c[n] * s * k[n]
+                want[3][3] = c[n] / s
+                got = [[nk.value_of(v) for v in row] for row in g.at(n, env)]
+                for row, want_row in zip(got, want):
+                    assert row == pytest.approx(want_row, rel=1e-12, abs=1e-12)
 
 
 class TestCalibrations:
@@ -280,22 +331,21 @@ class TestDecomposition:
 
     def test_inhomogeneous_metric_rejected(self, cone):
         bundle, _ = cone
-        (chart,) = bundle.total.charts
 
-        def ev(env):
+        def ev(chart, env):
             out = [[0.0] * 4 for _ in range(4)]
             for i in range(4):
                 out[i][i] = 1.0
             return out
 
-        flat = TensorField("flat", bundle.total, (0, 2), {chart.name: ev})
+        flat = TensorField("flat", bundle.total, (0, 2), ev)
         with pytest.raises(NotHomogeneous):
             decompose_homogeneous_metric(bundle, flat, abs_s_calibration(bundle), PLAN)
 
     def test_indefinite_shadow_rejected(self, cone):
         bundle, _ = cone
 
-        def ev(env):
+        def ev(chart, env):
             p, s = env["p"], env[FIBER]
             gm = base_metric_rows(p)
             gm[1][1] = -1.0  # flip the dp² direction
@@ -306,8 +356,7 @@ class TestDecomposition:
                     out[b][c] = s * gm[b][c]
             return out
 
-        (chart,) = bundle.total.charts
-        g = TensorField("indefinite", bundle.total, (0, 2), {chart.name: ev})
+        g = TensorField("indefinite", bundle.total, (0, 2), ev)
         with pytest.raises(NotPositiveDefinite):
             decompose_homogeneous_metric(bundle, g, abs_s_calibration(bundle), PLAN)
 
@@ -349,11 +398,10 @@ class TestInducedCalibration:
 
 
 def base_shadow_field(bundle, extra=0.0):
-    def ev(env):
+    def ev(chart, env):
         return base_metric_rows(env["p"], extra_eta_weight=extra)
 
-    name = bundle.base.charts[0].name
-    return TensorField("shadow", bundle.base, (0, 2), {name: ev})
+    return TensorField("shadow", bundle.base, (0, 2), ev)
 
 
 # -- fiber sign cocycle on a circle ------------------------------------

@@ -16,6 +16,7 @@ from sasaki_lab.corpus import (
     emit_example,
     emit_parsed,
     parse_example_text,
+    write_golden_files,
 )
 from sasaki_lab.manifold import SamplePlan
 from sasaki_lab.report import FAIL, PASS
@@ -217,6 +218,15 @@ def test_golden_file_matches_emission(key):
     path = GOLDEN / f"{key}.corpus"
     assert path.exists(), f"missing {path}"
     assert path.read_text() == emit_example(build_example(key))
+
+
+def test_write_golden_files_reproduces_golden(tmp_path):
+    written = write_golden_files(tmp_path)
+    assert sorted(p.name for p in written) == sorted(
+        p.name for p in GOLDEN.glob("*.corpus")
+    )
+    for path in written:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)

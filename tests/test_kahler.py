@@ -40,13 +40,13 @@ def plane_pair(omega_scale=1.0):
         "area",
         atlas,
         (0, 2),
-        {"plane": lambda env: [[0.0, omega_scale], [-omega_scale, 0.0]]},
+        lambda chart, env: [[0.0, omega_scale], [-omega_scale, 0.0]],
     )
     g = TensorField(
         "euclid",
         atlas,
         (0, 2),
-        {"plane": lambda env: [[1.0, 0.0], [0.0, 1.0]]},
+        lambda chart, env: [[1.0, 0.0], [0.0, 1.0]],
     )
     return omega, g
 
@@ -57,34 +57,25 @@ def cone_metric(bundle, L, a_expr="0.0"):
     g_M = L.metric()
     ax = exprlang.parse(a_expr)
 
-    def make(chart_name):
-        si = bundle.fiber_index(chart_name)
+    def ev(chart, env):
+        si = chart.index(FIBER)
+        s = env[FIBER]
+        base_env = {c: v for c, v in env.items() if c != FIBER}
+        etav = C.eta.at(chart.name, base_env)
+        gmb = g_M.at(chart.name, base_env)
+        a = exprlang.eval_expr(ax, base_env)
+        dim = len(etav) + 1
+        keep = [j for j in range(dim) if j != si]
+        out = [[0.0] * dim for _ in range(dim)]
+        out[si][si] = 1.0 / s
+        for jb, j in enumerate(keep):
+            out[si][j] = a * etav[jb]
+            out[j][si] = out[si][j]
+            for kb, k in enumerate(keep):
+                out[j][k] = s * (a * a * etav[jb] * etav[kb] + gmb[jb][kb])
+        return out
 
-        def ev(env):
-            s = env[FIBER]
-            base_env = {c: v for c, v in env.items() if c != FIBER}
-            etav = C.eta.at(chart_name, base_env)
-            gmb = g_M.at(chart_name, base_env)
-            a = exprlang.eval_expr(ax, base_env)
-            dim = len(etav) + 1
-            keep = [j for j in range(dim) if j != si]
-            out = [[0.0] * dim for _ in range(dim)]
-            out[si][si] = 1.0 / s
-            for jb, j in enumerate(keep):
-                out[si][j] = a * etav[jb]
-                out[j][si] = out[si][j]
-                for kb, k in enumerate(keep):
-                    out[j][k] = s * (a * a * etav[jb] * etav[kb] + gmb[jb][kb])
-            return out
-
-        return ev
-
-    return TensorField(
-        f"cone_metric({a_expr})",
-        bundle.total,
-        (0, 2),
-        {c.name: make(c.name) for c in bundle.total.charts},
-    )
+    return TensorField(f"cone_metric({a_expr})", bundle.total, (0, 2), ev)
 
 
 def darboux_cone(a_expr="0.0", n=1):
@@ -164,11 +155,11 @@ class TestKahlerCandidate:
     def test_wrong_metric_degree_rejected(self):
         _, bundle, omega, g = darboux_cone("0.7")
 
-        def ev(env):
-            rows = g.at("O", env)
+        def ev(chart, env):
+            rows = g.at(chart.name, env)
             return [[env[FIBER] * v for v in row] for row in rows]
 
-        heavy = TensorField("heavy", bundle.total, (0, 2), {"O": ev})
+        heavy = TensorField("heavy", bundle.total, (0, 2), ev)
         with pytest.raises(NotHomogeneous):
             kahler_candidate(bundle, omega, heavy, PLAN)
 
@@ -258,14 +249,12 @@ class TestMusicalConventions:
     def test_flat_of_scaling_field_is_minus_s_eta(self):
         L, bundle, omega, g = darboux_cone("0.7")
 
-        def nabla_ev(env):
+        def nabla_ev(chart, env):
             out = [0.0, 0.0, 0.0, 0.0]
             out[3] = env[FIBER]
             return out
 
-        nabla = TensorField(
-            "scaling", bundle.total, (1, 0), {"O": nabla_ev}
-        )
+        nabla = TensorField("scaling", bundle.total, (1, 0), nabla_ev)
         flat = musical_flat(omega, nabla)
         env = {"x": 0.3, "p": -0.4, "z": 0.2, FIBER: 1.7}
         got = [nk.value_of(v) for v in flat.at("O", env)]

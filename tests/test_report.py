@@ -126,11 +126,11 @@ def test_contact_form_with_nan_component_fails():
 def test_nan_after_finite_component_is_its_own_witness():
     """J² + id: the (0, 0) entry is 0, the (0, 1) entry NaN where x < 0."""
 
-    def j(env):
+    def j(chart, env):
         corner = NAN if env["x"] < 0.0 else 0.0
         return [[0.0, -1.0], [1.0, corner]]
 
-    rep = almost_complex_check(tn.TensorField("nan_J", SQUARE, (1, 1), {"O": j}), PLAN)
+    rep = almost_complex_check(tn.TensorField("nan_J", SQUARE, (1, 1), j), PLAN)
     pts = sample_chart(SQUARE.charts[0], PLAN)
     assert pts[0][0][0] >= 0.0  # a finite point comes first
     first_nan = next(coords for coords, _ in pts if coords[0] < 0.0)
@@ -142,18 +142,12 @@ def test_paired_consistency_with_nan_sub_report_fails():
     struct = build_example("mobius-jet").structure
     phibar = struct.phibar
 
-    def nan_corner(chart):
-        def ev(env):
-            m = phibar.at(chart, env)
-            m[0][0] = NAN
-            return m
+    def nan_corner(chart, env):
+        m = phibar.at(chart.name, env)
+        m[0][0] = NAN
+        return m
 
-        return ev
-
-    broken = tn.TensorField(
-        "nan_endo", struct.atlas, (1, 1),
-        {c.name: nan_corner(c.name) for c in struct.atlas.charts},
-    )
+    broken = tn.TensorField("nan_endo", struct.atlas, (1, 1), nan_corner)
     plan = SamplePlan(points_per_chart=4)
     assert paired_consistency_check(struct, plan).verdict == "pass"
     rep = paired_consistency_check(LeviStructure("nan", struct.contact, broken), plan)

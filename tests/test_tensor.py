@@ -151,12 +151,12 @@ class TestLieDerivative:
             xv = X.at("O", env)
             return [nk.sum_(m[i][j] * xv[i] for i in range(3)) for j in range(3)]
 
-        def ixa(env):
+        def ixa(chart, env):
             av = alpha.at("O", env)
             xv = X.at("O", env)
             return nk.sum_(a * b for a, b in zip(av, xv))
 
-        ixa_field = tn.TensorField("ixa", atlas, (0, 0), {"O": ixa})
+        ixa_field = tn.TensorField("ixa", atlas, (0, 0), ixa)
         dixa = tn.exterior_derivative(ixa_field).at("O", ENV3)
         first = ixda(ENV3)
         for a, b, c in zip(lhs, first, dixa):
@@ -324,7 +324,7 @@ class TestPullback:
         J = tn.TensorField.from_exprs(
             "J", tgt, (1, 1), {"O": {(0, 1): "-1", (1, 0): "1"}}
         )
-        got = tn.pullback_tensor(F, J).at("O", ENV2)
+        got = tn.pullback(F, J).at("O", ENV2)
         # A = diag(2, 1/2); A⁻¹ J A = [[0, -1/4],[4, 0]]
         assert got[0][1] == pytest.approx(-0.25)
         assert got[1][0] == pytest.approx(4.0)
@@ -430,15 +430,11 @@ def _solved_structure():
 
 def _counted(T, calls):
     """T with every raw evaluation recorded in `calls`."""
-    def wrap(ev):
-        def counted(env):
-            calls.append(env)
-            return ev(env)
-        return counted
+    def counted(chart, env):
+        calls.append(env)
+        return T.components(chart, env)
 
-    return tn.TensorField(
-        T.name, T.atlas, T.valence, {c: wrap(T.evaluator(c)) for c in T.chart_names()}
-    )
+    return tn.TensorField(T.name, T.atlas, T.valence, counted, T.chart_names())
 
 
 class TestPointMemo:
@@ -458,7 +454,7 @@ class TestPointMemo:
         for T in (first, second, dd):
             env = self.sample_env()
             assert isinstance(env, PointEnv)
-            raw = T.evaluator("O")(dict(env))
+            raw = T.at("O", dict(env))
             assert _leaf_values(T.at("O", env)) == _leaf_values(raw)
             assert _leaf_values(T.at("O", env)) == _leaf_values(raw)  # from memo
             vals, parts = tn.field_jet(T, "O", env)
@@ -503,7 +499,7 @@ class TestPointMemo:
         assert not set(map(id, a.memo.values())) & set(map(id, b.memo.values()))
         assert _leaf_values(got[0]) == _leaf_values(got[1])
         assert _leaf_values(got[2]) == _leaf_values(
-            tn.nijenhuis(J).evaluator("O")({"x": -0.2, "p": 0.1, "z": 0.4})
+            tn.nijenhuis(J).at("O", {"x": -0.2, "p": 0.1, "z": 0.4})
         )
 
     def test_mutating_returned_structures_changes_nothing(self):
