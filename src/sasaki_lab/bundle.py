@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import exprlang, numkernel as nk
 from .contact import ContactStructure
@@ -35,19 +35,21 @@ from .manifold import (
     TransitionMap,
     TransitionPiece,
     sample_chart,
-    sample_points,
 )
 from .report import CheckReport, max_or_nan, run_residual_check
 from .tensor import (
     SmoothMap,
     TensorField,
-    _diff_scaled,
     exterior_derivative,
     field_jet,
     max_abs,
+    max_diff,
     pullback,
     zeros,
 )
+
+if TYPE_CHECKING:
+    from .product import ProductBundle
 
 FIBER = "s"
 
@@ -70,10 +72,15 @@ class PrincipalBundle:
     def fiber_index(self, chart: str) -> int:
         return self.total.chart(chart).index(FIBER)
 
-    def lift_env(self, chart: str, base_env: dict, s=1.0) -> dict:
+    def lift_env(self, base_env: dict, s=1.0) -> dict:
+        """A base point's env lifted to fiber height `s`."""
         env = dict(base_env)
         env[FIBER] = s
         return env
+
+    def base_env(self, env: dict) -> dict:
+        """A total-space env restricted to the base coordinates."""
+        return {c: v for c, v in env.items() if c != FIBER}
 
     def liouville(self) -> TensorField:
         """∇ = s ∂s in every chart."""
@@ -112,12 +119,16 @@ class PrincipalBundle:
         return math.copysign(1.0, d)
 
 
-def loop_sign(bundle: PrincipalBundle, path) -> float:
-    """Product of fiber cocycle signs along [(src, tgt, piece_idx), ...]."""
+def loop_sign(atlas: Atlas, sign_fn: Callable, path) -> float:
+    """Product of sign_fn(transition, piece) along [(src, tgt, piece_idx), ...].
+
+    With a bundle's total atlas and `PrincipalBundle.transition_sign` it
+    is the fiber cocycle's sign around the loop.
+    """
     sign = 1.0
     for src, tgt, idx in path:
-        t = bundle.total.transition(src, tgt)
-        sign *= bundle.transition_sign(t, t.pieces[idx])
+        t = atlas.transition(src, tgt)
+        sign *= sign_fn(t, t.pieces[idx])
     return sign
 
 
@@ -216,7 +227,7 @@ def symplectic_check(omega: TensorField, plan: SamplePlan) -> CheckReport:
 
     return run_residual_check(
         "symplectic_form",
-        sample_points(omega.atlas, plan),
+        omega.atlas,
         residual,
         plan,
         details={"nondegeneracy_threshold": threshold},
@@ -231,22 +242,17 @@ def homogeneity_check(
     weight: int,
     mode: str,
     plan: SamplePlan,
-    bundle: Optional[PrincipalBundle] = None,
-    scaling: Optional[Callable[[float], SmoothMap]] = None,
-    scales: Optional[tuple] = None,
-    check_name: str | None = None,
+    bundle: PrincipalBundle | ProductBundle,
 ) -> CheckReport:
     """Compare h_ν-pullbacks of K against the declared scaling law.
 
-    Either a bundle (whose fiber scaling and group-appropriate ν set are
-    used) or an explicit scaling family + scales must be given.
+    ``bundle`` supplies the fiber scaling ``scaling(ν)`` and the structure
+    ``group`` whose ν set is used (a `PrincipalBundle` or a product of
+    cones).
     """
     if mode not in ("plain", "positive", "half"):
         raise ValueError(f"unknown homogeneity mode {mode!r}")
-    if scaling is None:
-        scaling = bundle.scaling
-    if scales is None:
-        scales = _SCALES[bundle.group]
+    scales = _SCALES[bundle.group]
 
     def factor(nu: float) -> float:
         if mode == "plain":
@@ -254,17 +260,17 @@ def homogeneity_check(
         base = abs(nu) ** weight
         return base if mode == "positive" else math.copysign(base, nu)
 
-    transported = [(factor(nu), pullback(scaling(nu), K)) for nu in scales]
+    transported = [(factor(nu), pullback(bundle.scaling(nu), K)) for nu in scales]
 
     def residual(chart, coords, env):
         here = K.at(chart, env)
         return max_or_nan(
-            [_diff_scaled(T.at(chart, env), here, fac) for fac, T in transported]
+            [max_diff(T.at(chart, env), here, fac) for fac, T in transported]
         )
 
     return run_residual_check(
-        check_name or f"homogeneity({K.name})",
-        sample_points(K.atlas, plan),
+        f"homogeneity({K.name})",
+        K.atlas,
         residual,
         plan,
         details={"mode": mode, "weight": weight, "scales": list(scales)},
@@ -272,7 +278,7 @@ def homogeneity_check(
 
 
 def require_homogeneous(K, weight, mode, plan, bundle):
-    rep = homogeneity_check(K, weight, mode, plan, bundle=bundle)
+    rep = homogeneity_check(K, weight, mode, plan, bundle)
     if not rep.passed:
         raise NotHomogeneous(
             f"{K.name}: {mode} degree-{weight} law fails at {rep.max_residual:.3e}"
@@ -314,9 +320,7 @@ def liouville_data(
             for j in range(dim)
         ])
 
-    rep = run_residual_check(
-        "liouville_data", sample_points(bundle.total, plan), residual, plan
-    )
+    rep = run_residual_check("liouville_data", bundle.total, residual, plan)
     return nabla, theta, rep
 
 
@@ -356,9 +360,7 @@ def calibration_check(
         positive = 0.0 if vals > 0 else abs(vals) + 1e-6
         return max_or_nan([euler, positive])
 
-    return run_residual_check(
-        "calibration", sample_points(bundle.total, plan), residual, plan
-    )
+    return run_residual_check("calibration", bundle.total, residual, plan)
 
 
 # -- homogeneous metric decomposition ---------------------------------
@@ -426,7 +428,7 @@ def decompose_homogeneous_metric(
 
     def base_field(name: str, valence: tuple[int, int], kind: str) -> TensorField:
         def components(chart, env):
-            env_t = bundle.lift_env(chart.name, env, 1.0)
+            env_t = bundle.lift_env(env)
             a_val, mu, gamma, si = pieces_at(chart.name, env_t)
             keep = [j for j in range(chart.dim + 1) if j != si]
             if kind == "A":
@@ -480,7 +482,7 @@ def decompose_homogeneous_metric(
                 )
                 comps.append(nk.value_of(rebuilt) - nk.value_of(gm[j][k]))
         # data read at this fiber height must match the s=1 extraction
-        base_env = {c: env[c] for c in chart.coords if c != FIBER}
+        base_env = bundle.base_env(env)
         keep = [j for j in range(dim) if j != si]
         comps.append(nk.value_of(a_val) - nk.value_of(A.at(chart_name, base_env)))
         mu_base = mu.at(chart_name, base_env)
@@ -488,9 +490,7 @@ def decompose_homogeneous_metric(
             comps.append(nk.value_of(mu_t[j]) - nk.value_of(mu_base[idx]))
         return max_abs(comps)
 
-    rep = run_residual_check(
-        "metric_decomposition", sample_points(bundle.total, plan), residual, plan
-    )
+    rep = run_residual_check("metric_decomposition", bundle.total, residual, plan)
 
     return MetricDecomposition(
         bundle=bundle,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 from . import numkernel as nk
-from .manifold import Atlas, Chart, SamplePlan, sample_points
+from .manifold import Atlas, Chart, SamplePlan
 from .report import CheckReport, max_or_nan, run_residual_check
 from .tensor import (
     TensorField,
@@ -113,9 +113,7 @@ def reeb_residual_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
             + [nk.sum_(xv[i] * dv[i][j] for i in range(dim)) for j in range(dim)]
         )
 
-    return run_residual_check(
-        "reeb_residual", sample_points(C.atlas, plan), residual, plan
-    )
+    return run_residual_check("reeb_residual", C.atlas, residual, plan)
 
 
 def contact_top_coefficient(C: ContactStructure, chart: str, env: dict) -> float:
@@ -153,7 +151,7 @@ def is_contact_form(C: ContactStructure, plan: SamplePlan) -> CheckReport:
 
     rep = run_residual_check(
         "is_contact_form",
-        sample_points(C.atlas, plan),
+        C.atlas,
         residual,
         plan,
         details={"threshold": NONDEGENERACY_THRESHOLD},
@@ -212,7 +210,11 @@ def frame_fields(C: ContactStructure, chart: str, kept: tuple[int, ...]):
 
 
 def frame_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
-    """Frame lies in C and, with ξ appended, spans the tangent space."""
+    """Frame lies in C and, with ξ appended, spans the tangent space.
+
+    The spanning part is the relative shortfall max(0, 1 − |det| /
+    threshold) of `is_contact_form`: about 1 where the frame degenerates.
+    """
 
     def residual(chart, coords, env):
         fr = contact_frame(C, chart, env)
@@ -220,8 +222,6 @@ def frame_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
         rows = [[nk.value_of(x) for x in vec] for vec in fr.vectors]
         rows.append([nk.value_of(x) for x in fr.xi])
         det = abs(nk.determinant(rows))
-        return max_or_nan([r, 0.0, NONDEGENERACY_THRESHOLD - det])
+        return max_or_nan([r, 0.0, 1.0 - det / NONDEGENERACY_THRESHOLD])
 
-    return run_residual_check(
-        "kernel_frame", sample_points(C.atlas, plan), residual, plan
-    )
+    return run_residual_check("kernel_frame", C.atlas, residual, plan)

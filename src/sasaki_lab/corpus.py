@@ -22,7 +22,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import exprlang
 from . import numkernel as nk
@@ -56,7 +56,6 @@ from .manifold import (
     TransitionPiece,
     apply_transition,
     atlas_consistency_check,
-    sample_points,
 )
 from .product import (
     invariant_slope_form,
@@ -85,6 +84,7 @@ from .sasaki import (
 from .tensor import (
     SmoothMap,
     TensorField,
+    agreeing,
     cross_chart_consistency,
     exterior_derivative,
     lie_bracket,
@@ -93,6 +93,7 @@ from .tensor import (
     pullback,
     tf_add,
     tf_scale,
+    vanishing,
     zeros,
 )
 
@@ -159,9 +160,7 @@ class _Jobs:
         return self(
             name,
             tolerance,
-            lambda plan: run_residual_check(
-                name, sample_points(atlas, plan), residual, plan
-            ),
+            lambda plan: run_residual_check(name, atlas, residual, plan),
         )
 
 
@@ -304,18 +303,11 @@ def _build_mobius_band(params: dict) -> Example:
     _reject_params(key, params)
     bundle = cone_over(_CIRCLE, "Rx", _wrap_sign, name="twisted_line_bundle")
 
-    def loop_check(plan: SamplePlan) -> CheckReport:
-        sign = loop_sign(bundle, _LOOP_PATH)
-        return _scalar_report(
-            "loop_sign", plan, abs(sign - (-1.0)),
-            details={"path": [list(step) for step in _LOOP_PATH], "sign": sign},
-        )
-
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", bundle.total),
         job.atlas("base_atlas_consistency", bundle.base),
-        job("loop_sign", 0.0, loop_check),
+        job("loop_sign", 0.0, _loop_check(bundle.total, bundle.transition_sign)),
     )
     return Example(
         key=key,
@@ -340,6 +332,19 @@ def _scalar_report(
     )
 
 
+def _loop_check(atlas: Atlas, sign_fn: Callable) -> Callable:
+    """The loop_sign check: `sign_fn` multiplies to −1 around `_LOOP_PATH`."""
+
+    def check(plan: SamplePlan) -> CheckReport:
+        sign = loop_sign(atlas, sign_fn, _LOOP_PATH)
+        return _scalar_report(
+            "loop_sign", plan, abs(sign - (-1.0)),
+            details={"path": [list(step) for step in _LOOP_PATH], "sign": sign},
+        )
+
+    return check
+
+
 # -- darboux -----------------------------------------------------------
 
 
@@ -351,9 +356,6 @@ def _build_darboux(n: int, params: dict) -> Example:
     atlas = contact.atlas
 
     n_fields = n_tensors(struct)
-
-    def n_residual(chart, coords, env):
-        return max_abs([f.at(chart, env) for f in n_fields.values()])
 
     job = _Jobs(key)
     checks = (
@@ -367,7 +369,9 @@ def _build_darboux(n: int, params: dict) -> Example:
         job(
             "second_order_identity", 1e-7, lambda plan: theorem54_check(struct, plan)
         ),
-        job.sampled("torsion_tensors_vanish", 1e-7, atlas, n_residual),
+        job.sampled(
+            "torsion_tensors_vanish", 1e-7, atlas, vanishing(*n_fields.values())
+        ),
     )
     fields = [
         GalleryField("eta", "main", contact.eta, "dsl"),
@@ -482,13 +486,6 @@ def complex_pair_bracket(z1, z2):
     return re, im
 
 
-def _pair_residual(fields: Iterable) -> Callable:
-    def residual(chart, coords, env):
-        return max_abs([f.at(chart, env) for f in fields])
-
-    return residual
-
-
 def _build_mobius_cotangent(params: dict) -> Example:
     key = "mobius-cotangent"
     _reject_params(key, params)
@@ -497,26 +494,12 @@ def _build_mobius_cotangent(params: dict) -> Example:
     jmat = _cot_complex_structure(total)
     a1, a2, b1, b2 = _cot_eigenframe(total)
 
-    def mismatch(chart, coords, env):
-        want = jmat.at(chart, env)
-        got = pair.J.at(chart, env)
-        dim = len(want)
-        return max_abs([
-            want[i][j] - got[i][j] for i in range(dim) for j in range(dim)
-        ])
-
     # [A2, B2] is the one bracket that does *not* vanish: it equals
     # A1 - i B1, twice the sign-graded kernel-form direction.  The three
     # other mixed pairs and both eigenbundle pairs commute.
     re_ab, im_ab = complex_pair_bracket(a2, b2)
     re_want = tf_add(a1[0], b1[1], name="re_mixed")  # re(A1 - iB1) = reA1 + imB1
     im_want = tf_add(a1[1], tf_scale(b1[0], -1.0), name="im_mixed")
-
-    def mixed_residual(chart, coords, env):
-        return max_abs([
-            [x - y for x, y in zip(re_ab.at(chart, env), re_want.at(chart, env))],
-            [x - y for x, y in zip(im_ab.at(chart, env), im_want.at(chart, env))],
-        ])
 
     eigen_brackets = [
         f for pair_ in (complex_pair_bracket(a1, a2), complex_pair_bracket(b1, b2))
@@ -533,9 +516,7 @@ def _build_mobius_cotangent(params: dict) -> Example:
     ]
 
     def hom(field, weight, mode):
-        return lambda plan: homogeneity_check(
-            field, weight, mode, plan, bundle=pair.bundle
-        )
+        return lambda plan: homogeneity_check(field, weight, mode, plan, pair.bundle)
 
     def crosscheck(field, label):
         return lambda plan: cross_chart_consistency(
@@ -561,14 +542,15 @@ def _build_mobius_cotangent(params: dict) -> Example:
             "compatibility", 1e-8,
             lambda plan: compatibility_check(pair.omega, pair.g, jmat, plan),
         ),
-        job.sampled("complex_structure_solves_pair", 1e-9, total, mismatch),
         job.sampled(
-            "eigenframe_commutators", 1e-9, total, _pair_residual(eigen_brackets)
+            "complex_structure_solves_pair", 1e-9, total, agreeing((jmat, pair.J))
         ),
+        job.sampled("eigenframe_commutators", 1e-9, total, vanishing(*eigen_brackets)),
+        job.sampled("cross_frame_commutators", 1e-9, total, vanishing(*cross_brackets)),
         job.sampled(
-            "cross_frame_commutators", 1e-9, total, _pair_residual(cross_brackets)
+            "mixed_commutator_identity", 1e-9, total,
+            agreeing((re_ab, re_want), (im_ab, im_want)),
         ),
-        job.sampled("mixed_commutator_identity", 1e-9, total, mixed_residual),
     )
     fields = [
         GalleryField("eta", "base", struct.contact.eta, "dsl"),
@@ -644,25 +626,20 @@ def _build_mobius_jet(params: dict) -> Example:
 
     base_idx = {c.name: [c.coords.index(x) for x in ("x", "p", "z")] for c in base.charts}
 
-    def lifted(env, s):
-        lift = dict(env)
-        lift[FIBER] = s
-        return lift
-
     def projected_eta(chart, env, s=1.0):
         total_chart = total.chart(chart)
         si = total_chart.index(FIBER)
-        om = pair.omega.at(chart, lifted(env, s))
+        om = pair.omega.at(chart, pair.bundle.lift_env(env, s))
         # contraction of the two-form with the scaling field, divided by
         # the fiber: (i_{s d/ds} omega)_j / s = omega_{sj}
         return [om[si][j] for j in base_idx[chart]]
 
     def projected_endo(chart, env, s=1.0):
-        jm = jmat.at(chart, lifted(env, s))
+        jm = jmat.at(chart, pair.bundle.lift_env(env, s))
         return [[jm[i][j] for j in base_idx[chart]] for i in base_idx[chart]]
 
     def projected_metric(chart, env, s=1.0):
-        gm = pair.g.at(chart, lifted(env, s))
+        gm = pair.g.at(chart, pair.bundle.lift_env(env, s))
         return [[gm[i][j] for j in base_idx[chart]] for i in base_idx[chart]]
 
     eta_proj = TensorField(
@@ -704,20 +681,6 @@ def _build_mobius_jet(params: dict) -> Example:
 
     metric_here = struct.metric()
 
-    def reference_residual(chart, coords, env):
-        comps = [
-            a - b for a, b in zip(projected_eta(chart, env), contact.eta.at(chart, env))
-        ]
-        fm = projected_endo(chart, env)
-        want_f = struct.phibar.at(chart, env)
-        gm = projected_metric(chart, env)
-        want_g = metric_here.at(chart, env)
-        for i in range(3):
-            for j in range(3):
-                comps.append(fm[i][j] - want_f[i][j])
-                comps.append(gm[i][j] - want_g[i][j])
-        return max_abs(comps)
-
     sine = _section_map("section_sine", f"{_PI} * cos({_PI} * x)", f"sin({_PI} * x)", base)
     cosine = _section_map(
         "section_cosine", f"-{_PI} * sin({_PI} * x)", f"cos({_PI} * x)", base
@@ -743,29 +706,26 @@ def _build_mobius_jet(params: dict) -> Example:
         p2, z2 = (nk.value_of(v) for v in section_values(cosine, chart, env["x"])[1:])
         return abs((p1 * z2 - z1 * p2) - math.pi)
 
-    def loop_check(plan: SamplePlan) -> CheckReport:
-        sign = 1.0
-        for src, tgt, idx in _LOOP_PATH:
-            t = base.transition(src, tgt)
-            sign *= contact.transition_sign(t, t.pieces[idx])
-        return _scalar_report(
-            "loop_sign", plan, abs(sign - (-1.0)),
-            details={"path": [list(step) for step in _LOOP_PATH], "sign": sign},
-        )
-
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", base),
         job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
         job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
         job.sampled("projectable", 1e-9, base, projectable_residual),
-        job.sampled("projection_reference", 1e-9, base, reference_residual),
+        job.sampled(
+            "projection_reference", 1e-9, base,
+            agreeing(
+                (eta_proj, contact.eta),
+                (endo_proj, struct.phibar),
+                (metric_proj, metric_here),
+            ),
+        ),
         job(
             "paired_consistency", 1e-8,
             lambda plan: paired_consistency_check(struct, plan),
         ),
         job("sasaki", 1e-8, lambda plan: sasaki_check(struct, plan)),
-        job("loop_sign", 0.0, loop_check),
+        job("loop_sign", 0.0, _loop_check(base, contact.transition_sign)),
         job.sampled("sections_global", 1e-9, _CIRCLE, sections_global_residual),
         job.sampled(
             "sections_independent", 1e-9, _CIRCLE, sections_independent_residual
@@ -989,33 +949,18 @@ def _build_sphere(n: int, params: dict) -> Example:
     metric_pulled = pullback(embed, flat, name="pulled_flat_metric")
     metric_here = struct.metric()
 
-    def eta_reference_residual(chart, coords_, env):
-        return max_abs(
-            [a - b for a, b in zip(eta_pulled.at(chart, env), eta.at(chart, env))]
-        )
-
-    def round_metric_residual(chart, coords_, env):
-        got = metric_here.at(chart, env)
-        want = metric_pulled.at(chart, env)
-        return max_abs([
-            got[i][j] - want[i][j] for i in range(dimb) for j in range(dimb)
-        ])
-
     bare = ContactStructure(f"{contact.name}_resolved", atlas, eta)
     solved_reeb = reeb_field(bare)
-
-    def reeb_reference_residual(chart, coords_, env):
-        return max_abs(
-            [a - b for a, b in zip(solved_reeb.at(chart, env), reeb.at(chart, env))]
-        )
 
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", atlas),
         job.sampled("embedding_frame", 1e-10, atlas, frame_residual),
-        job.sampled("contact_form_reference", 1e-9, atlas, eta_reference_residual),
-        job.sampled("round_metric", 1e-9, atlas, round_metric_residual),
-        job.sampled("reeb_reference", 1e-9, atlas, reeb_reference_residual),
+        job.sampled("contact_form_reference", 1e-9, atlas, agreeing((eta_pulled, eta))),
+        job.sampled(
+            "round_metric", 1e-9, atlas, agreeing((metric_here, metric_pulled))
+        ),
+        job.sampled("reeb_reference", 1e-9, atlas, agreeing((solved_reeb, reeb))),
         job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
         job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
         job(
@@ -1097,9 +1042,6 @@ def _build_product(params: dict) -> Example:
         pairing = nk.sum_(b * d for b, d in zip(bv, dv))
         return max_abs([pairing, l_diag_beta.at(chart, env)])
 
-    def beta_closed_residual(chart, coords, env):
-        return max_abs(dbeta.at(chart, env))
-
     cone_total = pair.bundle.total
 
     job = _Jobs(key)
@@ -1118,14 +1060,10 @@ def _build_product(params: dict) -> Example:
         job.sampled(
             "slope_form_invariant", 1e-9, cone_total, beta_invariance_residual
         ),
-        job.sampled("slope_form_closed", 1e-9, cone_total, beta_closed_residual),
+        job.sampled("slope_form_closed", 1e-9, cone_total, vanishing(dbeta)),
         job(
             "slope_form_homogeneous", 1e-9,
-            lambda plan: homogeneity_check(
-                beta, 0, "plain", plan,
-                scaling=pair.bundle.scaling, scales=(0.5, 2.0),
-                check_name="homogeneity(slope_form)",
-            ),
+            lambda plan: homogeneity_check(beta, 0, "plain", plan, pair.bundle),
         ),
     )
     fields = [
@@ -1185,12 +1123,12 @@ def _build_main1(params: dict) -> Example:
     zi = chart.index("z")
 
     def hom(field, weight, mode):
-        return lambda plan: homogeneity_check(field, weight, mode, plan, bundle=bundle)
+        return lambda plan: homogeneity_check(field, weight, mode, plan, bundle)
 
     slope = vertical_slope(contact, bundle, pair.g)
 
     def recovery_residual(chart_name, coords, env):
-        base_env = {c: v for c, v in env.items() if c != FIBER}
+        base_env = bundle.base_env(env)
         a_here = exprlang.eval_expr(slope_expr, base_env)
         got_a = slope.at(chart_name, env)
         r = abs(nk.value_of(_scalar(got_a) - a_here))

@@ -21,10 +21,10 @@ from typing import Union
 from . import exprlang, numkernel as nk
 from .bundle import FIBER, PrincipalBundle
 from .contact import ContactStructure, contact_frame
-from .manifold import Atlas, Chart, SamplePlan, TransitionMap, TransitionPiece, sample_points
+from .manifold import Atlas, Chart, SamplePlan, TransitionMap, TransitionPiece
 from .report import CheckReport, max_or_nan, run_residual_check
 from .sasaki import LeviStructure
-from .tensor import TensorField, max_abs, nijenhuis, tf_combine, zeros
+from .tensor import TensorField, max_abs, nijenhuis, tf_combine, vanishing, zeros
 
 
 class NotCompatible(ValueError):
@@ -89,7 +89,7 @@ def kahlerianization(
         s = env[FIBER]
         # calibration |s| on two-sided cones keeps g positive there
         mag = nk.absolute(s) if bundle.group == "Rx" else s
-        base_env = {c: v for c, v in env.items() if c != FIBER}
+        base_env = bundle.base_env(env)
         etav = C.eta.at(chart.name, base_env)
         gmb = g_M.at(chart.name, base_env)
         a = exprlang.eval_expr(a_expr, base_env)
@@ -143,24 +143,17 @@ def almost_complex_check(J: TensorField, plan: SamplePlan) -> CheckReport:
             for j in range(dim)
         ])
 
-    return run_residual_check(
-        "almost_complex", sample_points(J.atlas, plan), residual, plan
-    )
+    return run_residual_check("almost_complex", J.atlas, residual, plan)
 
 
 def kahler_integrability_check(
     J: TensorField, plan: SamplePlan, fail_floor: float = 1e-3
 ) -> CheckReport:
     """max ‖N_J‖; residuals between tolerance and fail_floor are inconclusive."""
-    N = nijenhuis(J)
-
-    def residual(chart, coords, env):
-        return max_abs(N.at(chart, env))
-
     return run_residual_check(
         "kahler_integrability",
-        sample_points(J.atlas, plan),
-        residual,
+        J.atlas,
+        vanishing(nijenhuis(J)),
         plan,
         fail_floor=fail_floor,
     )
@@ -198,9 +191,7 @@ def compatibility_check(
                 comps.append(nk.value_of(wjj) - nk.value_of(om[i][j]))
         return max_abs(comps)
 
-    return run_residual_check(
-        "compatibility_identity", sample_points(J.atlas, plan), residual, plan
-    )
+    return run_residual_check("compatibility_identity", J.atlas, residual, plan)
 
 
 # -- reconstruction on a calibrated cone -------------------------------
@@ -223,7 +214,7 @@ def vertical_slope(
 
     def slope(chart, env):
         si = bundle.fiber_index(chart.name)
-        env_t = bundle.lift_env(chart.name, env, 1.0)
+        env_t = bundle.lift_env(env)
         gm = g.at(chart.name, env_t)
         xiv = xi.at(chart.name, env)
         keep = [j for j in range(len(gm)) if j != si]
@@ -259,7 +250,7 @@ def reconstruct_main1(
     slope = vertical_slope(C, bundle, g)
 
     def base_metric(chart, env):
-        env_t = bundle.lift_env(chart.name, env, 1.0)
+        env_t = bundle.lift_env(env)
         gm = g.at(chart.name, env_t)
         etav = C.eta.at(chart.name, env)
         a = slope.at(chart.name, env)
@@ -277,7 +268,7 @@ def reconstruct_main1(
 
     def contact_endo(chart, env):
         si = bundle.fiber_index(chart.name)
-        env_t = bundle.lift_env(chart.name, env, 1.0)
+        env_t = bundle.lift_env(env)
         m = J.at(chart.name, env_t)
         etav = C.eta.at(chart.name, env)
         xiv = xi.at(chart.name, env)
@@ -312,7 +303,7 @@ def reconstruct_main1(
         si = bundle.fiber_index(chart)
         dim = bundle.total.chart(chart).dim
         s = env[FIBER]
-        base_env = {c: v for c, v in env.items() if c != FIBER}
+        base_env = bundle.base_env(env)
         m = J.at(chart, env)
         gm = g.at(chart, env)
         etav = [nk.value_of(v) for v in C.eta.at(chart, base_env)]
@@ -432,7 +423,7 @@ def reconstruct_main1(
 
     report = run_residual_check(
         "main_reconstruction",
-        sample_points(bundle.total, plan),
+        bundle.total,
         residual,
         plan,
         details=worst,

@@ -16,6 +16,7 @@ the glued, sign-twisted examples have their own dedicated constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import numkernel as nk
 from .bundle import (
@@ -26,10 +27,10 @@ from .bundle import (
 )
 from .contact import ContactStructure, contact_frame
 from .kahler import KahlerCandidate, compatibility_tensor, kahlerianization
-from .manifold import Atlas, Chart, SamplePlan, sample_points
+from .manifold import Atlas, Chart, SamplePlan
 from .report import CheckReport, run_residual_check
 from .sasaki import LeviStructure, sasaki_check
-from .tensor import SmoothMap, TensorField, max_abs, pullback
+from .tensor import SmoothMap, TensorField, agreeing, max_abs, pullback
 
 T_COORD = "t"
 T_BOX = (0.5, 2.0)
@@ -163,7 +164,7 @@ def reparametrization_check(
         return max_abs(comps)
 
     return run_residual_check(
-        "product_reparametrization", sample_points(product.atlas, plan), residual, plan
+        "product_reparametrization", product.atlas, residual, plan
     )
 
 
@@ -271,9 +272,7 @@ def distribution_match_check(
         ]
         return max_abs(pairings)
 
-    return run_residual_check(
-        "product_distribution_match", sample_points(raw.atlas, plan), residual, plan
-    )
+    return run_residual_check("product_distribution_match", raw.atlas, residual, plan)
 
 
 # -- the upstairs picture: product of cones ----------------------------
@@ -288,6 +287,7 @@ class ProductBundle:
     total: Atlas
     chart: str
     fibers: tuple[str, str]
+    group: ClassVar[str] = "R+"  # the diagonal action scales both fibers positively
 
     def scaling(self, nu: float) -> SmoothMap:
         (chart,) = self.total.charts
@@ -445,16 +445,6 @@ def product_routes_check(
     g_ts = induced_metric(cone, Lp.metric(), abs_s_calibration(cone))
     F = ts_reparametrization(K.bundle, cone)
     moved = pullback(F, K.g)
-
-    def residual(chart, coords, env):
-        got = moved.at(chart, env)
-        want = g_ts.at(chart, env)
-        return max_abs([
-            nk.value_of(a) - nk.value_of(b)
-            for ra, rb in zip(got, want)
-            for a, b in zip(ra, rb)
-        ])
-
     return run_residual_check(
-        "product_routes", sample_points(cone.total, plan), residual, plan
+        "product_routes", cone.total, agreeing((moved, g_ts)), plan
     )

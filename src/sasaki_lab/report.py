@@ -16,6 +16,12 @@ reduction into a verdict and a report under the check's `SamplePlan`,
 whose ``tolerance`` and ``seed`` are the only ones a check reads.  Within
 a sample, components go through `max_or_nan` (or `tensor.max_abs`), so a
 NaN component is never lost to ``max(0.0, nan) == 0.0``.
+
+A pointwise check is a name, an atlas and a residual function: the driver
+`run_residual_check` draws the plan's samples of the atlas itself
+(`manifold.sample_points`), so no check builds points.  Identities
+between fields are declared with the residual builders `tensor.vanishing`
+and `tensor.agreeing` rather than indexed by hand.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:
-    from .manifold import SamplePlan
+    from .manifold import Atlas, SamplePlan
 
 VERSION = "0.1.0"  # keep in sync with pyproject.toml
 
@@ -193,13 +199,19 @@ def check_report(
 
 def run_residual_check(
     check: str,
-    sampled: Sequence[tuple],  # (chart_name, [(coords, env), ...])
+    atlas: Atlas,
     residual_fn: Callable,  # (chart_name, coords, env) -> float
     plan: SamplePlan,
     fail_floor: float | None = None,
     details: dict | None = None,
 ) -> CheckReport:
-    """Evaluate a pointwise residual over pre-sampled points and report."""
+    """Evaluate a pointwise residual at the plan's samples of every chart
+    of `atlas`, in `sample_points` order, and report."""
+    from .manifold import sample_points  # manifold imports this module
+
+    # held until the report is built: freeing the points (and their memos)
+    # inside the reduction measured a higher peak RSS
+    sampled = sample_points(atlas, plan)
     rows = (
         (chart, coords, residual_fn(chart, coords, env))
         for chart, pts in sampled

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .contact import ContactStructure, contact_frame, frame_fields
-from .manifold import SamplePlan, sample_chart, sample_points
+from .manifold import SamplePlan, sample_chart
 from .report import (
     CheckReport,
     Reduction,
@@ -55,6 +55,7 @@ from .tensor import (
     nijenhuis,
     tf_combine,
     tf_scale,
+    vanishing,
 )
 
 
@@ -137,10 +138,7 @@ class LeviStructure:
             return max_or_nan([max_abs(comps), 0.0, 1.0 - lam / pd_threshold])
 
         return run_residual_check(
-            f"levi_structure({self.name})",
-            sample_points(self.atlas, plan),
-            residual,
-            plan,
+            f"levi_structure({self.name})", self.atlas, residual, plan
         )
 
 
@@ -402,9 +400,7 @@ def contact_metric_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
                 comps.append(nk.value_of(gphi) - nk.value_of(de[i][j]))
         return max_abs(comps)
 
-    return run_residual_check(
-        "contact_metric", sample_points(L.atlas, plan), residual, plan
-    )
+    return run_residual_check("contact_metric", L.atlas, residual, plan)
 
 
 def n_tensors(L: LeviStructure) -> dict[str, TensorField]:
@@ -578,13 +574,7 @@ def _expr_factor(expr: str) -> Callable[[dict], object]:
 def killing_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     """The Reeb field preserves the associated metric: L_ξ g = 0."""
     lg = lie_derivative(L.metric(), L.reeb())
-
-    def residual(chart, coords, env):
-        return max_abs(lg.at(chart, env))
-
-    return run_residual_check(
-        "reeb_killing", sample_points(L.atlas, plan), residual, plan
-    )
+    return run_residual_check("reeb_killing", L.atlas, vanishing(lg), plan)
 
 
 def theorem54_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
@@ -645,9 +635,7 @@ def theorem54_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
                     comps.append(nabla - want)
         return max_abs(comps)
 
-    return run_residual_check(
-        "covariant_derivative_identity", sample_points(L.atlas, plan), residual, plan
-    )
+    return run_residual_check("covariant_derivative_identity", L.atlas, residual, plan)
 
 
 def paired_consistency_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:

@@ -21,6 +21,12 @@ Evaluation is memoized per point.  The env a chart builds for a point
   until the check that drew it returns) and two points never share an
   entry, not even at equal coordinates.
 
+Identities between fields are declared, not indexed by hand:
+``vanishing(*fields)`` and ``agreeing(*pairs)`` build the pointwise
+residual (chart, coords, env) -> float that `report.run_residual_check`
+evaluates at the samples it draws; both reduce through `max_abs` /
+`max_diff`, so a NaN component is never lost.
+
 Kept component structures are shared between callers, so `at` hands out
 fresh nested lists around the shared (immutable) scalars, and `field_jet`
 builds its values and partials anew; writing into a returned structure
@@ -70,6 +76,34 @@ def max_abs(s) -> float:
             max_abs(x) if isinstance(x, list) else abs(nk.value_of(x)) for x in s
         ])
     return abs(nk.value_of(s))
+
+
+def max_diff(a, b, scale=1.0) -> float:
+    """Largest |a - scale*b| over a pair of nested component structures."""
+    if isinstance(a, list):
+        return max_or_nan([max_diff(x, y, scale) for x, y in zip(a, b)])
+    return abs(nk.value_of(a) - scale * nk.value_of(b))
+
+
+def vanishing(*fields: TensorField) -> Callable:
+    """Residual of the identity "every field is 0": the largest |component|."""
+
+    def residual(chart, coords, env):
+        return max_abs([f.at(chart, env) for f in fields])
+
+    return residual
+
+
+def agreeing(*pairs: tuple[TensorField, TensorField]) -> Callable:
+    """Residual of the identities T = S over the (T, S) pairs: the largest
+    |T - S| component."""
+
+    def residual(chart, coords, env):
+        return max_or_nan(
+            [max_diff(T.at(chart, env), S.at(chart, env)) for T, S in pairs]
+        )
+
+    return residual
 
 
 def zeros(dim: int, rank: int):
@@ -580,7 +614,7 @@ def cross_chart_rows(T: TensorField, plan: SamplePlan, sign_fn=None):
                 env = src.env(coords)
                 here = T.at(t.source, env)
                 back = transported.at(t.source, env)
-                yield label, coords, _diff_scaled(here, back, sign)
+                yield label, coords, max_diff(here, back, sign)
 
 
 def cross_chart_consistency(
@@ -595,10 +629,3 @@ def cross_chart_consistency(
         reduce_residuals(cross_chart_rows(T, plan, sign_fn)),
         plan,
     )
-
-
-def _diff_scaled(a, b, sign: float) -> float:
-    """max |a - sign*b| over a nested structure pair."""
-    if isinstance(a, list):
-        return max_or_nan([_diff_scaled(x, y, sign) for x, y in zip(a, b)])
-    return abs(nk.value_of(a) - sign * nk.value_of(b))

@@ -449,12 +449,12 @@ class TestLoopSign:
     def test_twisted_cone_has_loop_sign_minus_one(self):
         bundle = cone_over(circle_base(), group="Rx", cocycle=wrap_cocycle)
         path = [("A", "B", 0), ("B", "A", 1)]
-        assert loop_sign(bundle, path) == -1.0
+        assert loop_sign(bundle.total, bundle.transition_sign, path) == -1.0
 
     def test_trivial_cocycle_has_loop_sign_plus_one(self):
         bundle = cone_over(circle_base(), group="Rx")
         path = [("A", "B", 0), ("B", "A", 1)]
-        assert loop_sign(bundle, path) == 1.0
+        assert loop_sign(bundle.total, bundle.transition_sign, path) == 1.0
 
     def test_signs_are_per_piece(self):
         bundle = cone_over(circle_base(), group="Rx", cocycle=wrap_cocycle)

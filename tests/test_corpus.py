@@ -123,9 +123,10 @@ def test_main1_param_normalized():
 def test_mobius_band_loop_sign_is_minus_one():
     ex = build_example("mobius-band")
     bundle = ex.structure
-    assert loop_sign(bundle, [("O", "U", 0), ("U", "O", 1)]) == -1.0
+    signs = (bundle.total, bundle.transition_sign)
+    assert loop_sign(*signs, [("O", "U", 0), ("U", "O", 1)]) == -1.0
     # the shared overlap alone does not flip
-    assert loop_sign(bundle, [("O", "U", 0), ("U", "O", 0)]) == 1.0
+    assert loop_sign(*signs, [("O", "U", 0), ("U", "O", 0)]) == 1.0
 
 
 def test_cotangent_complex_structure_frozen_matrix():

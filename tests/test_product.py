@@ -252,8 +252,7 @@ class TestSlopeFormAndRoutes:
         )
         beta = invariant_slope_form(K.bundle)
         rep = homogeneity_check(
-            beta, 0, "plain", replace(PLAN, tolerance=1e-9),
-            scaling=K.bundle.scaling, scales=(0.5, 2.0),
+            beta, 0, "plain", replace(PLAN, tolerance=1e-9), K.bundle
         )
         assert rep.passed, rep.max_residual
 

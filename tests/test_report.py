@@ -8,7 +8,7 @@ from sasaki_lab import tensor as tn
 from sasaki_lab.contact import ContactStructure, is_contact_form
 from sasaki_lab.corpus import build_example
 from sasaki_lab.kahler import almost_complex_check
-from sasaki_lab.manifold import Atlas, Chart, SamplePlan, sample_chart
+from sasaki_lab.manifold import Atlas, Chart, SamplePlan, sample_chart, sample_points
 from sasaki_lab.report import (
     max_or_nan,
     reduce_residuals,
@@ -39,13 +39,20 @@ def test_rank_puts_nan_above_inf_above_finite():
     assert ranked[:3] == [0.0, 1.0, math.inf] and math.isnan(ranked[3])
 
 
+LINE = Atlas([Chart("A", ("x",), ((0.0, 1.0),))])
+
+
 def _check(residuals, fail_floor=None):
-    points = [((0.1 * (k + 1),), {}) for k in range(len(residuals))]
-    by_coord = {coords: r for (coords, _), r in zip(points, residuals)}
-    return run_residual_check(
-        "nan_probe", [("A", points)], lambda chart, coords, env: by_coord[coords],
-        SamplePlan(seed=42, tolerance=1e-9), fail_floor,
+    """Report on the given residuals, one per sample of a one-chart atlas in
+    sample order; also returns the sampled coordinates."""
+    plan = SamplePlan(seed=42, points_per_chart=len(residuals), tolerance=1e-9)
+    points = [coords for coords, _ in sample_chart(LINE.charts[0], plan)]
+    by_coord = dict(zip(points, residuals))
+    rep = run_residual_check(
+        "nan_probe", LINE, lambda chart, coords, env: by_coord[coords],
+        plan, fail_floor,
     )
+    return rep, points
 
 
 @pytest.mark.parametrize("where", [0, 1, 2])
@@ -53,18 +60,40 @@ def _check(residuals, fail_floor=None):
 def test_nan_residual_fails_with_its_own_witness(where, fail_floor):
     residuals = [0.0, 0.0, 0.0]
     residuals[where] = NAN
-    rep = _check(residuals, fail_floor)
+    rep, points = _check(residuals, fail_floor)
     assert rep.verdict == "fail"
     assert math.isnan(rep.max_residual) and math.isnan(rep.per_chart["A"])
-    assert rep.witness.coords == (0.1 * (where + 1),)
+    assert rep.witness.coords == points[where]
     assert math.isnan(rep.witness.residual)
 
 
 def test_finite_residuals_reduce_as_before():
-    rep = _check([0.0, 2e-9, 1e-9])
+    rep, points = _check([0.0, 2e-9, 1e-9])
     assert rep.verdict == "fail" and rep.max_residual == 2e-9
-    assert rep.witness.coords == (0.2,) and rep.witness.residual == 2e-9
-    assert _check([0.0, 1e-12]).verdict == "pass"
+    assert rep.witness.coords == points[1] and rep.witness.residual == 2e-9
+    assert _check([0.0, 1e-12])[0].verdict == "pass"
+
+
+def test_driver_evaluates_the_plans_samples_in_order():
+    atlas = Atlas([
+        Chart("B", ("x", "y"), ((0.0, 1.0), (-2.0, 2.0))),
+        Chart("A", ("x", "y"), ((-1.0, 0.0), (0.5, 3.0))),
+    ])
+    plan = SamplePlan(seed=7, points_per_chart=5)
+    seen = []
+
+    def residual(chart, coords, env):
+        seen.append((chart, coords, dict(env)))
+        return 0.0
+
+    rep = run_residual_check("probe", atlas, residual, plan)
+    want = [
+        (chart, coords, dict(env))
+        for chart, pts in sample_points(atlas, plan)
+        for coords, env in pts
+    ]
+    assert seen == want and rep.samples == len(want) == 10
+    assert [chart for chart, _, _ in seen] == ["B"] * 5 + ["A"] * 5
 
 
 @pytest.mark.parametrize("s", [
@@ -80,10 +109,54 @@ def test_max_abs_finite_and_infinite():
     assert tn.max_abs([]) == 0.0
 
 
-def test_diff_scaled_reports_nan():
-    assert math.isnan(tn._diff_scaled([0.0, NAN], [0.0, 0.0], 1.0))
-    assert math.isnan(tn._diff_scaled([[math.inf]], [[math.inf]], 1.0))
-    assert tn._diff_scaled([1.0, 2.0], [-1.0, -2.0], -1.0) == 0.0
+def test_max_diff_reports_nan():
+    assert math.isnan(tn.max_diff([0.0, NAN], [0.0, 0.0]))
+    assert math.isnan(tn.max_diff([[math.inf]], [[math.inf]]))
+    assert tn.max_diff([1.0, 2.0], [-1.0, -2.0], -1.0) == 0.0
+
+
+def _const_field(name, comps):
+    return tn.TensorField(name, LINE, (1, 0), lambda chart, env: list(comps))
+
+
+@pytest.mark.parametrize("where", [0, 1, 2, 3])
+def test_vanishing_and_agreeing_report_nan_from_any_field(where):
+    # the NaN sits after a larger finite component, in any one field
+    fields = [_const_field(f"f{k}", [5.0, 0.0]) for k in range(4)]
+    fields[where] = _const_field("nan", [0.0, NAN])
+    coords, env = sample_chart(LINE.charts[0], SamplePlan(points_per_chart=1))[0]
+    assert math.isnan(tn.vanishing(*fields)("A", coords, env))
+    T1, S1, T2, S2 = fields
+    assert math.isnan(tn.agreeing((T1, S1), (T2, S2))("A", coords, env))
+
+
+TWO_CHARTS = Atlas([
+    Chart("A", ("x", "y"), ((-1.0, 1.0), (0.5, 2.0))),
+    Chart("B", ("x", "y"), ((0.0, 3.0), (-2.0, -0.5))),
+])
+
+
+def test_builders_equal_the_hand_written_reductions_bit_for_bit():
+    T = tn.TensorField.from_exprs("T", TWO_CHARTS, (1, 1), {
+        "A": {(0, 0): "sin(x) * y", (0, 1): "exp(x - y)", (1, 1): "x / y"},
+        "B": {(0, 0): "cos(x * y)", (1, 0): "x^2 - y", (1, 1): "1 / (1 + x^2)"},
+    })
+    S = tn.TensorField.from_exprs("S", TWO_CHARTS, (1, 1), {
+        "A": {(0, 0): "sin(x) * y + 0.001 * x", (1, 0): "y^3", (1, 1): "x / y"},
+        "B": {(0, 0): "cos(x) * cos(y)", (1, 0): "x^2", (0, 1): "0.3 * x"},
+    })
+    agree, vanish = tn.agreeing((T, S)), tn.vanishing(T, S)
+    for chart, pts in sample_points(TWO_CHARTS, SamplePlan(points_per_chart=16)):
+        for coords, env in pts:
+            t, s = T.at(chart, env), S.at(chart, env)
+            by_hand = tn.max_abs(
+                [t[i][j] - s[i][j] for i in range(2) for j in range(2)]
+            )
+            assert by_hand > 0.0
+            assert agree(chart, coords, env).hex() == by_hand.hex()
+            assert vanish(chart, coords, env).hex() == max(
+                tn.max_abs(t), tn.max_abs(s)
+            ).hex()
 
 
 @pytest.mark.parametrize("values", [[0.0, NAN, 1.0], [math.inf, -math.inf, NAN]])

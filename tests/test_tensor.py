@@ -534,7 +534,6 @@ class TestPointMemo:
         import gc
         import weakref
 
-        from sasaki_lab.manifold import sample_points
         from sasaki_lab.report import run_residual_check
 
         atlas, _, _, J = _solved_structure()
@@ -546,9 +545,7 @@ class TestPointMemo:
             return tn.max_abs(N.at(chart, env))
 
         plan = SamplePlan(seed=42, points_per_chart=4, tolerance=10.0)
-        rep = run_residual_check(
-            "memo_release", sample_points(atlas, plan), residual, plan
-        )
+        rep = run_residual_check("memo_release", atlas, residual, plan)
         assert rep.samples == 4 and len(seen) == 4
         gc.collect()
         assert all(ref() is None for ref in seen)
