@@ -174,7 +174,7 @@ def cone_over(
                 )
             )
         transitions.append(TransitionMap(t.source, t.target, tuple(pieces)))
-    total = Atlas(charts, transitions, fiber_coord=FIBER)
+    total = Atlas(charts, transitions)
     return PrincipalBundle(name, total, base, group)
 
 
@@ -382,7 +382,6 @@ def decompose_homogeneous_metric(
     g: TensorField,
     scal: TensorField,
     plan: SamplePlan,
-    skip_homogeneity: bool = False,
 ) -> MetricDecomposition:
     """Split g = A·d𝔰²/𝔰 + d𝔰⊗μ + μ⊗d𝔰 + 𝔰·γ and extract the shadow.
 
@@ -395,8 +394,7 @@ def decompose_homogeneous_metric(
     NotPositiveDefinite on bad input; the returned report covers reassembly
     at total-space samples and s-independence of the extracted base data.
     """
-    if not skip_homogeneity:
-        require_homogeneous(g, 1, "positive", plan, bundle)
+    require_homogeneous(g, 1, "positive", plan, bundle)
 
     def pieces_at(chart_name: str, env_total: dict):
         """A, μ_j, γ_{jk} (full total-index range) at one total point."""

@@ -2,29 +2,45 @@
 
 Exit codes: 0 when every executed check produced its declared verdict
 (declared failures count as matches), 1 when any check produced an
-unexpected verdict, 2 for unknown keys, checks, or parameters.  The
-JSON report array (``--json``) is byte-identical across runs with equal
-flags; its schema is documented in ``docs/report-schema.md``.
+unexpected verdict, 2 for unknown keys, checks, or parameters, and for
+bad option values (``--samples`` below 1, ``--seed`` below 0, a ``--tol``
+that is negative or not finite).  The JSON report array (``--json``) is
+byte-identical across runs with equal flags; its schema is documented in
+``docs/report-schema.md``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .corpus import EXAMPLE_KEYS, UnknownKey, build_example, emit_example
 from .manifold import SamplePlan
 
 
-def _positive_int(text: str) -> int:
+def _int_from(least: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
+def _tolerance(text: str) -> float:
     try:
-        n = int(text)
+        t = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(t) or t < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return t
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -43,11 +59,11 @@ def _parser() -> argparse.ArgumentParser:
         "--checks", default=None,
         help="comma-separated check names; default is every declared check",
     )
-    p_verify.add_argument("--samples", type=_positive_int, default=None,
+    p_verify.add_argument("--samples", type=_int_from(1), default=None,
                           metavar="N", help="points per chart (default 64)")
-    p_verify.add_argument("--seed", type=int, default=None, metavar="S")
+    p_verify.add_argument("--seed", type=_int_from(0), default=None, metavar="S")
     p_verify.add_argument(
-        "--tol", type=float, default=None, metavar="T",
+        "--tol", type=_tolerance, default=None, metavar="T",
         help="override every declared tolerance",
     )
     p_verify.add_argument(

@@ -1,19 +1,21 @@
 """Gallery of built-in worked structures, keyed by name.
 
-Every entry couples a concrete geometric object (an atlas, the fields that
-live on it, and the structure the rest of the library consumes) with a
-*declared* list of checks, each carrying the verdict it is expected to
-produce.  Expected failures are data here, not test-suite special cases:
-an entry whose construction is known to obstruct some property declares
-that check with ``expect="fail"`` and a verification run counts the
-failure as a match.
+An entry is its definition document plus its structure and checks.  The
+document (`EntryDoc`: atlases, `EntryField`s and `EntryMap`s) is what the
+plain-text definition files state (grammar in ``docs/corpus-format.md``),
+so external tools can consume the same charts, transition formulas and
+component expressions; `emit_example` renders it and `parse_example_text`
+reads it back into the same records.  Only hand-entered inputs carry
+expressions; everything derived (solved complex structures, pulled back
+forms, assembled products) appears as a ``builtin`` marker with a
+one-line note.
 
-Entries can also be written out as plain-text definition files (grammar in
-``docs/corpus-format.md``) so external tools can consume the same charts,
-transition formulas, and component expressions.  Only hand-entered inputs
-carry expressions; everything derived (solved complex structures, pulled
-back forms, assembled products) appears in those files as a ``builtin``
-marker with a one-line description.
+A built entry (`Example`) adds the structure the rest of the library
+consumes and a *declared* list of checks, each carrying the verdict it is
+expected to produce.  Expected failures are data here, not test-suite
+special cases: an entry whose construction is known to obstruct some
+property declares that check with ``expect="fail"`` and a verification
+run counts the failure as a match.
 """
 
 from __future__ import annotations
@@ -168,41 +170,69 @@ class _Jobs:
 
 
 @dataclass
-class GalleryField:
-    """A named tensor on one of an entry's atlases.
+class EntryField:
+    """A named tensor on one of an entry's atlases, as a definition file says.
 
-    ``source`` records, for the definition files, how the field is defined:
-    "dsl" fields
-    were entered as component expressions and are emitted verbatim;
-    "builtin" fields are computed by library code and only their note is
-    emitted.
+    A "dsl" field was entered as component expressions, ``comps`` (chart ->
+    index -> Expr), and is emitted verbatim; a "builtin" field is computed
+    by library code and only its ``note`` is emitted.  ``field`` is the
+    built `TensorField`, None when parsed.
     """
 
     name: str
     atlas_key: str
-    field: TensorField
+    valence: tuple[int, int]
     source: str
+    comps: dict[str, dict[tuple, object]]
     note: str = ""
+    field: TensorField | None = None
+
+    @classmethod
+    def of(cls, name: str, atlas_key: str, field: TensorField, note: str = ""):
+        """The entry for a built field: "dsl" exactly when it has expressions."""
+        source = "dsl" if field.exprs else "builtin"
+        return cls(
+            name, atlas_key, field.valence, source, field.exprs or {}, note, field
+        )
 
 
 @dataclass
-class GalleryMap:
+class EntryMap:
+    """A named chart-wise map between two of an entry's atlases.
+
+    ``pieces`` is source chart -> (target chart, expressions); ``map`` is
+    the built `SmoothMap`, None when parsed.
+    """
+
     name: str
     src_key: str
     dst_key: str
-    map: SmoothMap
+    pieces: dict[str, tuple[str, tuple]]
+    map: SmoothMap | None = None
+
+    @classmethod
+    def of(cls, name: str, src_key: str, dst_key: str, smooth: SmoothMap):
+        return cls(name, src_key, dst_key, smooth.pieces, smooth)
 
 
 @dataclass
-class Example:
+class EntryDoc:
+    """What an entry's definition file says: its atlases, fields and maps."""
+
     key: str
     summary: str
+    params: dict[str, str]
     atlases: dict[str, Atlas]  # "main" first; insertion order is emitted order
-    fields: list[GalleryField]
-    maps: list[GalleryMap]
+    fields: list[EntryField]
+    maps: list[EntryMap]
+
+
+@dataclass
+class Example(EntryDoc):
+    """A built entry: its definition plus the structure and declared checks."""
+
     structure: object
     checks: tuple[CheckJob, ...]
-    params: dict
 
     @property
     def atlas(self) -> Atlas:
@@ -374,15 +404,15 @@ def _build_darboux(n: int, params: dict) -> Example:
         ),
     )
     fields = [
-        GalleryField("eta", "main", contact.eta, "dsl"),
-        GalleryField("endo", "main", struct.phibar, "dsl"),
-        GalleryField(
-            "metric", "main", struct.metric(), "builtin",
+        EntryField.of("eta", "main", contact.eta),
+        EntryField.of("endo", "main", struct.phibar),
+        EntryField.of(
+            "metric", "main", struct.metric(),
             "eta squared plus the transverse pairing of eta's differential "
             "with the endomorphism",
         ),
-        GalleryField(
-            "reeb", "main", contact.reeb(), "builtin",
+        EntryField.of(
+            "reeb", "main", contact.reeb(),
             "unique field pairing to 1 with eta and to 0 with its differential",
         ),
     ]
@@ -553,39 +583,39 @@ def _build_mobius_cotangent(params: dict) -> Example:
         ),
     )
     fields = [
-        GalleryField("eta", "base", struct.contact.eta, "dsl"),
-        GalleryField("endo", "base", struct.phibar, "dsl"),
-        GalleryField(
-            "two_form", "main", pair.omega, "builtin",
+        EntryField.of("eta", "base", struct.contact.eta),
+        EntryField.of("endo", "base", struct.phibar),
+        EntryField.of(
+            "two_form", "main", pair.omega,
             "homogeneous two-form of the fiberwise scaling bundle",
         ),
-        GalleryField(
-            "metric", "main", pair.g, "builtin",
+        EntryField.of(
+            "metric", "main", pair.g,
             "degree-1 cone metric calibrated by the absolute fiber",
         ),
-        GalleryField(
-            "complex_structure", "main", jmat, "builtin",
+        EntryField.of(
+            "complex_structure", "main", jmat,
             "half-invariant rotation exchanging the scaling direction with "
             "the kernel-form direction; certified equal to the solved "
             "compatibility tensor",
         ),
-        GalleryField(
-            "frame_scaling", "main", a1[1], "builtin",
+        EntryField.of(
+            "frame_scaling", "main", a1[1],
             "scaling field s d/ds; imaginary part of the first "
             "plus-eigenvalue frame",
         ),
-        GalleryField(
-            "frame_sgn_dz", "main", a1[0], "builtin",
+        EntryField.of(
+            "frame_sgn_dz", "main", a1[0],
             "sign-graded kernel-form direction; real part of the first "
             "plus-eigenvalue frame",
         ),
-        GalleryField(
-            "frame_sgn_dp", "main", a2[0], "builtin",
+        EntryField.of(
+            "frame_sgn_dp", "main", a2[0],
             "sign-graded fiber-slope direction; real part of the second "
             "plus-eigenvalue frame",
         ),
-        GalleryField(
-            "frame_x_lift", "main", a2[1], "builtin",
+        EntryField.of(
+            "frame_x_lift", "main", a2[1],
             "horizontal lift of the loop direction; imaginary part of the "
             "second plus-eigenvalue frame",
         ),
@@ -732,31 +762,31 @@ def _build_mobius_jet(params: dict) -> Example:
         ),
     )
     fields = [
-        GalleryField("eta", "main", contact.eta, "dsl"),
-        GalleryField("endo", "main", struct.phibar, "dsl"),
-        GalleryField(
-            "metric", "main", metric_here, "builtin",
+        EntryField.of("eta", "main", contact.eta),
+        EntryField.of("endo", "main", struct.phibar),
+        EntryField.of(
+            "metric", "main", metric_here,
             "eta squared plus the transverse pairing; single-valued even "
             "though eta is only paired",
         ),
-        GalleryField(
-            "eta_projected", "main", eta_proj, "builtin",
+        EntryField.of(
+            "eta_projected", "main", eta_proj,
             "two-form of the cone contracted with the scaling field, over "
             "the fiber, restricted to the unit branch",
         ),
-        GalleryField(
-            "endo_projected", "main", endo_proj, "builtin",
+        EntryField.of(
+            "endo_projected", "main", endo_proj,
             "base block of the cone complex structure on the unit branch",
         ),
-        GalleryField(
-            "metric_projected", "main", metric_proj, "builtin",
+        EntryField.of(
+            "metric_projected", "main", metric_proj,
             "base block of the cone metric on the unit branch",
         ),
     ]
     maps = [
-        GalleryMap("section_sine", "circle", "main", sine),
-        GalleryMap("section_cosine", "circle", "main", cosine),
-        GalleryMap(
+        EntryMap.of("section_sine", "circle", "main", sine),
+        EntryMap.of("section_cosine", "circle", "main", cosine),
+        EntryMap.of(
             "base_projection", "cone", "main",
             SmoothMap.from_exprs(
                 "base_projection", total, base,
@@ -974,23 +1004,23 @@ def _build_sphere(n: int, params: dict) -> Example:
         job("sasaki", 1e-7, lambda plan: sasaki_check(struct, plan)),
     )
     fields = [
-        GalleryField("ambient_rotation_form", "ambient", theta, "dsl"),
-        GalleryField("ambient_flat_metric", "ambient", flat, "dsl"),
-        GalleryField(
-            "eta", "main", eta, "builtin",
+        EntryField.of("ambient_rotation_form", "ambient", theta),
+        EntryField.of("ambient_flat_metric", "ambient", flat),
+        EntryField.of(
+            "eta", "main", eta,
             "restriction of the ambient rotation form along the embedding "
             "(closed form; certified against the pullback)",
         ),
-        GalleryField(
-            "reeb", "main", reeb, "builtin",
+        EntryField.of(
+            "reeb", "main", reeb,
             "half the quarter-turn of the position vector, in chart components",
         ),
-        GalleryField(
-            "endo", "main", endo, "builtin",
+        EntryField.of(
+            "endo", "main", endo,
             "tangential part of the ambient quarter-turn",
         ),
-        GalleryField(
-            "metric", "main", metric_here, "builtin",
+        EntryField.of(
+            "metric", "main", metric_here,
             "associated metric; coincides with the restriction of the "
             "ambient flat metric (round_metric check)",
         ),
@@ -1002,7 +1032,7 @@ def _build_sphere(n: int, params: dict) -> Example:
         "whose associated structure is normal",
         atlases={"main": atlas, "ambient": ambient},
         fields=fields,
-        maps=[GalleryMap("embedding", "main", "ambient", embed)],
+        maps=[EntryMap.of("embedding", "main", "ambient", embed)],
         structure=struct,
         checks=checks,
         params={},
@@ -1067,22 +1097,22 @@ def _build_product(params: dict) -> Example:
         ),
     )
     fields = [
-        GalleryField(
-            "eta", "main", contact.eta, "builtin",
+        EntryField.of(
+            "eta", "main", contact.eta,
             "normalized mix of the factor kernel forms along the mixing "
             "coordinate t",
         ),
-        GalleryField(
-            "endo", "main", struct.phibar, "builtin",
+        EntryField.of(
+            "endo", "main", struct.phibar,
             "block sum of the factor endomorphisms extended to the mixing "
             "plane",
         ),
-        GalleryField(
-            "metric", "main", struct.metric(), "builtin",
+        EntryField.of(
+            "metric", "main", struct.metric(),
             "associated metric of the normalized product",
         ),
-        GalleryField(
-            "slope_form", "cone", beta, "builtin",
+        EntryField.of(
+            "slope_form", "cone", beta,
             "degree-0 one-form measuring the fiber ratio of the product cone",
         ),
     ]
@@ -1131,7 +1161,7 @@ def _build_main1(params: dict) -> Example:
         base_env = bundle.base_env(env)
         a_here = exprlang.eval_expr(slope_expr, base_env)
         got_a = slope.at(chart_name, env)
-        r = abs(nk.value_of(_scalar(got_a) - a_here))
+        r = abs(nk.value_of(got_a - a_here))
 
         jm = pair.J.at(chart_name, env)
         dim = chart.dim
@@ -1181,18 +1211,18 @@ def _build_main1(params: dict) -> Example:
         job.sampled("slope_recovery", 1e-8, total, recovery_residual),
     )
     fields = [
-        GalleryField("eta", "base", contact.eta, "dsl"),
-        GalleryField("endo", "base", base.phibar, "dsl"),
-        GalleryField(
-            "two_form", "main", pair.omega, "builtin",
+        EntryField.of("eta", "base", contact.eta),
+        EntryField.of("endo", "base", base.phibar),
+        EntryField.of(
+            "two_form", "main", pair.omega,
             "homogeneous two-form of the scaling bundle",
         ),
-        GalleryField(
-            "metric", "main", pair.g, "builtin",
+        EntryField.of(
+            "metric", "main", pair.g,
             f"degree-1 cone metric sheared by the slope a = {slope_src}",
         ),
-        GalleryField(
-            "complex_structure", "main", pair.J, "builtin",
+        EntryField.of(
+            "complex_structure", "main", pair.J,
             "compatibility tensor solved from the pair",
         ),
     ]
@@ -1209,13 +1239,6 @@ def _build_main1(params: dict) -> Example:
         checks=checks,
         params={"a": slope_src},
     )
-
-
-def _scalar(v):
-    """Unwrap a rank-0 component that may arrive as [x] or x."""
-    if isinstance(v, (list, tuple)):
-        return _scalar(v[0])
-    return v
 
 
 # -- registry ----------------------------------------------------------
@@ -1288,56 +1311,50 @@ def _emit_atlas(lines: list, akey: str, atlas: Atlas) -> None:
     lines.append("endatlas")
 
 
-def emit_example(ex: Example) -> str:
-    """Render one entry as a definition file (deterministic bytes).
+def emit_example(doc: EntryDoc) -> str:
+    """Render an entry as a definition file (deterministic bytes).
 
     DSL fields contribute their component expressions, built-in fields
-    their note, maps their pieces.
+    their note, maps their pieces; parse-then-emit is byte-stable.
     """
-    fields = [
-        ParsedField(
-            gf.name, gf.atlas_key, gf.field.valence, gf.source,
-            gf.field.exprs or {}, gf.note,
+    out: list[str] = ["corpus-example v1", f"key: {doc.key}"]
+    out.append(f"summary: {doc.summary}")
+    for pname in sorted(doc.params):
+        out.append(f"param {pname}: {doc.params[pname]}")
+    for akey, atlas in doc.atlases.items():
+        out.append("")
+        _emit_atlas(out, akey, atlas)
+    for f in doc.fields:
+        out.append("")
+        head = (
+            f"field {f.name} on {f.atlas_key} valence "
+            f"({f.valence[0]},{f.valence[1]}) from {f.source}"
         )
-        for gf in ex.fields
-    ]
-    maps = [
-        ParsedMap(gm.name, gm.src_key, gm.dst_key, gm.map.pieces) for gm in ex.maps
-    ]
-    return emit_parsed(
-        ParsedExample(ex.key, ex.summary, ex.params, ex.atlases, fields, maps)
-    )
+        out.append(head)
+        if f.source == "dsl":
+            for chart_name in sorted(f.comps):
+                table = f.comps[chart_name]
+                for idx in sorted(table):
+                    idx_txt = ",".join(str(i) for i in idx)
+                    out.append(
+                        f"{chart_name} [{idx_txt}] = {exprlang.pretty(table[idx])}"
+                    )
+        else:
+            out.append(f"note: {f.note}")
+        out.append("endfield")
+    for m in doc.maps:
+        out.append("")
+        out.append(f"map {m.name} from {m.src_key} to {m.dst_key}")
+        for src_chart in sorted(m.pieces):
+            tgt_chart, exprs = m.pieces[src_chart]
+            joined = " | ".join(exprlang.pretty(e) for e in exprs)
+            out.append(f"{src_chart} -> {tgt_chart}: {joined}")
+        out.append("endmap")
+    out.append("")
+    return "\n".join(out)
 
 
 # -- definition-file parsing -------------------------------------------
-
-
-@dataclass
-class ParsedField:
-    name: str
-    atlas_key: str
-    valence: tuple[int, int]
-    source: str
-    comps: dict[str, dict[tuple, object]]  # chart -> index -> Expr (dsl only)
-    note: str = ""
-
-
-@dataclass
-class ParsedMap:
-    name: str
-    src_key: str
-    dst_key: str
-    pieces: dict[str, tuple[str, tuple]]
-
-
-@dataclass
-class ParsedExample:
-    key: str
-    summary: str
-    params: dict[str, str]
-    atlases: dict[str, Atlas]
-    fields: list[ParsedField]
-    maps: list[ParsedMap]
 
 
 class CorpusFormatError(ValueError):
@@ -1409,7 +1426,7 @@ def _parse_atlas(it) -> Atlas:
     raise CorpusFormatError("unterminated atlas block")
 
 
-def parse_example_text(text: str) -> ParsedExample:
+def parse_example_text(text: str) -> EntryDoc:
     """Parse a definition file back into charts, expressions and markers."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     it = iter(ln for ln in lines if ln != "")
@@ -1419,8 +1436,8 @@ def parse_example_text(text: str) -> ParsedExample:
     key = summary = None
     params: dict[str, str] = {}
     atlases: dict[str, Atlas] = {}
-    fields: list[ParsedField] = []
-    maps: list[ParsedMap] = []
+    fields: list[EntryField] = []
+    maps: list[EntryMap] = []
     for line in it:
         if line.startswith("key: "):
             key = line[len("key: "):]
@@ -1450,7 +1467,7 @@ def parse_example_text(text: str) -> ParsedExample:
                 idx = tuple(int(x) for x in idx_txt.split(",")) if idx_txt else ()
                 comps.setdefault(chart_name, {})[idx] = exprlang.parse(expr_txt)
             fields.append(
-                ParsedField(name, akey, (int(p), int(q)), src, comps, note)
+                EntryField(name, akey, (int(p), int(q)), src, comps, note)
             )
         elif line.startswith("map "):
             head = line[len("map "):]
@@ -1466,49 +1483,10 @@ def parse_example_text(text: str) -> ParsedExample:
                     exprlang.parse(p) for p in exprs_txt.split(" | ")
                 )
                 pieces[src_chart] = (tgt_chart, exprs)
-            maps.append(ParsedMap(name, src_key, dst_key, pieces))
+            maps.append(EntryMap(name, src_key, dst_key, pieces))
     if key is None:
         raise CorpusFormatError("missing key line")
-    return ParsedExample(key, summary or "", params, atlases, fields, maps)
-
-
-def emit_parsed(doc: ParsedExample) -> str:
-    """Render a definition file; parse-then-emit is byte-stable."""
-    out: list[str] = ["corpus-example v1", f"key: {doc.key}"]
-    out.append(f"summary: {doc.summary}")
-    for pname in sorted(doc.params):
-        out.append(f"param {pname}: {doc.params[pname]}")
-    for akey, atlas in doc.atlases.items():
-        out.append("")
-        _emit_atlas(out, akey, atlas)
-    for f in doc.fields:
-        out.append("")
-        head = (
-            f"field {f.name} on {f.atlas_key} valence "
-            f"({f.valence[0]},{f.valence[1]}) from {f.source}"
-        )
-        out.append(head)
-        if f.source == "dsl":
-            for chart_name in sorted(f.comps):
-                table = f.comps[chart_name]
-                for idx in sorted(table):
-                    idx_txt = ",".join(str(i) for i in idx)
-                    out.append(
-                        f"{chart_name} [{idx_txt}] = {exprlang.pretty(table[idx])}"
-                    )
-        else:
-            out.append(f"note: {f.note}")
-        out.append("endfield")
-    for m in doc.maps:
-        out.append("")
-        out.append(f"map {m.name} from {m.src_key} to {m.dst_key}")
-        for src_chart in sorted(m.pieces):
-            tgt_chart, exprs = m.pieces[src_chart]
-            joined = " | ".join(exprlang.pretty(e) for e in exprs)
-            out.append(f"{src_chart} -> {tgt_chart}: {joined}")
-        out.append("endmap")
-    out.append("")
-    return "\n".join(out)
+    return EntryDoc(key, summary or "", params, atlases, fields, maps)
 
 
 def write_golden_files(target: Path | None = None) -> list[Path]:

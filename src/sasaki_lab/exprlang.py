@@ -310,17 +310,3 @@ def free_vars(e: Expr) -> set[str]:
         return free_vars(e.base)
     return free_vars(e.arg)
 
-
-def rename_vars(e: Expr, mapping: dict[str, str]) -> Expr:
-    """Rewrite variable names (used when factor charts join a product)."""
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Var):
-        return Var(mapping.get(e.name, e.name))
-    if isinstance(e, Neg):
-        return Neg(rename_vars(e.arg, mapping))
-    if isinstance(e, Bin):
-        return Bin(e.op, rename_vars(e.left, mapping), rename_vars(e.right, mapping))
-    if isinstance(e, Pow):
-        return Pow(rename_vars(e.base, mapping), e.exponent)
-    return Call(e.fn, rename_vars(e.arg, mapping))

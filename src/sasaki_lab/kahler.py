@@ -146,16 +146,14 @@ def almost_complex_check(J: TensorField, plan: SamplePlan) -> CheckReport:
     return run_residual_check("almost_complex", J.atlas, residual, plan)
 
 
-def kahler_integrability_check(
-    J: TensorField, plan: SamplePlan, fail_floor: float = 1e-3
-) -> CheckReport:
-    """max ‖N_J‖; residuals between tolerance and fail_floor are inconclusive."""
+def kahler_integrability_check(J: TensorField, plan: SamplePlan) -> CheckReport:
+    """max ‖N_J‖; residuals between tolerance and 1e-3 are inconclusive."""
     return run_residual_check(
         "kahler_integrability",
         J.atlas,
         vanishing(nijenhuis(J)),
         plan,
-        fail_floor=fail_floor,
+        fail_floor=1e-3,
     )
 
 

@@ -179,7 +179,6 @@ class SamplePlan:
 class Atlas:
     charts: list[Chart]
     transitions: list[TransitionMap] = field(default_factory=list)
-    fiber_coord: str | None = None
 
     def __post_init__(self):
         names = [c.name for c in self.charts]
@@ -219,13 +218,12 @@ def _draw(rng, intervals: list[tuple[float, float]]) -> float:
     return intervals[-1][1]
 
 
-def sample_chart(chart: Chart, plan: SamplePlan, count: int | None = None):
+def sample_chart(chart: Chart, plan: SamplePlan):
     """Deterministic points for one chart: list of (coords, PointEnv)."""
     rng = _chart_rng(plan.seed, chart.name)
-    n = plan.points_per_chart if count is None else count
     intervals = [chart.sample_intervals(c) for c in chart.coords]
     out = []
-    for _ in range(n):
+    for _ in range(plan.points_per_chart):
         coords = tuple(_draw(rng, iv) for iv in intervals)
         out.append((coords, chart.env(coords)))
     return out

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -302,18 +302,6 @@ def tangent_at(x, tag: int, i: int):
     if isinstance(x, DScalar) and x.tag == tag:
         return x.tg[i]
     return 0.0
-
-
-def directional_derivative(
-    f: Callable[[Sequence[Scalar]], Scalar],
-    point: Sequence[float],
-    direction: Sequence[float],
-):
-    """Derivative of f along `direction` at `point`, by one dual sweep."""
-    tag = new_tag()
-    xs = [DScalar(p, (d,), tag) for p, d in zip(point, direction)]
-    out = f(xs)
-    return tangent_at(out, tag, 0)
 
 
 # -- dense linear algebra ---------------------------------------------

@@ -52,7 +52,7 @@ from typing import Callable, Iterable
 
 from . import exprlang, numkernel as nk
 from .exprlang import Expr
-from .manifold import Atlas, Chart, Point, PointEnv, SamplePlan
+from .manifold import Atlas, Chart, PointEnv, SamplePlan
 from .report import CheckReport, check_report, max_or_nan, reduce_residuals
 
 
@@ -205,10 +205,6 @@ class TensorField:
         if key not in env.memo:
             env.memo[key] = self.components(self._chart(chart), env)
         return _copy_lists(env.memo[key])
-
-    def at_point(self, p: Point):
-        comps = self.at(p.chart, self.atlas.chart(p.chart).env(p.coords))
-        return map_structure(nk.value_of, comps)
 
 
 def _set(structure, idx, value):
@@ -535,16 +531,6 @@ def tf_scale(T: TensorField, factor, name=None) -> TensorField:
         [T],
         lambda cs, env: map_structure(lambda v: fn(env) * v, cs[0]),
     )
-
-
-def outer_forms(a: TensorField, b: TensorField, name=None) -> TensorField:
-    """a ⊗ b for one-forms: (0,2) with slots (a-slot, b-slot)."""
-
-    def fn(cs, env):
-        av, bv = cs
-        return [[x * y for y in bv] for x in av]
-
-    return tf_combine(name or f"{a.name}⊗{b.name}", (0, 2), [a, b], fn)
 
 
 def sym2(a: TensorField, b: TensorField, name=None) -> TensorField:

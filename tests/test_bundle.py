@@ -93,7 +93,7 @@ class TestConeConstruction:
         assert (FIBER, -0.5, 0.5) in chart.excluded
         mags = [
             abs(coords[3])
-            for coords, _ in sample_chart(chart, PLAN, count=50)
+            for coords, _ in sample_chart(chart, replace(PLAN, points_per_chart=50))
         ]
         assert min(mags) > 0.5
 

@@ -61,16 +61,37 @@ def test_malformed_param_exits_two(capsys):
     assert "NAME=VALUE" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("count", ["0", "-3", "two"])
-def test_bad_sample_count_exits_two_before_any_build(count, capsys, monkeypatch):
+BAD_OPTIONS = [
+    ("--samples", "0"), ("--samples", "-3"), ("--samples", "two"),
+    ("--seed", "-1"), ("--seed", "1.5"),
+    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--tol", "tight"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag,value", BAD_OPTIONS,
+    ids=[v if f == "--samples" else f"{f[2:]}={v}" for f, v in BAD_OPTIONS],
+)
+def test_bad_sample_count_exits_two_before_any_build(
+    flag, value, capsys, monkeypatch
+):
+    """A bad --samples, --seed or --tol exits 2 before any entry is built."""
+
     def no_build(*args, **kwargs):
         raise AssertionError("built an entry despite bad input")
 
     monkeypatch.setattr("sasaki_lab.cli.build_example", no_build)
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "darboux-1", "--samples", count])
+        main(["verify", "darboux-1", flag, value])
     assert exc.value.code == 2
-    assert "--samples" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    """contact_form declares 0.0, so --tol 0 is a valid override."""
+    rc = main(["verify", "darboux-1", "--checks", "contact_form",
+               "--tol", "0", "--samples", "2"])
+    assert rc == 0
 
 
 def test_checks_filter_limits_json(tmp_path, capsys):

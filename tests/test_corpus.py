@@ -14,7 +14,6 @@ from sasaki_lab.corpus import (
     UnknownKey,
     build_example,
     emit_example,
-    emit_parsed,
     parse_example_text,
     write_golden_files,
 )
@@ -235,7 +234,26 @@ def test_definition_file_round_trip(key):
     text = emit_example(build_example(key))
     doc = parse_example_text(text)
     assert doc.key == key
-    assert emit_parsed(doc) == text
+    assert emit_example(doc) == text
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_parsed_records_equal_built_records(key):
+    """A built entry and its parsed definition file are the same records."""
+    ex = build_example(key)
+    doc = parse_example_text(emit_example(ex))
+
+    def fields(d):
+        return [
+            (f.name, f.atlas_key, f.valence, f.source, f.comps, f.note)
+            for f in d.fields
+        ]
+
+    def maps(d):
+        return [(m.name, m.src_key, m.dst_key, m.pieces) for m in d.maps]
+
+    assert fields(doc) == fields(ex)
+    assert maps(doc) == maps(ex)
 
 
 def test_emission_is_deterministic():

@@ -114,17 +114,6 @@ def test_sgn_derivative_is_zero_off_kink():
     assert nk.tangent_at(out, tag, 0) == 0.0
 
 
-def test_directional_derivative():
-    """f(x,y) = x²y; ∇f·(1,2) at (3,5) = 2xy·1 + x²·2 = 30 + 18 = 48."""
-
-    def f(v):
-        x, y = v
-        return x * x * y
-
-    got = nk.directional_derivative(f, [3.0, 5.0], [1.0, 2.0])
-    assert abs(got - 48.0) < 1e-12
-
-
 class TestSolver:
     def test_residual_guarantee_on_random_well_conditioned(self):
         """Residual ≤ 1e-10·‖b‖∞ when the condition estimate is ≤ 1e6."""

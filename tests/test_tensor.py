@@ -10,7 +10,7 @@ from sasaki_lab import exprlang as el
 from sasaki_lab import numkernel as nk
 from sasaki_lab import tensor as tn
 from sasaki_lab.manifold import (
-    Atlas, Chart, Point, PointEnv, SamplePlan, TransitionMap, TransitionPiece,
+    Atlas, Chart, PointEnv, SamplePlan, TransitionMap, TransitionPiece,
 )
 
 
@@ -37,10 +37,6 @@ class TestEvaluation:
     def test_sparse_exprs_fill_dense(self):
         eta = eta_field(r3_atlas())
         assert eta.at("O", ENV3) == [0.5, 0.0, 1.0]
-
-    def test_at_point(self):
-        eta = eta_field(r3_atlas())
-        assert eta.at_point(Point("O", (0.3, -0.5, 0.7))) == [0.5, 0.0, 1.0]
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
@@ -395,7 +391,6 @@ def test_field_algebra_helpers():
     a = tn.TensorField.from_exprs("a", atlas, (0, 1), {"O": {(0,): "1"}})
     b = tn.TensorField.from_exprs("b", atlas, (0, 1), {"O": {(1,): "1"}})
     X = tn.TensorField.from_exprs("X", atlas, (1, 0), {"O": {(0,): "2"}})
-    assert tn.outer_forms(a, b).at("O", ENV2) == [[0.0, 1.0], [0.0, 0.0]]
     assert tn.sym2(a, b).at("O", ENV2) == [[0.0, 1.0], [1.0, 0.0]]
     assert tn.form_times_vector(a, X).at("O", ENV2) == [[2.0, 0.0], [0.0, 0.0]]
     J = tn.form_times_vector(b, X)  # X ⊗ b : maps ∂y ↦ 2∂x
