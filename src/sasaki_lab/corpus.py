@@ -357,8 +357,8 @@ def _scalar_report(
 ) -> CheckReport:
     """Report for a single derived number (no pointwise sampling)."""
     return check_report(
-        name, Reduction(residual, {}, ("-", (), residual)), plan,
-        samples=1, details=details,
+        name, Reduction(residual, {}, ("-", (), residual), 1), plan,
+        details=details,
     )
 
 
@@ -1361,21 +1361,30 @@ class CorpusFormatError(ValueError):
     pass
 
 
+def _block(it, end: str):
+    """The lines of a block up to its `end` line, which must come."""
+    for line in it:
+        if line == end:
+            return
+        yield line
+    raise CorpusFormatError(f"missing {end!r}")
+
+
+def _unexpected(line: str, block: str) -> CorpusFormatError:
+    return CorpusFormatError(f"unexpected line in {block}: {line!r}")
+
+
 def _parse_atlas(it) -> Atlas:
     charts: list[Chart] = []
     transitions: list[TransitionMap] = []
-    for line in it:
-        if line == "endatlas":
-            return Atlas(charts, transitions)
+    for line in _block(it, "endatlas"):
         if line.startswith("chart "):
             name = line.split(" ", 1)[1]
             coords: tuple = ()
             box: list = []
             excl: list = []
             margin = 0.05
-            for sub in it:
-                if sub == "endchart":
-                    break
+            for sub in _block(it, "endchart"):
                 if sub.startswith("coords: "):
                     coords = tuple(sub[len("coords: "):].split())
                 elif sub.startswith("box "):
@@ -1388,46 +1397,41 @@ def _parse_atlas(it) -> Atlas:
                     excl.append((head, float(lo), float(hi)))
                 elif sub.startswith("margin: "):
                     margin = float(sub[len("margin: "):])
+                else:
+                    raise _unexpected(sub, line)
             charts.append(Chart(name, coords, tuple(box), tuple(excl), margin))
         elif line.startswith("transition "):
             head = line[len("transition "):]
             src, _, tgt = head.partition(" -> ")
             pieces = []
-            for sub in it:
-                if sub == "endtransition":
-                    break
-                if sub == "piece":
-                    pbox: tuple = ()
-                    fwd: tuple = ()
-                    inv: tuple = ()
-                    for inner in it:
-                        if inner == "endpiece":
-                            break
-                        if inner.startswith("box: "):
-                            pbox = tuple(
-                                (float(a), float(b))
-                                for a, b in (
-                                    part.split()
-                                    for part in inner[len("box: "):].split(" | ")
-                                )
-                            )
-                        elif inner.startswith("to: "):
-                            fwd = tuple(
-                                exprlang.parse(p)
-                                for p in inner[len("to: "):].split(" | ")
-                            )
-                        elif inner.startswith("from: "):
-                            inv = tuple(
-                                exprlang.parse(p)
-                                for p in inner[len("from: "):].split(" | ")
-                            )
-                    pieces.append(TransitionPiece(pbox, fwd, inv))
+            for sub in _block(it, "endtransition"):
+                if sub != "piece":
+                    raise _unexpected(sub, line)
+                parts = {"box": [], "to": [], "from": []}  # " | "-separated
+                for inner in _block(it, "endpiece"):
+                    head, _, rest = inner.partition(": ")
+                    if head not in parts:
+                        raise _unexpected(inner, "piece")
+                    parts[head] = rest.split(" | ")
+                pbox = tuple(
+                    (float(a), float(b)) for a, b in (p.split() for p in parts["box"])
+                )
+                fwd, inv = (
+                    tuple(exprlang.parse(e) for e in parts[k]) for k in ("to", "from")
+                )
+                pieces.append(TransitionPiece(pbox, fwd, inv))
             transitions.append(TransitionMap(src, tgt, tuple(pieces)))
-    raise CorpusFormatError("unterminated atlas block")
+        else:
+            raise _unexpected(line, "atlas")
+    return Atlas(charts, transitions)
 
 
 def parse_example_text(text: str) -> EntryDoc:
-    """Parse a definition file back into charts, expressions and markers."""
+    """Parse a definition file back into charts, expressions and markers.
+
+    Every block accepts only the lines of its grammar
+    (docs/corpus-format.md); any other line raises `CorpusFormatError`.
+    """
     lines = [ln.rstrip() for ln in text.splitlines()]
     it = iter(ln for ln in lines if ln != "")
     first = next(it, None)
@@ -1453,18 +1457,22 @@ def parse_example_text(text: str) -> EntryDoc:
             name, _, rest = head.partition(" on ")
             akey, _, rest = rest.partition(" valence ")
             val_txt, _, src = rest.partition(" from ")
+            if src not in ("dsl", "builtin"):
+                raise CorpusFormatError(f"source is not dsl or builtin: {line!r}")
             p, q = val_txt.strip("()").split(",")
             comps: dict[str, dict[tuple, object]] = {}
             note = ""
-            for sub in it:
-                if sub == "endfield":
-                    break
+            for sub in _block(it, "endfield"):
                 if sub.startswith("note: "):
                     note = sub[len("note: "):]
                     continue
-                chart_name, _, assign = sub.partition(" [")
-                idx_txt, _, expr_txt = assign.partition("] = ")
+                chart_name, bracket, assign = sub.partition(" [")
+                idx_txt, equals, expr_txt = assign.partition("] = ")
+                if not (bracket and equals):
+                    raise _unexpected(sub, line)
                 idx = tuple(int(x) for x in idx_txt.split(",")) if idx_txt else ()
+                if len(idx) != int(p) + int(q):
+                    raise CorpusFormatError(f"not a ({p},{q}) index: {sub!r}")
                 comps.setdefault(chart_name, {})[idx] = exprlang.parse(expr_txt)
             fields.append(
                 EntryField(name, akey, (int(p), int(q)), src, comps, note)
@@ -1474,16 +1482,18 @@ def parse_example_text(text: str) -> EntryDoc:
             name, _, rest = head.partition(" from ")
             src_key, _, dst_key = rest.partition(" to ")
             pieces: dict[str, tuple[str, tuple]] = {}
-            for sub in it:
-                if sub == "endmap":
-                    break
-                chart_pair, _, exprs_txt = sub.partition(": ")
-                src_chart, _, tgt_chart = chart_pair.partition(" -> ")
+            for sub in _block(it, "endmap"):
+                chart_pair, colon, exprs_txt = sub.partition(": ")
+                src_chart, arrow, tgt_chart = chart_pair.partition(" -> ")
+                if not (colon and arrow):
+                    raise _unexpected(sub, line)
                 exprs = tuple(
                     exprlang.parse(p) for p in exprs_txt.split(" | ")
                 )
                 pieces[src_chart] = (tgt_chart, exprs)
             maps.append(EntryMap(name, src_key, dst_key, pieces))
+        else:
+            raise _unexpected(line, "the file")
     if key is None:
         raise CorpusFormatError("missing key line")
     return EntryDoc(key, summary or "", params, atlases, fields, maps)

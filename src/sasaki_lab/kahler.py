@@ -427,9 +427,7 @@ def reconstruct_main1(
         details=worst,
     )
     report.details["failed_clauses"] = sorted(
-        name
-        for name, value in worst.items()
-        if name != "failed_clauses" and value > plan.tolerance
+        name for name, value in worst.items() if value > plan.tolerance
     )
     return Main1Result(slope=slope, g_M=g_M, phi_C=phi_C, J=J, report=report)
 

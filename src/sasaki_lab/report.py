@@ -169,15 +169,14 @@ def check_report(
     red: Reduction,
     plan: SamplePlan,
     *,
-    samples: int | None = None,
     fail_floor: float | None = None,
     details: dict | None = None,
 ) -> CheckReport:
     """The verdict on a reduction under ``plan.tolerance``, with its worst
     row as witness on fail.
 
-    ``samples`` defaults to the number of rows reduced.  The report's
-    ``example`` stays None; a gallery job stamps its key.
+    ``samples`` is the number of rows reduced.  The report's ``example``
+    stays None; a gallery job stamps its key.
     """
     verdict = verdict_for(red.max_residual, plan.tolerance, fail_floor)
     witness = None
@@ -187,7 +186,7 @@ def check_report(
     return CheckReport(
         check=check,
         seed=plan.seed,
-        samples=red.count if samples is None else samples,
+        samples=red.count,
         tolerance=plan.tolerance,
         max_residual=red.max_residual,
         per_chart=red.per_chart,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -273,13 +272,6 @@ def frame_conjugations(
     rng = np.random.default_rng(seed)
     dim = C.dim
     k = dim - 1
-    kept_for = {}
-    for chart in C.atlas.charts:
-        center = {
-            c: (lo + hi) / 2.0 for c, (lo, hi) in zip(chart.coords, chart.box)
-        }
-        kept_for[chart.name] = contact_frame(C, chart.name, center).kept
-
     j0 = np.zeros((k, k))
     for i in range(0, k, 2):
         j0[i][i + 1] = -1.0
@@ -354,12 +346,12 @@ def pin_battery(
         float(disagreements),
         {c.name: float(disagreements) for c in C.atlas.charts},
         worst,
+        len(candidates),
     )
     return check_report(
         "pin_battery",
         red,
         plan,
-        samples=plan.points_per_chart,
         details={
             "candidates": len(candidates),
             "flag_tol": _FLAG_TOL,
@@ -475,70 +467,77 @@ def cr_torsion_field(
 
 
 def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
-    """Normality by two routes that must agree.
+    """Normality by two routes that must agree, on the sampling driver.
 
     Route one evaluates every component of the first structure tensor.
     Route two brackets kernel frame fields (torsion) and adds the Reeb
     derivative of the endomorphism, which together are equivalent to
-    route one.  The report fails only when both routes exceed tolerance
-    (residuals between tolerance and 1e-3 are inconclusive);
-    a route disagreement or extension-dependence raises AssertionError
-    because it would mean the engine, not the geometry, is wrong.
+    route one.  The frame fields of a chart keep the indices of its first
+    sample's frame; they, their torsions and the spot-check field are
+    built on the residual's first call for the chart.  The report fails
+    only when both routes exceed tolerance (residuals between tolerance
+    and 1e-3 are inconclusive); a route disagreement or
+    extension-dependence raises AssertionError because it would mean the
+    engine, not the geometry, is wrong.
     """
     C = L.contact
     tensors = n_tensors(L)
     N1, N3 = tensors["N1"], tensors["N3"]
+    route1, route2, agreement, spot = [], [], [], []
+    built = {}  # chart name -> (frames, torsions, spot field, rescaling factor)
 
-    route1, route2, agreement, spot, rows = [], [], [], [], []
+    def chart_fields(chart, env):
+        if chart not in built:
+            frames = frame_fields(C, chart, contact_frame(C, chart, env).kept)
+            torsions = {
+                (a, b): cr_torsion_field(C, L.phibar, frames[a], frames[b])
+                for a, b in itertools.combinations(range(len(frames)), 2)
+            }
+            coord = C.atlas.chart(chart).coords[0]
 
-    for chart in C.atlas.charts:
-        pts = sample_chart(chart, plan)
-        center = pts[0][1]
-        kept = contact_frame(C, chart.name, center).kept
-        frames = frame_fields(C, chart.name, kept)
-        m = len(frames)
-        torsions = {
-            (a, b): cr_torsion_field(C, L.phibar, frames[a], frames[b])
-            for a, b in itertools.combinations(range(m), 2)
-        }
-        scale = f"1 + 0.3 * {chart.coords[0]}"
-        scaled = [
-            tf_scale(F, _expr_factor(scale), name=f"{F.name}_rescaled")
-            for F in frames[:2]
-        ]
-        spot_field = cr_torsion_field(C, L.phibar, scaled[0], scaled[1])
-        for coords, env in pts:
-            n1v = N1.at(chart.name, env)
-            r1 = max_abs(n1v)
-            parts2 = [N3.at(chart.name, env)]  # route two's components
-            fr = contact_frame(C, chart.name, env)
-            dim = chart.dim
-            for (a, b), T in torsions.items():
-                tv = [nk.value_of(v) for v in T.at(chart.name, env)]
-                parts2.append(tv)
-                contracted = [
-                    nk.value_of(
-                        nk.sum_(
-                            n1v[k][i][j] * fr.vectors[a][i] * fr.vectors[b][j]
-                            for i in range(dim)
-                            for j in range(dim)
-                        )
+            def factor(env):
+                return 1.0 + 0.3 * env[coord]
+
+            scaled = [
+                tf_scale(F, factor, name=f"{F.name}_rescaled") for F in frames[:2]
+            ]
+            spot_field = cr_torsion_field(C, L.phibar, scaled[0], scaled[1])
+            built[chart] = (frames, torsions, spot_field, factor)
+        return built[chart]
+
+    def residual(chart, coords, env):
+        frames, torsions, spot_field, factor = chart_fields(chart, env)
+        n1v = N1.at(chart, env)
+        r1 = max_abs(n1v)
+        parts2 = [N3.at(chart, env)]  # route two's components
+        vecs = [F.at(chart, env) for F in frames]
+        dim = len(n1v)
+        for (a, b), T in torsions.items():
+            tv = [nk.value_of(v) for v in T.at(chart, env)]
+            parts2.append(tv)
+            contracted = [
+                nk.value_of(
+                    nk.sum_(
+                        n1v[k][i][j] * vecs[a][i] * vecs[b][j]
+                        for i in range(dim)
+                        for j in range(dim)
                     )
-                    for k in range(dim)
-                ]
-                agreement.append(max_abs([tv[k] - contracted[k] for k in range(dim)]))
-            u = 1.0 + 0.3 * env[chart.coords[0]]
-            sv = spot_field.at(chart.name, env)
-            base = torsions[(0, 1)].at(chart.name, env)
-            spot.append(max_abs([
-                nk.value_of(sv[k]) / (u * u) - nk.value_of(base[k])
-                for k in range(chart.dim)
-            ]))
-            r2 = max_abs(parts2)
-            route1.append(r1)
-            route2.append(r2)
-            rows.append((chart.name, coords, max_or_nan([r1, r2])))
+                )
+                for k in range(dim)
+            ]
+            agreement.append(max_abs([tv[k] - contracted[k] for k in range(dim)]))
+        u = factor(env)
+        sv = spot_field.at(chart, env)
+        base = torsions[(0, 1)].at(chart, env)
+        spot.append(max_abs([
+            nk.value_of(sv[k]) / (u * u) - nk.value_of(base[k]) for k in range(dim)
+        ]))
+        r2 = max_abs(parts2)
+        route1.append(r1)
+        route2.append(r2)
+        return max_or_nan([r1, r2])
 
+    report = run_residual_check("sasaki", C.atlas, residual, plan, fail_floor=1e-3)
     agreement, spot = max_or_nan(agreement), max_or_nan(spot)
     if agreement > 1e-8:
         raise AssertionError(
@@ -548,26 +547,13 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         raise AssertionError(
             f"torsion depends on the frame extension by {spot:.3e}; engine fault"
         )
-    return check_report(
-        "sasaki",
-        reduce_residuals(rows),
-        plan,
-        samples=plan.points_per_chart,
-        fail_floor=1e-3,
-        details={
-            "route_full_tensor": max_or_nan(route1),
-            "route_frame_torsion": max_or_nan(route2),
-            "route_agreement": agreement,
-            "extension_spot_check": spot,
-        },
-    )
-
-
-def _expr_factor(expr: str) -> Callable[[dict], object]:
-    from . import exprlang
-
-    parsed = exprlang.parse(expr)
-    return lambda env: exprlang.eval_expr(parsed, env)
+    report.details = {
+        "route_full_tensor": max_or_nan(route1),
+        "route_frame_torsion": max_or_nan(route2),
+        "route_agreement": agreement,
+        "extension_spot_check": spot,
+    }
+    return report
 
 
 def killing_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
@@ -660,7 +646,6 @@ def paired_consistency_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         "paired_consistency",
         reduce_residuals(row for _, rows in streams for row in rows),
         plan,
-        samples=plan.points_per_chart,
         details={
             label: reduce_residuals(rows).max_residual for label, rows in streams
         },

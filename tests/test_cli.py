@@ -152,6 +152,24 @@ def test_tol_reaches_every_check(capsys):
     assert all(e["example"] == "darboux-1" for e in entries)
 
 
+def test_samples_counts_the_rows_reduced(capsys):
+    """A report's samples is its number of reduced rows, whatever the check."""
+    argv = ["verify", "sphere-5", "--checks", "sasaki,contact_form",
+            "--samples", "4", "--json", "-"]
+    assert main(argv) == 0
+    entries = json.loads(capsys.readouterr().out)
+    # two charts of four points each
+    assert {e["declared"]["check"]: e["samples"] for e in entries} == {
+        "sasaki": 8, "contact_form": 8,
+    }
+    argv = ["verify", "mobius-jet", "--checks", "paired_consistency",
+            "--samples", "4", "--json", "-"]
+    assert main(argv) == 0
+    (entry,) = json.loads(capsys.readouterr().out)
+    # five fields, two transitions of two pieces each, four points a piece
+    assert entry["samples"] == 5 * 2 * 2 * 4
+
+
 @pytest.mark.parametrize("key", ["darboux-1", "mobius-jet"])
 def test_show_emits_definition_header(key, capsys):
     assert main(["show", key]) == 0

@@ -273,9 +273,18 @@ def test_parsed_atlas_is_usable():
     assert rep.passed
 
 
-def test_parse_rejects_bad_header():
+@pytest.mark.parametrize("old, new", [
+    ("corpus-example v1\nkey: darboux-1", "not-a-corpus-file\nkey: x"),
+    ("field eta on main", "feld eta on main"),  # unknown block keyword
+    ("eta on main valence (0,1)", "eta on main valence (0,2)"),  # index arity
+    ("(0,1) from dsl", "(0,1) from dls"),  # neither dsl nor builtin
+    ("coords: x p z\n", "coords: x p z\ncolour: red\n"),  # unknown chart line
+], ids=["header", "keyword", "arity", "source", "chart-line"])
+def test_parse_rejects_bad_header(old, new):
+    text = (GOLDEN / "darboux-1.corpus").read_text()
+    assert text.count(old) == 1
     with pytest.raises(corpus.CorpusFormatError):
-        parse_example_text("not-a-corpus-file\nkey: x")
+        parse_example_text(text.replace(old, new))
 
 
 def test_builtin_fields_carry_notes():

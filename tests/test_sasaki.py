@@ -7,6 +7,7 @@ import pytest
 
 from sasaki_lab import numkernel as nk
 from sasaki_lab.contact import contact_frame, darboux_contact, frame_fields
+from sasaki_lab.corpus import build_example
 from sasaki_lab.manifold import SamplePlan, sample_chart
 from sasaki_lab.sasaki import (
     LeviStructure,
@@ -197,6 +198,7 @@ class TestPinBattery:
         rep = pin_battery(flat.contact, flat.phibar, count=8, seed=3, plan=PLAN)
         assert rep.passed
         assert rep.max_residual == 0.0
+        assert rep.samples == 8  # one row per candidate
         assert rep.details["all_true"] >= 1
         assert rep.details["all_true"] + rep.details["all_false"] == 8
 
@@ -240,6 +242,19 @@ class TestSasakiCheck:
         assert not rep.passed
         assert rep.details["route_frame_torsion"] > 1e-3
         assert rep.details["route_full_tensor"] > 1e-3
+
+    def test_routes_agree_on_a_non_normal_candidate(self):
+        # the frame changes its dropped index from point to point on the
+        # sphere; N1 must be contracted with the bracketed frame fields
+        L = build_example("sphere-5").structure
+        cand = frame_conjugations(L.contact, L.phibar, 2, seed=7)[1]
+        rep = sasaki_check(
+            LeviStructure("cand", L.contact, cand), SamplePlan(points_per_chart=2)
+        )
+        assert rep.verdict == "fail" and rep.witness is not None
+        assert rep.details["route_full_tensor"] > 1e-3
+        assert rep.details["route_frame_torsion"] > 1e-3
+        assert rep.details["route_agreement"] < 1e-12
 
     def test_torsion_field_vanishes_on_flat(self, flat):
         C = flat.contact
