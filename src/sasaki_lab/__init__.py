@@ -8,7 +8,7 @@ models, a non-trivializable band and its jet/cotangent spaces, odd spheres,
 and Sasakian products — each with a declared list of residual checks.
 
 Entry points: the :mod:`sasaki_lab.cli` console script ``sasaki-lab``, and
-`sasaki_lab.corpus.build` for programmatic access to the examples.
+`sasaki_lab.corpus.build_example` for programmatic access to the examples.
 """
 
 from .report import VERSION as __version__  # noqa: F401

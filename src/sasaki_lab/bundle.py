@@ -34,7 +34,6 @@ from .manifold import (
     SamplePlan,
     TransitionMap,
     TransitionPiece,
-    sample_chart,
 )
 from .report import CheckReport, max_or_nan, run_residual_check
 from .tensor import (
@@ -447,20 +446,17 @@ def decompose_homogeneous_metric(
     mu = base_field("mixed_form", (0, 1), "mu")
     g_M = base_field("shadow_metric", (0, 2), "gM")
 
-    # positivity of the shadow at base samples
-    mu_vals = []
-    for chart in bundle.base.charts:
-        for coords, env in sample_chart(chart, plan):
-            rows = [
-                [nk.value_of(x) for x in row] for row in g_M.at(chart.name, env)
-            ]
-            lo = nk.min_eigenvalue(rows)
-            if lo <= 0.0:
-                raise NotPositiveDefinite(
-                    f"shadow metric eigenvalue {lo:.3e} at {coords} in {chart.name}"
-                )
-            mu_vals.append(mu.at(chart.name, env))
-    mu_max = max_abs(mu_vals)
+    # positivity of the shadow, and the size of μ, at base samples
+    def shadow(chart, coords, env):
+        rows = [[nk.value_of(x) for x in row] for row in g_M.at(chart, env)]
+        lo = nk.min_eigenvalue(rows)
+        if lo <= 0.0:
+            raise NotPositiveDefinite(
+                f"shadow metric eigenvalue {lo:.3e} at {coords} in {chart}"
+            )
+        return max_abs(mu.at(chart, env))
+
+    mu_max = run_residual_check("mixed_form", bundle.base, shadow, plan).max_residual
 
     # reassembly + s-independence of the extracted data
     def residual(chart_name, coords, env):

@@ -155,6 +155,14 @@ class _Jobs:
     def atlas(self, name: str, atlas: Atlas) -> CheckJob:
         return self(name, 1e-10, lambda plan: atlas_consistency_check(atlas, plan))
 
+    def single_valued(self, label: str, tolerance: float, field) -> CheckJob:
+        """``single_valued_<label>``: `field`'s chart data agree on overlaps."""
+        name = f"single_valued({label})"
+        return self(
+            f"single_valued_{label}", tolerance,
+            lambda plan: cross_chart_consistency(field, plan, check_name=name),
+        )
+
     def sampled(
         self, name: str, tolerance: float, atlas: Atlas, residual: Callable
     ) -> CheckJob:
@@ -548,19 +556,14 @@ def _build_mobius_cotangent(params: dict) -> Example:
     def hom(field, weight, mode):
         return lambda plan: homogeneity_check(field, weight, mode, plan, pair.bundle)
 
-    def crosscheck(field, label):
-        return lambda plan: cross_chart_consistency(
-            field, plan, check_name=f"single_valued({label})"
-        )
-
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", total),
         job.atlas("base_atlas_consistency", struct.atlas),
         job("symplectic_form", 1e-8, lambda plan: symplectic_check(pair.omega, plan)),
-        job("single_valued_two_form", 1e-9, crosscheck(pair.omega, "two_form")),
-        job("single_valued_metric", 1e-9, crosscheck(pair.g, "metric")),
-        job("single_valued_complex", 1e-9, crosscheck(jmat, "complex")),
+        job.single_valued("two_form", 1e-9, pair.omega),
+        job.single_valued("metric", 1e-9, pair.g),
+        job.single_valued("complex", 1e-9, jmat),
         job("homogeneous_two_form", 1e-8, hom(pair.omega, 1, "plain")),
         job("homogeneous_metric", 1e-8, hom(pair.g, 1, "positive")),
         job("homogeneous_complex", 1e-8, hom(jmat, 0, "half")),
@@ -993,12 +996,7 @@ def _build_sphere(n: int, params: dict) -> Example:
         job.sampled("reeb_reference", 1e-9, atlas, agreeing((solved_reeb, reeb))),
         job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
         job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
-        job(
-            "single_valued_eta", 1e-8,
-            lambda plan: cross_chart_consistency(
-                contact.eta, plan, check_name="single_valued(eta)"
-            ),
-        ),
+        job.single_valued("eta", 1e-8, contact.eta),
         job("structure_axioms", 1e-8, struct.validate),
         job("contact_metric", 1e-7, lambda plan: contact_metric_check(struct, plan)),
         job("sasaki", 1e-7, lambda plan: sasaki_check(struct, plan)),
@@ -1374,6 +1372,11 @@ def _unexpected(line: str, block: str) -> CorpusFormatError:
     return CorpusFormatError(f"unexpected line in {block}: {line!r}")
 
 
+def _bounds(text: str) -> tuple[float, float]:
+    lo, hi = text.split()
+    return float(lo), float(hi)
+
+
 def _parse_atlas(it) -> Atlas:
     charts: list[Chart] = []
     transitions: list[TransitionMap] = []
@@ -1389,12 +1392,10 @@ def _parse_atlas(it) -> Atlas:
                     coords = tuple(sub[len("coords: "):].split())
                 elif sub.startswith("box "):
                     head, rest = sub[4:].split(": ")
-                    lo, hi = rest.split()
-                    box.append((float(lo), float(hi)))
+                    box.append(_bounds(rest))
                 elif sub.startswith("exclude "):
                     head, rest = sub[len("exclude "):].split(": ")
-                    lo, hi = rest.split()
-                    excl.append((head, float(lo), float(hi)))
+                    excl.append((head, *_bounds(rest)))
                 elif sub.startswith("margin: "):
                     margin = float(sub[len("margin: "):])
                 else:
@@ -1402,24 +1403,21 @@ def _parse_atlas(it) -> Atlas:
             charts.append(Chart(name, coords, tuple(box), tuple(excl), margin))
         elif line.startswith("transition "):
             head = line[len("transition "):]
-            src, _, tgt = head.partition(" -> ")
+            src, arrow, tgt = head.partition(" -> ")
+            if not arrow:
+                raise _unexpected(line, "atlas")
             pieces = []
             for sub in _block(it, "endtransition"):
                 if sub != "piece":
                     raise _unexpected(sub, line)
-                parts = {"box": [], "to": [], "from": []}  # " | "-separated
+                convert = {"box": _bounds, "to": exprlang.parse, "from": exprlang.parse}
+                parts = {"box": (), "to": (), "from": ()}
                 for inner in _block(it, "endpiece"):
                     head, _, rest = inner.partition(": ")
                     if head not in parts:
                         raise _unexpected(inner, "piece")
-                    parts[head] = rest.split(" | ")
-                pbox = tuple(
-                    (float(a), float(b)) for a, b in (p.split() for p in parts["box"])
-                )
-                fwd, inv = (
-                    tuple(exprlang.parse(e) for e in parts[k]) for k in ("to", "from")
-                )
-                pieces.append(TransitionPiece(pbox, fwd, inv))
+                    parts[head] = tuple(convert[head](v) for v in rest.split(" | "))
+                pieces.append(TransitionPiece(parts["box"], parts["to"], parts["from"]))
             transitions.append(TransitionMap(src, tgt, tuple(pieces)))
         else:
             raise _unexpected(line, "atlas")
@@ -1430,10 +1428,20 @@ def parse_example_text(text: str) -> EntryDoc:
     """Parse a definition file back into charts, expressions and markers.
 
     Every block accepts only the lines of its grammar
-    (docs/corpus-format.md); any other line raises `CorpusFormatError`.
+    (docs/corpus-format.md); any other line, and a malformed value in a
+    line it lists, raises `CorpusFormatError` naming the line.
     """
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    it = iter(ln for ln in lines if ln != "")
+    seen = [None]  # lines read so far; a value is parsed right after its line
+    lines = (ln.rstrip() for ln in text.splitlines())
+    try:
+        return _parse_doc(seen.append(ln) or ln for ln in lines if ln)
+    except CorpusFormatError:
+        raise
+    except ValueError as err:  # exprlang.ParseError included
+        raise CorpusFormatError(f"bad value in {seen[-1]!r}: {err}") from None
+
+
+def _parse_doc(it) -> EntryDoc:
     first = next(it, None)
     if first != "corpus-example v1":
         raise CorpusFormatError(f"bad header {first!r}")
@@ -1459,7 +1467,7 @@ def parse_example_text(text: str) -> EntryDoc:
             val_txt, _, src = rest.partition(" from ")
             if src not in ("dsl", "builtin"):
                 raise CorpusFormatError(f"source is not dsl or builtin: {line!r}")
-            p, q = val_txt.strip("()").split(",")
+            p, q = (int(v) for v in val_txt.strip("()").split(","))
             comps: dict[str, dict[tuple, object]] = {}
             note = ""
             for sub in _block(it, "endfield"):
@@ -1471,12 +1479,10 @@ def parse_example_text(text: str) -> EntryDoc:
                 if not (bracket and equals):
                     raise _unexpected(sub, line)
                 idx = tuple(int(x) for x in idx_txt.split(",")) if idx_txt else ()
-                if len(idx) != int(p) + int(q):
+                if len(idx) != p + q:
                     raise CorpusFormatError(f"not a ({p},{q}) index: {sub!r}")
                 comps.setdefault(chart_name, {})[idx] = exprlang.parse(expr_txt)
-            fields.append(
-                EntryField(name, akey, (int(p), int(q)), src, comps, note)
-            )
+            fields.append(EntryField(name, akey, (p, q), src, comps, note))
         elif line.startswith("map "):
             head = line[len("map "):]
             name, _, rest = head.partition(" from ")
@@ -1487,9 +1493,7 @@ def parse_example_text(text: str) -> EntryDoc:
                 src_chart, arrow, tgt_chart = chart_pair.partition(" -> ")
                 if not (colon and arrow):
                     raise _unexpected(sub, line)
-                exprs = tuple(
-                    exprlang.parse(p) for p in exprs_txt.split(" | ")
-                )
+                exprs = tuple(exprlang.parse(e) for e in exprs_txt.split(" | "))
                 pieces[src_chart] = (tgt_chart, exprs)
             maps.append(EntryMap(name, src_key, dst_key, pieces))
         else:

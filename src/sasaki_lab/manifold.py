@@ -12,25 +12,22 @@ plus that point's evaluation memo, which `tensor` fills (see there).
 Transition maps are piecewise: each piece restricts the source box and maps
 coordinates by expressions, with an explicit inverse.  Sampling is
 deterministic: the stream for a chart depends only on (seed, chart name),
-never on iteration order, so reports are reproducible byte for byte.
+and that of a transition's pieces on (seed, its stream name), never on
+iteration order, so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .report import (
-    CheckReport,
-    check_report,
-    max_or_nan,
-    reduce_residuals,
-    run_residual_check,
-)
+from .report import CheckReport, max_or_nan, run_residual_check
 
 
 class EmptyDomain(ValueError):
@@ -276,6 +273,53 @@ def _piece_sample(chart: Chart, piece: TransitionPiece, plan: SamplePlan, rng):
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class Overlaps:
+    """A sampling domain: the pieces of the atlas's transitions (between
+    ``charts`` only, when given); ``src->tgt`` draws from the stream named
+    ``"src->tgt" + stream``, piece after piece."""
+
+    atlas: Atlas
+    stream: str = ""
+    charts: frozenset[str] | None = None
+
+
+class OverlapSite(NamedTuple):
+    """Where an overlap sample lies: its domain, transition and piece."""
+
+    domain: Overlaps
+    transition: TransitionMap
+    piece: TransitionPiece
+
+
+def sample_domain(domain, plan: SamplePlan):
+    """(label, where, [(coords, env), ...]) groups of a domain's samples.
+
+    An `Atlas` gives one per chart, ``where`` its name, all envs up front;
+    `Overlaps` one per transition piece, labelled ``src->tgt``, ``where``
+    its `OverlapSite`, each env built when its row is reached.  A list of
+    domains gives their groups in turn.
+    """
+    if isinstance(domain, Atlas):
+        return [(name, name, pts) for name, pts in sample_points(domain, plan)]
+    if isinstance(domain, Overlaps):
+        return _overlap_groups(domain, plan)
+    return itertools.chain.from_iterable(sample_domain(d, plan) for d in domain)
+
+
+def _overlap_groups(domain: Overlaps, plan: SamplePlan):
+    for t in domain.atlas.transitions:
+        if domain.charts is not None and not {t.source, t.target} <= domain.charts:
+            continue
+        src = domain.atlas.chart(t.source)
+        label = f"{t.source}->{t.target}"
+        rng = _chart_rng(plan.seed, label + domain.stream)
+        for piece in t.pieces:
+            points = _piece_sample(src, piece, plan, rng)
+            site = OverlapSite(domain, t, piece)
+            yield label, site, ((coords, src.env(coords)) for coords in points)
+
+
 def atlas_consistency_check(atlas: Atlas, plan: SamplePlan) -> CheckReport:
     """Round-trip every transition piece: inverse(forward(p)) == p.
 
@@ -283,29 +327,22 @@ def atlas_consistency_check(atlas: Atlas, plan: SamplePlan) -> CheckReport:
     same samples, which covers 2-cycle cocycle consistency; 3-chart cycles
     would report here too if an atlas declared them.
     """
-    def rows():
-        for t in atlas.transitions:
-            src = atlas.chart(t.source)
-            label = f"{t.source}->{t.target}"
-            rng = _chart_rng(plan.seed, label)
-            for piece in t.pieces:
-                for coords in _piece_sample(src, piece, plan, rng):
-                    env = src.env(coords)
-                    fwd = [float(exprlang.eval_expr(e, env)) for e in piece.forward]
-                    fenv = atlas.chart(t.target).env(fwd)
-                    back = [float(exprlang.eval_expr(e, fenv)) for e in piece.inverse]
-                    diffs = [abs(b - c) for b, c in zip(back, coords)]
-                    try:
-                        rpiece = atlas.transition(t.target, t.source).piece_for(fwd)
-                        back2 = [
-                            float(exprlang.eval_expr(e, fenv)) for e in rpiece.forward
-                        ]
-                        diffs += [abs(b - c) for b, c in zip(back2, coords)]
-                    except NoTransition:
-                        pass
-                    yield label, coords, max_or_nan(diffs)
 
-    return check_report("atlas_consistency", reduce_residuals(rows()), plan)
+    def residual(site, coords, env):
+        t, piece = site.transition, site.piece
+        fwd = [float(exprlang.eval_expr(e, env)) for e in piece.forward]
+        fenv = atlas.chart(t.target).env(fwd)
+        back = [float(exprlang.eval_expr(e, fenv)) for e in piece.inverse]
+        diffs = [abs(b - c) for b, c in zip(back, coords)]
+        try:
+            rpiece = atlas.transition(t.target, t.source).piece_for(fwd)
+            back2 = [float(exprlang.eval_expr(e, fenv)) for e in rpiece.forward]
+            diffs += [abs(b - c) for b, c in zip(back2, coords)]
+        except NoTransition:
+            pass
+        return max_or_nan(diffs)
+
+    return run_residual_check("atlas_consistency", Overlaps(atlas), residual, plan)
 
 
 __all__ = [
@@ -314,6 +351,7 @@ __all__ = [
     "EmptyDomain",
     "NoTransition",
     "OutOfDomain",
+    "Overlaps",
     "Point",
     "PointEnv",
     "SamplePlan",
@@ -323,5 +361,6 @@ __all__ = [
     "atlas_consistency_check",
     "run_residual_check",
     "sample_chart",
+    "sample_domain",
     "sample_points",
 ]

@@ -8,31 +8,29 @@ with the same seed produce byte-identical output -- the CLI relies on this.
 The invariant enforced here: a witness (worst offending sample) is attached
 exactly when the verdict is "fail".
 
-Every check reduces its residuals here.  It hands `reduce_residuals` one
-(chart label, coords, residual) row per sample; that takes the maximum
-overall and per chart, ranking NaN above inf above any number, and keeps
-the first strictly-worst row as the witness.  `check_report` turns the
-reduction into a verdict and a report under the check's `SamplePlan`,
-whose ``tolerance`` and ``seed`` are the only ones a check reads.  Within
-a sample, components go through `max_or_nan` (or `tensor.max_abs`), so a
-NaN component is never lost to ``max(0.0, nan) == 0.0``.
-
-A pointwise check is a name, an atlas and a residual function: the driver
-`run_residual_check` draws the plan's samples of the atlas itself
-(`manifold.sample_points`), so no check builds points.  Identities
-between fields are declared with the residual builders `tensor.vanishing`
-and `tensor.agreeing` rather than indexed by hand.
+A sampled check is a name, a domain and a residual function; the one
+driver `run_residual_check` draws the plan's samples of the domain
+(`manifold.sample_domain`: chart points of an atlas, or transition-piece
+points labelled ``src->tgt``), evaluates the residual at each and hands
+`reduce_residuals` one (label, coords, residual) row per sample.  That
+takes the maximum overall and per label, ranking NaN above inf above any
+number, and keeps the first strictly-worst row as the witness; a residual
+of named clauses adds each clause's worst value to ``details``.
+`check_report` turns the reduction into a verdict under the check's
+`SamplePlan`, whose ``tolerance`` and ``seed`` are the only ones a check
+reads.  Within a sample, components go through `max_or_nan` (or
+`tensor.max_abs`), so a NaN component is never lost to
+``max(0.0, nan) == 0.0``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:
-    from .manifold import Atlas, SamplePlan
+    from .manifold import SamplePlan
 
 VERSION = "0.1.0"  # keep in sync with pyproject.toml
 
@@ -90,9 +88,6 @@ class CheckReport:
             "witness": self.witness.to_dict() if self.witness else None,
             "details": self.details,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def one_line(self) -> str:
         tag = f"[{self.example}] " if self.example else ""
@@ -198,24 +193,35 @@ def check_report(
 
 def run_residual_check(
     check: str,
-    atlas: Atlas,
-    residual_fn: Callable,  # (chart_name, coords, env) -> float
+    domain,  # an Atlas, a manifold.Overlaps or a list of those
+    residual_fn: Callable,  # (where, coords, env) -> float | {clause: float}
     plan: SamplePlan,
     fail_floor: float | None = None,
     details: dict | None = None,
 ) -> CheckReport:
-    """Evaluate a pointwise residual at the plan's samples of every chart
-    of `atlas`, in `sample_points` order, and report."""
-    from .manifold import sample_points  # manifold imports this module
+    """Evaluate a pointwise residual at the plan's samples of `domain`, in
+    `manifold.sample_domain` order, and report.
 
-    # held until the report is built: freeing the points (and their memos)
-    # inside the reduction measured a higher peak RSS
-    sampled = sample_points(atlas, plan)
-    rows = (
-        (chart, coords, residual_fn(chart, coords, env))
-        for chart, pts in sampled
-        for coords, env in pts
-    )
-    return check_report(
-        check, reduce_residuals(rows), plan, fail_floor=fail_floor, details=details
-    )
+    A row of named clauses gets their NaN-ranked maximum, and ``details``
+    is the given ``details`` updated with each clause's worst value.
+    """
+    from .manifold import sample_domain  # manifold imports this module
+
+    # held until the report is built: freeing the chart points (and their
+    # memos) inside the reduction measured a higher peak RSS
+    sampled = sample_domain(domain, plan)
+    clauses: dict[str, float] = {}
+
+    def rows():
+        for label, where, pts in sampled:
+            for coords, env in pts:
+                r = residual_fn(where, coords, env)
+                if isinstance(r, dict):
+                    for name, v in r.items():
+                        clauses[name] = max(clauses.get(name, v), v, key=residual_rank)
+                    r = max_or_nan(list(r.values()))
+                yield label, coords, r
+
+    red = reduce_residuals(rows())
+    details = {**(details or {}), **clauses}
+    return check_report(check, red, plan, fail_floor=fail_floor, details=details)

@@ -34,24 +34,24 @@ import numpy as np
 
 from . import numkernel as nk
 from .contact import ContactStructure, contact_frame, frame_fields
-from .manifold import SamplePlan, sample_chart
+from .manifold import SamplePlan
 from .report import (
     CheckReport,
     Reduction,
     check_report,
     max_or_nan,
-    reduce_residuals,
     run_residual_check,
 )
 from .tensor import (
     TensorField,
-    cross_chart_rows,
     endo_apply,
     field_jet,
+    field_overlaps,
     lie_bracket,
     lie_derivative,
     max_abs,
     nijenhuis,
+    single_valued,
     tf_combine,
     tf_scale,
     vanishing,
@@ -181,7 +181,6 @@ def standard_darboux_levi(n: int = 1) -> LeviStructure:
 # -- pointwise compatibility battery -----------------------------------
 
 
-_FLAG_NAMES = ("invariant_two_form", "symmetric_levi", "invariant_levi", "kernel_closed")
 _FLAG_TOL = 1e-8  # a flag holds when its residual is at most this
 
 
@@ -198,65 +197,54 @@ def pin_flag_residuals(
     (4) η([φX, Y] + [X, φY]) = 0 for kernel *fields* X, Y.
 
     The fourth is the only one needing derivatives; it uses frame fields,
-    so candidates must map the kernel to itself.
+    so candidates must map the kernel to itself; a chart's frame fields
+    are built at its first sample.  Each flag is a named clause.
     """
     d_eta = C.d_eta()
-    comps = {name: [] for name in _FLAG_NAMES}
-    for chart in C.atlas.charts:
-        pts = sample_chart(chart, plan)
-        center = pts[0][1]
-        kept = contact_frame(C, chart.name, center).kept
-        frames = frame_fields(C, chart.name, kept)
-        phi_frames = [endo_apply(phi, F) for F in frames]
-        brackets = {}
-        for a, b in itertools.combinations(range(len(frames)), 2):
-            brackets[(a, b)] = (
-                lie_bracket(phi_frames[a], frames[b]),
-                lie_bracket(frames[a], phi_frames[b]),
+    built = {}  # chart name -> the bracket pairs of its frame fields
+
+    def residual(chart, coords, env):
+        if chart not in built:
+            frames = frame_fields(C, chart, contact_frame(C, chart, env).kept)
+            phi_frames = [endo_apply(phi, F) for F in frames]
+            built[chart] = [
+                (lie_bracket(phi_frames[a], frames[b]),
+                 lie_bracket(frames[a], phi_frames[b]))
+                for a, b in itertools.combinations(range(len(frames)), 2)
+            ]
+        de = d_eta.at(chart, env)
+        ph = phi.at(chart, env)
+        etav = C.eta.at(chart, env)
+        vecs = contact_frame(C, chart, env).vectors
+        dim = len(etav)
+
+        def pair(u, v):
+            return nk.value_of(
+                nk.sum_(de[i][j] * u[i] * v[j] for i in range(dim) for j in range(dim))
             )
-        for coords, env in pts:
-            de = d_eta.at(chart.name, env)
-            ph = phi.at(chart.name, env)
-            etav = C.eta.at(chart.name, env)
-            fr = contact_frame(C, chart.name, env)
-            vecs = fr.vectors
-            dim = chart.dim
 
-            def pair(u, v):
-                return nk.value_of(
-                    nk.sum_(
-                        de[i][j] * u[i] * v[j]
-                        for i in range(dim)
-                        for j in range(dim)
-                    )
-                )
+        def apply(m, v):
+            return [nk.sum_(m[k][j] * v[j] for j in range(dim)) for k in range(dim)]
 
-            def apply(m, v):
-                return [
-                    nk.sum_(m[k][j] * v[j] for j in range(dim))
-                    for k in range(dim)
-                ]
+        imgs = [apply(ph, v) for v in vecs]
+        lev = [[pair(u, w) for w in imgs] for u in vecs]  # dη(v_a, φ v_b)
+        ab = list(itertools.product(range(len(vecs)), repeat=2))
+        closed = [
+            nk.sum_(etav[k] * (v1[k] + v2[k]) for k in range(dim))
+            for v1, v2 in ([br.at(chart, env) for br in brs] for brs in built[chart])
+        ]
+        return {
+            "invariant_two_form": max_abs(
+                [pair(imgs[a], imgs[b]) - pair(vecs[a], vecs[b]) for a, b in ab]
+            ),
+            "symmetric_levi": max_abs([lev[a][b] - lev[b][a] for a, b in ab]),
+            "invariant_levi": max_abs(
+                [pair(imgs[a], apply(ph, imgs[b])) - lev[a][b] for a, b in ab]
+            ),
+            "kernel_closed": max_abs(closed),
+        }
 
-            imgs = [apply(ph, v) for v in vecs]
-            m = len(vecs)
-            for a in range(m):
-                for b in range(m):
-                    base = pair(vecs[a], vecs[b])
-                    lev_ab = pair(vecs[a], imgs[b])
-                    lev_ba = pair(vecs[b], imgs[a])
-                    comps["invariant_two_form"].append(pair(imgs[a], imgs[b]) - base)
-                    comps["symmetric_levi"].append(lev_ab - lev_ba)
-                    comps["invariant_levi"].append(
-                        pair(imgs[a], apply(ph, imgs[b])) - lev_ab
-                    )
-            for (a, b), (br1, br2) in brackets.items():
-                v1 = br1.at(chart.name, env)
-                v2 = br2.at(chart.name, env)
-                val = nk.sum_(
-                    etav[k] * (v1[k] + v2[k]) for k in range(dim)
-                )
-                comps["kernel_closed"].append(val)
-    return {name: max_abs(values) for name, values in comps.items()}
+    return run_residual_check("pin_flags", C.atlas, residual, plan).details
 
 
 def frame_conjugations(
@@ -332,7 +320,7 @@ def pin_battery(
     first_bad = None
     for idx, cand in enumerate(candidates):
         res = pin_flag_residuals(C, cand, plan)
-        flags = [res[name] <= _FLAG_TOL for name in _FLAG_NAMES]
+        flags = [r <= _FLAG_TOL for r in res.values()]  # in the order (1)-(4)
         rows.append("".join("T" if f else "F" for f in flags))
         if len(set(flags)) > 1:
             disagreements += 1
@@ -474,7 +462,8 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     derivative of the endomorphism, which together are equivalent to
     route one.  The frame fields of a chart keep the indices of its first
     sample's frame; they, their torsions and the spot-check field are
-    built on the residual's first call for the chart.  The report fails
+    built on the residual's first call for the chart.  The routes are named
+    clauses, so ``details`` holds the worst of each.  The report fails
     only when both routes exceed tolerance (residuals between tolerance
     and 1e-3 are inconclusive); a route disagreement or
     extension-dependence raises AssertionError because it would mean the
@@ -483,7 +472,7 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     C = L.contact
     tensors = n_tensors(L)
     N1, N3 = tensors["N1"], tensors["N3"]
-    route1, route2, agreement, spot = [], [], [], []
+    agreement, spot = [], []
     built = {}  # chart name -> (frames, torsions, spot field, rescaling factor)
 
     def chart_fields(chart, env):
@@ -532,10 +521,7 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         spot.append(max_abs([
             nk.value_of(sv[k]) / (u * u) - nk.value_of(base[k]) for k in range(dim)
         ]))
-        r2 = max_abs(parts2)
-        route1.append(r1)
-        route2.append(r2)
-        return max_or_nan([r1, r2])
+        return {"route_full_tensor": r1, "route_frame_torsion": max_abs(parts2)}
 
     report = run_residual_check("sasaki", C.atlas, residual, plan, fail_floor=1e-3)
     agreement, spot = max_or_nan(agreement), max_or_nan(spot)
@@ -547,12 +533,7 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         raise AssertionError(
             f"torsion depends on the frame extension by {spot:.3e}; engine fault"
         )
-    report.details = {
-        "route_full_tensor": max_or_nan(route1),
-        "route_frame_torsion": max_or_nan(route2),
-        "route_agreement": agreement,
-        "extension_spot_check": spot,
-    }
+    report.details.update(route_agreement=agreement, extension_spot_check=spot)
     return report
 
 
@@ -627,8 +608,8 @@ def paired_consistency_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     """Overlap behavior of all five fields on orientation-twisted atlases.
 
     η, ξ and φ̄ pick up the transition sign; the transverse and full
-    metrics are single-valued.  Combines five cross-chart comparisons
-    into one report.
+    metrics are single-valued.  One pass over the five fields' overlaps,
+    each field a named clause whose worst value lands in ``details``.
     """
     C = L.contact
     sign_fn = C.transition_sign if C.paired else None
@@ -639,14 +620,15 @@ def paired_consistency_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         ("levi_metric", L.levi_metric(), None),
         ("metric", L.metric(), None),
     ]
-    streams = [
-        (label, list(cross_chart_rows(T, plan, sf))) for label, T, sf in jobs
-    ]
-    return check_report(
-        "paired_consistency",
-        reduce_residuals(row for _, rows in streams for row in rows),
-        plan,
-        details={
-            label: reduce_residuals(rows).max_residual for label, rows in streams
-        },
+    parts = {
+        field_overlaps(T): (label, single_valued(T, sf)) for label, T, sf in jobs
+    }
+
+    def residual(site, coords, env):
+        label, fn = parts[site.domain]
+        return {label: fn(site, coords, env)}
+
+    return run_residual_check(
+        "paired_consistency", list(parts), residual, plan,
+        details=dict.fromkeys((label for label, _, _ in jobs), 0.0),  # if no overlaps
     )

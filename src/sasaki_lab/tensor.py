@@ -24,8 +24,10 @@ Evaluation is memoized per point.  The env a chart builds for a point
 Identities between fields are declared, not indexed by hand:
 ``vanishing(*fields)`` and ``agreeing(*pairs)`` build the pointwise
 residual (chart, coords, env) -> float that `report.run_residual_check`
-evaluates at the samples it draws; both reduce through `max_abs` /
-`max_diff`, so a NaN component is never lost.
+evaluates at the chart samples it draws, and ``single_valued(T, sign)``
+the residual of T's agreement across a transition piece, which the driver
+evaluates at the piece samples of ``field_overlaps(T)``.  All three
+reduce through `max_abs` / `max_diff`, so a NaN component is never lost.
 
 Kept component structures are shared between callers, so `at` hands out
 fresh nested lists around the shared (immutable) scalars, and `field_jet`
@@ -52,8 +54,8 @@ from typing import Callable, Iterable
 
 from . import exprlang, numkernel as nk
 from .exprlang import Expr
-from .manifold import Atlas, Chart, PointEnv, SamplePlan
-from .report import CheckReport, check_report, max_or_nan, reduce_residuals
+from .manifold import Atlas, Chart, Overlaps, PointEnv, SamplePlan
+from .report import CheckReport, max_or_nan, run_residual_check
 
 
 def map_structure(fn, s):
@@ -572,35 +574,30 @@ def contract_form_vector(alpha, X):
 # -- cross-chart consistency ------------------------------------------
 
 
-def cross_chart_rows(T: TensorField, plan: SamplePlan, sign_fn=None):
-    """Residual rows comparing T's chart data through every transition.
+def field_overlaps(T: TensorField) -> Overlaps:
+    """The overlaps of T's charts, on T's own streams ``src->tgt:<name>``."""
+    return Overlaps(T.atlas, ":" + T.name, frozenset(T.chart_names()))
 
-    At samples x of each piece, the source components transformed by the
-    transition Jacobian must match the target components at the image,
-    optionally up to a piece sign (paired structures hand in sign_fn).
-    Rows are labelled ``source->target``.
-    """
-    atlas = T.atlas
-    charts = T.chart_names()
-    from .manifold import _chart_rng, _piece_sample  # deterministic piece samples
 
-    for t in atlas.transitions:
-        if t.source not in charts or t.target not in charts:
-            continue
-        src = atlas.chart(t.source)
-        label = f"{t.source}->{t.target}"
-        rng = _chart_rng(plan.seed, label + ":" + T.name)
-        for piece in t.pieces:
-            fmap = SmoothMap(
-                "piece", atlas, atlas, {t.source: (t.target, piece.forward)}
-            )
-            transported = pullback(fmap, T)
+def single_valued(T: TensorField, sign_fn=None) -> Callable:
+    """Residual of "T's chart data agree" at an `OverlapSite` sample: the
+    largest |T_src - sign · (piece*T_tgt)| component, with the target data
+    pulled back through the piece and ``sign_fn(transition, piece)`` (paired
+    structures hand one in) or 1 as sign."""
+    by_piece = {}  # (transition, piece) ids -> (T pulled back, sign)
+
+    def residual(site, coords, env):
+        t, piece = site.transition, site.piece
+        key = (id(t), id(piece))
+        if key not in by_piece:
+            table = {t.source: (t.target, piece.forward)}
+            fmap = SmoothMap("piece", T.atlas, T.atlas, table)
             sign = 1.0 if sign_fn is None else sign_fn(t, piece)
-            for coords in _piece_sample(src, piece, plan, rng):
-                env = src.env(coords)
-                here = T.at(t.source, env)
-                back = transported.at(t.source, env)
-                yield label, coords, max_diff(here, back, sign)
+            by_piece[key] = (pullback(fmap, T), sign)
+        back, sign = by_piece[key]
+        return max_diff(T.at(t.source, env), back.at(t.source, env), sign)
+
+    return residual
 
 
 def cross_chart_consistency(
@@ -609,9 +606,7 @@ def cross_chart_consistency(
     sign_fn=None,
     check_name: str | None = None,
 ) -> CheckReport:
-    """Report on `cross_chart_rows`: T's chart data agree on overlaps."""
-    return check_report(
-        check_name or f"cross_chart({T.name})",
-        reduce_residuals(cross_chart_rows(T, plan, sign_fn)),
-        plan,
-    )
+    """T's chart data agree on overlaps: `single_valued` at the samples of
+    `field_overlaps`, per transition ``src->tgt``."""
+    name = check_name or f"cross_chart({T.name})"
+    return run_residual_check(name, field_overlaps(T), single_valued(T, sign_fn), plan)

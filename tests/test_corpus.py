@@ -273,18 +273,28 @@ def test_parsed_atlas_is_usable():
     assert rep.passed
 
 
-@pytest.mark.parametrize("old, new", [
-    ("corpus-example v1\nkey: darboux-1", "not-a-corpus-file\nkey: x"),
-    ("field eta on main", "feld eta on main"),  # unknown block keyword
-    ("eta on main valence (0,1)", "eta on main valence (0,2)"),  # index arity
-    ("(0,1) from dsl", "(0,1) from dls"),  # neither dsl nor builtin
-    ("coords: x p z\n", "coords: x p z\ncolour: red\n"),  # unknown chart line
-], ids=["header", "keyword", "arity", "source", "chart-line"])
-def test_parse_rejects_bad_header(old, new):
-    text = (GOLDEN / "darboux-1.corpus").read_text()
-    assert text.count(old) == 1
-    with pytest.raises(corpus.CorpusFormatError):
-        parse_example_text(text.replace(old, new))
+@pytest.mark.parametrize("file, old, new", [
+    ("darboux-1", "corpus-example v1\nkey: darboux-1", "not-a-corpus-file\nkey: x"),
+    ("darboux-1", "field eta on main", "feld eta on main"),  # unknown block keyword
+    ("darboux-1", "eta on main valence (0,1)", "eta on main valence (0,2)"),  # index arity
+    ("darboux-1", "(0,1) from dsl", "(0,1) from dls"),  # neither dsl nor builtin
+    ("darboux-1", "coords: x p z\n", "coords: x p z\ncolour: red\n"),  # unknown chart line
+    # malformed values inside lines the grammar lists
+    ("darboux-1", "box x: -1.0 1.0", "box x: -1.0"),
+    ("darboux-1", "box x: -1.0 1.0", "box x: -1.0 one"),
+    ("darboux-1", "O [2] = 1\n", "O [2] = 1 +\n"),
+    ("mobius-jet", "transition O -> U", "transition O to U"),
+], ids=[
+    "header", "keyword", "arity", "source", "chart-line",
+    "box-one-bound", "box-not-a-number", "component-expr", "transition-arrow",
+])
+def test_parse_rejects_bad_header(file, old, new):
+    text = (GOLDEN / f"{file}.corpus").read_text()
+    assert old in text
+    bad = text.replace(old, new, 1)
+    with pytest.raises(corpus.CorpusFormatError) as err:
+        parse_example_text(bad)
+    assert any(repr(line) in str(err.value) for line in bad.splitlines() if line)
 
 
 def test_builtin_fields_carry_notes():

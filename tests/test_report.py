@@ -1,14 +1,28 @@
 """Verdicts and residual reduction, including non-finite residuals."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+from sasaki_lab import exprlang as el
+from sasaki_lab import report
 from sasaki_lab import tensor as tn
 from sasaki_lab.contact import ContactStructure, is_contact_form
 from sasaki_lab.corpus import build_example
 from sasaki_lab.kahler import almost_complex_check
-from sasaki_lab.manifold import Atlas, Chart, SamplePlan, sample_chart, sample_points
+from sasaki_lab.manifold import (
+    Atlas,
+    Chart,
+    Overlaps,
+    SamplePlan,
+    TransitionMap,
+    TransitionPiece,
+    _chart_rng,
+    _piece_sample,
+    sample_chart,
+    sample_points,
+)
 from sasaki_lab.report import (
     max_or_nan,
     reduce_residuals,
@@ -17,6 +31,8 @@ from sasaki_lab.report import (
     verdict_for,
 )
 from sasaki_lab.sasaki import LeviStructure, paired_consistency_check
+
+ROOT = Path(__file__).resolve().parents[1]
 
 NAN = math.nan
 
@@ -94,6 +110,108 @@ def test_driver_evaluates_the_plans_samples_in_order():
     ]
     assert seen == want and rep.samples == len(want) == 10
     assert [chart for chart, _, _ in seen] == ["B"] * 5 + ["A"] * 5
+
+
+def _clauses(chart, coords, env):
+    """Three named clauses; "tail" is NaN at one point of chart B, where the
+    larger finite "head" comes first."""
+    x, y = coords
+    tail = NAN if chart == "B" and 1.4 < x < 1.6 else abs(x * y) / 10.0
+    return {"head": 5.0 + abs(x), "mid": (x - y) ** 2, "tail": tail}
+
+
+def test_named_clauses_reduce_to_their_nan_ranked_maxima():
+    plan = SamplePlan(seed=3, points_per_chart=64, tolerance=1e-9)
+    rep = run_residual_check("clauses", TWO_CHARTS, _clauses, plan, details={"x": 1})
+    rows = [
+        (chart, coords, _clauses(chart, coords, env))
+        for chart, pts in sample_points(TWO_CHARTS, plan)
+        for coords, env in pts
+    ]
+    nan_at = next(coords for chart, coords, r in rows if math.isnan(r["tail"]))
+    assert sum(math.isnan(r["tail"]) for _, _, r in rows) >= 1
+    by_hand = {
+        name: max_or_nan([r[name] for _, _, r in rows])
+        for name in ("head", "mid", "tail")
+    }
+    assert list(rep.details) == ["x", "head", "mid", "tail"]
+    for name, value in by_hand.items():
+        assert rep.details[name].hex() == value.hex()
+    assert math.isnan(rep.details["tail"]) and rep.details["x"] == 1
+    assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+    assert not math.isnan(rep.per_chart["A"]) and math.isnan(rep.per_chart["B"])
+    assert rep.witness.chart == "B" and rep.witness.coords == nan_at
+    assert math.isnan(rep.witness.residual) and rep.samples == len(rows)
+
+
+def _two_piece_atlas() -> Atlas:
+    """Charts A and B glued by two transitions of two pieces each."""
+    ident = (el.parse("x"), el.parse("y"))
+    flip = (el.parse("x"), el.parse("-y"))
+
+    def pieces(*boxes):
+        return tuple(
+            TransitionPiece((box, (-1.0, 1.0)), fwd, fwd)
+            for box, fwd in zip(boxes, (ident, flip))
+        )
+
+    return Atlas(
+        [
+            Chart("A", ("x", "y"), ((0.0, 2.0), (-1.0, 1.0))),
+            Chart("B", ("x", "y"), ((0.0, 2.0), (-1.0, 1.0))),
+        ],
+        [
+            TransitionMap("A", "B", pieces((0.0, 1.0), (1.0, 2.0))),
+            TransitionMap("B", "A", pieces((0.2, 0.9), (1.1, 1.8))),
+        ],
+    )
+
+
+@pytest.mark.parametrize("stream", ["", ":T"])
+def test_driver_evaluates_the_overlap_samples_in_order(stream):
+    atlas = _two_piece_atlas()
+    plan = SamplePlan(seed=11, points_per_chart=5)
+    seen = []
+
+    def residual(site, coords, env):
+        seen.append((site.transition, site.piece, coords, dict(env)))
+        return 0.0
+
+    rep = run_residual_check("probe", Overlaps(atlas, stream), residual, plan)
+    want = []
+    for t in atlas.transitions:
+        src = atlas.chart(t.source)
+        rng = _chart_rng(plan.seed, f"{t.source}->{t.target}" + stream)
+        for piece in t.pieces:
+            for coords in _piece_sample(src, piece, plan, rng):
+                want.append((t, piece, coords, dict(zip(src.coords, coords))))
+    assert seen == want and rep.samples == len(want) == 2 * 2 * 5
+    assert sorted(rep.per_chart) == ["A->B", "B->A"]
+    assert [t.source for t, _, _, _ in seen] == ["A"] * 10 + ["B"] * 10
+
+
+def test_paired_details_are_the_single_field_checks():
+    struct = build_example("mobius-jet").structure
+    C = struct.contact
+    plan = SamplePlan(points_per_chart=4)
+    rep = paired_consistency_check(struct, plan)
+    fields = {
+        "eta": (C.eta, C.transition_sign),
+        "reeb": (C.reeb(), C.transition_sign),
+        "endo": (struct.phibar, C.transition_sign),
+        "levi_metric": (struct.levi_metric(), None),
+        "metric": (struct.metric(), None),
+    }
+    assert list(rep.details) == list(fields)
+    for label, (T, sign_fn) in fields.items():
+        single = tn.cross_chart_consistency(T, plan, sign_fn)
+        assert rep.details[label].hex() == single.max_residual.hex(), label
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert report.VERSION == tomllib.load(f)["project"]["version"]
 
 
 @pytest.mark.parametrize("s", [
