@@ -12,12 +12,14 @@ byte-identical across runs with equal flags; its schema is documented in
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .corpus import EXAMPLE_KEYS, UnknownKey, build_example, emit_example
 from .manifold import SamplePlan
+from .tensor import SampleSet
 
 
 def _int_from(least: int):
@@ -128,12 +130,16 @@ def _cmd_verify(args) -> int:
                 f"no declared check named {', '.join(missing)} in {args.key}"
             )
 
-    results = [
-        (ex.key, job, job.run(plan, args.tol))
-        for ex in examples
-        for job in ex.checks
-        if wanted is None or job.name in wanted
-    ]
+    results = []
+    for ex in examples:
+        # the entry's checks share its chart samples and the memo of its
+        # declared fields; the set goes with the entry's last check
+        shared = SampleSet(f.field for f in ex.fields if f.field is not None)
+        entry_plan = dataclasses.replace(plan, sample_set=shared)
+        for job in ex.checks:
+            if wanted is None or job.name in wanted:
+                results.append((ex.key, job, job.run(entry_plan, args.tol)))
+                shared.prune()
 
     matched = sum(1 for _, job, rep in results if rep.verdict == job.expect)
     table_out = sys.stdout

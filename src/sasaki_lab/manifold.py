@@ -21,13 +21,16 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
 from .report import CheckReport, max_or_nan, run_residual_check
+
+if TYPE_CHECKING:
+    from .tensor import SampleSet
 
 
 class EmptyDomain(ValueError):
@@ -165,11 +168,18 @@ class Point:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """How checks sample: the same plan always yields the same points."""
+    """How checks sample: the same plan always yields the same points.
+
+    ``sample_set`` (a `tensor.SampleSet`) lets one entry's checks share
+    their chart samples, and the memo of its declared fields, until its
+    last check; without one each check samples afresh.  It is not part of
+    the plan's value.
+    """
 
     seed: int = 42
     points_per_chart: int = 64
     tolerance: float = 1e-8
+    sample_set: SampleSet | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -227,8 +237,10 @@ def sample_chart(chart: Chart, plan: SamplePlan):
 
 
 def sample_points(atlas: Atlas, plan: SamplePlan):
-    """Points for every chart: [(chart_name, [(coords, env), ...]), ...]."""
-    return [(c.name, sample_chart(c, plan)) for c in atlas.charts]
+    """Points for every chart: [(chart_name, [(coords, env), ...]), ...],
+    the plan's `sample_set` ones when it has a set."""
+    draw = sample_chart if plan.sample_set is None else plan.sample_set.points
+    return [(c.name, draw(c, plan)) for c in atlas.charts]
 
 
 def apply_transition(atlas: Atlas, p: Point, target: str) -> Point:

@@ -207,8 +207,9 @@ def run_residual_check(
     """
     from .manifold import sample_domain  # manifold imports this module
 
-    # held until the report is built: freeing the chart points (and their
-    # memos) inside the reduction measured a higher peak RSS
+    # held until the report is built (freeing the chart points and their
+    # memos inside the reduction measured a higher peak RSS), or, shared
+    # through the plan's sample set, until the entry's last check
     sampled = sample_domain(domain, plan)
     clauses: dict[str, float] = {}
 

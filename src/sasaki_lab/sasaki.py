@@ -466,8 +466,8 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     clauses, so ``details`` holds the worst of each.  The report fails
     only when both routes exceed tolerance (residuals between tolerance
     and 1e-3 are inconclusive); a route disagreement or
-    extension-dependence raises AssertionError because it would mean the
-    engine, not the geometry, is wrong.
+    extension-dependence, a NaN one included, raises AssertionError
+    because it would mean the engine, not the geometry, is wrong.
     """
     C = L.contact
     tensors = n_tensors(L)
@@ -525,11 +525,11 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
 
     report = run_residual_check("sasaki", C.atlas, residual, plan, fail_floor=1e-3)
     agreement, spot = max_or_nan(agreement), max_or_nan(spot)
-    if agreement > 1e-8:
+    if not agreement <= 1e-8:  # a NaN disagrees too
         raise AssertionError(
             f"normality routes disagree by {agreement:.3e}; engine fault"
         )
-    if spot > 1e-7:
+    if not spot <= 1e-7:
         raise AssertionError(
             f"torsion depends on the frame extension by {spot:.3e}; engine fault"
         )

@@ -17,9 +17,11 @@ Evaluation is memoized per point.  The env a chart builds for a point
 * `field_jet` seeds one dual env per set of chart coordinates and evaluates
   through `at` on it, so the jet's components are kept in that dual env's
   own memo, and a jet inside a jet reuses the second level the same way;
-* everything kept lives exactly as long as the env (a sampled env lives
-  until the check that drew it returns) and two points never share an
-  entry, not even at equal coordinates.
+* everything kept lives exactly as long as the env, and two points never
+  share an entry, not even at equal coordinates.  A sampled env lives
+  until the check that drew it returns, or, drawn through a plan's
+  `SampleSet`, until its entry's last check; then only the memo entries
+  of the entry's declared fields outlive a check.
 
 Identities between fields are declared, not indexed by hand:
 ``vanishing(*fields)`` and ``agreeing(*pairs)`` build the pointwise
@@ -52,7 +54,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from . import exprlang, numkernel as nk
+from . import exprlang, manifold, numkernel as nk
 from .exprlang import Expr
 from .manifold import Atlas, Chart, Overlaps, PointEnv, SamplePlan
 from .report import CheckReport, max_or_nan, run_residual_check
@@ -237,6 +239,44 @@ def _seeded(chart: Chart, env: dict):
         return tag, dual
     env.memo[key] = out = (tag, PointEnv(dual))
     return out
+
+
+class SampleSet:
+    """The chart samples one entry's checks share, and what their memos keep.
+
+    `points` draws a chart's samples with `manifold.sample_chart` on the
+    first request for a (chart, seed, points per chart) and hands out the
+    same ``(coords, PointEnv)`` list after that, so the entry's checks
+    reuse what is memoized at those envs.  `prune`, after each check,
+    keeps only the memo entries of the ``declared`` fields, at every dual
+    level; derived one-shot fields go.  The envs go with the set.
+    """
+
+    def __init__(self, declared: Iterable[TensorField]):
+        self.declared = frozenset(declared)
+        self._charts = {}  # (id(chart), seed, points) -> (chart, points)
+
+    def points(self, chart: Chart, plan: SamplePlan) -> list:
+        key = (id(chart), plan.seed, plan.points_per_chart)
+        if key not in self._charts:
+            self._charts[key] = (chart, manifold.sample_chart(chart, plan))
+        return self._charts[key][1]
+
+    def envs(self) -> list[PointEnv]:
+        return [env for _, pts in self._charts.values() for _, env in pts]
+
+    def prune(self) -> None:
+        for env in self.envs():
+            _keep_declared(env.memo, self.declared)
+
+
+def _keep_declared(memo: dict, declared: frozenset) -> None:
+    """Drop the memo's field entries outside `declared`, at every dual level."""
+    for key in list(memo):
+        if key[0] == "seeded":
+            _keep_declared(memo[key][1].memo, declared)
+        elif key[0] not in declared:
+            del memo[key]
 
 
 def field_jet(T: TensorField, chart_name: str, env: dict):

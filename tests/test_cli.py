@@ -192,3 +192,118 @@ def test_json_bytes_stable_across_runs(key, tmp_path, capsys):
         outputs.append(path.read_bytes())
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+# -- one sample set per entry ------------------------------------------
+
+
+def _record_chart_envs(monkeypatch):
+    """Patch `manifold.sample_domain` to note, for each atlas a sampled
+    check draws, weak references to its envs and whether they are the
+    very envs the entry's first such check got."""
+    import weakref
+
+    from sasaki_lab import manifold
+
+    seen, same_as_first = [], []
+    draw = manifold.sample_domain
+
+    def recording(domain, plan):
+        groups = draw(domain, plan)
+        if isinstance(domain, manifold.Atlas):
+            envs = [env for _, _, pts in groups for _, env in pts]
+            if seen:
+                first = [ref() for ref in seen[0]]
+                same_as_first.append(
+                    len(first) == len(envs) and all(a is b for a, b in zip(first, envs))
+                )
+            seen.append([weakref.ref(env) for env in envs])
+        return groups
+
+    monkeypatch.setattr(manifold, "sample_domain", recording)
+    return seen, same_as_first
+
+
+def test_checks_of_an_entry_share_their_chart_envs(monkeypatch, capsys):
+    import gc
+
+    seen, same_as_first = _record_chart_envs(monkeypatch)
+    argv = ["verify", "sphere-3", "--checks", "contact_form,reeb_residual,sasaki",
+            "--samples", "4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) == 3 and len(seen[0]) == 8  # two charts, four points
+    assert same_as_first == [True, True]
+    # the set goes with the entry's last check, and its envs with it
+    gc.collect()
+    assert all(ref() is None for refs in seen for ref in refs)
+
+
+def test_shared_memos_keep_only_declared_fields(monkeypatch, capsys):
+    from sasaki_lab.tensor import SampleSet
+
+    pruned = []
+    prune = SampleSet.prune
+
+    def checked(self):
+        prune(self)
+        kept = []
+
+        def walk(memo):
+            for key, value in memo.items():
+                if key[0] == "seeded":
+                    walk(value[1].memo)
+                else:
+                    assert key[0] in self.declared, key[0].name
+                    kept.append(key[0])
+
+        for env in self.envs():
+            walk(env.memo)
+        pruned.append(kept)
+
+    monkeypatch.setattr(SampleSet, "prune", checked)
+    argv = ["verify", "sphere-3", "--checks", "contact_form,sasaki", "--samples", "4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(pruned) == 2  # once after each check
+    assert pruned[-1]  # declared fields' entries outlive a check
+
+
+def test_gates_at_build_time_use_no_sample_set(monkeypatch):
+    from sasaki_lab import manifold
+    from sasaki_lab.corpus import build_example
+    from sasaki_lab.tensor import SampleSet
+
+    drawn, shared = [], []
+    draw, points = manifold.sample_chart, SampleSet.points
+    monkeypatch.setattr(
+        manifold, "sample_chart", lambda *a: drawn.append(1) or draw(*a)
+    )
+    monkeypatch.setattr(
+        SampleSet, "points", lambda *a: shared.append(1) or points(*a)
+    )
+    build_example("product-darboux")  # gates its factors at build time
+    assert drawn and not shared
+
+
+def _reports(argv, tmp_path, capsys):
+    path = tmp_path / "reports.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    capsys.readouterr()
+    return {
+        e["declared"]["check"]: json.dumps(e, indent=2, sort_keys=True)
+        for e in json.loads(path.read_text())
+    }
+
+
+@pytest.mark.parametrize("key", ["main1-family", "sphere-5"])
+def test_report_does_not_depend_on_check_selection(key, tmp_path, capsys):
+    """A check's report inside its whole entry is the one it gives alone:
+    neither the checks run before it nor the samples they share change it."""
+    argv = ["verify", key, "--samples", "4"]
+    whole = _reports(argv, tmp_path, capsys)
+    assert len(whole) > 5
+    for name, report in whole.items():
+        assert _reports([*argv, "--checks", name], tmp_path, capsys) == {
+            name: report
+        }

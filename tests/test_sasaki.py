@@ -228,6 +228,35 @@ class TestSasakiCheck:
         assert rep.details["route_frame_torsion"] > 1e-3
         assert rep.witness is not None
 
+    def test_nan_route_agreement_is_an_engine_fault(self, monkeypatch):
+        """NaN frame torsions make the route agreement NaN, which must
+        raise like any other disagreement instead of passing both gates."""
+        import math
+
+        from sasaki_lab import sasaki
+
+        torsion = sasaki.cr_torsion_field
+        monkeypatch.setattr(
+            sasaki, "cr_torsion_field",
+            lambda *a: sasaki.tf_scale(torsion(*a), math.nan),
+        )
+        with pytest.raises(AssertionError, match="routes disagree by nan"):
+            sasaki_check(standard_darboux_levi(1), PLAN)
+
+    def test_nan_extension_spot_check_is_an_engine_fault(self, monkeypatch):
+        """NaN rescaled frames make only the spot check NaN."""
+        import math
+
+        from sasaki_lab import sasaki
+
+        scale = sasaki.tf_scale
+        monkeypatch.setattr(
+            sasaki, "tf_scale",
+            lambda F, factor, name=None: scale(F, lambda env: math.nan, name),
+        )
+        with pytest.raises(AssertionError, match="extension by nan"):
+            sasaki_check(standard_darboux_levi(1), PLAN)
+
     def test_x_shear_passes_in_dim_three(self):
         rep = sasaki_check(sheared_levi("x"), PLAN)
         assert rep.passed
