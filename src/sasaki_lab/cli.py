@@ -2,8 +2,10 @@
 
 Exit codes: 0 when every executed check produced its declared verdict
 (declared failures count as matches), 1 when any check produced an
-unexpected verdict, 2 for unknown keys, checks, or parameters, and for
-bad option values (``--samples`` below 1, ``--seed`` below 0, a ``--tol``
+unexpected verdict, 2 for unknown keys, checks, or parameters, for a
+``main1-family`` slope that does not parse, has a variable other than the
+base coordinates or a literal that overflows to inf, and for bad option
+values (``--samples`` below 1, ``--seed`` below 0, a ``--tol``
 that is negative or not finite).  The JSON report array (``--json``) is
 byte-identical across runs with equal flags; its schema is documented in
 ``docs/report-schema.md``.

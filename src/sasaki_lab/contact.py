@@ -140,24 +140,22 @@ def is_contact_form(C: ContactStructure, plan: SamplePlan) -> CheckReport:
 
     Reported residual is the relative shortfall max(0, 1 − |coefficient| /
     threshold): 0 on a contact form, about 1 where η∧(dη)^n vanishes.  The
-    smallest coefficient seen lands in details; a NaN coefficient sticks.
+    record ``min_coefficient`` is the smallest coefficient; a NaN sticks.
     """
-    smallest = [math.inf]
 
     def residual(chart, coords, env):
         c = contact_top_coefficient(C, chart, env)
-        smallest[0] = min(smallest[0], c, key=lambda v: (not math.isnan(v), v))
-        return max_or_nan([0.0, 1.0 - c / NONDEGENERACY_THRESHOLD])
+        shortfall = max_or_nan([0.0, 1.0 - c / NONDEGENERACY_THRESHOLD])
+        return {None: shortfall, "min_coefficient": c}
 
-    rep = run_residual_check(
+    return run_residual_check(
         "is_contact_form",
         C.atlas,
         residual,
         plan,
         details={"threshold": NONDEGENERACY_THRESHOLD},
+        records={"min_coefficient": min},
     )
-    rep.details["min_coefficient"] = smallest[0]
-    return rep
 
 
 @dataclass

@@ -1137,12 +1137,24 @@ def _build_main1(params: dict) -> Example:
     slope_raw = raw.pop("a", "0.7")
     if raw:
         raise UnknownKey(f"{key}: unknown parameters {sorted(raw)}")
-    slope_expr = exprlang.parse(str(slope_raw))
-    slope_src = exprlang.pretty(slope_expr)
-    constant = not exprlang.free_vars(slope_expr)
+    bad = f"{key}: bad slope a={slope_raw!r}"
+    try:
+        slope_expr = exprlang.parse(str(slope_raw))
+        slope_src = exprlang.pretty(slope_expr)
+    except exprlang.ParseError as err:
+        raise UnknownKey(f"{bad}: {err}") from None
+    except OverflowError:  # `pretty` of an infinite literal such as 1e400
+        raise UnknownKey(f"{bad}: a number overflows to inf") from None
+    free = exprlang.free_vars(slope_expr)
+    constant = not free
 
     base = standard_darboux_levi(1)
     contact = base.contact
+    unknown = free - set(contact.atlas.charts[0].coords)
+    if unknown:
+        raise UnknownKey(
+            f"{bad}: {', '.join(sorted(unknown))} not among the base coordinates"
+        )
     pair = kahlerianization(base, slope=slope_src)
     bundle = pair.bundle
     total = bundle.total

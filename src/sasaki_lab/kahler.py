@@ -403,7 +403,7 @@ def reconstruct_main1(
 
     report = run_residual_check("main_reconstruction", bundle.total, residual, plan)
     report.details["failed_clauses"] = sorted(
-        name for name, value in report.details.items() if value > plan.tolerance
+        name for name, value in report.details.items() if not value <= plan.tolerance
     )
     return Main1Result(slope=slope, g_M=g_M, phi_C=phi_C, J=J, report=report)
 

@@ -12,10 +12,10 @@ A sampled check is a name, a domain and a residual function; the one
 driver `run_residual_check` draws the plan's samples of the domain
 (`manifold.sample_domain`: chart points of an atlas, or transition-piece
 points labelled ``src->tgt``), evaluates the residual at each and hands
-`reduce_residuals` one (label, coords, residual) row per sample.  That
-takes the maximum overall and per label, ranking NaN above inf above any
-number, and keeps the first strictly-worst row as the witness; a residual
-of named clauses adds each clause's worst value to ``details``.
+`reduce_residuals` one (label, coords, residual) row per sample: the only
+code that reduces across samples.  It keeps the worst (NaN above inf above
+any number) overall and per label, the first strictly-worst row as witness,
+and for ``details`` each clause's worst and each record's max or min.
 `check_report` turns the reduction into a verdict under the check's
 `SamplePlan`, whose ``tolerance`` and ``seed`` are the only ones a check
 reads.  Within a sample, components go through `max_or_nan` (or
@@ -135,28 +135,37 @@ class Reduction:
     per_chart: dict[str, float]
     worst: Optional[tuple] = None  # (chart, coords, residual) of the witness
     count: int = 0  # rows reduced
+    named: dict = field(default_factory=dict)  # clauses and records, first seen first
 
 
-def reduce_residuals(rows: Iterable[tuple]) -> Reduction:
+def reduce_residuals(rows: Iterable[tuple], records: dict | None = None) -> Reduction:
     """Reduce (chart label, coords, residual) rows under `residual_rank`.
 
     Gives the maximum overall and per chart label, and as the witness the
-    first row whose residual ranks strictly worst.
+    first row whose residual ranks strictly worst.  A dict residual puts
+    each name in ``named``: a record by ``records[name]`` (`max` or `min`),
+    a clause by `max`, and its clauses' max is the row's residual (a number
+    is the unnamed clause None).  A NaN sticks; a tie keeps the earlier.
     """
+    records = records or {}
+    keys = {max: residual_rank, min: lambda r: (not math.isnan(r), r)}
     per_chart: dict[str, float] = {}
-    worst = worst_rank = None
+    named: dict = {}
+    worst = None
     count = 0
-    for row in rows:
-        chart, _coords, r = row
-        rank = residual_rank(r)
-        best = per_chart.get(chart)
-        if best is None or rank > residual_rank(best):
-            per_chart[chart] = r
-        if worst is None or rank > worst_rank:
-            worst, worst_rank = row, rank
+    for chart, coords, r in rows:
+        if isinstance(r, dict):
+            for name, v in r.items():
+                how = records.get(name, max)
+                named[name] = how(named.get(name, v), v, key=keys[how])
+            r = max_or_nan([v for name, v in r.items() if name not in records])
+        per_chart[chart] = max(per_chart.get(chart, r), r, key=residual_rank)
+        if worst is None or residual_rank(r) > residual_rank(worst[2]):
+            worst = (chart, coords, r)
         count += 1
+    named.pop(None, None)
     max_res = max(per_chart.values(), key=residual_rank) if per_chart else 0.0
-    return Reduction(max_res, per_chart, worst, count)
+    return Reduction(max_res, per_chart, worst, count, named)
 
 
 def check_report(
@@ -194,16 +203,17 @@ def check_report(
 def run_residual_check(
     check: str,
     domain,  # an Atlas, a manifold.Overlaps or a list of those
-    residual_fn: Callable,  # (where, coords, env) -> float | {clause: float}
+    residual_fn: Callable,  # (where, coords, env) -> float | {name: float}
     plan: SamplePlan,
     fail_floor: float | None = None,
     details: dict | None = None,
+    records: dict | None = None,  # {name: max | min}
 ) -> CheckReport:
     """Evaluate a pointwise residual at the plan's samples of `domain`, in
     `manifold.sample_domain` order, and report.
 
-    A row of named clauses gets their NaN-ranked maximum, and ``details``
-    is the given ``details`` updated with each clause's worst value.
+    ``details`` is the given ``details`` updated with the reduced value of
+    each named clause and declared record (see `reduce_residuals`).
     """
     from .manifold import sample_domain  # manifold imports this module
 
@@ -211,18 +221,8 @@ def run_residual_check(
     # memos inside the reduction measured a higher peak RSS), or, shared
     # through the plan's sample set, until the entry's last check
     sampled = sample_domain(domain, plan)
-    clauses: dict[str, float] = {}
-
-    def rows():
-        for label, where, pts in sampled:
-            for coords, env in pts:
-                r = residual_fn(where, coords, env)
-                if isinstance(r, dict):
-                    for name, v in r.items():
-                        clauses[name] = max(clauses.get(name, v), v, key=residual_rank)
-                    r = max_or_nan(list(r.values()))
-                yield label, coords, r
-
-    red = reduce_residuals(rows())
-    details = {**(details or {}), **clauses}
+    rows = ((label, coords, residual_fn(where, coords, env))
+            for label, where, pts in sampled for coords, env in pts)
+    red = reduce_residuals(rows, records)
+    details = {**(details or {}), **red.named}
     return check_report(check, red, plan, fail_floor=fail_floor, details=details)

@@ -463,16 +463,16 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     route one.  The frame fields of a chart keep the indices of its first
     sample's frame; they, their torsions and the spot-check field are
     built on the residual's first call for the chart.  The routes are named
-    clauses, so ``details`` holds the worst of each.  The report fails
-    only when both routes exceed tolerance (residuals between tolerance
-    and 1e-3 are inconclusive); a route disagreement or
-    extension-dependence, a NaN one included, raises AssertionError
-    because it would mean the engine, not the geometry, is wrong.
+    clauses, their agreement and the spot check records: ``details`` holds
+    the worst of each.  The report fails only when both routes exceed
+    tolerance (residuals between tolerance and 1e-3 are inconclusive); a
+    route disagreement or extension-dependence, a NaN one included, raises
+    AssertionError because it would mean the engine, not the geometry, is
+    wrong.
     """
     C = L.contact
     tensors = n_tensors(L)
     N1, N3 = tensors["N1"], tensors["N3"]
-    agreement, spot = [], []
     built = {}  # chart name -> (frames, torsions, spot field, rescaling factor)
 
     def chart_fields(chart, env):
@@ -501,6 +501,7 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         parts2 = [N3.at(chart, env)]  # route two's components
         vecs = [F.at(chart, env) for F in frames]
         dim = len(n1v)
+        gaps = []  # torsion minus route one, per frame pair
         for (a, b), T in torsions.items():
             tv = [nk.value_of(v) for v in T.at(chart, env)]
             parts2.append(tv)
@@ -514,26 +515,27 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
                 )
                 for k in range(dim)
             ]
-            agreement.append(max_abs([tv[k] - contracted[k] for k in range(dim)]))
+            gaps.append([tv[k] - contracted[k] for k in range(dim)])
         u = factor(env)
         sv = spot_field.at(chart, env)
         base = torsions[(0, 1)].at(chart, env)
-        spot.append(max_abs([
-            nk.value_of(sv[k]) / (u * u) - nk.value_of(base[k]) for k in range(dim)
-        ]))
-        return {"route_full_tensor": r1, "route_frame_torsion": max_abs(parts2)}
+        spot = [nk.value_of(sv[k]) / (u * u) - nk.value_of(base[k]) for k in range(dim)]
+        return {
+            "route_full_tensor": r1, "route_frame_torsion": max_abs(parts2),
+            "route_agreement": max_abs(gaps), "extension_spot_check": max_abs(spot),
+        }
 
-    report = run_residual_check("sasaki", C.atlas, residual, plan, fail_floor=1e-3)
-    agreement, spot = max_or_nan(agreement), max_or_nan(spot)
-    if not agreement <= 1e-8:  # a NaN disagrees too
-        raise AssertionError(
-            f"normality routes disagree by {agreement:.3e}; engine fault"
-        )
-    if not spot <= 1e-7:
-        raise AssertionError(
-            f"torsion depends on the frame extension by {spot:.3e}; engine fault"
-        )
-    report.details.update(route_agreement=agreement, extension_spot_check=spot)
+    report = run_residual_check(
+        "sasaki", C.atlas, residual, plan, fail_floor=1e-3,
+        records=dict.fromkeys(("route_agreement", "extension_spot_check"), max),
+    )
+    for name, bound, what in (
+        ("route_agreement", 1e-8, "normality routes disagree by"),
+        ("extension_spot_check", 1e-7, "torsion depends on the frame extension by"),
+    ):
+        value = report.details[name] if report.samples else 0.0  # no point, no record
+        if not value <= bound:  # a NaN fails too
+            raise AssertionError(f"{what} {value:.3e}; engine fault")
     return report
 
 

@@ -1,6 +1,8 @@
 """Exercises the command-line runner through ``main(argv)`` directly."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -56,9 +58,24 @@ def test_unknown_check_exits_two(capsys):
     assert "no_such_check" in capsys.readouterr().err
 
 
-def test_malformed_param_exits_two(capsys):
-    assert main(["verify", "main1-family", "--param", "a"]) == 2
-    assert "NAME=VALUE" in capsys.readouterr().err
+MALFORMED_PARAMS = [
+    ("a", "NAME=VALUE"),
+    ("a=x+", "expected a value"),  # a parse error
+    ("a=y", "y not among the base coordinates"),  # a free variable
+    ("a=s", "s not among the base coordinates"),  # the fibre coordinate
+    ("a=1e400", "overflows to inf"),  # a non-finite literal
+]
+
+
+@pytest.mark.parametrize(
+    "param,message", MALFORMED_PARAMS, ids=[p for p, _ in MALFORMED_PARAMS]
+)
+def test_malformed_param_exits_two(param, message, capsys):
+    """A malformed parameter or slope is bad input for verify and show alike."""
+    for command in ("verify", "show"):
+        assert main([command, "main1-family", "--param", param]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, command
 
 
 BAD_OPTIONS = [
@@ -307,3 +324,48 @@ def test_report_does_not_depend_on_check_selection(key, tmp_path, capsys):
         assert _reports([*argv, "--checks", name], tmp_path, capsys) == {
             name: report
         }
+
+
+REPORT_SHAPE = Path(__file__).resolve().parents[1] / "golden" / "report-shape.json"
+
+
+def _shape(entry: dict) -> dict:
+    """A report without its floats: names, verdict, sample count, witness chart."""
+    witness = entry["witness"]
+    return {
+        "key": entry["declared"]["key"],
+        "declared_check": entry["declared"]["check"],
+        "check": entry["check"],
+        "verdict": entry["verdict"],
+        "samples": entry["samples"],
+        "per_chart": sorted(entry["per_chart"]),
+        "details": sorted(entry["details"]),
+        "witness_chart": witness and witness["chart"],
+    }
+
+
+def report_shapes(path: Path) -> list:
+    """The shape of every report of ``verify all --samples 4``, via `path`."""
+    assert main(["verify", "all", "--samples", "4", "--json", str(path)]) == 0
+    return [_shape(e) for e in json.loads(path.read_text())]
+
+
+def write_report_shape() -> None:
+    """Rewrite the golden report shapes, one report per line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shapes = report_shapes(Path(tmp) / "reports.json")
+    lines = ",\n".join(json.dumps(s, sort_keys=True) for s in shapes)
+    REPORT_SHAPE.write_text(f"[\n{lines}\n]\n")
+
+
+def test_report_shapes_match_golden(tmp_path, capsys):
+    """Every report keeps its names, verdict, sample count and witness chart:
+    a record that goes missing or leaks into ``per_chart`` shows here.  No
+    floats, so a last-bit difference on another machine cannot break it.
+    Regenerate after a deliberate change with
+
+        PYTHONPATH=src python -c 'import sys; sys.path.insert(0, "tests"); import test_cli; test_cli.write_report_shape()'
+    """
+    got = report_shapes(tmp_path / "reports.json")
+    capsys.readouterr()
+    assert got == json.loads(REPORT_SHAPE.read_text())

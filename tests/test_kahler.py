@@ -1,5 +1,6 @@
 """Compatibility tensors and the cone reconstruction, against hand oracles."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -237,6 +238,18 @@ class TestReconstruction:
         assert res.report.verdict == "fail"
         assert "calibration" in res.report.details["failed_clauses"]
         assert res.report.details["square"] < 1e-10
+
+    def test_nan_clauses_are_named_failed(self):
+        """A NaN clause fails, so `failed_clauses` must name it too."""
+        L, bundle, omega, g = darboux_cone("1e308 * 10 - 1e308 * 10")
+        rep = reconstruct(L, bundle, omega, g).report
+        nan = sorted(
+            name for name, v in rep.details.items()
+            if name != "failed_clauses" and math.isnan(v)
+        )
+        assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+        assert len(nan) == 7
+        assert rep.details["failed_clauses"] == nan
 
     def test_half_invariance_of_j(self):
         L, bundle, omega, g = darboux_cone("0.7")

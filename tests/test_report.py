@@ -344,3 +344,77 @@ def test_paired_consistency_with_nan_sub_report_fails():
     rep = paired_consistency_check(LeviStructure("nan", struct.contact, broken), plan)
     assert rep.verdict == "fail" and math.isnan(rep.max_residual)
     assert math.isnan(rep.details["endo"]) and math.isnan(rep.witness.residual)
+
+
+@pytest.mark.parametrize("how,want", [(min, -1.0), (max, 9.0)])
+def test_record_reduces_its_declared_way(how, want):
+    rows = [
+        ("A", (0.1,), {"c": 1.0, "r": 2.0}),
+        ("B", (0.2,), {"c": 0.5, "r": -1.0}),
+        ("A", (0.3,), {"c": 0.25, "r": 9.0}),
+    ]
+    assert reduce_residuals(rows, {"r": how}).named == {"c": 1.0, "r": want}
+
+
+@pytest.mark.parametrize("how", [min, max])
+def test_nan_record_sticks(how):
+    """A NaN at a middle point survives the finite values after it."""
+    rows = [
+        ("A", (0.1,), {"c": 1.0, "r": 2.0}),
+        ("A", (0.2,), {"c": 0.5, "r": NAN}),
+        ("A", (0.3,), {"c": 0.25, "r": -1.0}),
+        ("A", (0.4,), {"c": 0.25, "r": 9.0}),
+    ]
+    red = reduce_residuals(rows, {"r": how})
+    assert math.isnan(red.named["r"]) and red.named["c"] == 1.0
+    assert red.max_residual == 1.0 and red.worst == ("A", (0.1,), 1.0)
+
+
+def test_record_never_reaches_the_residual_or_the_witness():
+    """A record larger than every clause, even a NaN one, is reported in
+    details only."""
+    rows = [
+        ("A", (0.1,), {"c": 1e-3, "big": 1e9}),
+        ("B", (0.2,), {"c": 2e-3, "big": NAN}),
+        ("A", (0.3,), {"c": 5e-4, "big": math.inf}),
+    ]
+    red = reduce_residuals(rows, {"big": max})
+    assert red.max_residual == 2e-3 and red.per_chart == {"A": 1e-3, "B": 2e-3}
+    assert red.worst == ("B", (0.2,), 2e-3) and red.count == 3
+    assert list(red.named) == ["c", "big"] and math.isnan(red.named["big"])
+
+    plan = SamplePlan(seed=5, points_per_chart=8, tolerance=1e-9)
+
+    def residual(chart, coords, env):
+        return {None: 0.0, "big": 1e9 + coords[0]}
+
+    rep = run_residual_check(
+        "records", TWO_CHARTS, residual, plan, details={"x": 1}, records={"big": min}
+    )
+    assert rep.verdict == "pass" and rep.witness is None
+    assert rep.max_residual == 0.0 and rep.per_chart == {"A": 0.0, "B": 0.0}
+    smallest = min(c[0] for _, pts in sample_points(TWO_CHARTS, plan) for c, _ in pts)
+    assert rep.details == {"x": 1, "big": 1e9 + smallest}
+
+
+@pytest.mark.parametrize("how", [min, max, None])  # None: a clause
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_tie_keeps_the_earlier_signed_zero(how, first):
+    rows = [("A", (0.1,), {"r": first}), ("A", (0.2,), {"r": -first})]
+    red = reduce_residuals(rows, {"r": how} if how else None)
+    assert math.copysign(1.0, red.named["r"]) == math.copysign(1.0, first)
+
+
+def test_name_no_row_produced_is_absent():
+    rows = [("A", (0.1,), {"c": 1.0}), ("A", (0.2,), 0.5)]
+    red = reduce_residuals(rows, {"r": min})
+    assert red.named == {"c": 1.0} and red.max_residual == 1.0
+
+    def residual(chart, coords, env):
+        return {"c": 1.0, "r": 2.0}
+
+    rep = run_residual_check(
+        "empty", TWO_CHARTS, residual, SamplePlan(points_per_chart=0),
+        details={"x": 1}, records={"r": min},
+    )
+    assert rep.samples == 0 and rep.details == {"x": 1}
