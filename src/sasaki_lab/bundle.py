@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import exprlang, numkernel as nk
-from .contact import ContactStructure
+from .contact import NONDEGENERACY_THRESHOLD, ContactStructure, nondegeneracy_shortfall
 from .manifold import (
     Atlas,
     Chart,
@@ -213,23 +213,20 @@ def symplectize(
 def symplectic_check(omega: TensorField, plan: SamplePlan) -> CheckReport:
     """Closedness (dω = 0) and pointwise nondegeneracy of a 2-form."""
     domega = exterior_derivative(omega)
-    threshold = 1e-8
 
     def residual(chart, coords, env):
         r = max_abs(domega.at(chart, env))
         rows = [
             [nk.value_of(x) for x in row] for row in omega.at(chart, env)
         ]
-        det = abs(nk.determinant(rows))
-        # relative deficiency: O(1) when the form degenerates outright
-        return max_or_nan([r, 0.0, 1.0 - det / threshold])
+        return max_or_nan([r, nondegeneracy_shortfall(abs(nk.determinant(rows)))])
 
     return run_residual_check(
         "symplectic_form",
         omega.atlas,
         residual,
         plan,
-        details={"nondegeneracy_threshold": threshold},
+        details={"nondegeneracy_threshold": NONDEGENERACY_THRESHOLD},
     )
 
 

@@ -183,8 +183,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UnknownKey as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnknownKey as exc:  # str() of a KeyError would quote the message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

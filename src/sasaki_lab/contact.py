@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 from . import numkernel as nk
-from .manifold import Atlas, Chart, SamplePlan
+from .manifold import Atlas, Chart, SamplePlan, sample_points
 from .report import CheckReport, max_or_nan, run_residual_check
 from .tensor import (
     TensorField,
@@ -135,18 +135,23 @@ def contact_top_coefficient(C: ContactStructure, chart: str, env: dict) -> float
 NONDEGENERACY_THRESHOLD = 1e-8
 
 
+def nondegeneracy_shortfall(value: float) -> float:
+    """The relative shortfall max(0, 1 − value / `NONDEGENERACY_THRESHOLD`):
+    0 above the threshold, about 1 where the value vanishes, NaN on NaN."""
+    return max_or_nan([0.0, 1.0 - value / NONDEGENERACY_THRESHOLD])
+
+
 def is_contact_form(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     """Pass iff the top-form coefficient stays above the threshold everywhere.
 
-    Reported residual is the relative shortfall max(0, 1 − |coefficient| /
-    threshold): 0 on a contact form, about 1 where η∧(dη)^n vanishes.  The
-    record ``min_coefficient`` is the smallest coefficient; a NaN sticks.
+    Reported residual is the coefficient's `nondegeneracy_shortfall`: 0 on
+    a contact form, about 1 where η∧(dη)^n vanishes.  The record
+    ``min_coefficient`` is the smallest coefficient; a NaN sticks.
     """
 
     def residual(chart, coords, env):
         c = contact_top_coefficient(C, chart, env)
-        shortfall = max_or_nan([0.0, 1.0 - c / NONDEGENERACY_THRESHOLD])
-        return {None: shortfall, "min_coefficient": c}
+        return {None: nondegeneracy_shortfall(c), "min_coefficient": c}
 
     return run_residual_check(
         "is_contact_form",
@@ -177,41 +182,45 @@ def contact_frame(C: ContactStructure, chart: str, env: dict) -> KernelFrame:
     mags = [abs(nk.value_of(v)) for v in ev_vals]
     dropped = max(range(dim), key=lambda i: (mags[i], -i))
     kept = tuple(i for i in range(dim) if i != dropped)
-    vectors = []
-    for a in kept:
-        vec = [0.0] * dim
-        vec[a] = 1.0
-        vectors.append([vec[k] - ev_vals[a] * xv[k] for k in range(dim)])
+    vectors = [_kernel_vector(a, ev_vals, xv) for a in kept]
     return KernelFrame(chart, dropped, kept, vectors, xv, ev_vals)
 
 
-def frame_fields(C: ContactStructure, chart: str, kept: tuple[int, ...]):
-    """The same frame as smooth C-valued *fields* (fixed kept indices).
+def _kernel_vector(a: int, eta_vals: list, xi: list) -> list:
+    """e_a − η_a·ξ, which η annihilates."""
+    return [(1.0 if k == a else 0.0) - eta_vals[a] * x for k, x in enumerate(xi)]
 
-    η(F_a) ≡ 0 holds identically, not just at the base point — bracket-based
-    checks (almost-CR flag, CR torsion) depend on that.
+
+def kernel_frames(C: ContactStructure, plan: SamplePlan) -> dict[str, list]:
+    """Each chart's frame as C-valued *fields*: {chart: [F_a, ...]}.
+
+    The fields keep the indices of the chart's `contact_frame` at its first
+    sample of ``plan``, read through `sample_points` (under a sample set,
+    the env the driver visits first).  η(F_a) ≡ 0 holds identically, not
+    just at the base point — bracket-based checks (almost-CR flag, CR
+    torsion) depend on that.
     """
     xi = C.reeb()
 
-    def frame_vector(a):
+    def frame_vector(chart_name, a):
         def components(chart, env):
-            ev_vals = C.eta.at(chart.name, env)
-            xv = xi.at(chart.name, env)
-            dim = len(ev_vals)
-            vec = [0.0] * dim
-            vec[a] = 1.0
-            return [vec[k] - ev_vals[a] * xv[k] for k in range(dim)]
+            ev_vals, xv = C.eta.at(chart.name, env), xi.at(chart.name, env)
+            return _kernel_vector(a, ev_vals, xv)
 
-        return TensorField(f"frame{a}", C.atlas, (1, 0), components, [chart])
+        return TensorField(f"frame{a}", C.atlas, (1, 0), components, [chart_name])
 
-    return [frame_vector(a) for a in kept]
+    return {
+        name: [frame_vector(name, a) for a in contact_frame(C, name, pts[0][1]).kept]
+        for name, pts in sample_points(C.atlas, plan)
+        if pts
+    }
 
 
 def frame_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     """Frame lies in C and, with ξ appended, spans the tangent space.
 
-    The spanning part is the relative shortfall max(0, 1 − |det| /
-    threshold) of `is_contact_form`: about 1 where the frame degenerates.
+    The spanning part is the `nondegeneracy_shortfall` of |det|: about 1
+    where the frame degenerates.
     """
 
     def residual(chart, coords, env):
@@ -219,7 +228,6 @@ def frame_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
         r = max_abs([contract_form_vector(fr.eta_vals, vec) for vec in fr.vectors])
         rows = [[nk.value_of(x) for x in vec] for vec in fr.vectors]
         rows.append([nk.value_of(x) for x in fr.xi])
-        det = abs(nk.determinant(rows))
-        return max_or_nan([r, 0.0, 1.0 - det / NONDEGENERACY_THRESHOLD])
+        return max_or_nan([r, nondegeneracy_shortfall(abs(nk.determinant(rows)))])
 
     return run_residual_check("kernel_frame", C.atlas, residual, plan)

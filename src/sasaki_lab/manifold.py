@@ -295,6 +295,11 @@ class Overlaps:
     stream: str = ""
     charts: frozenset[str] | None = None
 
+    def transitions(self) -> list[TransitionMap]:
+        """The atlas's transitions, those between ``charts`` when given."""
+        return [t for t in self.atlas.transitions
+                if self.charts is None or {t.source, t.target} <= self.charts]
+
 
 class OverlapSite(NamedTuple):
     """Where an overlap sample lies: its domain, transition and piece."""
@@ -320,9 +325,7 @@ def sample_domain(domain, plan: SamplePlan):
 
 
 def _overlap_groups(domain: Overlaps, plan: SamplePlan):
-    for t in domain.atlas.transitions:
-        if domain.charts is not None and not {t.source, t.target} <= domain.charts:
-            continue
+    for t in domain.transitions():
         src = domain.atlas.chart(t.source)
         label = f"{t.source}->{t.target}"
         rng = _chart_rng(plan.seed, label + domain.stream)
@@ -355,24 +358,3 @@ def atlas_consistency_check(atlas: Atlas, plan: SamplePlan) -> CheckReport:
         return max_or_nan(diffs)
 
     return run_residual_check("atlas_consistency", Overlaps(atlas), residual, plan)
-
-
-__all__ = [
-    "Atlas",
-    "Chart",
-    "EmptyDomain",
-    "NoTransition",
-    "OutOfDomain",
-    "Overlaps",
-    "Point",
-    "PointEnv",
-    "SamplePlan",
-    "TransitionMap",
-    "TransitionPiece",
-    "apply_transition",
-    "atlas_consistency_check",
-    "run_residual_check",
-    "sample_chart",
-    "sample_domain",
-    "sample_points",
-]

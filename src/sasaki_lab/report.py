@@ -15,7 +15,11 @@ points labelled ``src->tgt``), evaluates the residual at each and hands
 `reduce_residuals` one (label, coords, residual) row per sample: the only
 code that reduces across samples.  It keeps the worst (NaN above inf above
 any number) overall and per label, the first strictly-worst row as witness,
-and for ``details`` each clause's worst and each record's max or min.
+and for ``details`` each clause's worst and each record's max or min.  A
+residual is a function of its row (where, coords, env) alone and keeps
+nothing between rows, so the driver may visit the rows in any order;
+whatever a check needs per chart or transition piece is built before the
+driver samples.
 `check_report` turns the reduction into a verdict under the check's
 `SamplePlan`, whose ``tolerance`` and ``seed`` are the only ones a check
 reads.  Within a sample, components go through `max_or_nan` (or

@@ -33,7 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkernel as nk
-from .contact import ContactStructure, contact_frame, frame_fields
+from .contact import (
+    ContactStructure,
+    contact_frame,
+    kernel_frames,
+    nondegeneracy_shortfall,
+)
 from .manifold import SamplePlan
 from .report import (
     CheckReport,
@@ -113,7 +118,6 @@ class LeviStructure:
         C = self.contact
         xi = C.reeb()
         g = self.metric()
-        pd_threshold = 1e-8
 
         def residual(chart, coords, env):
             phim = self.phibar.at(chart, env)
@@ -134,7 +138,7 @@ class LeviStructure:
                 for j in range(i):
                     comps.append(rows[i][j] - rows[j][i])
             lam = nk.min_eigenvalue(rows)
-            return max_or_nan([max_abs(comps), 0.0, 1.0 - lam / pd_threshold])
+            return max_or_nan([max_abs(comps), nondegeneracy_shortfall(lam)])
 
         return run_residual_check(
             f"levi_structure({self.name})", self.atlas, residual, plan
@@ -196,22 +200,22 @@ def pin_flag_residuals(
     (3) the form dη(·, φ·) is φ-invariant,
     (4) η([φX, Y] + [X, φY]) = 0 for kernel *fields* X, Y.
 
-    The fourth is the only one needing derivatives; it uses frame fields,
-    so candidates must map the kernel to itself; a chart's frame fields
-    are built at its first sample.  Each flag is a named clause.
+    The fourth is the only one needing derivatives; it uses the
+    `kernel_frames` fields, so candidates must map the kernel to itself.
+    Their bracket pairs are built per chart before any point is
+    evaluated.  Each flag is a named clause.
     """
     d_eta = C.d_eta()
-    built = {}  # chart name -> the bracket pairs of its frame fields
+    brackets = {}  # chart name -> the bracket pairs of its frame fields
+    for chart, frames in kernel_frames(C, plan).items():
+        phi_frames = [endo_apply(phi, F) for F in frames]
+        brackets[chart] = [
+            (lie_bracket(phi_frames[a], frames[b]),
+             lie_bracket(frames[a], phi_frames[b]))
+            for a, b in itertools.combinations(range(len(frames)), 2)
+        ]
 
     def residual(chart, coords, env):
-        if chart not in built:
-            frames = frame_fields(C, chart, contact_frame(C, chart, env).kept)
-            phi_frames = [endo_apply(phi, F) for F in frames]
-            built[chart] = [
-                (lie_bracket(phi_frames[a], frames[b]),
-                 lie_bracket(frames[a], phi_frames[b]))
-                for a, b in itertools.combinations(range(len(frames)), 2)
-            ]
         de = d_eta.at(chart, env)
         ph = phi.at(chart, env)
         etav = C.eta.at(chart, env)
@@ -231,7 +235,7 @@ def pin_flag_residuals(
         ab = list(itertools.product(range(len(vecs)), repeat=2))
         closed = [
             nk.sum_(etav[k] * (v1[k] + v2[k]) for k in range(dim))
-            for v1, v2 in ([br.at(chart, env) for br in brs] for brs in built[chart])
+            for v1, v2 in ([br.at(chart, env) for br in brs] for brs in brackets[chart])
         ]
         return {
             "invariant_two_form": max_abs(
@@ -460,9 +464,9 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     Route one evaluates every component of the first structure tensor.
     Route two brackets kernel frame fields (torsion) and adds the Reeb
     derivative of the endomorphism, which together are equivalent to
-    route one.  The frame fields of a chart keep the indices of its first
-    sample's frame; they, their torsions and the spot-check field are
-    built on the residual's first call for the chart.  The routes are named
+    route one.  The frame fields are the `kernel_frames` of the contact
+    structure; they, their torsions and the spot-check field of each chart
+    are built before any point is evaluated.  The routes are named
     clauses, their agreement and the spot check records: ``details`` holds
     the worst of each.  The report fails only when both routes exceed
     tolerance (residuals between tolerance and 1e-3 are inconclusive); a
@@ -473,29 +477,28 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     C = L.contact
     tensors = n_tensors(L)
     N1, N3 = tensors["N1"], tensors["N3"]
-    built = {}  # chart name -> (frames, torsions, spot field, rescaling factor)
 
-    def chart_fields(chart, env):
-        if chart not in built:
-            frames = frame_fields(C, chart, contact_frame(C, chart, env).kept)
-            torsions = {
-                (a, b): cr_torsion_field(C, L.phibar, frames[a], frames[b])
-                for a, b in itertools.combinations(range(len(frames)), 2)
-            }
-            coord = C.atlas.chart(chart).coords[0]
+    def chart_fields(chart, frames):
+        torsions = {
+            (a, b): cr_torsion_field(C, L.phibar, frames[a], frames[b])
+            for a, b in itertools.combinations(range(len(frames)), 2)
+        }
+        coord = C.atlas.chart(chart).coords[0]
 
-            def factor(env):
-                return 1.0 + 0.3 * env[coord]
+        def factor(env):
+            return 1.0 + 0.3 * env[coord]
 
-            scaled = [
-                tf_scale(F, factor, name=f"{F.name}_rescaled") for F in frames[:2]
-            ]
-            spot_field = cr_torsion_field(C, L.phibar, scaled[0], scaled[1])
-            built[chart] = (frames, torsions, spot_field, factor)
-        return built[chart]
+        scaled = [tf_scale(F, factor, name=f"{F.name}_rescaled") for F in frames[:2]]
+        spot_field = cr_torsion_field(C, L.phibar, scaled[0], scaled[1])
+        return frames, torsions, spot_field, factor
+
+    built = {  # chart name -> (frames, torsions, spot field, rescaling factor)
+        chart: chart_fields(chart, frames)
+        for chart, frames in kernel_frames(C, plan).items()
+    }
 
     def residual(chart, coords, env):
-        frames, torsions, spot_field, factor = chart_fields(chart, env)
+        frames, torsions, spot_field, factor = built[chart]
         n1v = N1.at(chart, env)
         r1 = max_abs(n1v)
         parts2 = [N3.at(chart, env)]  # route two's components

@@ -623,18 +623,22 @@ def single_valued(T: TensorField, sign_fn=None) -> Callable:
     """Residual of "T's chart data agree" at an `OverlapSite` sample: the
     largest |T_src - sign · (piece*T_tgt)| component, with the target data
     pulled back through the piece and ``sign_fn(transition, piece)`` (paired
-    structures hand one in) or 1 as sign."""
-    by_piece = {}  # (transition, piece) ids -> (T pulled back, sign)
+    structures hand one in) or 1 as sign.  The pullbacks and signs of the
+    pieces of `field_overlaps` are built here, before any sample is
+    evaluated."""
+    by_piece = {  # (transition, piece) ids -> (T pulled back, sign)
+        (id(t), id(piece)): (
+            pullback(SmoothMap("piece", T.atlas, T.atlas,
+                               {t.source: (t.target, piece.forward)}), T),
+            1.0 if sign_fn is None else sign_fn(t, piece),
+        )
+        for t in field_overlaps(T).transitions()
+        for piece in t.pieces
+    }
 
     def residual(site, coords, env):
-        t, piece = site.transition, site.piece
-        key = (id(t), id(piece))
-        if key not in by_piece:
-            table = {t.source: (t.target, piece.forward)}
-            fmap = SmoothMap("piece", T.atlas, T.atlas, table)
-            sign = 1.0 if sign_fn is None else sign_fn(t, piece)
-            by_piece[key] = (pullback(fmap, T), sign)
-        back, sign = by_piece[key]
+        t = site.transition
+        back, sign = by_piece[(id(t), id(site.piece))]
         return max_diff(T.at(t.source, env), back.at(t.source, env), sign)
 
     return residual

@@ -52,6 +52,18 @@ def test_unknown_key_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["verify", "nokey"],
+     "error: unknown example 'nokey'; known keys: " + ", ".join(EXAMPLE_KEYS)),
+    (["verify", "main1-family", "--param", "a=y"],
+     "error: main1-family: bad slope a='y': y not among the base coordinates"),
+], ids=["unknown-key", "bad-slope"])
+def test_error_line_has_no_repr_quotes(argv, line, capsys):
+    """An exit-2 message is printed as written, not as a KeyError's repr."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_unknown_check_exits_two(capsys):
     rc = main(["verify", "darboux-1", "--checks", "no_such_check"])
     assert rc == 2

@@ -1,5 +1,7 @@
 """Contact layer: Reeb solves, nondegeneracy, kernel frames."""
 
+from dataclasses import replace
+
 import pytest
 
 from sasaki_lab import numkernel as nk
@@ -10,8 +12,8 @@ from sasaki_lab.contact import (
     contact_top_coefficient,
     darboux_contact,
     frame_check,
-    frame_fields,
     is_contact_form,
+    kernel_frames,
     reeb_residual_check,
 )
 from sasaki_lab.manifold import Atlas, Chart, SamplePlan
@@ -106,13 +108,24 @@ class TestFrames:
 
     def test_frame_fields_track_eta(self):
         C = darboux_contact(1)
-        flds = frame_fields(C, "O", (0, 1))
+        flds = kernel_frames(C, PLAN)["O"]  # |η_z| = 1 > |p|: z is dropped
         env = {"x": -0.4, "p": 0.8, "z": 0.3}
         vals = [f.at("O", env) for f in flds]
         assert vals[0] == pytest.approx([1.0, 0.0, 0.8])
+        assert vals[1] == pytest.approx([0.0, 1.0, 0.0])
         ev = C.eta.at("O", env)
         for v in vals:
             assert abs(tn.contract_form_vector(ev, v)) < 1e-15
+
+    def test_kernel_frames_read_the_plan_sample_set(self):
+        """Under a sample set the frame is read at the env the driver
+        visits first, and at no other."""
+        C = darboux_contact(1)
+        shared = tn.SampleSet(())
+        kernel_frames(C, replace(PLAN, sample_set=shared))
+        first, *rest = shared.envs()
+        assert (C.eta, "O") in first.memo
+        assert not any(env.memo for env in rest)
 
     def test_frame_check_passes(self):
         for n in (1, 2):
