@@ -1,11 +1,13 @@
 """Scaling bundles over chart atlases: cones, homogeneity, calibrations.
 
 A bundle here is a base atlas with one extra fiber coordinate ``s`` appended
-to every chart (final position, always).  The structure group is either the
-positive reals ("R+", fiber box [0.5, 2]) or the nonzero reals ("Rx", fiber
-box [−2, 2] minus a band around 0); transitions multiply ``s`` by a locally
-constant sign — the *sign cocycle* — which is what makes non-trivializable
-examples representable at all.
+last to every chart (`manifold.append_coordinate`).  This module, `kahler`
+and `corpus` rely on that layout: they read the fiber as the last index and
+the base coordinates as the indices before it.  The structure group is
+either the positive reals ("R+", fiber box [0.5, 2]) or the nonzero reals
+("Rx", fiber box [−2, 2] minus a band around 0); transitions multiply ``s``
+by a locally constant sign — the *sign cocycle* — which is what makes
+non-trivializable examples representable at all.
 
 `homogeneity_check` verifies h_ν-pullback laws in three modes:
 
@@ -30,10 +32,10 @@ from . import exprlang, numkernel as nk
 from .contact import NONDEGENERACY_THRESHOLD, ContactStructure, nondegeneracy_shortfall
 from .manifold import (
     Atlas,
-    Chart,
     SamplePlan,
     TransitionMap,
     TransitionPiece,
+    append_coordinate,
 )
 from .report import CheckReport, max_or_nan, run_residual_check
 from .tensor import (
@@ -51,6 +53,8 @@ if TYPE_CHECKING:
     from .product import ProductBundle
 
 FIBER = "s"
+# the fiber box and excluded band of each structure group
+_FIBER_BOXES = {"R+": ((0.5, 2.0), None), "Rx": ((-2.0, 2.0), (-0.5, 0.5))}
 
 
 class NotHomogeneous(ValueError):
@@ -68,9 +72,6 @@ class PrincipalBundle:
     base: Atlas
     group: str  # "R+" or "Rx"
 
-    def fiber_index(self, chart: str) -> int:
-        return self.total.chart(chart).index(FIBER)
-
     def lift_env(self, base_env: dict, s=1.0) -> dict:
         """A base point's env lifted to fiber height `s`."""
         env = dict(base_env)
@@ -85,9 +86,7 @@ class PrincipalBundle:
         """∇ = s ∂s in every chart."""
 
         def components(chart, env):
-            out = [0.0] * chart.dim
-            out[chart.index(FIBER)] = env[FIBER]
-            return out
+            return [0.0] * (chart.dim - 1) + [env[FIBER]]
 
         return TensorField("liouville", self.total, (1, 0), components)
 
@@ -112,8 +111,7 @@ class PrincipalBundle:
             center[FIBER] = 1.0
         tag = nk.new_tag()
         center[FIBER] = nk.DScalar(center[FIBER], (1.0,), tag)
-        s_expr = piece.forward[self.total.chart(t.target).index(FIBER)]
-        out = exprlang.eval_expr(s_expr, center)
+        out = exprlang.eval_expr(piece.forward[-1], center)
         d = nk.value_of(nk.tangent_at(out, tag, 0))
         return math.copysign(1.0, d)
 
@@ -142,38 +140,17 @@ def cone_over(
     cocycle(transition, piece) -> ±1 chooses the fiber sign on overlaps
     (default +1 everywhere); −1 requires group "Rx".
     """
-    if group not in ("R+", "Rx"):
+    if group not in _FIBER_BOXES:
         raise ValueError(f"unknown structure group {group!r}")
-    s_box = (0.5, 2.0) if group == "R+" else (-2.0, 2.0)
-    s_excl = () if group == "R+" else ((FIBER, -0.5, 0.5),)
-    charts = []
-    for c in base.charts:
-        charts.append(
-            Chart(
-                c.name,
-                c.coords + (FIBER,),
-                c.box + (s_box,),
-                excluded=c.excluded + s_excl,
-                margin=c.margin,
-            )
-        )
-    transitions = []
-    for t in base.transitions:
-        pieces = []
-        for piece in t.pieces:
-            eps = 1.0 if cocycle is None else cocycle(t, piece)
-            if eps < 0 and group != "Rx":
-                raise ValueError("sign-flipping cocycle needs group 'Rx'")
-            s_fwd = exprlang.parse(FIBER if eps > 0 else f"-{FIBER}")
-            pieces.append(
-                TransitionPiece(
-                    piece.box + (s_box,),
-                    piece.forward + (s_fwd,),
-                    piece.inverse + (s_fwd,),
-                )
-            )
-        transitions.append(TransitionMap(t.source, t.target, tuple(pieces)))
-    total = Atlas(charts, transitions)
+
+    def sign(t: TransitionMap, piece: TransitionPiece) -> float:
+        eps = 1.0 if cocycle is None else cocycle(t, piece)
+        if eps < 0 and group != "Rx":
+            raise ValueError("sign-flipping cocycle needs group 'Rx'")
+        return eps
+
+    box, band = _FIBER_BOXES[group]
+    total = append_coordinate(base, FIBER, box, band, sign)
     return PrincipalBundle(name, total, base, group)
 
 
@@ -194,15 +171,14 @@ def symplectize(
     P = cone_over(C.atlas, group, cocycle, name=f"cone({C.name})")
 
     def components(chart, env):
-        dim = chart.dim
-        si = chart.index(FIBER)
+        n = chart.dim - 1  # the base block, then the fiber row
         s = env[FIBER]
         vals, parts = field_jet(C.eta, chart.name, env)
-        out = zeros(dim, 2)
-        for i in range(dim - 1):
-            out[si][i] = vals[i]
-            out[i][si] = -vals[i]
-            for j in range(dim - 1):
+        out = zeros(n + 1, 2)
+        for i in range(n):
+            out[n][i] = vals[i]
+            out[i][n] = -vals[i]
+            for j in range(n):
                 out[i][j] = s * (parts[i][j] - parts[j][i])
         return out
 
@@ -291,10 +267,8 @@ def liouville_data(
     nabla = bundle.liouville()
 
     def liouville_form(chart, env):
-        m = omega.at(chart.name, env)
         s = env[FIBER]
-        si = chart.index(FIBER)
-        return [s * m[si][j] for j in range(chart.dim)]
+        return [s * w for w in omega.at(chart.name, env)[-1]]
 
     theta = TensorField(
         f"liouville_form({omega.name})", bundle.total, (0, 1), liouville_form
@@ -308,9 +282,8 @@ def liouville_data(
     def residual(chart_name, coords, env):
         dt = dtheta.at(chart_name, env)
         om = omega.at(chart_name, env)
-        si = bundle.fiber_index(chart_name)
         dim = len(om)
-        return max_abs([theta.at(chart_name, env)[si]] + [
+        return max_abs([theta.at(chart_name, env)[-1]] + [
             nk.value_of(dt[i][j]) - nk.value_of(om[i][j])
             for i in range(dim)
             for j in range(dim)
@@ -332,10 +305,8 @@ def g_calibration(bundle: PrincipalBundle, g: TensorField) -> TensorField:
     """𝔰 = g(∇, ∇): squared length of the scaling field."""
 
     def norm2(chart, env):
-        m = g.at(chart.name, env)
         s = env[FIBER]
-        si = chart.index(FIBER)
-        return s * s * m[si][si]
+        return s * s * g.at(chart.name, env)[-1][-1]
 
     return TensorField(f"norm2_liouville({g.name})", bundle.total, (0, 0), norm2)
 
@@ -348,11 +319,9 @@ def calibration_check(
     """Positivity plus the Euler identity d𝔰(∇) = 𝔰 (degree-1 law)."""
 
     def residual(chart, coords, env):
-        chart_obj = bundle.total.chart(chart)
         vals, parts = field_jet(scal, chart, env)
         s = env[FIBER]
-        si = chart_obj.index(FIBER)
-        euler = abs(s * parts[si] - vals)
+        euler = abs(s * parts[-1] - vals)
         positive = 0.0 if vals > 0 else abs(vals) + 1e-6
         return max_or_nan([euler, positive])
 
@@ -394,14 +363,12 @@ def decompose_homogeneous_metric(
 
     def pieces_at(chart_name: str, env_total: dict):
         """A, μ_j, γ_{jk} (full total-index range) at one total point."""
-        chart = bundle.total.chart(chart_name)
-        dim = chart.dim
-        si = chart.index(FIBER)
+        dim = bundle.total.chart(chart_name).dim
         s = env_total[FIBER]
         gm = g.at(chart_name, env_total)
         sval, sparts = field_jet(scal, chart_name, env_total)
-        a_val = s * s * gm[si][si] / sval
-        i_nabla = [s * gm[si][j] for j in range(dim)]
+        a_val = s * s * gm[-1][-1] / sval
+        i_nabla = [s * x for x in gm[-1]]
         mu = [
             (i_nabla[j] - a_val * sparts[j]) / sval for j in range(dim)
         ]
@@ -418,23 +385,23 @@ def decompose_homogeneous_metric(
             ]
             for j in range(dim)
         ]
-        return a_val, mu, gamma, si
+        return a_val, mu, gamma
 
     def base_field(name: str, valence: tuple[int, int], kind: str) -> TensorField:
         def components(chart, env):
             env_t = bundle.lift_env(env)
-            a_val, mu, gamma, si = pieces_at(chart.name, env_t)
-            keep = [j for j in range(chart.dim + 1) if j != si]
+            a_val, mu, gamma = pieces_at(chart.name, env_t)
+            n = chart.dim  # the base block of the total indices
             if kind == "A":
                 return a_val
             if kind == "mu":
-                return [mu[j] for j in keep]
+                return mu[:n]
             return [
                 [
                     gamma[j][k] / a_val - (mu[j] / a_val) * (mu[k] / a_val)
-                    for k in keep
+                    for k in range(n)
                 ]
-                for j in keep
+                for j in range(n)
             ]
 
         return TensorField(name, bundle.base, valence, components)
@@ -459,7 +426,7 @@ def decompose_homogeneous_metric(
     def residual(chart_name, coords, env):
         chart = bundle.total.chart(chart_name)
         dim = chart.dim
-        a_val, mu_t, gamma, si = pieces_at(chart_name, env)
+        a_val, mu_t, gamma = pieces_at(chart_name, env)
         sval, sparts = field_jet(scal, chart_name, env)
         gm = g.at(chart_name, env)
         comps = []
@@ -474,11 +441,9 @@ def decompose_homogeneous_metric(
                 comps.append(nk.value_of(rebuilt) - nk.value_of(gm[j][k]))
         # data read at this fiber height must match the s=1 extraction
         base_env = bundle.base_env(env)
-        keep = [j for j in range(dim) if j != si]
         comps.append(nk.value_of(a_val) - nk.value_of(A.at(chart_name, base_env)))
         mu_base = mu.at(chart_name, base_env)
-        for idx, j in enumerate(keep):
-            comps.append(nk.value_of(mu_t[j]) - nk.value_of(mu_base[idx]))
+        comps += [nk.value_of(x) - nk.value_of(y) for x, y in zip(mu_t, mu_base)]
         return max_abs(comps)
 
     rep = run_residual_check("metric_decomposition", bundle.total, residual, plan)
@@ -525,18 +490,16 @@ def induced_metric(
 
     def components(chart, env):
         dim = chart.dim
-        si = chart.index(FIBER)
         sval, sparts = field_jet(scal, chart.name, env)
         zeta = [sparts[j] / sval for j in range(dim)]
         gm = g_M.at(chart.name, env)
-        keep = [j for j in range(dim) if j != si]
         out = zeros(dim, 2)
         for j in range(dim):
             for k in range(dim):
                 out[j][k] = sval * zeta[j] * zeta[k]
-        for a, ja in enumerate(keep):
-            for b, jb in enumerate(keep):
-                out[ja][jb] = out[ja][jb] + sval * gm[a][b]
+        for j in range(dim - 1):  # the base block; the fiber is last
+            for k in range(dim - 1):
+                out[j][k] = out[j][k] + sval * gm[j][k]
         return out
 
     return TensorField(

@@ -657,23 +657,20 @@ def _build_mobius_jet(params: dict) -> Example:
     total = pair.bundle.total
     jmat = pair.J
 
-    base_idx = {c.name: [c.coords.index(x) for x in ("x", "p", "z")] for c in base.charts}
-
+    # the cone's components: the base block (x, p, z), then the fiber
     def projected_eta(chart, env, s=1.0):
-        total_chart = total.chart(chart)
-        si = total_chart.index(FIBER)
         om = pair.omega.at(chart, pair.bundle.lift_env(env, s))
         # contraction of the two-form with the scaling field, divided by
         # the fiber: (i_{s d/ds} omega)_j / s = omega_{sj}
-        return [om[si][j] for j in base_idx[chart]]
+        return om[-1][:-1]
 
     def projected_endo(chart, env, s=1.0):
         jm = jmat.at(chart, pair.bundle.lift_env(env, s))
-        return [[jm[i][j] for j in base_idx[chart]] for i in base_idx[chart]]
+        return [row[:-1] for row in jm[:-1]]
 
     def projected_metric(chart, env, s=1.0):
         gm = pair.g.at(chart, pair.bundle.lift_env(env, s))
-        return [[gm[i][j] for j in base_idx[chart]] for i in base_idx[chart]]
+        return [row[:-1] for row in gm[:-1]]
 
     eta_proj = TensorField(
         "projected_kernel_form", base, (0, 1),
@@ -1159,7 +1156,6 @@ def _build_main1(params: dict) -> Example:
     bundle = pair.bundle
     total = bundle.total
     chart = total.charts[0]
-    si = chart.index(FIBER)
     zi = chart.index("z")
 
     def hom(field, weight, mode):
@@ -1179,8 +1175,7 @@ def _build_main1(params: dict) -> Example:
         # the scaling field and the lifted Reeb field span the vertical
         # plane; on it J acts by [[a, 1], [-(1+a²), -a]] in that order:
         # J(scaling) = xi - a·scaling, J(xi) = a·xi - (1+a²)·scaling
-        nabla = [0.0] * dim
-        nabla[si] = s
+        nabla = [0.0] * (dim - 1) + [s]  # the fiber is last
         xi_lift = [0.0] * dim
         xi_lift[zi] = 1.0
         img_nabla = [nk.sum_(jm[i][j] * nabla[j] for j in range(dim)) for i in range(dim)]

@@ -21,7 +21,7 @@ from typing import Union
 from . import exprlang, numkernel as nk
 from .bundle import FIBER, PrincipalBundle
 from .contact import ContactStructure, contact_frame
-from .manifold import Atlas, Chart, SamplePlan, TransitionMap, TransitionPiece
+from .manifold import SamplePlan, append_coordinate
 from .report import CheckReport, run_residual_check
 from .sasaki import LeviStructure
 from .tensor import TensorField, max_abs, nijenhuis, tf_combine, vanishing, zeros
@@ -78,14 +78,9 @@ def kahlerianization(
     C = L.contact
     bundle, omega = symplectize(C)
     g_M = L.metric()
-    a_expr = (
-        exprlang.parse(repr(float(slope)))
-        if isinstance(slope, (int, float))
-        else exprlang.parse(slope)
-    )
+    a_expr = _parse_slope(slope)
 
     def cone_metric(chart, env):
-        si = chart.index(FIBER)
         s = env[FIBER]
         # calibration |s| on two-sided cones keeps g positive there
         mag = nk.absolute(s) if bundle.group == "Rx" else s
@@ -93,17 +88,14 @@ def kahlerianization(
         etav = C.eta.at(chart.name, base_env)
         gmb = g_M.at(chart.name, base_env)
         a = exprlang.eval_expr(a_expr, base_env)
-        dim = len(etav) + 1
-        keep = [j for j in range(dim) if j != si]
-        out = [[0.0] * dim for _ in range(dim)]
-        out[si][si] = mag / (s * s)
-        for jb, j in enumerate(keep):
-            out[si][j] = (mag / s) * a * etav[jb]
-            out[j][si] = out[si][j]
-            for kb, k in enumerate(keep):
-                out[j][k] = mag * (
-                    a * a * etav[jb] * etav[kb] + gmb[jb][kb]
-                )
+        n = len(etav)
+        # the base block, each row ending in the mixed entry, then the fiber row
+        out = [
+            [mag * (a * a * etav[j] * etav[k] + gmb[j][k]) for k in range(n)]
+            + [(mag / s) * a * etav[j]]
+            for j in range(n)
+        ]
+        out.append([row[n] for row in out] + [mag / (s * s)])
         return out
 
     g = TensorField(f"cone_metric({L.name})", bundle.total, (0, 2), cone_metric)
@@ -113,6 +105,13 @@ def kahlerianization(
         g=g,
         J=compatibility_tensor(omega, g),
         scal=g_calibration(bundle, g),
+    )
+
+
+def _parse_slope(slope: Union[float, str]) -> exprlang.Expr:
+    """A slope as one parsed expression: a number by its repr, text as is."""
+    return exprlang.parse(
+        repr(float(slope)) if isinstance(slope, (int, float)) else slope
     )
 
 
@@ -211,14 +210,11 @@ def vertical_slope(
     xi = C.reeb()
 
     def slope(chart, env):
-        si = bundle.fiber_index(chart.name)
-        env_t = bundle.lift_env(env)
-        gm = g.at(chart.name, env_t)
+        gm = g.at(chart.name, bundle.lift_env(env))
         xiv = xi.at(chart.name, env)
-        keep = [j for j in range(len(gm)) if j != si]
         # a = g(∇, ξ)/s = Σ g_{s j} ξ^j; the mixed block carries no
         # fiber factor for a degree-1 metric, so the unit lift suffices
-        return nk.sum_(gm[si][j] * xiv[jb] for jb, j in enumerate(keep))
+        return nk.sum_(g_sj * x for g_sj, x in zip(gm[-1], xiv))
 
     return TensorField("vertical_slope", bundle.base, (0, 0), slope)
 
@@ -248,47 +244,34 @@ def reconstruct_main1(
     slope = vertical_slope(C, bundle, g)
 
     def base_metric(chart, env):
-        env_t = bundle.lift_env(env)
-        gm = g.at(chart.name, env_t)
+        gm = g.at(chart.name, bundle.lift_env(env))
         etav = C.eta.at(chart.name, env)
         a = slope.at(chart.name, env)
-        si = bundle.fiber_index(chart.name)
-        keep = [j for j in range(len(gm)) if j != si]
+        n = len(etav)
         return [
-            [
-                gm[j][k] - a * a * etav[jb] * etav[kb]
-                for kb, k in enumerate(keep)
-            ]
-            for jb, j in enumerate(keep)
+            [gm[j][k] - a * a * etav[j] * etav[k] for k in range(n)]
+            for j in range(n)
         ]
 
     g_M = TensorField("reconstructed_base_metric", bundle.base, (0, 2), base_metric)
 
     def contact_endo(chart, env):
-        si = bundle.fiber_index(chart.name)
-        env_t = bundle.lift_env(env)
-        m = J.at(chart.name, env_t)
+        m = J.at(chart.name, bundle.lift_env(env))
         etav = C.eta.at(chart.name, env)
         xiv = xi.at(chart.name, env)
-        keep = [j for j in range(len(m)) if j != si]
+        n = len(xiv)
         # v ↦ J(v − η(v)ξ): the base block of J minus the base part
         # of J(ξ) spread along η, so the Reeb direction maps to zero
-        jxi = [
-            nk.sum_(m[k][l] * xiv[lb] for lb, l in enumerate(keep))
-            for k in keep
-        ]
-        return [
-            [m[k][j] - etav[jb] * jxi[kb] for jb, j in enumerate(keep)]
-            for kb, k in enumerate(keep)
-        ]
+        jxi = [nk.sum_(m_kl * x for m_kl, x in zip(m[k], xiv)) for k in range(n)]
+        return [[m[k][j] - etav[j] * jxi[k] for j in range(n)] for k in range(n)]
 
     phi_C = TensorField(
         "reconstructed_contact_endo", bundle.base, (1, 1), contact_endo
     )
 
     def residual(chart, coords, env):
-        si = bundle.fiber_index(chart)
         dim = bundle.total.chart(chart).dim
+        n = dim - 1  # the base block, then the fiber
         s = env[FIBER]
         base_env = bundle.base_env(env)
         m = J.at(chart, env)
@@ -297,7 +280,7 @@ def reconstruct_main1(
         xiv = [nk.value_of(v) for v in xi.at(chart, base_env)]
         a = nk.value_of(slope.at(chart, base_env))
 
-        r_cal = abs(nk.value_of(gm[si][si]) * s * s - s)
+        r_cal = abs(nk.value_of(gm[n][n]) * s * s - s)
 
         r_sq = max_abs([
             nk.value_of(nk.sum_(m[i][k] * m[k][j] for k in range(dim)))
@@ -311,11 +294,8 @@ def reconstruct_main1(
             )
 
         # vertical vectors in coordinates
-        xi_t = [0.0] * dim
-        nabla = [0.0] * dim
-        for jb, j in enumerate(k for k in range(dim) if k != si):
-            xi_t[j] = xiv[jb]
-        nabla[si] = s
+        xi_t = xiv + [0.0]
+        nabla = [0.0] * n + [s]
 
         def matvec(v):
             return [
@@ -324,11 +304,10 @@ def reconstruct_main1(
             ]
 
         def eta_of(v):
-            vb = [v[j] for j in range(dim) if j != si]
-            return sum(e * c for e, c in zip(etav, vb))
+            return sum(e * c for e, c in zip(etav, v))
 
         def ds_over_s(v):
-            return v[si] / s
+            return v[n] / s
 
         jxi = matvec(xi_t)
         jnab = matvec(nabla)
@@ -355,11 +334,9 @@ def reconstruct_main1(
         fr = contact_frame(C, chart, base_env)
         cinv, orth = [], []
         for vec in fr.vectors:
-            lift = [0.0] * dim
-            for jb, j in enumerate(k for k in range(dim) if k != si):
-                lift[j] = nk.value_of(vec[jb])
+            lift = [nk.value_of(c) for c in vec] + [0.0]
             img = matvec(lift)
-            cinv += [eta_of(img), img[si]]
+            cinv += [eta_of(img), img[n]]
             for w_vec in (xi_t, nabla):
                 orth.append(
                     nk.sum_(
@@ -379,17 +356,16 @@ def reconstruct_main1(
 
         # reassembly: g = s((ds/s + aη)² + g_M) against the extraction
         gmb = g_M.at(chart, base_env)
-        keep = [j for j in range(dim) if j != si]
         asm = []
-        for ib, i in enumerate(keep):
-            for jb, j in enumerate(keep):
+        for i in range(n):
+            for j in range(n):
                 want_ij = s * (
-                    a * a * etav[ib] * etav[jb] + nk.value_of(gmb[ib][jb])
+                    a * a * etav[i] * etav[j] + nk.value_of(gmb[i][j])
                 )
                 asm.append(nk.value_of(gm[i][j]) - want_ij)
-            mixed = s * (1.0 / s) * a * etav[ib]  # g(∂s, ∂_i) = a·η_i
-            asm.append(nk.value_of(gm[si][i]) - mixed)
-        asm.append(nk.value_of(gm[si][si]) - 1.0 / s)
+            mixed = s * (1.0 / s) * a * etav[i]  # g(∂s, ∂_i) = a·η_i
+            asm.append(nk.value_of(gm[n][i]) - mixed)
+        asm.append(nk.value_of(gm[n][n]) - 1.0 / s)
         return {
             "calibration": r_cal,
             "square": r_sq,
@@ -414,37 +390,6 @@ def reconstruct_main1(
 LINE_COORD = "t"
 
 
-def line_extension(atlas: Atlas, box=(-1.0, 1.0)) -> Atlas:
-    """Append a line coordinate to every chart; transitions fix it."""
-    charts = [
-        Chart(
-            c.name,
-            c.coords + (LINE_COORD,),
-            c.box + (box,),
-            excluded=c.excluded,
-            margin=c.margin,
-        )
-        for c in atlas.charts
-    ]
-    ident = exprlang.parse(LINE_COORD)
-    transitions = [
-        TransitionMap(
-            t.source,
-            t.target,
-            tuple(
-                TransitionPiece(
-                    piece.box + (box,),
-                    piece.forward + (ident,),
-                    piece.inverse + (ident,),
-                )
-                for piece in t.pieces
-            ),
-        )
-        for t in atlas.transitions
-    ]
-    return Atlas(charts, transitions)
-
-
 def cone_complex_structure(
     L: LeviStructure,
     slope: Union[float, str] = 0.0,
@@ -459,16 +404,16 @@ def cone_complex_structure(
     with φ the metric-compatible sign.  It squares to −id for every
     slope, constant or not; its torsion vanishes exactly when the slope
     is constant and the underlying structure is normal.
+
+    M×ℝ is the contact atlas with the line coordinate ``t`` appended last
+    by `manifold.append_coordinate` (ranging over ``box``, fixed by every
+    transition), so ∂t is the last row and column of the components.
     """
     C = L.contact
     phi = L.phi_gas()
     xi = C.reeb()
-    ext = line_extension(C.atlas, box)
-    a_expr = (
-        exprlang.parse(repr(float(slope)))
-        if isinstance(slope, (int, float))
-        else exprlang.parse(slope)
-    )
+    ext = append_coordinate(C.atlas, LINE_COORD, box)
+    a_expr = _parse_slope(slope)
 
     def components(chart, env):
         ph = phi.at(chart.name, env)

@@ -209,6 +209,32 @@ class Atlas:
         raise NoTransition(f"no transition {source}->{target}")
 
 
+def append_coordinate(atlas: Atlas, coord: str, box, band=None, sign=None) -> Atlas:
+    """The atlas with ``coord`` appended last to every chart and piece.
+
+    Each chart keeps its box, bands and margin, and ``coord`` ranges over
+    ``box`` minus the ``band`` (lo, hi) when one is given.  Each piece
+    maps ``coord`` to ``coord`` both ways, or to ``-coord`` where
+    ``sign(transition, piece)`` is not positive.
+    """
+    extra = () if band is None else ((coord, *band),)
+    charts = [
+        Chart(c.name, c.coords + (coord,), c.box + (box,), c.excluded + extra, c.margin)
+        for c in atlas.charts
+    ]
+    transitions = []
+    for t in atlas.transitions:
+        pieces = []
+        for piece in t.pieces:
+            flip = sign is not None and not sign(t, piece) > 0
+            e = exprlang.parse(f"-{coord}" if flip else coord)
+            pieces.append(TransitionPiece(
+                piece.box + (box,), piece.forward + (e,), piece.inverse + (e,)
+            ))
+        transitions.append(TransitionMap(t.source, t.target, tuple(pieces)))
+    return Atlas(charts, transitions)
+
+
 def _chart_rng(seed: int, chart_name: str) -> np.random.Generator:
     crc = zlib.crc32(chart_name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([seed, crc]))

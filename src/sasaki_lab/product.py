@@ -92,6 +92,22 @@ def _product_frame(
     return ProductFrame(ch1, ch2, Atlas((chart,), ()), chart.name)
 
 
+def _product_form(name, C1, C2, chart_name, weights):
+    """(product frame, the form u·η₁ + v·η₂ on its chart), (u, v) = weights(t)."""
+    pf = _product_frame(
+        _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), chart_name
+    )
+
+    def components(chart, env):
+        e1, e2 = pf.envs(env)
+        v1 = C1.eta.at(pf.chart1.name, e1)
+        v2 = C2.eta.at(pf.chart2.name, e2)
+        u, v = weights(env[T_COORD])
+        return [u * a for a in v1] + [v * a for a in v2] + [0.0]
+
+    return pf, TensorField(name, pf.atlas, (0, 1), components)
+
+
 def contact_product(
     C1: ContactStructure, C2: ContactStructure, name: str | None = None
 ) -> ContactStructure:
@@ -102,19 +118,9 @@ def contact_product(
     factors amounts to the chart change t ↦ 1/t up to a positive
     conformal factor, which `reparametrization_check` certifies.
     """
-    pf = _product_frame(
-        _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), name or "prod"
-    )
-
-    def components(chart, env):
-        e1, e2 = pf.envs(env)
-        v1 = C1.eta.at(pf.chart1.name, e1)
-        v2 = C2.eta.at(pf.chart2.name, e2)
-        t = env[T_COORD]
-        return [t * v for v in v1] + list(v2) + [0.0]
-
-    eta = TensorField(
-        f"product_eta({C1.name},{C2.name})", pf.atlas, (0, 1), components
+    pf, eta = _product_form(
+        f"product_eta({C1.name},{C2.name})", C1, C2, name or "prod",
+        lambda t: (t, 1.0),
     )
     return ContactStructure(name or f"{C1.name}*{C2.name}", pf.atlas, eta)
 
@@ -131,18 +137,9 @@ def reparametrization_check(
     back along t′ = 1/t must give η/t exactly, and in particular η′
     annihilates the original kernel frame.
     """
-    pf = _product_frame(
-        _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), "prod_inv"
+    pf, eta_inv = _product_form(
+        "eta_inverted", C1, C2, "prod_inv", lambda t: (1.0, t)
     )
-
-    def components(chart, env):
-        e1, e2 = pf.envs(env)
-        v1 = C1.eta.at(pf.chart1.name, e1)
-        v2 = C2.eta.at(pf.chart2.name, e2)
-        t = env[T_COORD]
-        return list(v1) + [t * v for v in v2] + [0.0]
-
-    eta_inv = TensorField("eta_inverted", pf.atlas, (0, 1), components)
     (src_chart,) = product.atlas.charts
     exprs = tuple(src_chart.coords[:-1]) + (f"1 / {T_COORD}",)
     F = SmoothMap.from_exprs(
@@ -193,26 +190,12 @@ def sasakian_product(
                 f"{L.name}: normality residual {rep.max_residual:.3e}"
             )
     C1, C2 = L1.contact, L2.contact
-    pf = _product_frame(
-        _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), name or "prod"
+    pf, eta = _product_form(
+        f"sasakian_product_eta({L1.name},{L2.name})", C1, C2, name or "prod",
+        lambda t: (t / (t + 1.0), 1.0 / (t + 1.0)),
     )
     n1, n2 = pf.dims
     dim = n1 + n2 + 1
-
-    def eta_ev(chart, env):
-        e1, e2 = pf.envs(env)
-        v1 = C1.eta.at(pf.chart1.name, e1)
-        v2 = C2.eta.at(pf.chart2.name, e2)
-        t = env[T_COORD]
-        u, v = t / (t + 1.0), 1.0 / (t + 1.0)
-        return [u * a for a in v1] + [v * a for a in v2] + [0.0]
-
-    eta = TensorField(
-        f"sasakian_product_eta({L1.name},{L2.name})",
-        pf.atlas,
-        (0, 1),
-        eta_ev,
-    )
     contact = ContactStructure(
         name or f"{L1.name}*{L2.name}", pf.atlas, eta
     )

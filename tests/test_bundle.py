@@ -84,7 +84,7 @@ class TestConeConstruction:
         assert chart.coords == ("x", "p", "z", FIBER)
         assert chart.box[3] == (0.5, 2.0)
         assert bundle.group == "R+"
-        assert bundle.fiber_index(chart.name) == 3
+        assert chart.coords.index(FIBER) == 3
 
     def test_rx_cone_gets_excluded_band(self, darboux):
         bundle = cone_over(darboux.atlas, group="Rx")

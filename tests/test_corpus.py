@@ -8,7 +8,7 @@ import pytest
 
 from sasaki_lab import corpus
 from sasaki_lab import numkernel as nk
-from sasaki_lab.bundle import loop_sign
+from sasaki_lab.bundle import FIBER, loop_sign, symplectize
 from sasaki_lab.corpus import (
     EXAMPLE_KEYS,
     UnknownKey,
@@ -64,6 +64,23 @@ def test_main_atlas_is_first():
         ex = build_example(key)
         assert next(iter(ex.atlases)) == "main"
         assert ex.atlas is ex.atlases["main"]
+
+
+def test_cone_fiber_is_the_last_coordinate():
+    """Cone code reads the fiber ``s`` as the last index of every chart."""
+    cones = set()
+    for key in ALL_KEYS:
+        for name, atlas in build_example(key).atlases.items():
+            for chart in atlas.charts:
+                if FIBER in chart.coords:
+                    assert chart.coords[-1] == FIBER, (key, name, chart.name)
+                    cones.add(key)
+    assert cones == {"mobius-band", "mobius-jet", "mobius-cotangent", "main1-family"}
+    paired = build_example("mobius-jet").structure.contact
+    assert paired.paired
+    bundle, _ = symplectize(paired)
+    assert bundle.group == "Rx"
+    assert all(chart.coords[-1] == FIBER for chart in bundle.total.charts)
 
 
 def test_check_lookup():

@@ -15,6 +15,7 @@ from sasaki_lab.bundle import (
 )
 from sasaki_lab.contact import darboux_contact
 from sasaki_lab.kahler import (
+    LINE_COORD,
     NotCompatible,
     almost_complex_check,
     compatibility_check,
@@ -22,10 +23,9 @@ from sasaki_lab.kahler import (
     cone_complex_structure,
     kahler_candidate,
     kahler_integrability_check,
-    line_extension,
     reconstruct_main1,
 )
-from sasaki_lab.manifold import Atlas, Chart, SamplePlan
+from sasaki_lab.manifold import Atlas, Chart, SamplePlan, append_coordinate
 from sasaki_lab.sasaki import LeviStructure, standard_darboux_levi
 from sasaki_lab.tensor import TensorField, musical_flat, tf_scale
 
@@ -295,7 +295,7 @@ def z_sheared_levi() -> LeviStructure:
 
 class TestConeComplexStructure:
     def test_line_extension_appends_coordinate(self):
-        ext = line_extension(darboux_contact(1).atlas, box=(-2.0, 2.0))
+        ext = append_coordinate(darboux_contact(1).atlas, LINE_COORD, (-2.0, 2.0))
         (chart,) = ext.charts
         assert chart.coords == ("x", "p", "z", "t")
         assert chart.box[-1] == (-2.0, 2.0)

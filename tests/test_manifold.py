@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sasaki_lab.manifold import (
     SamplePlan,
     TransitionMap,
     TransitionPiece,
+    append_coordinate,
     apply_transition,
     atlas_consistency_check,
     sample_chart,
@@ -138,6 +140,45 @@ class TestTransitions:
         atlas = circle_atlas()
         with pytest.raises(OutOfDomain):
             apply_transition(atlas, Point("A", (7.0,)), "B")
+
+
+class TestAppendCoordinate:
+    def test_appends_last_to_charts_and_signed_pieces(self):
+        base = circle_atlas()
+        a, b = base.charts
+        a = replace(a, excluded=(("x", 0.4, 0.45),), margin=0.02)
+        base = Atlas([a, b], base.transitions)
+        flipped = base.transition("A", "B").pieces[1]  # the shift by 1
+
+        def sign(t, piece):
+            return -1.0 if piece is flipped else 1.0
+
+        ext = append_coordinate(base, "s", (-2.0, 2.0), band=(-0.5, 0.5), sign=sign)
+        for old, new in zip(base.charts, ext.charts, strict=True):
+            assert new.name == old.name
+            assert new.coords == old.coords + ("s",)
+            assert new.box == old.box + ((-2.0, 2.0),)
+            assert new.excluded == old.excluded + (("s", -0.5, 0.5),)
+            assert new.margin == old.margin
+        for old, new in zip(base.transitions, ext.transitions, strict=True):
+            assert (new.source, new.target) == (old.source, old.target)
+            for piece, got in zip(old.pieces, new.pieces, strict=True):
+                assert got.box[:-1] == piece.box and got.box[-1] == (-2.0, 2.0)
+                assert got.forward[:-1] == piece.forward
+                assert got.inverse[:-1] == piece.inverse
+                want = -1.5 if piece is flipped else 1.5
+                for e in (got.forward[-1], got.inverse[-1]):
+                    assert el.eval_expr(e, {"s": 1.5}) == want
+        moved = apply_transition(ext, Point("A", (0.2, 1.5)), "B")
+        assert moved == Point("B", (1.2, -1.5))
+
+    def test_without_sign_or_band_the_coordinate_is_fixed(self):
+        ext = append_coordinate(circle_atlas(), "t", (0.5, 2.0))
+        assert all(c.excluded == () for c in ext.charts)
+        for t in ext.transitions:
+            for piece in t.pieces:
+                assert el.eval_expr(piece.forward[-1], {"t": 0.7}) == 0.7
+                assert el.eval_expr(piece.inverse[-1], {"t": 0.7}) == 0.7
 
 
 class TestConsistencyCheck:
