@@ -41,11 +41,12 @@ from .report import CheckReport, max_or_nan, run_residual_check
 from .tensor import (
     SmoothMap,
     TensorField,
+    agreeing,
     exterior_derivative,
     field_jet,
     max_abs,
-    max_diff,
     pullback,
+    vanishing,
     zeros,
 )
 
@@ -188,14 +189,12 @@ def symplectize(
 
 def symplectic_check(omega: TensorField, plan: SamplePlan) -> CheckReport:
     """Closedness (dω = 0) and pointwise nondegeneracy of a 2-form."""
-    domega = exterior_derivative(omega)
+    closed = vanishing(exterior_derivative(omega))
 
     def residual(chart, coords, env):
-        r = max_abs(domega.at(chart, env))
-        rows = [
-            [nk.value_of(x) for x in row] for row in omega.at(chart, env)
-        ]
-        return max_or_nan([r, nondegeneracy_shortfall(abs(nk.determinant(rows)))])
+        rows = [[nk.value_of(x) for x in row] for row in omega.at(chart, env)]
+        shortfall = nondegeneracy_shortfall(abs(nk.determinant(rows)))
+        return max_or_nan([closed(chart, coords, env), shortfall])
 
     return run_residual_check(
         "symplectic_form",
@@ -232,18 +231,13 @@ def homogeneity_check(
         base = abs(nu) ** weight
         return base if mode == "positive" else math.copysign(base, nu)
 
-    transported = [(factor(nu), pullback(bundle.scaling(nu), K)) for nu in scales]
-
-    def residual(chart, coords, env):
-        here = K.at(chart, env)
-        return max_or_nan(
-            [max_diff(T.at(chart, env), here, fac) for fac, T in transported]
-        )
-
+    laws = agreeing(
+        *((pullback(bundle.scaling(nu), K), K, factor(nu)) for nu in scales)
+    )
     return run_residual_check(
         f"homogeneity({K.name})",
         K.atlas,
-        residual,
+        laws,
         plan,
         details={"mode": mode, "weight": weight, "scales": list(scales)},
     )
@@ -277,17 +271,11 @@ def liouville_data(
     if plan is None:
         return nabla, theta, None
 
-    dtheta = exterior_derivative(theta)
+    primitive = agreeing((exterior_derivative(theta), omega))
 
     def residual(chart_name, coords, env):
-        dt = dtheta.at(chart_name, env)
-        om = omega.at(chart_name, env)
-        dim = len(om)
-        return max_abs([theta.at(chart_name, env)[-1]] + [
-            nk.value_of(dt[i][j]) - nk.value_of(om[i][j])
-            for i in range(dim)
-            for j in range(dim)
-        ])
+        semibasic = abs(nk.value_of(theta.at(chart_name, env)[-1]))
+        return max_or_nan([semibasic, primitive(chart_name, coords, env)])
 
     rep = run_residual_check("liouville_data", bundle.total, residual, plan)
     return nabla, theta, rep

@@ -22,7 +22,7 @@ matrix B = [[0, η], [−ηᵀ, dη]]: the top-form coefficient satisfies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 from . import numkernel as nk
@@ -30,10 +30,13 @@ from .manifold import Atlas, Chart, SamplePlan, sample_points
 from .report import CheckReport, max_or_nan, run_residual_check
 from .tensor import (
     TensorField,
+    agreeing,
+    compose,
+    contract_form_vector,
     exterior_derivative,
     field_jet,
-    contract_form_vector,
     max_abs,
+    zeros,
 )
 
 
@@ -101,19 +104,10 @@ def reeb_field(C: ContactStructure) -> TensorField:
 def reeb_residual_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     """Certify i_ξη = 1 and i_ξ dη = 0 at samples (the defining equations)."""
     xi = C.reeb()
-    deta = C.d_eta()
-
-    def residual(chart, coords, env):
-        ev_ = C.eta.at(chart, env)
-        xv = xi.at(chart, env)
-        dv = deta.at(chart, env)
-        dim = len(xv)
-        return max_abs(
-            [contract_form_vector(ev_, xv) - 1.0]
-            + [nk.sum_(xv[i] * dv[i][j] for i in range(dim)) for j in range(dim)]
-        )
-
-    return run_residual_check("reeb_residual", C.atlas, residual, plan)
+    one = TensorField("one", C.atlas, (0, 0), lambda chart, env: 1.0)
+    zero = TensorField("zero", C.atlas, (0, 1), lambda chart, env: zeros(chart.dim, 1))
+    equations = agreeing((compose(C.eta, xi), one), (compose(xi, C.d_eta()), zero))
+    return run_residual_check("reeb_residual", C.atlas, equations, plan)
 
 
 def contact_top_coefficient(C: ContactStructure, chart: str, env: dict) -> float:
@@ -195,10 +189,11 @@ def kernel_frames(C: ContactStructure, plan: SamplePlan) -> dict[str, list]:
     """Each chart's frame as C-valued *fields*: {chart: [F_a, ...]}.
 
     The fields keep the indices of the chart's `contact_frame` at its first
-    sample of ``plan``, read through `sample_points` (under a sample set,
-    the env the driver visits first).  η(F_a) ≡ 0 holds identically, not
-    just at the base point — bracket-based checks (almost-CR flag, CR
-    torsion) depend on that.
+    sample of ``plan``, read through `sample_points`: under a sample set,
+    the env `run_residual_check` visits first; without one, only that
+    point is drawn (its stream is the same, so it is the same point).
+    η(F_a) ≡ 0 holds identically, not just at the base point —
+    bracket-based checks (almost-CR flag, CR torsion) depend on that.
     """
     xi = C.reeb()
 
@@ -209,6 +204,8 @@ def kernel_frames(C: ContactStructure, plan: SamplePlan) -> dict[str, list]:
 
         return TensorField(f"frame{a}", C.atlas, (1, 0), components, [chart_name])
 
+    if plan.sample_set is None:  # one point is read, so one is drawn
+        plan = replace(plan, points_per_chart=min(plan.points_per_chart, 1))
     return {
         name: [frame_vector(name, a) for a in contact_frame(C, name, pts[0][1]).kept]
         for name, pts in sample_points(C.atlas, plan)

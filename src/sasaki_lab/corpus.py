@@ -87,6 +87,7 @@ from .tensor import (
     SmoothMap,
     TensorField,
     agreeing,
+    compose,
     cross_chart_consistency,
     exterior_derivative,
     lie_bracket,
@@ -655,59 +656,43 @@ def _build_mobius_jet(params: dict) -> Example:
     contact = struct.contact
     base = struct.atlas
     total = pair.bundle.total
-    jmat = pair.J
 
-    # the cone's components: the base block (x, p, z), then the fiber
-    def projected_eta(chart, env, s=1.0):
-        om = pair.omega.at(chart, pair.bundle.lift_env(env, s))
-        # contraction of the two-form with the scaling field, divided by
-        # the fiber: (i_{s d/ds} omega)_j / s = omega_{sj}
-        return om[-1][:-1]
+    def projections(s: float) -> tuple[TensorField, ...]:
+        """The cone's kernel form, rotation and metric, projected to the base
+        at fiber height s (named ``@s`` off the unit branch): the contraction
+        of the two-form with the scaling field over the fiber,
+        (i_{s d/ds} omega)_j / s = omega_{sj}, and the base blocks (x, p, z)
+        of J and g."""
+        suffix = "" if s == 1.0 else f"@{s!r}"
 
-    def projected_endo(chart, env, s=1.0):
-        jm = jmat.at(chart, pair.bundle.lift_env(env, s))
-        return [row[:-1] for row in jm[:-1]]
+        def projected(name, valence, cone_field, block):
+            def components(chart, env):
+                return block(cone_field.at(chart.name, pair.bundle.lift_env(env, s)))
 
-    def projected_metric(chart, env, s=1.0):
-        gm = pair.g.at(chart, pair.bundle.lift_env(env, s))
-        return [row[:-1] for row in gm[:-1]]
+            return TensorField(name + suffix, base, valence, components)
 
-    eta_proj = TensorField(
-        "projected_kernel_form", base, (0, 1),
-        lambda chart, env: projected_eta(chart.name, env),
-    )
-    endo_proj = TensorField(
-        "projected_rotation", base, (1, 1),
-        lambda chart, env: projected_endo(chart.name, env),
-    )
-    metric_proj = TensorField(
-        "projected_metric", base, (0, 2),
-        lambda chart, env: projected_metric(chart.name, env),
-    )
+        return (
+            projected("projected_kernel_form", (0, 1), pair.omega,
+                      lambda om: om[-1][:-1]),
+            projected("projected_rotation", (1, 1), pair.J,
+                      lambda jm: [row[:-1] for row in jm[:-1]]),
+            projected("projected_metric", (0, 2), pair.g,
+                      lambda gm: [row[:-1] for row in gm[:-1]]),
+        )
 
-    _PROBES = (1.0, 1.7, -1.3)
-
-    def projectable_residual(chart, coords, env):
-        """The cone data descends: the projected form is fiber-independent,
-        the projected rotation is graded by the fiber sign, the projected
-        metric block scales with the absolute fiber."""
-        comps = []
-        e1 = projected_eta(chart, env, 1.0)
-        f1 = projected_endo(chart, env, 1.0)
-        g1 = projected_metric(chart, env, 1.0)
-        for s in _PROBES[1:]:
-            es = projected_eta(chart, env, s)
-            comps.append([a - b for a, b in zip(es, e1)])
-            sg = 1.0 if s > 0 else -1.0
-            fs = projected_endo(chart, env, s)
-            comps.append([
-                fs[i][j] - sg * f1[i][j] for i in range(3) for j in range(3)
-            ])
-            gs = projected_metric(chart, env, s)
-            comps.append([
-                gs[i][j] - abs(s) * g1[i][j] for i in range(3) for j in range(3)
-            ])
-        return max_abs(comps)
+    eta_proj, endo_proj, metric_proj = projections(1.0)
+    # The cone data descends: the projected form is fiber-independent, the
+    # projected rotation is graded by the fiber sign, the projected metric
+    # block scales with the absolute fiber.
+    projectable = agreeing(*(
+        law
+        for s in (1.7, -1.3)
+        for law in zip(
+            projections(s),
+            (eta_proj, endo_proj, metric_proj),
+            (1.0, math.copysign(1.0, s), abs(s)),
+        )
+    ))
 
     metric_here = struct.metric()
 
@@ -741,7 +726,7 @@ def _build_mobius_jet(params: dict) -> Example:
         job.atlas("atlas_consistency", base),
         job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
         job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
-        job.sampled("projectable", 1e-9, base, projectable_residual),
+        job.sampled("projectable", 1e-9, base, projectable),
         job.sampled(
             "projection_reference", 1e-9, base,
             agreeing(
@@ -1050,23 +1035,10 @@ def _build_product(params: dict) -> Example:
     dbeta = exterior_derivative(beta)
     diag = pair.bundle.liouville()
     l_diag_beta = lie_derivative(beta, diag)
-    reeb = contact.reeb()
-    dim = atlas.charts[0].dim
-    zi1 = atlas.charts[0].coords.index("z1")
-    zi2 = atlas.charts[0].coords.index("z2")
-
-    def reeb_sum_residual(chart, coords, env):
-        want = [0.0] * dim
-        want[zi1] = 1.0
-        want[zi2] = 1.0
-        return max_abs([a - b for a, b in zip(reeb.at(chart, env), want)])
-
-    def beta_invariance_residual(chart, coords, env):
-        bv = beta.at(chart, env)
-        dv = diag.at(chart, env)
-        pairing = nk.sum_(b * d for b, d in zip(bv, dv))
-        return max_abs([pairing, l_diag_beta.at(chart, env)])
-
+    reeb_sum = TensorField(  # ∂z1 + ∂z2, the sum of the factor Reeb fields
+        "reeb_sum", atlas, (1, 0),
+        lambda chart, env: [1.0 if c in ("z1", "z2") else 0.0 for c in chart.coords],
+    )
     cone_total = pair.bundle.total
 
     job = _Jobs(key)
@@ -1074,7 +1046,7 @@ def _build_product(params: dict) -> Example:
         job.atlas("atlas_consistency", atlas),
         job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
         job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
-        job.sampled("reeb_is_sum", 1e-9, atlas, reeb_sum_residual),
+        job.sampled("reeb_is_sum", 1e-9, atlas, agreeing((contact.reeb(), reeb_sum))),
         job("structure_axioms", 1e-8, struct.validate),
         job("contact_metric", 1e-7, lambda plan: contact_metric_check(struct, plan)),
         job("sasaki", 1e-7, lambda plan: sasaki_check(struct, plan)),
@@ -1083,7 +1055,8 @@ def _build_product(params: dict) -> Example:
             lambda plan: product_routes_check(struct, pair, plan),
         ),
         job.sampled(
-            "slope_form_invariant", 1e-9, cone_total, beta_invariance_residual
+            "slope_form_invariant", 1e-9, cone_total,
+            vanishing(compose(beta, diag), l_diag_beta),
         ),
         job.sampled("slope_form_closed", 1e-9, cone_total, vanishing(dbeta)),
         job(

@@ -16,7 +16,7 @@ explicit inconclusive band between its pass and fail thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from . import exprlang, numkernel as nk
 from .bundle import FIBER, PrincipalBundle
@@ -24,7 +24,18 @@ from .contact import ContactStructure, contact_frame
 from .manifold import SamplePlan, append_coordinate
 from .report import CheckReport, run_residual_check
 from .sasaki import LeviStructure
-from .tensor import TensorField, max_abs, nijenhuis, tf_combine, vanishing, zeros
+from .tensor import (
+    TensorField,
+    agreeing,
+    compose,
+    congruence,
+    identity,
+    max_abs,
+    nijenhuis,
+    tf_combine,
+    vanishing,
+    zeros,
+)
 
 
 class NotCompatible(ValueError):
@@ -129,20 +140,14 @@ def compatibility_tensor(omega: TensorField, g: TensorField) -> TensorField:
     )
 
 
+def squares_to_minus_id(J: TensorField) -> Callable:
+    """Residual of J² = −id: the largest |J² + id| component."""
+    return agreeing((compose(J, J), identity(J.atlas), -1.0))
+
+
 def almost_complex_check(J: TensorField, plan: SamplePlan) -> CheckReport:
     """max ‖J² + id‖ over samples."""
-
-    def residual(chart, coords, env):
-        m = J.at(chart, env)
-        dim = len(m)
-        return max_abs([
-            nk.value_of(nk.sum_(m[i][k] * m[k][j] for k in range(dim)))
-            + (1.0 if i == j else 0.0)
-            for i in range(dim)
-            for j in range(dim)
-        ])
-
-    return run_residual_check("almost_complex", J.atlas, residual, plan)
+    return run_residual_check("almost_complex", J.atlas, squares_to_minus_id(J), plan)
 
 
 def kahler_integrability_check(J: TensorField, plan: SamplePlan) -> CheckReport:
@@ -163,32 +168,10 @@ def compatibility_check(
     plan: SamplePlan,
 ) -> CheckReport:
     """Defining identity plus isometry/symplectomorphism invariances."""
-
-    def residual(chart, coords, env):
-        om = omega.at(chart, env)
-        gm = g.at(chart, env)
-        m = J.at(chart, env)
-        dim = len(m)
-        comps = []
-        for i in range(dim):
-            for j in range(dim):
-                wj = nk.sum_(om[i][k] * m[k][j] for k in range(dim))
-                comps.append(nk.value_of(gm[i][j]) - nk.value_of(wj))
-                gjj = nk.sum_(
-                    gm[k][l] * m[k][i] * m[l][j]
-                    for k in range(dim)
-                    for l in range(dim)
-                )
-                comps.append(nk.value_of(gjj) - nk.value_of(gm[i][j]))
-                wjj = nk.sum_(
-                    om[k][l] * m[k][i] * m[l][j]
-                    for k in range(dim)
-                    for l in range(dim)
-                )
-                comps.append(nk.value_of(wjj) - nk.value_of(om[i][j]))
-        return max_abs(comps)
-
-    return run_residual_check("compatibility_identity", J.atlas, residual, plan)
+    identities = agreeing(
+        (g, compose(omega, J)), (congruence(g, J), g), (congruence(omega, J), omega)
+    )
+    return run_residual_check("compatibility_identity", J.atlas, identities, plan)
 
 
 # -- reconstruction on a calibrated cone -------------------------------
@@ -242,6 +225,7 @@ def reconstruct_main1(
     """
     xi = C.reeb()
     slope = vertical_slope(C, bundle, g)
+    square = squares_to_minus_id(J)
 
     def base_metric(chart, env):
         gm = g.at(chart.name, bundle.lift_env(env))
@@ -282,12 +266,7 @@ def reconstruct_main1(
 
         r_cal = abs(nk.value_of(gm[n][n]) * s * s - s)
 
-        r_sq = max_abs([
-            nk.value_of(nk.sum_(m[i][k] * m[k][j] for k in range(dim)))
-            + (1.0 if i == j else 0.0)
-            for i in range(dim)
-            for j in range(dim)
-        ])
+        r_sq = square(chart, coords, env)
         if r_sq > 1e-6:
             raise NotCompatible(
                 f"J² + id reaches {r_sq:.3e} at {coords} in chart {chart}"

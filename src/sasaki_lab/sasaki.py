@@ -49,6 +49,8 @@ from .report import (
 )
 from .tensor import (
     TensorField,
+    agreeing,
+    compose,
     endo_apply,
     field_jet,
     field_overlaps,
@@ -115,30 +117,18 @@ class LeviStructure:
 
     def validate(self, plan: SamplePlan) -> CheckReport:
         """Defining identities: φ̄ξ = 0, η∘φ̄ = 0, φ̄² = −id + ξ⊗η, g ≻ 0."""
-        C = self.contact
-        xi = C.reeb()
+        C, phi = self.contact, self.phibar
+        kernel = vanishing(compose(phi, C.reeb()), compose(C.eta, phi))
+        square = agreeing((compose(phi, phi), square_target(C)))
         g = self.metric()
 
         def residual(chart, coords, env):
-            phim = self.phibar.at(chart, env)
-            xiv = xi.at(chart, env)
-            etav = C.eta.at(chart, env)
-            dim = len(xiv)
-            comps = []
-            for k in range(dim):
-                comps.append(nk.sum_(phim[k][j] * xiv[j] for j in range(dim)))
-                comps.append(nk.sum_(etav[m] * phim[m][k] for m in range(dim)))
-            for k in range(dim):
-                for j in range(dim):
-                    sq = nk.sum_(phim[k][m] * phim[m][j] for m in range(dim))
-                    want = -(1.0 if k == j else 0.0) + xiv[k] * etav[j]
-                    comps.append(nk.value_of(sq) - nk.value_of(want))
             rows = [[nk.value_of(x) for x in row] for row in g.at(chart, env)]
-            for i in range(dim):
-                for j in range(i):
-                    comps.append(rows[i][j] - rows[j][i])
-            lam = nk.min_eigenvalue(rows)
-            return max_or_nan([max_abs(comps), nondegeneracy_shortfall(lam)])
+            asym = [rows[i][j] - rows[j][i] for i in range(len(rows)) for j in range(i)]
+            return max_or_nan([
+                kernel(chart, coords, env), square(chart, coords, env),
+                max_abs(asym), nondegeneracy_shortfall(nk.min_eigenvalue(rows)),
+            ])
 
         return run_residual_check(
             f"levi_structure({self.name})", self.atlas, residual, plan
@@ -147,16 +137,20 @@ class LeviStructure:
 
 def levi_form(C: ContactStructure, phi: TensorField) -> TensorField:
     """(X, Y) ↦ dη(X, φY) as a (0,2) field (symmetric iff φ is compatible)."""
+    return compose(C.d_eta(), phi, f"levi_form({phi.name})")
 
-    def levi(cs, env):
-        de, ph = cs
-        dim = len(de)
+
+def square_target(C: ContactStructure) -> TensorField:
+    """−id + ξ⊗η: what an almost contact endomorphism squares to."""
+
+    def target(cs, env):
+        etav, xiv = cs
         return [
-            [nk.sum_(de[i][k] * ph[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)
+            [-(1.0 if k == j else 0.0) + x * e for j, e in enumerate(etav)]
+            for k, x in enumerate(xiv)
         ]
 
-    return tf_combine(f"levi_form({phi.name})", (0, 2), [C.d_eta(), phi], levi)
+    return tf_combine("square_target", (1, 1), [C.eta, C.reeb()], target)
 
 
 def standard_darboux_levi(n: int = 1) -> LeviStructure:
@@ -359,32 +353,13 @@ def pin_battery(
 
 def contact_metric_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     """η = g(ξ, ·), φ² = −id + ξ⊗η, dη = g(·, φ·) for φ = phi_gas."""
-    C = L.contact
-    g = L.metric()
-    phi = L.phi_gas()
-    xi = C.reeb()
-    d_eta = C.d_eta()
-
-    def residual(chart, coords, env):
-        gm = g.at(chart, env)
-        ph = phi.at(chart, env)
-        xiv = xi.at(chart, env)
-        etav = C.eta.at(chart, env)
-        de = d_eta.at(chart, env)
-        dim = len(etav)
-        comps = []
-        for i in range(dim):
-            gi = nk.sum_(gm[i][j] * xiv[j] for j in range(dim))
-            comps.append(nk.value_of(gi) - nk.value_of(etav[i]))
-            for j in range(dim):
-                sq = nk.sum_(ph[i][m] * ph[m][j] for m in range(dim))
-                want = -(1.0 if i == j else 0.0) + xiv[i] * etav[j]
-                comps.append(nk.value_of(sq) - nk.value_of(want))
-                gphi = nk.sum_(gm[i][m] * ph[m][j] for m in range(dim))
-                comps.append(nk.value_of(gphi) - nk.value_of(de[i][j]))
-        return max_abs(comps)
-
-    return run_residual_check("contact_metric", L.atlas, residual, plan)
+    C, g, phi = L.contact, L.metric(), L.phi_gas()
+    identities = agreeing(
+        (compose(g, C.reeb()), C.eta),
+        (compose(phi, phi), square_target(C)),
+        (compose(g, phi), C.d_eta()),
+    )
+    return run_residual_check("contact_metric", L.atlas, identities, plan)
 
 
 def n_tensors(L: LeviStructure) -> dict[str, TensorField]:

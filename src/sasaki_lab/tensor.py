@@ -23,13 +23,20 @@ Evaluation is memoized per point.  The env a chart builds for a point
   `SampleSet`, until its entry's last check; then only the memo entries
   of the entry's declared fields outlive a check.
 
-Identities between fields are declared, not indexed by hand:
-``vanishing(*fields)`` and ``agreeing(*pairs)`` build the pointwise
-residual (chart, coords, env) -> float that `report.run_residual_check`
-evaluates at the chart samples it draws, and ``single_valued(T, sign)``
-the residual of T's agreement across a transition piece, which the driver
-evaluates at the piece samples of ``field_overlaps(T)``.  All three
-reduce through `max_abs` / `max_diff`, so a NaN component is never lost.
+The pointwise algebra is stated once, as fields: ``compose(A, B)``
+contracts A's last slot with B's first (φ∘ψ, g(·, ξ), η∘φ, η(ξ), ...),
+``congruence(b, J)`` is b(J·, J·), and `identity`, `tf_add`, `tf_scale`,
+`sym2` and `form_times_vector` build the rest.  A check that states a
+field identity declares it, and indexes nothing by hand:
+``vanishing(*fields)`` and ``agreeing(*pairs)``, with pairs (T, S) or
+(T, S, c) for T = c·S, build the pointwise residual (chart, coords, env)
+-> float that `report.run_residual_check` evaluates at the chart samples
+it draws, and ``single_valued(T, sign)`` the residual of T's agreement
+across a transition piece, which it evaluates at the piece samples of
+``field_overlaps(T)``.  All three reduce through `max_abs` /
+`max_diff`, so a NaN component is never lost.  Only what is not an
+identity of fields (a determinant, an eigenvalue, one component) stays a
+hand-written residual.
 
 Kept component structures are shared between callers, so `at` hands out
 fresh nested lists around the shared (immutable) scalars, and `field_jet`
@@ -67,10 +74,13 @@ def map_structure(fn, s):
 
 
 def _copy_lists(s):
-    """Fresh nested lists around the same leaves."""
-    if isinstance(s, list):
-        return [_copy_lists(x) if isinstance(x, list) else x for x in s]
-    return s
+    """Fresh nested lists around the same leaves (a component structure
+    nests to one depth throughout, so a row of leaves is sliced)."""
+    if not isinstance(s, list):
+        return s
+    if s and isinstance(s[0], list):
+        return [_copy_lists(x) for x in s]
+    return s[:]
 
 
 def max_abs(s) -> float:
@@ -85,7 +95,11 @@ def max_abs(s) -> float:
 def max_diff(a, b, scale=1.0) -> float:
     """Largest |a - scale*b| over a pair of nested component structures."""
     if isinstance(a, list):
-        return max_or_nan([max_diff(x, y, scale) for x, y in zip(a, b)])
+        return max_or_nan([
+            max_diff(x, y, scale) if isinstance(x, list)
+            else abs(nk.value_of(x) - scale * nk.value_of(y))
+            for x, y in zip(a, b)
+        ])
     return abs(nk.value_of(a) - scale * nk.value_of(b))
 
 
@@ -98,14 +112,14 @@ def vanishing(*fields: TensorField) -> Callable:
     return residual
 
 
-def agreeing(*pairs: tuple[TensorField, TensorField]) -> Callable:
-    """Residual of the identities T = S over the (T, S) pairs: the largest
-    |T - S| component."""
+def agreeing(*pairs: tuple) -> Callable:
+    """Residual of the identities T = c·S over the (T, S) or (T, S, c)
+    pairs, c 1 by default: the largest |T - c·S| component."""
 
     def residual(chart, coords, env):
-        return max_or_nan(
-            [max_diff(T.at(chart, env), S.at(chart, env)) for T, S in pairs]
-        )
+        return max_or_nan([
+            max_diff(T.at(chart, env), S.at(chart, env), *c) for T, S, *c in pairs
+        ])
 
     return residual
 
@@ -480,13 +494,7 @@ def nijenhuis(J: TensorField) -> TensorField:
 
 def musical_flat(b: TensorField, X: TensorField) -> TensorField:
     """The one-form b(., X): contracts X into the SECOND slot of b."""
-
-    def fn(cs, env):
-        bv, xv = cs
-        dim = len(xv)
-        return [nk.sum_(bv[j][i] * xv[i] for i in range(dim)) for j in range(dim)]
-
-    return tf_combine(f"flat({b.name},{X.name})", (0, 1), [b, X], fn)
+    return compose(b, X, f"flat({b.name},{X.name})")
 
 
 def pullback(F: SmoothMap, T: TensorField, name: str | None = None) -> TensorField:
@@ -597,13 +605,55 @@ def form_times_vector(alpha: TensorField, X: TensorField, name=None) -> TensorFi
 
 def endo_apply(J: TensorField, X: TensorField, name=None) -> TensorField:
     """The vector field J(X)."""
+    return compose(J, X, name or f"{J.name}({X.name})")
+
+
+def compose(A: TensorField, B: TensorField, name=None) -> TensorField:
+    """A's last slot contracted with B's first: Σ_m A[..][m]·B[m][..], m
+    in order, A's factor first.  A (p, q) and a (p', q') field give a
+    (p + p' − 1, q + q' − 1) field: φ∘ψ, g(·, ξ), η∘φ, ξ⌟dη, η(ξ)."""
+    (p, q), (p2, q2) = A.valence, B.valence
+    return tf_combine(
+        name or f"{A.name}∘{B.name}", (p + p2 - 1, q + q2 - 1), [A, B],
+        lambda cs, env: _compose(*cs),
+    )
+
+
+def _compose(a, b):
+    if isinstance(a[0], list):
+        return [_compose(x, b) for x in a]
+    return _contract(a, b)
+
+
+def _contract(a: list, rows):
+    """Σ_m a[m]·rows[m], leaf by leaf."""
+    if isinstance(rows[0], list):
+        return [_contract(a, column) for column in zip(*rows)]
+    return nk.sum_(x * r for x, r in zip(a, rows))
+
+
+def congruence(b: TensorField, J: TensorField) -> TensorField:
+    """The (0,2) field b(J·, J·): Σ_kl b_kl·J^k_i·J^l_j, k outer, l inner."""
 
     def fn(cs, env):
-        jv, xv = cs
-        n = len(xv)
-        return [nk.sum_(jv[k][j] * xv[j] for j in range(n)) for k in range(n)]
+        bv, jv = cs
+        n = range(len(jv))
+        return [
+            [nk.sum_(bv[k][l] * jv[k][i] * jv[l][j] for k in n for l in n) for j in n]
+            for i in n
+        ]
 
-    return tf_combine(name or f"{J.name}({X.name})", (1, 0), [J, X], fn)
+    return tf_combine(f"{b.name}({J.name}·,{J.name}·)", (0, 2), [b, J], fn)
+
+
+def identity(atlas: Atlas) -> TensorField:
+    """The identity endomorphism on every chart of `atlas`."""
+
+    def components(chart, env):
+        n = range(chart.dim)
+        return [[1.0 if k == j else 0.0 for j in n] for k in n]
+
+    return TensorField("id", atlas, (1, 1), components)
 
 
 def contract_form_vector(alpha, X):

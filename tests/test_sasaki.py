@@ -7,9 +7,10 @@ import pytest
 
 from sasaki_lab import numkernel as nk
 from sasaki_lab import manifold
-from sasaki_lab.contact import darboux_contact, kernel_frames
+from sasaki_lab.contact import darboux_contact, kernel_frames, nondegeneracy_shortfall
 from sasaki_lab.corpus import build_example
 from sasaki_lab.manifold import SamplePlan, sample_chart
+from sasaki_lab.report import max_or_nan, run_residual_check
 from sasaki_lab.sasaki import (
     LeviStructure,
     contact_metric_check,
@@ -352,3 +353,120 @@ def test_reduced_values_do_not_depend_on_row_order(monkeypatch):
         for label, where, pts in sample_domain(domain, plan)
     ])
     assert {name: values(run()) for name, run in runs.items()} == forward
+
+
+def test_direct_check_draws_one_frame_point_per_chart(monkeypatch):
+    """Without a sample set, `kernel_frames` draws only the point it reads,
+    each chart's first; `run_residual_check` then draws the plan's
+    points."""
+    L = build_example("sphere-3").structure
+    drawn = {}
+    draw = manifold.sample_chart
+
+    def counting(chart, plan):
+        pts = draw(chart, plan)
+        drawn[chart.name] = drawn.get(chart.name, 0) + len(pts)
+        return pts
+
+    monkeypatch.setattr(manifold, "sample_chart", counting)
+    sasaki_check(L, SamplePlan(seed=42, points_per_chart=64))
+    assert drawn == {c.name: 64 + 1 for c in L.atlas.charts}
+
+
+# -- declared identities against the hand-indexed residuals they replaced --
+
+
+def _hand_contact_metric(L):
+    """η = g(ξ, ·), φ² = −id + ξ⊗η, dη = g(·, φ·), indexed by hand."""
+    C = L.contact
+    g = L.metric()
+    phi = L.phi_gas()
+    xi = C.reeb()
+    d_eta = C.d_eta()
+
+    def residual(chart, coords, env):
+        gm = g.at(chart, env)
+        ph = phi.at(chart, env)
+        xiv = xi.at(chart, env)
+        etav = C.eta.at(chart, env)
+        de = d_eta.at(chart, env)
+        dim = len(etav)
+        comps = []
+        for i in range(dim):
+            gi = nk.sum_(gm[i][j] * xiv[j] for j in range(dim))
+            comps.append(nk.value_of(gi) - nk.value_of(etav[i]))
+            for j in range(dim):
+                sq = nk.sum_(ph[i][m] * ph[m][j] for m in range(dim))
+                want = -(1.0 if i == j else 0.0) + xiv[i] * etav[j]
+                comps.append(nk.value_of(sq) - nk.value_of(want))
+                gphi = nk.sum_(gm[i][m] * ph[m][j] for m in range(dim))
+                comps.append(nk.value_of(gphi) - nk.value_of(de[i][j]))
+        return max_abs(comps)
+
+    return residual
+
+
+def _hand_validate(L):
+    """φ̄ξ = 0, η∘φ̄ = 0, φ̄² = −id + ξ⊗η, g symmetric and positive."""
+    C = L.contact
+    xi = C.reeb()
+    g = L.metric()
+
+    def residual(chart, coords, env):
+        phim = L.phibar.at(chart, env)
+        xiv = xi.at(chart, env)
+        etav = C.eta.at(chart, env)
+        dim = len(xiv)
+        comps = []
+        for k in range(dim):
+            comps.append(nk.sum_(phim[k][j] * xiv[j] for j in range(dim)))
+            comps.append(nk.sum_(etav[m] * phim[m][k] for m in range(dim)))
+        for k in range(dim):
+            for j in range(dim):
+                sq = nk.sum_(phim[k][m] * phim[m][j] for m in range(dim))
+                want = -(1.0 if k == j else 0.0) + xiv[k] * etav[j]
+                comps.append(nk.value_of(sq) - nk.value_of(want))
+        rows = [[nk.value_of(x) for x in row] for row in g.at(chart, env)]
+        for i in range(dim):
+            for j in range(i):
+                comps.append(rows[i][j] - rows[j][i])
+        lam = nk.min_eigenvalue(rows)
+        return max_or_nan([max_abs(comps), nondegeneracy_shortfall(lam)])
+
+    return residual
+
+
+def shifted_entry(T: TensorField, k: int, j: int, eps: float = 0.01) -> TensorField:
+    """T with its (k, j) component shifted by eps times the first coordinate."""
+
+    def components(chart, env):
+        out = [list(row) for row in T.at(chart.name, env)]
+        out[k][j] = out[k][j] + eps * env[chart.coords[0]]
+        return out
+
+    return TensorField(f"shifted({T.name})", T.atlas, T.valence, components)
+
+
+def same_report(a, b):
+    return [repr(a.max_residual), repr(a.per_chart), repr(a.witness)] == [
+        repr(b.max_residual), repr(b.per_chart), repr(b.witness)
+    ]
+
+
+@pytest.mark.parametrize("entry", [(1, 0), (0, 2)])
+def test_declared_identities_repeat_the_hand_indexed_residuals(entry):
+    """On a perturbed sphere structure (residuals near 1e-2, not 1e-16),
+    the declared checks reduce to the hand-indexed residuals' values, to
+    the last bit, chart by chart and at the same witness."""
+    L = build_example("sphere-3").structure
+    bent = LeviStructure("bent", L.contact, shifted_entry(L.phibar, *entry))
+    plan = SamplePlan(seed=5, points_per_chart=8, tolerance=1e-8)
+    for check, hand in (
+        (contact_metric_check, _hand_contact_metric),
+        (LeviStructure.validate, _hand_validate),
+    ):
+        declared = check(bent, plan)
+        by_hand = run_residual_check("by_hand", bent.atlas, hand(bent), plan)
+        assert 1e-3 < declared.max_residual < 1e-1
+        assert declared.verdict == "fail"
+        assert same_report(declared, by_hand)

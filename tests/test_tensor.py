@@ -403,6 +403,65 @@ def test_field_algebra_helpers():
     assert sc.at("O", ENV2) == [0.4, 0.0]
 
 
+# -- the field algebra -------------------------------------------------
+
+ENV_EXACT = {"x": 0.5, "y": -0.25}  # every product below is exact
+
+
+def _field(name, valence, comps):
+    """A field with the given component function of (x, y) on the plane."""
+    return tn.TensorField(
+        name, r2_atlas(), valence, lambda chart, env: comps(env["x"], env["y"])
+    )
+
+
+def test_compose_contracts_last_slot_with_first():
+    A = _field("A", (1, 1), lambda x, y: [[1.0, x], [0.0, 2.0]])
+    B = _field("B", (1, 1), lambda x, y: [[0.0, 1.0], [y, 3.0]])
+    eta = _field("eta", (0, 1), lambda x, y: [x, 1.0])
+    X = _field("X", (1, 0), lambda x, y: [2.0, y])
+    AB = tn.compose(A, B)
+    assert AB.valence == (1, 1)
+    assert AB.at("O", ENV_EXACT) == [[-0.125, 2.5], [-0.5, 6.0]]
+    eta_B = tn.compose(eta, B)  # η_m B^m_j
+    assert eta_B.valence == (0, 1)
+    assert eta_B.at("O", ENV_EXACT) == [-0.25, 3.5]
+    X_eta = tn.compose(X, eta)  # X^m η_m
+    assert X_eta.valence == (0, 0)
+    assert X_eta.at("O", ENV_EXACT) == 0.75
+
+
+def test_congruence_pulls_both_slots_through_J():
+    b = _field("b", (0, 2), lambda x, y: [[1.0, x], [0.0, y]])
+    J = _field("J", (1, 1), lambda x, y: [[0.0, -1.0], [1.0, 0.0]])
+    bJJ = tn.congruence(b, J)  # b(J e_i, J e_j), J e_0 = e_1, J e_1 = −e_0
+    assert bJJ.valence == (0, 2)
+    assert bJJ.at("O", ENV_EXACT) == [[-0.25, 0.0], [-0.5, 1.0]]
+
+
+def test_identity_is_the_unit_of_compose():
+    J = _field("J", (1, 1), lambda x, y: [[x, -1.0], [1.0, y]])
+    one = tn.identity(r2_atlas())
+    assert one.at("O", ENV_EXACT) == [[1.0, 0.0], [0.0, 1.0]]
+    assert tn.compose(J, one).at("O", ENV_EXACT) == J.at("O", ENV_EXACT)
+
+
+def test_agreeing_scales_its_second_field():
+    T = _field("T", (1, 0), lambda x, y: [1.0, 2.0])
+    S = _field("S", (1, 0), lambda x, y: [-1.0, -2.0])
+    nan = _field("nan", (1, 0), lambda x, y: [5.0, math.nan])
+    coords = tuple(ENV_EXACT.values())
+    assert tn.agreeing((T, S, -1.0))("O", coords, ENV_EXACT) == 0.0
+    assert tn.agreeing((T, T, -1.0))("O", coords, ENV_EXACT) == 4.0
+    assert tn.agreeing((T, S))("O", coords, ENV_EXACT) == 4.0  # c is 1
+    assert tn.agreeing((T, S, 0.5))("O", coords, ENV_EXACT) == 3.0
+    # a NaN component wins over a larger finite one, in any pair
+    assert math.isnan(tn.agreeing((nan, T, -1.0))("O", coords, ENV_EXACT))
+    assert math.isnan(
+        tn.agreeing((T, T, 100.0), (T, nan, -2.0))("O", coords, ENV_EXACT)
+    )
+
+
 # -- per-point evaluation memo ----------------------------------------
 
 
