@@ -1,4 +1,4 @@
-"""Scaling bundles over chart atlases: cones, homogeneity, calibrations.
+"""Scaling bundles over chart atlases: cones, homogeneity, metric splitting.
 
 A bundle here is a base atlas with one extra fiber coordinate ``s`` appended
 last to every chart (`manifold.append_coordinate`).  This module, `kahler`
@@ -15,11 +15,14 @@ non-trivializable examples representable at all.
 * ``positive`` — pullback equals |ν|^k · K (metrics, calibrations),
 * ``half``     — pullback equals sgn(ν)·|ν|^k · K (paired endomorphisms).
 
+A calibration is a positive degree-1 function 𝔰 on the total space, such
+as the fiber coordinate itself (`abs_s_calibration`, |s| on "Rx" cones).
 `decompose_homogeneous_metric` splits a degree-1 positively homogeneous
 metric along a calibration into fiber weight A, mixed one-form μ, and a
 base "shadow" metric; the shadow is invariant under re-calibration, which a
 unit test exercises by decomposing the same metric against two different
-calibrations.
+calibrations.  `induced_metric` goes the other way, from a shadow and a
+calibration to the homogeneous metric.
 """
 
 from __future__ import annotations
@@ -82,14 +85,6 @@ class PrincipalBundle:
     def base_env(self, env: dict) -> dict:
         """A total-space env restricted to the base coordinates."""
         return {c: v for c, v in env.items() if c != FIBER}
-
-    def liouville(self) -> TensorField:
-        """∇ = s ∂s in every chart."""
-
-        def components(chart, env):
-            return [0.0] * (chart.dim - 1) + [env[FIBER]]
-
-        return TensorField("liouville", self.total, (1, 0), components)
 
     def scaling(self, nu: float) -> SmoothMap:
         """h_ν: multiply the fiber coordinate by ν, chart by chart."""
@@ -252,68 +247,12 @@ def require_homogeneous(K, weight, mode, plan, bundle):
     return rep
 
 
-def liouville_data(
-    bundle: PrincipalBundle,
-    omega: TensorField,
-    plan: SamplePlan | None = None,
-):
-    """∇ = s∂s and θ = i_∇ω; optionally certify dθ = ω and θ semibasic."""
-    nabla = bundle.liouville()
-
-    def liouville_form(chart, env):
-        s = env[FIBER]
-        return [s * w for w in omega.at(chart.name, env)[-1]]
-
-    theta = TensorField(
-        f"liouville_form({omega.name})", bundle.total, (0, 1), liouville_form
-    )
-
-    if plan is None:
-        return nabla, theta, None
-
-    primitive = agreeing((exterior_derivative(theta), omega))
-
-    def residual(chart_name, coords, env):
-        semibasic = abs(nk.value_of(theta.at(chart_name, env)[-1]))
-        return max_or_nan([semibasic, primitive(chart_name, coords, env)])
-
-    rep = run_residual_check("liouville_data", bundle.total, residual, plan)
-    return nabla, theta, rep
-
-
 # -- calibrations ------------------------------------------------------
 
 
 def abs_s_calibration(bundle: PrincipalBundle) -> TensorField:
     table = {c.name: {(): "abs(s)" if bundle.group == "Rx" else "s"} for c in bundle.total.charts}
     return TensorField.from_exprs("abs_s", bundle.total, (0, 0), table)
-
-
-def g_calibration(bundle: PrincipalBundle, g: TensorField) -> TensorField:
-    """𝔰 = g(∇, ∇): squared length of the scaling field."""
-
-    def norm2(chart, env):
-        s = env[FIBER]
-        return s * s * g.at(chart.name, env)[-1][-1]
-
-    return TensorField(f"norm2_liouville({g.name})", bundle.total, (0, 0), norm2)
-
-
-def calibration_check(
-    bundle: PrincipalBundle,
-    scal: TensorField,
-    plan: SamplePlan,
-) -> CheckReport:
-    """Positivity plus the Euler identity d𝔰(∇) = 𝔰 (degree-1 law)."""
-
-    def residual(chart, coords, env):
-        vals, parts = field_jet(scal, chart, env)
-        s = env[FIBER]
-        euler = abs(s * parts[-1] - vals)
-        positive = 0.0 if vals > 0 else abs(vals) + 1e-6
-        return max_or_nan([euler, positive])
-
-    return run_residual_check("calibration", bundle.total, residual, plan)
 
 
 # -- homogeneous metric decomposition ---------------------------------
@@ -444,30 +383,6 @@ def decompose_homogeneous_metric(
         calibrated=mu_max <= plan.tolerance,
         mu_max=mu_max,
         report=rep,
-    )
-
-
-def induced_calibration(
-    bundle: PrincipalBundle, g_M: TensorField, C: ContactStructure
-) -> TensorField:
-    """𝔰(x, s) = |s| · (dual norm of η at x in the base metric).
-
-    The dual norm is √(ηᵀ G⁻¹ η), computed by a linear solve so the result
-    stays differentiable; chart-wise it is insensitive to the paired sign
-    of η (the form enters squared).
-    """
-
-    def components(chart, env):
-        ev_vals = C.eta.at(chart.name, env)
-        rows = g_M.at(chart.name, env)
-        sol = nk.solve_linear(rows, list(ev_vals))
-        norm2 = nk.sum_(a * b for a, b in zip(ev_vals, sol))
-        s = env[FIBER]
-        mag = nk.absolute(s) if bundle.group == "Rx" else s
-        return mag * nk.sqrt(norm2)
-
-    return TensorField(
-        f"induced_calibration({C.name})", bundle.total, (0, 0), components
     )
 
 

@@ -4,11 +4,13 @@ Exit codes: 0 when every executed check produced its declared verdict
 (declared failures count as matches), 1 when any check produced an
 unexpected verdict, 2 for unknown keys, checks, or parameters, for a
 ``main1-family`` slope that does not parse, has a variable other than the
-base coordinates or a literal that overflows to inf, and for bad option
-values (``--samples`` below 1, ``--seed`` below 0, a ``--tol``
-that is negative or not finite).  The JSON report array (``--json``) is
-byte-identical across runs with equal flags; its schema is documented in
-``docs/report-schema.md``.
+base coordinates or a literal that overflows to inf, for a ``--param``
+name given twice, and for bad option values (``--samples`` below 1,
+``--seed`` below 0, a ``--tol`` that is negative or not finite, a
+``--checks`` list that names no check, a ``--json`` path that cannot be
+written); all of these exit before any check runs.  The JSON report array
+(``--json``) is byte-identical across runs with equal flags; its schema is
+documented in ``docs/report-schema.md``.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ def _parse_params(pairs: list[str]) -> dict:
         name, eq, value = raw.partition("=")
         if not eq or not name:
             raise UnknownKey(f"bad --param {raw!r}; expected NAME=VALUE")
+        if name in out:
+            raise UnknownKey(f"--param {name!r} given more than once")
         out[name] = value
     return out
 
@@ -120,9 +124,12 @@ def _cmd_verify(args) -> int:
     wanted = None
     if args.checks is not None:
         wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not wanted:
+            raise UnknownKey(f"--checks {args.checks!r} names no check")
 
-    # Build everything up front so unknown keys/params exit before any
-    # check runs; the builds also pin the declared check lists.
+    # Build everything up front so unknown keys/params, like an unwritable
+    # --json path, exit before any check runs; the builds also pin the
+    # declared check lists.
     examples = [build_example(k, **params) for k in keys]
     if wanted is not None:
         declared = {job.name for ex in examples for job in ex.checks}
@@ -131,6 +138,13 @@ def _cmd_verify(args) -> int:
             raise UnknownKey(
                 f"no declared check named {', '.join(missing)} in {args.key}"
             )
+    if args.json not in (None, "-"):
+        try:  # append mode creates a missing file and keeps an existing one
+            open(args.json, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write --json {args.json}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
 
     results = []
     for ex in examples:

@@ -32,10 +32,8 @@ from .tensor import (
     TensorField,
     agreeing,
     compose,
-    contract_form_vector,
     exterior_derivative,
     field_jet,
-    max_abs,
     zeros,
 )
 
@@ -166,7 +164,6 @@ class KernelFrame:
     kept: tuple[int, ...]
     vectors: list[list]  # 2n component lists
     xi: list
-    eta_vals: list
 
 
 def contact_frame(C: ContactStructure, chart: str, env: dict) -> KernelFrame:
@@ -177,7 +174,7 @@ def contact_frame(C: ContactStructure, chart: str, env: dict) -> KernelFrame:
     dropped = max(range(dim), key=lambda i: (mags[i], -i))
     kept = tuple(i for i in range(dim) if i != dropped)
     vectors = [_kernel_vector(a, ev_vals, xv) for a in kept]
-    return KernelFrame(chart, dropped, kept, vectors, xv, ev_vals)
+    return KernelFrame(chart, dropped, kept, vectors, xv)
 
 
 def _kernel_vector(a: int, eta_vals: list, xi: list) -> list:
@@ -212,19 +209,3 @@ def kernel_frames(C: ContactStructure, plan: SamplePlan) -> dict[str, list]:
         if pts
     }
 
-
-def frame_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
-    """Frame lies in C and, with ξ appended, spans the tangent space.
-
-    The spanning part is the `nondegeneracy_shortfall` of |det|: about 1
-    where the frame degenerates.
-    """
-
-    def residual(chart, coords, env):
-        fr = contact_frame(C, chart, env)
-        r = max_abs([contract_form_vector(fr.eta_vals, vec) for vec in fr.vectors])
-        rows = [[nk.value_of(x) for x in vec] for vec in fr.vectors]
-        rows.append([nk.value_of(x) for x in fr.xi])
-        return max_or_nan([r, nondegeneracy_shortfall(abs(nk.determinant(rows)))])
-
-    return run_residual_check("kernel_frame", C.atlas, residual, plan)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import exprlang, numkernel as nk
-from .bundle import FIBER, PrincipalBundle
+from .bundle import FIBER, PrincipalBundle, symplectize
 from .contact import ContactStructure, contact_frame
-from .manifold import SamplePlan, append_coordinate
+from .manifold import SamplePlan
 from .report import CheckReport, run_residual_check
 from .sasaki import LeviStructure
 from .tensor import (
@@ -34,7 +34,6 @@ from .tensor import (
     nijenhuis,
     tf_combine,
     vanishing,
-    zeros,
 )
 
 
@@ -50,27 +49,6 @@ class KahlerCandidate:
     omega: TensorField
     g: TensorField
     J: TensorField
-    scal: TensorField  # 𝔰 = g(∇, ∇)
-
-
-def kahler_candidate(
-    bundle: PrincipalBundle,
-    omega: TensorField,
-    g: TensorField,
-    plan: SamplePlan,
-) -> KahlerCandidate:
-    """Check the degree laws, then derive J and the metric calibration."""
-    from .bundle import g_calibration, require_homogeneous
-
-    require_homogeneous(omega, 1, "plain", plan, bundle)
-    require_homogeneous(g, 1, "positive", plan, bundle)
-    return KahlerCandidate(
-        bundle=bundle,
-        omega=omega,
-        g=g,
-        J=compatibility_tensor(omega, g),
-        scal=g_calibration(bundle, g),
-    )
 
 
 def kahlerianization(
@@ -84,12 +62,12 @@ def kahlerianization(
     Kähler pair; a non-constant slope obstructs integrability while
     leaving every pointwise check intact.
     """
-    from .bundle import g_calibration, symplectize
-
     C = L.contact
     bundle, omega = symplectize(C)
     g_M = L.metric()
-    a_expr = _parse_slope(slope)
+    a_expr = exprlang.parse(
+        repr(float(slope)) if isinstance(slope, (int, float)) else slope
+    )
 
     def cone_metric(chart, env):
         s = env[FIBER]
@@ -115,14 +93,6 @@ def kahlerianization(
         omega=omega,
         g=g,
         J=compatibility_tensor(omega, g),
-        scal=g_calibration(bundle, g),
-    )
-
-
-def _parse_slope(slope: Union[float, str]) -> exprlang.Expr:
-    """A slope as one parsed expression: a number by its repr, text as is."""
-    return exprlang.parse(
-        repr(float(slope)) if isinstance(slope, (int, float)) else slope
     )
 
 
@@ -362,51 +332,3 @@ def reconstruct_main1(
     )
     return Main1Result(slope=slope, g_M=g_M, phi_C=phi_C, J=J, report=report)
 
-
-# -- complex structures on the product with a line ---------------------
-
-
-LINE_COORD = "t"
-
-
-def cone_complex_structure(
-    L: LeviStructure,
-    slope: Union[float, str] = 0.0,
-    box=(-1.0, 1.0),
-) -> TensorField:
-    """The endomorphism of M×ℝ built from a Levi structure and a slope.
-
-    On vectors (X, f∂t) it acts as
-
-        (X, f) ↦ (φX − (a·η(X) + f)ξ,  (a·f + (1+a²)·η(X)) ∂t)
-
-    with φ the metric-compatible sign.  It squares to −id for every
-    slope, constant or not; its torsion vanishes exactly when the slope
-    is constant and the underlying structure is normal.
-
-    M×ℝ is the contact atlas with the line coordinate ``t`` appended last
-    by `manifold.append_coordinate` (ranging over ``box``, fixed by every
-    transition), so ∂t is the last row and column of the components.
-    """
-    C = L.contact
-    phi = L.phi_gas()
-    xi = C.reeb()
-    ext = append_coordinate(C.atlas, LINE_COORD, box)
-    a_expr = _parse_slope(slope)
-
-    def components(chart, env):
-        ph = phi.at(chart.name, env)
-        xiv = xi.at(chart.name, env)
-        etav = C.eta.at(chart.name, env)
-        a = exprlang.eval_expr(a_expr, env)
-        n = len(xiv)
-        out = zeros(n + 1, 2)
-        for k in range(n):
-            for j in range(n):
-                out[k][j] = ph[k][j] - a * etav[j] * xiv[k]
-            out[k][n] = -xiv[k]
-            out[n][k] = (1.0 + a * a) * etav[k]
-        out[n][n] = a
-        return out
-
-    return TensorField(f"line_extension_endo({L.name})", ext, (1, 1), components)

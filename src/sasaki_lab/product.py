@@ -1,8 +1,8 @@
-"""Products of contact and Sasakian structures over a shared scaling axis.
+"""Products of Sasakian structures over a shared scaling axis.
 
-Two cooriented structures combine on M₁ × M₂ × (0,∞): the raw product
-form t·η₁ + η₂ is contact, and dividing by t+1 normalises it so the Reeb
-field becomes ξ₁ + ξ₂ and the whole package stays Sasakian when both
+Two cooriented structures combine on M₁ × M₂ × (0,∞) through the form
+(t·η₁ + η₂)/(t+1), the product form t·η₁ + η₂ normalised so that the
+Reeb field is ξ₁ + ξ₂; the whole package stays Sasakian when both
 factors are.  Upstairs the construction is transparent — it is the
 product of the factors' cones under the diagonal scaling action, and the
 two descriptions are related by the explicit chart change
@@ -25,12 +25,12 @@ from .bundle import (
     cone_over,
     induced_metric,
 )
-from .contact import ContactStructure, contact_frame
+from .contact import ContactStructure
 from .kahler import KahlerCandidate, compatibility_tensor, kahlerianization
 from .manifold import Atlas, Chart, SamplePlan
 from .report import CheckReport, run_residual_check
 from .sasaki import LeviStructure, sasaki_check
-from .tensor import SmoothMap, TensorField, agreeing, max_abs, pullback
+from .tensor import SmoothMap, TensorField, agreeing, pullback
 
 T_COORD = "t"
 T_BOX = (0.5, 2.0)
@@ -92,79 +92,6 @@ def _product_frame(
     return ProductFrame(ch1, ch2, Atlas((chart,), ()), chart.name)
 
 
-def _product_form(name, C1, C2, chart_name, weights):
-    """(product frame, the form u·η₁ + v·η₂ on its chart), (u, v) = weights(t)."""
-    pf = _product_frame(
-        _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), chart_name
-    )
-
-    def components(chart, env):
-        e1, e2 = pf.envs(env)
-        v1 = C1.eta.at(pf.chart1.name, e1)
-        v2 = C2.eta.at(pf.chart2.name, e2)
-        u, v = weights(env[T_COORD])
-        return [u * a for a in v1] + [v * a for a in v2] + [0.0]
-
-    return pf, TensorField(name, pf.atlas, (0, 1), components)
-
-
-def contact_product(
-    C1: ContactStructure, C2: ContactStructure, name: str | None = None
-) -> ContactStructure:
-    """The raw product form t·η₁ + η₂ on M₁ × M₂ × [1/2, 2].
-
-    Its Reeb field is the second factor's; the kernel contains both
-    factor kernels plus ξ₁ − t·ξ₂ and ∂_t.  Swapping the roles of the
-    factors amounts to the chart change t ↦ 1/t up to a positive
-    conformal factor, which `reparametrization_check` certifies.
-    """
-    pf, eta = _product_form(
-        f"product_eta({C1.name},{C2.name})", C1, C2, name or "prod",
-        lambda t: (t, 1.0),
-    )
-    return ContactStructure(name or f"{C1.name}*{C2.name}", pf.atlas, eta)
-
-
-def reparametrization_check(
-    C1: ContactStructure,
-    C2: ContactStructure,
-    product: ContactStructure,
-    plan: SamplePlan,
-) -> CheckReport:
-    """ker(t·η₁ + η₂) is parametrization-independent.
-
-    The inverted-parameter chart carries η′ = η₁ + t′·η₂; pulling it
-    back along t′ = 1/t must give η/t exactly, and in particular η′
-    annihilates the original kernel frame.
-    """
-    pf, eta_inv = _product_form(
-        "eta_inverted", C1, C2, "prod_inv", lambda t: (1.0, t)
-    )
-    (src_chart,) = product.atlas.charts
-    exprs = tuple(src_chart.coords[:-1]) + (f"1 / {T_COORD}",)
-    F = SmoothMap.from_exprs(
-        "invert_parameter",
-        product.atlas,
-        pf.atlas,
-        {src_chart.name: (pf.chart, exprs)},
-    )
-    moved = pullback(F, eta_inv)
-
-    def residual(chart, coords, env):
-        t = env[T_COORD]
-        got = moved.at(chart, env)
-        here = product.eta.at(chart, env)
-        comps = [nk.value_of(a) - nk.value_of(b) / t for a, b in zip(got, here)]
-        fr = contact_frame(product, chart, env)
-        for vec in fr.vectors:
-            comps.append(nk.sum_(g * v for g, v in zip(got, vec)))
-        return max_abs(comps)
-
-    return run_residual_check(
-        "product_reparametrization", product.atlas, residual, plan
-    )
-
-
 def sasakian_product(
     L1: LeviStructure,
     L2: LeviStructure,
@@ -190,9 +117,20 @@ def sasakian_product(
                 f"{L.name}: normality residual {rep.max_residual:.3e}"
             )
     C1, C2 = L1.contact, L2.contact
-    pf, eta = _product_form(
-        f"sasakian_product_eta({L1.name},{L2.name})", C1, C2, name or "prod",
-        lambda t: (t / (t + 1.0), 1.0 / (t + 1.0)),
+    pf = _product_frame(
+        _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), name or "prod"
+    )
+
+    def eta_ev(chart, env):
+        e1, e2 = pf.envs(env)
+        v1 = C1.eta.at(pf.chart1.name, e1)
+        v2 = C2.eta.at(pf.chart2.name, e2)
+        t = env[T_COORD]
+        u, v = t / (t + 1.0), 1.0 / (t + 1.0)
+        return [u * a for a in v1] + [v * a for a in v2] + [0.0]
+
+    eta = TensorField(
+        f"sasakian_product_eta({L1.name},{L2.name})", pf.atlas, (0, 1), eta_ev
     )
     n1, n2 = pf.dims
     dim = n1 + n2 + 1
@@ -234,30 +172,6 @@ def sasakian_product(
     return LeviStructure(contact.name, contact, phibar)
 
 
-def distribution_match_check(
-    raw: ContactStructure,
-    normalised: LeviStructure,
-    plan: SamplePlan,
-) -> CheckReport:
-    """Both product constructions cut out the same hyperplane field."""
-    eta_n = normalised.contact.eta
-
-    def residual(chart, coords, env):
-        here = eta_n.at(chart, env)
-        pairings = [
-            nk.sum_(a * v for a, v in zip(here, vec))
-            for vec in contact_frame(raw, chart, env).vectors
-        ]
-        other = raw.eta.at(chart, env)
-        pairings += [
-            nk.sum_(a * v for a, v in zip(other, vec))
-            for vec in contact_frame(normalised.contact, chart, env).vectors
-        ]
-        return max_abs(pairings)
-
-    return run_residual_check("product_distribution_match", raw.atlas, residual, plan)
-
-
 # -- the upstairs picture: product of cones ----------------------------
 
 
@@ -297,18 +211,15 @@ class ProductBundle:
         return TensorField("diag_liouville", self.total, (1, 0), components)
 
 
-def _block_sum(name, pf, valence, f1, f2):
-    """Direct sum of factor tensors of equal valence, zero on the rest."""
+def _block_sum(name, pf, f1, f2):
+    """Direct sum of factor (0,2) tensors, zero on the mixed blocks."""
     n1, n2 = pf.dims
     dim = n1 + n2
-    p, q = valence
 
     def components(chart, env):
         e1, e2 = pf.envs(env)
         a = f1.at(pf.chart1.name, e1)
         b = f2.at(pf.chart2.name, e2)
-        if p + q == 1:
-            return list(a) + list(b)
         out = [[0.0] * dim for _ in range(dim)]
         for i in range(n1):
             for j in range(n1):
@@ -318,7 +229,7 @@ def _block_sum(name, pf, valence, f1, f2):
                 out[n1 + i][n1 + j] = b[i][j]
         return out
 
-    return TensorField(name, pf.atlas, valence, components)
+    return TensorField(name, pf.atlas, (0, 2), components)
 
 
 def product_kahler_lift(
@@ -326,9 +237,9 @@ def product_kahler_lift(
 ) -> KahlerCandidate:
     """The product of the factors' cone pairs under the diagonal action.
 
-    ω and g are block sums, the calibration is s₁ + s₂, and J is derived
-    from the pair as always.  Factors whose cone pairs are obstructed
-    are rejected, since the product could not be Kähler either.
+    ω and g are block sums, and J is derived from the pair as always.
+    Factors whose cone pairs are obstructed are rejected, since the
+    product could not be Kähler either.
     """
     from .kahler import kahler_integrability_check
 
@@ -352,19 +263,13 @@ def product_kahler_lift(
         chart=pf.chart,
         fibers=("s1", "s2"),
     )
-    omega = _block_sum("product_omega", pf, (0, 2), K1.omega, K2.omega)
-    g = _block_sum("product_metric", pf, (0, 2), K1.g, K2.g)
-
-    scal = TensorField(
-        "product_calibration", pf.atlas, (0, 0),
-        lambda chart, env: env["s1"] + env["s2"],
-    )
+    omega = _block_sum("product_omega", pf, K1.omega, K2.omega)
+    g = _block_sum("product_metric", pf, K1.g, K2.g)
     return KahlerCandidate(
         bundle=pb,
         omega=omega,
         g=g,
         J=compatibility_tensor(omega, g),
-        scal=scal,
     )
 
 

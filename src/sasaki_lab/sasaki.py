@@ -51,7 +51,6 @@ from .tensor import (
     TensorField,
     agreeing,
     compose,
-    endo_apply,
     field_jet,
     field_overlaps,
     lie_bracket,
@@ -202,7 +201,7 @@ def pin_flag_residuals(
     d_eta = C.d_eta()
     brackets = {}  # chart name -> the bracket pairs of its frame fields
     for chart, frames in kernel_frames(C, plan).items():
-        phi_frames = [endo_apply(phi, F) for F in frames]
+        phi_frames = [compose(phi, F, f"{phi.name}({F.name})") for F in frames]
         brackets[chart] = [
             (lie_bracket(phi_frames[a], frames[b]),
              lie_bracket(frames[a], phi_frames[b]))
@@ -412,8 +411,8 @@ def cr_torsion_field(
     C: ContactStructure, phi: TensorField, X: TensorField, Y: TensorField
 ) -> TensorField:
     """[φX, φY] − [X, Y] − φ([φX, Y] + [X, φY]) for kernel fields X, Y."""
-    phiX = endo_apply(phi, X)
-    phiY = endo_apply(phi, Y)
+    phiX = compose(phi, X, f"{phi.name}({X.name})")
+    phiY = compose(phi, Y, f"{phi.name}({Y.name})")
     b1 = lie_bracket(phiX, phiY)
     b2 = lie_bracket(X, Y)
     b3 = lie_bracket(phiX, Y)

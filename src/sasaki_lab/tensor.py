@@ -25,8 +25,8 @@ Evaluation is memoized per point.  The env a chart builds for a point
 
 The pointwise algebra is stated once, as fields: ``compose(A, B)``
 contracts A's last slot with B's first (φ∘ψ, g(·, ξ), η∘φ, η(ξ), ...),
-``congruence(b, J)`` is b(J·, J·), and `identity`, `tf_add`, `tf_scale`,
-`sym2` and `form_times_vector` build the rest.  A check that states a
+``congruence(b, J)`` is b(J·, J·), and `identity`, `tf_add` and
+`tf_scale` build the rest.  A check that states a
 field identity declares it, and indexes nothing by hand:
 ``vanishing(*fields)`` and ``agreeing(*pairs)``, with pairs (T, S) or
 (T, S, c) for T = c·S, build the pointwise residual (chart, coords, env)
@@ -48,9 +48,10 @@ Conventions fixed here and relied on everywhere else:
 
 * components index order: contravariant slots before covariant slots, e.g.
   an endomorphism J has ``J[k][j]`` = row/output k, column/input j;
-* ``musical_flat(b, X)`` contracts X into the SECOND slot of b, i.e. the
-  result is ``b(., X)`` — for 2-forms the order matters and this is the
-  documented choice (a regression test freezes it on the cone);
+* ``compose(b, X)`` of a (0,2) field b and a vector field X contracts X
+  into the SECOND slot of b, i.e. the result is ``b(·, X)`` — for 2-forms
+  the order matters and this is the documented choice (regression tests
+  freeze it, on the plane and on the cone);
 * Lie brackets/derivatives and the Nijenhuis torsion follow the classical
   component formulas with no extra normalization factors.
 """
@@ -492,11 +493,6 @@ def nijenhuis(J: TensorField) -> TensorField:
     )
 
 
-def musical_flat(b: TensorField, X: TensorField) -> TensorField:
-    """The one-form b(., X): contracts X into the SECOND slot of b."""
-    return compose(b, X, f"flat({b.name},{X.name})")
-
-
 def pullback(F: SmoothMap, T: TensorField, name: str | None = None) -> TensorField:
     """Pullback of a (p, q)-tensor along F.
 
@@ -581,31 +577,6 @@ def tf_scale(T: TensorField, factor, name=None) -> TensorField:
         [T],
         lambda cs, env: map_structure(lambda v: fn(env) * v, cs[0]),
     )
-
-
-def sym2(a: TensorField, b: TensorField, name=None) -> TensorField:
-    """a⊗b + b⊗a (the polarization convention used by metric splittings)."""
-
-    def fn(cs, env):
-        av, bv = cs
-        return [[av[i] * bv[j] + bv[i] * av[j] for j in range(len(av))] for i in range(len(av))]
-
-    return tf_combine(name or f"sym({a.name},{b.name})", (0, 2), [a, b], fn)
-
-
-def form_times_vector(alpha: TensorField, X: TensorField, name=None) -> TensorField:
-    """α ⊗ X as an endomorphism: M^k_j = X^k α_j."""
-
-    def fn(cs, env):
-        av, xv = cs
-        return [[x * a for a in av] for x in xv]
-
-    return tf_combine(name or f"{alpha.name}⊗{X.name}", (1, 1), [alpha, X], fn)
-
-
-def endo_apply(J: TensorField, X: TensorField, name=None) -> TensorField:
-    """The vector field J(X)."""
-    return compose(J, X, name or f"{J.name}({X.name})")
 
 
 def compose(A: TensorField, B: TensorField, name=None) -> TensorField:

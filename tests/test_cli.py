@@ -90,6 +90,49 @@ def test_malformed_param_exits_two(param, message, capsys):
         assert out == "" and message in err, command
 
 
+def test_repeated_param_exits_two(capsys):
+    """A name given twice is bad input, not a silent last-one-wins."""
+    for command in ("verify", "show"):
+        argv = [command, "main1-family", "--param", "a=1", "--param", "a=x"]
+        assert main(argv + (["--samples", "2"] if command == "verify" else [])) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --param 'a' given more than once\n"
+
+
+@pytest.mark.parametrize("checks", [",", " , ,"])
+def test_checks_naming_no_check_exits_two(checks, capsys):
+    assert main(["verify", "darboux-1", "--checks", checks, "--samples", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --checks {checks!r} names no check\n"
+
+
+def test_unwritable_json_path_exits_two_before_any_check(tmp_path, capsys, monkeypatch):
+    """The --json path is tried before any check runs."""
+
+    def no_checks(*args, **kwargs):
+        raise AssertionError("ran checks despite bad input")
+
+    monkeypatch.setattr("sasaki_lab.cli.SampleSet", no_checks)
+    for path, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        assert main(["verify", "darboux-1", "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write --json {path}: {reason}\n"
+
+
+def test_json_path_probe_keeps_an_existing_file_until_the_report(tmp_path, capsys):
+    """Bad input leaves the --json path as it was: no file made, none cut."""
+    assert main(["verify", "nokey", "--json", str(tmp_path / "new.json")]) == 2
+    assert not (tmp_path / "new.json").exists()
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+    assert main(["verify", "darboux-1", "--checks", "nope", "--json", str(path)]) == 2
+    assert path.read_text() == "old\n"
+    assert main(["verify", "darboux-1", "--checks", "contact_form", "--samples", "2",
+                 "--json", str(path)]) == 0
+    assert json.loads(path.read_text())[0]["declared"]["check"] == "contact_form"
+
+
 BAD_OPTIONS = [
     ("--samples", "0"), ("--samples", "-3"), ("--samples", "two"),
     ("--seed", "-1"), ("--seed", "1.5"),

@@ -9,28 +9,24 @@ from sasaki_lab import exprlang
 from sasaki_lab import numkernel as nk
 from sasaki_lab.bundle import (
     FIBER,
-    NotHomogeneous,
     homogeneity_check,
     symplectize,
 )
 from sasaki_lab.contact import darboux_contact
 from sasaki_lab.corpus import build_example
 from sasaki_lab.kahler import (
-    LINE_COORD,
     NotCompatible,
     almost_complex_check,
     compatibility_check,
     compatibility_tensor,
-    cone_complex_structure,
-    kahler_candidate,
     kahler_integrability_check,
     kahlerianization,
     reconstruct_main1,
 )
 from sasaki_lab.manifold import Atlas, Chart, SamplePlan, append_coordinate
 from sasaki_lab.report import run_residual_check
-from sasaki_lab.sasaki import LeviStructure, standard_darboux_levi
-from sasaki_lab.tensor import TensorField, max_abs, musical_flat, tf_scale
+from sasaki_lab.sasaki import standard_darboux_levi
+from sasaki_lab.tensor import TensorField, compose, max_abs, tf_scale
 
 PLAN = SamplePlan(seed=13, points_per_chart=8, tolerance=1e-8)
 
@@ -149,25 +145,6 @@ class TestAlmostComplexCheck:
         assert rep.max_residual == pytest.approx(0.75)
 
 
-class TestKahlerCandidate:
-    def test_homogeneous_pair_accepted(self):
-        _, bundle, omega, g = darboux_cone("0.7")
-        cand = kahler_candidate(bundle, omega, g, PLAN)
-        env = {"x": 0.1, "p": 0.4, "z": -0.3, FIBER: 1.3}
-        assert nk.value_of(cand.scal.at("O", env)) == pytest.approx(1.3)
-
-    def test_wrong_metric_degree_rejected(self):
-        _, bundle, omega, g = darboux_cone("0.7")
-
-        def ev(chart, env):
-            rows = g.at(chart.name, env)
-            return [[env[FIBER] * v for v in row] for row in rows]
-
-        heavy = TensorField("heavy", bundle.total, (0, 2), ev)
-        with pytest.raises(NotHomogeneous):
-            kahler_candidate(bundle, omega, heavy, PLAN)
-
-
 class TestIntegrability:
     def test_constant_slope_is_integrable(self):
         _, _, omega, g = darboux_cone("0.3")
@@ -271,67 +248,21 @@ class TestMusicalConventions:
             return out
 
         nabla = TensorField("scaling", bundle.total, (1, 0), nabla_ev)
-        flat = musical_flat(omega, nabla)
+        flat = compose(omega, nabla)  # ω(·, ∇)
         env = {"x": 0.3, "p": -0.4, "z": 0.2, FIBER: 1.7}
         got = [nk.value_of(v) for v in flat.at("O", env)]
         s, p = env[FIBER], env["p"]
         assert got == pytest.approx([-s * (-p), 0.0, -s * 1.0, 0.0], abs=1e-12)
 
 
-def z_sheared_levi() -> LeviStructure:
-    """Pointwise-compatible, non-normal: frame shear by c = z."""
-    C = darboux_contact(1)
-    (chart,) = C.atlas.charts
-    table = {
-        (0, 0): "(z)",
-        (1, 0): "1",
-        (2, 0): "(z) * p",
-        (0, 1): "-(1 + (z)^2)",
-        (1, 1): "-(z)",
-        (2, 1): "-(1 + (z)^2) * p",
-    }
-    phibar = TensorField.from_exprs(
-        "sheared_endo", C.atlas, (1, 1), {chart.name: table}
-    )
-    return LeviStructure("z-sheared", C, phibar)
-
-
 class TestConeComplexStructure:
+    """M×ℝ, the space of a cone's complex structure in cylinder form."""
+
     def test_line_extension_appends_coordinate(self):
-        ext = append_coordinate(darboux_contact(1).atlas, LINE_COORD, (-2.0, 2.0))
+        ext = append_coordinate(darboux_contact(1).atlas, "t", (-2.0, 2.0))
         (chart,) = ext.charts
         assert chart.coords == ("x", "p", "z", "t")
         assert chart.box[-1] == (-2.0, 2.0)
-
-    def test_zero_slope_swaps_reeb_and_line(self):
-        J = cone_complex_structure(standard_darboux_levi(1), 0.0)
-        env = {"x": 0.3, "p": -0.7, "z": 0.1, "t": 0.4}
-        m = J.at("O", env)
-        assert matvec(m, [0.0, 0.0, 1.0, 0.0]) == pytest.approx(
-            [0.0, 0.0, 0.0, 1.0], abs=1e-12
-        )
-        assert matvec(m, [0.0, 0.0, 0.0, 1.0]) == pytest.approx(
-            [0.0, 0.0, -1.0, 0.0], abs=1e-12
-        )
-
-    def test_squares_to_minus_identity_for_any_slope(self):
-        for slope in (0.0, "x", "z"):
-            J = cone_complex_structure(standard_darboux_levi(1), slope)
-            rep = almost_complex_check(J, PLAN)
-            assert rep.passed, (slope, rep.max_residual)
-
-    def test_integrable_exactly_for_constant_slope_and_normal_base(self):
-        flat = standard_darboux_levi(1)
-        rep = kahler_integrability_check(cone_complex_structure(flat, 0.0), PLAN)
-        assert rep.passed, rep.max_residual
-        rep = kahler_integrability_check(cone_complex_structure(flat, 0.4), PLAN)
-        assert rep.passed, rep.max_residual
-        rep = kahler_integrability_check(cone_complex_structure(flat, "x"), PLAN)
-        assert rep.verdict == "fail" and rep.max_residual > 1e-3
-        rep = kahler_integrability_check(
-            cone_complex_structure(z_sheared_levi(), 0.0), PLAN
-        )
-        assert rep.verdict == "fail" and rep.max_residual > 1e-3
 
 
 # -- declared identities against the hand-indexed residuals they replaced --

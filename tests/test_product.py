@@ -6,22 +6,20 @@ import pytest
 
 from sasaki_lab import numkernel as nk
 from sasaki_lab.bundle import homogeneity_check
-from sasaki_lab.contact import ContactStructure, darboux_contact, is_contact_form
+from sasaki_lab.contact import ContactStructure
 from sasaki_lab.kahler import almost_complex_check, kahler_integrability_check
 from sasaki_lab.manifold import SamplePlan
 from sasaki_lab.product import (
     FactorNotSasakian,
     NotCooriented,
-    contact_product,
-    distribution_match_check,
     invariant_slope_form,
     product_kahler_lift,
     product_routes_check,
-    reparametrization_check,
     sasakian_product,
     ts_reparametrization,
 )
 from sasaki_lab.sasaki import (
+    LeviStructure,
     contact_metric_check,
     sasaki_check,
     standard_darboux_levi,
@@ -41,43 +39,16 @@ def vals(seq):
 
 
 class TestContactProduct:
-    def test_form_components_by_hand(self):
-        C = contact_product(darboux_contact(1), darboux_contact(1))
-        got = vals(C.eta.at("prod", ENV7))
-        t, p1, p2 = ENV7["t"], ENV7["p1"], ENV7["p2"]
-        assert got == pytest.approx([-t * p1, 0.0, t, -p2, 0.0, 1.0, 0.0])
-
-    def test_is_contact_and_reeb_is_second_factor(self):
-        C = contact_product(darboux_contact(1), darboux_contact(1))
-        assert is_contact_form(C, PLAN).passed
-        got = vals(C.reeb().at("prod", ENV7))
-        assert got == pytest.approx(
-            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0], abs=1e-11
-        )
-
-    def test_kernel_contains_mixed_reeb_and_parameter_axis(self):
-        C = contact_product(darboux_contact(1), darboux_contact(1))
-        etav = vals(C.eta.at("prod", ENV7))
-        t = ENV7["t"]
-        mixed = [0.0, 0.0, 1.0, 0.0, 0.0, -t, 0.0]
-        axis = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-        for vec in (mixed, axis):
-            assert sum(a * b for a, b in zip(etav, vec)) == pytest.approx(
-                0.0, abs=1e-12
-            )
-
-    def test_parameter_inversion_preserves_kernel(self):
-        C1, C2 = darboux_contact(1), darboux_contact(1)
-        rep = reparametrization_check(C1, C2, contact_product(C1, C2), PLAN)
-        assert rep.passed, rep.max_residual
+    """The product form needs single-chart, cooriented factors."""
 
     def test_paired_factor_rejected(self):
-        honest = darboux_contact(1)
+        honest = standard_darboux_levi(1)
         fake = ContactStructure(
-            "pretend-paired", honest.atlas, honest.eta, paired=True
+            "pretend-paired", honest.contact.atlas, honest.contact.eta, paired=True
         )
+        paired = LeviStructure("pretend-paired", fake, honest.phibar)
         with pytest.raises(NotCooriented):
-            contact_product(fake, honest)
+            sasakian_product(paired, honest, PLAN)
 
 
 class TestSasakianProduct:
@@ -116,13 +87,6 @@ class TestSasakianProduct:
         rep = sasaki_check(L, replace(PLAN, tolerance=1e-7))
         assert rep.passed, rep.max_residual
 
-    def test_same_distribution_as_raw_product(self):
-        L = sasakian_product(
-            standard_darboux_levi(1), standard_darboux_levi(1), PLAN
-        )
-        raw = contact_product(darboux_contact(1), darboux_contact(1))
-        assert distribution_match_check(raw, L, PLAN).passed
-
     def test_abnormal_factor_rejected(self):
         faulty = standard_darboux_levi(1)
         shear = TensorField.from_exprs(
@@ -140,8 +104,6 @@ class TestSasakianProduct:
                 }
             },
         )
-        from sasaki_lab.sasaki import LeviStructure
-
         bad = LeviStructure("bad", faulty.contact, shear)
         with pytest.raises(FactorNotSasakian):
             sasakian_product(bad, standard_darboux_levi(1), PLAN)
@@ -163,7 +125,6 @@ class TestProductCones:
         assert nk.value_of(om[3][4]) == 0.0
         assert nk.value_of(g[3][3]) == pytest.approx(1.0 / env["s1"])
         assert nk.value_of(g[7][7]) == pytest.approx(1.0 / env["s2"])
-        assert nk.value_of(K.scal.at("prod_cone", env)) == pytest.approx(1.9)
 
     def test_j_swaps_each_factors_scaling_and_reeb(self):
         K = product_kahler_lift(
@@ -203,8 +164,6 @@ class TestProductCones:
 
     def test_abnormal_factor_rejected_upstairs(self):
         from sasaki_lab.kahler import kahlerianization
-        from sasaki_lab.sasaki import LeviStructure
-
         base = standard_darboux_levi(1)
         shear = TensorField.from_exprs(
             "bad_endo",

@@ -276,12 +276,13 @@ class TestNijenhuis:
 
 
 def test_musical_flat_contracts_second_slot():
-    """ω = dx∧dy, X = ∂x: ω(·, ∂x) = −dy. Freezes the slot convention."""
+    """ω = dx∧dy, X = ∂x: compose(ω, X) = ω(·, ∂x) = −dy. Freezes the slot
+    convention of the musical flat."""
     w = tn.TensorField.from_exprs(
         "w", r2_atlas(), (0, 2), {"O": {(0, 1): "1", (1, 0): "-1"}}
     )
     X = tn.TensorField.from_exprs("X", r2_atlas(), (1, 0), {"O": {(0,): "1"}})
-    assert tn.musical_flat(w, X).at("O", ENV2) == [0.0, -1.0]
+    assert tn.compose(w, X).at("O", ENV2) == [0.0, -1.0]
 
 
 class TestPullback:
@@ -390,11 +391,10 @@ def test_field_algebra_helpers():
     atlas = r2_atlas()
     a = tn.TensorField.from_exprs("a", atlas, (0, 1), {"O": {(0,): "1"}})
     b = tn.TensorField.from_exprs("b", atlas, (0, 1), {"O": {(1,): "1"}})
-    X = tn.TensorField.from_exprs("X", atlas, (1, 0), {"O": {(0,): "2"}})
-    assert tn.sym2(a, b).at("O", ENV2) == [[0.0, 1.0], [1.0, 0.0]]
-    assert tn.form_times_vector(a, X).at("O", ENV2) == [[2.0, 0.0], [0.0, 0.0]]
-    J = tn.form_times_vector(b, X)  # X ⊗ b : maps ∂y ↦ 2∂x
-    assert tn.endo_apply(J, tn.TensorField.from_exprs(
+    J = tn.TensorField.from_exprs(  # X ⊗ b with X = 2∂x: maps ∂y ↦ 2∂x
+        "J", atlas, (1, 1), {"O": {(0, 1): "2"}}
+    )
+    assert tn.compose(J, tn.TensorField.from_exprs(
         "Y", atlas, (1, 0), {"O": {(1,): "1"}}
     )).at("O", ENV2) == [2.0, 0.0]
     s = tn.tf_add(a, b)
@@ -469,6 +469,25 @@ def _leaf_values(s):
     return tn.map_structure(nk.value_of, s)
 
 
+def _vector_times_form(alpha, X):
+    """X ⊗ α as an endomorphism: M^k_j = X^k α_j."""
+    return tn.tf_combine(
+        f"{alpha.name}⊗{X.name}", (1, 1), [alpha, X],
+        lambda cs, env: [[x * a for a in cs[0]] for x in cs[1]],
+    )
+
+
+def _sym2(a, b):
+    """a⊗b + b⊗a."""
+
+    def fn(cs, env):
+        av, bv = cs
+        n = range(len(av))
+        return [[av[i] * bv[j] + bv[i] * av[j] for j in n] for i in n]
+
+    return tn.tf_combine(f"sym({a.name},{b.name})", (0, 2), [a, b], fn)
+
+
 def _solved_structure():
     """A nonlinear contact form, its solved Reeb field and ξ⊗η on R³."""
     from sasaki_lab.contact import ContactStructure, reeb_field
@@ -479,7 +498,7 @@ def _solved_structure():
         {"O": {(0,): "-p", (1,): "0.2*sin(x*z)", (2,): "1 + 0.1*x^2"}},
     )
     xi = reeb_field(ContactStructure("wavy", atlas, eta))
-    return atlas, eta, xi, tn.form_times_vector(eta, xi)
+    return atlas, eta, xi, _vector_times_form(eta, xi)
 
 
 def _counted(T, calls):
@@ -503,8 +522,8 @@ class TestPointMemo:
         )
         first = tn.lie_bracket(X, xi)
         second = tn.nijenhuis(J)
-        dd = tn.exterior_derivative(tn.exterior_derivative(tn.musical_flat(
-            tn.sym2(eta, eta), xi)))
+        dd = tn.exterior_derivative(tn.exterior_derivative(tn.compose(
+            _sym2(eta, eta), xi)))
         for T in (first, second, dd):
             env = self.sample_env()
             assert isinstance(env, PointEnv)
@@ -525,7 +544,7 @@ class TestPointMemo:
         from sasaki_lab.contact import ContactStructure, reeb_field
 
         xi = reeb_field(ContactStructure("wavy", atlas, counted_eta))
-        N = tn.nijenhuis(tn.form_times_vector(counted_eta, xi))
+        N = tn.nijenhuis(_vector_times_form(counted_eta, xi))
         env = self.sample_env()
         N.at("O", env)
         N.at("O", env)
