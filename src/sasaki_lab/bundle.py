@@ -35,6 +35,7 @@ from . import exprlang, numkernel as nk
 from .contact import NONDEGENERACY_THRESHOLD, ContactStructure, nondegeneracy_shortfall
 from .manifold import (
     Atlas,
+    PointEnv,
     SamplePlan,
     TransitionMap,
     TransitionPiece,
@@ -76,15 +77,13 @@ class PrincipalBundle:
     base: Atlas
     group: str  # "R+" or "Rx"
 
-    def lift_env(self, base_env: dict, s=1.0) -> dict:
-        """A base point's env lifted to fiber height `s`."""
-        env = dict(base_env)
-        env[FIBER] = s
-        return env
+    def lift_env(self, base_env: dict, s=1.0) -> PointEnv:
+        """A base point's env lifted to fiber height `s`, with a fresh memo."""
+        return PointEnv({**base_env, FIBER: s})
 
-    def base_env(self, env: dict) -> dict:
-        """A total-space env restricted to the base coordinates."""
-        return {c: v for c, v in env.items() if c != FIBER}
+    def base_env(self, env: dict) -> PointEnv:
+        """A total-space env restricted to the base coordinates, fresh memo."""
+        return PointEnv({c: v for c, v in env.items() if c != FIBER})
 
     def scaling(self, nu: float) -> SmoothMap:
         """h_ν: multiply the fiber coordinate by ν, chart by chart."""

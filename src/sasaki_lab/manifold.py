@@ -52,7 +52,8 @@ class PointEnv(dict):
     evaluated at this env and the dual-seeded envs of its jets, and it is
     dropped together with the env.  Changing a value would leave the memo
     describing values the env no longer holds, so the mapping refuses
-    writes; ``dict(env)`` gives a plain, writable (and uncached) copy.
+    writes; ``dict(env)`` gives a writable copy, which `tensor` wraps in a
+    fresh PointEnv, with an empty memo, whenever it evaluates there.
     """
 
     __slots__ = ("memo", "__weakref__")

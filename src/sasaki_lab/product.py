@@ -27,7 +27,7 @@ from .bundle import (
 )
 from .contact import ContactStructure
 from .kahler import KahlerCandidate, compatibility_tensor, kahlerianization
-from .manifold import Atlas, Chart, SamplePlan
+from .manifold import Atlas, Chart, PointEnv, SamplePlan
 from .report import CheckReport, run_residual_check
 from .sasaki import LeviStructure, sasaki_check
 from .tensor import SmoothMap, TensorField, agreeing, pullback
@@ -56,8 +56,8 @@ def _suffix_chart(chart: Chart, suffix: str) -> tuple[tuple, tuple]:
     return tuple(c + suffix for c in chart.coords), chart.box
 
 
-def _factor_env(env: dict, coords: tuple, suffix: str) -> dict:
-    return {c: env[c + suffix] for c in coords}
+def _factor_env(env: dict, coords: tuple, suffix: str) -> PointEnv:
+    return PointEnv({c: env[c + suffix] for c in coords})
 
 
 @dataclass
@@ -73,7 +73,7 @@ class ProductFrame:
     def dims(self) -> tuple[int, int]:
         return self.chart1.dim, self.chart2.dim
 
-    def envs(self, env: dict) -> tuple[dict, dict]:
+    def envs(self, env: dict) -> tuple[PointEnv, PointEnv]:
         return (
             _factor_env(env, self.chart1.coords, "1"),
             _factor_env(env, self.chart2.coords, "2"),

@@ -3,7 +3,7 @@
 A :class:`TensorField` holds one function ``components(chart, env)`` for all
 of its charts: given a :class:`~sasaki_lab.manifold.Chart` and an ``env``
 (a dict of coordinate scalars), it returns the components on that chart as
-nested lists, contravariant indices first.  Because every component
+nested lists or tuples, contravariant indices first.  Because every component
 function is generic over the scalar type, derivatives never need dedicated
 code: `field_jet` seeds dual numbers for the chart coordinates, evaluates once,
 and unpacks values and first partials.  Seeding twice (a jet inside a jet)
@@ -38,11 +38,12 @@ across a transition piece, which it evaluates at the piece samples of
 identity of fields (a determinant, an eigenvalue, one component) stays a
 hand-written residual.
 
-Kept component structures are shared between callers, so `at` hands out
-fresh nested lists around the shared (immutable) scalars, and `field_jet`
-builds its values and partials anew; writing into a returned structure
-never changes a later result.  A plain ``dict`` env has no memo and simply
-evaluates, uncached, on every call.
+The memo is the one evaluation path.  It keeps component structures
+frozen, as nested tuples, and `at` hands out the kept object, so a write
+into it raises ``TypeError``; `field_jet` builds its values and partials
+anew.  The envs `bundle` and `product` derive from a point are PointEnvs
+that die with the call that built them, and `at` and `_seeded` wrap any
+other mapping (a test's plain dict) in a fresh PointEnv for the call.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -68,36 +69,43 @@ from .manifold import Atlas, Chart, Overlaps, PointEnv, SamplePlan
 from .report import CheckReport, max_or_nan, run_residual_check
 
 
+# A component structure nests lists (as built) or tuples (as kept).
+_NESTED = (list, tuple)
+
+
 def map_structure(fn, s):
-    if isinstance(s, list):
+    if isinstance(s, _NESTED):
         return [map_structure(fn, x) for x in s]
     return fn(s)
 
 
-def _copy_lists(s):
-    """Fresh nested lists around the same leaves (a component structure
-    nests to one depth throughout, so a row of leaves is sliced)."""
-    if not isinstance(s, list):
+def _frozen(s):
+    """`s` as nested tuples around the same leaves (a component structure
+    nests to one depth throughout, so each row of leaves is converted whole,
+    a matrix's rows in one `map`)."""
+    if not isinstance(s, _NESTED):
         return s
-    if s and isinstance(s[0], list):
-        return [_copy_lists(x) for x in s]
-    return s[:]
+    if not s or not isinstance(s[0], _NESTED):
+        return tuple(s)
+    if s[0] and isinstance(s[0][0], _NESTED):
+        return tuple([_frozen(x) for x in s])
+    return tuple(map(tuple, s))
 
 
 def max_abs(s) -> float:
     """Largest |value| in a nested component structure; NaN if any is NaN."""
-    if isinstance(s, list):
+    if isinstance(s, _NESTED):
         return max_or_nan([
-            max_abs(x) if isinstance(x, list) else abs(nk.value_of(x)) for x in s
+            max_abs(x) if isinstance(x, _NESTED) else abs(nk.value_of(x)) for x in s
         ])
     return abs(nk.value_of(s))
 
 
 def max_diff(a, b, scale=1.0) -> float:
     """Largest |a - scale*b| over a pair of nested component structures."""
-    if isinstance(a, list):
+    if isinstance(a, _NESTED):
         return max_or_nan([
-            max_diff(x, y, scale) if isinstance(x, list)
+            max_diff(x, y, scale) if isinstance(x, _NESTED)
             else abs(nk.value_of(x) - scale * nk.value_of(y))
             for x, y in zip(a, b)
         ])
@@ -213,17 +221,17 @@ class TensorField:
     def at(self, chart: str, env: dict):
         """Components on `chart` at `env`, contravariant indices first.
 
-        On a :class:`PointEnv` the result is computed once and kept in the
-        env's memo for as long as the env lives; every call returns fresh
-        nested lists around the kept scalars.  A plain ``dict`` env is
-        evaluated afresh on every call.
+        The result is computed once, frozen into nested tuples and kept in
+        the env's memo for as long as the env lives; every call returns
+        that kept object.  Any other mapping is first wrapped in a fresh
+        :class:`PointEnv`, whose memo lives for this call.
         """
         if not isinstance(env, PointEnv):
-            return self.components(self._chart(chart), env)
+            env = PointEnv(env)
         key = (self, chart)
         if key not in env.memo:
-            env.memo[key] = self.components(self._chart(chart), env)
-        return _copy_lists(env.memo[key])
+            env.memo[key] = _frozen(self.components(self._chart(chart), env))
+        return env.memo[key]
 
 
 def _set(structure, idx, value):
@@ -239,21 +247,20 @@ def get_at(structure, idx):
 
 
 def _seeded(chart: Chart, env: dict):
-    """(tag, env with the chart coordinates seeded as duals of that level).
+    """(tag, PointEnv with the chart coordinates seeded as duals of that level).
 
-    A PointEnv keeps one seeded env per coordinate tuple in its memo, so all
-    jets at a point share one dual level and one memo; a plain dict gets a
-    fresh level every time.
+    An env keeps one seeded env per coordinate tuple in its memo, so all
+    jets at a point share one dual level and one memo.  Any other mapping
+    is first wrapped in a fresh :class:`PointEnv`, whose memo lives for
+    this call.
     """
-    key = ("seeded", chart.coords)
-    if isinstance(env, PointEnv) and key in env.memo:
-        return env.memo[key]
-    tag, duals = nk.seed([env[c] for c in chart.coords])
-    dual = {**env, **dict(zip(chart.coords, duals))}
     if not isinstance(env, PointEnv):
-        return tag, dual
-    env.memo[key] = out = (tag, PointEnv(dual))
-    return out
+        env = PointEnv(env)
+    key = ("seeded", chart.coords)
+    if key not in env.memo:
+        tag, duals = nk.seed([env[c] for c in chart.coords])
+        env.memo[key] = (tag, PointEnv({**env, **dict(zip(chart.coords, duals))}))
+    return env.memo[key]
 
 
 class SampleSet:
@@ -298,14 +305,14 @@ def field_jet(T: TensorField, chart_name: str, env: dict):
     """Values and first partials of T at env, from one dual evaluation.
 
     Returns (vals, parts) with parts[i] = ∂_i of the components.  The dual
-    evaluation goes through `TensorField.at` on the seeded env, so on a
-    PointEnv it happens once per (field, chart, point); vals and parts are
-    always freshly built structures.
+    evaluation goes through `TensorField.at` on the seeded env, so it
+    happens once per (field, chart, env); vals and parts are freshly built
+    lists, read off the kept structure without copying it.
     """
     chart = T.atlas.chart(chart_name)
     tag, dual_env = _seeded(chart, env)
     out = T.at(chart_name, dual_env)
-    if isinstance(out, list):
+    if isinstance(out, tuple):
         return _split_jet(out, tag, chart.dim)
     return (
         nk.value_at(out, tag),
@@ -313,8 +320,8 @@ def field_jet(T: TensorField, chart_name: str, env: dict):
     )
 
 
-def _split_jet(s: list, tag: int, dim: int):
-    """(values, partials) of a nested component list at level `tag`, in one walk.
+def _split_jet(s: tuple, tag: int, dim: int):
+    """(values, partials) of a kept component structure at level `tag`, in one walk.
 
     Leaf for leaf the same as mapping `value_at` and `tangent_at` over `s`:
     a leaf of that level gives its value and tangents, any other leaf is
@@ -323,7 +330,7 @@ def _split_jet(s: list, tag: int, dim: int):
     constant = (0.0,) * dim
     vals, tgs = [], []
     for x in s:
-        if isinstance(x, list):
+        if isinstance(x, tuple):
             v, tg = _split_jet(x, tag, dim)
         elif type(x) is nk.DScalar and x.tag == tag:
             v, tg = x.val, x.tg
@@ -559,7 +566,7 @@ def tf_combine(name, valence, fields, fn) -> TensorField:
 
 def tf_add(a: TensorField, b: TensorField, name=None) -> TensorField:
     def add(s, t):
-        if isinstance(s, list):
+        if isinstance(s, tuple):
             return [add(x, y) for x, y in zip(s, t)]
         return s + t
 
@@ -591,14 +598,14 @@ def compose(A: TensorField, B: TensorField, name=None) -> TensorField:
 
 
 def _compose(a, b):
-    if isinstance(a[0], list):
+    if isinstance(a[0], tuple):
         return [_compose(x, b) for x in a]
     return _contract(a, b)
 
 
-def _contract(a: list, rows):
+def _contract(a, rows):
     """Σ_m a[m]·rows[m], leaf by leaf."""
-    if isinstance(rows[0], list):
+    if isinstance(rows[0], tuple):
         return [_contract(a, column) for column in zip(*rows)]
     return nk.sum_(x * r for x, r in zip(a, rows))
 

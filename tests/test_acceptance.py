@@ -15,10 +15,8 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 import exprgen
 from sasaki_lab import exprlang as el
@@ -330,7 +328,7 @@ ALL_KEYS = (
 
 
 def _sub(a, b):
-    if isinstance(a, list):
+    if isinstance(a, (list, tuple)):
         return [_sub(x, y) for x, y in zip(a, b)]
     return a - b
 

@@ -1,6 +1,5 @@
 """Cone bundles: symplectization, homogeneity laws, metric splitting."""
 
-import math
 from dataclasses import replace
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from sasaki_lab import numkernel as nk
 from sasaki_lab.bundle import (
     FIBER,
-    MetricDecomposition,
     NotHomogeneous,
     NotPositiveDefinite,
     abs_s_calibration,

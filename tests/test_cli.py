@@ -368,7 +368,9 @@ def _reports(argv, tmp_path, capsys):
     }
 
 
-@pytest.mark.parametrize("key", ["main1-family", "sphere-5"])
+@pytest.mark.parametrize(
+    "key", ["main1-family", "sphere-5", "mobius-jet", "product-darboux"]
+)
 def test_report_does_not_depend_on_check_selection(key, tmp_path, capsys):
     """A check's report inside its whole entry is the one it gives alone:
     neither the checks run before it nor the samples they share change it."""

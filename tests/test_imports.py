@@ -1,9 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
 A deletion that leaves an import behind is caught here: each
-``src/sasaki_lab/*.py`` is parsed with `ast`, and every imported name must
-be read somewhere in its module, in code or in a quoted annotation.  The
-only exception is the package's ``__version__`` re-export.
+``src/sasaki_lab/*.py`` and ``tests/*.py`` is parsed with `ast`, and every
+imported name must be read somewhere in its module, in code or in a quoted
+annotation.  The only exception is the package's ``__version__`` re-export.
 """
 
 import ast
@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sasaki_lab"
-RE_EXPORTS = {"__init__.py": {"__version__"}}
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sasaki_lab"
+RE_EXPORTS = {PACKAGE / "__init__.py": {"__version__"}}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -47,12 +48,16 @@ def used_names(tree: ast.Module) -> set[str]:
 
 
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS],
+)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    used = used_names(tree) | RE_EXPORTS.get(path.name, set())
+    used = used_names(tree) | RE_EXPORTS.get(path, set())
     unused = sorted(
         f"{name} (line {line})"
         for name, line in imported_names(tree).items() if name not in used

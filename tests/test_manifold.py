@@ -4,7 +4,6 @@ import json
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from sasaki_lab import exprlang as el

@@ -116,14 +116,13 @@ def test_sgn_derivative_is_zero_off_kink():
 
 class TestSolver:
     def test_residual_guarantee_on_random_well_conditioned(self):
-        """Residual ≤ 1e-10·‖b‖∞ when the condition estimate is ≤ 1e6."""
+        """Residual ≤ 1e-10·‖b‖∞ on random matrices shifted by n·I."""
         rng = np.random.default_rng(7)
         for _ in range(25):
             n = int(rng.integers(2, 8))
             a = rng.standard_normal((n, n)) + n * np.eye(n)
             b = rng.standard_normal(n)
-            x, cond = nk.solve_linear_info(a.tolist(), b.tolist())
-            assert cond <= 1e6
+            x = nk.solve_linear(a.tolist(), b.tolist())
             res = np.max(np.abs(a @ np.array(x) - b))
             assert res <= 1e-10 * max(1.0, np.max(np.abs(b)))
 
@@ -165,11 +164,6 @@ class TestSolver:
         got = nk.solve_linear(rows, [1.0, 2.0])
         for g, w in zip(got, want):
             assert abs(nk.tangent_at(g, tag, 0) - w) < 1e-6
-
-    def test_condition_estimate_flags_bad_matrix(self):
-        rows = [[1.0, 0.0], [0.0, 1e-9]]
-        _, cond = nk.solve_linear_info(rows, [1.0, 1.0])
-        assert cond > 1e6
 
 
 def test_min_eigenvalue_and_determinant():

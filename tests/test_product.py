@@ -163,7 +163,6 @@ class TestProductCones:
         assert rep.passed, rep.max_residual
 
     def test_abnormal_factor_rejected_upstairs(self):
-        from sasaki_lab.kahler import kahlerianization
         base = standard_darboux_levi(1)
         shear = TensorField.from_exprs(
             "bad_endo",

@@ -334,7 +334,7 @@ def test_paired_consistency_with_nan_sub_report_fails():
     phibar = struct.phibar
 
     def nan_corner(chart, env):
-        m = phibar.at(chart.name, env)
+        m = [list(row) for row in phibar.at(chart.name, env)]
         m[0][0] = NAN
         return m
 

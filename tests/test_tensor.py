@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def eta_field(atlas):
 class TestEvaluation:
     def test_sparse_exprs_fill_dense(self):
         eta = eta_field(r3_atlas())
-        assert eta.at("O", ENV3) == [0.5, 0.0, 1.0]
+        assert _leaf_values(eta.at("O", ENV3)) == [0.5, 0.0, 1.0]
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
@@ -85,7 +86,7 @@ class TestExteriorDerivative:
         deta = tn.exterior_derivative(eta)
         m = deta.at("O", ENV3)
         want = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        assert m == want
+        assert _leaf_values(m) == want
 
     def test_d_of_scalar_is_gradient(self):
         s = tn.TensorField.from_exprs("s", r2_atlas(), (0, 0), {"O": {(): "x^2*y"}})
@@ -282,7 +283,7 @@ def test_musical_flat_contracts_second_slot():
         "w", r2_atlas(), (0, 2), {"O": {(0, 1): "1", (1, 0): "-1"}}
     )
     X = tn.TensorField.from_exprs("X", r2_atlas(), (1, 0), {"O": {(0,): "1"}})
-    assert tn.compose(w, X).at("O", ENV2) == [0.0, -1.0]
+    assert _leaf_values(tn.compose(w, X).at("O", ENV2)) == [0.0, -1.0]
 
 
 class TestPullback:
@@ -394,13 +395,13 @@ def test_field_algebra_helpers():
     J = tn.TensorField.from_exprs(  # X ⊗ b with X = 2∂x: maps ∂y ↦ 2∂x
         "J", atlas, (1, 1), {"O": {(0, 1): "2"}}
     )
-    assert tn.compose(J, tn.TensorField.from_exprs(
+    assert _leaf_values(tn.compose(J, tn.TensorField.from_exprs(
         "Y", atlas, (1, 0), {"O": {(1,): "1"}}
-    )).at("O", ENV2) == [2.0, 0.0]
+    )).at("O", ENV2)) == [2.0, 0.0]
     s = tn.tf_add(a, b)
-    assert s.at("O", ENV2) == [1.0, 1.0]
+    assert _leaf_values(s.at("O", ENV2)) == [1.0, 1.0]
     sc = tn.tf_scale(a, lambda env: env["x"])
-    assert sc.at("O", ENV2) == [0.4, 0.0]
+    assert _leaf_values(sc.at("O", ENV2)) == [0.4, 0.0]
 
 
 # -- the field algebra -------------------------------------------------
@@ -422,10 +423,10 @@ def test_compose_contracts_last_slot_with_first():
     X = _field("X", (1, 0), lambda x, y: [2.0, y])
     AB = tn.compose(A, B)
     assert AB.valence == (1, 1)
-    assert AB.at("O", ENV_EXACT) == [[-0.125, 2.5], [-0.5, 6.0]]
+    assert _leaf_values(AB.at("O", ENV_EXACT)) == [[-0.125, 2.5], [-0.5, 6.0]]
     eta_B = tn.compose(eta, B)  # η_m B^m_j
     assert eta_B.valence == (0, 1)
-    assert eta_B.at("O", ENV_EXACT) == [-0.25, 3.5]
+    assert _leaf_values(eta_B.at("O", ENV_EXACT)) == [-0.25, 3.5]
     X_eta = tn.compose(X, eta)  # X^m η_m
     assert X_eta.valence == (0, 0)
     assert X_eta.at("O", ENV_EXACT) == 0.75
@@ -436,13 +437,13 @@ def test_congruence_pulls_both_slots_through_J():
     J = _field("J", (1, 1), lambda x, y: [[0.0, -1.0], [1.0, 0.0]])
     bJJ = tn.congruence(b, J)  # b(J e_i, J e_j), J e_0 = e_1, J e_1 = −e_0
     assert bJJ.valence == (0, 2)
-    assert bJJ.at("O", ENV_EXACT) == [[-0.25, 0.0], [-0.5, 1.0]]
+    assert _leaf_values(bJJ.at("O", ENV_EXACT)) == [[-0.25, 0.0], [-0.5, 1.0]]
 
 
 def test_identity_is_the_unit_of_compose():
     J = _field("J", (1, 1), lambda x, y: [[x, -1.0], [1.0, y]])
     one = tn.identity(r2_atlas())
-    assert one.at("O", ENV_EXACT) == [[1.0, 0.0], [0.0, 1.0]]
+    assert _leaf_values(one.at("O", ENV_EXACT)) == [[1.0, 0.0], [0.0, 1.0]]
     assert tn.compose(J, one).at("O", ENV_EXACT) == J.at("O", ENV_EXACT)
 
 
@@ -581,8 +582,11 @@ class TestPointMemo:
         env = self.sample_env()
         want = _leaf_values(N.at("O", env))
         got = N.at("O", env)
-        got[0][0][1] = 99.0
-        got[1] = None
+        assert N.at("O", env) is got  # the kept structure itself
+        with pytest.raises(TypeError):
+            got[0][0][1] = 99.0
+        with pytest.raises(TypeError):
+            got[1] = None
         assert _leaf_values(N.at("O", env)) == want
         vals, parts = tn.field_jet(J, "O", env)
         want_vals, want_parts = _leaf_values(vals), _leaf_values(parts)
@@ -622,6 +626,55 @@ class TestPointMemo:
         assert rep.samples == 4 and len(seen) == 4
         gc.collect()
         assert all(ref() is None for ref in seen)
+
+
+def _bindings(obj):
+    """(module, name) of every binding of `obj` in the package's modules."""
+    return [
+        (mod, name)
+        for mod_name, mod in sorted(sys.modules.items())
+        if mod_name.startswith("sasaki_lab.")
+        for name, value in vars(mod).items() if value is obj
+    ]
+
+
+def _holds_a_list(s):
+    return isinstance(s, list) or (
+        isinstance(s, tuple) and any(_holds_a_list(x) for x in s))
+
+
+@pytest.mark.parametrize(
+    "key", ["main1-family", "mobius-jet", "mobius-cotangent", "product-darboux"]
+)
+def test_gallery_evaluates_only_at_point_envs(key, monkeypatch, capsys):
+    """No gallery check hands `at` or `field_jet` a plain mapping, the
+    envs its constructions derive included, and every structure `at`
+    hands out is frozen to its leaves."""
+    from sasaki_lab.cli import main
+
+    at, jet = tn.TensorField.at, tn.field_jet
+    plain, unfrozen = [], []
+
+    def recording_at(self, chart, env):
+        if not isinstance(env, PointEnv):
+            plain.append(("at", self.name, chart))
+        out = at(self, chart, env)
+        if _holds_a_list(out):
+            unfrozen.append((self.name, chart))
+        return out
+
+    def recording_jet(T, chart, env):
+        if not isinstance(env, PointEnv):
+            plain.append(("field_jet", T.name, chart))
+        return jet(T, chart, env)
+
+    monkeypatch.setattr(tn.TensorField, "at", recording_at)
+    for mod, name in _bindings(jet):
+        monkeypatch.setattr(mod, name, recording_jet)
+    assert main(["verify", key, "--samples", "2"]) == 0
+    capsys.readouterr()
+    assert plain == []
+    assert unfrozen == []
 
 
 # -- the one-walk jet split -------------------------------------------
@@ -685,5 +738,6 @@ class TestJetSplit:
         assert _canon(tn.field_jet(T, "O", env)) == want
         assert _canon(T.at("O", env)) == want[0]
         if rank >= 2:
-            T.at("O", env)[0][0] = 99.0  # a nested list of the value memo
+            with pytest.raises(TypeError):
+                T.at("O", env)[0][0] = 99.0  # a nested row of the value memo
             assert _canon(T.at("O", env)) == want[0]
