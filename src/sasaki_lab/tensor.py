@@ -2,7 +2,8 @@
 
 A :class:`TensorField` holds one function ``components(chart, env)`` for all
 of its charts: given a :class:`~sasaki_lab.manifold.Chart` and an ``env``
-(a dict of coordinate scalars), it returns the components on that chart as
+(a :class:`~sasaki_lab.manifold.PointEnv`: the coordinate scalars of one
+point, with that point's memo), it returns the components on that chart as
 nested lists or tuples, contravariant indices first.  Because every component
 function is generic over the scalar type, derivatives never need dedicated
 code: `field_jet` seeds dual numbers for the chart coordinates, evaluates once,
@@ -61,6 +62,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Iterable
 
 from . import exprlang, manifold, numkernel as nk
@@ -134,8 +137,15 @@ def agreeing(*pairs: tuple) -> Callable:
 
 
 def zeros(dim: int, rank: int):
+    """`rank` nested levels of `dim` lists of 0.0 (0.0 at rank 0), every
+    row its own list.  A matrix of leaves is built in one call; higher
+    ranks recurse once per matrix, not per leaf."""
     if rank == 0:
         return 0.0
+    if rank == 1:
+        return [0.0] * dim
+    if rank == 2:
+        return [[0.0] * dim for _ in range(dim)]
     return [zeros(dim, rank - 1) for _ in range(dim)]
 
 
@@ -152,7 +162,7 @@ class TensorField:
         name: str,
         atlas: Atlas,
         valence: tuple[int, int],
-        components: Callable[[Chart, dict], object],
+        components: Callable[[Chart, PointEnv], object],
         charts: Iterable[str] | None = None,
         exprs: dict[str, dict[tuple, Expr]] | None = None,
     ):
@@ -482,15 +492,17 @@ def nijenhuis(J: TensorField) -> TensorField:
         dim = chart.dim
         jv, jp = field_jet(J, chart.name, env)
         out = zeros(dim, 3)
-        for k in range(dim):
-            for a in range(dim):
-                for b in range(dim):
+        for a in range(dim):
+            for b in range(dim):
+                # ∂_a J^m_b − ∂_b J^m_a, the same for every k
+                curl = [jp[a][m][b] - jp[b][m][a] for m in range(dim)]
+                for k in range(dim):
                     acc = 0.0
                     for m in range(dim):
                         acc = acc + (
                             jv[m][a] * jp[m][k][b]
                             - jv[m][b] * jp[m][k][a]
-                            - jv[k][m] * (jp[a][m][b] - jp[b][m][a])
+                            - jv[k][m] * curl[m]
                         )
                     out[k][a][b] = acc
         return out
@@ -507,11 +519,32 @@ def pullback(F: SmoothMap, T: TensorField, name: str | None = None) -> TensorFie
     covariant slots contract with the Jacobian, which needs no
     invertibility.  Contravariant slots (p > 0) contract with the inverse
     Jacobian, obtained by a linear solve (dual-friendly), so there F must
-    be a local diffeomorphism; the result still works inside derivative
-    checks.
+    be a local diffeomorphism, and a piece of F whose target has another
+    dimension than its source is a ``ValueError`` here; the result still
+    works inside derivative checks.
+
+    The order of evaluation is part of the contract, since residuals are
+    compared bit for bit.  T's components are read once per evaluation, in
+    lexicographic order of their index ``jdx``, and a plain zero (``0.0``
+    or ``-0.0``, not a dual) is skipped; NaN, inf and every `DScalar` stay.
+    A kept term t is multiplied by its factors slot by slot from the left,
+    ((t·f₀[i₀][j₀])·f₁[i₁][j₁])⋯, and the product of its first r factors
+    is built once and shared by every output index that begins with the
+    same r entries.  Each output sums its terms from ``0.0`` in ``jdx``
+    order.
     """
     p, q = T.valence
     rank = p + q
+    if p:
+        for src, (_, exprs) in F.pieces.items():
+            dim = F.source.chart(src).dim
+            if len(exprs) != dim:
+                raise ValueError(
+                    f"cannot pull back {T.name!r} (valence {p, q}) along "
+                    f"{F.name!r}: its piece on chart {src!r} maps {dim} "
+                    f"coordinates to {len(exprs)}, and contravariant slots "
+                    "need a local diffeomorphism"
+                )
 
     def components(chart, env):
         dim = chart.dim
@@ -529,22 +562,40 @@ def pullback(F: SmoothMap, T: TensorField, name: str | None = None) -> TensorFie
             inv = nk.solve_linear(jac, ident)  # inv[a][j] = (A^{-1})^a_j
             factors += [inv] * p
         factors += [[[jac[j][i] for j in range(m)] for i in range(dim)]] * q
-        out = zeros(dim, rank)
-        for idx in itertools.product(range(dim), repeat=rank):
-            rows = [factors[r][i] for r, i in enumerate(idx)]
-            acc = 0.0
-            for jdx in itertools.product(range(m), repeat=rank):
-                term = get_at(tv, jdx)
-                if nk.value_of(term) == 0.0 and not isinstance(term, nk.DScalar):
-                    continue
-                for row, j in zip(rows, jdx):
-                    term = term * row[j]
-                acc = acc + term
-            _set(out, idx, acc)
-        return out
+        kept = []  # (jdx, t) for every term that is not a plain zero
+        for jdx in itertools.product(range(m), repeat=rank):
+            t = get_at(tv, jdx)
+            if nk.value_of(t) != 0.0 or isinstance(t, nk.DScalar):
+                kept.append((jdx, t))
+        columns = [[jdx[r] for jdx, _ in kept] for r in range(rank)]
+        return _contract_slots([t for _, t in kept], factors, columns)
 
     nm = name or f"{F.name}*({T.name})"
     return TensorField(nm, F.source, (p, q), components, F.pieces)
+
+
+def _contract_slots(partials, factors, columns):
+    """The output rows of `pullback` below one slot.
+
+    ``partials[n]`` is the n-th kept term times the factors of the slots
+    already fixed, and ``columns[r][n]`` its input index at the r-th slot
+    still open.  Each row of the first open slot extends every partial by
+    one factor, once, for all the outputs below it; the last slot sums.
+    """
+    col = columns[0]
+    if len(factors) == 1:
+        return [
+            reduce(add, map(mul, partials, map(row.__getitem__, col)), 0.0)
+            for row in factors[0]
+        ]
+    return [
+        _contract_slots(
+            list(map(mul, partials, map(row.__getitem__, col))),
+            factors[1:],
+            columns[1:],
+        )
+        for row in factors[0]
+    ]
 
 
 # -- algebra on fields -------------------------------------------------

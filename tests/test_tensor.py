@@ -229,6 +229,41 @@ def nijenhuis_fd_oracle(J, env, h=1e-6):
     return out
 
 
+def reference_nijenhuis(J):
+    """`tensor.nijenhuis` as written before ∂_a J^m_b − ∂_b J^m_a was hoisted
+    out of the k loop, kept verbatim: the exact oracle of its arithmetic."""
+
+    def components(chart, env):
+        dim = chart.dim
+        jv, jp = tn.field_jet(J, chart.name, env)
+        out = tn.zeros(dim, 3)
+        for k in range(dim):
+            for a in range(dim):
+                for b in range(dim):
+                    acc = 0.0
+                    for m in range(dim):
+                        acc = acc + (
+                            jv[m][a] * jp[m][k][b]
+                            - jv[m][b] * jp[m][k][a]
+                            - jv[k][m] * (jp[a][m][b] - jp[b][m][a])
+                        )
+                    out[k][a][b] = acc
+        return out
+
+    return tn.TensorField(
+        f"ref:N({J.name})", J.atlas, (1, 2), components, J.chart_names()
+    )
+
+
+def _dual_levels(chart, coords):
+    """A point's env, plain and seeded once and twice (order-1 and order-2
+    duals), in that order."""
+    env = chart.env(coords)
+    _, once = tn._seeded(chart, env)
+    _, twice = tn._seeded(chart, once)
+    return env, once, twice
+
+
 class TestNijenhuis:
     def test_constant_complex_structure_integrable(self):
         J = tn.TensorField.from_exprs(
@@ -274,6 +309,30 @@ class TestNijenhuis:
         assert tn.max_abs(got) > 1e-3  # genuinely non-integrable
         for k, a, b in itertools.product(range(4), repeat=3):
             assert abs(got[k][a][b] - want[k][a][b]) < 1e-6
+
+    def test_matches_the_unhoisted_loop_bit_for_bit(self):
+        """Leaf for leaf, tangents at every dual level included, on a J with
+        no zero entry, with signed zeros and with a NaN entry."""
+        atlas = r3_atlas()
+        chart = atlas.chart("O")
+        tables = [
+            {(k, j): f"{k + 1}*sin({k - j}*x + p) + z*p^{j}/{k + j + 2}"
+             for k in range(3) for j in range(3)},
+            {(0, 1): "-x*z", (1, 0): "1/(1 + p^2)", (2, 2): "-0.0",
+             (1, 2): "exp(x)", (2, 0): "0*z"},
+        ]
+        for n, table in enumerate(tables):
+            J = tn.TensorField.from_exprs(f"J{n}", atlas, (1, 1), {"O": table})
+            for env in _dual_levels(chart, (0.3, -0.5, 0.7)):
+                want = _canon(reference_nijenhuis(J).at("O", env))
+                assert _canon(tn.nijenhuis(J).at("O", env)) == want
+        nan = tn.TensorField("Jnan", r3_atlas(), (1, 1), lambda chart, env: [
+            [env["x"], math.nan, 1.0], [env["p"] * env["z"], 0.0, -0.0],
+            [2.0, env["z"], env["x"] * env["p"]],
+        ])
+        for env in _dual_levels(nan.atlas.chart("O"), (0.3, -0.5, 0.7)):
+            want = _canon(reference_nijenhuis(nan).at("O", env))
+            assert _canon(tn.nijenhuis(nan).at("O", env)) == want
 
 
 def test_musical_flat_contracts_second_slot():
@@ -334,6 +393,23 @@ class TestPullback:
         f = tn.TensorField.from_exprs("f", tgt, (0, 0), {"O": {(): "u*v"}})
         got = tn.pullback(F, f).at("O", ENV2)
         assert got == pytest.approx((0.4 - 0.2) * (0.4 + 0.2))
+
+    def test_vector_along_an_embedding_fails_when_built(self):
+        """Contravariant slots need the inverse Jacobian: a 2 -> 3 map is
+        refused, by name, before any evaluation; covariant slots are not."""
+        F = tn.SmoothMap.from_exprs(
+            "cone_embedding", r2_atlas(), r3_atlas(),
+            {"O": ("O", ("x*cos(y)", "x*sin(y)", "x"))},
+        )
+        X = tn.TensorField.from_exprs("X", r3_atlas(), (1, 0), {"O": {(0,): "z"}})
+        with pytest.raises(ValueError, match="'cone_embedding'.*maps 2 coordinates to 3"):
+            tn.pullback(F, X)
+        g = tn.TensorField.from_exprs(
+            "g", r3_atlas(), (0, 2), {"O": {(0, 0): "1", (1, 1): "1", (2, 2): "1"}}
+        )
+        m = tn.pullback(F, g).at("O", ENV2)  # the cone metric dx² + x² dy²
+        assert m[0][0] == pytest.approx(2.0)
+        assert m[1][1] == pytest.approx(0.4**2)
 
 
 class TestCrossChart:
@@ -741,3 +817,127 @@ class TestJetSplit:
             with pytest.raises(TypeError):
                 T.at("O", env)[0][0] = 99.0  # a nested row of the value memo
             assert _canon(T.at("O", env)) == want[0]
+
+
+def test_zeros_builds_each_row_of_leaves_whole(monkeypatch):
+    """One call per matrix of leaves, not one per leaf; every row is its
+    own list."""
+    calls = []
+    zeros = tn.zeros
+    monkeypatch.setattr(tn, "zeros", lambda dim, rank: calls.append(rank) or zeros(dim, rank))
+    out = tn.zeros(5, 3)
+    assert len(calls) == 1 + 5  # one call per leaf row would make 1 + 5 + 25
+    assert _canon(out) == [[["0.0"] * 5] * 5] * 5
+    out[1][2][3] = 1.0
+    assert tn.max_abs(out) == 1.0 and tn.max_abs(out[0]) == tn.max_abs(out[1][1]) == 0.0
+    assert tn.zeros(4, 0) == 0.0 and tn.zeros(4, 1) == [0.0] * 4
+
+
+# -- the bit-for-bit pullback oracle ----------------------------------
+
+
+def reference_pullback(F, T):
+    """`tensor.pullback` as written before partial products were shared,
+    kept verbatim: every output index walks all of T's components again and
+    multiplies each kept term through all of its factors."""
+    p, q = T.valence
+    rank = p + q
+
+    def components(chart, env):
+        dim = chart.dim
+        tgt_chart = F.pieces[chart.name][0]
+        vals, jac = F.jet(chart.name, env)
+        tv = T.at(tgt_chart, T.atlas.chart(tgt_chart).env(vals))
+        if rank == 0:
+            return tv
+        m = len(jac)
+        # factors[r][i][j]: what slot r's input index j contributes to output i
+        factors = []
+        if p:
+            # columns of the inverse Jacobian: solve A X = I
+            ident = [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+            inv = nk.solve_linear(jac, ident)  # inv[a][j] = (A^{-1})^a_j
+            factors += [inv] * p
+        factors += [[[jac[j][i] for j in range(m)] for i in range(dim)]] * q
+        out = tn.zeros(dim, rank)
+        for idx in itertools.product(range(dim), repeat=rank):
+            rows = [factors[r][i] for r, i in enumerate(idx)]
+            acc = 0.0
+            for jdx in itertools.product(range(m), repeat=rank):
+                term = tn.get_at(tv, jdx)
+                if nk.value_of(term) == 0.0 and not isinstance(term, nk.DScalar):
+                    continue
+                for row, j in zip(rows, jdx):
+                    term = term * row[j]
+                acc = acc + term
+            tn._set(out, idx, acc)
+        return out
+
+    return tn.TensorField(f"ref:{F.name}*({T.name})", F.source, (p, q), components,
+                          F.pieces)
+
+
+TARGET = Atlas([Chart("T", ("u", "v", "w"), ((-4.0, 4.0),) * 3)])
+# a nonlinear local diffeomorphism of ℝ³ and an embedding ℝ² -> ℝ³
+PULL_MAPS = {
+    "diffeo": tn.SmoothMap.from_exprs(
+        "diffeo", r3_atlas(), TARGET,
+        {"O": ("T", ("x + p*z", "p + sin(x)/3", "z*exp(x/2) - x*p"))},
+    ),
+    "embedding": tn.SmoothMap.from_exprs(
+        "embedding", r2_atlas(), TARGET,
+        {"O": ("T", ("x*cos(y)", "x*sin(y)", "x*y + y^2/3"))},
+    ),
+}
+PULL_POINTS = {"diffeo": (0.3, -0.5, 0.7), "embedding": (0.4, -0.2)}
+ZERO_DUAL = nk.DScalar(0.0, (1.0, -0.5), nk.new_tag())  # value 0, not a plain zero
+
+
+def _pull_source(valence, special):
+    """A field on ℝ³ whose components cycle through 0.0, -0.0, a dual of
+    value 0 and smooth functions of the point; `special` puts NaN and inf at
+    two of them."""
+    rank = sum(valence)
+
+    def leaf(n, u, v, w):
+        kind = n % 5
+        if special and n in (1, 3):
+            return math.nan if n == 1 else -math.inf
+        if kind == 0 and rank:
+            return 0.0 if n % 2 else -0.0
+        if kind == 2:
+            return ZERO_DUAL
+        return (n + 1) * u * v / 7 + nk.sin((n + 2) * w) - n / 3
+
+    def components(chart, env):
+        u, v, w = env["u"], env["v"], env["w"]
+        if rank == 0:
+            return leaf(1, u, v, w)
+        out = tn.zeros(3, rank)
+        for n, idx in enumerate(itertools.product(range(3), repeat=rank)):
+            tn._set(out, idx, leaf(n, u, v, w))
+        return out
+
+    return tn.TensorField(f"T{valence}", TARGET, valence, components)
+
+
+PULL_CASES = [
+    pytest.param(valence, m, id=f"{valence[0]}{valence[1]}-{m}")
+    for valence in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0), (1, 2)]
+    for m in PULL_MAPS
+    if m == "diffeo" or valence[0] == 0  # an embedding takes covariant fields
+]
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "nan-inf"])
+@pytest.mark.parametrize("valence,map_key", PULL_CASES)
+def test_pullback_matches_the_per_output_loop_bit_for_bit(valence, map_key, special):
+    """Leaf for leaf by repr, tangents at every dual level included: at a
+    plain point the factors are floats, at a once- and a twice-seeded point
+    the map and the field carry order-1 and order-2 duals."""
+    F = PULL_MAPS[map_key]
+    T = _pull_source(valence, special)
+    chart = F.source.chart("O")
+    for env in _dual_levels(chart, PULL_POINTS[map_key]):
+        want = _canon(reference_pullback(F, T).at("O", env))
+        assert _canon(tn.pullback(F, T).at("O", env)) == want
