@@ -149,21 +149,16 @@ def cone_over(
     return PrincipalBundle(name, total, base, group)
 
 
-def symplectize(
-    C: ContactStructure, group: Optional[str] = None
-) -> tuple[PrincipalBundle, TensorField]:
+def symplectize(C: ContactStructure) -> tuple[PrincipalBundle, TensorField]:
     """The homogeneous 2-form ds∧η + s·dη on a cone over the contact base.
 
-    Paired structures symplectize on an "Rx" cone whose cocycle is the
-    paired sign pattern; the sign flips of η and s cancel, making ω a
-    single-valued 2-form upstairs.
+    Paired structures (those with a ``transition_sign``) symplectize on an
+    "Rx" cone whose cocycle is that sign pattern; the sign flips of η and s
+    cancel, making ω a single-valued 2-form upstairs.  The others get an
+    "R+" cone.
     """
-    if group is None:
-        group = "Rx" if C.paired else "R+"
-    cocycle = None
-    if C.paired and C.transition_sign is not None:
-        cocycle = C.transition_sign
-    P = cone_over(C.atlas, group, cocycle, name=f"cone({C.name})")
+    group = "R+" if C.transition_sign is None else "Rx"
+    P = cone_over(C.atlas, group, C.transition_sign, name=f"cone({C.name})")
 
     def components(chart, env):
         n = chart.dim - 1  # the base block, then the fiber row
@@ -259,7 +254,6 @@ def abs_s_calibration(bundle: PrincipalBundle) -> TensorField:
 
 @dataclass
 class MetricDecomposition:
-    bundle: PrincipalBundle
     A: TensorField  # base (0,0)
     mu: TensorField  # base (0,1)
     g_M: TensorField  # base (0,2) — the shadow metric
@@ -375,7 +369,6 @@ def decompose_homogeneous_metric(
     rep = run_residual_check("metric_decomposition", bundle.total, residual, plan)
 
     return MetricDecomposition(
-        bundle=bundle,
         A=A,
         mu=mu,
         g_M=g_M,

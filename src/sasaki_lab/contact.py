@@ -1,9 +1,9 @@
 """Contact structures: forms, Reeb fields, kernel frames, nondegeneracy.
 
 A contact structure is a one-form η per chart.  On a *paired* structure the
-chart forms only agree up to a locally constant sign across overlaps; the
-owning object then carries a ``transition_sign`` callback so cross-chart
-checks can compare with the right sign.
+chart forms only agree up to a locally constant sign across overlaps; a
+structure is paired exactly when it carries a ``transition_sign``
+callback, so cross-chart checks can compare with the right sign.
 
 The Reeb field is computed pointwise from the augmented linear system
 
@@ -17,12 +17,16 @@ numbers makes ξ differentiable, which Lie-derivative checks use directly.
 Nondegeneracy of η∧(dη)^n is decided through the bordered antisymmetric
 matrix B = [[0, η], [−ηᵀ, dη]]: the top-form coefficient satisfies
 |η∧(dη)^n| = n!·√det B, so no permutation sums are ever expanded.
+
+A frame of ker η drops one coordinate index, a choice the contact
+distribution does not make for us; `kernel_frames` makes it once per
+chart, and every frame reader evaluates its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 from . import numkernel as nk
@@ -43,7 +47,6 @@ class ContactStructure:
     name: str
     atlas: Atlas
     eta: TensorField
-    paired: bool = False
     transition_sign: Optional[Callable] = None  # (transition, piece) -> ±1.0
     _reeb: Optional[TensorField] = dc_field(default=None, repr=False)
     _deta: Optional[TensorField] = dc_field(default=None, repr=False)
@@ -155,57 +158,31 @@ def is_contact_form(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     )
 
 
-@dataclass
-class KernelFrame:
-    """Pointwise basis of C = ker η: eᵢ − η(eᵢ)ξ with one index dropped."""
-
-    chart: str
-    dropped: int
-    kept: tuple[int, ...]
-    vectors: list[list]  # 2n component lists
-    xi: list
-
-
-def contact_frame(C: ContactStructure, chart: str, env: dict) -> KernelFrame:
-    ev_vals = C.eta.at(chart, env)
-    xv = C.reeb().at(chart, env)
-    dim = len(ev_vals)
-    mags = [abs(nk.value_of(v)) for v in ev_vals]
-    dropped = max(range(dim), key=lambda i: (mags[i], -i))
-    kept = tuple(i for i in range(dim) if i != dropped)
-    vectors = [_kernel_vector(a, ev_vals, xv) for a in kept]
-    return KernelFrame(chart, dropped, kept, vectors, xv)
-
-
-def _kernel_vector(a: int, eta_vals: list, xi: list) -> list:
-    """e_a − η_a·ξ, which η annihilates."""
-    return [(1.0 if k == a else 0.0) - eta_vals[a] * x for k, x in enumerate(xi)]
-
-
 def kernel_frames(C: ContactStructure, plan: SamplePlan) -> dict[str, list]:
-    """Each chart's frame as C-valued *fields*: {chart: [F_a, ...]}.
+    """Each chart's frame of C = ker η as *fields*: {chart: [F_a, ...]}.
 
-    The fields keep the indices of the chart's `contact_frame` at its first
-    sample of ``plan``, read through `sample_points`: under a sample set,
-    the env `run_residual_check` visits first; without one, only that
-    point is drawn (its stream is the same, so it is the same point).
-    η(F_a) ≡ 0 holds identically, not just at the base point —
-    bracket-based checks (almost-CR flag, CR torsion) depend on that.
+    F_a = e_a − η_a·ξ for every index a but the chart's dropped one.  That
+    index is chosen here and nowhere else: the largest |η_k| at the chart's
+    first sample of ``plan``, ties going to the lower index.  The sample is
+    read through `sample_points`, so under a sample set it is the env
+    `run_residual_check` visits first.  η(F_a) ≡ 0 holds identically, not
+    just at that point — bracket-based checks (almost-CR flag, CR torsion)
+    depend on that.
     """
     xi = C.reeb()
 
     def frame_vector(chart_name, a):
         def components(chart, env):
             ev_vals, xv = C.eta.at(chart.name, env), xi.at(chart.name, env)
-            return _kernel_vector(a, ev_vals, xv)
+            return [(1.0 if k == a else 0.0) - ev_vals[a] * x for k, x in enumerate(xv)]
 
         return TensorField(f"frame{a}", C.atlas, (1, 0), components, [chart_name])
 
-    if plan.sample_set is None:  # one point is read, so one is drawn
-        plan = replace(plan, points_per_chart=min(plan.points_per_chart, 1))
-    return {
-        name: [frame_vector(name, a) for a in contact_frame(C, name, pts[0][1]).kept]
-        for name, pts in sample_points(C.atlas, plan)
-        if pts
-    }
-
+    frames = {}
+    for name, pts in sample_points(C.atlas, plan):
+        if pts:
+            ev = C.eta.at(name, pts[0][1])
+            dropped = max(range(len(ev)), key=lambda k: (abs(nk.value_of(ev[k])), -k))
+            kept = [a for a in range(len(ev)) if a != dropped]
+            frames[name] = [frame_vector(name, a) for a in kept]
+    return frames

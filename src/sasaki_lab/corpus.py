@@ -319,11 +319,7 @@ def _jet_base_structure() -> LeviStructure:
         {"O": dict(_JET_ETA_TABLE), "U": dict(_JET_ETA_TABLE)},
     )
     contact = ContactStructure(
-        "twisted_jet_contact",
-        atlas,
-        eta,
-        paired=True,
-        transition_sign=_wrap_sign,
+        "twisted_jet_contact", atlas, eta, transition_sign=_wrap_sign
     )
     endo = TensorField.from_exprs(
         "kernel_rotation",

@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 from . import exprlang, numkernel as nk
 from .bundle import FIBER, PrincipalBundle, symplectize
-from .contact import ContactStructure, contact_frame
+from .contact import ContactStructure, kernel_frames
 from .manifold import SamplePlan
 from .report import CheckReport, run_residual_check
 from .sasaki import LeviStructure
@@ -192,8 +192,12 @@ def reconstruct_main1(
       * ‖ξ‖² = s(1+a²) and W ⟂ C,
       * the base metric extracted at the unit-fiber lift, η² removed of
         the slope contribution, reassembles g.
+
+    The contact planes are spanned by the base chart's `kernel_frames`
+    fields, built before any point is evaluated.
     """
     xi = C.reeb()
+    frames = kernel_frames(C, plan)
     slope = vertical_slope(C, bundle, g)
     square = squares_to_minus_id(J)
 
@@ -280,10 +284,9 @@ def reconstruct_main1(
             rems += [img[j] - alpha * xi_t[j] - beta * nabla[j] for j in range(dim)]
 
         # C-invariance: kernel frame vectors stay in ker η ∩ ker ds
-        fr = contact_frame(C, chart, base_env)
         cinv, orth = [], []
-        for vec in fr.vectors:
-            lift = [nk.value_of(c) for c in vec] + [0.0]
+        for F in frames[chart]:
+            lift = [nk.value_of(c) for c in F.at(chart, base_env)] + [0.0]
             img = matvec(lift)
             cinv += [eta_of(img), img[n]]
             for w_vec in (xi_t, nabla):

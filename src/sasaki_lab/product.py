@@ -45,7 +45,7 @@ class FactorNotSasakian(ValueError):
 
 
 def _single_chart(C: ContactStructure) -> Chart:
-    if C.paired or len(C.atlas.charts) != 1:
+    if C.transition_sign is not None or len(C.atlas.charts) != 1:
         raise NotCooriented(
             f"{C.name}: products need a single-chart cooriented factor"
         )
@@ -67,7 +67,6 @@ class ProductFrame:
     chart1: Chart
     chart2: Chart
     atlas: Atlas
-    chart: str
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -89,7 +88,7 @@ def _product_frame(
     if extra is not None:
         coords, box = coords + (extra[0],), box + (extra[1],)
     chart = Chart(name, coords, box)
-    return ProductFrame(ch1, ch2, Atlas((chart,), ()), chart.name)
+    return ProductFrame(ch1, ch2, Atlas((chart,), ()))
 
 
 def sasakian_product(
@@ -179,10 +178,7 @@ def sasakian_product(
 class ProductBundle:
     """Product of two scaling cones under the diagonal fiber action."""
 
-    left: PrincipalBundle
-    right: PrincipalBundle
     total: Atlas
-    chart: str
     fibers: tuple[str, str]
     group: ClassVar[str] = "R+"  # the diagonal action scales both fibers positively
 
@@ -256,13 +252,7 @@ def product_kahler_lift(
         None,
         "prod_cone",
     )
-    pb = ProductBundle(
-        left=K1.bundle,
-        right=K2.bundle,
-        total=pf.atlas,
-        chart=pf.chart,
-        fibers=("s1", "s2"),
-    )
+    pb = ProductBundle(total=pf.atlas, fibers=("s1", "s2"))
     omega = _block_sum("product_omega", pf, K1.omega, K2.omega)
     g = _block_sum("product_metric", pf, K1.g, K2.g)
     return KahlerCandidate(

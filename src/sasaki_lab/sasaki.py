@@ -33,12 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkernel as nk
-from .contact import (
-    ContactStructure,
-    contact_frame,
-    kernel_frames,
-    nondegeneracy_shortfall,
-)
+from .contact import ContactStructure, kernel_frames, nondegeneracy_shortfall
 from .manifold import SamplePlan
 from .report import (
     CheckReport,
@@ -193,26 +188,27 @@ def pin_flag_residuals(
     (3) the form dη(·, φ·) is φ-invariant,
     (4) η([φX, Y] + [X, φY]) = 0 for kernel *fields* X, Y.
 
-    The fourth is the only one needing derivatives; it uses the
-    `kernel_frames` fields, so candidates must map the kernel to itself.
-    Their bracket pairs are built per chart before any point is
-    evaluated.  Each flag is a named clause.
+    All four read the `kernel_frames` fields X and their images φX, so
+    candidates must map the kernel to itself; the fourth is the only one
+    needing derivatives.  The images and bracket pairs are built per chart
+    before any point is evaluated.  Each flag is a named clause.
     """
     d_eta = C.d_eta()
-    brackets = {}  # chart name -> the bracket pairs of its frame fields
-    for chart, frames in kernel_frames(C, plan).items():
-        phi_frames = [compose(phi, F, f"{phi.name}({F.name})") for F in frames]
+    frames, brackets = {}, {}  # chart name -> its (X, φX) pairs, their brackets
+    for chart, fields in kernel_frames(C, plan).items():
+        pairs = frames[chart] = phi_images(phi, fields)
         brackets[chart] = [
-            (lie_bracket(phi_frames[a], frames[b]),
-             lie_bracket(frames[a], phi_frames[b]))
-            for a, b in itertools.combinations(range(len(frames)), 2)
+            (lie_bracket(pairs[a][1], pairs[b][0]),
+             lie_bracket(pairs[a][0], pairs[b][1]))
+            for a, b in itertools.combinations(range(len(pairs)), 2)
         ]
 
     def residual(chart, coords, env):
         de = d_eta.at(chart, env)
         ph = phi.at(chart, env)
         etav = C.eta.at(chart, env)
-        vecs = contact_frame(C, chart, env).vectors
+        vecs = [X.at(chart, env) for X, _ in frames[chart]]
+        imgs = [phiX.at(chart, env) for _, phiX in frames[chart]]
         dim = len(etav)
 
         def pair(u, v):
@@ -223,7 +219,6 @@ def pin_flag_residuals(
         def apply(m, v):
             return [nk.sum_(m[k][j] * v[j] for j in range(dim)) for k in range(dim)]
 
-        imgs = [apply(ph, v) for v in vecs]
         lev = [[pair(u, w) for w in imgs] for u in vecs]  # dη(v_a, φ v_b)
         ab = list(itertools.product(range(len(vecs)), repeat=2))
         closed = [
@@ -245,16 +240,18 @@ def pin_flag_residuals(
 
 
 def frame_conjugations(
-    C: ContactStructure, phibar: TensorField, count: int, seed: int
+    C: ContactStructure, phibar: TensorField, count: int, seed: int, plan: SamplePlan
 ) -> list[TensorField]:
     """Candidate endomorphisms A φ̄ A⁻¹ with A fixing ξ and the kernel.
 
-    In the adapted frame (ξ, F₁, …, F₂ₙ) each A is diag(1, M) for a
-    well-conditioned random M, so every candidate still squares to
-    −id + ξ⊗η and maps ker η to itself — exactly the precondition the
-    four battery flags need.  Candidate 0 is the identity conjugation.
+    In the adapted frame (ξ, F₁, …, F₂ₙ), the F the `kernel_frames` fields
+    of ``plan``, each A is diag(1, M) for a well-conditioned random M, so
+    every candidate still squares to −id + ξ⊗η and maps ker η to itself —
+    exactly the precondition the four battery flags need.  Candidate 0 is
+    the identity conjugation.
     """
     rng = np.random.default_rng(seed)
+    xi, frames = C.reeb(), kernel_frames(C, plan)
     dim = C.dim
     k = dim - 1
     j0 = np.zeros((k, k))
@@ -264,8 +261,9 @@ def frame_conjugations(
 
     def candidate(kmat: np.ndarray, label: str) -> TensorField:
         def components(chart, env):
-            fr = contact_frame(C, chart.name, env)
-            cols = [fr.xi] + list(fr.vectors)
+            cols = [xi.at(chart.name, env)] + [
+                F.at(chart.name, env) for F in frames[chart.name]
+            ]
             rows = [[cols[c][i] for c in range(dim)] for i in range(dim)]
             middle = [[0.0] * dim for _ in range(dim)]
             for a in range(k):
@@ -311,7 +309,7 @@ def pin_battery(
     on any candidate is an engine bug; the report's residual is the
     disagreement count.  ``seed`` draws the candidates, ``plan`` the points.
     """
-    candidates = frame_conjugations(C, phibar, count, seed)
+    candidates = frame_conjugations(C, phibar, count, seed, plan)
     rows = []
     disagreements = 0
     first_bad = None
@@ -407,12 +405,15 @@ def n_tensors(L: LeviStructure) -> dict[str, TensorField]:
     return {"N1": N1, "N2": N2, "N3": N3, "N4": N4}
 
 
-def cr_torsion_field(
-    C: ContactStructure, phi: TensorField, X: TensorField, Y: TensorField
-) -> TensorField:
-    """[φX, φY] − [X, Y] − φ([φX, Y] + [X, φY]) for kernel fields X, Y."""
-    phiX = compose(phi, X, f"{phi.name}({X.name})")
-    phiY = compose(phi, Y, f"{phi.name}({Y.name})")
+def phi_images(phi: TensorField, frames: list) -> list[tuple[TensorField, TensorField]]:
+    """The (X, φX) pair of each frame field X, the image built once."""
+    return [(X, compose(phi, X, f"{phi.name}({X.name})")) for X in frames]
+
+
+def cr_torsion_field(phi: TensorField, x_pair: tuple, y_pair: tuple) -> TensorField:
+    """[φX, φY] − [X, Y] − φ([φX, Y] + [X, φY]) for the `phi_images`
+    pairs (X, φX), (Y, φY) of kernel fields X, Y."""
+    (X, phiX), (Y, phiY) = x_pair, y_pair
     b1 = lie_bracket(phiX, phiY)
     b2 = lie_bracket(X, Y)
     b3 = lie_bracket(phiX, Y)
@@ -453,9 +454,10 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     N1, N3 = tensors["N1"], tensors["N3"]
 
     def chart_fields(chart, frames):
+        pairs = phi_images(L.phibar, frames)
         torsions = {
-            (a, b): cr_torsion_field(C, L.phibar, frames[a], frames[b])
-            for a, b in itertools.combinations(range(len(frames)), 2)
+            (a, b): cr_torsion_field(L.phibar, pairs[a], pairs[b])
+            for a, b in itertools.combinations(range(len(pairs)), 2)
         }
         coord = C.atlas.chart(chart).coords[0]
 
@@ -463,7 +465,7 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
             return 1.0 + 0.3 * env[coord]
 
         scaled = [tf_scale(F, factor, name=f"{F.name}_rescaled") for F in frames[:2]]
-        spot_field = cr_torsion_field(C, L.phibar, scaled[0], scaled[1])
+        spot_field = cr_torsion_field(L.phibar, *phi_images(L.phibar, scaled))
         return frames, torsions, spot_field, factor
 
     built = {  # chart name -> (frames, torsions, spot field, rescaling factor)
@@ -478,6 +480,12 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         parts2 = [N3.at(chart, env)]  # route two's components
         vecs = [F.at(chart, env) for F in frames]
         dim = len(n1v)
+        # n1v[k][i][j]·vecs[a][i] once per a; the last frame is never first
+        left = [
+            [[[n1v[k][i][j] * v[i] for j in range(dim)] for i in range(dim)]
+             for k in range(dim)]
+            for v in vecs[:-1]
+        ]
         gaps = []  # torsion minus route one, per frame pair
         for (a, b), T in torsions.items():
             tv = [nk.value_of(v) for v in T.at(chart, env)]
@@ -485,7 +493,7 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
             contracted = [
                 nk.value_of(
                     nk.sum_(
-                        n1v[k][i][j] * vecs[a][i] * vecs[b][j]
+                        left[a][k][i][j] * vecs[b][j]
                         for i in range(dim)
                         for j in range(dim)
                     )
@@ -591,11 +599,10 @@ def paired_consistency_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     each field a named clause whose worst value lands in ``details``.
     """
     C = L.contact
-    sign_fn = C.transition_sign if C.paired else None
     jobs = [
-        ("eta", C.eta, sign_fn),
-        ("reeb", C.reeb(), sign_fn),
-        ("endo", L.phibar, sign_fn),
+        ("eta", C.eta, C.transition_sign),
+        ("reeb", C.reeb(), C.transition_sign),
+        ("endo", L.phibar, C.transition_sign),
         ("levi_metric", L.levi_metric(), None),
         ("metric", L.metric(), None),
     ]

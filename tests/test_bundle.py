@@ -42,6 +42,12 @@ def cone(darboux):
     return symplectize(darboux)  # (bundle, omega), group R+
 
 
+def signed(C):
+    """C as a paired structure whose sign pattern is +1 everywhere, which
+    `symplectize` lifts to an "Rx" cone."""
+    return replace(C, transition_sign=lambda t, piece: 1.0)
+
+
 def base_metric_rows(p, extra_eta_weight=0.0):
     """η² + dx² + dp² (+ extra·η²) for η = dz − p dx in coords (x, p, z)."""
     w = 1.0 + extra_eta_weight
@@ -136,14 +142,14 @@ class TestSymplectization:
         assert rep.witness is not None
 
     def test_form_is_plain_degree_one(self, darboux):
-        bundle, omega = symplectize(darboux, group="Rx")
+        bundle, omega = symplectize(signed(darboux))
         rep = homogeneity_check(omega, 1, "plain", PLAN, bundle=bundle)
         assert rep.passed
         assert rep.details["scales"] == [-2.0, -1.0, 0.5, 2.0]
 
     def test_form_is_not_positively_homogeneous_on_rx(self, darboux):
         # at ν = −1 the pullback is −ω, so the |ν| law misses by 2‖ω‖
-        bundle, omega = symplectize(darboux, group="Rx")
+        bundle, omega = symplectize(signed(darboux))
         rep = homogeneity_check(omega, 1, "positive", PLAN, bundle=bundle)
         assert not rep.passed
         assert rep.max_residual > 1.0

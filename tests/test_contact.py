@@ -8,7 +8,6 @@ from sasaki_lab import numkernel as nk
 from sasaki_lab import tensor as tn
 from sasaki_lab.contact import (
     ContactStructure,
-    contact_frame,
     contact_top_coefficient,
     darboux_contact,
     is_contact_form,
@@ -97,14 +96,21 @@ def test_degenerate_form_reeb_solve_raises():
         C.reeb().at("O", {"x": 0.5, "p": 0.5, "z": 0.0})
 
 
+def _steep_contact():
+    """η = dz − p dx on a chart where every point has |p| > 1."""
+    atlas = Atlas([Chart("O", ("x", "p", "z"), ((-3.0, 3.0), (1.5, 2.5), (-3.0, 3.0)))])
+    eta = TensorField.from_exprs("eta", atlas, (0, 1), {"O": {(0,): "-p", (2,): "1"}})
+    return ContactStructure("steep", atlas, eta)
+
+
 class TestFrames:
     def test_darboux_frame_at_point(self):
         C = darboux_contact(1)
-        fr = contact_frame(C, "O", {"x": 0.2, "p": 0.5, "z": 0.0})
-        assert fr.dropped == 2  # z has the largest |η| entry
-        assert fr.kept == (0, 1)
-        assert fr.vectors[0] == pytest.approx([1.0, 0.0, 0.5])  # ∂x + p∂z
-        assert fr.vectors[1] == pytest.approx([0.0, 1.0, 0.0])  # ∂p
+        flds = kernel_frames(C, PLAN)["O"]
+        assert [F.name for F in flds] == ["frame0", "frame1"]  # z is dropped
+        env = {"x": 0.2, "p": 0.5, "z": 0.0}
+        assert flds[0].at("O", env) == pytest.approx([1.0, 0.0, 0.5])  # ∂x + p∂z
+        assert flds[1].at("O", env) == pytest.approx([0.0, 1.0, 0.0])  # ∂p
 
     def test_frame_fields_track_eta(self):
         C = darboux_contact(1)
@@ -130,24 +136,23 @@ class TestFrames:
     def test_frame_degenerates_past_unit_slope(self):
         """On η = dz − p dx with |p| > 1 the frame drops x, and its z-vector
         e_z − η_z ξ is exactly 0: the frame does not span."""
-        atlas = Atlas([Chart("O", ("x", "p", "z"), ((-3.0, 3.0),) * 3)])
-        eta = TensorField.from_exprs(
-            "eta", atlas, (0, 1), {"O": {(0,): "-p", (2,): "1"}}
-        )
-        C = ContactStructure("wide", atlas, eta)
-        fr = contact_frame(C, "O", {"x": 0.3, "p": 2.0, "z": 0.1})
-        assert [list(v) for v in fr.vectors] == [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+        flds = kernel_frames(_steep_contact(), PLAN)["O"]
+        env = {"x": 0.3, "p": 2.0, "z": 0.1}
+        vals = [list(F.at("O", env)) for F in flds]
+        assert vals == [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
 
     def test_drop_index_follows_largest_entry(self):
-        """With p large, η_x = −p dominates and x gets dropped instead."""
-        atlas = Atlas([Chart("O", ("x", "p", "z"), ((-3.0, 3.0),) * 3)])
-        eta = TensorField.from_exprs(
-            "eta", atlas, (0, 1), {"O": {(0,): "-p", (2,): "1"}}
-        )
-        C = ContactStructure("wide", atlas, eta)
-        fr = contact_frame(C, "O", {"x": 0.0, "p": 2.5, "z": 0.0})
-        assert fr.dropped == 0
-        assert fr.kept == (1, 2)
+        """With |p| > 1 at the chart's first sample, η_x = −p dominates and
+        x gets dropped instead."""
+        flds = kernel_frames(_steep_contact(), PLAN)["O"]
+        assert [F.name for F in flds] == ["frame1", "frame2"]
+
+    def test_contact_exports_no_pointwise_frame(self):
+        """`kernel_frames` is the only kernel frame."""
+        from sasaki_lab import contact
+
+        assert not hasattr(contact, "contact_frame")
+        assert not hasattr(contact, "KernelFrame")
 
 
 def test_reeb_field_is_differentiable():

@@ -77,7 +77,7 @@ def test_cone_fiber_is_the_last_coordinate():
                     cones.add(key)
     assert cones == {"mobius-band", "mobius-jet", "mobius-cotangent", "main1-family"}
     paired = build_example("mobius-jet").structure.contact
-    assert paired.paired
+    assert paired.transition_sign is not None
     bundle, _ = symplectize(paired)
     assert bundle.group == "Rx"
     assert all(chart.coords[-1] == FIBER for chart in bundle.total.charts)

@@ -12,7 +12,7 @@ from sasaki_lab.bundle import (
     homogeneity_check,
     symplectize,
 )
-from sasaki_lab.contact import darboux_contact
+from sasaki_lab.contact import darboux_contact, kernel_frames
 from sasaki_lab.corpus import build_example
 from sasaki_lab.kahler import (
     NotCompatible,
@@ -230,6 +230,28 @@ class TestReconstruction:
         assert rep.verdict == "fail" and math.isnan(rep.max_residual)
         assert len(nan) == 7
         assert rep.details["failed_clauses"] == nan
+
+    def test_contact_clauses_read_the_kernel_frames(self, monkeypatch):
+        """`contact_invariance` and `orthogonality` read the fields that one
+        `kernel_frames` call hands out: a field off the contact planes (the
+        Reeb field ∂z) added to them fails both clauses."""
+        from sasaki_lab import kahler
+
+        calls = []
+
+        def frames_and_reeb(C, plan):
+            calls.append(C.name)
+            return {
+                chart: fields + [C.reeb()]
+                for chart, fields in kernel_frames(C, plan).items()
+            }
+
+        L, bundle, omega, g = darboux_cone("0.7")
+        assert reconstruct(L, bundle, omega, g).report.passed
+        monkeypatch.setattr(kahler, "kernel_frames", frames_and_reeb)
+        rep = reconstruct(L, bundle, omega, g).report
+        assert calls == [L.contact.name]
+        assert rep.details["failed_clauses"] == ["contact_invariance", "orthogonality"]
 
     def test_half_invariance_of_j(self):
         L, bundle, omega, g = darboux_cone("0.7")

@@ -44,7 +44,8 @@ class TestContactProduct:
     def test_paired_factor_rejected(self):
         honest = standard_darboux_levi(1)
         fake = ContactStructure(
-            "pretend-paired", honest.contact.atlas, honest.contact.eta, paired=True
+            "pretend-paired", honest.contact.atlas, honest.contact.eta,
+            transition_sign=lambda t, piece: 1.0,
         )
         paired = LeviStructure("pretend-paired", fake, honest.phibar)
         with pytest.raises(NotCooriented):

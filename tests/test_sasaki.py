@@ -1,5 +1,6 @@
 """Kernel endomorphisms: compatibility, normality, metric identities."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from sasaki_lab.sasaki import (
     killing_check,
     n_tensors,
     paired_consistency_check,
+    phi_images,
     pin_battery,
     pin_flag_residuals,
     sasaki_check,
@@ -184,7 +186,7 @@ class TestPinBattery:
         assert max(res.values()) < 1e-9
 
     def test_conjugations_preserve_defining_identities(self, flat):
-        cands = frame_conjugations(flat.contact, flat.phibar, 4, seed=5)
+        cands = frame_conjugations(flat.contact, flat.phibar, 4, seed=5, plan=PLAN)
         for cand in cands:
             rep = LeviStructure("cand", flat.contact, cand).validate(
                 replace(PLAN, tolerance=1e-6)
@@ -273,13 +275,12 @@ class TestSasakiCheck:
         assert rep.details["route_full_tensor"] > 1e-3
 
     def test_routes_agree_on_a_non_normal_candidate(self):
-        # the frame changes its dropped index from point to point on the
-        # sphere; N1 must be contracted with the bracketed frame fields
+        # each sphere chart keeps one dropped index for all its points; N1
+        # must be contracted with the bracketed frame fields
         L = build_example("sphere-5").structure
-        cand = frame_conjugations(L.contact, L.phibar, 2, seed=7)[1]
-        rep = sasaki_check(
-            LeviStructure("cand", L.contact, cand), SamplePlan(points_per_chart=2)
-        )
+        plan = SamplePlan(points_per_chart=2)
+        cand = frame_conjugations(L.contact, L.phibar, 2, seed=7, plan=plan)[1]
+        rep = sasaki_check(LeviStructure("cand", L.contact, cand), plan)
         assert rep.verdict == "fail" and rep.witness is not None
         assert rep.details["route_full_tensor"] > 1e-3
         assert rep.details["route_frame_torsion"] > 1e-3
@@ -288,8 +289,8 @@ class TestSasakiCheck:
     def test_torsion_field_vanishes_on_flat(self, flat):
         C = flat.contact
         (chart,) = C.atlas.charts
-        F = kernel_frames(C, PLAN)[chart.name]
-        T = cr_torsion_field(C, flat.phibar, F[0], F[1])
+        F = phi_images(flat.phibar, kernel_frames(C, PLAN)[chart.name])
+        T = cr_torsion_field(flat.phibar, F[0], F[1])
         for coords, env in sample_chart(chart, PLAN):
             assert max_abs(T.at(chart.name, env)) < 1e-11
 
@@ -353,22 +354,28 @@ def test_reduced_values_do_not_depend_on_row_order(monkeypatch):
     assert {name: values(run()) for name, run in runs.items()} == forward
 
 
-def test_direct_check_draws_one_frame_point_per_chart(monkeypatch):
-    """Without a sample set, `kernel_frames` draws only the point it reads,
-    each chart's first; `run_residual_check` then draws the plan's
-    points."""
-    L = build_example("sphere-3").structure
-    drawn = {}
-    draw = manifold.sample_chart
+def test_sasaki_check_builds_one_phi_image_per_frame_field(monkeypatch):
+    """`sasaki_check` composes φ̄ with each frame field of each chart once,
+    for all the torsions that field enters, plus the spot check's two
+    rescaled frames."""
+    from sasaki_lab import tensor
 
-    def counting(chart, plan):
-        pts = draw(chart, plan)
-        drawn[chart.name] = drawn.get(chart.name, 0) + len(pts)
-        return pts
+    L = build_example("sphere-5").structure
+    plan = SamplePlan(seed=42, points_per_chart=2)
+    frames = kernel_frames(L.contact, plan)
+    image = re.compile(rf"{re.escape(L.phibar.name)}\(frame\d+(_rescaled)?\)")
+    built = []
+    init = tensor.TensorField.__init__
 
-    monkeypatch.setattr(manifold, "sample_chart", counting)
-    sasaki_check(L, SamplePlan(seed=42, points_per_chart=64))
-    assert drawn == {c.name: 64 + 1 for c in L.atlas.charts}
+    def recording(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(tensor.TensorField, "__init__", recording)
+    sasaki_check(L, plan)
+    images = [name for name in built if image.fullmatch(name)]
+    assert [len(fields) for fields in frames.values()] == [4] * len(L.atlas.charts)
+    assert len(images) == (4 + 2) * len(L.atlas.charts)
 
 
 # -- declared identities against the hand-indexed residuals they replaced --
