@@ -232,15 +232,6 @@ def homogeneity_check(
     )
 
 
-def require_homogeneous(K, weight, mode, plan, bundle):
-    rep = homogeneity_check(K, weight, mode, plan, bundle)
-    if not rep.passed:
-        raise NotHomogeneous(
-            f"{K.name}: {mode} degree-{weight} law fails at {rep.max_residual:.3e}"
-        )
-    return rep
-
-
 # -- calibrations ------------------------------------------------------
 
 
@@ -279,7 +270,11 @@ def decompose_homogeneous_metric(
     NotPositiveDefinite on bad input; the returned report covers reassembly
     at total-space samples and s-independence of the extracted base data.
     """
-    require_homogeneous(g, 1, "positive", plan, bundle)
+    law = homogeneity_check(g, 1, "positive", plan, bundle)
+    if not law.passed:
+        raise NotHomogeneous(
+            f"{g.name}: positive degree-1 law fails at {law.max_residual:.3e}"
+        )
 
     def pieces_at(chart_name: str, env_total: dict):
         """A, μ_j, γ_{jk} (full total-index range) at one total point."""

@@ -252,15 +252,18 @@ def _draw(rng, intervals: list[tuple[float, float]]) -> float:
     return intervals[-1][1]
 
 
+def _draw_points(rng, intervals: list, count: int) -> list[tuple[float, ...]]:
+    """``count`` points, one `_draw` per coordinate from its intervals, in
+    coordinate order within a point."""
+    return [tuple(_draw(rng, iv) for iv in intervals) for _ in range(count)]
+
+
 def sample_chart(chart: Chart, plan: SamplePlan):
     """Deterministic points for one chart: list of (coords, PointEnv)."""
     rng = _chart_rng(plan.seed, chart.name)
     intervals = [chart.sample_intervals(c) for c in chart.coords]
-    out = []
-    for _ in range(plan.points_per_chart):
-        coords = tuple(_draw(rng, iv) for iv in intervals)
-        out.append((coords, chart.env(coords)))
-    return out
+    points = _draw_points(rng, intervals, plan.points_per_chart)
+    return [(coords, chart.env(coords)) for coords in points]
 
 
 def sample_points(atlas: Atlas, plan: SamplePlan):
@@ -291,25 +294,16 @@ def apply_transition(atlas: Atlas, p: Point, target: str) -> Point:
 
 def _piece_sample(chart: Chart, piece: TransitionPiece, plan: SamplePlan, rng):
     """Sample inside one transition piece, respecting margins and bands."""
-    out = []
-    for _ in range(plan.points_per_chart):
-        coords = []
-        for i, c in enumerate(chart.coords):
-            lo, hi = piece.box[i]
-            clo, chi = chart.box[i]
-            lo, hi = max(lo, clo), min(hi, chi)
-            ivs = [
-                (max(a, lo + chart.margin), min(b, hi - chart.margin))
-                for a, b in chart.sample_intervals(c)
-            ]
-            ivs = [(a, b) for a, b in ivs if b > a]
-            if not ivs:
-                raise EmptyDomain(
-                    f"{chart.name}: transition piece leaves no room for {c}"
-                )
-            coords.append(_draw(rng, ivs))
-        out.append(tuple(coords))
-    return out
+    intervals = []
+    boxes = zip(chart.coords, piece.box, chart.box, strict=True)
+    for c, (p_lo, p_hi), (c_lo, c_hi) in boxes:
+        lo, hi = max(p_lo, c_lo) + chart.margin, min(p_hi, c_hi) - chart.margin
+        ivs = [(max(a, lo), min(b, hi)) for a, b in chart.sample_intervals(c)]
+        ivs = [(a, b) for a, b in ivs if b > a]
+        if not ivs:
+            raise EmptyDomain(f"{chart.name}: transition piece leaves no room for {c}")
+        intervals.append(ivs)
+    return _draw_points(rng, intervals, plan.points_per_chart)
 
 
 @dataclass(frozen=True, eq=False)

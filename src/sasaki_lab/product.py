@@ -95,7 +95,6 @@ def sasakian_product(
     L1: LeviStructure,
     L2: LeviStructure,
     plan: SamplePlan,
-    name: str | None = None,
 ) -> LeviStructure:
     """The normalised Sasakian structure on M₁ × M₂ × [1/2, 2].
 
@@ -117,7 +116,7 @@ def sasakian_product(
             )
     C1, C2 = L1.contact, L2.contact
     pf = _product_frame(
-        _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), name or "prod"
+        _single_chart(C1), _single_chart(C2), (T_COORD, T_BOX), "prod"
     )
 
     def eta_ev(chart, env):
@@ -133,9 +132,7 @@ def sasakian_product(
     )
     n1, n2 = pf.dims
     dim = n1 + n2 + 1
-    contact = ContactStructure(
-        name or f"{L1.name}*{L2.name}", pf.atlas, eta
-    )
+    contact = ContactStructure(f"{L1.name}*{L2.name}", pf.atlas, eta)
 
     phi1, phi2 = L1.phibar, L2.phibar
     xi1, xi2 = C1.reeb(), C2.reeb()

@@ -8,8 +8,9 @@ characterization is the opposite sign, exposed as `phi_gas`.
 The module offers several independently computed certificates:
 
 * `pin_battery`        — four pointwise compatibility flags that are
-                         provably equivalent; the battery asserts they
-                         never disagree on any candidate endomorphism,
+                         provably equivalent, each declared over the field
+                         algebra; the battery asserts they never disagree
+                         on any frame conjugate A φ̄ A⁻¹ of φ̄,
 * `sasaki_check`       — normality via the full first structure tensor
                          and, separately, via torsion brackets of honest
                          kernel frame fields, with an agreement check,
@@ -28,7 +29,7 @@ computed torsion is extension-independent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,12 +38,13 @@ from .contact import ContactStructure, kernel_frames, nondegeneracy_shortfall
 from .manifold import SamplePlan
 from .report import (
     CheckReport,
-    Reduction,
     check_report,
     max_or_nan,
+    reduce_residuals,
     run_residual_check,
 )
 from .tensor import (
+    SampleSet,
     TensorField,
     agreeing,
     compose,
@@ -53,6 +55,7 @@ from .tensor import (
     max_abs,
     nijenhuis,
     single_valued,
+    tf_add,
     tf_combine,
     tf_scale,
     vanishing,
@@ -188,53 +191,41 @@ def pin_flag_residuals(
     (3) the form dη(·, φ·) is φ-invariant,
     (4) η([φX, Y] + [X, φY]) = 0 for kernel *fields* X, Y.
 
-    All four read the `kernel_frames` fields X and their images φX, so
-    candidates must map the kernel to itself; the fourth is the only one
-    needing derivatives.  The images and bracket pairs are built per chart
-    before any point is evaluated.  Each flag is a named clause.
+    Each flag is a named clause, declared per chart with `agreeing` or
+    `vanishing` over the `kernel_frames` fields X, their `phi_images` φX
+    and the scalar fields dη(u, v) = ``compose(u, compose(dη, v))``, all
+    built before any point is evaluated.  Candidates must map the kernel
+    to itself; the fourth flag is the only one needing derivatives.
     """
     d_eta = C.d_eta()
-    frames, brackets = {}, {}  # chart name -> its (X, φX) pairs, their brackets
+    flags = {}  # chart name -> {flag: its declared residual}
     for chart, fields in kernel_frames(C, plan).items():
-        pairs = frames[chart] = phi_images(phi, fields)
-        brackets[chart] = [
-            (lie_bracket(pairs[a][1], pairs[b][0]),
-             lie_bracket(pairs[a][0], pairs[b][1]))
-            for a, b in itertools.combinations(range(len(pairs)), 2)
-        ]
+        pairs = phi_images(phi, fields)
+        X = [x for x, _ in pairs]
+        PX = [px for _, px in pairs]
+        PPX = [compose(phi, v) for v in PX]
+        lowered = {v: compose(d_eta, v) for v in X + PX + PPX}  # v -> dη(·, v)
+
+        def levi(u, v):
+            return compose(u, lowered[v])
+
+        every = list(itertools.product(range(len(X)), repeat=2))
+        distinct = list(itertools.combinations(range(len(X)), 2))
+        flags[chart] = {
+            "invariant_two_form": agreeing(
+                *((levi(PX[a], PX[b]), levi(X[a], X[b])) for a, b in every)),
+            "symmetric_levi": agreeing(
+                *((levi(X[a], PX[b]), levi(X[b], PX[a])) for a, b in distinct)),
+            "invariant_levi": agreeing(
+                *((levi(PX[a], PPX[b]), levi(X[a], PX[b])) for a, b in every)),
+            "kernel_closed": vanishing(*(
+                compose(C.eta, tf_add(lie_bracket(PX[a], X[b]),
+                                      lie_bracket(X[a], PX[b])))
+                for a, b in distinct)),
+        }
 
     def residual(chart, coords, env):
-        de = d_eta.at(chart, env)
-        ph = phi.at(chart, env)
-        etav = C.eta.at(chart, env)
-        vecs = [X.at(chart, env) for X, _ in frames[chart]]
-        imgs = [phiX.at(chart, env) for _, phiX in frames[chart]]
-        dim = len(etav)
-
-        def pair(u, v):
-            return nk.value_of(
-                nk.sum_(de[i][j] * u[i] * v[j] for i in range(dim) for j in range(dim))
-            )
-
-        def apply(m, v):
-            return [nk.sum_(m[k][j] * v[j] for j in range(dim)) for k in range(dim)]
-
-        lev = [[pair(u, w) for w in imgs] for u in vecs]  # dη(v_a, φ v_b)
-        ab = list(itertools.product(range(len(vecs)), repeat=2))
-        closed = [
-            nk.sum_(etav[k] * (v1[k] + v2[k]) for k in range(dim))
-            for v1, v2 in ([br.at(chart, env) for br in brs] for brs in brackets[chart])
-        ]
-        return {
-            "invariant_two_form": max_abs(
-                [pair(imgs[a], imgs[b]) - pair(vecs[a], vecs[b]) for a, b in ab]
-            ),
-            "symmetric_levi": max_abs([lev[a][b] - lev[b][a] for a, b in ab]),
-            "invariant_levi": max_abs(
-                [pair(imgs[a], apply(ph, imgs[b])) - lev[a][b] for a, b in ab]
-            ),
-            "kernel_closed": max_abs(closed),
-        }
+        return {name: flag(chart, coords, env) for name, flag in flags[chart].items()}
 
     return run_residual_check("pin_flags", C.atlas, residual, plan).details
 
@@ -244,51 +235,41 @@ def frame_conjugations(
 ) -> list[TensorField]:
     """Candidate endomorphisms A φ̄ A⁻¹ with A fixing ξ and the kernel.
 
-    In the adapted frame (ξ, F₁, …, F₂ₙ), the F the `kernel_frames` fields
-    of ``plan``, each A is diag(1, M) for a well-conditioned random M, so
-    every candidate still squares to −id + ξ⊗η and maps ker η to itself —
-    exactly the precondition the four battery flags need.  Candidate 0 is
-    the identity conjugation.
+    A = E·diag(1, M)·E⁻¹ in the adapted frame E = (ξ, F₁, …, F₂ₙ), the F
+    the `kernel_frames` fields of ``plan``, for a well-conditioned random
+    M drawn from ``seed``.  So every candidate still squares to
+    −id + ξ⊗η and maps ker η to itself — exactly the precondition the
+    four battery flags need.  Candidate 0 is φ̄ itself.
     """
     rng = np.random.default_rng(seed)
     xi, frames = C.reeb(), kernel_frames(C, plan)
-    dim = C.dim
-    k = dim - 1
-    j0 = np.zeros((k, k))
-    for i in range(0, k, 2):
-        j0[i][i + 1] = -1.0
-        j0[i + 1][i] = 1.0
+    k = C.dim - 1
 
-    def candidate(kmat: np.ndarray, label: str) -> TensorField:
+    def frame_map(m: list, label: str) -> TensorField:
+        """E·diag(1, m)·E⁻¹, by one solve Eᵀ·Aᵀ = (E·diag(1, m))ᵀ."""
+
         def components(chart, env):
-            cols = [xi.at(chart.name, env)] + [
-                F.at(chart.name, env) for F in frames[chart.name]
+            cols = [xi.at(chart.name, env)]
+            cols += [F.at(chart.name, env) for F in frames[chart.name]]
+            rows = _transpose(cols)
+            ed = [
+                [row[0]]
+                + [nk.sum_(row[1 + c] * m[c][j] for c in range(k)) for j in range(k)]
+                for row in rows
             ]
-            rows = [[cols[c][i] for c in range(dim)] for i in range(dim)]
-            middle = [[0.0] * dim for _ in range(dim)]
-            for a in range(k):
-                for b in range(k):
-                    middle[1 + a][1 + b] = kmat[a][b]
-            # φ' = E · blockdiag(0, K) · E⁻¹: solve Eᵀ Φᵀ = (E·mid)ᵀ
-            prod = [
-                [
-                    nk.sum_(rows[i][c] * middle[c][j] for c in range(dim))
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
-            solved = nk.solve_linear(_transpose(rows), _transpose(prod))
-            return _transpose(solved)
+            return _transpose(nk.solve_linear(_transpose(rows), _transpose(ed)))
 
         return TensorField(label, C.atlas, (1, 1), components)
 
-    fields = [candidate(j0, "conjugated_endo_0")]
+    fields = [phibar]
     while len(fields) < count:
         m = rng.normal(size=(k, k))
         if abs(np.linalg.det(m)) < 0.1:
             continue
-        kmat = m @ j0 @ np.linalg.inv(m)
-        fields.append(candidate(kmat, f"conjugated_endo_{len(fields)}"))
+        label = f"conjugated_endo_{len(fields)}"
+        A = frame_map(m.tolist(), f"{label}_frame_map")
+        A_inv = frame_map(np.linalg.inv(m).tolist(), f"{label}_frame_map_inverse")
+        fields.append(compose(compose(A, phibar), A_inv, label))
     return fields
 
 
@@ -303,33 +284,28 @@ def pin_battery(
     seed: int,
     plan: SamplePlan,
 ) -> CheckReport:
-    """Run the four compatibility flags over conjugated candidates.
+    """Run the four compatibility flags over the `frame_conjugations` of φ̄.
 
-    The flags are mathematically equivalent, so any pairwise disagreement
-    on any candidate is an engine bug; the report's residual is the
-    disagreement count.  ``seed`` draws the candidates, ``plan`` the points.
+    The flags are mathematically equivalent, so a candidate on which they
+    disagree is an engine bug.  Each candidate is one row for
+    `reduce_residuals`, labelled ``candidates`` with the candidate's index
+    as coordinates: residual 1.0 when its flags disagree, 0.0 when they
+    agree.  ``details`` counts the disagreements and keeps each
+    candidate's flags as a row of T and F.  Every candidate runs under one
+    `SampleSet` that keeps η, ξ and dη and is pruned after each candidate,
+    so each chart is drawn once.  ``seed`` draws the candidates, ``plan``
+    the points.
     """
+    plan = replace(plan, sample_set=SampleSet((C.eta, C.reeb(), C.d_eta())))
     candidates = frame_conjugations(C, phibar, count, seed, plan)
-    rows = []
-    disagreements = 0
-    first_bad = None
-    for idx, cand in enumerate(candidates):
-        res = pin_flag_residuals(C, cand, plan)
-        flags = [r <= _FLAG_TOL for r in res.values()]  # in the order (1)-(4)
-        rows.append("".join("T" if f else "F" for f in flags))
-        if len(set(flags)) > 1:
-            disagreements += 1
-            if first_bad is None:
-                first_bad = (idx, res)
-    worst = None
-    if first_bad is not None:
-        idx, res = first_bad
-        worst = (C.atlas.charts[0].name, (float(idx),), float(max(res.values())))
-    red = Reduction(
-        float(disagreements),
-        {c.name: float(disagreements) for c in C.atlas.charts},
-        worst,
-        len(candidates),
+    flag_rows = []
+    for cand in candidates:
+        res = pin_flag_residuals(C, cand, plan)  # in the order (1)-(4)
+        plan.sample_set.prune()
+        flag_rows.append("".join("T" if r <= _FLAG_TOL else "F" for r in res.values()))
+    disagree = [len(set(row)) > 1 for row in flag_rows]
+    red = reduce_residuals(
+        ("candidates", (float(idx),), float(d)) for idx, d in enumerate(disagree)
     )
     return check_report(
         "pin_battery",
@@ -338,9 +314,10 @@ def pin_battery(
         details={
             "candidates": len(candidates),
             "flag_tol": _FLAG_TOL,
-            "flag_rows": rows,
-            "all_true": sum(1 for r in rows if r == "TTTT"),
-            "all_false": sum(1 for r in rows if r == "FFFF"),
+            "flag_rows": flag_rows,
+            "all_true": flag_rows.count("TTTT"),
+            "all_false": flag_rows.count("FFFF"),
+            "disagreements": sum(disagree),
         },
     )
 

@@ -1,7 +1,6 @@
 """Kernel endomorphisms: compatibility, normality, metric identities."""
 
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -23,10 +22,11 @@ from sasaki_lab.sasaki import (
     pin_battery,
     pin_flag_residuals,
     sasaki_check,
+    square_target,
     standard_darboux_levi,
     theorem54_check,
 )
-from sasaki_lab.tensor import TensorField, map_structure, max_abs
+from sasaki_lab.tensor import TensorField, agreeing, compose, map_structure, max_abs
 
 PLAN = SamplePlan(seed=7, points_per_chart=6, tolerance=1e-8)
 
@@ -186,15 +186,24 @@ class TestPinBattery:
         assert max(res.values()) < 1e-9
 
     def test_conjugations_preserve_defining_identities(self, flat):
-        cands = frame_conjugations(flat.contact, flat.phibar, 4, seed=5, plan=PLAN)
-        for cand in cands:
-            rep = LeviStructure("cand", flat.contact, cand).validate(
-                replace(PLAN, tolerance=1e-6)
-            )
-            # square and kernel identities hold; positivity may fail,
-            # so only inspect the report when it failed for positivity
-            if not rep.passed:
-                assert rep.max_residual < 1e12
+        """A = E·diag(1, M)·E⁻¹ fixes ξ and ker η, so each conjugate
+        A φ̄ A⁻¹ kills ξ, is killed by η and squares to −id + ξ⊗η (its
+        metric may fail to be positive), yet is not φ̄."""
+        sphere = build_example("sphere-3").structure
+        for L in (flat, sphere):
+            C = L.contact
+            cands = frame_conjugations(C, L.phibar, 4, seed=5, plan=PLAN)
+            for cand in cands[1:]:
+                identities = agreeing(
+                    (compose(cand, C.reeb()), compose(L.phibar, C.reeb())),
+                    (compose(C.eta, cand), compose(C.eta, L.phibar)),
+                    (compose(cand, cand), square_target(C)),
+                )
+                held = run_residual_check("conjugate", C.atlas, identities, PLAN)
+                assert held.max_residual < 1e-9, (L.name, cand.name)
+                moved = agreeing((cand, L.phibar))
+                rep = run_residual_check("moved", C.atlas, moved, PLAN)
+                assert rep.max_residual > 1e-2
 
     def test_battery_agreement_small(self, flat):
         rep = pin_battery(flat.contact, flat.phibar, count=8, seed=3, plan=PLAN)
@@ -207,6 +216,54 @@ class TestPinBattery:
     def test_battery_rows_have_four_flags(self, flat):
         rep = pin_battery(flat.contact, flat.phibar, count=3, seed=9, plan=PLAN)
         assert all(len(row) == 4 for row in rep.details["flag_rows"])
+
+    def test_battery_in_dimension_five_sees_both_verdicts(self, flat2):
+        """On a four-dimensional kernel a random conjugate of φ̄ is not
+        symplectic, so all four flags fail together; φ̄ itself passes."""
+        rep = pin_battery(flat2.contact, flat2.phibar, count=8, seed=3, plan=PLAN)
+        assert rep.passed and rep.max_residual == 0.0
+        assert rep.details["disagreements"] == 0
+        assert rep.details["flag_rows"] == ["TTTT"] + ["FFFF"] * 7
+
+    def test_battery_draws_each_chart_once(self, monkeypatch):
+        L = build_example("sphere-5").structure
+        draw, drawn = manifold.sample_chart, []
+        monkeypatch.setattr(
+            manifold, "sample_chart",
+            lambda chart, plan: drawn.append(chart.name) or draw(chart, plan),
+        )
+        pin_battery(L.contact, L.phibar, count=3, seed=9,
+                    plan=SamplePlan(seed=42, points_per_chart=2))
+        assert sorted(drawn) == sorted(c.name for c in L.atlas.charts)
+
+    def test_first_candidate_is_phibar(self):
+        L = build_example("sphere-3").structure
+        plan = SamplePlan(seed=42, points_per_chart=4)
+        first = frame_conjugations(L.contact, L.phibar, 3, seed=7, plan=plan)[0]
+        for chart, pts in manifold.sample_points(L.atlas, plan):
+            for _, env in pts:
+                assert first.at(chart, env) == L.phibar.at(chart, env)
+
+    def test_disagreeing_flags_fail_with_their_candidate_as_witness(
+        self, flat, monkeypatch
+    ):
+        from sasaki_lab import sasaki
+
+        flags = sasaki.pin_flag_residuals
+
+        def forced(C, phi, plan):
+            res = flags(C, phi, plan)
+            if phi.name == "conjugated_endo_1":
+                res["kernel_closed"] = 1.0
+            return res
+
+        monkeypatch.setattr(sasaki, "pin_flag_residuals", forced)
+        rep = pin_battery(flat.contact, flat.phibar, count=3, seed=9, plan=PLAN)
+        assert rep.verdict == "fail"
+        assert (rep.witness.chart, rep.witness.coords) == ("candidates", (1.0,))
+        assert rep.witness.residual == rep.max_residual == 1.0
+        assert rep.details["disagreements"] == 1
+        assert rep.details["flag_rows"] == ["TTTT", "TTTF", "TTTT"]
 
 
 class TestSasakiCheck:
