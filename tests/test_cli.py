@@ -426,3 +426,44 @@ def test_report_shapes_match_golden(tmp_path, capsys):
     got = report_shapes(tmp_path / "reports.json")
     capsys.readouterr()
     assert got == json.loads(REPORT_SHAPE.read_text())
+
+
+REPORT_BYTES = Path(__file__).resolve().parents[1] / "golden" / "report-bytes.json"
+# Two runs whose JSON is pinned byte for byte: the whole gallery, and a slope
+# whose integrability fails as declared, with its witness.
+REPORT_BYTES_ARGV = (
+    ("verify", "all", "--samples", "16"),
+    ("verify", "main1-family", "--param", "a=0.7*x", "--samples", "16"),
+)
+
+
+def report_bytes(tmp: Path) -> dict:
+    """{command line: its ``--json`` file's text} for `REPORT_BYTES_ARGV`."""
+    out = {}
+    for argv in REPORT_BYTES_ARGV:
+        path = tmp / "reports.json"
+        assert main([*argv, "--json", str(path)]) == 0
+        out[" ".join(argv)] = path.read_text()
+    return out
+
+
+def write_report_bytes() -> None:
+    """Rewrite the pinned report bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = report_bytes(Path(tmp))
+    REPORT_BYTES.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n")
+
+
+def test_report_bytes_match_golden(tmp_path, capsys):
+    """Every residual, witness and record of the two pinned runs is the same
+    to the last bit: an engine change that keeps the arithmetic keeps these
+    bytes.  Regenerate after a deliberate change with
+
+        PYTHONPATH=src python -c 'import sys; sys.path.insert(0, "tests"); import test_cli; test_cli.write_report_bytes()'
+    """
+    got = report_bytes(tmp_path)
+    capsys.readouterr()
+    want = json.loads(REPORT_BYTES.read_text())
+    assert list(got) == list(want)
+    for argv, text in got.items():
+        assert text == want[argv], argv
