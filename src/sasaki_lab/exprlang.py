@@ -261,7 +261,8 @@ def pretty(e: Expr) -> str:
 
 
 def eval_expr(e: Expr, env: dict):
-    """Evaluate over whatever scalar type env holds (floats or duals)."""
+    """Evaluate over whatever scalar type env holds: floats, the float64
+    arrays of a batch, or duals of either."""
     try:
         return _eval(e, env)
     except (ZeroDivisionError, ValueError, OverflowError, nk.KinkError) as exc:
@@ -287,7 +288,7 @@ def _eval(e: Expr, env: dict):
             return a - b
         if e.op == "*":
             return a * b
-        if nk.value_of(b) == 0.0:
+        if nk.has_zero(b):
             raise ZeroDivisionError("division by zero")
         return a / b
     if isinstance(e, Pow):

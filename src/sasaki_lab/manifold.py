@@ -7,7 +7,10 @@ checks never evaluate on the closure boundary; evaluating *outside* the box
 is deliberately not an error (scaling maps need it).
 
 A chart's ``env`` of a point is a :class:`PointEnv`: the coordinate values
-plus that point's evaluation memo, which `tensor` fills (see there).
+plus that point's evaluation memo, which `tensor` fills (see there).  The
+points of one sample group (a chart's samples, or a transition piece's)
+also share a batch env, whose coordinates are float64 arrays, so that
+`tensor` can evaluate a field once for the whole group.
 
 Transition maps are piecewise: each piece restricts the source box and maps
 coordinates by expressions, with an explicit inverse.  Sampling is
@@ -54,19 +57,37 @@ class PointEnv(dict):
     describing values the env no longer holds, so the mapping refuses
     writes; ``dict(env)`` gives a writable copy, which `tensor` wraps in a
     fresh PointEnv, with an empty memo, whenever it evaluates there.
+
+    ``link`` is ``(batch, i)`` for the i-th point of a sample group: the
+    batch is the group's PointEnv whose coordinates are float64 arrays of
+    shape (P,), and `tensor` evaluates a field there once for all P points
+    and hands this env its row.  Any other env has no link and is
+    evaluated on its own.
     """
 
-    __slots__ = ("memo", "__weakref__")
+    __slots__ = ("memo", "link", "__weakref__")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.memo = {}
+        self.link = None
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("PointEnv is read-only; change a dict(env) copy instead")
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
+
+
+def group_envs(chart: Chart, points: list) -> list:
+    """``(coords, env)`` rows of one sample group, every env linked to the
+    group's batch env, whose coordinates are the points' columns."""
+    rows = [(coords, chart.env(coords)) for coords in points]
+    if rows:
+        batch = PointEnv(zip(chart.coords, map(np.array, zip(*points))))
+        for i, (_, env) in enumerate(rows):
+            env.link = (batch, i)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -241,29 +262,38 @@ def _chart_rng(seed: int, chart_name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, crc]))
 
 
-def _draw(rng, intervals: list[tuple[float, float]]) -> float:
-    lengths = [b - a for a, b in intervals]
-    total = sum(lengths)
-    u = rng.uniform(0.0, total)
-    for (a, b), ln in zip(intervals, lengths):
-        if u <= ln:
-            return a + u
-        u -= ln
-    return intervals[-1][1]
-
-
 def _draw_points(rng, intervals: list, count: int) -> list[tuple[float, ...]]:
-    """``count`` points, one `_draw` per coordinate from its intervals, in
-    coordinate order within a point."""
-    return [tuple(_draw(rng, iv) for iv in intervals) for _ in range(count)]
+    """``count`` points, coordinate by coordinate from its intervals.
+
+    One ``rng.random`` call draws every value, point by point and in
+    coordinate order within a point.  A value is the fraction u of its
+    intervals' total length, laid along them in turn: ``a + u`` in the
+    first interval whose length is at least u, u less the lengths passed.
+    This is ``rng.uniform(0, total)`` (``0 + total * next_double``) per
+    value, bit for bit.
+    """
+    draws = rng.random((count, len(intervals)))
+    columns = []
+    for k, ivs in enumerate(intervals):
+        lengths = [b - a for a, b in ivs]
+        u = draws[:, k] * sum(lengths)
+        out = np.full(count, ivs[-1][1])
+        left = np.ones(count, dtype=bool)
+        for (a, _), ln in zip(ivs, lengths):
+            hit = left & (u <= ln)
+            out[hit] = a + u[hit]
+            left &= ~hit
+            u = u - ln
+        columns.append(out.tolist())
+    return list(zip(*columns))
 
 
 def sample_chart(chart: Chart, plan: SamplePlan):
-    """Deterministic points for one chart: list of (coords, PointEnv)."""
+    """Deterministic points for one chart: list of (coords, PointEnv), the
+    envs linked to one batch (see `group_envs`)."""
     rng = _chart_rng(plan.seed, chart.name)
     intervals = [chart.sample_intervals(c) for c in chart.coords]
-    points = _draw_points(rng, intervals, plan.points_per_chart)
-    return [(coords, chart.env(coords)) for coords in points]
+    return group_envs(chart, _draw_points(rng, intervals, plan.points_per_chart))
 
 
 def sample_points(atlas: Atlas, plan: SamplePlan):
@@ -335,7 +365,8 @@ def sample_domain(domain, plan: SamplePlan):
 
     An `Atlas` gives one per chart, ``where`` its name, all envs up front;
     `Overlaps` one per transition piece, labelled ``src->tgt``, ``where``
-    its `OverlapSite`, each env built when its row is reached.  A list of
+    its `OverlapSite`, each piece's envs drawn when its group is reached.
+    Each group's envs are linked to one batch (`group_envs`).  A list of
     domains gives their groups in turn.
     """
     if isinstance(domain, Atlas):
@@ -352,8 +383,7 @@ def _overlap_groups(domain: Overlaps, plan: SamplePlan):
         rng = _chart_rng(plan.seed, label + domain.stream)
         for piece in t.pieces:
             points = _piece_sample(src, piece, plan, rng)
-            site = OverlapSite(domain, t, piece)
-            yield label, site, ((coords, src.env(coords)) for coords in points)
+            yield label, OverlapSite(domain, t, piece), group_envs(src, points)
 
 
 def atlas_consistency_check(atlas: Atlas, plan: SamplePlan) -> CheckReport:

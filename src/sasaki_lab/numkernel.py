@@ -33,6 +33,32 @@ Linear solves (`solve_linear`) run Gaussian elimination with partial
 pivoting generically over floats and duals, so Jacobian-dependent fields
 (Reeb fields, compatibility endomorphisms, sphere projections) stay
 differentiable simply by feeding dual entries through the same code path.
+
+A leaf -- a value or tangent slot that is not itself a dual -- is a Python
+``float`` (or ``int``) for one point, or a float64 array of shape ``(P,)``
+holding the same slot for the P points of a sample group (a *batch*).
+Both kinds mix freely in one dual, since a float is the same at every
+point.  float64 ``+ - * /`` on arrays is IEEE elementwise, so a batch
+gives each point bit for bit its own result.  The other sites dispatch on
+the leaf type:
+
+* `powi` and the transcendental functions apply Python's ``**`` and
+  ``math`` element by element (numpy's versions may differ by an ulp);
+* `value_of` returns the array of a batch leaf;
+* the kink tests of `absolute` and `signum` and `has_zero` (the
+  ``exprlang`` zero-divisor test) ask whether any point is at the edge;
+* `solve_linear`'s pivot search and its zero skip may come out
+  differently at different points.  Then the batch is split into groups
+  that agree (`groups`), each group is solved on its own (`take`) and the
+  results are merged leaf by leaf (`merge`), which raises `Unmergeable`
+  where a plain leaf would meet a dual one.
+
+A batch is evaluated under ``np.errstate(all="raise", under="ignore")``,
+so any step that could signal, or raise, at a point raises for the whole
+batch; the caller (``tensor``) then evaluates point by point, which
+reproduces each point's value or exception exactly.  A plain leaf never
+becomes a dual to make two groups merge: that would turn ``-0.0`` and
+``0*inf`` results into other values.
 """
 
 from __future__ import annotations
@@ -54,6 +80,10 @@ class KinkError(ArithmeticError):
 
 class SingularMatrix(ArithmeticError):
     """No usable pivot: matrix is singular to working precision (< 1e-12)."""
+
+
+class Unmergeable(Exception):
+    """Groups of a split batch came out with leaves of different kinds."""
 
 
 def new_tag() -> int:
@@ -114,6 +144,24 @@ class DScalar:
         if not isinstance(n, int):
             raise TypeError("DScalar ** exponent must be an int")
         return powi(self, n)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """A numpy operand left of a dual runs the dual's reflected operator,
+        as a float does: a batch array as a leaf (not as an object array of
+        duals), a numpy scalar as the Python number it holds."""
+        op = _REFLECTED.get(ufunc)
+        if op is None or method != "__call__" or kwargs or inputs[1:] != (self,):
+            return NotImplemented
+        x = inputs[0]
+        return op(self, x.item() if isinstance(x, np.generic) else x)
+
+
+_REFLECTED = {
+    np.add: DScalar.__radd__,
+    np.subtract: DScalar.__rsub__,
+    np.multiply: DScalar.__rmul__,
+    np.true_divide: DScalar.__rtruediv__,
+}
 
 
 def _neg(x):
@@ -197,8 +245,10 @@ def _div(a, b):
 
 
 def powi(x, n: int):
-    """x ** n for integer n, generic over floats and duals."""
+    """x ** n for integer n, generic over floats, batch arrays and duals."""
     if type(x) is not DScalar:
+        if type(x) is np.ndarray:
+            return np.array([v ** n for v in x.tolist()])
         return float(x) ** n
     if n == 0:
         return 1.0
@@ -209,11 +259,25 @@ def powi(x, n: int):
     return _chain(x, v, factor)
 
 
-def value_of(x) -> float:
-    """Strip all dual layers, returning the underlying float value."""
+def value_of(x):
+    """Strip all dual layers, returning the underlying float value (the
+    float64 array of a batch leaf)."""
     while type(x) is DScalar:
         x = x.val
-    return float(x)
+    return x if type(x) is np.ndarray else float(x)
+
+
+def has_zero(x) -> bool:
+    """Whether the value of `x` is 0.0 (at some point of a batch)."""
+    v = value_of(x)
+    return bool((v == 0.0).any()) if type(v) is np.ndarray else v == 0.0
+
+
+def _each(fn, x):
+    """``fn`` of a plain leaf: of a float, or of each element of a batch array."""
+    if type(x) is np.ndarray:
+        return np.array([fn(v) for v in x.tolist()])
+    return fn(x)
 
 
 def _chain(x: DScalar, val, dval):
@@ -226,51 +290,52 @@ def _chain(x: DScalar, val, dval):
 def sin(x):
     if isinstance(x, DScalar):
         return _chain(x, sin(x.val), cos(x.val))
-    return math.sin(x)
+    return _each(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, DScalar):
         return _chain(x, cos(x.val), _neg(sin(x.val)))
-    return math.cos(x)
+    return _each(math.cos, x)
 
 
 def exp(x):
     if isinstance(x, DScalar):
         v = exp(x.val)
         return _chain(x, v, v)
-    return math.exp(x)
+    return _each(math.exp, x)
 
 
 def log(x):
     if isinstance(x, DScalar):
         return _chain(x, log(x.val), _div(1.0, x.val))
-    return math.log(x)
+    return _each(math.log, x)
 
 
 def sqrt(x):
     if isinstance(x, DScalar):
         v = sqrt(x.val)
         return _chain(x, v, _div(0.5, v))
-    return math.sqrt(x)
+    return _each(math.sqrt, x)
 
 
 def absolute(x):
     if isinstance(x, DScalar):
         s = value_of(x)
-        if s == 0.0:
+        if has_zero(s):
             raise KinkError("abs differentiated at 0")
-        sign = math.copysign(1.0, s)
+        sign = np.copysign(1.0, s) if type(s) is np.ndarray else math.copysign(1.0, s)
         return _chain(x, absolute(x.val), sign)
     return abs(x)
 
 
 def signum(x):
     if isinstance(x, DScalar):
-        s = value_of(x)
-        if s == 0.0:
+        if has_zero(x):
             raise KinkError("sgn differentiated at 0")
         return DScalar(signum(x.val), tuple(0.0 for _ in x.tg), x.tag)
+    if type(x) is np.ndarray:
+        return np.where(x == 0.0, 0.0, np.copysign(1.0, x))
     if x == 0.0:
         return 0.0
     return math.copysign(1.0, x)
@@ -282,12 +347,16 @@ def signum(x):
 def seed(values: Sequence[Scalar]) -> tuple[int, list[DScalar]]:
     """Wrap values as duals of a fresh level with unit tangent directions."""
     tag = new_tag()
+    return tag, unit_duals(values, tag)
+
+
+def unit_duals(values: Sequence[Scalar], tag: int) -> list[DScalar]:
+    """The values as duals of level `tag`, the i-th with tangent e_i."""
     n = len(values)
-    out = []
-    for i, v in enumerate(values):
-        tg = tuple(1.0 if j == i else 0.0 for j in range(n))
-        out.append(DScalar(v, tg, tag))
-    return tag, out
+    return [
+        DScalar(v, tuple(1.0 if j == i else 0.0 for j in range(n)), tag)
+        for i, v in enumerate(values)
+    ]
 
 
 def value_at(x, tag: int):
@@ -323,6 +392,8 @@ def solve_linear(a_rows, b):
 
     Raises SingularMatrix when the best available pivot falls below
     PIVOT_THRESHOLD in absolute value.  The solution has the shape of `b`.
+    A batch whose pivot row, or whose skip of an entry that is already a
+    plain zero, differs from point to point is solved group by group.
     """
     n = len(a_rows)
     matrix_rhs = bool(b) and isinstance(b[0], (list, tuple))
@@ -334,23 +405,41 @@ def solve_linear(a_rows, b):
         best, best_mag = col, abs(value_of(a[col][col]))
         for r in range(col + 1, n):
             mag = abs(value_of(a[r][col]))
-            if mag > best_mag:
+            more = mag > best_mag
+            if type(more) is np.ndarray:
+                best = np.where(more, r, best)
+                best_mag = np.where(more, mag, best_mag)
+            elif more:
                 best, best_mag = r, mag
-        if best_mag < PIVOT_THRESHOLD:
+        low = best_mag < PIVOT_THRESHOLD
+        if type(low) is np.ndarray and low.any():
+            low, best_mag = True, best_mag[low][0]
+        if low is True:
             raise SingularMatrix(
                 f"pivot {best_mag:.3e} below {PIVOT_THRESHOLD:.0e} in column {col}"
             )
+        if type(best) is np.ndarray:
+            if (best != best[0]).any():
+                return _solve_in_groups(a_rows, b, best)
+            best = int(best[0])
         if best != col:
             a[col], a[best] = a[best], a[col]
             rhs[col], rhs[best] = rhs[best], rhs[col]
         for r in range(col + 1, n):
-            if isinstance(a[r][col], DScalar) or value_of(a[r][col]) != 0.0:
-                factor = a[r][col] / a[col][col]
-                for c in range(col + 1, n):
-                    a[r][c] = a[r][c] - factor * a[col][c]
-                for c in range(m):
-                    rhs[r][c] = rhs[r][c] - factor * rhs[col][c]
-                a[r][col] = 0.0
+            if type(a[r][col]) is not DScalar:
+                nonzero = value_of(a[r][col]) != 0.0
+                if type(nonzero) is np.ndarray:
+                    if not nonzero.all() and nonzero.any():
+                        return _solve_in_groups(a_rows, b, nonzero)
+                    nonzero = nonzero.all()
+                if not nonzero:
+                    continue
+            factor = a[r][col] / a[col][col]
+            for c in range(col + 1, n):
+                a[r][c] = a[r][c] - factor * a[col][c]
+            for c in range(m):
+                rhs[r][c] = rhs[r][c] - factor * rhs[col][c]
+            a[r][col] = 0.0
 
     x = [[0.0] * m for _ in range(n)]
     for r in range(n - 1, -1, -1):
@@ -365,18 +454,77 @@ def solve_linear(a_rows, b):
     return [row[0] for row in x]
 
 
+def _solve_in_groups(a_rows, b, labels):
+    """`solve_linear` of a batch, solved afresh for each group of the points
+    that share a label, merged leaf by leaf."""
+    parts = [(idx, solve_linear(take(a_rows, idx), take(b, idx)))
+             for idx in groups(labels)]
+    return merge(parts, len(labels))
+
+
+# -- batches that branch ----------------------------------------------
+
+
+def groups(labels) -> list[np.ndarray]:
+    """Index arrays of the points of a batch that share a label: an entry
+    of a 1-d `labels`, or a row of a 2-d one."""
+    _, inverse = np.unique(labels, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return [np.flatnonzero(inverse == g) for g in range(inverse.max() + 1)]
+
+
+def take(x, idx: np.ndarray):
+    """The points `idx` of a batch structure (nested lists, tuples and
+    duals): each array leaf indexed, every other leaf kept."""
+    if isinstance(x, (list, tuple)):
+        return [take(v, idx) for v in x]
+    if type(x) is DScalar:
+        return DScalar(take(x.val, idx), tuple([take(t, idx) for t in x.tg]), x.tag)
+    if type(x) is np.ndarray:
+        return x[idx]
+    return x
+
+
+def merge(parts: list, size: int):
+    """One batch structure of `size` points from ``(idx, structure)`` parts
+    whose index arrays partition the points, leaf by leaf.
+
+    Plain leaves (floats, arrays) merge into an array; duals merge when
+    they agree in level and tangent count.  Anything else -- a plain leaf
+    against a dual, another leaf type -- raises `Unmergeable`.
+    """
+    first = parts[0][1]
+    if isinstance(first, (list, tuple)):
+        return [merge([(idx, s[k]) for idx, s in parts], size) for k in range(len(first))]
+    if type(first) is DScalar:
+        tag, n = first.tag, len(first.tg)
+        if any(type(s) is not DScalar or s.tag != tag or len(s.tg) != n for _, s in parts):
+            raise Unmergeable("a dual leaf meets another kind of leaf")
+        return DScalar(
+            merge([(idx, s.val) for idx, s in parts], size),
+            tuple([merge([(idx, s.tg[k]) for idx, s in parts], size) for k in range(n)]),
+            tag,
+        )
+    out = np.empty(size)
+    for idx, s in parts:
+        if type(s) is not float and type(s) is not np.ndarray:
+            raise Unmergeable(f"cannot merge a leaf of type {type(s).__name__}")
+        out[idx] = s
+    return out
+
+
 # perfbench/tracing.py counts solves by wrapping this name.
 solve_linear_info = solve_linear
 
 
 def min_eigenvalue(rows: list[list[float]]) -> float:
     """Smallest eigenvalue of a symmetric float matrix (numpy eigvalsh)."""
-    arr = np.array([[value_of(e) for e in r] for r in rows], dtype=float)
+    arr = np.array([[float(value_of(e)) for e in r] for r in rows], dtype=float)
     sym = 0.5 * (arr + arr.T)
     return float(np.linalg.eigvalsh(sym)[0])
 
 
 def determinant(rows: list[list[float]]) -> float:
     """Determinant of a float matrix (numpy)."""
-    arr = np.array([[value_of(e) for e in r] for r in rows], dtype=float)
+    arr = np.array([[float(value_of(e)) for e in r] for r in rows], dtype=float)
     return float(np.linalg.det(arr))

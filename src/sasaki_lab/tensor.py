@@ -66,6 +66,8 @@ from functools import reduce
 from operator import add, mul
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import exprlang, manifold, numkernel as nk
 from .exprlang import Expr
 from .manifold import Atlas, Chart, Overlaps, PointEnv, SamplePlan
@@ -239,9 +241,61 @@ class TensorField:
         if not isinstance(env, PointEnv):
             env = PointEnv(env)
         key = (self, chart)
-        if key not in env.memo:
-            env.memo[key] = _frozen(self.components(self._chart(chart), env))
-        return env.memo[key]
+        memo = env.memo
+        if key not in memo:
+            link = env.link
+            rows = None if link is None else _batch_rows(self, chart, link[0])
+            memo[key] = (
+                _frozen(self.components(self._chart(chart), env))
+                if rows is None else rows[link[1]]
+            )
+        return memo[key]
+
+
+def _batch_rows(T: TensorField, chart: str, batch: PointEnv):
+    """The rows of T on `chart` at every point of `batch`, from one
+    evaluation there, kept in the batch's memo; None when the batch could
+    not be evaluated, and its points are evaluated one by one."""
+    key = (T, chart, "rows")
+    if key not in batch.memo:
+        batch.memo[key] = _unbatched(lambda: T.at(chart, batch), batch)
+    return batch.memo[key]
+
+
+def _unbatched(evaluate: Callable, batch: PointEnv):
+    """``evaluate()``'s batch structure as one frozen structure per point,
+    or None if it raised.
+
+    The batch is evaluated under ``np.errstate(all="raise")`` (underflow
+    aside, which Python floats never report), so a step that signals at
+    any point -- a zero divisor, an overflow, ``0*inf`` -- raises here and
+    the points are evaluated one by one: each then gets the value, or
+    raises the exception, of a lone evaluation at its own coordinates.
+    """
+    size = len(nk.value_of(next(iter(batch.values()))))
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return _rows(evaluate(), size)
+    except Exception:
+        return None
+
+
+def _rows(s, size: int) -> list:
+    """The `size` per-point structures of batch structure `s`: nested
+    tuples as kept by the memo, each array leaf read off with one
+    ``tolist`` (Python floats), each dual rebuilt at its level, and every
+    other leaf, the same at all points, repeated."""
+    if isinstance(s, tuple):
+        return list(zip(*[_rows(x, size) for x in s])) if s else [()] * size
+    if type(s) is nk.DScalar:
+        tag = s.tag
+        tgs = list(zip(*[_rows(t, size) for t in s.tg])) if s.tg else [()] * size
+        return [nk.DScalar(v, tg, tag) for v, tg in zip(_rows(s.val, size), tgs)]
+    if type(s) is np.ndarray:
+        if s.shape != (size,):
+            raise ValueError(f"batch leaf of shape {s.shape}, not ({size},)")
+        return s.tolist()
+    return [s] * size
 
 
 def _set(structure, idx, value):
@@ -260,16 +314,26 @@ def _seeded(chart: Chart, env: dict):
     """(tag, PointEnv with the chart coordinates seeded as duals of that level).
 
     An env keeps one seeded env per coordinate tuple in its memo, so all
-    jets at a point share one dual level and one memo.  Any other mapping
-    is first wrapped in a fresh :class:`PointEnv`, whose memo lives for
-    this call.
+    jets at a point share one dual level and one memo.  The seeded env of
+    a batch's point is linked to the batch's seeded env and shares its
+    level.  Any other mapping is first wrapped in a fresh
+    :class:`PointEnv`, whose memo lives for this call.
     """
     if not isinstance(env, PointEnv):
         env = PointEnv(env)
     key = ("seeded", chart.coords)
     if key not in env.memo:
-        tag, duals = nk.seed([env[c] for c in chart.coords])
-        env.memo[key] = (tag, PointEnv({**env, **dict(zip(chart.coords, duals))}))
+        values = [env[c] for c in chart.coords]
+        if env.link is None:
+            tag, duals = nk.seed(values)
+            link = None
+        else:  # the point's row of its batch's seeded env, at that level
+            batch, i = env.link
+            tag, dual_batch = _seeded(chart, batch)
+            duals, link = nk.unit_duals(values, tag), (dual_batch, i)
+        dual_env = PointEnv({**env, **dict(zip(chart.coords, duals))})
+        dual_env.link = link
+        env.memo[key] = (tag, dual_env)
     return env.memo[key]
 
 
@@ -281,7 +345,8 @@ class SampleSet:
     same ``(coords, PointEnv)`` list after that, so the entry's checks
     reuse what is memoized at those envs.  `prune`, after each check,
     keeps only the memo entries of the ``declared`` fields, at every dual
-    level; derived one-shot fields go.  The envs go with the set.
+    level, in the points' memos and in their batches'; derived one-shot
+    fields go.  The envs go with the set.
     """
 
     def __init__(self, declared: Iterable[TensorField]):
@@ -298,7 +363,9 @@ class SampleSet:
         return [env for _, pts in self._charts.values() for _, env in pts]
 
     def prune(self) -> None:
-        for env in self.envs():
+        envs = self.envs()
+        batches = {id(env.link[0]): env.link[0] for env in envs if env.link}
+        for env in envs + list(batches.values()):
             _keep_declared(env.memo, self.declared)
 
 
@@ -354,9 +421,12 @@ def _split_jet(s: tuple, tag: int, dim: int):
 # -- smooth maps -------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SmoothMap:
-    """Chart-wise coordinate map; target may be another atlas or plain ℝ^m."""
+    """Chart-wise coordinate map; target may be another atlas or plain ℝ^m.
+
+    A map is its own identity (``eq=False``), so it keys a batch's memo.
+    """
 
     name: str
     source: Atlas
@@ -378,7 +448,22 @@ class SmoothMap:
         return [exprlang.eval_expr(e, env) for e in exprs]
 
     def jet(self, chart: str, env: dict):
-        """(values, jacobian) with jacobian[j][i] = d target_j / d source_i."""
+        """(values, jacobian) with jacobian[j][i] = d target_j / d source_i.
+
+        At a batch's point both are read off one evaluation at the batch,
+        kept in its memo; the lists are built anew on every call.
+        """
+        link = getattr(env, "link", None)
+        if link is not None:
+            batch, i = link
+            key = (self, chart, "jet")
+            if key not in batch.memo:
+                batch.memo[key] = _unbatched(
+                    lambda: _frozen_jet(*self.jet(chart, batch)), batch
+                )
+            if batch.memo[key] is not None:
+                vals, jac = batch.memo[key][i]
+                return list(vals), list(map(list, jac))
         src = self.source.chart(chart)
         tag, dual_env = _seeded(src, env)
         img = self.apply(chart, dual_env)
@@ -387,6 +472,10 @@ class SmoothMap:
             [nk.tangent_at(v, tag, i) for i in range(src.dim)] for v in img
         ]
         return vals, jac
+
+
+def _frozen_jet(vals: list, jac: list) -> tuple:
+    return tuple(vals), tuple(map(tuple, jac))
 
 
 # -- derivative operators ---------------------------------------------
@@ -562,16 +651,41 @@ def pullback(F: SmoothMap, T: TensorField, name: str | None = None) -> TensorFie
             inv = nk.solve_linear(jac, ident)  # inv[a][j] = (A^{-1})^a_j
             factors += [inv] * p
         factors += [[[jac[j][i] for j in range(m)] for i in range(dim)]] * q
-        kept = []  # (jdx, t) for every term that is not a plain zero
-        for jdx in itertools.product(range(m), repeat=rank):
-            t = get_at(tv, jdx)
-            if nk.value_of(t) != 0.0 or isinstance(t, nk.DScalar):
-                kept.append((jdx, t))
-        columns = [[jdx[r] for jdx, _ in kept] for r in range(rank)]
-        return _contract_slots([t for _, t in kept], factors, columns)
+        terms = [(jdx, get_at(tv, jdx)) for jdx in itertools.product(range(m), repeat=rank)]
+        return _contract_terms(terms, factors, rank)
 
     nm = name or f"{F.name}*({T.name})"
     return TensorField(nm, F.source, (p, q), components, F.pieces)
+
+
+def _contract_terms(terms: list, factors: list, rank: int):
+    """`pullback`'s sums over its ``(jdx, t)`` terms that are not a plain zero.
+
+    A batch term that is a plain zero at some of its points only is kept
+    at the others: the points are grouped by the zero pattern of such
+    terms, each group is contracted on its own and the groups are merged
+    leaf by leaf (`numkernel.merge`).
+    """
+    kept, patterns = [], []
+    for jdx, t in terms:
+        if type(t) is not nk.DScalar:
+            zero = nk.value_of(t) == 0.0
+            if type(zero) is np.ndarray:
+                if zero.any() and not zero.all():
+                    patterns.append(zero)
+                zero = zero.all()
+            if zero:
+                continue
+        kept.append((jdx, t))
+    if patterns:
+        labels = np.stack(patterns, axis=1)
+        return nk.merge([
+            (idx, _contract_terms([(jdx, nk.take(t, idx)) for jdx, t in terms],
+                                  nk.take(factors, idx), rank))
+            for idx in nk.groups(labels)
+        ], len(labels))
+    columns = [[jdx[r] for jdx, _ in kept] for r in range(rank)]
+    return _contract_slots([t for _, t in kept], factors, columns)
 
 
 def _contract_slots(partials, factors, columns):
