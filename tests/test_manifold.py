@@ -4,9 +4,11 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sasaki_lab import exprlang as el
+from sasaki_lab import manifold
 from sasaki_lab.manifold import (
     Atlas,
     Chart,
@@ -23,6 +25,17 @@ from sasaki_lab.manifold import (
     sample_chart,
     sample_points,
 )
+
+
+def _draw_one(rng, intervals):
+    """The per-value draw the sampler replaced, kept as its reference."""
+    lengths = [b - a for a, b in intervals]
+    u = rng.uniform(0.0, sum(lengths))
+    for (a, b), ln in zip(intervals, lengths):
+        if u <= ln:
+            return a + u
+        u -= ln
+    return intervals[-1][1]
 
 
 def circle_atlas() -> Atlas:
@@ -104,6 +117,36 @@ class TestSampling:
         out = sample_points(atlas, SamplePlan(points_per_chart=8))
         assert [name for name, _ in out] == ["A", "B"]
         assert all(len(pts) == 8 for _, pts in out)
+
+    def test_draws_match_the_per_value_loop(self):
+        """One ``rng.random`` call per group draws, bit for bit, what one
+        ``rng.uniform(0, total)`` per coordinate and point did, laid along
+        the intervals in turn, and leaves the stream at the same place."""
+        c = Chart(
+            "s",
+            ("x", "s", "t"),
+            ((-1.0, 1.0), (-2.0, 2.0), (0.0, 3.0)),
+            excluded=(("s", -0.25, 0.25), ("t", 1.0, 1.2), ("t", 2.0, 2.1)),
+        )
+        intervals = [c.sample_intervals(k) for k in c.coords]
+        assert [len(iv) for iv in intervals] == [1, 2, 3]
+        fast, slow = manifold._chart_rng(7, "s"), manifold._chart_rng(7, "s")
+        got = manifold._draw_points(fast, intervals, 500)
+        want = [tuple(_draw_one(slow, iv) for iv in intervals) for _ in range(500)]
+        assert repr(got) == repr(want)
+        assert all(type(v) is float for pt in got for v in pt)
+        assert fast.random() == slow.random()
+
+    def test_a_chart_group_shares_one_batch_env(self):
+        c = Chart("O", ("x", "p"), ((-1.0, 1.0), (-1.0, 1.0)))
+        rows = sample_chart(c, SamplePlan(seed=3, points_per_chart=5))
+        batch = rows[0][1].link[0]
+        for i, (coords, env) in enumerate(rows):
+            assert env.link == (batch, i) and env == dict(zip(c.coords, coords))
+        for k, name in enumerate(c.coords):
+            assert batch[name].dtype == np.float64
+            assert batch[name].tolist() == [coords[k] for coords, _ in rows]
+        assert c.env((0.1, 0.2)).link is None
 
     def test_seed_changes_stream(self):
         c = Chart("O", ("x",), ((-1.0, 1.0),))

@@ -1,6 +1,6 @@
 """Property tests for the dual kernel (needs ``hypothesis``; skipped without).
 
-Two oracles:
+Three oracles:
 
 * the plain recursive kernel, kept below verbatim on a class of its own
   (``RefDual``): every fast path of ``numkernel`` must give the same result
@@ -8,7 +8,12 @@ Two oracles:
   and the leaf types (``float``, ``int``, ``np.float64``) all count, and
   must raise the same exception where it raises;
 * central finite differences for order-1 and order-2 derivatives of random
-  straight-line programs.
+  straight-line programs;
+* the kernel itself, point by point: a batch (array leaves) gives at each
+  point, leaf for leaf by ``repr`` with tags and tangents, what the same
+  operations give on that point's floats; and a field evaluated over a
+  sample group gives at each point the value, or raises the exception, of
+  a lone evaluation there.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from sasaki_lab import numkernel as nk  # noqa: E402
+import exprgen  # noqa: E402
+from sasaki_lab import exprlang, manifold, numkernel as nk, tensor as tn  # noqa: E402
 
 # -- the reference: the recursive kernel the fast paths replaced -----------
 
@@ -486,3 +492,209 @@ def test_second_derivatives_match_finite_differences(program, x):
         for j in range(len(x)):
             want = _fd(lambda p: _gradient(program, p)[i], x, j)
             assert _close(nk.tangent_at(d_i, low, j), want, scale)
+
+
+# -- a batch against its points ---------------------------------------------
+
+BATCH_ERRSTATE = {"all": "raise", "under": "ignore"}
+
+
+def point(x, i: int):
+    """Point i of a batch structure: each array leaf read at i as a Python
+    float, each dual rebuilt at its level, every other leaf kept."""
+    if isinstance(x, nk.DScalar):
+        return nk.DScalar(point(x.val, i), tuple(point(t, i) for t in x.tg), x.tag)
+    if isinstance(x, (list, tuple)):
+        return [point(v, i) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.tolist()[i]
+    return x
+
+
+def seeded_levels(columns: list, order: int) -> list:
+    """The batch columns seeded `order` times (each level one fresh tag),
+    and each point's floats seeded the same way at the same tags:
+    [batch values, point 0 values, point 1 values, ...]."""
+    size = len(columns[0])
+    envs = [[np.array(c) for c in columns]] + [[c[i] for c in columns] for i in range(size)]
+    for _ in range(order):
+        tag = nk.new_tag()
+        envs = [nk.unit_duals(values, tag) for values in envs]
+    return envs
+
+
+def scalar_outcome(fn):
+    """canon of fn(), or (exception type, message)."""
+    try:
+        return canon(fn())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_batch_matches_points(fn, batch_args, point_args):
+    """fn over the batch gives at point i what it gives on point i's
+    arguments; where the batch raises, some point raises the same
+    exception type or the batch signalled a non-finite step."""
+    want = [scalar_outcome(lambda a=a: fn(*a)) for a in point_args]
+    try:
+        with np.errstate(**BATCH_ERRSTATE):
+            got = fn(*batch_args)
+    except FloatingPointError:
+        return  # a step overflowed or left the reals: evaluated point by point
+    except nk.Unmergeable:
+        return  # groups of different leaf kinds: evaluated point by point
+    except (ArithmeticError, ValueError) as exc:
+        assert type(exc).__name__ in {w[0] for w in want if isinstance(w, tuple)}
+        return
+    for i, w in enumerate(want):
+        assert canon(point(got, i)) == w, i
+
+
+VARIABLES = ["x", "y"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 6))
+def test_expression_batches_match_their_points(seed, order, size):
+    """exprgen programs (sin cos exp log sqrt abs sgn, integer powers of
+    either sign, division) over a batch of `size` points at `order` dual
+    levels.  Some points repeat a coordinate or sit at 0, so the kink and
+    zero-divisor tests meet mixed batches."""
+    rng = np.random.default_rng(seed)
+    e = exprgen.random_expr(rng, VARIABLES, int(rng.integers(1, 5)))
+    points = [exprgen.random_env(rng, VARIABLES) for _ in range(size)]
+    for env in points:
+        if rng.random() < 0.15:
+            env["x"] = 0.0
+        if rng.random() < 0.15:
+            env["y"] = points[0]["y"]
+    batch, *each = seeded_levels([[env[v] for env in points] for v in VARIABLES], order)
+
+    def evaluate(values):
+        return exprlang.eval_expr(e, dict(zip(VARIABLES, values)))
+
+    try:
+        assert_batch_matches_points(evaluate, [batch], [[v] for v in each])
+    except AssertionError:
+        raise AssertionError(f"{exprlang.pretty(e)} at {points}, order {order}")
+
+
+@pytest.mark.parametrize("name", ["sin", "cos", "exp", "log", "sqrt", "powi"])
+def test_batch_functions_are_maths_element_by_element(name):
+    """numpy's exp and log differ from ``math`` by an ulp at a few percent
+    of points (and its other functions may elsewhere): a batch applies
+    ``math`` and Python's ``**`` to each element."""
+    xs = np.random.default_rng(5).uniform(0.05, 6.0, 2000)
+    if name == "powi":
+        got = [nk.powi(xs, n).tolist() for n in (-3, -1, 2, 3, 5)]
+        want = [[v ** n for v in xs.tolist()] for n in (-3, -1, 2, 3, 5)]
+    else:
+        got = getattr(nk, name)(xs).tolist()
+        want = [getattr(math, name)(v) for v in xs.tolist()]
+    assert got == want
+
+
+def _system_entry(draw, size: int):
+    """A matrix or rhs entry of a batch: a float shared by every point, an
+    array of per-point values (exact zeros and ties included), or an
+    order-1 dual over such slots."""
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-13, 4.0])
+
+    def slot():
+        if draw(st.booleans()):
+            return draw(values)
+        return np.array([draw(values) for _ in range(size)])
+
+    kind = draw(st.sampled_from(["const", "array", "array", "dual"]))
+    if kind == "const":
+        return draw(values)
+    if kind == "array":
+        return slot()
+    return nk.DScalar(slot(), (slot(), slot()), LOW)
+
+
+@st.composite
+def batch_systems(draw):
+    """(rows, rhs, size): n x n systems over a batch of points whose pivot
+    rows, zero skips and singular columns differ from point to point."""
+    n, size = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    rows = [[_system_entry(draw, size) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rhs = [[_system_entry(draw, size) for _ in range(2)] for _ in range(n)]
+    else:
+        rhs = [_system_entry(draw, size) for _ in range(n)]
+    return rows, rhs, size
+
+
+PIVOTS = np.array([1.0, 3.0, -2.0, 0.5])  # |a00| against |a10| flips by point
+DUAL = nk.DScalar(np.array([2.0, -1.0, 0.25, 3.0]), (1.0, np.array([0.0, -0.0, 2.0, 1.0])), LOW)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch_systems())
+# pivot rows differing by point, with a row of plain constants beside a
+# row of duals
+@example(([[PIVOTS, 1.0], [2.0, -1.0]], [1.0, 0.0], 4))
+@example(([[1.5, -0.5], [DUAL, DUAL * 2.0]], [DUAL, -0.0], 4))
+@example(([[2.0, 1.0], [PIVOTS, DUAL]], [[1.0, 0.0], [0.0, 1.0]], 4))
+# an entry below the pivot that is a plain zero at some points only
+@example(([[2.0, 1.0], [np.array([0.0, 1.0, -0.0, 2.0]), DUAL]], [DUAL, 1.0], 4))
+# a NaN pivot at one point
+@example(([[np.array([1.0, np.nan, 2.0, 1.0]), 1.0], [1.5, DUAL]], [1.0, 2.0], 4))
+def test_solve_linear_batches_match_their_points(system):
+    rows, rhs, size = system
+    assert_batch_matches_points(
+        nk.solve_linear, [rows, rhs],
+        [[point(rows, i), point(rhs, i)] for i in range(size)],
+    )
+
+
+def test_solve_linear_splits_by_pivot_row_and_merges():
+    """Points whose pivot rows differ are solved in groups and merged into
+    one batch: no point by point evaluation is needed."""
+    rows, rhs = [[PIVOTS, 1.0], [2.0, -DUAL]], [DUAL, 1.0]
+    with np.errstate(**BATCH_ERRSTATE):
+        got = nk.solve_linear(rows, rhs)
+    assert all(isinstance(leaf, nk.DScalar) for leaf in got)
+    for i in range(4):
+        want = nk.solve_linear(point(rows, i), point(rhs, i))
+        assert canon(point(got, i)) == canon(want)
+
+
+def test_merge_refuses_a_plain_leaf_against_a_dual():
+    idx = [np.array([0]), np.array([1])]
+    with pytest.raises(nk.Unmergeable):
+        nk.merge([(idx[0], 0.0), (idx[1], nk.DScalar(0.0, (1.0,), LOW))], 2)
+    with pytest.raises(nk.Unmergeable):
+        nk.merge([(idx[0], nk.DScalar(0.0, (1.0,), HIGH)),
+                  (idx[1], nk.DScalar(0.0, (1.0,), LOW))], 2)
+    merged = nk.merge([(idx[1], -0.0), (idx[0], np.array([np.nan]))], 2)
+    assert repr(merged.tolist()) == "[nan, -0.0]"
+
+
+# -- a field over a sample group against lone evaluations -------------------
+
+CHART = manifold.Chart("O", ("x", "y"), ((-2.0, 2.0),) * 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 6))
+def test_fields_over_a_group_match_lone_points(seed, order, size):
+    """A scalar field of an exprgen program, at the linked envs of a sample
+    group (seeded `order` times), gives at each point, in driver order, the
+    value or the exception (type and message) of the same evaluation at an
+    unlinked copy of that point's env.  Whatever the batch cannot do is
+    evaluated point by point."""
+    rng = np.random.default_rng(seed)
+    e = exprgen.random_expr(rng, VARIABLES, int(rng.integers(1, 5)))
+    T = tn.TensorField.from_exprs("f", manifold.Atlas([CHART]), (0, 0), {"O": {(): e}})
+    points = [tuple(exprgen.random_env(rng, VARIABLES).values()) for _ in range(size)]
+    points = [(0.0, y) if rng.random() < 0.2 else (x, y) for x, y in points]
+    for _, env in manifold.group_envs(CHART, points):
+        for _ in range(order):
+            env = tn._seeded(CHART, env)[1]
+        alone = manifold.PointEnv(dict(env))
+        assert env.link is not None and alone.link is None
+        assert scalar_outcome(lambda: T.at("O", env)) == scalar_outcome(
+            lambda: T.at("O", alone)
+        ), exprlang.pretty(e)

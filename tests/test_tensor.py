@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sasaki_lab import exprlang as el
+from sasaki_lab import manifold
 from sasaki_lab import numkernel as nk
 from sasaki_lab import tensor as tn
 from sasaki_lab.manifold import (
@@ -941,3 +942,152 @@ def test_pullback_matches_the_per_output_loop_bit_for_bit(valence, map_key, spec
     for env in _dual_levels(chart, PULL_POINTS[map_key]):
         want = _canon(reference_pullback(F, T).at("O", env))
         assert _canon(tn.pullback(F, T).at("O", env)) == want
+
+
+# -- sample groups: one evaluation per batch, the lone values kept ------
+
+
+def _steps(u, v, w):
+    """Plain leaves that are zero at the points with u < 0 only: the step
+    (sgn u + 1)·v, its negation, which gives -0.0 there, and (sgn u + 1)·w
+    over a plain constant."""
+    step = nk.signum(nk.value_of(u)) + 1.0
+    return step * nk.value_of(v), -(step * nk.value_of(v)), step * 0.5
+
+
+def _partly_zero_source(valence, special):
+    """A field on ℝ³ whose plain components are 0.0 or -0.0 at some points
+    of a batch only, beside duals and smooth leaves; `special` puts
+    0·inf (NaN) at those points and inf at the others."""
+    rank = sum(valence)
+
+    def components(chart, env):
+        u, v, w = env["u"], env["v"], env["w"]
+        steps = _steps(u, v, w)
+        if special:
+            steps += ((nk.signum(nk.value_of(u)) + 1.0) * math.inf,)
+        leaves = [*steps, u * w - v, ZERO_DUAL, nk.sin(v) * 0.0]
+        if rank == 0:
+            return leaves[0]
+        out = tn.zeros(3, rank)
+        for n, idx in enumerate(itertools.product(range(3), repeat=rank)):
+            tn._set(out, idx, leaves[n % len(leaves)])
+        return out
+
+    return tn.TensorField(f"Z{valence}", TARGET, valence, components)
+
+
+def _group(chart, count, seed=3):
+    rng = np.random.default_rng(seed)
+    points = [tuple(rng.uniform(-0.9, 0.9, chart.dim).tolist()) for _ in range(count)]
+    return [env for _, env in manifold.group_envs(chart, points)]
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "nan-inf"])
+@pytest.mark.parametrize("valence,map_key", PULL_CASES)
+def test_pullback_over_a_batch_with_zeros_at_some_points(valence, map_key, special):
+    """At the linked envs of a sample group, each point gets by repr what
+    `reference_pullback` gives at an unlinked copy of its env, at every dual
+    level: the points where a plain term is zero skip it, the others keep
+    it, and the batch is split by that pattern."""
+    F = PULL_MAPS[map_key]
+    T = _partly_zero_source(valence, special)
+    chart = F.source.chart("O")
+    envs = _group(chart, 8)
+    us = [nk.value_of(F.jet("O", env)[0][0]) for env in envs]
+    assert min(us) < 0 < max(us)  # the zero pattern differs across the group
+    for level in range(3):
+        pulled, reference = tn.pullback(F, T), reference_pullback(F, T)
+        for env in envs:
+            alone = PointEnv(dict(env))
+            assert _canon(pulled.at("O", env)) == _canon(reference.at("O", alone))
+        envs = [tn._seeded(chart, env)[1] for env in envs]
+
+
+def _first_failure(T, envs):
+    """(index, exception type, message) of the first env where T fails."""
+    for i, env in enumerate(envs):
+        try:
+            T.at("O", env)
+        except Exception as exc:
+            return i, type(exc), str(exc)
+    return None
+
+
+def _failing_fields(c: float):
+    """Fields that fail where x == c only: a zero divisor, the kinks of abs
+    and sgn under a derivative, and a singular pivot."""
+    atlas = r2_atlas()
+    shifted = f"(x - {c!r})"
+    scalar = lambda src: tn.TensorField.from_exprs(src, atlas, (0, 0), {"O": {(): src}})
+    pivot = tn.TensorField(
+        "pivot", atlas, (1, 0),
+        lambda chart, env: nk.solve_linear(
+            [[env["x"] - c, 1.0], [0.0, 1.0 + env["y"] ** 2]], [1.0, env["y"]]
+        ),
+    )
+    return {
+        "division": scalar(f"y / {shifted}"),
+        "abs": tn.exterior_derivative(scalar(f"abs{shifted} * y")),
+        "sgn": tn.exterior_derivative(scalar(f"sgn{shifted} + y")),
+        "pivot": pivot,
+    }
+
+
+@pytest.mark.parametrize("kind", ["division", "abs", "sgn", "pivot"])
+def test_a_failing_point_of_a_batch_raises_as_alone(kind):
+    """A zero divisor, a kink or a singular pivot at one point of a group
+    raises the lone evaluation's exception, type and message, at the first
+    such point in driver order; the points before it get their values."""
+    chart = r2_atlas().chart("O")
+    envs = _group(chart, 6)
+    c = envs[2]["x"]  # the failing point, repeated later in the group
+    points = [tuple(e.values()) for e in envs] + [(c, -0.3)]
+    linked = [env for _, env in manifold.group_envs(chart, points)]
+    T = _failing_fields(c)[kind]
+    want = _first_failure(T, [PointEnv(dict(env)) for env in linked])
+    assert want is not None and want[0] == 2
+    assert _first_failure(T, linked) == want
+    U = _failing_fields(c)[kind]  # a fresh field: no batch row kept yet
+    for env in linked[:2]:
+        assert _canon(U.at("O", env)) == _canon(U.at("O", PointEnv(dict(env))))
+
+
+def _leaves(s):
+    if isinstance(s, tuple):
+        return [leaf for x in s for leaf in _leaves(x)]
+    return [s]
+
+
+def test_a_group_evaluates_each_field_once():
+    """A field is evaluated at the batch env, once for the group, and each
+    point's memo keeps its own row of Python floats."""
+    atlas, _, _, J = _solved_structure()
+    calls = []
+    N = _counted(tn.nijenhuis(J), calls)
+    envs = _group(atlas.chart("O"), 5)
+    rows = [N.at("O", env) for env in envs]
+    assert len(calls) == 1 and calls[0] is envs[0].link[0]
+    for env, row in zip(envs, rows):
+        assert env.memo[(N, "O")] is row
+        assert all(type(x) is float for x in _leaves(row))
+        assert _canon(row) == _canon(tn.nijenhuis(J).at("O", dict(env)))
+
+
+def test_sample_set_prunes_batch_memos_to_declared_fields():
+    atlas, eta, xi, J = _solved_structure()
+    N = tn.nijenhuis(J)
+    shared = tn.SampleSet([J])
+    plan = SamplePlan(seed=1, points_per_chart=3, sample_set=shared)
+    (chart,) = atlas.charts
+    pts = shared.points(chart, plan)
+    for _, env in pts:
+        N.at("O", env)
+        J.at("O", env)
+    batch = pts[0][1].link[0]
+    assert (N, "O") in batch.memo and (J, "O") in batch.memo
+    shared.prune()
+    assert (N, "O") not in batch.memo and (N, "O", "rows") not in batch.memo
+    assert (J, "O") in batch.memo
+    _, dual_batch = batch.memo[("seeded", chart.coords)]
+    assert {key[0] for key in dual_batch.memo if key[0] != "seeded"} <= {J}
