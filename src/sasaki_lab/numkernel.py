@@ -23,11 +23,12 @@ operation are plain ``float``, it does that operation inline, in one
 comprehension, instead of recursing.  Every such fast path performs exactly
 the float operations of the generic recursion, in the same order:
 ``x*bv + av*y`` is never reassociated and no zero tangent is skipped, so
-``0*inf``, NaN and ``-0.0`` come out as they would.  Nested levels, ``int``
-and ``np.float64`` operands take the generic recursion, which stays inside
-the same functions.  Mixed operands keep the dispatch of the Python
-operators: ``float * dual`` runs as ``_mul(dual, float)``, just as
-``DScalar.__rmul__`` does.
+``0*inf``, NaN and ``-0.0`` come out as they would.  Nested levels, ``int``,
+``np.float64`` and batch-array operands take the generic recursion, which
+stays inside the same functions.  Mixed operands keep the dispatch of the
+Python operators: ``float * dual`` runs as ``_mul(dual, float)``, just as
+``DScalar.__rmul__`` does, and so do a numpy scalar (as the Python number
+it holds) and a batch array left of a dual (``DScalar.__array_ufunc__``).
 
 Linear solves (`solve_linear`) run Gaussian elimination with partial
 pivoting generically over floats and duals, so Jacobian-dependent fields
@@ -411,10 +412,10 @@ def solve_linear(a_rows, b):
                 best_mag = np.where(more, mag, best_mag)
             elif more:
                 best, best_mag = r, mag
-        low = best_mag < PIVOT_THRESHOLD
-        if type(low) is np.ndarray and low.any():
-            low, best_mag = True, best_mag[low][0]
-        if low is True:
+        small = best_mag < PIVOT_THRESHOLD
+        if type(small) is np.ndarray:  # a batch: its first small pivot
+            small, best_mag = small.any(), best_mag[small.argmax()]
+        if small:
             raise SingularMatrix(
                 f"pivot {best_mag:.3e} below {PIVOT_THRESHOLD:.0e} in column {col}"
             )
@@ -519,12 +520,12 @@ solve_linear_info = solve_linear
 
 def min_eigenvalue(rows: list[list[float]]) -> float:
     """Smallest eigenvalue of a symmetric float matrix (numpy eigvalsh)."""
-    arr = np.array([[float(value_of(e)) for e in r] for r in rows], dtype=float)
+    arr = np.array([[value_of(e) for e in r] for r in rows], dtype=float)
     sym = 0.5 * (arr + arr.T)
     return float(np.linalg.eigvalsh(sym)[0])
 
 
 def determinant(rows: list[list[float]]) -> float:
     """Determinant of a float matrix (numpy)."""
-    arr = np.array([[float(value_of(e)) for e in r] for r in rows], dtype=float)
+    arr = np.array([[value_of(e) for e in r] for r in rows], dtype=float)
     return float(np.linalg.det(arr))

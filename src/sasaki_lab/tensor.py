@@ -11,8 +11,9 @@ and unpacks values and first partials.  Seeding twice (a jet inside a jet)
 yields the second derivatives used by exterior-derivative-of-derived-forms
 checks and Christoffel symbols.
 
-Evaluation is memoized per point.  The env a chart builds for a point
-(:class:`~sasaki_lab.manifold.PointEnv`) carries a memo, and there
+Evaluation is memoized per point, and computed per sample group.  The env
+a chart builds for a point (:class:`~sasaki_lab.manifold.PointEnv`) carries
+a memo, and there
 
 * `TensorField.at` evaluates each (field, chart) once and keeps the result;
 * `field_jet` seeds one dual env per set of chart coordinates and evaluates
@@ -23,6 +24,21 @@ Evaluation is memoized per point.  The env a chart builds for a point
   until the check that drew it returns, or, drawn through a plan's
   `SampleSet`, until its entry's last check; then only the memo entries
   of the entry's declared fields outlive a check.
+
+A sampled env is linked to its group's batch env (``env.link``), whose
+coordinates are float64 arrays, one slot per point (see `numkernel` for
+the array leaves).  At a linked env `at` evaluates the field once at the
+batch, under ``np.errstate(all="raise")``, and keeps in the batch's memo
+each point's row: the same nested tuples of Python floats and duals that
+a lone evaluation at the point gives, bit for bit, read off with one
+``tolist`` per leaf.  The point's memo keeps its row, so every residual
+sees what it saw before.  A seeded env of a linked env is linked to the
+batch's seeded env (one dual level for the group), and `SmoothMap.jet`
+reads its rows off one jet of the batch.  Where the batch raises -- a zero
+divisor, a kink, a singular pivot, an overflow or invalid step at any
+point, a split that cannot be merged -- the field (or map) is evaluated at
+each point of that group on its own, which gives each point its value, or
+raises its exception, as before.  Any other env is evaluated on its own.
 
 The pointwise algebra is stated once, as fields: ``compose(A, B)``
 contracts A's last slot with B's first (φ∘ψ, g(·, ξ), η∘φ, η(ξ), ...),
@@ -235,8 +251,10 @@ class TensorField:
 
         The result is computed once, frozen into nested tuples and kept in
         the env's memo for as long as the env lives; every call returns
-        that kept object.  Any other mapping is first wrapped in a fresh
-        :class:`PointEnv`, whose memo lives for this call.
+        that kept object.  At an env linked to a batch it is the env's row
+        of one evaluation at the batch (`_batch_rows`).  Any other mapping
+        is first wrapped in a fresh :class:`PointEnv`, whose memo lives
+        for this call.
         """
         if not isinstance(env, PointEnv):
             env = PointEnv(env)
@@ -244,7 +262,9 @@ class TensorField:
         memo = env.memo
         if key not in memo:
             link = env.link
-            rows = None if link is None else _batch_rows(self, chart, link[0])
+            rows = None if link is None else _batch_rows(
+                link[0], (self, chart, "rows"), lambda: self.at(chart, link[0])
+            )
             memo[key] = (
                 _frozen(self.components(self._chart(chart), env))
                 if rows is None else rows[link[1]]
@@ -252,32 +272,27 @@ class TensorField:
         return memo[key]
 
 
-def _batch_rows(T: TensorField, chart: str, batch: PointEnv):
-    """The rows of T on `chart` at every point of `batch`, from one
-    evaluation there, kept in the batch's memo; None when the batch could
-    not be evaluated, and its points are evaluated one by one."""
-    key = (T, chart, "rows")
-    if key not in batch.memo:
-        batch.memo[key] = _unbatched(lambda: T.at(chart, batch), batch)
-    return batch.memo[key]
-
-
-def _unbatched(evaluate: Callable, batch: PointEnv):
-    """``evaluate()``'s batch structure as one frozen structure per point,
-    or None if it raised.
+def _batch_rows(batch: PointEnv, key: tuple, evaluate: Callable):
+    """The per-point rows of ``evaluate()``, a structure at `batch`, kept in
+    the batch's memo under `key`; None, also kept, if it raised.
 
     The batch is evaluated under ``np.errstate(all="raise")`` (underflow
     aside, which Python floats never report), so a step that signals at
-    any point -- a zero divisor, an overflow, ``0*inf`` -- raises here and
-    the points are evaluated one by one: each then gets the value, or
-    raises the exception, of a lone evaluation at its own coordinates.
+    any point -- a zero divisor, an overflow, ``0*inf`` -- raises here.
+    On None the points are evaluated one by one, and each then gets the
+    value, or raises the exception, of a lone evaluation at its own
+    coordinates: any exception is caught here because the evaluation at
+    the point re-raises whatever belongs to it.
     """
-    size = len(nk.value_of(next(iter(batch.values()))))
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            return _rows(evaluate(), size)
-    except Exception:
-        return None
+    memo = batch.memo
+    if key not in memo:
+        size = len(nk.value_of(next(iter(batch.values()))))
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                memo[key] = _rows(evaluate(), size)
+        except Exception:
+            memo[key] = None
+    return memo[key]
 
 
 def _rows(s, size: int) -> list:
@@ -456,13 +471,14 @@ class SmoothMap:
         link = getattr(env, "link", None)
         if link is not None:
             batch, i = link
-            key = (self, chart, "jet")
-            if key not in batch.memo:
-                batch.memo[key] = _unbatched(
-                    lambda: _frozen_jet(*self.jet(chart, batch)), batch
-                )
-            if batch.memo[key] is not None:
-                vals, jac = batch.memo[key][i]
+
+            def evaluate():
+                vals, jac = self.jet(chart, batch)
+                return tuple(vals), tuple(map(tuple, jac))
+
+            rows = _batch_rows(batch, (self, chart, "jet"), evaluate)
+            if rows is not None:
+                vals, jac = rows[i]
                 return list(vals), list(map(list, jac))
         src = self.source.chart(chart)
         tag, dual_env = _seeded(src, env)
@@ -472,10 +488,6 @@ class SmoothMap:
             [nk.tangent_at(v, tag, i) for i in range(src.dim)] for v in img
         ]
         return vals, jac
-
-
-def _frozen_jet(vals: list, jac: list) -> tuple:
-    return tuple(vals), tuple(map(tuple, jac))
 
 
 # -- derivative operators ---------------------------------------------
