@@ -84,7 +84,9 @@ class SingularMatrix(ArithmeticError):
 
 
 class Unmergeable(Exception):
-    """Groups of a split batch came out with leaves of different kinds."""
+    """A batch that is not evaluated whole: the groups of a split came out
+    with leaves of different kinds, or its points take a branch that is
+    not split (`tensor.pullback`'s plain-zero skip)."""
 
 
 def new_tag() -> int:

@@ -36,9 +36,10 @@ sees what it saw before.  A seeded env of a linked env is linked to the
 batch's seeded env (one dual level for the group), and `SmoothMap.jet`
 reads its rows off one jet of the batch.  Where the batch raises -- a zero
 divisor, a kink, a singular pivot, an overflow or invalid step at any
-point, a split that cannot be merged -- the field (or map) is evaluated at
-each point of that group on its own, which gives each point its value, or
-raises its exception, as before.  Any other env is evaluated on its own.
+point, a split that cannot be merged, a pullback term that is a plain
+zero at some points only -- the field (or map) is evaluated at each point
+of that group on its own, which gives each point its value, or raises its
+exception, as before.  Any other env is evaluated on its own.
 
 The pointwise algebra is stated once, as fields: ``compose(A, B)``
 contracts A's last slot with B's first (φ∘ψ, g(·, ξ), η∘φ, η(ξ), ...),
@@ -663,41 +664,28 @@ def pullback(F: SmoothMap, T: TensorField, name: str | None = None) -> TensorFie
             inv = nk.solve_linear(jac, ident)  # inv[a][j] = (A^{-1})^a_j
             factors += [inv] * p
         factors += [[[jac[j][i] for j in range(m)] for i in range(dim)]] * q
-        terms = [(jdx, get_at(tv, jdx)) for jdx in itertools.product(range(m), repeat=rank)]
-        return _contract_terms(terms, factors, rank)
+        kept = []  # (jdx, t) for every term that is not a plain zero
+        for jdx in itertools.product(range(m), repeat=rank):
+            t = get_at(tv, jdx)
+            if type(t) is nk.DScalar or _plain_nonzero(t):
+                kept.append((jdx, t))
+        columns = [[jdx[r] for jdx, _ in kept] for r in range(rank)]
+        return _contract_slots([t for _, t in kept], factors, columns)
 
     nm = name or f"{F.name}*({T.name})"
     return TensorField(nm, F.source, (p, q), components, F.pieces)
 
 
-def _contract_terms(terms: list, factors: list, rank: int):
-    """`pullback`'s sums over its ``(jdx, t)`` terms that are not a plain zero.
-
-    A batch term that is a plain zero at some of its points only is kept
-    at the others: the points are grouped by the zero pattern of such
-    terms, each group is contracted on its own and the groups are merged
-    leaf by leaf (`numkernel.merge`).
-    """
-    kept, patterns = [], []
-    for jdx, t in terms:
-        if type(t) is not nk.DScalar:
-            zero = nk.value_of(t) == 0.0
-            if type(zero) is np.ndarray:
-                if zero.any() and not zero.all():
-                    patterns.append(zero)
-                zero = zero.all()
-            if zero:
-                continue
-        kept.append((jdx, t))
-    if patterns:
-        labels = np.stack(patterns, axis=1)
-        return nk.merge([
-            (idx, _contract_terms([(jdx, nk.take(t, idx)) for jdx, t in terms],
-                                  nk.take(factors, idx), rank))
-            for idx in nk.groups(labels)
-        ], len(labels))
-    columns = [[jdx[r] for jdx, _ in kept] for r in range(rank)]
-    return _contract_slots([t for _, t in kept], factors, columns)
+def _plain_nonzero(t) -> bool:
+    """Whether plain term `t` of `pullback` is kept.  A batch term that is
+    a zero at some of its points only raises `numkernel.Unmergeable`, and
+    the batch is evaluated point by point."""
+    nonzero = nk.value_of(t) != 0.0
+    if type(nonzero) is np.ndarray:
+        if nonzero.any() != nonzero.all():
+            raise nk.Unmergeable("a plain term is zero at some points of the batch only")
+        return bool(nonzero[0])
+    return nonzero
 
 
 def _contract_slots(partials, factors, columns):

@@ -661,6 +661,19 @@ def test_solve_linear_splits_by_pivot_row_and_merges():
         assert canon(point(got, i)) == canon(want)
 
 
+def test_solve_linear_splits_by_zero_skip_and_merges():
+    """Points where an entry below the pivot is a plain zero skip its
+    elimination, the others do it; the two groups merge into one batch, as
+    in the Reeb solve of ``product-darboux``."""
+    rows, rhs = [[2.0, 1.0], [np.array([0.0, 1.0, -0.0, 2.0]), DUAL]], [DUAL, 1.0]
+    with np.errstate(**BATCH_ERRSTATE):
+        got = nk.solve_linear(rows, rhs)
+    assert all(isinstance(leaf, nk.DScalar) for leaf in got)
+    for i in range(4):
+        want = nk.solve_linear(point(rows, i), point(rhs, i))
+        assert canon(point(got, i)) == canon(want)
+
+
 def test_merge_refuses_a_plain_leaf_against_a_dual():
     idx = [np.array([0]), np.array([1])]
     with pytest.raises(nk.Unmergeable):

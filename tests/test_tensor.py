@@ -983,13 +983,20 @@ def _group(chart, count, seed=3):
     return [env for _, env in manifold.group_envs(chart, points)]
 
 
+def batch_rows(T, env):
+    """The rows kept at the batch of linked env `env` for T on chart O;
+    None where the batch was evaluated point by point."""
+    return env.link[0].memo[(T, "O", "rows")]
+
+
 @pytest.mark.parametrize("special", [False, True], ids=["finite", "nan-inf"])
 @pytest.mark.parametrize("valence,map_key", PULL_CASES)
 def test_pullback_over_a_batch_with_zeros_at_some_points(valence, map_key, special):
     """At the linked envs of a sample group, each point gets by repr what
     `reference_pullback` gives at an unlinked copy of its env, at every dual
     level: the points where a plain term is zero skip it, the others keep
-    it, and the batch is split by that pattern."""
+    it.  The batch does not take both branches at once: it raises
+    `Unmergeable`, and its points are evaluated one by one."""
     F = PULL_MAPS[map_key]
     T = _partly_zero_source(valence, special)
     chart = F.source.chart("O")
@@ -1001,6 +1008,12 @@ def test_pullback_over_a_batch_with_zeros_at_some_points(valence, map_key, speci
         for env in envs:
             alone = PointEnv(dict(env))
             assert _canon(pulled.at("O", env)) == _canon(reference.at("O", alone))
+        # a scalar is read off, not summed; 0·inf signals in the source
+        whole = not sum(valence) and not special
+        assert (batch_rows(pulled, envs[0]) is not None) == whole
+        if sum(valence) and not special:
+            with pytest.raises(nk.Unmergeable):
+                pulled.at("O", envs[0].link[0])
         envs = [tn._seeded(chart, env)[1] for env in envs]
 
 
@@ -1072,6 +1085,28 @@ def test_a_group_evaluates_each_field_once():
         assert env.memo[(N, "O")] is row
         assert all(type(x) is float for x in _leaves(row))
         assert _canon(row) == _canon(tn.nijenhuis(J).at("O", dict(env)))
+
+
+@pytest.mark.parametrize("key", ["mobius-jet", "product-darboux"])
+def test_gallery_entry_evaluates_every_batch_whole(key, monkeypatch, capsys):
+    """At the default plan no field or map of an entry with pullbacks and
+    Reeb solves, whose pivot rows differ between points, falls back to
+    point-by-point evaluation: a branch the batch cannot take whole would
+    show up here, not only as lost time."""
+    from sasaki_lab.cli import main
+
+    batch_rows, outcomes = tn._batch_rows, []
+
+    def recording(batch, key, evaluate):
+        out = batch_rows(batch, key, evaluate)
+        outcomes.append((getattr(key[0], "name", key[0]), key[1], out is not None))
+        return out
+
+    monkeypatch.setattr(tn, "_batch_rows", recording)
+    assert main(["verify", key]) == 0
+    capsys.readouterr()
+    assert outcomes
+    assert [o for o in outcomes if not o[2]] == []
 
 
 def test_sample_set_prunes_batch_memos_to_declared_fields():
