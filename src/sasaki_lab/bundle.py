@@ -329,7 +329,7 @@ def decompose_homogeneous_metric(
     def shadow(chart, coords, env):
         rows = [[nk.value_of(x) for x in row] for row in g_M.at(chart, env)]
         lo = nk.min_eigenvalue(rows)
-        if lo <= 0.0:
+        if not lo > 0.0:  # a NaN eigenvalue is no positive one
             raise NotPositiveDefinite(
                 f"shadow metric eigenvalue {lo:.3e} at {coords} in {chart}"
             )

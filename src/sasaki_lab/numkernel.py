@@ -16,17 +16,13 @@ Two properties the rest of the package relies on:
   instead of silently returning a one-sided derivative.
 
 The dual arithmetic (``_add``, ``_mul``, ``_div``, ``_neg``, ``powi`` and
-``_chain``) is written for speed
-without changing a single result.  Each function reads its operands' levels
-once (``type(x) is DScalar``).  Wherever both operands of a value or tangent
-operation are plain ``float``, it does that operation inline, in one
-comprehension, instead of recursing.  Every such fast path performs exactly
-the float operations of the generic recursion, in the same order:
-``x*bv + av*y`` is never reassociated and no zero tangent is skipped, so
-``0*inf``, NaN and ``-0.0`` come out as they would.  Nested levels, ``int``,
-``np.float64`` and batch-array operands take the generic recursion, which
-stays inside the same functions.  Mixed operands keep the dispatch of the
-Python operators: ``float * dual`` runs as ``_mul(dual, float)``, just as
+``_chain``) has one path for every operand.  Each function reads its
+operands' levels once (``type(x) is DScalar``) and recurses into the value
+and tangent slots until both operands are leaves, where it applies the
+plain operator: ``x*bv + av*y`` is never reassociated and no zero tangent
+is skipped, so ``0*inf``, NaN and ``-0.0`` come out as plain floats give
+them.  Mixed operands keep the dispatch of the Python operators:
+``float * dual`` runs as ``_mul(dual, float)``, just as
 ``DScalar.__rmul__`` does, and so do a numpy scalar (as the Python number
 it holds) and a batch array left of a dual (``DScalar.__array_ufunc__``).
 
@@ -169,12 +165,7 @@ _REFLECTED = {
 
 def _neg(x):
     if type(x) is DScalar:
-        v = x.val
-        return DScalar(
-            -v if type(v) is float else _neg(v),
-            tuple([-t if type(t) is float else _neg(t) for t in x.tg]),
-            x.tag,
-        )
+        return DScalar(_neg(x.val), tuple([_neg(t) for t in x.tg]), x.tag)
     return -x
 
 
@@ -187,14 +178,10 @@ def _add(a, b):
     av = a.val if ta >= tb else a
     bv = b.val if tb >= ta else b
     if ta == tb:
-        tg = tuple([
-            x + y if type(x) is float and type(y) is float else _add(x, y)
-            for x, y in zip(a.tg, b.tg)
-        ])
+        tg = tuple([_add(x, y) for x, y in zip(a.tg, b.tg)])
     else:
         tg = a.tg if ta > tb else b.tg
-    fast = type(av) is float and type(bv) is float
-    return DScalar(av + bv if fast else _add(av, bv), tg, ta if ta > tb else tb)
+    return DScalar(_add(av, bv), tg, ta if ta > tb else tb)
 
 
 def _mul(a, b):
@@ -204,19 +191,13 @@ def _mul(a, b):
         return a * b
     av = a.val if ta >= tb else a
     bv = b.val if tb >= ta else b
-    fa, fb = type(av) is float, type(bv) is float
     if ta == tb:
-        fast = fa and fb
-        tg = tuple([
-            x * bv + av * y if fast and type(x) is float and type(y) is float
-            else _add(_mul(x, bv), _mul(av, y))
-            for x, y in zip(a.tg, b.tg)
-        ])
+        tg = tuple([_add(_mul(x, bv), _mul(av, y)) for x, y in zip(a.tg, b.tg)])
     elif ta > tb:
-        tg = tuple([x * bv if fb and type(x) is float else _mul(x, bv) for x in a.tg])
+        tg = tuple([_mul(x, bv) for x in a.tg])
     else:
-        tg = tuple([av * y if fa and type(y) is float else _mul(av, y) for y in b.tg])
-    return DScalar(av * bv if fa and fb else _mul(av, bv), tg, ta if ta > tb else tb)
+        tg = tuple([_mul(av, y) for y in b.tg])
+    return DScalar(_mul(av, bv), tg, ta if ta > tb else tb)
 
 
 def _div(a, b):
@@ -227,23 +208,13 @@ def _div(a, b):
         return a / b
     av = a.val if ta >= tb else a
     bv = b.val if tb >= ta else b
-    fb = type(bv) is float
-    val = av / bv if fb and type(av) is float else _div(av, bv)
-    fast = fb and type(val) is float
+    val = _div(av, bv)
     if ta == tb:
-        tg = tuple([
-            (x + -(val * y)) / bv if fast and type(x) is float and type(y) is float
-            else _div(_add(x, _neg(_mul(val, y))), bv)
-            for x, y in zip(a.tg, b.tg)
-        ])
+        tg = tuple([_div(_add(x, _neg(_mul(val, y))), bv) for x, y in zip(a.tg, b.tg)])
     elif ta > tb:
-        tg = tuple([x / bv if fb and type(x) is float else _div(x, bv) for x in a.tg])
+        tg = tuple([_div(x, bv) for x in a.tg])
     else:
-        tg = tuple([
-            -(val * y) / bv if fast and type(y) is float
-            else _div(_neg(_mul(val, y)), bv)
-            for y in b.tg
-        ])
+        tg = tuple([_div(_neg(_mul(val, y)), bv) for y in b.tg])
     return DScalar(val, tg, ta if ta > tb else tb)
 
 
@@ -284,10 +255,7 @@ def _each(fn, x):
 
 
 def _chain(x: DScalar, val, dval):
-    fast = type(dval) is float
-    return DScalar(val, tuple([
-        dval * t if fast and type(t) is float else _mul(dval, t) for t in x.tg
-    ]), x.tag)
+    return DScalar(val, tuple([_mul(dval, t) for t in x.tg]), x.tag)
 
 
 def sin(x):
@@ -521,8 +489,11 @@ solve_linear_info = solve_linear
 
 
 def min_eigenvalue(rows: list[list[float]]) -> float:
-    """Smallest eigenvalue of a symmetric float matrix (numpy eigvalsh)."""
+    """Smallest eigenvalue of a symmetric float matrix (numpy eigvalsh);
+    NaN when an entry is NaN or infinite."""
     arr = np.array([[value_of(e) for e in r] for r in rows], dtype=float)
+    if not np.isfinite(arr).all():
+        return math.nan
     sym = 0.5 * (arr + arr.T)
     return float(np.linalg.eigvalsh(sym)[0])
 

@@ -14,7 +14,9 @@ The module offers several independently computed certificates:
 * `sasaki_check`       — normality via the full first structure tensor
                          and, separately, via torsion brackets of honest
                          kernel frame fields, with an agreement check,
+                         its four clauses declared per chart,
 * `theorem54_check`    — the ∇φ = g⊗ξ − η⊗id characterization,
+                         declared as one (1,2) field that must vanish,
 * `killing_check`      — the Reeb flow preserves the metric,
 * `paired_consistency_check` — sign pattern of all five fields across
                          chart overlaps of orientation-twisted examples.
@@ -24,6 +26,11 @@ The torsion route deliberately uses frame fields annihilated by η as
 η([X, Y]) = −dη(X, Y) fail for naive constant extensions, and the
 two-extension spot check inside `sasaki_check` documents that the
 computed torsion is extension-independent.
+
+Every certificate here that states an identity of fields declares it with
+`agreeing`/`vanishing`, so it is evaluated once per sample group like any
+other field; only `LeviStructure.validate`'s symmetry and eigenvalue tests
+and the battery's flag rows are computed by hand.
 """
 
 from __future__ import annotations
@@ -413,14 +420,23 @@ def cr_torsion_field(phi: TensorField, x_pair: tuple, y_pair: tuple) -> TensorFi
 def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     """Normality by two routes that must agree, on the sampling driver.
 
-    Route one evaluates every component of the first structure tensor.
+    Route one evaluates every component of the first structure tensor N1.
     Route two brackets kernel frame fields (torsion) and adds the Reeb
-    derivative of the endomorphism, which together are equivalent to
+    derivative N3 of the endomorphism, which together are equivalent to
     route one.  The frame fields are the `kernel_frames` of the contact
-    structure; they, their torsions and the spot-check field of each chart
-    are built before any point is evaluated.  The routes are named
-    clauses, their agreement and the spot check records: ``details`` holds
-    the worst of each.  The report fails only when both routes exceed
+    structure.  Each chart's four clauses are declared before any point is
+    evaluated, as `vanishing`/`agreeing` identities of fields:
+
+    * ``route_full_tensor``: N1 vanishes;
+    * ``route_frame_torsion``: N3 and every frame torsion vanish;
+    * ``route_agreement``: each torsion T_ab equals N1(X_a, X_b), the
+      field Σ_ij N1^k_ij·X_a^i·X_b^j (i outer, j inner, from 0.0);
+    * ``extension_spot_check``: the torsion of the first two frames
+      rescaled by u = 1 + 0.3·(first chart coordinate), divided by u²,
+      equals their torsion.
+
+    The agreement and the spot check are records: ``details`` holds the
+    worst of each.  The report fails only when both routes exceed
     tolerance (residuals between tolerance and 1e-3 are inconclusive); a
     route disagreement or extension-dependence, a NaN one included, raises
     AssertionError because it would mean the engine, not the geometry, is
@@ -430,7 +446,12 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     tensors = n_tensors(L)
     N1, N3 = tensors["N1"], tensors["N3"]
 
-    def chart_fields(chart, frames):
+    def n1_on(cs, env):
+        n1, xa, xb = cs
+        n = range(len(xa))
+        return [nk.sum_(n1[k][i][j] * xa[i] * xb[j] for i in n for j in n) for k in n]
+
+    def chart_clauses(chart, frames):
         pairs = phi_images(L.phibar, frames)
         torsions = {
             (a, b): cr_torsion_field(L.phibar, pairs[a], pairs[b])
@@ -441,51 +462,30 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         def factor(env):
             return 1.0 + 0.3 * env[coord]
 
-        scaled = [tf_scale(F, factor, name=f"{F.name}_rescaled") for F in frames[:2]]
-        spot_field = cr_torsion_field(L.phibar, *phi_images(L.phibar, scaled))
-        return frames, torsions, spot_field, factor
+        def over_u2(cs, env):
+            u = factor(env)
+            return [v / (u * u) for v in cs[0]]
 
-    built = {  # chart name -> (frames, torsions, spot field, rescaling factor)
-        chart: chart_fields(chart, frames)
+        scaled = [tf_scale(F, factor, name=f"{F.name}_rescaled") for F in frames[:2]]
+        spot = cr_torsion_field(L.phibar, *phi_images(L.phibar, scaled))
+        spot_over_u2 = tf_combine(f"{spot.name}/u^2", (1, 0), [spot], over_u2)
+        return {
+            "route_full_tensor": vanishing(N1),
+            "route_frame_torsion": vanishing(N3, *torsions.values()),
+            "route_agreement": agreeing(*(
+                (T, tf_combine(f"{N1.name}({frames[a].name},{frames[b].name})",
+                               (1, 0), [N1, frames[a], frames[b]], n1_on))
+                for (a, b), T in torsions.items())),
+            "extension_spot_check": agreeing((spot_over_u2, torsions[(0, 1)])),
+        }
+
+    clauses = {  # chart name -> {clause: its declared residual}
+        chart: chart_clauses(chart, frames)
         for chart, frames in kernel_frames(C, plan).items()
     }
 
     def residual(chart, coords, env):
-        frames, torsions, spot_field, factor = built[chart]
-        n1v = N1.at(chart, env)
-        r1 = max_abs(n1v)
-        parts2 = [N3.at(chart, env)]  # route two's components
-        vecs = [F.at(chart, env) for F in frames]
-        dim = len(n1v)
-        # n1v[k][i][j]·vecs[a][i] once per a; the last frame is never first
-        left = [
-            [[[n1v[k][i][j] * v[i] for j in range(dim)] for i in range(dim)]
-             for k in range(dim)]
-            for v in vecs[:-1]
-        ]
-        gaps = []  # torsion minus route one, per frame pair
-        for (a, b), T in torsions.items():
-            tv = [nk.value_of(v) for v in T.at(chart, env)]
-            parts2.append(tv)
-            contracted = [
-                nk.value_of(
-                    nk.sum_(
-                        left[a][k][i][j] * vecs[b][j]
-                        for i in range(dim)
-                        for j in range(dim)
-                    )
-                )
-                for k in range(dim)
-            ]
-            gaps.append([tv[k] - contracted[k] for k in range(dim)])
-        u = factor(env)
-        sv = spot_field.at(chart, env)
-        base = torsions[(0, 1)].at(chart, env)
-        spot = [nk.value_of(sv[k]) / (u * u) - nk.value_of(base[k]) for k in range(dim)]
-        return {
-            "route_full_tensor": r1, "route_frame_torsion": max_abs(parts2),
-            "route_agreement": max_abs(gaps), "extension_spot_check": max_abs(spot),
-        }
+        return {name: fn(chart, coords, env) for name, fn in clauses[chart].items()}
 
     report = run_residual_check(
         "sasaki", C.atlas, residual, plan, fail_floor=1e-3,
@@ -516,56 +516,44 @@ def theorem54_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     (with η doubled and ξ halved, same φ and same Levi-Civita connection,
     since constant metric rescalings preserve ∇).  Substituting that
     rescaling into the classical factor-one identity yields exactly the
-    residual below; it vanishes precisely in the normal case either way.
+    identity below; it vanishes precisely in the normal case either way.
 
+    The identity is declared as one (1,2) field, ``[k][i][j]`` =
+    (∇_i φ)^k_j − ½(g_ij ξ^k − η_j δ^k_i), that must vanish.  Its
     Christoffel symbols come from a linear solve against first partials
-    of g, so the whole residual is algebraic in one jet sweep.
+    of g, so the whole field is algebraic in one jet sweep.
     """
     C = L.contact
     g = L.metric()
     phi = L.phi_gas()
     xi = C.reeb()
 
-    def residual(chart, coords, env):
-        dim = C.atlas.chart(chart).dim
-        gv, gparts = field_jet(g, chart, env)
-        phv, phparts = field_jet(phi, chart, env)
-        xiv = [nk.value_of(v) for v in xi.at(chart, env)]
-        etav = [nk.value_of(v) for v in C.eta.at(chart, env)]
-        rows = [[nk.value_of(gv[i][j]) for j in range(dim)] for i in range(dim)]
-        pairs = [(i, j) for i in range(dim) for j in range(dim)]
-        rhs = [
-            [
-                0.5
-                * (
-                    nk.value_of(gparts[i][m][j])
-                    + nk.value_of(gparts[j][i][m])
-                    - nk.value_of(gparts[m][i][j])
-                )
-                for (i, j) in pairs
-            ]
-            for m in range(dim)
+    def components(chart, env):
+        n = range(chart.dim)
+        gv, gparts = field_jet(g, chart.name, env)
+        phv, phparts = field_jet(phi, chart.name, env)
+        xiv, etav = xi.at(chart.name, env), C.eta.at(chart.name, env)
+        rhs = [  # column i·dim + j
+            [0.5 * (gparts[i][m][j] + gparts[j][i][m] - gparts[m][i][j])
+             for i in n for j in n]
+            for m in n
         ]
-        sol = nk.solve_linear(rows, rhs)  # sol[k][col] = Γ^k_{ij}
-        gamma = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
-        for col, (i, j) in enumerate(pairs):
-            for k in range(dim):
-                gamma[k][i][j] = nk.value_of(sol[k][col])
-        comps = []
-        for i in range(dim):
-            for k in range(dim):
-                for j in range(dim):
-                    nabla = nk.value_of(phparts[i][k][j])
-                    for m in range(dim):
-                        nabla += gamma[k][i][m] * nk.value_of(phv[m][j])
-                        nabla -= gamma[m][i][j] * nk.value_of(phv[k][m])
-                    want = 0.5 * (
-                        rows[i][j] * xiv[k] - etav[j] * (1.0 if k == i else 0.0)
-                    )
-                    comps.append(nabla - want)
-        return max_abs(comps)
+        sol = nk.solve_linear(gv, rhs)  # sol[k][i·dim + j] = Γ^k_{ij}
+        gamma = [[[sol[k][i * chart.dim + j] for j in n] for i in n] for k in n]
 
-    return run_residual_check("covariant_derivative_identity", L.atlas, residual, plan)
+        def gap(k, i, j):
+            nabla = phparts[i][k][j]
+            for m in n:
+                nabla = nabla + gamma[k][i][m] * phv[m][j]
+                nabla = nabla - gamma[m][i][j] * phv[k][m]
+            return nabla - 0.5 * (gv[i][j] * xiv[k] - etav[j] * (1.0 if k == i else 0.0))
+
+        return [[[gap(k, i, j) for j in n] for i in n] for k in n]
+
+    nabla_phi = TensorField(f"nabla_phi_gap({L.name})", L.atlas, (1, 2), components)
+    return run_residual_check(
+        "covariant_derivative_identity", L.atlas, vanishing(nabla_phi), plan
+    )
 
 
 def paired_consistency_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:

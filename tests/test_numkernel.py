@@ -170,3 +170,11 @@ def test_min_eigenvalue_and_determinant():
     rows = [[2.0, 1.0], [1.0, 2.0]]
     assert abs(nk.min_eigenvalue(rows) - 1.0) < 1e-12
     assert abs(nk.determinant(rows) - 3.0) < 1e-12
+
+
+def test_min_eigenvalue_is_nan_on_an_entry_that_is_not_finite():
+    # eigvalsh gives 0.0 here, and raises LinAlgError on the 3x3
+    assert math.isnan(nk.min_eigenvalue([[math.nan, 0.0], [0.0, 5.0]]))
+    rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]]
+    assert math.isnan(nk.min_eigenvalue(rows))
+    assert math.isnan(nk.min_eigenvalue([[math.inf, 0.0], [0.0, 1.0]]))

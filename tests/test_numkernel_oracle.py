@@ -2,11 +2,12 @@
 
 Three oracles:
 
-* the plain recursive kernel, kept below verbatim on a class of its own
-  (``RefDual``): every fast path of ``numkernel`` must give the same result
-  leaf for leaf, at every level, compared by ``repr`` so that ``-0.0``, NaN
-  and the leaf types (``float``, ``int``, ``np.float64``) all count, and
-  must raise the same exception where it raises;
+* a plain recursive kernel on a class of its own (``RefDual``), kept
+  apart from ``numkernel`` as the reference it must equal: the kernel's
+  arithmetic must give the same result leaf for leaf, at every level,
+  compared by ``repr`` so that ``-0.0``, NaN and the leaf types
+  (``float``, ``int``, ``np.float64``) all count, and must raise the same
+  exception where it raises;
 * central finite differences for order-1 and order-2 derivatives of random
   straight-line programs;
 * the kernel itself, point by point: a batch (array leaves) gives at each
@@ -31,7 +32,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import exprgen  # noqa: E402
 from sasaki_lab import exprlang, manifold, numkernel as nk, tensor as tn  # noqa: E402
 
-# -- the reference: the recursive kernel the fast paths replaced -----------
+# -- the reference: an independent recursive kernel -------------------------
 
 
 class RefDual:
@@ -266,9 +267,9 @@ def outcome(fn, *args):
             return type(exc).__name__
 
 
-def assert_same(fast_fn, ref_fn, *args):
+def assert_same(kernel_fn, ref_fn, *args):
     want = outcome(ref_fn, *to_ref(list(args)))
-    got = outcome(fast_fn, *args)
+    got = outcome(kernel_fn, *args)
     assert got == want
 
 
@@ -295,7 +296,7 @@ def operand_lists(draw, count, kinds=KINDS):
     Each operand is one of `kinds`: a constant, an order-1 dual at either
     level, or an order-2 dual (HIGH over LOW) whose slots are constants or
     LOW duals.  About half the operands are built from plain floats only,
-    which is what the fast paths are for; the rest mix in ints and
+    the leaves of every sampled point; the rest mix in ints and
     np.float64.
     """
     d_low, d_high = draw(st.integers(1, 7)), draw(st.integers(1, 7))
@@ -358,11 +359,11 @@ def test_powi_matches_reference(ops, n):
 @given(operand_lists(1))
 def test_chain_rule_functions_match_reference(ops):
     x = ops[0]
-    for fast, ref in (
+    for kernel_fn, ref in (
         (nk.sin, ref_sin), (nk.cos, ref_cos), (nk.exp, ref_exp),
         (nk.log, ref_log), (nk.sqrt, ref_sqrt),
     ):
-        assert_same(fast, ref, x)
+        assert_same(kernel_fn, ref, x)
     assert repr(nk.value_of(x)) == repr(ref_value_of(to_ref(x)))
 
 

@@ -1,5 +1,6 @@
 """Kernel endomorphisms: compatibility, normality, metric identities."""
 
+import math
 import re
 
 import pytest
@@ -133,6 +134,20 @@ class TestFlatStructure:
         rep = LeviStructure("broken", C, bad).validate(PLAN)
         assert not rep.passed
         assert rep.witness is not None
+
+    def test_validate_fails_with_a_nan_witness_on_a_nan_entry(self, flat):
+        """φ̄[2][2] = NaN puts NaN entries in g: a failure with a NaN
+        witness, not a traceback from the eigenvalue solve."""
+
+        def components(chart, env):
+            out = [list(row) for row in flat.phibar.at(chart.name, env)]
+            out[2][2] = math.nan
+            return out
+
+        bad = TensorField("nan_endo", flat.atlas, (1, 1), components)
+        rep = LeviStructure("nan", flat.contact, bad).validate(PLAN)
+        assert rep.verdict == "fail"
+        assert math.isnan(rep.max_residual) and math.isnan(rep.witness.residual)
 
 
 class TestContactMetric:
@@ -376,6 +391,23 @@ class TestMetricCharacterizations:
         rep = theorem54_check(sheared_levi("z"), PLAN)
         assert not rep.passed
         assert rep.max_residual > 1e-3
+
+    def test_covariant_identity_solves_once_per_sample_group(self, monkeypatch):
+        """The Christoffel symbols come from one solve at the chart's batch,
+        not one per point: on `darboux-2` at 16 points the check solves
+        twice, for them and for the Reeb field."""
+        L = build_example("darboux-2").structure
+        solve, calls = nk.solve_linear, []
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(nk, "solve_linear", counting)
+        rep = theorem54_check(L, SamplePlan(seed=42, points_per_chart=16))
+        assert rep.passed
+        assert len(L.atlas.charts) == 1
+        assert len(calls) == 2
 
 
 class TestPairedConsistency:

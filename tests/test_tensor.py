@@ -1087,7 +1087,9 @@ def test_a_group_evaluates_each_field_once():
         assert _canon(row) == _canon(tn.nijenhuis(J).at("O", dict(env)))
 
 
-@pytest.mark.parametrize("key", ["mobius-jet", "product-darboux"])
+@pytest.mark.parametrize(
+    "key", ["mobius-jet", "product-darboux", "darboux-2", "sphere-5"]
+)
 def test_gallery_entry_evaluates_every_batch_whole(key, monkeypatch, capsys):
     """At the default plan no field or map of an entry with pullbacks and
     Reeb solves, whose pivot rows differ between points, falls back to
