@@ -78,12 +78,19 @@ class PrincipalBundle:
     group: str  # "R+" or "Rx"
 
     def lift_env(self, base_env: dict, s=1.0) -> PointEnv:
-        """A base point's env lifted to fiber height `s`, with a fresh memo."""
-        return PointEnv({**base_env, FIBER: s})
+        """A base point's env lifted to fiber height `s`, with a fresh memo.
+
+        `s` is one height for every point of a sample group: the lift of
+        the group's i-th point is linked to the batch's lift (`_derived`).
+        """
+        return _derived(base_env, ("lift_env", repr(s)), lambda env: {**env, FIBER: s})
 
     def base_env(self, env: dict) -> PointEnv:
-        """A total-space env restricted to the base coordinates, fresh memo."""
-        return PointEnv({c: v for c, v in env.items() if c != FIBER})
+        """A total-space env restricted to the base coordinates, fresh memo;
+        linked to the batch's restriction as `_derived` says."""
+        return _derived(
+            env, ("base_env",), lambda env: {c: v for c, v in env.items() if c != FIBER}
+        )
 
     def scaling(self, nu: float) -> SmoothMap:
         """h_ν: multiply the fiber coordinate by ν, chart by chart."""
@@ -109,6 +116,25 @@ class PrincipalBundle:
         out = exprlang.eval_expr(piece.forward[-1], center)
         d = nk.value_of(nk.tangent_at(out, tag, 0))
         return math.copysign(1.0, d)
+
+
+def _derived(env: dict, key: tuple, derive: Callable) -> PointEnv:
+    """``PointEnv(derive(env))``, with a fresh memo.
+
+    When `env` is the i-th point of a batch, the result is linked as
+    ``(D, i)``, D the same derivation of the batch, built once and kept in
+    the batch's memo under `key` (not a field, so `SampleSet.prune` drops
+    it after each check): one derived batch per sample group, and every
+    field evaluated at a derived env is evaluated once for the group.
+    """
+    out = PointEnv(derive(env))
+    link = getattr(env, "link", None)
+    if link is not None:
+        batch, i = link
+        if key not in batch.memo:
+            batch.memo[key] = _derived(batch, key, derive)
+        out.link = (batch.memo[key], i)
+    return out
 
 
 def loop_sign(atlas: Atlas, sign_fn: Callable, path) -> float:

@@ -1131,10 +1131,13 @@ def _build_main1(params: dict) -> Example:
         return lambda plan: homogeneity_check(field, weight, mode, plan, bundle)
 
     slope = vertical_slope(contact, bundle, pair.g)
+    declared_slope = TensorField.from_exprs(
+        "declared_slope", contact.atlas, (0, 0),
+        {c.name: {(): slope_expr} for c in contact.atlas.charts},
+    )
 
     def recovery_residual(chart_name, coords, env):
-        base_env = bundle.base_env(env)
-        a_here = exprlang.eval_expr(slope_expr, base_env)
+        a_here = declared_slope.at(chart_name, bundle.base_env(env))
         got_a = slope.at(chart_name, env)
         r = abs(nk.value_of(got_a - a_here))
 

@@ -61,8 +61,11 @@ class PointEnv(dict):
     ``link`` is ``(batch, i)`` for the i-th point of a sample group: the
     batch is the group's PointEnv whose coordinates are float64 arrays of
     shape (P,), and `tensor` evaluates a field there once for all P points
-    and hands this env its row.  Any other env has no link and is
-    evaluated on its own.
+    and hands this env its row.  An env derived from a linked env (a
+    seeded env, or `bundle`'s base env and lift) is linked as ``(D, i)``,
+    D the same derivation of the batch, kept in the batch's memo; a
+    derived batch may hold scalars beside its arrays (a lift's height).
+    Any other env has no link and is evaluated on its own.
     """
 
     __slots__ = ("memo", "link", "__weakref__")

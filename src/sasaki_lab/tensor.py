@@ -56,11 +56,24 @@ across a transition piece, which it evaluates at the piece samples of
 identity of fields (a determinant, an eigenvalue, one component) stays a
 hand-written residual.
 
+A declared identity is reduced at its batch, too.  At a linked env its
+residual is the env's row of one reduction at the batch (`_batched`,
+through `_batch_rows`, under the same ``np.errstate`` and with the same
+fallback): `max_abs` and `max_diff` take ``abs(value_of(T) −
+c·value_of(S))`` of the array leaves and reduce them with
+``np.maximum``, which keeps a NaN; these are the IEEE operations a
+point's floats go through, so `report.reduce_residuals` sees the same
+residuals in the same order and picks the same witness.  The points'
+memos keep no rows of the fields only the identity reads.
+
 The memo is the one evaluation path.  It keeps component structures
 frozen, as nested tuples, and `at` hands out the kept object, so a write
 into it raises ``TypeError``; `field_jet` builds its values and partials
 anew.  The envs `bundle` and `product` derive from a point are PointEnvs
-that die with the call that built them, and `at` and `_seeded` wrap any
+that die with the call that built them.  `bundle`'s envs of a linked env
+are linked to the same derivation of its batch, built once per sample
+group and kept in the batch's memo until `SampleSet.prune`, so a field
+read there is evaluated once for the group.  `at` and `_seeded` wrap any
 other mapping (a test's plain dict) in a fresh PointEnv for the call.
 
 Conventions fixed here and relied on everywhere else:
@@ -114,10 +127,20 @@ def _frozen(s):
     return tuple(map(tuple, s))
 
 
+def _max_or_nan(values: list):
+    """`max_or_nan` of residual values, some of which may be batch arrays
+    (one slot per point), which ``np.maximum`` reduces slot by slot: a NaN
+    stays, as in ``max_or_nan``, and all else is the same maximum."""
+    if np.ndarray in map(type, values):
+        return reduce(np.maximum, values)
+    return max_or_nan(values)
+
+
 def max_abs(s) -> float:
-    """Largest |value| in a nested component structure; NaN if any is NaN."""
+    """Largest |value| in a nested component structure; NaN if any is NaN.
+    Over batch array leaves, the same per slot."""
     if isinstance(s, _NESTED):
-        return max_or_nan([
+        return _max_or_nan([
             max_abs(x) if isinstance(x, _NESTED) else abs(nk.value_of(x)) for x in s
         ])
     return abs(nk.value_of(s))
@@ -126,7 +149,7 @@ def max_abs(s) -> float:
 def max_diff(a, b, scale=1.0) -> float:
     """Largest |a - scale*b| over a pair of nested component structures."""
     if isinstance(a, _NESTED):
-        return max_or_nan([
+        return _max_or_nan([
             max_diff(x, y, scale) if isinstance(x, _NESTED)
             else abs(nk.value_of(x) - scale * nk.value_of(y))
             for x, y in zip(a, b)
@@ -134,25 +157,43 @@ def max_diff(a, b, scale=1.0) -> float:
     return abs(nk.value_of(a) - scale * nk.value_of(b))
 
 
-def vanishing(*fields: TensorField) -> Callable:
-    """Residual of the identity "every field is 0": the largest |component|."""
+def _batched(reduce_at: Callable) -> Callable:
+    """The residual (where, coords, env) -> ``reduce_at(where, env)``.
 
-    def residual(chart, coords, env):
-        return max_abs([f.at(chart, env) for f in fields])
+    At an env linked to a batch it is the env's row of one reduction at
+    the batch, kept in the batch's memo (`_batch_rows`): ``abs``, ``-``,
+    ``*`` and ``np.maximum`` act slot by slot as on the point's floats, so
+    the row is the point's residual bit for bit, and the point's memo
+    keeps no rows of the fields read.  Where the batch raises, each point
+    is reduced on its own.  A batch env belongs to one sample group, so
+    the closure alone names its reduction there.
+    """
+
+    def residual(where, coords, env):
+        link = getattr(env, "link", None)
+        if link is not None:
+            batch, i = link
+            rows = _batch_rows(
+                batch, (residual, "residual"), lambda: reduce_at(where, batch)
+            )
+            if rows is not None:
+                return rows[i]
+        return reduce_at(where, env)
 
     return residual
+
+
+def vanishing(*fields: TensorField) -> Callable:
+    """Residual of the identity "every field is 0": the largest |component|."""
+    return _batched(lambda chart, env: max_abs([f.at(chart, env) for f in fields]))
 
 
 def agreeing(*pairs: tuple) -> Callable:
     """Residual of the identities T = c·S over the (T, S) or (T, S, c)
     pairs, c 1 by default: the largest |T - c·S| component."""
-
-    def residual(chart, coords, env):
-        return max_or_nan([
-            max_diff(T.at(chart, env), S.at(chart, env), *c) for T, S, *c in pairs
-        ])
-
-    return residual
+    return _batched(lambda chart, env: _max_or_nan([
+        max_diff(T.at(chart, env), S.at(chart, env), *c) for T, S, *c in pairs
+    ]))
 
 
 def zeros(dim: int, rank: int):
@@ -275,7 +316,9 @@ class TensorField:
 
 def _batch_rows(batch: PointEnv, key: tuple, evaluate: Callable):
     """The per-point rows of ``evaluate()``, a structure at `batch`, kept in
-    the batch's memo under `key`; None, also kept, if it raised.
+    the batch's memo under `key`; None, also kept, if it raised.  The
+    group's size is read off any array-valued coordinate (a derived batch
+    may hold a scalar, such as a lift's fiber height, first).
 
     The batch is evaluated under ``np.errstate(all="raise")`` (underflow
     aside, which Python floats never report), so a step that signals at
@@ -287,8 +330,9 @@ def _batch_rows(batch: PointEnv, key: tuple, evaluate: Callable):
     """
     memo = batch.memo
     if key not in memo:
-        size = len(nk.value_of(next(iter(batch.values()))))
         try:
+            size = next(len(v) for v in map(nk.value_of, batch.values())
+                        if type(v) is np.ndarray)
             with np.errstate(all="raise", under="ignore"):
                 memo[key] = _rows(evaluate(), size)
         except Exception:
@@ -829,12 +873,12 @@ def single_valued(T: TensorField, sign_fn=None) -> Callable:
         for piece in t.pieces
     }
 
-    def residual(site, coords, env):
+    def reduce_at(site, env):
         t = site.transition
         back, sign = by_piece[(id(t), id(site.piece))]
         return max_diff(T.at(t.source, env), back.at(t.source, env), sign)
 
-    return residual
+    return _batched(reduce_at)
 
 
 def cross_chart_consistency(

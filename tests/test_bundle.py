@@ -22,12 +22,13 @@ from sasaki_lab.contact import ContactStructure, darboux_contact
 from sasaki_lab.manifold import (
     Atlas,
     Chart,
+    PointEnv,
     SamplePlan,
     TransitionMap,
     TransitionPiece,
     sample_chart,
 )
-from sasaki_lab.tensor import TensorField
+from sasaki_lab.tensor import SampleSet, TensorField
 
 PLAN = SamplePlan(seed=11, points_per_chart=10, tolerance=1e-8)
 
@@ -399,3 +400,29 @@ class TestLoopSign:
         t = bundle.total.transition("A", "B")
         assert bundle.transition_sign(t, t.pieces[0]) == 1.0
         assert bundle.transition_sign(t, t.pieces[1]) == -1.0
+
+
+def test_derived_envs_of_a_group_are_linked_to_one_derived_batch(darboux, cone):
+    """The base env and the lift of the i-th point of a sample group are
+    linked as (D, i), D the same derivation of the group's batch, built
+    once and kept in the batch's memo until the entry's set is pruned; a
+    field there gives each point its lone value."""
+    bundle, _ = cone
+    shared = SampleSet([])
+    plan = replace(PLAN, points_per_chart=4, sample_set=shared)
+    chart = bundle.total.charts[0]
+    pts = shared.points(chart, plan)
+    batch = pts[0][1].link[0]
+    bases = [bundle.base_env(env) for _, env in pts]
+    lifts = [bundle.lift_env(b, 1.5) for b in bases]
+    down = batch.memo[("base_env",)]
+    up = down.memo[("lift_env", "1.5")]
+    assert FIBER not in down and up[FIBER] == 1.5
+    for i, (b, lift) in enumerate(zip(bases, lifts)):
+        assert b.link[0] is down and lift.link[0] is up and b.link[1] == lift.link[1] == i
+        assert FIBER not in b and lift[FIBER] == 1.5
+        eta = darboux.eta
+        assert eta.at(chart.name, b) == eta.at(chart.name, PointEnv(dict(b)))
+    assert bundle.base_env(dict(pts[0][1])).link is None  # an unlinked env's stays so
+    shared.prune()
+    assert ("base_env",) not in batch.memo

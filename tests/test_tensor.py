@@ -1,6 +1,7 @@
 """Tensor calculus against hand and finite-difference oracles."""
 
 import itertools
+import json
 import math
 import sys
 
@@ -14,6 +15,7 @@ from sasaki_lab import tensor as tn
 from sasaki_lab.manifold import (
     Atlas, Chart, PointEnv, SamplePlan, TransitionMap, TransitionPiece,
 )
+from sasaki_lab.report import run_residual_check
 
 
 def r3_atlas():
@@ -1088,7 +1090,9 @@ def test_a_group_evaluates_each_field_once():
 
 
 @pytest.mark.parametrize(
-    "key", ["mobius-jet", "product-darboux", "darboux-2", "sphere-5"]
+    "key",
+    ["mobius-jet", "mobius-cotangent", "product-darboux", "darboux-2", "sphere-5",
+     "main1-family"],
 )
 def test_gallery_entry_evaluates_every_batch_whole(key, monkeypatch, capsys):
     """At the default plan no field or map of an entry with pullbacks and
@@ -1128,3 +1132,170 @@ def test_sample_set_prunes_batch_memos_to_declared_fields():
     assert (J, "O") in batch.memo
     _, dual_batch = batch.memo[("seeded", chart.coords)]
     assert {key[0] for key in dual_batch.memo if key[0] != "seeded"} <= {J}
+
+
+def test_a_batch_whose_first_coordinate_is_a_scalar_is_evaluated_whole():
+    """The group size is read off an array-valued coordinate, wherever it
+    stands: a lift that puts its fiber height first is a batch too."""
+    atlas = Atlas([Chart("O", ("x", "y", "s"), ((-1.0, 1.0),) * 3)])
+    T = tn.TensorField.from_exprs("T", atlas, (0, 1), {"O": {(0,): "x*s", (2,): "y/s"}})
+    xs, ys = np.array([0.1, -0.4, 0.7]), np.array([0.5, 0.2, -0.3])
+    batch = PointEnv({"s": 2.0, "x": xs, "y": ys})
+    for i in range(3):
+        env = PointEnv({"s": 2.0, "x": xs[i].item(), "y": ys[i].item()})
+        env.link = (batch, i)
+        assert _canon(T.at("O", env)) == _canon(T.at("O", PointEnv(dict(env))))
+    assert batch.memo[(T, "O", "rows")] is not None
+
+
+# -- declared identities reduced at their batch -----------------------------
+
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0]
+
+
+def _where(u, special, value):
+    """`special` where u > 0, else `value`: slot by slot on a batch, with
+    no floating-point signal, so only some points of a group hold it."""
+    if type(u) is np.ndarray:
+        return np.where(u > 0.0, special, value)
+    return special if u > 0.0 else value
+
+
+def _special_endo(atlas, special, name="T"):
+    """A (1,1) field with `special` in two components at some points only."""
+
+    def components(chart, env):
+        x, y = env["x"], env["y"]
+        return [[x * y, _where(x, special, y)], [_where(y, special, -0.0), x - y]]
+
+    return tn.TensorField(name, atlas, (1, 1), components)
+
+
+def _residual_cases(special):
+    """(name, atlas, residual, fields only the identity reads) per kind."""
+    atlas = r2_atlas()
+    T = _special_endo(atlas, special)
+    yield "vanishing", atlas, tn.vanishing(T), [T]
+    T = _special_endo(atlas, special)
+    ident = tn.identity(atlas)
+    yield "agreeing", atlas, tn.agreeing((T, ident, -1.0)), [T, ident]
+    A = Chart("A", ("x",), ((0.0, 1.0),))
+    B = Chart("B", ("x",), ((0.0, 2.0),))
+    piece = TransitionPiece(((0.0, 1.0),), (el.parse("2*x"),), (el.parse("x/2"),))
+    signed = Atlas([A, B], [TransitionMap("A", "B", (piece,))])
+    v = tn.TensorField("v", signed, (1, 0), lambda chart, env: (
+        [_where(env["x"] - 0.5, special, 1.0)] if chart.name == "A" else [-2.0]
+    ))
+    yield "single_valued", tn.field_overlaps(v), tn.single_valued(v, lambda t, p: -1.0), [v]
+
+
+def _alone(residual):
+    """`residual` at an unlinked copy of each env: the point-by-point path."""
+    return lambda where, coords, env: residual(where, coords, PointEnv(dict(env)))
+
+
+def _report_bytes(rep):
+    return json.dumps(rep.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("special", SPECIALS, ids=repr)
+@pytest.mark.parametrize("kind", ["vanishing", "agreeing", "single_valued"])
+def test_identity_residual_over_a_group_matches_lone_points(kind, special):
+    """`vanishing`, `agreeing` (c = −1 against `identity`) and `single_valued`
+    (on a piece of sign −1) give each point of a sample group, by repr, the
+    residual of its lone evaluation, with components that are NaN, ±inf or
+    −0.0 at some points only.  The group is reduced whole, and the points'
+    memos keep no row of a field only the identity reads.  The report, its
+    witness included (the first strictly-worst row, for ties and NaN), is
+    the point-by-point path's."""
+    name, domain, residual, fields = next(
+        c for c in _residual_cases(special) if c[0] == kind
+    )
+    plan = SamplePlan(seed=5, points_per_chart=9, tolerance=1e-8)
+    seen = set()
+    for _, where, pts in manifold.sample_domain(domain, plan):
+        got = [repr(residual(where, coords, env)) for coords, env in pts]
+        want = [repr(residual(where, coords, PointEnv(dict(env)))) for coords, env in pts]
+        assert got == want
+        assert pts[0][1].link[0].memo[(residual, "residual")] is not None
+        assert not any(key[0] in fields for _, env in pts for key in env.memo)
+        seen.update(got)
+    if special == special and special != 0.0:  # NaN or inf at some points only
+        assert repr(abs(special)) in seen and len(seen) > 1
+    rep = run_residual_check(name, domain, residual, plan)
+    assert _report_bytes(rep) == _report_bytes(
+        run_residual_check(name, domain, _alone(residual), plan)
+    )
+
+
+def test_identity_residual_whose_batch_signals_is_reduced_point_by_point():
+    """inf − inf signals in the batch's reduction: each point is reduced on
+    its own, to NaN where both fields are inf, and the witness is the
+    first NaN row, as on the point-by-point path."""
+    atlas = r2_atlas()
+    T, S = _special_endo(atlas, math.inf), _special_endo(atlas, math.inf, "S")
+    residual = tn.agreeing((T, S))
+    plan = SamplePlan(seed=5, points_per_chart=9, tolerance=1e-8)
+    (_, where, pts), = manifold.sample_domain(atlas, plan)
+    got = [repr(residual(where, coords, env)) for coords, env in pts]
+    assert "nan" in got and got == [
+        repr(residual(where, coords, PointEnv(dict(env)))) for coords, env in pts
+    ]
+    assert pts[0][1].link[0].memo[(residual, "residual")] is None
+    rep = run_residual_check("inf", atlas, residual, plan)
+    assert math.isnan(rep.witness.residual)
+    assert _report_bytes(rep) == _report_bytes(
+        run_residual_check("inf", atlas, _alone(residual), plan)
+    )
+
+
+@pytest.mark.parametrize("kind", ["division", "sgn"])
+def test_identity_residual_at_a_failing_point_raises_as_alone(kind):
+    """A zero divisor or a kink at one point of a group: the batch falls
+    back, the points before it get their residuals, and the point raises
+    the lone evaluation's exception, type and message."""
+    chart = r2_atlas().chart("O")
+    envs = _group(chart, 6)
+    c = envs[2]["x"]
+    points = [tuple(e.values()) for e in envs]
+    linked = [env for _, env in manifold.group_envs(chart, points)]
+
+    def outcomes(residual, envs):
+        out = []
+        for env in envs:
+            try:
+                out.append(repr(residual("O", None, env)))
+            except Exception as exc:
+                return out + [(type(exc), str(exc))]
+        return out
+
+    want = outcomes(tn.vanishing(_failing_fields(c)[kind]),
+                    [PointEnv(dict(env)) for env in linked])
+    assert len(want) == 3 and isinstance(want[2], tuple)
+    residual = tn.vanishing(_failing_fields(c)[kind])
+    assert outcomes(residual, linked) == want
+    assert linked[0].link[0].memo[(residual, "residual")] is None
+
+
+def test_main1_reconstruction_evaluates_nothing_point_by_point(monkeypatch, capsys):
+    """Every field `main1-family` evaluates, at the envs `bundle` derives
+    from a sampled point too, is evaluated at a batch: no evaluation
+    happens at an unlinked env that holds no array."""
+    from sasaki_lab.cli import main
+
+    at, lone = tn.TensorField.at, []
+
+    def holds_an_array(env):
+        return any(type(nk.value_of(v)) is np.ndarray for v in env.values())
+
+    def recording_at(self, chart, env):
+        memo = getattr(env, "memo", {})
+        if (self, chart) not in memo and getattr(env, "link", None) is None \
+                and not holds_an_array(env):
+            lone.append((self.name, chart))
+        return at(self, chart, env)
+
+    monkeypatch.setattr(tn.TensorField, "at", recording_at)
+    assert main(["verify", "main1-family", "--param", "a=0.5*x", "--samples", "16"]) == 0
+    capsys.readouterr()
+    assert lone == []
