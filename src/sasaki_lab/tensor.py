@@ -91,6 +91,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -101,7 +102,7 @@ import numpy as np
 from . import exprlang, manifold, numkernel as nk
 from .exprlang import Expr
 from .manifold import Atlas, Chart, Overlaps, PointEnv, SamplePlan
-from .report import CheckReport, max_or_nan, run_residual_check
+from .report import CheckReport, residual_rank, run_residual_check
 
 
 # A component structure nests lists (as built) or tuples (as kept).
@@ -128,12 +129,15 @@ def _frozen(s):
 
 
 def _max_or_nan(values: list):
-    """`max_or_nan` of residual values, some of which may be batch arrays
-    (one slot per point), which ``np.maximum`` reduces slot by slot: a NaN
-    stays, as in ``max_or_nan``, and all else is the same maximum."""
-    if np.ndarray in map(type, values):
+    """`report.max_or_nan` of residual values, some of which may be batch
+    arrays (one slot per point): the sum that finds a NaN finds an array
+    too, and ``np.maximum`` reduces arrays slot by slot, keeping a NaN."""
+    total = sum(values)
+    if type(total) is np.ndarray:
         return reduce(np.maximum, values)
-    return max_or_nan(values)
+    if math.isnan(total):
+        return max(values, key=residual_rank)
+    return max(values, default=0.0)
 
 
 def max_abs(s) -> float:

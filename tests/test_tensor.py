@@ -1172,7 +1172,7 @@ def _special_endo(atlas, special, name="T"):
 
 
 def _residual_cases(special):
-    """(name, atlas, residual, fields only the identity reads) per kind."""
+    """(name, domain, residual, fields only the identity reads) per kind."""
     atlas = r2_atlas()
     T = _special_endo(atlas, special)
     yield "vanishing", atlas, tn.vanishing(T), [T]
@@ -1220,7 +1220,7 @@ def test_identity_residual_over_a_group_matches_lone_points(kind, special):
         assert pts[0][1].link[0].memo[(residual, "residual")] is not None
         assert not any(key[0] in fields for _, env in pts for key in env.memo)
         seen.update(got)
-    if special == special and special != 0.0:  # NaN or inf at some points only
+    if special != 0.0:  # NaN or inf, at some points only
         assert repr(abs(special)) in seen and len(seen) > 1
     rep = run_residual_check(name, domain, residual, plan)
     assert _report_bytes(rep) == _report_bytes(
