@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import exprlang, numkernel as nk
-from .contact import NONDEGENERACY_THRESHOLD, ContactStructure, nondegeneracy_shortfall
+from .contact import ContactStructure
 from .manifold import (
     Atlas,
     PointEnv,
@@ -41,15 +41,19 @@ from .manifold import (
     TransitionPiece,
     append_coordinate,
 )
-from .report import CheckReport, max_or_nan, run_residual_check
+from .report import CheckReport, run_residual_check
 from .tensor import (
+    NONDEGENERACY_THRESHOLD,
     SmoothMap,
     TensorField,
     agreeing,
+    every,
     exterior_derivative,
     field_jet,
     max_abs,
+    nondegenerate,
     pullback,
+    tf_combine,
     vanishing,
     zeros,
 )
@@ -203,18 +207,13 @@ def symplectize(C: ContactStructure) -> tuple[PrincipalBundle, TensorField]:
 
 
 def symplectic_check(omega: TensorField, plan: SamplePlan) -> CheckReport:
-    """Closedness (dω = 0) and pointwise nondegeneracy of a 2-form."""
-    closed = vanishing(exterior_derivative(omega))
-
-    def residual(chart, coords, env):
-        rows = [[nk.value_of(x) for x in row] for row in omega.at(chart, env)]
-        shortfall = nondegeneracy_shortfall(abs(nk.determinant(rows)))
-        return max_or_nan([closed(chart, coords, env), shortfall])
-
+    """Closedness (dω = 0) and pointwise nondegeneracy (|det ω|) of a 2-form."""
+    volume = tf_combine(f"|det {omega.name}|", (0, 0), [omega],
+                        lambda cs, env: abs(nk.determinant(cs[0])))
     return run_residual_check(
         "symplectic_form",
         omega.atlas,
-        residual,
+        every(vanishing(exterior_derivative(omega)), nondegenerate(volume)),
         plan,
         details={"nondegeneracy_threshold": NONDEGENERACY_THRESHOLD},
     )
@@ -353,8 +352,7 @@ def decompose_homogeneous_metric(
 
     # positivity of the shadow, and the size of μ, at base samples
     def shadow(chart, coords, env):
-        rows = [[nk.value_of(x) for x in row] for row in g_M.at(chart, env)]
-        lo = nk.min_eigenvalue(rows)
+        lo = nk.min_eigenvalue(g_M.at(chart, env))
         if not lo > 0.0:  # a NaN eigenvalue is no positive one
             raise NotPositiveDefinite(
                 f"shadow metric eigenvalue {lo:.3e} at {coords} in {chart}"

@@ -31,13 +31,16 @@ from typing import Callable, Optional
 
 from . import numkernel as nk
 from .manifold import Atlas, Chart, SamplePlan, sample_points
-from .report import CheckReport, max_or_nan, run_residual_check
+from .report import CheckReport, run_residual_check
 from .tensor import (
+    NONDEGENERACY_THRESHOLD,
     TensorField,
     agreeing,
     compose,
     exterior_derivative,
     field_jet,
+    nondegenerate,
+    tf_combine,
     zeros,
 )
 
@@ -111,29 +114,19 @@ def reeb_residual_check(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     return run_residual_check("reeb_residual", C.atlas, equations, plan)
 
 
-def contact_top_coefficient(C: ContactStructure, chart: str, env: dict) -> float:
-    """|η∧(dη)^n| against the coordinate volume at one point."""
-    ev_vals = [nk.value_of(v) for v in C.eta.at(chart, env)]
-    dv = C.d_eta().at(chart, env)
-    dim = len(ev_vals)
-    b = [[0.0] * (dim + 1) for _ in range(dim + 1)]
-    for j in range(dim):
-        b[0][1 + j] = ev_vals[j]
-        b[1 + j][0] = -ev_vals[j]
-        for i in range(dim):
-            b[1 + i][1 + j] = nk.value_of(dv[i][j])
-    det = nk.determinant(b)
-    n = (dim - 1) // 2
-    return math.factorial(n) * math.sqrt(max(det, 0.0))
+def top_coefficient(C: ContactStructure) -> TensorField:
+    """The scalar field |η∧(dη)^n| against the coordinate volume: n!·√max(det
+    B, 0), B = [[0, η], [−ηᵀ, dη]], NaN where an entry of B is not finite."""
+    n_factorial = math.factorial((C.dim - 1) // 2)
 
+    def coefficient(cs, env):
+        ev, dv = cs
+        b = [[0.0, *ev]] + [[-e, *row] for e, row in zip(ev, dv)]
+        return nk.each(lambda d: n_factorial * math.sqrt(max(d, 0.0)), nk.determinant(b))
 
-NONDEGENERACY_THRESHOLD = 1e-8
-
-
-def nondegeneracy_shortfall(value: float) -> float:
-    """The relative shortfall max(0, 1 − value / `NONDEGENERACY_THRESHOLD`):
-    0 above the threshold, about 1 where the value vanishes, NaN on NaN."""
-    return max_or_nan([0.0, 1.0 - value / NONDEGENERACY_THRESHOLD])
+    return tf_combine(
+        f"top_coefficient({C.name})", (0, 0), [C.eta, C.d_eta()], coefficient
+    )
 
 
 def is_contact_form(C: ContactStructure, plan: SamplePlan) -> CheckReport:
@@ -143,15 +136,10 @@ def is_contact_form(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     a contact form, about 1 where η∧(dη)^n vanishes.  The record
     ``min_coefficient`` is the smallest coefficient; a NaN sticks.
     """
-
-    def residual(chart, coords, env):
-        c = contact_top_coefficient(C, chart, env)
-        return {None: nondegeneracy_shortfall(c), "min_coefficient": c}
-
     return run_residual_check(
         "is_contact_form",
         C.atlas,
-        residual,
+        nondegenerate(top_coefficient(C), "min_coefficient"),
         plan,
         details={"threshold": NONDEGENERACY_THRESHOLD},
         records={"min_coefficient": min},

@@ -1136,32 +1136,25 @@ def _build_main1(params: dict) -> Example:
         {c.name: {(): slope_expr} for c in contact.atlas.charts},
     )
 
-    def recovery_residual(chart_name, coords, env):
-        a_here = declared_slope.at(chart_name, bundle.base_env(env))
-        got_a = slope.at(chart_name, env)
-        r = abs(nk.value_of(got_a - a_here))
+    # ∇ = s∂ₛ and the lifted Reeb field ξ̃ = ∂z span the vertical plane, where
+    # J∇ = ξ̃ − a·∇ and Jξ̃ = a·ξ̃ − (1+a²)·∇; the slopes, base scalars, are
+    # read at the total space's envs, whose fiber coordinate they ignore.
+    def vertical(name, fn):  # fn(ξ̃, ∇, a) -> components
+        def components(chart, env):
+            xi_lift = [float(k == zi) for k in range(chart.dim)]
+            nabla = [0.0] * (chart.dim - 1) + [env[FIBER]]
+            return fn(xi_lift, nabla, declared_slope.at(chart.name, env))
 
-        jm = pair.J.at(chart_name, env)
-        dim = chart.dim
-        s = env[FIBER]
-        # the scaling field and the lifted Reeb field span the vertical
-        # plane; on it J acts by [[a, 1], [-(1+a²), -a]] in that order:
-        # J(scaling) = xi - a·scaling, J(xi) = a·xi - (1+a²)·scaling
-        nabla = [0.0] * (dim - 1) + [s]  # the fiber is last
-        xi_lift = [0.0] * dim
-        xi_lift[zi] = 1.0
-        img_nabla = [nk.sum_(jm[i][j] * nabla[j] for j in range(dim)) for i in range(dim)]
-        img_xi = [nk.sum_(jm[i][j] * xi_lift[j] for j in range(dim)) for i in range(dim)]
-        want_nabla = [xi_lift[i] - a_here * nabla[i] for i in range(dim)]
-        want_xi = [
-            a_here * xi_lift[i] - (1.0 + a_here * a_here) * nabla[i]
-            for i in range(dim)
-        ]
-        return max_abs([
-            r,
-            [a - b for a, b in zip(img_nabla, want_nabla)],
-            [a - b for a, b in zip(img_xi, want_xi)],
-        ])
+        return TensorField(name, total, (1, 0), components)
+
+    recovery = agreeing(
+        (slope, declared_slope),
+        (compose(pair.J, vertical("scaling", lambda x, v, a: v)), vertical(
+            "J(scaling)", lambda x, v, a: [xk - a * vk for xk, vk in zip(x, v)])),
+        (compose(pair.J, vertical("reeb_lift", lambda x, v, a: x)), vertical(
+            "J(reeb_lift)",
+            lambda x, v, a: [a * xk - (1.0 + a * a) * vk for xk, vk in zip(x, v)])),
+    )
 
     job = _Jobs(key)
     checks = (
@@ -1185,7 +1178,7 @@ def _build_main1(params: dict) -> Example:
                 contact, bundle, pair.g, pair.J, plan
             ).report,
         ),
-        job.sampled("slope_recovery", 1e-8, total, recovery_residual),
+        job.sampled("slope_recovery", 1e-8, total, recovery),
     )
     fields = [
         EntryField.of("eta", "base", contact.eta),

@@ -44,6 +44,8 @@ the leaf type:
 * `value_of` returns the array of a batch leaf;
 * the kink tests of `absolute` and `signum` and `has_zero` (the
   ``exprlang`` zero-divisor test) ask whether any point is at the edge;
+* `determinant` and `min_eigenvalue` take the (P, n, n) stack of the
+  points' matrices;
 * `solve_linear`'s pivot search and its zero skip may come out
   differently at different points.  Then the batch is split into groups
   that agree (`groups`), each group is solved on its own (`take`) and the
@@ -247,7 +249,7 @@ def has_zero(x) -> bool:
     return bool((v == 0.0).any()) if type(v) is np.ndarray else v == 0.0
 
 
-def _each(fn, x):
+def each(fn, x):
     """``fn`` of a plain leaf: of a float, or of each element of a batch array."""
     if type(x) is np.ndarray:
         return np.array([fn(v) for v in x.tolist()])
@@ -261,33 +263,33 @@ def _chain(x: DScalar, val, dval):
 def sin(x):
     if isinstance(x, DScalar):
         return _chain(x, sin(x.val), cos(x.val))
-    return _each(math.sin, x)
+    return each(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, DScalar):
         return _chain(x, cos(x.val), _neg(sin(x.val)))
-    return _each(math.cos, x)
+    return each(math.cos, x)
 
 
 def exp(x):
     if isinstance(x, DScalar):
         v = exp(x.val)
         return _chain(x, v, v)
-    return _each(math.exp, x)
+    return each(math.exp, x)
 
 
 def log(x):
     if isinstance(x, DScalar):
         return _chain(x, log(x.val), _div(1.0, x.val))
-    return _each(math.log, x)
+    return each(math.log, x)
 
 
 def sqrt(x):
     if isinstance(x, DScalar):
         v = sqrt(x.val)
         return _chain(x, v, _div(0.5, v))
-    return _each(math.sqrt, x)
+    return each(math.sqrt, x)
 
 
 def absolute(x):
@@ -488,17 +490,26 @@ def merge(parts: list, size: int):
 solve_linear_info = solve_linear
 
 
-def min_eigenvalue(rows: list[list[float]]) -> float:
-    """Smallest eigenvalue of a symmetric float matrix (numpy eigvalsh);
-    NaN when an entry is NaN or infinite."""
-    arr = np.array([[value_of(e) for e in r] for r in rows], dtype=float)
-    if not np.isfinite(arr).all():
-        return math.nan
-    sym = 0.5 * (arr + arr.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+def _of_finite(fn, rows):
+    """``fn`` of a square matrix of floats (a float), or of the stack of a
+    batch's matrices ((P,) array entries; a (P,) array).  A matrix with a
+    NaN or infinite entry gets NaN; ``fn`` sees zeros, so numpy signals nothing."""
+    flat = np.array(np.broadcast_arrays(*[value_of(e) for r in rows for e in r]))
+    a = np.moveaxis(flat.reshape(len(rows), len(rows), *flat.shape[1:]), (0, 1), (-2, -1))
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    out = np.where(finite, fn(np.where(finite[..., None, None], a, 0.0)), math.nan)
+    return out if out.ndim else float(out)
 
 
-def determinant(rows: list[list[float]]) -> float:
-    """Determinant of a float matrix (numpy)."""
-    arr = np.array([[value_of(e) for e in r] for r in rows], dtype=float)
-    return float(np.linalg.det(arr))
+def min_eigenvalue(rows):
+    """Smallest eigenvalue of a matrix's symmetric part (numpy eigvalsh),
+    per point of a batch; NaN where an entry is NaN or infinite."""
+    return _of_finite(
+        lambda a: np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))[..., 0], rows
+    )
+
+
+def determinant(rows):
+    """Determinant of a matrix (numpy det), per point of a batch; NaN where
+    an entry is NaN or infinite."""
+    return _of_finite(np.linalg.det, rows)

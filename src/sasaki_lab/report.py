@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:
@@ -124,9 +125,17 @@ def max_or_nan(values: list) -> float:
     """max of the values (0.0 if none), NaN above inf above any number.
 
     The sum of the values is NaN when one of them is (or when inf meets
-    -inf); only then does the ranked, slower max run.
+    -inf); only then does the ranked, slower max run.  Where it is a batch
+    array (see `tensor`), ``np.maximum`` reduces slot by slot, keeping NaN.
     """
-    if math.isnan(sum(values)):
+    total = sum(values)
+    if not isinstance(total, (int, float)):  # batch arrays
+        # imported here: `report` is the package's first module, and numpy
+        # loaded before the others compile raises a cold start's peak memory
+        from numpy import maximum
+
+        return reduce(maximum, values)
+    if math.isnan(total):
         return max(values, key=residual_rank)
     return max(values, default=0.0)
 

@@ -27,10 +27,10 @@ The torsion route deliberately uses frame fields annihilated by η as
 two-extension spot check inside `sasaki_check` documents that the
 computed torsion is extension-independent.
 
-Every certificate here that states an identity of fields declares it with
-`agreeing`/`vanishing`, so it is evaluated once per sample group like any
-other field; only `LeviStructure.validate`'s symmetry and eigenvalue tests
-and the battery's flag rows are computed by hand.
+Every certificate here declares what it certifies (`agreeing`,
+`vanishing`, `nondegenerate`, `single_valued`), each reduced once per
+sample group; `sasaki_check` and `paired_consistency_check` dispatch to
+such clauses point by point, and only the battery's flag rows are hand-made.
 """
 
 from __future__ import annotations
@@ -41,12 +41,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numkernel as nk
-from .contact import ContactStructure, kernel_frames, nondegeneracy_shortfall
+from .contact import ContactStructure, kernel_frames
 from .manifold import SamplePlan
 from .report import (
     CheckReport,
     check_report,
-    max_or_nan,
     reduce_residuals,
     run_residual_check,
 )
@@ -55,12 +54,13 @@ from .tensor import (
     TensorField,
     agreeing,
     compose,
+    every,
     field_jet,
     field_overlaps,
     lie_bracket,
     lie_derivative,
-    max_abs,
     nijenhuis,
+    nondegenerate,
     single_valued,
     tf_add,
     tf_combine,
@@ -120,20 +120,18 @@ class LeviStructure:
         return self.contact.reeb()
 
     def validate(self, plan: SamplePlan) -> CheckReport:
-        """Defining identities: φ̄ξ = 0, η∘φ̄ = 0, φ̄² = −id + ξ⊗η, g ≻ 0."""
-        C, phi = self.contact, self.phibar
-        kernel = vanishing(compose(phi, C.reeb()), compose(C.eta, phi))
-        square = agreeing((compose(phi, phi), square_target(C)))
-        g = self.metric()
-
-        def residual(chart, coords, env):
-            rows = [[nk.value_of(x) for x in row] for row in g.at(chart, env)]
-            asym = [rows[i][j] - rows[j][i] for i in range(len(rows)) for j in range(i)]
-            return max_or_nan([
-                kernel(chart, coords, env), square(chart, coords, env),
-                max_abs(asym), nondegeneracy_shortfall(nk.min_eigenvalue(rows)),
-            ])
-
+        """Defining identities: φ̄ξ = 0, η∘φ̄ = 0, φ̄² = −id + ξ⊗η, g = gᵀ,
+        and the open condition g ≻ 0 (its smallest eigenvalue)."""
+        C, phi, g = self.contact, self.phibar, self.metric()
+        transpose = tf_combine(f"{g.name}ᵀ", (0, 2), [g], lambda cs, env: list(zip(*cs[0])))
+        lowest = tf_combine(f"min_eigenvalue({g.name})", (0, 0), [g],
+                            lambda cs, env: nk.min_eigenvalue(cs[0]))
+        residual = every(
+            vanishing(compose(phi, C.reeb()), compose(C.eta, phi)),
+            agreeing((compose(phi, phi), square_target(C))),
+            agreeing((g, transpose)),
+            nondegenerate(lowest),
+        )
         return run_residual_check(
             f"levi_structure({self.name})", self.atlas, residual, plan
         )
@@ -216,15 +214,15 @@ def pin_flag_residuals(
         def levi(u, v):
             return compose(u, lowered[v])
 
-        every = list(itertools.product(range(len(X)), repeat=2))
+        ordered = list(itertools.product(range(len(X)), repeat=2))
         distinct = list(itertools.combinations(range(len(X)), 2))
         flags[chart] = {
             "invariant_two_form": agreeing(
-                *((levi(PX[a], PX[b]), levi(X[a], X[b])) for a, b in every)),
+                *((levi(PX[a], PX[b]), levi(X[a], X[b])) for a, b in ordered)),
             "symmetric_levi": agreeing(
                 *((levi(X[a], PX[b]), levi(X[b], PX[a])) for a, b in distinct)),
             "invariant_levi": agreeing(
-                *((levi(PX[a], PPX[b]), levi(X[a], PX[b])) for a, b in every)),
+                *((levi(PX[a], PPX[b]), levi(X[a], PX[b])) for a, b in ordered)),
             "kernel_closed": vanishing(*(
                 compose(C.eta, tf_add(lie_bracket(PX[a], X[b]),
                                       lie_bracket(X[a], PX[b])))

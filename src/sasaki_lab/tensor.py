@@ -15,7 +15,9 @@ Evaluation is memoized per point, and computed per sample group.  The env
 a chart builds for a point (:class:`~sasaki_lab.manifold.PointEnv`) carries
 a memo, and there
 
-* `TensorField.at` evaluates each (field, chart) once and keeps the result;
+* `TensorField.at` evaluates each (field, chart) once and keeps the result,
+  frozen into nested tuples, and hands out the kept object (a write into
+  it raises ``TypeError``); `field_jet` builds its values and partials anew;
 * `field_jet` seeds one dual env per set of chart coordinates and evaluates
   through `at` on it, so the jet's components are kept in that dual env's
   own memo, and a jet inside a jet reuses the second level the same way;
@@ -31,50 +33,44 @@ the array leaves).  At a linked env `at` evaluates the field once at the
 batch, under ``np.errstate(all="raise")``, and keeps in the batch's memo
 each point's row: the same nested tuples of Python floats and duals that
 a lone evaluation at the point gives, bit for bit, read off with one
-``tolist`` per leaf.  The point's memo keeps its row, so every residual
-sees what it saw before.  A seeded env of a linked env is linked to the
-batch's seeded env (one dual level for the group), and `SmoothMap.jet`
-reads its rows off one jet of the batch.  Where the batch raises -- a zero
+``tolist`` per leaf.  A seeded env of a linked env is linked to the
+batch's seeded env (one dual level for the group), `SmoothMap.jet` reads
+its rows off one jet of the batch, and `bundle`'s derived envs (base
+points, lifts) are linked to the same derivation of the batch, kept in
+its memo until `SampleSet.prune`.  Where the batch raises -- a zero
 divisor, a kink, a singular pivot, an overflow or invalid step at any
 point, a split that cannot be merged, a pullback term that is a plain
-zero at some points only -- the field (or map) is evaluated at each point
-of that group on its own, which gives each point its value, or raises its
-exception, as before.  Any other env is evaluated on its own.
+zero at some points only -- the field (or map) is marked there and
+evaluated at each point of that group on its own, which gives each point
+its value, or raises its exception, as before.  Any other env, a test's
+plain dict wrapped in a fresh PointEnv included, is evaluated on its own.
 
 The pointwise algebra is stated once, as fields: ``compose(A, B)``
 contracts A's last slot with B's first (φ∘ψ, g(·, ξ), η∘φ, η(ξ), ...),
-``congruence(b, J)`` is b(J·, J·), and `identity`, `tf_add` and
-`tf_scale` build the rest.  A check that states a
-field identity declares it, and indexes nothing by hand:
-``vanishing(*fields)`` and ``agreeing(*pairs)``, with pairs (T, S) or
-(T, S, c) for T = c·S, build the pointwise residual (chart, coords, env)
--> float that `report.run_residual_check` evaluates at the chart samples
-it draws, and ``single_valued(T, sign)`` the residual of T's agreement
-across a transition piece, which it evaluates at the piece samples of
-``field_overlaps(T)``.  All three reduce through `max_abs` /
-`max_diff`, so a NaN component is never lost.  Only what is not an
-identity of fields (a determinant, an eigenvalue, one component) stays a
-hand-written residual.
+``congruence(b, J)`` is b(J·, J·), and `identity`, `tf_add`, `tf_scale`
+and `tf_combine` build the rest, a determinant or an eigenvalue included.
+A check declares what it certifies: ``vanishing(*fields)``,
+``agreeing(*pairs)`` (pairs (T, S) or (T, S, c) for T = c·S),
+``single_valued(T, sign)`` (T's agreement across the transition pieces
+of ``field_overlaps(T)``), ``nondegenerate(c)`` (the scalar field c
+stays above `NONDEGENERACY_THRESHOLD`) and ``every(*residuals)`` (all of
+them) build the residual (where, coords, env) -> float that
+`report.run_residual_check` evaluates at the samples it draws.  The
+gallery checks still written by hand, point by point, and why:
 
-A declared identity is reduced at its batch, too.  At a linked env its
-residual is the env's row of one reduction at the batch (`_batched`,
-through `_batch_rows`, under the same ``np.errstate`` and with the same
-fallback): `max_abs` and `max_diff` take ``abs(value_of(T) −
-c·value_of(S))`` of the array leaves and reduce them with
-``np.maximum``, which keeps a NaN; these are the IEEE operations a
-point's floats go through, so `report.reduce_residuals` sees the same
-residuals in the same order and picks the same witness.  The points'
-memos keep no rows of the fields only the identity reads.
+* ``atlas_consistency``, ``base_atlas_consistency``: map-level, no field;
+* ``embedding_frame``, ``sections_global``, ``sections_independent``: map jets;
+* ``paired_consistency``: a dispatch over declared ``single_valued`` clauses;
+* ``reconstruction``: `kahler.reconstruct_main1` rebuilds the base structure.
 
-The memo is the one evaluation path.  It keeps component structures
-frozen, as nested tuples, and `at` hands out the kept object, so a write
-into it raises ``TypeError``; `field_jet` builds its values and partials
-anew.  The envs `bundle` and `product` derive from a point are PointEnvs
-that die with the call that built them.  `bundle`'s envs of a linked env
-are linked to the same derivation of its batch, built once per sample
-group and kept in the batch's memo until `SampleSet.prune`, so a field
-read there is evaluated once for the group.  `at` and `_seeded` wrap any
-other mapping (a test's plain dict) in a fresh PointEnv for the call.
+A declared residual is the env's row of one reduction at its batch
+(`_batched`, through `_batch_rows`, with the same ``np.errstate`` and
+fallback).  The array leaves go through the IEEE operations a point's
+floats go through (``abs``, ``-``, ``*``, `report.max_or_nan`'s
+``np.maximum``, which keeps a NaN, and numpy's stacked ``det`` and
+``eigvalsh``, the same LAPACK routine per matrix), so
+`report.reduce_residuals` sees the same residuals in the same order; the
+points' memos keep no rows of the fields only the residual reads.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -91,7 +87,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -102,7 +97,7 @@ import numpy as np
 from . import exprlang, manifold, numkernel as nk
 from .exprlang import Expr
 from .manifold import Atlas, Chart, Overlaps, PointEnv, SamplePlan
-from .report import CheckReport, residual_rank, run_residual_check
+from .report import CheckReport, max_or_nan, run_residual_check
 
 
 # A component structure nests lists (as built) or tuples (as kept).
@@ -116,35 +111,17 @@ def map_structure(fn, s):
 
 
 def _frozen(s):
-    """`s` as nested tuples around the same leaves (a component structure
-    nests to one depth throughout, so each row of leaves is converted whole,
-    a matrix's rows in one `map`)."""
-    if not isinstance(s, _NESTED):
-        return s
-    if not s or not isinstance(s[0], _NESTED):
-        return tuple(s)
-    if s[0] and isinstance(s[0][0], _NESTED):
+    """`s` as nested tuples around the same leaves."""
+    if isinstance(s, _NESTED):
         return tuple([_frozen(x) for x in s])
-    return tuple(map(tuple, s))
-
-
-def _max_or_nan(values: list):
-    """`report.max_or_nan` of residual values, some of which may be batch
-    arrays (one slot per point): the sum that finds a NaN finds an array
-    too, and ``np.maximum`` reduces arrays slot by slot, keeping a NaN."""
-    total = sum(values)
-    if type(total) is np.ndarray:
-        return reduce(np.maximum, values)
-    if math.isnan(total):
-        return max(values, key=residual_rank)
-    return max(values, default=0.0)
+    return s
 
 
 def max_abs(s) -> float:
     """Largest |value| in a nested component structure; NaN if any is NaN.
     Over batch array leaves, the same per slot."""
     if isinstance(s, _NESTED):
-        return _max_or_nan([
+        return max_or_nan([
             max_abs(x) if isinstance(x, _NESTED) else abs(nk.value_of(x)) for x in s
         ])
     return abs(nk.value_of(s))
@@ -153,7 +130,7 @@ def max_abs(s) -> float:
 def max_diff(a, b, scale=1.0) -> float:
     """Largest |a - scale*b| over a pair of nested component structures."""
     if isinstance(a, _NESTED):
-        return _max_or_nan([
+        return max_or_nan([
             max_diff(x, y, scale) if isinstance(x, _NESTED)
             else abs(nk.value_of(x) - scale * nk.value_of(y))
             for x, y in zip(a, b)
@@ -162,15 +139,10 @@ def max_diff(a, b, scale=1.0) -> float:
 
 
 def _batched(reduce_at: Callable) -> Callable:
-    """The residual (where, coords, env) -> ``reduce_at(where, env)``.
-
-    At an env linked to a batch it is the env's row of one reduction at
-    the batch, kept in the batch's memo (`_batch_rows`): ``abs``, ``-``,
-    ``*`` and ``np.maximum`` act slot by slot as on the point's floats, so
-    the row is the point's residual bit for bit, and the point's memo
-    keeps no rows of the fields read.  Where the batch raises, each point
-    is reduced on its own.  A batch env belongs to one sample group, so
-    the closure alone names its reduction there.
+    """The residual (where, coords, env) -> ``reduce_at(where, env)``; at
+    an env linked to a batch, the env's row of one reduction at the batch,
+    kept in the batch's memo (`_batch_rows`).  A batch env belongs to one
+    sample group, so the closure alone names its reduction there.
     """
 
     def residual(where, coords, env):
@@ -184,6 +156,7 @@ def _batched(reduce_at: Callable) -> Callable:
                 return rows[i]
         return reduce_at(where, env)
 
+    residual.reduce_at = reduce_at  # what `every` reduces
     return residual
 
 
@@ -195,22 +168,45 @@ def vanishing(*fields: TensorField) -> Callable:
 def agreeing(*pairs: tuple) -> Callable:
     """Residual of the identities T = c·S over the (T, S) or (T, S, c)
     pairs, c 1 by default: the largest |T - c·S| component."""
-    return _batched(lambda chart, env: _max_or_nan([
+    return _batched(lambda chart, env: max_or_nan([
         max_diff(T.at(chart, env), S.at(chart, env), *c) for T, S, *c in pairs
     ]))
 
 
 def zeros(dim: int, rank: int):
     """`rank` nested levels of `dim` lists of 0.0 (0.0 at rank 0), every
-    row its own list.  A matrix of leaves is built in one call; higher
-    ranks recurse once per matrix, not per leaf."""
+    row its own list."""
     if rank == 0:
         return 0.0
-    if rank == 1:
-        return [0.0] * dim
-    if rank == 2:
-        return [[0.0] * dim for _ in range(dim)]
     return [zeros(dim, rank - 1) for _ in range(dim)]
+
+
+NONDEGENERACY_THRESHOLD = 1e-8
+
+
+def nondegeneracy_shortfall(value: float) -> float:
+    """max(0, 1 − value / `NONDEGENERACY_THRESHOLD`): 0 above the
+    threshold, about 1 where the value vanishes, NaN on NaN."""
+    return max_or_nan([0.0, 1.0 - value / NONDEGENERACY_THRESHOLD])
+
+
+def nondegenerate(c: TensorField, record: str | None = None) -> Callable:
+    """Residual of "the scalar field c stays above the threshold": c's
+    `nondegeneracy_shortfall`, ``{None: shortfall, record: c}`` with a record."""
+
+    def reduce_at(chart, env):
+        value = c.at(chart, env)
+        shortfall = nondegeneracy_shortfall(value)
+        return shortfall if record is None else {None: shortfall, record: value}
+
+    return _batched(reduce_at)
+
+
+def every(*residuals: Callable) -> Callable:
+    """Residual of declared residuals taken together: their `max_or_nan`."""
+    return _batched(
+        lambda where, env: max_or_nan([r.reduce_at(where, env) for r in residuals])
+    )
 
 
 class TensorField:
@@ -311,10 +307,14 @@ class TensorField:
             rows = None if link is None else _batch_rows(
                 link[0], (self, chart, "rows"), lambda: self.at(chart, link[0])
             )
-            memo[key] = (
-                _frozen(self.components(self._chart(chart), env))
-                if rows is None else rows[link[1]]
-            )
+            try:
+                memo[key] = (
+                    _frozen(self.components(self._chart(chart), env))
+                    if rows is None else rows[link[1]]
+                )
+            except Exception:  # were env a batch, its points go to their own
+                memo[(self, chart, "rows")] = None
+                raise
         return memo[key]
 
 
@@ -351,6 +351,8 @@ def _rows(s, size: int) -> list:
     other leaf, the same at all points, repeated."""
     if isinstance(s, tuple):
         return list(zip(*[_rows(x, size) for x in s])) if s else [()] * size
+    if isinstance(s, dict):  # named clauses and records
+        return [dict(zip(s, row)) for row in zip(*[_rows(v, size) for v in s.values()])]
     if type(s) is nk.DScalar:
         tag = s.tag
         tgs = list(zip(*[_rows(t, size) for t in s.tg])) if s.tg else [()] * size

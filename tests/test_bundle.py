@@ -1,5 +1,6 @@
 """Cone bundles: symplectization, homogeneity laws, metric splitting."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -141,6 +142,15 @@ class TestSymplectization:
         rep = symplectic_check(bad, PLAN)
         assert not rep.passed
         assert rep.witness is not None
+
+    def test_infinite_form_fails(self):
+        """ω = 1e400 dx∧dy: |det ω| is NaN, not inf, so ω fails."""
+        square = Atlas([Chart("O", ("x", "y"), ((-1.0, 1.0),) * 2)])
+        huge = TensorField.from_exprs(
+            "huge", square, (0, 2), {"O": {(0, 1): "1e400"}}, symmetry="anti"
+        )
+        rep = symplectic_check(huge, replace(PLAN, points_per_chart=8))
+        assert rep.verdict == "fail" and math.isnan(rep.witness.residual)
 
     def test_form_is_plain_degree_one(self, darboux):
         bundle, omega = symplectize(signed(darboux))

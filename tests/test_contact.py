@@ -1,5 +1,6 @@
 """Contact layer: Reeb solves, nondegeneracy, kernel frames."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -8,11 +9,11 @@ from sasaki_lab import numkernel as nk
 from sasaki_lab import tensor as tn
 from sasaki_lab.contact import (
     ContactStructure,
-    contact_top_coefficient,
     darboux_contact,
     is_contact_form,
     kernel_frames,
     reeb_residual_check,
+    top_coefficient,
 )
 from sasaki_lab.manifold import Atlas, Chart, SamplePlan
 from sasaki_lab.tensor import TensorField
@@ -49,7 +50,7 @@ class TestDarboux:
 
     def test_top_coefficient_is_one(self):
         C = darboux_contact(1)
-        c = contact_top_coefficient(C, "O", {"x": 0.2, "p": 0.5, "z": 0.0})
+        c = top_coefficient(C).at("O", {"x": 0.2, "p": 0.5, "z": 0.0})
         assert c == pytest.approx(1.0)
         rep = is_contact_form(C, PLAN)
         assert rep.passed
@@ -58,7 +59,7 @@ class TestDarboux:
     def test_top_coefficient_n2(self):
         C = darboux_contact(2)
         env = {"x1": 0.1, "p1": 0.3, "x2": 0.2, "p2": -0.4, "z": 0.0}
-        assert contact_top_coefficient(C, "O", env) == pytest.approx(2.0)
+        assert top_coefficient(C).at("O", env) == pytest.approx(2.0)
 
 
 def test_rescaled_form_rescales_reeb():
@@ -84,6 +85,18 @@ def test_degenerate_form_fails_contact_check():
     assert rep.verdict == "fail"
     assert rep.witness is not None
     assert rep.details["min_coefficient"] < 1e-10
+
+
+def test_infinite_coefficient_fails_contact_check():
+    """η = −p dx + 1e400 dz: an inf entry of B makes its determinant NaN,
+    so the form fails with a witness instead of passing at an inf
+    coefficient."""
+    atlas = Atlas([Chart("O", ("x", "p", "z"), ((-1.0, 1.0),) * 3)])
+    eta = TensorField.from_exprs("huge", atlas, (0, 1), {"O": {(0,): "-p", (2,): "1e400"}})
+    rep = is_contact_form(ContactStructure("huge", atlas, eta), SamplePlan(points_per_chart=8))
+    assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+    assert math.isnan(rep.witness.residual)
+    assert math.isnan(rep.details["min_coefficient"])
 
 
 def test_degenerate_form_reeb_solve_raises():

@@ -178,3 +178,12 @@ def test_min_eigenvalue_is_nan_on_an_entry_that_is_not_finite():
     rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]]
     assert math.isnan(nk.min_eigenvalue(rows))
     assert math.isnan(nk.min_eigenvalue([[math.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_determinant_is_nan_on_an_entry_that_is_not_finite():
+    # numpy's det gives inf or a RuntimeWarning and NaN here
+    assert math.isnan(nk.determinant([[math.inf, 0.0], [0.0, 1.0]]))
+    assert math.isnan(nk.determinant([[1.0, 0.0], [0.0, math.nan]]))
+    rows = [[0.0, -0.5, math.inf], [0.5, 0.0, 1.0], [-math.inf, -1.0, 0.0]]
+    assert math.isnan(nk.determinant(rows))
+    assert type(nk.determinant([[2.0, 1.0], [1.0, 2.0]])) is float

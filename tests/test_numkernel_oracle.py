@@ -650,6 +650,36 @@ def test_solve_linear_batches_match_their_points(system):
     )
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_determinant_and_min_eigenvalue_of_a_batch_match_each_matrix(n):
+    """Over a batch whose entries are floats shared by every point or
+    per-point arrays, `determinant` and `min_eigenvalue` give point i, by
+    repr, what they give on point i's matrix: NaN, ±inf and −0.0 entries
+    at some points only, and singular matrices, included."""
+    rng = np.random.default_rng(n)
+    size = 12
+
+    def per_point(v):
+        return np.array(np.broadcast_to(v, size))
+
+    rows = [[rng.normal(size=size) if rng.random() < 0.7 else float(rng.normal())
+             for _ in range(n)] for _ in range(n)]
+    rows[:2] = [[per_point(v) for v in row] for row in rows[:2]]
+    for j in range(n):  # point 5: two equal rows
+        rows[0][j][5] = rows[1][j][5]
+    for k, v in enumerate([math.nan, math.inf, -math.inf, -0.0]):  # points 0-3
+        i, j = rng.integers(n), rng.integers(n)
+        rows[i][j] = per_point(rows[i][j])
+        rows[i][j][k] = v
+    for fn in (nk.determinant, nk.min_eigenvalue):
+        with np.errstate(**BATCH_ERRSTATE):
+            got = fn(rows)
+        want = [fn(point(rows, i)) for i in range(size)]
+        assert type(got) is np.ndarray and all(type(w) is float for w in want)
+        assert [repr(v) for v in got.tolist()] == [repr(w) for w in want]
+        assert sum(math.isnan(w) for w in want) >= 3
+
+
 def test_solve_linear_splits_by_pivot_row_and_merges():
     """Points whose pivot rows differ are solved in groups and merged into
     one batch: no point by point evaluation is needed."""

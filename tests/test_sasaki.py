@@ -7,7 +7,7 @@ import pytest
 
 from sasaki_lab import numkernel as nk
 from sasaki_lab import manifold
-from sasaki_lab.contact import darboux_contact, kernel_frames, nondegeneracy_shortfall
+from sasaki_lab.contact import darboux_contact, kernel_frames
 from sasaki_lab.corpus import build_example
 from sasaki_lab.manifold import SamplePlan, sample_chart
 from sasaki_lab.report import max_or_nan, run_residual_check
@@ -27,7 +27,14 @@ from sasaki_lab.sasaki import (
     standard_darboux_levi,
     theorem54_check,
 )
-from sasaki_lab.tensor import TensorField, agreeing, compose, map_structure, max_abs
+from sasaki_lab.tensor import (
+    TensorField,
+    agreeing,
+    compose,
+    map_structure,
+    max_abs,
+    nondegeneracy_shortfall,
+)
 
 PLAN = SamplePlan(seed=7, points_per_chart=6, tolerance=1e-8)
 

@@ -822,14 +822,8 @@ class TestJetSplit:
             assert _canon(T.at("O", env)) == want[0]
 
 
-def test_zeros_builds_each_row_of_leaves_whole(monkeypatch):
-    """One call per matrix of leaves, not one per leaf; every row is its
-    own list."""
-    calls = []
-    zeros = tn.zeros
-    monkeypatch.setattr(tn, "zeros", lambda dim, rank: calls.append(rank) or zeros(dim, rank))
+def test_zeros_gives_every_row_its_own_list():
     out = tn.zeros(5, 3)
-    assert len(calls) == 1 + 5  # one call per leaf row would make 1 + 5 + 25
     assert _canon(out) == [[["0.0"] * 5] * 5] * 5
     out[1][2][3] = 1.0
     assert tn.max_abs(out) == 1.0 and tn.max_abs(out[0]) == tn.max_abs(out[1][1]) == 0.0
@@ -1228,6 +1222,130 @@ def test_identity_residual_over_a_group_matches_lone_points(kind, special):
     )
 
 
+def _special_metric(atlas, special):
+    """A symmetric (0,2) field on the plane with `special` off its
+    diagonal at some points only; "singular" makes it singular there."""
+
+    def components(chart, env):
+        x, y = env["x"], env["y"]
+        if special == "singular":
+            return [[1.0, 1.0], [1.0, _where(x, 1.0, 2.0 + y * y)]]
+        w = _where(x, special, 0.5 * y)
+        return [[2.0 + x * x, w], [w, 1.0 + y * y]]
+
+    return tn.TensorField("M", atlas, (0, 2), components)
+
+
+def _nondegeneracy_cases(special):
+    """(name, residual, records) per kind of new declaration over a field
+    with `special` at some points only."""
+    atlas = r2_atlas()
+    M = _special_metric(atlas, special)
+    volume = tn.tf_combine("|det M|", (0, 0), [M], lambda cs, env: abs(nk.determinant(cs[0])))
+    lowest = tn.tf_combine("min_eig M", (0, 0), [M], lambda cs, env: nk.min_eigenvalue(cs[0]))
+    yield "determinant", tn.nondegenerate(volume, "volume"), {"volume": min}
+    yield "eigenvalue", tn.nondegenerate(lowest), None
+    yield "every", tn.every(tn.vanishing(M), tn.nondegenerate(volume)), None
+    c = tn.TensorField("c", atlas, (0, 0), lambda chart, env: _where(
+        env["x"], 0.0 if special == "singular" else special, 1.0 + env["y"] ** 2))
+    yield "scalar", tn.nondegenerate(c, "c"), {"c": min}
+
+
+@pytest.mark.parametrize("special", SPECIALS + ["singular"], ids=repr)
+@pytest.mark.parametrize("kind", ["determinant", "eigenvalue", "every", "scalar"])
+def test_nondegeneracy_residual_over_a_group_matches_lone_points(kind, special):
+    """`nondegenerate` of a determinant, of a smallest eigenvalue and of a
+    scalar field, with and without its record, and `every`, give each
+    point of a sample group, by repr, the residual of its lone evaluation,
+    where the field is NaN, ±inf, −0.0 or singular at some points only.
+    The group is reduced whole, and the report, its record and witness
+    included, is the point-by-point path's."""
+    name, residual, records = next(
+        c for c in _nondegeneracy_cases(special) if c[0] == kind
+    )
+    atlas = r2_atlas()
+    plan = SamplePlan(seed=5, points_per_chart=9, tolerance=1e-8)
+    (_, where, pts), = manifold.sample_domain(atlas, plan)
+    got = [repr(residual(where, coords, env)) for coords, env in pts]
+    want = [repr(residual(where, coords, PointEnv(dict(env)))) for coords, env in pts]
+    assert got == want
+    assert pts[0][1].link[0].memo[(residual, "residual")] is not None
+    if special == "singular":  # a vanishing value falls short by 1
+        assert any("1.0" in r for r in got) and len(set(got)) > 1
+    elif kind != "scalar" and special != 0.0:  # an entry not finite is NaN
+        assert any("nan" in r for r in got) and len(set(got)) > 1
+    rep = run_residual_check(name, atlas, residual, plan, records=records)
+    assert _report_bytes(rep) == _report_bytes(
+        run_residual_check(name, atlas, _alone(residual), plan, records=records)
+    )
+
+
+def _special_gallery_check(kind, special):
+    """A plan -> report function: a check whose residual this package
+    declares, over a structure with `special` at some points only ("singular":
+    degenerate there)."""
+    from sasaki_lab.bundle import symplectic_check
+    from sasaki_lab.contact import ContactStructure, is_contact_form
+    from sasaki_lab.sasaki import LeviStructure, standard_darboux_levi
+
+    singular = special == "singular"
+
+    def at_some(env, value, elsewhere):  # a plain leaf, constant in every jet
+        return _where(nk.value_of(env["x"]), 0.0 if singular else value, elsewhere)
+
+    if kind == "contact_form":
+        atlas = r3_atlas()
+        eta = tn.TensorField("eta", atlas, (0, 1), lambda chart, env: [
+            -env["p"], 0.0 if singular else at_some(env, special, 0.0),
+            at_some(env, special, 1.0) if singular else 1.0,
+        ])
+        return lambda plan: is_contact_form(ContactStructure("c", atlas, eta), plan)
+    if kind == "symplectic_form":
+        atlas = r2_atlas()
+        omega = tn.TensorField("omega", atlas, (0, 2), lambda chart, env: (
+            lambda f: [[0.0, f], [-f, 0.0]])(at_some(env, special, 1.0 + env["y"] ** 2)))
+        return lambda plan: symplectic_check(omega, plan)
+    flat = standard_darboux_levi(1)
+    k = tn.TensorField("k", flat.atlas, (0, 0), lambda chart, env: at_some(env, special, 1.0))
+    phibar = tn.tf_combine("k·phibar", (1, 1), [k, flat.phibar], lambda cs, env: [
+        [cs[0] * v for v in row] for row in cs[1]])
+    return LeviStructure("k", flat.contact, phibar).validate
+
+
+def _lone_groups(chart, points):
+    """`manifold.group_envs` without the batch: every point on its own."""
+    return [(coords, chart.env(coords)) for coords in points]
+
+
+@pytest.mark.parametrize("special", SPECIALS + ["singular"], ids=repr)
+@pytest.mark.parametrize("kind", ["contact_form", "symplectic_form", "structure_axioms"])
+def test_declared_gallery_check_matches_its_point_by_point_report(kind, special, monkeypatch):
+    """`is_contact_form`, `symplectic_check` and `LeviStructure.validate`
+    report, byte for byte, what they report with every sample evaluated on
+    its own.  Each fails, a NaN or infinite coefficient included, but
+    where −0.0 stands for a zero that keeps η a contact form."""
+    check = _special_gallery_check(kind, special)
+    plan = SamplePlan(seed=5, points_per_chart=9, tolerance=1e-8)
+    rep = check(plan)
+    harmless = kind == "contact_form" and special == 0.0
+    assert rep.verdict == ("pass" if harmless else "fail")
+    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
+    assert _report_bytes(rep) == _report_bytes(check(plan))
+
+
+@pytest.mark.parametrize("slope", ["0.7", "0.7*x", "0.266 + 0.554*x + 0.593*z^2",
+                                   "0.764*exp(0.689*cos(x)) - 0.395*sin(z)"])
+def test_slope_recovery_matches_its_point_by_point_report(slope, monkeypatch):
+    from sasaki_lab.corpus import build_example
+
+    job = build_example("main1-family", a=slope).check("slope_recovery")
+    plan = SamplePlan(seed=5, points_per_chart=16)
+    rep = job.run(plan)
+    assert rep.passed
+    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
+    assert _report_bytes(rep) == _report_bytes(job.run(plan))
+
+
 def test_identity_residual_whose_batch_signals_is_reduced_point_by_point():
     """inf − inf signals in the batch's reduction: each point is reduced on
     its own, to NaN where both fields are inf, and the witness is the
@@ -1277,6 +1395,30 @@ def test_identity_residual_at_a_failing_point_raises_as_alone(kind):
     assert linked[0].link[0].memo[(residual, "residual")] is None
 
 
+def test_a_field_that_raises_at_its_batch_is_evaluated_there_once():
+    """A zero divisor at one point of a 6-point group: the declared
+    identity's reduction evaluates the field at the batch, once, and the
+    points that fall back evaluate it on their own, not at the batch
+    again (a field built on it included)."""
+    chart = r2_atlas().chart("O")
+    envs = _group(chart, 6)
+    c = envs[2]["x"]
+    linked = [env for _, env in manifold.group_envs(chart, [tuple(e.values()) for e in envs])]
+    calls = []
+    T = _counted(_failing_fields(c)["division"], calls)
+    doubled = tn.tf_scale(T, 2.0)
+    residual = tn.vanishing(doubled)
+    got = []
+    for env in linked[:2]:
+        got.append(repr(residual("O", None, env)))
+    batch = linked[0].link[0]
+    assert batch.memo[(residual, "residual")] is None
+    # the batch once, then each point (three batch evaluations before)
+    assert [id(env) for env in calls] == [id(batch)] + [id(env) for env in linked[:2]]
+    assert got == [repr(tn.vanishing(doubled)("O", None, PointEnv(dict(env))))
+                   for env in linked[:2]]
+
+
 def test_main1_reconstruction_evaluates_nothing_point_by_point(monkeypatch, capsys):
     """Every field `main1-family` evaluates, at the envs `bundle` derives
     from a sampled point too, is evaluated at a batch: no evaluation
@@ -1299,3 +1441,99 @@ def test_main1_reconstruction_evaluates_nothing_point_by_point(monkeypatch, caps
     assert main(["verify", "main1-family", "--param", "a=0.5*x", "--samples", "16"]) == 0
     capsys.readouterr()
     assert lone == []
+
+
+# -- which gallery checks reduce at their batch ------------------------------
+
+# the gallery checks whose residual is evaluated point by point, and why;
+# the same table stands in the `tensor` module docstring
+HAND_WRITTEN = {
+    "atlas_consistency": "map-level, no field",
+    "base_atlas_consistency": "map-level, no field",
+    "embedding_frame": "map jets",
+    "sections_global": "map jets",
+    "sections_independent": "map jets",
+    "paired_consistency": "a dispatch over declared single_valued clauses",
+    "reconstruction": "kahler.reconstruct_main1 rebuilds the base structure",
+}
+UNSAMPLED = {"loop_sign"}  # a product of transition signs, no samples
+
+
+def _field_rows(env):
+    """The fields whose rows `env`'s memo keeps, at every dual level."""
+    out = set()
+    for key, value in env.memo.items():
+        if key[0] == "seeded":
+            out |= _field_rows(value[1])
+        elif isinstance(key[0], tn.TensorField):
+            out.add(key[0])
+    return out
+
+
+def test_gallery_checks_reduce_at_their_batch_but_the_hand_written_table(monkeypatch):
+    """Every gallery check, at 3 points per chart: one outside
+    `HAND_WRITTEN` reduces at its batches (its residual, or the clauses a
+    named-clause dispatch such as `sasaki_check`'s reads), and its points'
+    memos keep no field row, but for `contact.kernel_frames`' read of η at
+    a chart's first sample; no residual a check of the table hands
+    `run_residual_check` is reduced at a batch.  A check that changes sides fails here,
+    so the table and the docstring move with it."""
+    from sasaki_lab import contact, corpus, report
+
+    groups, handed, frame_forms = [], [], set()
+    group_envs, run_check, frames = (
+        manifold.group_envs, report.run_residual_check, contact.kernel_frames
+    )
+
+    def recording_groups(chart, points):
+        rows = group_envs(chart, points)
+        groups.append([env for _, env in rows])
+        return rows
+
+    def recording_run_check(check, domain, residual_fn, plan, *args, **kwargs):
+        handed.append(residual_fn)
+        return run_check(check, domain, residual_fn, plan, *args, **kwargs)
+
+    def recording_frames(C, plan):
+        frame_forms.add(C.eta)
+        return frames(C, plan)
+
+    monkeypatch.setattr(manifold, "group_envs", recording_groups)
+    for obj, wrapper in ((run_check, recording_run_check), (frames, recording_frames)):
+        for mod, name in _bindings(obj):
+            monkeypatch.setattr(mod, name, wrapper)
+    assert all(name in tn.__doc__ for name in HAND_WRITTEN)
+    sides = {"declared": 0, "hand": 0, "none": 0}
+    for key in corpus.EXAMPLE_KEYS:
+        ex = corpus.build_example(key)
+        for job in ex.checks:
+            groups.clear()
+            handed.clear()
+            frame_forms.clear()
+            shared = tn.SampleSet(f.field for f in ex.fields if f.field is not None)
+            job.run(SamplePlan(seed=42, points_per_chart=3, sample_set=shared))
+            batches = [g[0].link[0] for g in groups if g]
+            reduced = [
+                any(batch.memo.get((fn, "residual")) is not None for batch in batches)
+                for fn in handed
+            ]
+            where = f"{key}/{job.name}"
+            if job.name in UNSAMPLED:
+                assert not handed, where
+                sides["none"] += 1
+            elif job.name in HAND_WRITTEN:
+                assert handed and not any(reduced), where
+                sides["hand"] += 1
+            else:
+                assert any(
+                    k[-1] == "residual" and rows is not None
+                    for batch in batches for k, rows in batch.memo.items()
+                ), where
+                rows = {
+                    field for g in groups for i, env in enumerate(g)
+                    for field in _field_rows(env) - (frame_forms if i == 0 else set())
+                }
+                assert not rows, (where, sorted(f.name for f in rows))
+                sides["declared"] += 1
+    assert sides == {"declared": 70, "hand": 17, "none": 2}
+
