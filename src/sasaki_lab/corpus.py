@@ -47,7 +47,7 @@ from .kahler import (
     kahler_integrability_check,
     kahlerianization,
     reconstruct_main1,
-    vertical_slope,
+    vertical_frame,
 )
 from .manifold import (
     Atlas,
@@ -95,6 +95,7 @@ from .tensor import (
     max_abs,
     pullback,
     tf_add,
+    tf_combine,
     tf_scale,
     vanishing,
     zeros,
@@ -1124,36 +1125,31 @@ def _build_main1(params: dict) -> Example:
     pair = kahlerianization(base, slope=slope_src)
     bundle = pair.bundle
     total = bundle.total
-    chart = total.charts[0]
-    zi = chart.index("z")
 
     def hom(field, weight, mode):
         return lambda plan: homogeneity_check(field, weight, mode, plan, bundle)
 
-    slope = vertical_slope(contact, bundle, pair.g)
+    xi_t, nabla, slope = vertical_frame(contact, bundle, pair.g)
     declared_slope = TensorField.from_exprs(
         "declared_slope", contact.atlas, (0, 0),
         {c.name: {(): slope_expr} for c in contact.atlas.charts},
     )
 
-    # ∇ = s∂ₛ and the lifted Reeb field ξ̃ = ∂z span the vertical plane, where
-    # J∇ = ξ̃ − a·∇ and Jξ̃ = a·ξ̃ − (1+a²)·∇; the slopes, base scalars, are
-    # read at the total space's envs, whose fiber coordinate they ignore.
-    def vertical(name, fn):  # fn(ξ̃, ∇, a) -> components
-        def components(chart, env):
-            xi_lift = [float(k == zi) for k in range(chart.dim)]
-            nabla = [0.0] * (chart.dim - 1) + [env[FIBER]]
-            return fn(xi_lift, nabla, declared_slope.at(chart.name, env))
+    # ξ̃ and ∇ span the vertical plane; the slopes, base scalars, are read
+    # at the total space's envs, whose fiber coordinate they ignore
+    def j_scaling(cs, env):  # J∇ = ξ̃ − a·∇
+        x, v, a = cs
+        return [xk - a * vk for xk, vk in zip(x, v)]
 
-        return TensorField(name, total, (1, 0), components)
+    def j_reeb_lift(cs, env):  # Jξ̃ = a·ξ̃ − (1+a²)·∇
+        x, v, a = cs
+        return [a * xk - (1.0 + a * a) * vk for xk, vk in zip(x, v)]
 
+    frame = [xi_t, nabla, declared_slope]
     recovery = agreeing(
         (slope, declared_slope),
-        (compose(pair.J, vertical("scaling", lambda x, v, a: v)), vertical(
-            "J(scaling)", lambda x, v, a: [xk - a * vk for xk, vk in zip(x, v)])),
-        (compose(pair.J, vertical("reeb_lift", lambda x, v, a: x)), vertical(
-            "J(reeb_lift)",
-            lambda x, v, a: [a * xk - (1.0 + a * a) * vk for xk, vk in zip(x, v)])),
+        (compose(pair.J, nabla), tf_combine("J(scaling)", (1, 0), frame, j_scaling)),
+        (compose(pair.J, xi_t), tf_combine("J(reeb_lift)", (1, 0), frame, j_reeb_lift)),
     )
 
     job = _Jobs(key)

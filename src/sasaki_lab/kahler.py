@@ -6,11 +6,13 @@ an almost complex structure, Kähler means its torsion also vanishes.
 
 `reconstruct_main1` inverts the construction on a scaling cone whose
 metric calibrates to the fiber coordinate: it recovers the slope function
-relating the two canonical vertical directions (the Reeb lift and the
-scaling field), the base contact-metric data, and certifies the predicted
-2×2 action of J on the vertical plane.  The slope is constant exactly when
-the pair is Kähler, which `kahler_integrability_check` decides with an
-explicit inconclusive band between its pass and fail thresholds.
+relating the two canonical vertical directions (`vertical_frame`: the
+Reeb lift and the scaling field) and the base contact metric, and
+certifies the predicted 2×2 action of J on the vertical plane in eight
+clauses declared over fields, J² = −id among them.  The slope is constant
+exactly when the pair is Kähler, which `kahler_integrability_check`
+decides with an explicit inconclusive band between its pass and fail
+thresholds.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .tensor import (
     agreeing,
     compose,
     congruence,
+    contract_form_vector,
     identity,
-    max_abs,
     nijenhuis,
     tf_combine,
     vanishing,
@@ -149,17 +151,30 @@ def compatibility_check(
 
 @dataclass
 class Main1Result:
-    slope: TensorField  # base scalar a with g(∇, ξ-lift) = s·a
+    slope: TensorField  # base scalar a with g(∇, ξ̃) = s·a
     g_M: TensorField  # base (0,2) contact-metric
-    phi_C: TensorField  # base (1,1): J restricted to the contact planes
-    J: TensorField  # total-space compatibility tensor
     report: CheckReport
 
 
-def vertical_slope(
+def _at_base(bundle: PrincipalBundle, F: TensorField, fiber=None) -> TensorField:
+    """Base field F as a field on the total space, read at each point's
+    base point (`bundle.base_env`): F's base components, and `fiber`
+    appended as a vector's fiber component if given."""
+
+    def components(chart, env):
+        v = F.at(chart.name, bundle.base_env(env))
+        return v if fiber is None else [*v, fiber]
+
+    return TensorField(f"{F.name}∘π", bundle.total, F.valence, components, F.chart_names())
+
+
+def vertical_frame(
     C: ContactStructure, bundle: PrincipalBundle, g: TensorField
-) -> TensorField:
-    """The base scalar a with g(∇, ξ-lift) = s·a, read at the unit lift."""
+) -> tuple[TensorField, TensorField, TensorField]:
+    """(ξ̃, ∇, a): the Reeb field lifted to the total space (fiber
+    component 0) and the scaling field ∇ = s∂ₛ, which span the vertical
+    plane, and the base scalar a with g(∇, ξ̃) = s·a, read at the unit
+    lift."""
     xi = C.reeb()
 
     def slope(chart, env):
@@ -169,7 +184,14 @@ def vertical_slope(
         # fiber factor for a degree-1 metric, so the unit lift suffices
         return nk.sum_(g_sj * x for g_sj, x in zip(gm[-1], xiv))
 
-    return TensorField("vertical_slope", bundle.base, (0, 0), slope)
+    def scaling(chart, env):
+        return [0.0] * (chart.dim - 1) + [env[FIBER]]
+
+    return (
+        _at_base(bundle, xi, 0.0),
+        TensorField("scaling", bundle.total, (1, 0), scaling),
+        TensorField("vertical_slope", bundle.base, (0, 0), slope),
+    )
 
 
 def reconstruct_main1(
@@ -179,27 +201,34 @@ def reconstruct_main1(
     J: TensorField,
     plan: SamplePlan,
 ) -> Main1Result:
-    """Recover the slope, base metric, and vertical J-action from (g, J).
+    """Recover the slope and base metric from (g, J) and certify the
+    vertical J-action.
 
-    J is the pair's compatibility tensor.  Requires the metric to
-    calibrate to the fiber coordinate (g(∇,∇) = s).  The vertical plane W
-    is spanned by the lifted Reeb field and the scaling field; the
-    certified facts are:
+    J is the pair's compatibility tensor.  The vertical plane W is spanned
+    by ξ̃ and ∇ (`vertical_frame`), the contact planes by the lifts of the
+    base chart's `kernel_frames` fields, built before any point is
+    evaluated.  Each chart's clauses are declared as `vanishing`/`agreeing`
+    identities of fields; ds/s(v) is v's fiber component over s and η(v)
+    sums over the base components:
 
-      * J restricted to W equals [[a, 1], [−(1+a²), −a]] (columns are
-        the images of ξ and ∇),
-      * W and the contact planes are J-invariant,
-      * ‖ξ‖² = s(1+a²) and W ⟂ C,
-      * the base metric extracted at the unit-fiber lift, η² removed of
-        the slope contribution, reassembles g.
+    * ``calibration``: g(∂ₛ, ∂ₛ)·s·s = s, i.e. g(∇, ∇) = s;
+    * ``square``: J² = −id (`squares_to_minus_id`);
+    * ``vertical_matrix``: (η, ds/s) of Jξ̃ and J∇ are the columns of
+      [[a, 1], [−(1+a²), −a]];
+    * ``vertical_invariance``: Jξ̃ and J∇ minus their W-projections vanish;
+    * ``contact_invariance``: η and ds vanish on the images of the frames;
+    * ``reeb_norm``: g(ξ̃, ξ̃) = s(1+a²), summed i outer, j inner;
+    * ``orthogonality``: g(ξ̃, F̃) and g(∇, F̃) vanish for every frame lift
+      F̃, summed the same way;
+    * ``reassembly``: g = s((ds/s + aη)² + g_M) against the base metric
+      extracted at the unit-fiber lift, η² removed of the slope
+      contribution: g's base rows with their mixed entries g(∂ₛ, ∂_i),
+      then g(∂ₛ, ∂ₛ) = 1/s.
 
-    The contact planes are spanned by the base chart's `kernel_frames`
-    fields, built before any point is evaluated.
+    ``details`` holds each clause's worst value and ``failed_clauses`` the
+    clauses above ``plan.tolerance``.
     """
-    xi = C.reeb()
-    frames = kernel_frames(C, plan)
-    slope = vertical_slope(C, bundle, g)
-    square = squares_to_minus_id(J)
+    xi_t, nabla, slope = vertical_frame(C, bundle, g)
 
     def base_metric(chart, env):
         gm = g.at(chart.name, bundle.lift_env(env))
@@ -212,126 +241,92 @@ def reconstruct_main1(
         ]
 
     g_M = TensorField("reconstructed_base_metric", bundle.base, (0, 2), base_metric)
+    eta_t, a_t, g_M_t = (_at_base(bundle, F) for F in (C.eta, slope, g_M))
 
-    def contact_endo(chart, env):
-        m = J.at(chart.name, bundle.lift_env(env))
-        etav = C.eta.at(chart.name, env)
-        xiv = xi.at(chart.name, env)
-        n = len(xiv)
-        # v ↦ J(v − η(v)ξ): the base block of J minus the base part
-        # of J(ξ) spread along η, so the Reeb direction maps to zero
-        jxi = [nk.sum_(m_kl * x for m_kl, x in zip(m[k], xiv)) for k in range(n)]
-        return [[m[k][j] - etav[j] * jxi[k] for j in range(n)] for k in range(n)]
+    def w_coords(v, over_s):  # (η(v), ds(v)), or (η(v), ds(v)/s) if `over_s`
+        def fn(cs, env):
+            etav, vv = cs
+            return [contract_form_vector(etav, vv), vv[-1] / env[FIBER] if over_s else vv[-1]]
 
-    phi_C = TensorField(
-        "reconstructed_contact_endo", bundle.base, (1, 1), contact_endo
-    )
+        return tf_combine(f"(η,ds)({v.name})", (1, 0), [eta_t, v], fn)
+
+    def g_of(w, v):  # g(w, v) = Σ_ij g_ij·w^i·v^j, i outer, j inner
+        def fn(cs, env):
+            gm, wv, vv = cs
+            n = range(len(wv))
+            return nk.sum_(gm[i][j] * wv[i] * vv[j] for i in n for j in n)
+
+        return tf_combine(f"{g.name}({w.name},{v.name})", (0, 0), [g, w, v], fn)
+
+    def off_plane(img, coords):  # img − η(img)·ξ̃ − ds/s(img)·∇
+        def fn(cs, env):
+            iv, (alpha, beta), xv, nv = cs
+            return [i - alpha * x - beta * w for i, x, w in zip(iv, xv, nv)]
+
+        return tf_combine(f"{img.name}−W", (1, 0), [img, coords, xi_t, nabla], fn)
+
+    def calibration(cs, env):
+        s = env[FIBER]
+        return cs[0][-1][-1] * s * s - s
+
+    def matrix_xi(cs, env):  # the column of ξ
+        return [cs[0], -(1.0 + cs[0] * cs[0])]
+
+    def matrix_nabla(cs, env):  # the column of ∇
+        return [1.0, -cs[0]]
+
+    def reeb_norm(cs, env):
+        return env[FIBER] * (1.0 + cs[0] * cs[0])
+
+    def reassembly(cs, env):  # g's base rows, each with its mixed entry, then g_ss
+        gm, gmb, etav, a = cs
+        s = env[FIBER]
+        n = len(etav)
+        out = []
+        for i in range(n):
+            out += [gm[i][j] - s * (a * a * etav[i] * etav[j] + gmb[i][j]) for j in range(n)]
+            out.append(gm[n][i] - s * (1.0 / s) * a * etav[i])  # g(∂ₛ, ∂_i) = a·η_i
+        out.append(gm[n][n] - 1.0 / s)
+        return out
+
+    j_xi, j_nabla = compose(J, xi_t), compose(J, nabla)
+    w_xi, w_nabla = w_coords(j_xi, True), w_coords(j_nabla, True)
+
+    def chart_clauses(frames):
+        lifts = [_at_base(bundle, F, 0.0) for F in frames]
+        return {
+            "calibration": vanishing(tf_combine("g(∇,∇)−s", (0, 0), [g], calibration)),
+            "square": squares_to_minus_id(J),
+            "vertical_matrix": agreeing(
+                (w_xi, tf_combine("(a,−(1+a²))", (1, 0), [a_t], matrix_xi)),
+                (w_nabla, tf_combine("(1,−a)", (1, 0), [a_t], matrix_nabla)),
+            ),
+            "vertical_invariance": vanishing(
+                off_plane(j_xi, w_xi), off_plane(j_nabla, w_nabla)
+            ),
+            "contact_invariance": vanishing(
+                *(w_coords(compose(J, F), False) for F in lifts)
+            ),
+            "reeb_norm": agreeing(
+                (g_of(xi_t, xi_t), tf_combine("s(1+a²)", (0, 0), [a_t], reeb_norm))
+            ),
+            "orthogonality": vanishing(
+                *(g_of(w, F) for F in lifts for w in (xi_t, nabla))
+            ),
+            "reassembly": vanishing(
+                tf_combine("g−reassembled", (0, 2), [g, g_M_t, eta_t, a_t], reassembly)
+            ),
+        }
+
+    clauses = {  # chart name -> {clause: its declared residual}
+        chart: chart_clauses(frames) for chart, frames in kernel_frames(C, plan).items()
+    }
 
     def residual(chart, coords, env):
-        dim = bundle.total.chart(chart).dim
-        n = dim - 1  # the base block, then the fiber
-        s = env[FIBER]
-        base_env = bundle.base_env(env)
-        m = J.at(chart, env)
-        gm = g.at(chart, env)
-        etav = [nk.value_of(v) for v in C.eta.at(chart, base_env)]
-        xiv = [nk.value_of(v) for v in xi.at(chart, base_env)]
-        a = nk.value_of(slope.at(chart, base_env))
-
-        r_cal = abs(nk.value_of(gm[n][n]) * s * s - s)
-
-        r_sq = square(chart, coords, env)
-        if r_sq > 1e-6:
-            raise NotCompatible(
-                f"J² + id reaches {r_sq:.3e} at {coords} in chart {chart}"
-            )
-
-        # vertical vectors in coordinates
-        xi_t = xiv + [0.0]
-        nabla = [0.0] * n + [s]
-
-        def matvec(v):
-            return [
-                nk.value_of(nk.sum_(m[k][j] * v[j] for j in range(dim)))
-                for k in range(dim)
-            ]
-
-        def eta_of(v):
-            return sum(e * c for e, c in zip(etav, v))
-
-        def ds_over_s(v):
-            return v[n] / s
-
-        jxi = matvec(xi_t)
-        jnab = matvec(nabla)
-        want = {
-            ("xi", "xi"): a,
-            ("nabla", "xi"): -(1.0 + a * a),
-            ("xi", "nabla"): 1.0,
-            ("nabla", "nabla"): -a,
-        }
-        got = {
-            ("xi", "xi"): eta_of(jxi),
-            ("nabla", "xi"): ds_over_s(jxi),
-            ("xi", "nabla"): eta_of(jnab),
-            ("nabla", "nabla"): ds_over_s(jnab),
-        }
-
-        # W-invariance: the images minus their W-projections vanish
-        rems = []
-        for img in (jxi, jnab):
-            alpha, beta = eta_of(img), ds_over_s(img)
-            rems += [img[j] - alpha * xi_t[j] - beta * nabla[j] for j in range(dim)]
-
-        # C-invariance: kernel frame vectors stay in ker η ∩ ker ds
-        cinv, orth = [], []
-        for F in frames[chart]:
-            lift = [nk.value_of(c) for c in F.at(chart, base_env)] + [0.0]
-            img = matvec(lift)
-            cinv += [eta_of(img), img[n]]
-            for w_vec in (xi_t, nabla):
-                orth.append(
-                    nk.sum_(
-                        gm[i][j] * w_vec[i] * lift[j]
-                        for i in range(dim)
-                        for j in range(dim)
-                    )
-                )
-
-        norm_xi = nk.value_of(
-            nk.sum_(
-                gm[i][j] * xi_t[i] * xi_t[j]
-                for i in range(dim)
-                for j in range(dim)
-            )
-        )
-
-        # reassembly: g = s((ds/s + aη)² + g_M) against the extraction
-        gmb = g_M.at(chart, base_env)
-        asm = []
-        for i in range(n):
-            for j in range(n):
-                want_ij = s * (
-                    a * a * etav[i] * etav[j] + nk.value_of(gmb[i][j])
-                )
-                asm.append(nk.value_of(gm[i][j]) - want_ij)
-            mixed = s * (1.0 / s) * a * etav[i]  # g(∂s, ∂_i) = a·η_i
-            asm.append(nk.value_of(gm[n][i]) - mixed)
-        asm.append(nk.value_of(gm[n][n]) - 1.0 / s)
-        return {
-            "calibration": r_cal,
-            "square": r_sq,
-            "vertical_matrix": max_abs([got[k] - want[k] for k in want]),
-            "vertical_invariance": max_abs(rems),
-            "contact_invariance": max_abs(cinv),
-            "reeb_norm": abs(norm_xi - s * (1.0 + a * a)),
-            "orthogonality": max_abs(orth),
-            "reassembly": max_abs(asm),
-        }
+        return {name: fn(chart, coords, env) for name, fn in clauses[chart].items()}
 
     report = run_residual_check("main_reconstruction", bundle.total, residual, plan)
     report.details["failed_clauses"] = sorted(
         name for name, value in report.details.items() if not value <= plan.tolerance
     )
-    return Main1Result(slope=slope, g_M=g_M, phi_C=phi_C, J=J, report=report)
-
+    return Main1Result(slope=slope, g_M=g_M, report=report)

@@ -60,8 +60,7 @@ gallery checks still written by hand, point by point, and why:
 
 * ``atlas_consistency``, ``base_atlas_consistency``: map-level, no field;
 * ``embedding_frame``, ``sections_global``, ``sections_independent``: map jets;
-* ``paired_consistency``: a dispatch over declared ``single_valued`` clauses;
-* ``reconstruction``: `kahler.reconstruct_main1` rebuilds the base structure.
+* ``paired_consistency``: a dispatch over declared ``single_valued`` clauses.
 
 A declared residual is the env's row of one reduction at its batch
 (`_batched`, through `_batch_rows`, with the same ``np.errstate`` and

@@ -15,7 +15,6 @@ from sasaki_lab.bundle import (
 from sasaki_lab.contact import darboux_contact, kernel_frames
 from sasaki_lab.corpus import build_example
 from sasaki_lab.kahler import (
-    NotCompatible,
     almost_complex_check,
     compatibility_check,
     compatibility_tensor,
@@ -177,11 +176,6 @@ class TestReconstruction:
             [[p * p + 1.0, 0.0, -p], [0.0, 1.0, 0.0], [-p, 0.0, 1.0]],
             tol=1e-9,
         )
-        assert_rows(
-            res.phi_C.at("O", env),
-            [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, -p, 0.0]],
-            tol=1e-9,
-        )
 
     def test_zero_slope_vertical_block(self):
         L, bundle, omega, g = darboux_cone("0.0")
@@ -197,7 +191,7 @@ class TestReconstruction:
         assert res.report.passed, res.report.details
         env = {"x": 0.45, "p": -0.2, "z": 0.9}
         assert nk.value_of(res.slope.at("O", env)) == pytest.approx(0.45)
-        rep = kahler_integrability_check(res.J, PLAN)
+        rep = kahler_integrability_check(compatibility_tensor(omega, g), PLAN)
         assert rep.verdict == "fail" and rep.max_residual > 1e-3
 
     def test_second_stabilizer_dimension(self):
@@ -207,10 +201,27 @@ class TestReconstruction:
         env = {"x1": 0.2, "p1": -0.4, "x2": 0.7, "p2": 0.3, "z": 0.0}
         assert nk.value_of(res.slope.at("O", env)) == pytest.approx(-1.3)
 
-    def test_incompatible_pair_raises(self):
+    def test_incompatible_pair_fails_its_square_clause(self):
+        """g scaled by 2 alone: J doubles and J² = −4·id, so the `square`
+        clause reaches 3 and the report fails with a witness."""
         L, bundle, omega, g = darboux_cone("0.7")
-        with pytest.raises(NotCompatible):
-            reconstruct(L, bundle, omega, tf_scale(g, 2.0))
+        rep = reconstruct(L, bundle, omega, tf_scale(g, 2.0)).report
+        assert rep.verdict == "fail"
+        assert "square" in rep.details["failed_clauses"]
+        assert rep.details["square"] == pytest.approx(3.0)
+        assert rep.witness.residual == rep.max_residual == rep.details["square"]
+
+    def test_square_clause_reads_the_plan_tolerance(self):
+        """ω scaled by 1 + 1e-6: J² + id reaches about 2e-6, which passes
+        at tolerance 1e-5 and fails the `square` clause at 1e-6."""
+        L, bundle, omega, g = darboux_cone("0.7")
+        J = compatibility_tensor(tf_scale(omega, 1.0 + 1e-6), g)
+        loose, tight = (
+            reconstruct_main1(L.contact, bundle, g, J, replace(PLAN, tolerance=tol)).report
+            for tol in (1e-5, 1e-6)
+        )
+        assert loose.passed and 1e-6 < loose.details["square"] < 1e-5
+        assert tight.verdict == "fail" and "square" in tight.details["failed_clauses"]
 
     def test_failed_clause_is_named(self):
         L, bundle, omega, g = darboux_cone("0.7")
@@ -255,8 +266,8 @@ class TestReconstruction:
 
     def test_half_invariance_of_j(self):
         L, bundle, omega, g = darboux_cone("0.7")
-        res = reconstruct(L, bundle, omega, g)
-        rep = homogeneity_check(res.J, 0, "half", PLAN, bundle=bundle)
+        J = compatibility_tensor(omega, g)
+        rep = homogeneity_check(J, 0, "half", PLAN, bundle=bundle)
         assert rep.passed, rep.max_residual
 
 
@@ -336,13 +347,116 @@ def _hand_almost_complex(J):
     return residual
 
 
-def test_declared_identities_repeat_the_hand_indexed_residuals():
-    """On the sphere's cone with one entry of J shifted by 0.01·x (residuals
-    near 1e-2), the declared checks reduce to the hand-indexed residuals'
-    values, to the last bit, chart by chart and at the same witness."""
-    pair = kahlerianization(build_example("sphere-3").structure, "0.2")
-    J = pair.J
-    bent = TensorField(
+def _hand_reconstruction(C, bundle, g, J, slope, g_M, plan):
+    """`reconstruct_main1`'s clauses, indexed by hand at each point, with
+    the slope, the base metric and the kernel frames it reads."""
+    xi = C.reeb()
+    frames = kernel_frames(C, plan)
+    square = _hand_almost_complex(J)
+
+    def residual(chart, coords, env):
+        dim = bundle.total.chart(chart).dim
+        n = dim - 1  # the base block, then the fiber
+        s = env[FIBER]
+        base_env = bundle.base_env(env)
+        m = J.at(chart, env)
+        gm = g.at(chart, env)
+        etav = [nk.value_of(v) for v in C.eta.at(chart, base_env)]
+        xiv = [nk.value_of(v) for v in xi.at(chart, base_env)]
+        a = nk.value_of(slope.at(chart, base_env))
+
+        r_cal = abs(nk.value_of(gm[n][n]) * s * s - s)
+        r_sq = square(chart, coords, env)
+
+        # vertical vectors in coordinates
+        xi_t = xiv + [0.0]
+        nabla = [0.0] * n + [s]
+
+        def matvec(v):
+            return [
+                nk.value_of(nk.sum_(m[k][j] * v[j] for j in range(dim)))
+                for k in range(dim)
+            ]
+
+        def eta_of(v):
+            return sum(e * c for e, c in zip(etav, v))
+
+        def ds_over_s(v):
+            return v[n] / s
+
+        jxi = matvec(xi_t)
+        jnab = matvec(nabla)
+        want = {
+            ("xi", "xi"): a,
+            ("nabla", "xi"): -(1.0 + a * a),
+            ("xi", "nabla"): 1.0,
+            ("nabla", "nabla"): -a,
+        }
+        got = {
+            ("xi", "xi"): eta_of(jxi),
+            ("nabla", "xi"): ds_over_s(jxi),
+            ("xi", "nabla"): eta_of(jnab),
+            ("nabla", "nabla"): ds_over_s(jnab),
+        }
+
+        # W-invariance: the images minus their W-projections vanish
+        rems = []
+        for img in (jxi, jnab):
+            alpha, beta = eta_of(img), ds_over_s(img)
+            rems += [img[j] - alpha * xi_t[j] - beta * nabla[j] for j in range(dim)]
+
+        # C-invariance: kernel frame vectors stay in ker η ∩ ker ds
+        cinv, orth = [], []
+        for F in frames[chart]:
+            lift = [nk.value_of(c) for c in F.at(chart, base_env)] + [0.0]
+            img = matvec(lift)
+            cinv += [eta_of(img), img[n]]
+            for w_vec in (xi_t, nabla):
+                orth.append(
+                    nk.sum_(
+                        gm[i][j] * w_vec[i] * lift[j]
+                        for i in range(dim)
+                        for j in range(dim)
+                    )
+                )
+
+        norm_xi = nk.value_of(
+            nk.sum_(
+                gm[i][j] * xi_t[i] * xi_t[j]
+                for i in range(dim)
+                for j in range(dim)
+            )
+        )
+
+        # reassembly: g = s((ds/s + aη)² + g_M) against the extraction
+        gmb = g_M.at(chart, base_env)
+        asm = []
+        for i in range(n):
+            for j in range(n):
+                want_ij = s * (
+                    a * a * etav[i] * etav[j] + nk.value_of(gmb[i][j])
+                )
+                asm.append(nk.value_of(gm[i][j]) - want_ij)
+            mixed = s * (1.0 / s) * a * etav[i]  # g(∂s, ∂_i) = a·η_i
+            asm.append(nk.value_of(gm[n][i]) - mixed)
+        asm.append(nk.value_of(gm[n][n]) - 1.0 / s)
+        return {
+            "calibration": r_cal,
+            "square": r_sq,
+            "vertical_matrix": max_abs([got[k] - want[k] for k in want]),
+            "vertical_invariance": max_abs(rems),
+            "contact_invariance": max_abs(cinv),
+            "reeb_norm": abs(norm_xi - s * (1.0 + a * a)),
+            "orthogonality": max_abs(orth),
+            "reassembly": max_abs(asm),
+        }
+
+    return residual
+
+
+def _bent(J):
+    """J with its (1, 0) entry shifted by 0.01 times the first coordinate."""
+    return TensorField(
         "bent", J.atlas, (1, 1),
         lambda chart, env: [
             [v + 0.01 * env[chart.coords[0]] if (k, j) == (1, 0) else v
@@ -350,6 +464,16 @@ def test_declared_identities_repeat_the_hand_indexed_residuals():
             for k, row in enumerate(J.at(chart.name, env))
         ],
     )
+
+
+def test_declared_identities_repeat_the_hand_indexed_residuals():
+    """On the sphere's cone with one entry of J shifted by 0.01·x (residuals
+    near 1e-2), the declared checks reduce to the hand-indexed residuals'
+    values, to the last bit, chart by chart and at the same witness.  So
+    does the reconstruction, clause by clause, on the cone of slope 0.7·x
+    with ω and g both doubled and with J bent the same way."""
+    pair = kahlerianization(build_example("sphere-3").structure, "0.2")
+    bent = _bent(pair.J)
     plan = SamplePlan(seed=5, points_per_chart=8, tolerance=1e-8)
     for declared, hand in (
         (compatibility_check(pair.omega, pair.g, bent, plan),
@@ -363,3 +487,19 @@ def test_declared_identities_repeat_the_hand_indexed_residuals():
                 repr(declared.witness)] == [
             repr(by_hand.max_residual), repr(by_hand.per_chart),
             repr(by_hand.witness)]
+    L, bundle, omega, g = darboux_cone("0.7*x")
+    doubled = tf_scale(omega, 2.0), tf_scale(g, 2.0)
+    for g_, J in (
+        (doubled[1], compatibility_tensor(*doubled)),
+        (g, _bent(compatibility_tensor(omega, g))),
+    ):
+        res = reconstruct_main1(L.contact, bundle, g_, J, plan)
+        hand = _hand_reconstruction(L.contact, bundle, g_, J, res.slope, res.g_M, plan)
+        by_hand = run_residual_check("by_hand", bundle.total, hand, plan)
+        declared = res.report
+        clauses = {k: v for k, v in declared.details.items() if k != "failed_clauses"}
+        assert declared.verdict == "fail" and len(by_hand.details) == 8
+        assert [repr(declared.max_residual), repr(declared.per_chart),
+                repr(declared.witness), repr(clauses)] == [
+            repr(by_hand.max_residual), repr(by_hand.per_chart),
+            repr(by_hand.witness), repr(by_hand.details)]
