@@ -89,10 +89,12 @@ from .tensor import (
     agreeing,
     compose,
     cross_chart_consistency,
+    every,
     exterior_derivative,
     lie_bracket,
     lie_derivative,
-    max_abs,
+    map_jet,
+    map_values,
     pullback,
     tf_add,
     tf_combine,
@@ -302,6 +304,7 @@ def _wrap_sign(t: TransitionMap, piece: TransitionPiece) -> float:
 _LOOP_PATH = (("O", "U", 0), ("U", "O", 1))
 
 _CIRCLE = _wrap_atlas(())
+_OTHER = {"O": "U", "U": "O"}  # the other chart of a wrap atlas
 _JET_EXTRA = (("p", (-3.5, 3.5)), ("z", (-3.5, 3.5)))
 
 # dz - p dx on each chart; the wrap flips it, so the structure is paired.
@@ -698,25 +701,32 @@ def _build_mobius_jet(params: dict) -> Example:
         "section_cosine", f"-{_PI} * sin({_PI} * x)", f"cos({_PI} * x)", base
     )
 
-    def section_values(sm: SmoothMap, chart: str, x: float):
-        return sm.apply(chart, {"x": x})
+    def glued(sm: SmoothMap) -> tuple[TensorField, TensorField]:
+        """A section formula is one tensorial object: its value carried
+        across the overlap gluing, and the other chart's formula at the
+        carried point, agree."""
+        values = map_values(sm)
 
-    def sections_global_residual(chart, coords, env):
-        """A section formula is one tensorial object: pushing its value
-        through the overlap gluing lands on the other chart's formula."""
-        other = "U" if chart == "O" else "O"
-        comps = []
-        for sm in (sine, cosine):
-            vals = [nk.value_of(v) for v in section_values(sm, chart, env["x"])]
-            moved = apply_transition(base, Point(chart, tuple(vals)), other)
-            want = section_values(sm, other, moved.coords[0])
-            comps += [a - nk.value_of(b) for a, b in zip(moved.coords, want)]
-        return max_abs(comps)
+        def carried(chart, env):
+            p = Point(chart.name, values.at(chart.name, env))
+            return apply_transition(base, p, _OTHER[chart.name]).coords
 
-    def sections_independent_residual(chart, coords, env):
-        p1, z1 = (nk.value_of(v) for v in section_values(sine, chart, env["x"])[1:])
-        p2, z2 = (nk.value_of(v) for v in section_values(cosine, chart, env["x"])[1:])
-        return abs((p1 * z2 - z1 * p2) - math.pi)
+        moved = TensorField(f"{sm.name}_carried", _CIRCLE, (0, 0), carried)
+
+        def there(chart, env):
+            return sm.apply(_OTHER[chart.name], {"x": moved.at(chart.name, env)[0]})
+
+        return moved, TensorField(f"{sm.name}_there", _CIRCLE, (0, 0), there)
+
+    def wronskian(cs, env):  # p1·z2 − z1·p2
+        (_, p1, z1), (_, p2, z2) = cs
+        return p1 * z2 - z1 * p2
+
+    sections_independent = agreeing((
+        tf_combine("section_wronskian", (0, 0), [map_values(sine), map_values(cosine)],
+                   wronskian),
+        TensorField("pi", _CIRCLE, (0, 0), lambda chart, env: math.pi),
+    ))
 
     job = _Jobs(key)
     checks = (
@@ -738,10 +748,8 @@ def _build_mobius_jet(params: dict) -> Example:
         ),
         job("sasaki", 1e-8, lambda plan: sasaki_check(struct, plan)),
         job("loop_sign", 0.0, _loop_check(base, contact.transition_sign)),
-        job.sampled("sections_global", 1e-9, _CIRCLE, sections_global_residual),
-        job.sampled(
-            "sections_independent", 1e-9, _CIRCLE, sections_independent_residual
-        ),
+        job.sampled("sections_global", 1e-9, _CIRCLE, agreeing(glued(sine), glued(cosine))),
+        job.sampled("sections_independent", 1e-9, _CIRCLE, sections_independent),
     )
     fields = [
         EntryField.of("eta", "main", contact.eta),
@@ -941,21 +949,41 @@ def _build_sphere(n: int, params: dict) -> Example:
     contact = ContactStructure(f"sphere{dimb}_contact", atlas, eta, _reeb=reeb)
     struct = LeviStructure(f"sphere{dimb}", contact, endo)
 
-    def frame_residual(chart, coords_, env):
-        y, m, d = _sphere_frame(env, coords, _LAST_SIGN[chart])
-        vals, jac = embed.jet(chart, env)
-        comps = [nk.sum_(w * w for w in y) - 4.0]
-        for a in range(dimb + 1):
-            comps.append(vals[a] - y[a])
-            comps += [jac[a][j] - m[a][j] for j in range(dimb)]
+    # The embedding's jet against `_sphere_frame`'s closed form (y, M, D).
+    # Each sum runs over the ambient index a in order, since the residuals
+    # are compared bit for bit.
+    ambient_range = range(dimb + 1)
+    frame = TensorField(
+        f"sphere{dimb}_frame", atlas, (0, 0),
+        lambda chart, env: _sphere_frame(env, coords, _LAST_SIGN[chart.name]),
+    )
+
+    def on_sphere(cs, env):  # |y|² − 4, then Mᵀy
+        y, m, _ = cs[0]
+        return [nk.sum_(w * w for w in y) - 4.0] + [
+            nk.sum_(m[a][i] * y[a] for a in ambient_range) for i in range(dimb)
+        ]
+
+    def gram(cs, env):  # MᵀM
+        m = cs[0][1]
+        return [[nk.sum_(m[a][i] * m[a][j] for a in ambient_range) for j in range(dimb)]
+                for i in range(dimb)]
+
+    def conformal(cs, env):  # (64/D²)·Id
+        d = cs[0][2]
         scale = 64.0 / nk.value_of(d * d)
-        for i in range(dimb):
-            comps.append(nk.sum_(m[a][i] * y[a] for a in range(dimb + 1)))
-            for j in range(dimb):
-                gram = nk.sum_(m[a][i] * m[a][j] for a in range(dimb + 1))
-                want = scale if i == j else 0.0
-                comps.append(nk.value_of(gram) - want)
-        return max_abs(comps)
+        return [[scale if i == j else 0.0 for j in range(dimb)] for i in range(dimb)]
+
+    def closed_form(name, fn):
+        return tf_combine(name, (0, 0), [frame], fn)
+
+    embedding_frame = every(
+        agreeing(
+            (map_jet(embed), closed_form("y,M", lambda cs, env: cs[0][:2])),
+            (closed_form("MᵀM", gram), closed_form("(64/D²)·Id", conformal)),
+        ),
+        vanishing(closed_form("|y|²−4,Mᵀy", on_sphere)),
+    )
 
     eta_pulled = pullback(embed, theta, name="pulled_rotation_form")
     metric_pulled = pullback(embed, flat, name="pulled_flat_metric")
@@ -967,7 +995,7 @@ def _build_sphere(n: int, params: dict) -> Example:
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", atlas),
-        job.sampled("embedding_frame", 1e-10, atlas, frame_residual),
+        job.sampled("embedding_frame", 1e-10, atlas, embedding_frame),
         job.sampled("contact_form_reference", 1e-9, atlas, agreeing((eta_pulled, eta))),
         job.sampled(
             "round_metric", 1e-9, atlas, agreeing((metric_here, metric_pulled))

@@ -39,10 +39,6 @@ from .tensor import (
 )
 
 
-class NotCompatible(ValueError):
-    """The candidate pair does not square to minus the identity."""
-
-
 @dataclass
 class KahlerCandidate:
     """A homogeneous (ω, g) pair on a scaling bundle with its derived J."""

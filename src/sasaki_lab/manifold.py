@@ -13,7 +13,10 @@ also share a batch env, whose coordinates are float64 arrays, so that
 `tensor` can evaluate a field once for the whole group.
 
 Transition maps are piecewise: each piece restricts the source box and maps
-coordinates by expressions, with an explicit inverse.  Sampling is
+coordinates by expressions, with an explicit inverse.  `apply_transition`
+maps the coordinates of a point, or the arrays of a batch, through the
+piece each point lies in; a batch whose points lie in different pieces is
+carried group by group and merged, as `numkernel` splits a solve.  Sampling is
 deterministic: the stream for a chart depends only on (seed, chart name),
 and that of a transition's pieces on (seed, its stream name), never on
 iteration order, so reports are reproducible byte for byte.
@@ -28,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import exprlang
+from . import exprlang, numkernel as nk
 from .exprlang import Expr
 from .report import CheckReport, max_or_nan, run_residual_check
 
@@ -150,10 +153,12 @@ class Chart:
         return pieces
 
     def contains(self, coords, slack: float = 1e-9) -> bool:
-        for v, (lo, hi) in zip(coords, self.box):
-            if v < lo - slack or v > hi + slack:
-                return False
-        return True
+        """Whether the point lies in the box, `slack` wide (a NaN coordinate
+        does); at a batch, whether every point does."""
+        return not any(
+            np.any((v < lo - slack) | (v > hi + slack))
+            for v, (lo, hi) in zip(coords, self.box)
+        )
 
 
 @dataclass(frozen=True)
@@ -164,10 +169,13 @@ class TransitionPiece:
     forward: tuple[Expr, ...]  # target coords as exprs in source coords
     inverse: tuple[Expr, ...]  # source coords as exprs in target coords
 
-    def contains(self, coords, slack: float = 1e-12) -> bool:
-        return all(
-            lo - slack <= v <= hi + slack for v, (lo, hi) in zip(coords, self.box)
-        )
+    def contains(self, coords, slack: float = 1e-12):
+        """Whether the point lies in the piece's box, `slack` wide; at a
+        batch, a bool array, one per point."""
+        inside = True
+        for v, (lo, hi) in zip(coords, self.box):
+            inside = inside & (lo - slack <= v) & (v <= hi + slack)
+        return inside
 
 
 @dataclass(frozen=True)
@@ -307,22 +315,51 @@ def sample_points(atlas: Atlas, plan: SamplePlan):
 
 
 def apply_transition(atlas: Atlas, p: Point, target: str) -> Point:
-    """Map a point to the target chart through the declared transition."""
+    """Map a point to the target chart through the declared transition.
+
+    At a batch ``p.coords`` holds the group's arrays, and so does the
+    result (`_carry`); every point must pass the box tests.
+    """
     if p.chart == target:
         return p
-    chart = atlas.chart(p.chart)
-    if not chart.contains(p.coords):
+    if not atlas.chart(p.chart).contains(p.coords):
         raise OutOfDomain(f"point {p.coords} outside chart {p.chart} box")
-    t = atlas.transition(p.chart, target)
-    piece = t.piece_for(p.coords)
-    env = chart.env(p.coords)
-    new = tuple(float(exprlang.eval_expr(e, env)) for e in piece.forward)
-    tgt = atlas.chart(target)
-    if not tgt.contains(new, slack=1e-7):
+    new = tuple(_carry(atlas, atlas.transition(p.chart, target), p.coords))
+    if not atlas.chart(target).contains(new, slack=1e-7):
         raise OutOfDomain(
             f"transition {p.chart}->{target} left the target box at {new}"
         )
     return Point(target, new)
+
+
+def _carry(atlas: Atlas, t: TransitionMap, coords) -> list:
+    """The image of `coords` under `t`, through the piece `piece_for`
+    picks: each forward expression at the source chart's env of `coords`.
+
+    At a batch (array coordinates) the points that pick the same piece
+    are carried together and merged (`numkernel.groups`, `merge`), so each
+    gets its own piece's image bit for bit; a group in no piece raises.
+    """
+    size = next((len(v) for v in coords if type(v) is np.ndarray), None)
+    if size is None:
+        return _images(t.piece_for(coords).forward, atlas.chart(t.source).env(coords))
+    picked = np.full(size, len(t.pieces))
+    for k in reversed(range(len(t.pieces))):
+        picked[np.broadcast_to(t.pieces[k].contains(coords), size)] = k
+    if (picked == picked[0]).all():
+        if picked[0] == len(t.pieces):
+            raise OutOfDomain(f"no point of the batch lies in a piece of {t.source}->{t.target}")
+        env = atlas.chart(t.source).env(coords)
+        return _images(t.pieces[picked[0]].forward, env)
+    return nk.merge([
+        (idx, _carry(atlas, t, nk.take(coords, idx))) for idx in nk.groups(picked)
+    ], size)
+
+
+def _images(exprs, env) -> list:
+    """The values of `exprs` at `env`: floats, or the arrays of a batch."""
+    values = [exprlang.eval_expr(e, env) for e in exprs]
+    return [v if type(v) is np.ndarray else float(v) for v in values]
 
 
 def _piece_sample(chart: Chart, piece: TransitionPiece, plan: SamplePlan, rng):
@@ -393,22 +430,27 @@ def atlas_consistency_check(atlas: Atlas, plan: SamplePlan) -> CheckReport:
     """Round-trip every transition piece: inverse(forward(p)) == p.
 
     Also composes each declared opposite pair source->target->source on the
-    same samples, which covers 2-cycle cocycle consistency; 3-chart cycles
-    would report here too if an atlas declared them.
+    same samples (`_carry`), which covers 2-cycle cocycle
+    consistency; 3-chart cycles would report here too if an atlas declared
+    them.  The round trip is a declared identity: at a sample group it is
+    evaluated once, the coordinates its arrays (see `tensor`), and its
+    per-point rows are the largest |difference| of the two round trips.
     """
+    from .tensor import _batched  # tensor imports this module
 
-    def residual(site, coords, env):
+    def round_trips(site, env):
         t, piece = site.transition, site.piece
-        fwd = [float(exprlang.eval_expr(e, env)) for e in piece.forward]
-        fenv = atlas.chart(t.target).env(fwd)
-        back = [float(exprlang.eval_expr(e, fenv)) for e in piece.inverse]
+        coords = [env[c] for c in atlas.chart(t.source).coords]
+        fwd = _images(piece.forward, env)
+        back = _images(piece.inverse, atlas.chart(t.target).env(fwd))
         diffs = [abs(b - c) for b, c in zip(back, coords)]
         try:
-            rpiece = atlas.transition(t.target, t.source).piece_for(fwd)
-            back2 = [float(exprlang.eval_expr(e, fenv)) for e in rpiece.forward]
-            diffs += [abs(b - c) for b, c in zip(back2, coords)]
+            reverse = atlas.transition(t.target, t.source)
         except NoTransition:
-            pass
-        return max_or_nan(diffs)
+            return max_or_nan(diffs)
+        back2 = _carry(atlas, reverse, fwd)
+        return max_or_nan(diffs + [abs(b - c) for b, c in zip(back2, coords)])
 
-    return run_residual_check("atlas_consistency", Overlaps(atlas), residual, plan)
+    return run_residual_check(
+        "atlas_consistency", Overlaps(atlas), _batched(round_trips), plan
+    )

@@ -55,12 +55,12 @@ A check declares what it certifies: ``vanishing(*fields)``,
 of ``field_overlaps(T)``), ``nondegenerate(c)`` (the scalar field c
 stays above `NONDEGENERACY_THRESHOLD`) and ``every(*residuals)`` (all of
 them) build the residual (where, coords, env) -> float that
-`report.run_residual_check` evaluates at the samples it draws.  The
-gallery checks still written by hand, point by point, and why:
-
-* ``atlas_consistency``, ``base_atlas_consistency``: map-level, no field;
-* ``embedding_frame``, ``sections_global``, ``sections_independent``: map jets;
-* ``paired_consistency``: a dispatch over declared ``single_valued`` clauses.
+`report.run_residual_check` evaluates at the samples it draws;
+``named(clauses)`` builds one whose value is the dict of named clauses a
+report lists in its ``details``.  A map's identities read the map as a
+field (`map_values`, `map_jet`), and `manifold.atlas_consistency_check`
+declares its round trips the same way, so every sampled gallery check
+is declared.
 
 A declared residual is the env's row of one reduction at its batch
 (`_batched`, through `_batch_rows`, with the same ``np.errstate`` and
@@ -206,6 +206,14 @@ def every(*residuals: Callable) -> Callable:
     return _batched(
         lambda where, env: max_or_nan([r.reduce_at(where, env) for r in residuals])
     )
+
+
+def named(clauses: Callable) -> Callable:
+    """Residual of named clauses: ``{name: value}`` over the declared
+    residuals of ``clauses(where)`` ({name: residual}), in its order."""
+    return _batched(lambda where, env: {
+        name: r.reduce_at(where, env) for name, r in clauses(where).items()
+    })
 
 
 class TensorField:
@@ -538,6 +546,25 @@ class SmoothMap:
             [nk.tangent_at(v, tag, i) for i in range(src.dim)] for v in img
         ]
         return vals, jac
+
+
+def map_values(F: SmoothMap) -> TensorField:
+    """F's target coordinates as a field on its source charts (a list of
+    components, not a tensor)."""
+    return TensorField(
+        f"{F.name}(·)", F.source, (0, 0),
+        lambda chart, env: F.apply(chart.name, env), F.pieces,
+    )
+
+
+def map_jet(F: SmoothMap) -> TensorField:
+    """``[values, jacobian]`` of `SmoothMap.jet` as a field on F's source
+    charts (component lists, not a tensor), so that an identity of F's
+    jet is declared and reduced at its batch."""
+    return TensorField(
+        f"j({F.name})", F.source, (0, 0),
+        lambda chart, env: list(F.jet(chart.name, env)), F.pieces,
+    )
 
 
 # -- derivative operators ---------------------------------------------

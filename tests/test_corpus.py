@@ -1,12 +1,13 @@
 """Gallery entries: registry behavior, declared verdicts, and golden files."""
 
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from sasaki_lab import corpus
+from sasaki_lab import corpus, manifold
 from sasaki_lab import numkernel as nk
 from sasaki_lab.bundle import FIBER, loop_sign, symplectize
 from sasaki_lab.corpus import (
@@ -88,6 +89,64 @@ def test_check_lookup():
     assert ex.check("sasaki").name == "sasaki"
     with pytest.raises(UnknownKey):
         ex.check("nonexistent")
+
+
+# -- the map-level checks, at their batch and point by point ---------------
+
+# the gallery's checks of transition maps, embeddings and sections
+MAP_CHECKS = (
+    *((key, "atlas_consistency") for key in ALL_KEYS),
+    ("mobius-band", "base_atlas_consistency"),
+    ("mobius-cotangent", "base_atlas_consistency"),
+    ("sphere-3", "embedding_frame"),
+    ("sphere-5", "embedding_frame"),
+    ("mobius-jet", "sections_global"),
+    ("mobius-jet", "sections_independent"),
+    ("mobius-jet", "paired_consistency"),
+)
+
+
+def _lone_groups(chart, points):
+    """`manifold.group_envs` without the batch: every point on its own."""
+    return [(coords, chart.env(coords)) for coords in points]
+
+
+def _report_bytes(rep):
+    return json.dumps(rep.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("points", [3, 384])
+@pytest.mark.parametrize("key,check", MAP_CHECKS, ids=[f"{k}/{c}" for k, c in MAP_CHECKS])
+def test_map_check_matches_its_point_by_point_report(key, check, points, monkeypatch):
+    """A declared map identity reports, byte for byte, what it reports
+    with every sample evaluated on its own."""
+    job = build_example(key).check(check)
+    plan = SamplePlan(seed=42, points_per_chart=points)
+    rep = job.run(plan)
+    assert rep.passed, (key, check)
+    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
+    assert _report_bytes(rep) == _report_bytes(job.run(plan))
+
+
+@pytest.mark.parametrize("key", ["sphere-3", "sphere-5"])
+def test_a_perturbed_sphere_frame_fails_embedding_frame(key, monkeypatch):
+    """One entry of the closed-form Jacobian off by 1e-6·u1: the
+    embedding's jet no longer matches it, and the failure, witness
+    included, is the one reported point by point."""
+    frame = corpus._sphere_frame
+
+    def perturbed(env, coords, last_sign):
+        y, m, d = frame(env, coords, last_sign)
+        m[1][0] = m[1][0] + 1e-6 * env[coords[0]]
+        return y, m, d
+
+    monkeypatch.setattr(corpus, "_sphere_frame", perturbed)
+    job = build_example(key).check("embedding_frame")
+    plan = SamplePlan(seed=42, points_per_chart=16)
+    rep = job.run(plan)
+    assert rep.verdict == FAIL and 1e-7 < rep.max_residual < 1e-5
+    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
+    assert _report_bytes(rep) == _report_bytes(job.run(plan))
 
 
 # -- every declared check matches its declared verdict ------------------

@@ -1,9 +1,15 @@
-"""Every name a package or test module imports is used in that module.
+"""Every name a package or test module imports is used in that module,
+and every top-level definition of the package is read somewhere.
 
 A deletion that leaves an import behind is caught here: each
 ``src/sasaki_lab/*.py`` and ``tests/*.py`` is parsed with `ast`, and every
 imported name must be read somewhere in its module, in code or in a quoted
 annotation.  The only exception is the package's ``__version__`` re-export.
+A deletion that leaves a definition behind is caught too: each function,
+class and assigned name at the top of a ``src/sasaki_lab/*.py`` module
+must be read by a file of ``src/``, ``tests/`` or ``perfbench/``, outside
+its own statement (`numkernel.solve_linear_info` is read by the
+benchmark's tracer, `corpus.write_golden_files` by the tests).
 """
 
 import ast
@@ -68,3 +74,75 @@ def test_every_import_is_used(path):
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("from x import a, b\nimport c.d\nimport e as f\nb()\n")
     assert set(imported_names(tree)) - used_names(tree) == {"a", "c", "f"}
+
+
+# -- top-level definitions nothing reads ----------------------------------
+
+READERS = sorted(
+    path
+    for folder in ("src", "tests", "perfbench")
+    for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Names `tree` reads: loaded names, attributes, imported names, and
+    strings that are one identifier (``monkeypatch.setattr(mod, "name")``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add(node.value)
+    return out | used_names(tree)
+
+
+def top_level_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) of each function, class and assigned name."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def unread_definitions(modules, readers) -> list[str]:
+    """``module.name`` of each top-level definition of `modules` that no
+    file of `readers` reads, its own statement aside; dunders are exempt."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in readers}
+    elsewhere = {path: read_names(tree) for path, tree in trees.items()}
+    unread = []
+    for path in modules:
+        others = set().union(*(names for p, names in elsewhere.items() if p != path))
+        body = trees[path].body
+        statements = [read_names(node) for node in body]
+        for name, node in top_level_definitions(trees[path]):
+            if name.startswith("__") or name in others:
+                continue
+            if not any(name in names for n, names in zip(body, statements) if n is not node):
+                unread.append(f"{path.stem}.{name}")
+    return unread
+
+
+def test_every_top_level_definition_is_read():
+    """A definition of the package that nothing in `src/`, `tests/` or
+    `perfbench/` reads is dead code: delete it."""
+    assert unread_definitions(MODULES, READERS) == []
+
+
+def test_the_guard_sees_an_unread_definition(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "X = 1\n\n\ndef f():\n    return f()\n\n\ndef g():\n    return X\n\n\n"
+        "class K:\n    pass\n"
+    )
+    (tmp_path / "user.py").write_text("import mod\n\nmod.g()\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unread_definitions(paths[:1], paths) == ["mod.f", "mod.K"]

@@ -19,6 +19,7 @@ from sasaki_lab.manifold import (
     SamplePlan,
     TransitionMap,
     TransitionPiece,
+    Overlaps,
     append_coordinate,
     apply_transition,
     atlas_consistency_check,
@@ -178,6 +179,19 @@ class TestTransitions:
         with pytest.raises(NoTransition):
             apply_transition(atlas, Point("A", (0.5,)), "Z")
 
+    def test_a_batch_takes_each_point_through_its_piece(self):
+        """At a batch the points of the two pieces are carried group by
+        group and merged: each gets its own coords, bit for bit; a batch
+        with a point off the box raises."""
+        atlas = circle_atlas()
+        xs = [0.07, 0.62, 0.31, 0.98, 0.5]
+        (got,) = apply_transition(atlas, Point("A", (np.array(xs),)), "B").coords
+        assert type(got) is np.ndarray
+        want = [apply_transition(atlas, Point("A", (x,)), "B").coords[0] for x in xs]
+        assert list(map(repr, got.tolist())) == list(map(repr, want))
+        with pytest.raises(OutOfDomain):
+            apply_transition(atlas, Point("A", (np.array(xs + [7.0]),)), "B")
+
     def test_out_of_domain(self):
         atlas = circle_atlas()
         with pytest.raises(OutOfDomain):
@@ -268,6 +282,81 @@ class TestConsistencyCheck:
         assert math.isnan(rep.max_residual) and math.isnan(rep.per_chart["A->B"])
         assert rep.per_chart["B->A"] == 0.0
         assert rep.witness.chart == "A->B" and math.isnan(rep.witness.residual)
+
+
+def _lone_groups(chart, points):
+    """`manifold.group_envs` without the batch: every point on its own."""
+    return [(coords, chart.env(coords)) for coords in points]
+
+
+def _report_bytes(rep):
+    return json.dumps(rep.to_dict(), sort_keys=True)
+
+
+def _straddling_atlas(back_upper: str = "x + 1e-6 * x") -> Atlas:
+    """Charts A and B over ]0, 2[: A->B is the identity on one piece, and
+    the way back, B->A, has two pieces, the identity over ]0, 1[ and
+    `back_upper` over ]1, 2[ (off by 1e-6·x by default)."""
+    a = Chart("A", ("x",), ((0.0, 2.0),))
+    b = Chart("B", ("x",), ((0.0, 2.0),))
+    ident = (el.parse("x"),)
+    t_ab = TransitionMap("A", "B", (TransitionPiece(((0.0, 2.0),), ident, ident),))
+    t_ba = TransitionMap("B", "A", (
+        TransitionPiece(((0.0, 1.0),), ident, ident),
+        TransitionPiece(((1.0, 2.0),), (el.parse(back_upper),), ident),
+    ))
+    return Atlas([a, b], [t_ab, t_ba])
+
+
+@pytest.mark.parametrize("points", [3, 16, 384])
+def test_round_trips_through_straddled_reverse_pieces_match_point_by_point(
+    points, monkeypatch
+):
+    """A->B's one overlap group maps into both pieces of B->A, and only
+    the upper one is off: the round trips fail with the witness above
+    x = 1, and report byte for byte what they report point by point."""
+    atlas = _straddling_atlas()
+    plan = SamplePlan(seed=5, points_per_chart=points, tolerance=1e-10)
+    (_, _, pts), *_ = manifold.sample_domain(Overlaps(atlas), plan)
+    back = atlas.transition("B", "A")
+    assert {id(back.piece_for(coords)) for coords, _ in pts} == set(map(id, back.pieces))
+    rep = atlas_consistency_check(atlas, plan)
+    assert rep.verdict == "fail" and rep.witness.coords[0] > 1.0
+    assert rep.per_chart["A->B"] > 1e-7
+    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
+    assert _report_bytes(rep) == _report_bytes(atlas_consistency_check(atlas, plan))
+
+
+def test_a_zero_divisor_at_one_sample_raises_at_that_sample(monkeypatch):
+    """A forward expression whose divisor is 0 at the third sample of its
+    group: the samples before it are reduced, and that sample raises the
+    lone evaluation's `EvalDomainError`, with the batch or without."""
+    from sasaki_lab import report
+
+    plan = SamplePlan(seed=5, points_per_chart=6)
+    (_, _, pts), *_ = manifold.sample_domain(Overlaps(_straddling_atlas()), plan)
+    c = pts[2][0][0]
+    atlas = _straddling_atlas()
+    bad = TransitionPiece(((0.0, 2.0),), (el.parse(f"x + (x - {c!r}) / (x - {c!r}) - 1"),),
+                          (el.parse("x"),))
+    atlas = Atlas(atlas.charts, [TransitionMap("A", "B", (bad,)), atlas.transitions[1]])
+    reduce_residuals = report.reduce_residuals
+
+    def outcome():
+        seen = []
+
+        def recording(rows, records=None):
+            return reduce_residuals((seen.append(row) or row for row in rows), records)
+
+        monkeypatch.setattr(report, "reduce_residuals", recording)
+        with pytest.raises(el.EvalDomainError) as exc:
+            atlas_consistency_check(atlas, plan)
+        return [repr(row) for row in seen], str(exc.value)
+
+    batched = outcome()
+    assert len(batched[0]) == 2
+    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
+    assert outcome() == batched
 
 
 def test_report_json_is_deterministic():
