@@ -701,14 +701,15 @@ def _build_mobius_jet(params: dict) -> Example:
         "section_cosine", f"-{_PI} * sin({_PI} * x)", f"cos({_PI} * x)", base
     )
 
+    values = {sm: map_values(sm) for sm in (sine, cosine)}
+
     def glued(sm: SmoothMap) -> tuple[TensorField, TensorField]:
         """A section formula is one tensorial object: its value carried
         across the overlap gluing, and the other chart's formula at the
         carried point, agree."""
-        values = map_values(sm)
 
         def carried(chart, env):
-            p = Point(chart.name, values.at(chart.name, env))
+            p = Point(chart.name, values[sm].at(chart.name, env))
             return apply_transition(base, p, _OTHER[chart.name]).coords
 
         moved = TensorField(f"{sm.name}_carried", _CIRCLE, (0, 0), carried)
@@ -723,8 +724,7 @@ def _build_mobius_jet(params: dict) -> Example:
         return p1 * z2 - z1 * p2
 
     sections_independent = agreeing((
-        tf_combine("section_wronskian", (0, 0), [map_values(sine), map_values(cosine)],
-                   wronskian),
+        tf_combine("section_wronskian", (0, 0), [values[sine], values[cosine]], wronskian),
         TensorField("pi", _CIRCLE, (0, 0), lambda chart, env: math.pi),
     ))
 

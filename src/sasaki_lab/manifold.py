@@ -184,10 +184,18 @@ class TransitionMap:
     target: str
     pieces: tuple[TransitionPiece, ...]
 
+    def piece_index(self, coords):
+        """The index of the first piece that contains the point, or
+        ``len(pieces)`` if none does; at a batch, an int array of them."""
+        picked = len(self.pieces)
+        for k in reversed(range(len(self.pieces))):
+            picked = np.where(self.pieces[k].contains(coords), k, picked)
+        return picked
+
     def piece_for(self, coords) -> TransitionPiece:
-        for piece in self.pieces:
-            if piece.contains(coords):
-                return piece
+        k = self.piece_index(coords)
+        if k < len(self.pieces):
+            return self.pieces[k]
         raise OutOfDomain(
             f"point {tuple(coords)} lies in no piece of {self.source}->{self.target}"
         )
@@ -333,7 +341,7 @@ def apply_transition(atlas: Atlas, p: Point, target: str) -> Point:
 
 
 def _carry(atlas: Atlas, t: TransitionMap, coords) -> list:
-    """The image of `coords` under `t`, through the piece `piece_for`
+    """The image of `coords` under `t`, through the piece `piece_index`
     picks: each forward expression at the source chart's env of `coords`.
 
     At a batch (array coordinates) the points that pick the same piece
@@ -343,9 +351,7 @@ def _carry(atlas: Atlas, t: TransitionMap, coords) -> list:
     size = next((len(v) for v in coords if type(v) is np.ndarray), None)
     if size is None:
         return _images(t.piece_for(coords).forward, atlas.chart(t.source).env(coords))
-    picked = np.full(size, len(t.pieces))
-    for k in reversed(range(len(t.pieces))):
-        picked[np.broadcast_to(t.pieces[k].contains(coords), size)] = k
+    picked = np.broadcast_to(t.piece_index(coords), size)
     if (picked == picked[0]).all():
         if picked[0] == len(t.pieces):
             raise OutOfDomain(f"no point of the batch lies in a piece of {t.source}->{t.target}")

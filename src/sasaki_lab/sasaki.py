@@ -29,9 +29,8 @@ computed torsion is extension-independent.
 
 Every certificate here declares what it certifies (`agreeing`,
 `vanishing`, `nondegenerate`, `single_valued`), each reduced once per
-sample group; `sasaki_check` dispatches to such clauses point by point,
-`paired_consistency_check` reports them as `named` clauses, reduced at
-the batch, and only the battery's flag rows are hand-made.
+sample group; `sasaki_check` and `paired_consistency_check` dispatch to
+such clauses point by point, and only the battery's flag rows are hand-made.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .tensor import (
     field_overlaps,
     lie_bracket,
     lie_derivative,
-    named,
     nijenhuis,
     nondegenerate,
     single_valued,
@@ -571,11 +569,15 @@ def paired_consistency_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         ("levi_metric", L.levi_metric(), None),
         ("metric", L.metric(), None),
     ]
-    clauses = {  # each field's overlaps -> {its label: its declared residual}
-        field_overlaps(T): {label: single_valued(T, sf)} for label, T, sf in jobs
+    parts = {
+        field_overlaps(T): (label, single_valued(T, sf)) for label, T, sf in jobs
     }
+
+    def residual(site, coords, env):
+        label, fn = parts[site.domain]
+        return {label: fn(site, coords, env)}
+
     return run_residual_check(
-        "paired_consistency", list(clauses),
-        named(lambda site: clauses[site.domain]), plan,
+        "paired_consistency", list(parts), residual, plan,
         details=dict.fromkeys((label for label, _, _ in jobs), 0.0),  # if no overlaps
     )

@@ -55,12 +55,10 @@ A check declares what it certifies: ``vanishing(*fields)``,
 of ``field_overlaps(T)``), ``nondegenerate(c)`` (the scalar field c
 stays above `NONDEGENERACY_THRESHOLD`) and ``every(*residuals)`` (all of
 them) build the residual (where, coords, env) -> float that
-`report.run_residual_check` evaluates at the samples it draws;
-``named(clauses)`` builds one whose value is the dict of named clauses a
-report lists in its ``details``.  A map's identities read the map as a
-field (`map_values`, `map_jet`), and `manifold.atlas_consistency_check`
-declares its round trips the same way, so every sampled gallery check
-is declared.
+`report.run_residual_check` evaluates at the samples it draws.  A map's
+identities read the map as a field (`map_values`, `map_jet`), and
+`manifold.atlas_consistency_check` declares its round trips the same
+way, so every sampled gallery check is declared.
 
 A declared residual is the env's row of one reduction at its batch
 (`_batched`, through `_batch_rows`, with the same ``np.errstate`` and
@@ -206,14 +204,6 @@ def every(*residuals: Callable) -> Callable:
     return _batched(
         lambda where, env: max_or_nan([r.reduce_at(where, env) for r in residuals])
     )
-
-
-def named(clauses: Callable) -> Callable:
-    """Residual of named clauses: ``{name: value}`` over the declared
-    residuals of ``clauses(where)`` ({name: residual}), in its order."""
-    return _batched(lambda where, env: {
-        name: r.reduce_at(where, env) for name, r in clauses(where).items()
-    })
 
 
 class TensorField:

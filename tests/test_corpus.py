@@ -1,6 +1,5 @@
 """Gallery entries: registry behavior, declared verdicts, and golden files."""
 
-import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +19,8 @@ from sasaki_lab.corpus import (
 )
 from sasaki_lab.manifold import SamplePlan
 from sasaki_lab.report import FAIL, PASS
+
+from pointwise import lone_groups, report_bytes
 
 FAST_PLAN = SamplePlan(seed=11, points_per_chart=4, tolerance=1e-8)
 
@@ -106,15 +107,6 @@ MAP_CHECKS = (
 )
 
 
-def _lone_groups(chart, points):
-    """`manifold.group_envs` without the batch: every point on its own."""
-    return [(coords, chart.env(coords)) for coords in points]
-
-
-def _report_bytes(rep):
-    return json.dumps(rep.to_dict(), sort_keys=True)
-
-
 @pytest.mark.parametrize("points", [3, 384])
 @pytest.mark.parametrize("key,check", MAP_CHECKS, ids=[f"{k}/{c}" for k, c in MAP_CHECKS])
 def test_map_check_matches_its_point_by_point_report(key, check, points, monkeypatch):
@@ -124,8 +116,8 @@ def test_map_check_matches_its_point_by_point_report(key, check, points, monkeyp
     plan = SamplePlan(seed=42, points_per_chart=points)
     rep = job.run(plan)
     assert rep.passed, (key, check)
-    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
-    assert _report_bytes(rep) == _report_bytes(job.run(plan))
+    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    assert report_bytes(rep) == report_bytes(job.run(plan))
 
 
 @pytest.mark.parametrize("key", ["sphere-3", "sphere-5"])
@@ -145,8 +137,8 @@ def test_a_perturbed_sphere_frame_fails_embedding_frame(key, monkeypatch):
     plan = SamplePlan(seed=42, points_per_chart=16)
     rep = job.run(plan)
     assert rep.verdict == FAIL and 1e-7 < rep.max_residual < 1e-5
-    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
-    assert _report_bytes(rep) == _report_bytes(job.run(plan))
+    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    assert report_bytes(rep) == report_bytes(job.run(plan))
 
 
 # -- every declared check matches its declared verdict ------------------

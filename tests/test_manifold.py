@@ -27,6 +27,8 @@ from sasaki_lab.manifold import (
     sample_points,
 )
 
+from pointwise import lone_groups, report_bytes
+
 
 def _draw_one(rng, intervals):
     """The per-value draw the sampler replaced, kept as its reference."""
@@ -284,15 +286,6 @@ class TestConsistencyCheck:
         assert rep.witness.chart == "A->B" and math.isnan(rep.witness.residual)
 
 
-def _lone_groups(chart, points):
-    """`manifold.group_envs` without the batch: every point on its own."""
-    return [(coords, chart.env(coords)) for coords in points]
-
-
-def _report_bytes(rep):
-    return json.dumps(rep.to_dict(), sort_keys=True)
-
-
 def _straddling_atlas(back_upper: str = "x + 1e-6 * x") -> Atlas:
     """Charts A and B over ]0, 2[: A->B is the identity on one piece, and
     the way back, B->A, has two pieces, the identity over ]0, 1[ and
@@ -323,8 +316,8 @@ def test_round_trips_through_straddled_reverse_pieces_match_point_by_point(
     rep = atlas_consistency_check(atlas, plan)
     assert rep.verdict == "fail" and rep.witness.coords[0] > 1.0
     assert rep.per_chart["A->B"] > 1e-7
-    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
-    assert _report_bytes(rep) == _report_bytes(atlas_consistency_check(atlas, plan))
+    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    assert report_bytes(rep) == report_bytes(atlas_consistency_check(atlas, plan))
 
 
 def test_a_zero_divisor_at_one_sample_raises_at_that_sample(monkeypatch):
@@ -355,7 +348,7 @@ def test_a_zero_divisor_at_one_sample_raises_at_that_sample(monkeypatch):
 
     batched = outcome()
     assert len(batched[0]) == 2
-    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
+    monkeypatch.setattr(manifold, "group_envs", lone_groups)
     assert outcome() == batched
 
 

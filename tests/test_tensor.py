@@ -1,7 +1,6 @@
 """Tensor calculus against hand and finite-difference oracles."""
 
 import itertools
-import json
 import math
 import sys
 
@@ -16,6 +15,8 @@ from sasaki_lab.manifold import (
     Atlas, Chart, PointEnv, SamplePlan, TransitionMap, TransitionPiece,
 )
 from sasaki_lab.report import run_residual_check
+
+from pointwise import lone_groups, report_bytes
 
 
 def r3_atlas():
@@ -1188,10 +1189,6 @@ def _alone(residual):
     return lambda where, coords, env: residual(where, coords, PointEnv(dict(env)))
 
 
-def _report_bytes(rep):
-    return json.dumps(rep.to_dict(), sort_keys=True)
-
-
 @pytest.mark.parametrize("special", SPECIALS, ids=repr)
 @pytest.mark.parametrize("kind", ["vanishing", "agreeing", "single_valued"])
 def test_identity_residual_over_a_group_matches_lone_points(kind, special):
@@ -1217,7 +1214,7 @@ def test_identity_residual_over_a_group_matches_lone_points(kind, special):
     if special != 0.0:  # NaN or inf, at some points only
         assert repr(abs(special)) in seen and len(seen) > 1
     rep = run_residual_check(name, domain, residual, plan)
-    assert _report_bytes(rep) == _report_bytes(
+    assert report_bytes(rep) == report_bytes(
         run_residual_check(name, domain, _alone(residual), plan)
     )
 
@@ -1275,7 +1272,7 @@ def test_nondegeneracy_residual_over_a_group_matches_lone_points(kind, special):
     elif kind != "scalar" and special != 0.0:  # an entry not finite is NaN
         assert any("nan" in r for r in got) and len(set(got)) > 1
     rep = run_residual_check(name, atlas, residual, plan, records=records)
-    assert _report_bytes(rep) == _report_bytes(
+    assert report_bytes(rep) == report_bytes(
         run_residual_check(name, atlas, _alone(residual), plan, records=records)
     )
 
@@ -1312,11 +1309,6 @@ def _special_gallery_check(kind, special):
     return LeviStructure("k", flat.contact, phibar).validate
 
 
-def _lone_groups(chart, points):
-    """`manifold.group_envs` without the batch: every point on its own."""
-    return [(coords, chart.env(coords)) for coords in points]
-
-
 @pytest.mark.parametrize("special", SPECIALS + ["singular"], ids=repr)
 @pytest.mark.parametrize("kind", ["contact_form", "symplectic_form", "structure_axioms"])
 def test_declared_gallery_check_matches_its_point_by_point_report(kind, special, monkeypatch):
@@ -1329,8 +1321,8 @@ def test_declared_gallery_check_matches_its_point_by_point_report(kind, special,
     rep = check(plan)
     harmless = kind == "contact_form" and special == 0.0
     assert rep.verdict == ("pass" if harmless else "fail")
-    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
-    assert _report_bytes(rep) == _report_bytes(check(plan))
+    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    assert report_bytes(rep) == report_bytes(check(plan))
 
 
 @pytest.mark.parametrize("slope", ["0.7", "0.7*x", "0.266 + 0.554*x + 0.593*z^2",
@@ -1342,8 +1334,8 @@ def test_slope_recovery_matches_its_point_by_point_report(slope, monkeypatch):
     plan = SamplePlan(seed=5, points_per_chart=16)
     rep = job.run(plan)
     assert rep.passed
-    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
-    assert _report_bytes(rep) == _report_bytes(job.run(plan))
+    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    assert report_bytes(rep) == report_bytes(job.run(plan))
 
 
 @pytest.mark.parametrize("slope", ["0.7", "0.7*x", "0.266 + 0.554*x + 0.593*z^2",
@@ -1361,8 +1353,8 @@ def test_reconstruction_matches_its_point_by_point_report(slope, monkeypatch):
     nan = "1e308" in slope
     assert rep.verdict == ("fail" if nan else "pass")
     assert (rep.details["failed_clauses"] != []) == nan
-    monkeypatch.setattr(manifold, "group_envs", _lone_groups)
-    assert _report_bytes(rep) == _report_bytes(job.run(plan))
+    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    assert report_bytes(rep) == report_bytes(job.run(plan))
 
 
 def test_identity_residual_whose_batch_signals_is_reduced_point_by_point():
@@ -1381,7 +1373,7 @@ def test_identity_residual_whose_batch_signals_is_reduced_point_by_point():
     assert pts[0][1].link[0].memo[(residual, "residual")] is None
     rep = run_residual_check("inf", atlas, residual, plan)
     assert math.isnan(rep.witness.residual)
-    assert _report_bytes(rep) == _report_bytes(
+    assert report_bytes(rep) == report_bytes(
         run_residual_check("inf", atlas, _alone(residual), plan)
     )
 
