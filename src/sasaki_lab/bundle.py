@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
+import numpy as np
+
 from . import exprlang, numkernel as nk
 from .contact import ContactStructure
 from .manifold import (
@@ -82,16 +84,13 @@ class PrincipalBundle:
     group: str  # "R+" or "Rx"
 
     def lift_env(self, base_env: dict, s=1.0) -> PointEnv:
-        """A base point's env lifted to fiber height `s`, with a fresh memo.
-
-        `s` is one height for every point of a sample group: the lift of
-        the group's i-th point is linked to the batch's lift (`_derived`).
-        """
+        """A base env lifted to fiber height `s`, kept as `_derived` says;
+        at a batch, `s` is one height for every point of the group."""
         return _derived(base_env, ("lift_env", repr(s)), lambda env: {**env, FIBER: s})
 
     def base_env(self, env: dict) -> PointEnv:
-        """A total-space env restricted to the base coordinates, fresh memo;
-        linked to the batch's restriction as `_derived` says."""
+        """A total-space env restricted to the base coordinates, kept as
+        `_derived` says."""
         return _derived(
             env, ("base_env",), lambda env: {c: v for c, v in env.items() if c != FIBER}
         )
@@ -123,22 +122,18 @@ class PrincipalBundle:
 
 
 def _derived(env: dict, key: tuple, derive: Callable) -> PointEnv:
-    """``PointEnv(derive(env))``, with a fresh memo.
-
-    When `env` is the i-th point of a batch, the result is linked as
-    ``(D, i)``, D the same derivation of the batch, built once and kept in
-    the batch's memo under `key` (not a field, so `SampleSet.prune` drops
-    it after each check): one derived batch per sample group, and every
-    field evaluated at a derived env is evaluated once for the group.
+    """``PointEnv(derive(env))``, built once and kept in the memo of `env`
+    under `key` (not a field, so `SampleSet.prune` drops it after each
+    check): at a batch, one derived env per sample group, so every field
+    evaluated there is evaluated once for the group.  A plain mapping's
+    derived env lives for the call.
     """
-    out = PointEnv(derive(env))
-    link = getattr(env, "link", None)
-    if link is not None:
-        batch, i = link
-        if key not in batch.memo:
-            batch.memo[key] = _derived(batch, key, derive)
-        out.link = (batch.memo[key], i)
-    return out
+    memo = getattr(env, "memo", None)
+    if memo is None:
+        return PointEnv(derive(env))
+    if key not in memo:
+        memo[key] = PointEnv(derive(env))
+    return memo[key]
 
 
 def loop_sign(atlas: Atlas, sign_fn: Callable, path) -> float:
@@ -351,18 +346,20 @@ def decompose_homogeneous_metric(
     g_M = base_field("shadow_metric", (0, 2), "gM")
 
     # positivity of the shadow, and the size of μ, at base samples
-    def shadow(chart, coords, env):
+    def shadow(chart, env):
         lo = nk.min_eigenvalue(g_M.at(chart, env))
-        if not lo > 0.0:  # a NaN eigenvalue is no positive one
+        if not np.all(lo > 0.0):  # a NaN eigenvalue is no positive one
+            if type(lo) is np.ndarray:  # the driver goes on point by point
+                raise NotPositiveDefinite("shadow metric not positive in the group")
             raise NotPositiveDefinite(
-                f"shadow metric eigenvalue {lo:.3e} at {coords} in {chart}"
+                f"shadow metric eigenvalue {lo:.3e} at {tuple(env.values())} in {chart}"
             )
         return max_abs(mu.at(chart, env))
 
     mu_max = run_residual_check("mixed_form", bundle.base, shadow, plan).max_residual
 
     # reassembly + s-independence of the extracted data
-    def residual(chart_name, coords, env):
+    def residual(chart_name, env):
         chart = bundle.total.chart(chart_name)
         dim = chart.dim
         a_val, mu_t, gamma = pieces_at(chart_name, env)

@@ -152,10 +152,13 @@ def kernel_frames(C: ContactStructure, plan: SamplePlan) -> dict[str, list]:
     F_a = e_a − η_a·ξ for every index a but the chart's dropped one.  That
     index is chosen here and nowhere else: the largest |η_k| at the chart's
     first sample of ``plan``, ties going to the lower index.  The sample is
-    read through `sample_points`, so under a sample set it is the env
-    `run_residual_check` visits first.  η(F_a) ≡ 0 holds identically, not
-    just at that point — bracket-based checks (almost-CR flag, CR torsion)
-    depend on that.
+    read through `sample_points`, so under a sample set it is the first
+    point of the group the driver reduces.  η is evaluated at an env of
+    that point alone, which gives, bit for bit, its slot of the group's
+    batch; the batch env itself is left to the driver, whose errstate
+    keeps a value that signals out of the memo the checks read.  η(F_a) ≡
+    0 holds identically, not just at that point — bracket-based checks
+    (almost-CR flag, CR torsion) depend on that.
     """
     xi = C.reeb()
 
@@ -167,9 +170,9 @@ def kernel_frames(C: ContactStructure, plan: SamplePlan) -> dict[str, list]:
         return TensorField(f"frame{a}", C.atlas, (1, 0), components, [chart_name])
 
     frames = {}
-    for name, pts in sample_points(C.atlas, plan):
-        if pts:
-            ev = C.eta.at(name, pts[0][1])
+    for name, points, _ in sample_points(C.atlas, plan):
+        if points:
+            ev = C.eta.at(name, C.atlas.chart(name).env(points[0]))
             dropped = max(range(len(ev)), key=lambda k: (abs(nk.value_of(ev[k])), -k))
             kept = [a for a in range(len(ev)) if a != dropped]
             frames[name] = [frame_vector(name, a) for a in kept]

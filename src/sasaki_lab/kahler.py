@@ -318,8 +318,8 @@ def reconstruct_main1(
         chart: chart_clauses(frames) for chart, frames in kernel_frames(C, plan).items()
     }
 
-    def residual(chart, coords, env):
-        return {name: fn(chart, coords, env) for name, fn in clauses[chart].items()}
+    def residual(chart, env):
+        return {name: fn(chart, env) for name, fn in clauses[chart].items()}
 
     report = run_residual_check("main_reconstruction", bundle.total, residual, plan)
     report.details["failed_clauses"] = sorted(

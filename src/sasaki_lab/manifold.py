@@ -7,10 +7,13 @@ checks never evaluate on the closure boundary; evaluating *outside* the box
 is deliberately not an error (scaling maps need it).
 
 A chart's ``env`` of a point is a :class:`PointEnv`: the coordinate values
-plus that point's evaluation memo, which `tensor` fills (see there).  The
-points of one sample group (a chart's samples, or a transition piece's)
-also share a batch env, whose coordinates are float64 arrays, so that
-`tensor` can evaluate a field once for the whole group.
+plus that point's evaluation memo, which `tensor` fills (see there).  A
+sample group (a chart's samples, or a transition piece's) is a list of
+points and one batch env (`Chart.batch_env`), whose coordinates are the
+points' columns as float64 arrays, so that `tensor` evaluates a field once
+for the whole group; the driver (`report.run_residual_check`) evaluates a
+residual there, and gives a point an env of its own only where the batch
+raises.
 
 Transition maps are piecewise: each piece restricts the source box and maps
 coordinates by expressions, with an explicit inverse.  `apply_transition`
@@ -61,39 +64,24 @@ class PointEnv(dict):
     writes; ``dict(env)`` gives a writable copy, which `tensor` wraps in a
     fresh PointEnv, with an empty memo, whenever it evaluates there.
 
-    ``link`` is ``(batch, i)`` for the i-th point of a sample group: the
-    batch is the group's PointEnv whose coordinates are float64 arrays of
-    shape (P,), and `tensor` evaluates a field there once for all P points
-    and hands this env its row.  An env derived from a linked env (a
-    seeded env, or `bundle`'s base env and lift) is linked as ``(D, i)``,
-    D the same derivation of the batch, kept in the batch's memo; a
-    derived batch may hold scalars beside its arrays (a lift's height).
-    Any other env has no link and is evaluated on its own.
+    A batch env holds the float64 arrays, of shape (P,), of the P points
+    of a sample group, and its memo what is evaluated there once for all
+    of them; an env derived from it (a seeded env, or `bundle`'s base env
+    and lift) is a batch too, and may hold scalars beside its arrays (a
+    lift's height).
     """
 
-    __slots__ = ("memo", "link", "__weakref__")
+    __slots__ = ("memo", "__weakref__")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.memo = {}
-        self.link = None
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("PointEnv is read-only; change a dict(env) copy instead")
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
-
-
-def group_envs(chart: Chart, points: list) -> list:
-    """``(coords, env)`` rows of one sample group, every env linked to the
-    group's batch env, whose coordinates are the points' columns."""
-    rows = [(coords, chart.env(coords)) for coords in points]
-    if rows:
-        batch = PointEnv(zip(chart.coords, map(np.array, zip(*points))))
-        for i, (_, env) in enumerate(rows):
-            env.link = (batch, i)
-    return rows
 
 
 @dataclass(frozen=True)
@@ -128,6 +116,11 @@ class Chart:
     def env(self, coords) -> PointEnv:
         return PointEnv(zip(self.coords, coords))
 
+    def batch_env(self, points: list) -> PointEnv:
+        """The env of a sample group: each coordinate the float64 array of
+        the points' values."""
+        return PointEnv(zip(self.coords, map(np.array, zip(*points))))
+
     def sample_intervals(self, coord: str) -> list[tuple[float, float]]:
         """Allowed sampling sub-intervals: margins applied to box and bands."""
         i = self.index(coord)
@@ -154,9 +147,9 @@ class Chart:
 
     def contains(self, coords, slack: float = 1e-9) -> bool:
         """Whether the point lies in the box, `slack` wide (a NaN coordinate
-        does); at a batch, whether every point does."""
-        return not any(
-            np.any((v < lo - slack) | (v > hi + slack))
+        does not); at a batch, whether every point does."""
+        return all(
+            np.all((lo - slack <= v) & (v <= hi + slack))
             for v, (lo, hi) in zip(coords, self.box)
         )
 
@@ -307,19 +300,24 @@ def _draw_points(rng, intervals: list, count: int) -> list[tuple[float, ...]]:
     return list(zip(*columns))
 
 
-def sample_chart(chart: Chart, plan: SamplePlan):
-    """Deterministic points for one chart: list of (coords, PointEnv), the
-    envs linked to one batch (see `group_envs`)."""
+def sample_chart(chart: Chart, plan: SamplePlan) -> list[tuple[float, ...]]:
+    """Deterministic points for one chart, one coordinate tuple each."""
     rng = _chart_rng(plan.seed, chart.name)
     intervals = [chart.sample_intervals(c) for c in chart.coords]
-    return group_envs(chart, _draw_points(rng, intervals, plan.points_per_chart))
+    return _draw_points(rng, intervals, plan.points_per_chart)
+
+
+def sample_group(chart: Chart, plan: SamplePlan) -> tuple[list, PointEnv]:
+    """One chart's sample group: its points and their batch env."""
+    points = sample_chart(chart, plan)
+    return points, chart.batch_env(points)
 
 
 def sample_points(atlas: Atlas, plan: SamplePlan):
-    """Points for every chart: [(chart_name, [(coords, env), ...]), ...],
+    """Every chart's sample group: [(chart_name, points, batch env), ...],
     the plan's `sample_set` ones when it has a set."""
-    draw = sample_chart if plan.sample_set is None else plan.sample_set.points
-    return [(c.name, draw(c, plan)) for c in atlas.charts]
+    draw = sample_group if plan.sample_set is None else plan.sample_set.points
+    return [(c.name, *draw(c, plan)) for c in atlas.charts]
 
 
 def apply_transition(atlas: Atlas, p: Point, target: str) -> Point:
@@ -407,16 +405,15 @@ class OverlapSite(NamedTuple):
 
 
 def sample_domain(domain, plan: SamplePlan):
-    """(label, where, [(coords, env), ...]) groups of a domain's samples.
+    """(label, where, points, batch env) groups of a domain's samples.
 
-    An `Atlas` gives one per chart, ``where`` its name, all envs up front;
-    `Overlaps` one per transition piece, labelled ``src->tgt``, ``where``
-    its `OverlapSite`, each piece's envs drawn when its group is reached.
-    Each group's envs are linked to one batch (`group_envs`).  A list of
-    domains gives their groups in turn.
+    An `Atlas` gives one per chart, ``where`` its name, all drawn up
+    front; `Overlaps` one per transition piece, labelled ``src->tgt``,
+    ``where`` its `OverlapSite`, each piece's points drawn when its group
+    is reached.  A list of domains gives their groups in turn.
     """
     if isinstance(domain, Atlas):
-        return [(name, name, pts) for name, pts in sample_points(domain, plan)]
+        return [(name, name, *group) for name, *group in sample_points(domain, plan)]
     if isinstance(domain, Overlaps):
         return _overlap_groups(domain, plan)
     return itertools.chain.from_iterable(sample_domain(d, plan) for d in domain)
@@ -429,7 +426,7 @@ def _overlap_groups(domain: Overlaps, plan: SamplePlan):
         rng = _chart_rng(plan.seed, label + domain.stream)
         for piece in t.pieces:
             points = _piece_sample(src, piece, plan, rng)
-            yield label, OverlapSite(domain, t, piece), group_envs(src, points)
+            yield label, OverlapSite(domain, t, piece), points, src.batch_env(points)
 
 
 def atlas_consistency_check(atlas: Atlas, plan: SamplePlan) -> CheckReport:
@@ -440,9 +437,8 @@ def atlas_consistency_check(atlas: Atlas, plan: SamplePlan) -> CheckReport:
     consistency; 3-chart cycles would report here too if an atlas declared
     them.  The round trip is a declared identity: at a sample group it is
     evaluated once, the coordinates its arrays (see `tensor`), and its
-    per-point rows are the largest |difference| of the two round trips.
+    value at each point is the largest |difference| of the two round trips.
     """
-    from .tensor import _batched  # tensor imports this module
 
     def round_trips(site, env):
         t, piece = site.transition, site.piece
@@ -458,5 +454,5 @@ def atlas_consistency_check(atlas: Atlas, plan: SamplePlan) -> CheckReport:
         return max_or_nan(diffs + [abs(b - c) for b, c in zip(back2, coords)])
 
     return run_residual_check(
-        "atlas_consistency", Overlaps(atlas), _batched(round_trips), plan
+        "atlas_consistency", Overlaps(atlas), round_trips, plan
     )

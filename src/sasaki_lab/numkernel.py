@@ -54,10 +54,10 @@ the leaf type:
 
 A batch is evaluated under ``np.errstate(all="raise", under="ignore")``,
 so any step that could signal, or raise, at a point raises for the whole
-batch; the caller (``tensor``) then evaluates point by point, which
-reproduces each point's value or exception exactly.  A plain leaf never
-becomes a dual to make two groups merge: that would turn ``-0.0`` and
-``0*inf`` results into other values.
+batch; the driver (``report.evaluate_group``) then evaluates point by
+point, which reproduces each point's value or exception exactly.  A plain
+leaf never becomes a dual to make two groups merge: that would turn
+``-0.0`` and ``0*inf`` results into other values.
 """
 
 from __future__ import annotations

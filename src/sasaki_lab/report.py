@@ -9,20 +9,24 @@ The invariant enforced here: a witness (worst offending sample) is attached
 exactly when the verdict is "fail".
 
 A sampled check is a name, a domain and a residual function; the one
-driver `run_residual_check` draws the plan's samples of the domain
-(`manifold.sample_domain`: chart points of an atlas, or transition-piece
-points labelled ``src->tgt``), evaluates the residual at each and hands
-`reduce_residuals` one (label, coords, residual) row per sample: the only
-code that reduces across samples.  It keeps the worst (NaN above inf above
-any number) overall and per label, the first strictly-worst row as witness,
-and for ``details`` each clause's worst and each record's max or min.  A
-residual is a function of its row (where, coords, env) alone and keeps
-nothing between rows, so the driver may visit the rows in any order;
-whatever a check needs per chart or transition piece is built before the
-driver samples.
+driver `run_residual_check` draws the plan's sample groups of the domain
+(`manifold.sample_domain`: each chart's points of an atlas, or each
+transition piece's points labelled ``src->tgt``).  A residual is a
+function (where, env) that the driver calls once per group, at the
+group's batch env (its coordinates float64 arrays, one slot per point;
+see `tensor`), and that returns one value per point: a float64 array, a
+number that holds at every point, or a dict of those for named clauses
+and records.  `evaluate_group` runs it there; a group whose batch raises
+goes `point_by_point`, each point at an env of its own.  A residual keeps
+nothing between groups; whatever a check needs per chart or transition
+piece is built before the driver samples.  `reduce_residuals`, the only
+code that reduces across samples, reduces the groups in driver order: the
+worst (NaN above inf above any number) overall and per label, the first
+strictly-worst point as witness, and for ``details`` each clause's worst
+and each record's max or min.
 `check_report` turns the reduction into a verdict under the check's
 `SamplePlan`, whose ``tolerance`` and ``seed`` are the only ones a check
-reads.  Within a sample, components go through `max_or_nan` (or
+reads.  Within a point, components go through `max_or_nan` (or
 `tensor.max_abs`), so a NaN component is never lost to
 ``max(0.0, nan) == 0.0``.
 """
@@ -142,43 +146,72 @@ def max_or_nan(values: list) -> float:
 
 @dataclass
 class Reduction:
-    """What a stream of residual rows reduces to."""
+    """What a stream of sample groups reduces to."""
 
     max_residual: float
     per_chart: dict[str, float]
     worst: Optional[tuple] = None  # (chart, coords, residual) of the witness
-    count: int = 0  # rows reduced
+    count: int = 0  # points reduced
     named: dict = field(default_factory=dict)  # clauses and records, first seen first
 
 
-def reduce_residuals(rows: Iterable[tuple], records: dict | None = None) -> Reduction:
-    """Reduce (chart label, coords, residual) rows under `residual_rank`.
+def reduce_residuals(groups: Iterable[tuple], records: dict | None = None) -> Reduction:
+    """Reduce (label, points, residual) groups under `residual_rank`.
 
-    Gives the maximum overall and per chart label, and as the witness the
-    first row whose residual ranks strictly worst.  A dict residual puts
-    each name in ``named``: a record by ``records[name]`` (`max` or `min`),
-    a clause by `max`, and its clauses' max is the row's residual (a number
-    is the unnamed clause None).  A NaN sticks; a tie keeps the earlier.
+    A group's residual holds one value per point of ``points``: a float64
+    array, or a number that counts once for every point.  Gives the
+    maximum overall and per label, and as the witness the first point, in
+    group order, whose residual ranks strictly worst.  A dict residual
+    puts each name in ``named``: a record by ``records[name]`` (`max` or
+    `min`), a clause by `max`, and its clauses' `max_or_nan` at each point
+    is the point's residual (a number is the unnamed clause None).  A NaN
+    sticks; a tie keeps the earlier point, so 0.0 against -0.0 keeps the
+    first.  Every value kept is a Python float.
     """
+    import numpy as np  # see `max_or_nan`
+
     records = records or {}
     keys = {max: residual_rank, min: lambda r: (not math.isnan(r), r)}
+    first = {max: np.argmax, min: np.argmin}  # both pick the first NaN, if any
     per_chart: dict[str, float] = {}
     named: dict = {}
     worst = None
     count = 0
-    for chart, coords, r in rows:
+    for label, points, r in groups:
+        size = len(points)
         if isinstance(r, dict):
+            clauses = []
             for name, v in r.items():
                 how = records.get(name, max)
-                named[name] = how(named.get(name, v), v, key=keys[how])
-            r = max_or_nan([v for name, v in r.items() if name not in records])
-        per_chart[chart] = max(per_chart.get(chart, r), r, key=residual_rank)
-        if worst is None or residual_rank(r) > residual_rank(worst[2]):
-            worst = (chart, coords, r)
-        count += 1
+                v = np.broadcast_to(np.asarray(v, dtype=float), size)
+                best = v[first[how](v)].item()
+                named[name] = how(named.get(name, best), best, key=keys[how])
+                if name not in records:
+                    clauses.append(v)
+            r = _clause_max(clauses)
+        r = np.broadcast_to(np.asarray(r, dtype=float), size)
+        i = int(np.argmax(r))
+        w = r[i].item()
+        per_chart[label] = max(per_chart.get(label, w), w, key=residual_rank)
+        if worst is None or residual_rank(w) > residual_rank(worst[2]):
+            worst = (label, points[i], w)
+        count += size
     named.pop(None, None)
     max_res = max(per_chart.values(), key=residual_rank) if per_chart else 0.0
     return Reduction(max_res, per_chart, worst, count, named)
+
+
+def _clause_max(clauses: list):
+    """`max_or_nan` of the clauses at each point: NaN where one is, else
+    the first of the largest."""
+    import numpy as np
+
+    if not clauses:
+        return 0.0
+    out = clauses[0]
+    for v in clauses[1:]:
+        out = np.where(v > out, v, out)
+    return np.where(np.isnan(clauses).any(axis=0), math.nan, out)
 
 
 def check_report(
@@ -190,9 +223,9 @@ def check_report(
     details: dict | None = None,
 ) -> CheckReport:
     """The verdict on a reduction under ``plan.tolerance``, with its worst
-    row as witness on fail.
+    point as witness on fail.
 
-    ``samples`` is the number of rows reduced.  The report's ``example``
+    ``samples`` is the number of points reduced.  The report's ``example``
     stays None; a gallery job stamps its key.
     """
     verdict = verdict_for(red.max_residual, plan.tolerance, fail_floor)
@@ -216,14 +249,15 @@ def check_report(
 def run_residual_check(
     check: str,
     domain,  # an Atlas, a manifold.Overlaps or a list of those
-    residual_fn: Callable,  # (where, coords, env) -> float | {name: float}
+    residual_fn: Callable,  # (where, env) -> values | {name: values}
     plan: SamplePlan,
     fail_floor: float | None = None,
     details: dict | None = None,
     records: dict | None = None,  # {name: max | min}
 ) -> CheckReport:
-    """Evaluate a pointwise residual at the plan's samples of `domain`, in
-    `manifold.sample_domain` order, and report.
+    """Evaluate a residual at the plan's sample groups of `domain`, once
+    per group (`evaluate_group`), in `manifold.sample_domain` order, and
+    report.
 
     ``details`` is the given ``details`` updated with the reduced value of
     each named clause and declared record (see `reduce_residuals`).
@@ -234,8 +268,44 @@ def run_residual_check(
     # memos inside the reduction measured a higher peak RSS), or, shared
     # through the plan's sample set, until the entry's last check
     sampled = sample_domain(domain, plan)
-    rows = ((label, coords, residual_fn(where, coords, env))
-            for label, where, pts in sampled for coords, env in pts)
-    red = reduce_residuals(rows, records)
+    groups = ((label, points, evaluate_group(residual_fn, where, points, env))
+              for label, where, points, env in sampled if points)
+    red = reduce_residuals(groups, records)
     details = {**(details or {}), **red.named}
     return check_report(check, red, plan, fail_floor=fail_floor, details=details)
+
+
+def evaluate_group(residual_fn: Callable, where, points: list, env):
+    """`residual_fn` at a sample group's batch env `env`, once for all of
+    its `points`; where that raises, `point_by_point`.
+
+    The batch is evaluated under ``np.errstate(all="raise")`` (underflow
+    aside, which Python floats never report), so a step that signals at
+    any point -- a zero divisor, an overflow, ``0*inf`` -- raises here.
+    Any exception is caught: the evaluation at each point raises whatever
+    belongs to it.  The values are reduced outside that state, so that
+    comparing a NaN residual cannot raise.
+    """
+    from numpy import errstate
+
+    try:
+        with errstate(all="raise", under="ignore"):
+            return residual_fn(where, env)
+    except Exception:
+        pass  # not chained to what the points raise
+    return point_by_point(residual_fn, where, points, env)
+
+
+def point_by_point(residual_fn: Callable, where, points: list, env):
+    """`residual_fn` at each point of a group on its own, at a fresh env
+    of the batch env's coordinate names, in order: the values stacked
+    into a float64 array (or a dict of them), or the exception of the
+    first point that raises, as a lone evaluation there gives it."""
+    from numpy import array
+
+    from .manifold import PointEnv
+
+    rows = [residual_fn(where, PointEnv(zip(env, coords))) for coords in points]
+    if isinstance(rows[0], dict):
+        return {name: array([row[name] for row in rows], dtype=float) for name in rows[0]}
+    return array(rows, dtype=float)

@@ -30,7 +30,7 @@ computed torsion is extension-independent.
 Every certificate here declares what it certifies (`agreeing`,
 `vanishing`, `nondegenerate`, `single_valued`), each reduced once per
 sample group; `sasaki_check` and `paired_consistency_check` dispatch to
-such clauses point by point, and only the battery's flag rows are hand-made.
+such clauses at each group, and only the battery's flag rows are hand-made.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def pin_flag_residuals(
                 for a, b in distinct)),
         }
 
-    def residual(chart, coords, env):
-        return {name: flag(chart, coords, env) for name, flag in flags[chart].items()}
+    def residual(chart, env):
+        return {name: flag(chart, env) for name, flag in flags[chart].items()}
 
     return run_residual_check("pin_flags", C.atlas, residual, plan).details
 
@@ -292,10 +292,10 @@ def pin_battery(
     """Run the four compatibility flags over the `frame_conjugations` of φ̄.
 
     The flags are mathematically equivalent, so a candidate on which they
-    disagree is an engine bug.  Each candidate is one row for
-    `reduce_residuals`, labelled ``candidates`` with the candidate's index
-    as coordinates: residual 1.0 when its flags disagree, 0.0 when they
-    agree.  ``details`` counts the disagreements and keeps each
+    disagree is an engine bug.  Each candidate is one point of the group
+    ``candidates`` that `reduce_residuals` reduces, with the candidate's
+    index as coordinates: residual 1.0 when its flags disagree, 0.0 when
+    they agree.  ``details`` counts the disagreements and keeps each
     candidate's flags as a row of T and F.  Every candidate runs under one
     `SampleSet` that keeps η, ξ and dη and is pruned after each candidate,
     so each chart is drawn once.  ``seed`` draws the candidates, ``plan``
@@ -309,9 +309,8 @@ def pin_battery(
         plan.sample_set.prune()
         flag_rows.append("".join("T" if r <= _FLAG_TOL else "F" for r in res.values()))
     disagree = [len(set(row)) > 1 for row in flag_rows]
-    red = reduce_residuals(
-        ("candidates", (float(idx),), float(d)) for idx, d in enumerate(disagree)
-    )
+    indices = [(float(idx),) for idx in range(len(disagree))]
+    red = reduce_residuals([("candidates", indices, list(map(float, disagree)))])
     return check_report(
         "pin_battery",
         red,
@@ -482,8 +481,8 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         for chart, frames in kernel_frames(C, plan).items()
     }
 
-    def residual(chart, coords, env):
-        return {name: fn(chart, coords, env) for name, fn in clauses[chart].items()}
+    def residual(chart, env):
+        return {name: fn(chart, env) for name, fn in clauses[chart].items()}
 
     report = run_residual_check(
         "sasaki", C.atlas, residual, plan, fail_floor=1e-3,
@@ -573,9 +572,9 @@ def paired_consistency_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
         field_overlaps(T): (label, single_valued(T, sf)) for label, T, sf in jobs
     }
 
-    def residual(site, coords, env):
+    def residual(site, env):
         label, fn = parts[site.domain]
-        return {label: fn(site, coords, env)}
+        return {label: fn(site, env)}
 
     return run_residual_check(
         "paired_consistency", list(parts), residual, plan,

@@ -2,8 +2,9 @@
 
 A :class:`TensorField` holds one function ``components(chart, env)`` for all
 of its charts: given a :class:`~sasaki_lab.manifold.Chart` and an ``env``
-(a :class:`~sasaki_lab.manifold.PointEnv`: the coordinate scalars of one
-point, with that point's memo), it returns the components on that chart as
+(a :class:`~sasaki_lab.manifold.PointEnv`: the coordinate values of one
+point, or the arrays of a sample group, with its memo), it returns the
+components on that chart as
 nested lists or tuples, contravariant indices first.  Because every component
 function is generic over the scalar type, derivatives never need dedicated
 code: `field_jet` seeds dual numbers for the chart coordinates, evaluates once,
@@ -11,9 +12,8 @@ and unpacks values and first partials.  Seeding twice (a jet inside a jet)
 yields the second derivatives used by exterior-derivative-of-derived-forms
 checks and Christoffel symbols.
 
-Evaluation is memoized per point, and computed per sample group.  The env
-a chart builds for a point (:class:`~sasaki_lab.manifold.PointEnv`) carries
-a memo, and there
+Evaluation is memoized per env.  An env
+(:class:`~sasaki_lab.manifold.PointEnv`) carries a memo, and there
 
 * `TensorField.at` evaluates each (field, chart) once and keeps the result,
   frozen into nested tuples, and hands out the kept object (a write into
@@ -21,29 +21,25 @@ a memo, and there
 * `field_jet` seeds one dual env per set of chart coordinates and evaluates
   through `at` on it, so the jet's components are kept in that dual env's
   own memo, and a jet inside a jet reuses the second level the same way;
-* everything kept lives exactly as long as the env, and two points never
-  share an entry, not even at equal coordinates.  A sampled env lives
-  until the check that drew it returns, or, drawn through a plan's
-  `SampleSet`, until its entry's last check; then only the memo entries
-  of the entry's declared fields outlive a check.
+* everything kept lives exactly as long as the env, and two envs never
+  share an entry, not even at equal coordinates.
 
-A sampled env is linked to its group's batch env (``env.link``), whose
-coordinates are float64 arrays, one slot per point (see `numkernel` for
-the array leaves).  At a linked env `at` evaluates the field once at the
-batch, under ``np.errstate(all="raise")``, and keeps in the batch's memo
-each point's row: the same nested tuples of Python floats and duals that
-a lone evaluation at the point gives, bit for bit, read off with one
-``tolist`` per leaf.  A seeded env of a linked env is linked to the
-batch's seeded env (one dual level for the group), `SmoothMap.jet` reads
-its rows off one jet of the batch, and `bundle`'s derived envs (base
-points, lifts) are linked to the same derivation of the batch, kept in
-its memo until `SampleSet.prune`.  Where the batch raises -- a zero
-divisor, a kink, a singular pivot, an overflow or invalid step at any
-point, a split that cannot be merged, a pullback term that is a plain
-zero at some points only -- the field (or map) is marked there and
-evaluated at each point of that group on its own, which gives each point
-its value, or raises its exception, as before.  Any other env, a test's
-plain dict wrapped in a fresh PointEnv included, is evaluated on its own.
+A sampled env is a sample group's batch env, whose coordinates are float64
+arrays, one slot per point (see `numkernel` for the array leaves): a field
+is evaluated there once for all the group's points, and each slot is, bit
+for bit, what a lone evaluation at that point gives.  The batch env lives
+until the check that drew it returns, or, drawn through a plan's
+`SampleSet`, until its entry's last check; then only the memo entries of
+the entry's declared fields outlive a check.  `bundle`'s derived envs
+(base points, lifts) are kept in the memo of the env they derive from,
+one per group.  The driver evaluates at the batch under
+``np.errstate(all="raise")``; where the batch raises -- a zero divisor, a
+kink, a singular pivot, an overflow or invalid step at any point, a split
+that cannot be merged, a pullback term that is a plain zero at some
+points only -- it evaluates each point of that group at an env of its
+own, which gives each point its value, or raises its exception (see
+`report.evaluate_group`).  A test's plain dict is wrapped in a fresh
+PointEnv and evaluated on its own.
 
 The pointwise algebra is stated once, as fields: ``compose(A, B)``
 contracts A's last slot with B's first (φ∘ψ, g(·, ξ), η∘φ, η(ξ), ...),
@@ -54,20 +50,18 @@ A check declares what it certifies: ``vanishing(*fields)``,
 ``single_valued(T, sign)`` (T's agreement across the transition pieces
 of ``field_overlaps(T)``), ``nondegenerate(c)`` (the scalar field c
 stays above `NONDEGENERACY_THRESHOLD`) and ``every(*residuals)`` (all of
-them) build the residual (where, coords, env) -> float that
-`report.run_residual_check` evaluates at the samples it draws.  A map's
-identities read the map as a field (`map_values`, `map_jet`), and
+them) build the residual (where, env) that `report.run_residual_check`
+evaluates once per sample group it draws.  A map's identities read the
+map as a field (`map_values`, `map_jet`), and
 `manifold.atlas_consistency_check` declares its round trips the same
 way, so every sampled gallery check is declared.
 
-A declared residual is the env's row of one reduction at its batch
-(`_batched`, through `_batch_rows`, with the same ``np.errstate`` and
-fallback).  The array leaves go through the IEEE operations a point's
-floats go through (``abs``, ``-``, ``*``, `report.max_or_nan`'s
-``np.maximum``, which keeps a NaN, and numpy's stacked ``det`` and
-``eigvalsh``, the same LAPACK routine per matrix), so
-`report.reduce_residuals` sees the same residuals in the same order; the
-points' memos keep no rows of the fields only the residual reads.
+At a batch a declared residual is one reduction of the group's arrays.
+The array leaves go through the IEEE operations a point's floats go
+through (``abs``, ``-``, ``*``, `report.max_or_nan`'s ``np.maximum``,
+which keeps a NaN, and numpy's stacked ``det`` and ``eigvalsh``, the same
+LAPACK routine per matrix), so `report.reduce_residuals` sees each point's
+residual bit for bit.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -135,39 +129,17 @@ def max_diff(a, b, scale=1.0) -> float:
     return abs(nk.value_of(a) - scale * nk.value_of(b))
 
 
-def _batched(reduce_at: Callable) -> Callable:
-    """The residual (where, coords, env) -> ``reduce_at(where, env)``; at
-    an env linked to a batch, the env's row of one reduction at the batch,
-    kept in the batch's memo (`_batch_rows`).  A batch env belongs to one
-    sample group, so the closure alone names its reduction there.
-    """
-
-    def residual(where, coords, env):
-        link = getattr(env, "link", None)
-        if link is not None:
-            batch, i = link
-            rows = _batch_rows(
-                batch, (residual, "residual"), lambda: reduce_at(where, batch)
-            )
-            if rows is not None:
-                return rows[i]
-        return reduce_at(where, env)
-
-    residual.reduce_at = reduce_at  # what `every` reduces
-    return residual
-
-
 def vanishing(*fields: TensorField) -> Callable:
     """Residual of the identity "every field is 0": the largest |component|."""
-    return _batched(lambda chart, env: max_abs([f.at(chart, env) for f in fields]))
+    return lambda chart, env: max_abs([f.at(chart, env) for f in fields])
 
 
 def agreeing(*pairs: tuple) -> Callable:
     """Residual of the identities T = c·S over the (T, S) or (T, S, c)
     pairs, c 1 by default: the largest |T - c·S| component."""
-    return _batched(lambda chart, env: max_or_nan([
+    return lambda chart, env: max_or_nan([
         max_diff(T.at(chart, env), S.at(chart, env), *c) for T, S, *c in pairs
-    ]))
+    ])
 
 
 def zeros(dim: int, rank: int):
@@ -191,19 +163,17 @@ def nondegenerate(c: TensorField, record: str | None = None) -> Callable:
     """Residual of "the scalar field c stays above the threshold": c's
     `nondegeneracy_shortfall`, ``{None: shortfall, record: c}`` with a record."""
 
-    def reduce_at(chart, env):
+    def residual(chart, env):
         value = c.at(chart, env)
         shortfall = nondegeneracy_shortfall(value)
         return shortfall if record is None else {None: shortfall, record: value}
 
-    return _batched(reduce_at)
+    return residual
 
 
 def every(*residuals: Callable) -> Callable:
     """Residual of declared residuals taken together: their `max_or_nan`."""
-    return _batched(
-        lambda where, env: max_or_nan([r.reduce_at(where, env) for r in residuals])
-    )
+    return lambda where, env: max_or_nan([r(where, env) for r in residuals])
 
 
 class TensorField:
@@ -290,75 +260,16 @@ class TensorField:
 
         The result is computed once, frozen into nested tuples and kept in
         the env's memo for as long as the env lives; every call returns
-        that kept object.  At an env linked to a batch it is the env's row
-        of one evaluation at the batch (`_batch_rows`).  Any other mapping
-        is first wrapped in a fresh :class:`PointEnv`, whose memo lives
-        for this call.
+        that kept object.  Any other mapping is first wrapped in a fresh
+        :class:`PointEnv`, whose memo lives for this call.
         """
         if not isinstance(env, PointEnv):
             env = PointEnv(env)
         key = (self, chart)
         memo = env.memo
         if key not in memo:
-            link = env.link
-            rows = None if link is None else _batch_rows(
-                link[0], (self, chart, "rows"), lambda: self.at(chart, link[0])
-            )
-            try:
-                memo[key] = (
-                    _frozen(self.components(self._chart(chart), env))
-                    if rows is None else rows[link[1]]
-                )
-            except Exception:  # were env a batch, its points go to their own
-                memo[(self, chart, "rows")] = None
-                raise
+            memo[key] = _frozen(self.components(self._chart(chart), env))
         return memo[key]
-
-
-def _batch_rows(batch: PointEnv, key: tuple, evaluate: Callable):
-    """The per-point rows of ``evaluate()``, a structure at `batch`, kept in
-    the batch's memo under `key`; None, also kept, if it raised.  The
-    group's size is read off any array-valued coordinate (a derived batch
-    may hold a scalar, such as a lift's fiber height, first).
-
-    The batch is evaluated under ``np.errstate(all="raise")`` (underflow
-    aside, which Python floats never report), so a step that signals at
-    any point -- a zero divisor, an overflow, ``0*inf`` -- raises here.
-    On None the points are evaluated one by one, and each then gets the
-    value, or raises the exception, of a lone evaluation at its own
-    coordinates: any exception is caught here because the evaluation at
-    the point re-raises whatever belongs to it.
-    """
-    memo = batch.memo
-    if key not in memo:
-        try:
-            size = next(len(v) for v in map(nk.value_of, batch.values())
-                        if type(v) is np.ndarray)
-            with np.errstate(all="raise", under="ignore"):
-                memo[key] = _rows(evaluate(), size)
-        except Exception:
-            memo[key] = None
-    return memo[key]
-
-
-def _rows(s, size: int) -> list:
-    """The `size` per-point structures of batch structure `s`: nested
-    tuples as kept by the memo, each array leaf read off with one
-    ``tolist`` (Python floats), each dual rebuilt at its level, and every
-    other leaf, the same at all points, repeated."""
-    if isinstance(s, tuple):
-        return list(zip(*[_rows(x, size) for x in s])) if s else [()] * size
-    if isinstance(s, dict):  # named clauses and records
-        return [dict(zip(s, row)) for row in zip(*[_rows(v, size) for v in s.values()])]
-    if type(s) is nk.DScalar:
-        tag = s.tag
-        tgs = list(zip(*[_rows(t, size) for t in s.tg])) if s.tg else [()] * size
-        return [nk.DScalar(v, tg, tag) for v, tg in zip(_rows(s.val, size), tgs)]
-    if type(s) is np.ndarray:
-        if s.shape != (size,):
-            raise ValueError(f"batch leaf of shape {s.shape}, not ({size},)")
-        return s.tolist()
-    return [s] * size
 
 
 def _set(structure, idx, value):
@@ -377,58 +288,47 @@ def _seeded(chart: Chart, env: dict):
     """(tag, PointEnv with the chart coordinates seeded as duals of that level).
 
     An env keeps one seeded env per coordinate tuple in its memo, so all
-    jets at a point share one dual level and one memo.  The seeded env of
-    a batch's point is linked to the batch's seeded env and shares its
-    level.  Any other mapping is first wrapped in a fresh
-    :class:`PointEnv`, whose memo lives for this call.
+    jets at an env share one dual level and one memo.  Any other mapping
+    is first wrapped in a fresh :class:`PointEnv`, whose memo lives for
+    this call.
     """
     if not isinstance(env, PointEnv):
         env = PointEnv(env)
     key = ("seeded", chart.coords)
     if key not in env.memo:
-        values = [env[c] for c in chart.coords]
-        if env.link is None:
-            tag, duals = nk.seed(values)
-            link = None
-        else:  # the point's row of its batch's seeded env, at that level
-            batch, i = env.link
-            tag, dual_batch = _seeded(chart, batch)
-            duals, link = nk.unit_duals(values, tag), (dual_batch, i)
-        dual_env = PointEnv({**env, **dict(zip(chart.coords, duals))})
-        dual_env.link = link
-        env.memo[key] = (tag, dual_env)
+        tag, duals = nk.seed([env[c] for c in chart.coords])
+        env.memo[key] = (tag, PointEnv({**env, **dict(zip(chart.coords, duals))}))
     return env.memo[key]
 
 
 class SampleSet:
     """The chart samples one entry's checks share, and what their memos keep.
 
-    `points` draws a chart's samples with `manifold.sample_chart` on the
-    first request for a (chart, seed, points per chart) and hands out the
-    same ``(coords, PointEnv)`` list after that, so the entry's checks
-    reuse what is memoized at those envs.  `prune`, after each check,
-    keeps only the memo entries of the ``declared`` fields, at every dual
-    level, in the points' memos and in their batches'; derived one-shot
-    fields go.  The envs go with the set.
+    `points` draws a chart's sample group with `manifold.sample_group` on
+    the first request for a (chart, seed, points per chart) and hands out
+    the same points and batch env after that, so the entry's checks reuse
+    what is memoized there.  `prune`, after each check, keeps only the
+    memo entries of the ``declared`` fields, at every dual level, in the
+    batch envs' memos; derived one-shot fields, jets and derived envs go.
+    The envs go with the set.
     """
 
     def __init__(self, declared: Iterable[TensorField]):
         self.declared = frozenset(declared)
-        self._charts = {}  # (id(chart), seed, points) -> (chart, points)
+        self._charts = {}  # (id(chart), seed, points) -> (chart, points, env)
 
-    def points(self, chart: Chart, plan: SamplePlan) -> list:
+    def points(self, chart: Chart, plan: SamplePlan) -> tuple[list, PointEnv]:
         key = (id(chart), plan.seed, plan.points_per_chart)
         if key not in self._charts:
-            self._charts[key] = (chart, manifold.sample_chart(chart, plan))
-        return self._charts[key][1]
+            self._charts[key] = (chart, *manifold.sample_group(chart, plan))
+        return self._charts[key][1:]
 
     def envs(self) -> list[PointEnv]:
-        return [env for _, pts in self._charts.values() for _, env in pts]
+        """The batch envs of the groups drawn so far."""
+        return [env for _, _, env in self._charts.values()]
 
     def prune(self) -> None:
-        envs = self.envs()
-        batches = {id(env.link[0]): env.link[0] for env in envs if env.link}
-        for env in envs + list(batches.values()):
+        for env in self.envs():
             _keep_declared(env.memo, self.declared)
 
 
@@ -511,23 +411,7 @@ class SmoothMap:
         return [exprlang.eval_expr(e, env) for e in exprs]
 
     def jet(self, chart: str, env: dict):
-        """(values, jacobian) with jacobian[j][i] = d target_j / d source_i.
-
-        At a batch's point both are read off one evaluation at the batch,
-        kept in its memo; the lists are built anew on every call.
-        """
-        link = getattr(env, "link", None)
-        if link is not None:
-            batch, i = link
-
-            def evaluate():
-                vals, jac = self.jet(chart, batch)
-                return tuple(vals), tuple(map(tuple, jac))
-
-            rows = _batch_rows(batch, (self, chart, "jet"), evaluate)
-            if rows is not None:
-                vals, jac = rows[i]
-                return list(vals), list(map(list, jac))
+        """(values, jacobian) with jacobian[j][i] = d target_j / d source_i."""
         src = self.source.chart(chart)
         tag, dual_env = _seeded(src, env)
         img = self.apply(chart, dual_env)
@@ -879,7 +763,7 @@ def field_overlaps(T: TensorField) -> Overlaps:
 
 
 def single_valued(T: TensorField, sign_fn=None) -> Callable:
-    """Residual of "T's chart data agree" at an `OverlapSite` sample: the
+    """Residual of "T's chart data agree" at an `OverlapSite` group: the
     largest |T_src - sign · (piece*T_tgt)| component, with the target data
     pulled back through the piece and ``sign_fn(transition, piece)`` (paired
     structures hand one in) or 1 as sign.  The pullbacks and signs of the
@@ -895,12 +779,12 @@ def single_valued(T: TensorField, sign_fn=None) -> Callable:
         for piece in t.pieces
     }
 
-    def reduce_at(site, env):
+    def residual(site, env):
         t = site.transition
         back, sign = by_piece[(id(t), id(site.piece))]
         return max_diff(T.at(t.source, env), back.at(t.source, env), sign)
 
-    return _batched(reduce_at)
+    return residual
 
 
 def cross_chart_consistency(

@@ -30,7 +30,7 @@ from sasaki_lab.bundle import (
 )
 from sasaki_lab.contact import darboux_contact, reeb_residual_check
 from sasaki_lab.corpus import build_example, complex_pair_bracket
-from sasaki_lab.manifold import SamplePlan, sample_chart
+from sasaki_lab.manifold import SamplePlan
 from sasaki_lab.report import FAIL, PASS
 from sasaki_lab.sasaki import (
     contact_metric_check,
@@ -43,6 +43,8 @@ from sasaki_lab.sasaki import (
     theorem54_check,
 )
 from sasaki_lab.tensor import TensorField, max_abs
+
+from pointwise import point_envs
 
 FULL_PLAN = SamplePlan(seed=42, points_per_chart=64)
 
@@ -73,7 +75,7 @@ def test_acceptance_01_flat_models_normal():
         ]
         fields = n_tensors(struct)
         chart = struct.atlas.charts[0]
-        for coords, env in sample_chart(chart, FULL_PLAN):
+        for coords, env in point_envs(chart, FULL_PLAN):
             for f in fields.values():
                 worst = max(worst, max_abs(f.at(chart.name, env)))
         for rep in reports:
@@ -132,7 +134,7 @@ def test_acceptance_02b_eigenframe_pairwise_commutation():
         re, im = complex_pair_bracket(z1, z2)
         r = 0.0
         for chart in atlas.charts:
-            for coords, env in sample_chart(chart, FULL_PLAN):
+            for coords, env in point_envs(chart, FULL_PLAN):
                 r = max(r, max_abs(re.at(chart.name, env)))
                 r = max(r, max_abs(im.at(chart.name, env)))
         worst[f"[{n1},{n2}]"] = r
@@ -234,7 +236,7 @@ def test_acceptance_05_decomposition_round_trip():
         assert dec.calibrated
         worst = max(worst, dec.mu_max)
         chart = base.charts[0]
-        for coords, env in sample_chart(chart, plan):
+        for coords, env in point_envs(chart, plan):
             a_val = abs(nk.value_of(dec.A.at(chart.name, env)) - 1.0)
             worst = max(worst, a_val)
             shadow = dec.g_M.at(chart.name, env)
@@ -337,7 +339,7 @@ def _field_samples(field, atlas, plan):
     for chart in atlas.charts:
         if chart.name not in field.chart_names():
             continue
-        for coords, env in sample_chart(chart, plan):
+        for coords, env in point_envs(chart, plan):
             yield chart.name, env
 
 
@@ -400,7 +402,7 @@ def test_acceptance_09b_cartan_formula_on_gallery_fields():
                     if chart.name not in charts:
                         continue
                     dim = chart.dim
-                    for coords, env in sample_chart(chart, SWEEP_PLAN):
+                    for coords, env in point_envs(chart, SWEEP_PLAN):
                         lv = lhs.at(chart.name, env)
                         dm = d_alpha.at(chart.name, env)
                         xv = X.at(chart.name, env)
@@ -470,7 +472,7 @@ def test_acceptance_09d_pullback_commutes_with_d():
                 for chart in src_atlas.charts:
                     if chart.name not in gm.map.pieces:
                         continue
-                    for coords, env in sample_chart(chart, SWEEP_PLAN):
+                    for coords, env in point_envs(chart, SWEEP_PLAN):
                         worst = max(
                             worst,
                             max_abs(

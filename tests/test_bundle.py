@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sasaki_lab import numkernel as nk
@@ -23,13 +24,14 @@ from sasaki_lab.contact import ContactStructure, darboux_contact
 from sasaki_lab.manifold import (
     Atlas,
     Chart,
-    PointEnv,
     SamplePlan,
     TransitionMap,
     TransitionPiece,
     sample_chart,
 )
 from sasaki_lab.tensor import SampleSet, TensorField
+
+from pointwise import point, point_envs
 
 PLAN = SamplePlan(seed=11, points_per_chart=10, tolerance=1e-8)
 
@@ -95,7 +97,7 @@ class TestConeConstruction:
         assert (FIBER, -0.5, 0.5) in chart.excluded
         mags = [
             abs(coords[3])
-            for coords, _ in sample_chart(chart, replace(PLAN, points_per_chart=50))
+            for coords in sample_chart(chart, replace(PLAN, points_per_chart=50))
         ]
         assert min(mags) > 0.5
 
@@ -218,7 +220,7 @@ class TestTwoChartCone:
         g = induced_metric(bundle, gM, scal)
         for chart in bundle.total.charts:
             n = chart.name
-            for coords, env in sample_chart(chart, PLAN):
+            for coords, env in point_envs(chart, PLAN):
                 s = env[FIBER]
                 want = [[0.0] * 4 for _ in range(4)]
                 for i in range(3):
@@ -240,7 +242,7 @@ class TestDecomposition:
         assert dec.report.passed
         assert not dec.calibrated  # μ = a·η ≠ 0
         name = bundle.base.charts[0].name
-        for coords, env in sample_chart(bundle.base.charts[0], PLAN):
+        for coords, env in point_envs(bundle.base.charts[0], PLAN):
             p = env["p"]
             assert nk.value_of(dec.A.at(name, env)) == pytest.approx(1.0, abs=1e-10)
             mu = [nk.value_of(v) for v in dec.mu.at(name, env)]
@@ -275,7 +277,7 @@ class TestDecomposition:
         dec1 = decompose_homogeneous_metric(bundle, g, abs_s_calibration(bundle), PLAN)
         dec2 = decompose_homogeneous_metric(bundle, g, scal2, PLAN)
         name = bundle.base.charts[0].name
-        for coords, env in sample_chart(bundle.base.charts[0], PLAN):
+        for coords, env in point_envs(bundle.base.charts[0], PLAN):
             s1 = dec1.g_M.at(name, env)
             s2 = dec2.g_M.at(name, env)
             for i in range(3):
@@ -327,7 +329,7 @@ class TestInducedCalibration:
             "half_s", bundle.total, (0, 0), {name: {(): "0.5 * s"}}
         )
         g = induced_metric(bundle, gM, scal)
-        for coords, env in sample_chart(bundle.total.charts[0], PLAN):
+        for coords, env in point_envs(bundle.total.charts[0], PLAN):
             s = env[FIBER]
             g_nabla = s * s * nk.value_of(g.at(name, env)[-1][-1])  # g(∇, ∇)
             assert g_nabla == pytest.approx(
@@ -336,7 +338,7 @@ class TestInducedCalibration:
         dec = decompose_homogeneous_metric(bundle, g, scal, PLAN)
         assert dec.calibrated
         base_name = bundle.base.charts[0].name
-        for coords, env in sample_chart(bundle.base.charts[0], PLAN):
+        for coords, env in point_envs(bundle.base.charts[0], PLAN):
             shadow = dec.g_M.at(base_name, env)
             expect = gM.at(base_name, env)
             for i in range(3):
@@ -412,27 +414,29 @@ class TestLoopSign:
         assert bundle.transition_sign(t, t.pieces[1]) == -1.0
 
 
-def test_derived_envs_of_a_group_are_linked_to_one_derived_batch(darboux, cone):
-    """The base env and the lift of the i-th point of a sample group are
-    linked as (D, i), D the same derivation of the group's batch, built
-    once and kept in the batch's memo until the entry's set is pruned; a
-    field there gives each point its lone value."""
+def test_derived_envs_of_a_group_are_kept_in_its_batch_memo(darboux, cone):
+    """The base env and the lift of a sample group's batch env are derived
+    once and kept in the memo of the env they derive from until the
+    entry's set is pruned; a field there gives each point its lone value.
+    A plain mapping's derived env is built anew on each call."""
     bundle, _ = cone
     shared = SampleSet([])
     plan = replace(PLAN, points_per_chart=4, sample_set=shared)
     chart = bundle.total.charts[0]
-    pts = shared.points(chart, plan)
-    batch = pts[0][1].link[0]
-    bases = [bundle.base_env(env) for _, env in pts]
-    lifts = [bundle.lift_env(b, 1.5) for b in bases]
-    down = batch.memo[("base_env",)]
-    up = down.memo[("lift_env", "1.5")]
+    points, batch = shared.points(chart, plan)
+    down = bundle.base_env(batch)
+    up = bundle.lift_env(down, 1.5)
+    assert bundle.base_env(batch) is down is batch.memo[("base_env",)]
+    assert bundle.lift_env(down, 1.5) is up is down.memo[("lift_env", "1.5")]
     assert FIBER not in down and up[FIBER] == 1.5
-    for i, (b, lift) in enumerate(zip(bases, lifts)):
-        assert b.link[0] is down and lift.link[0] is up and b.link[1] == lift.link[1] == i
-        assert FIBER not in b and lift[FIBER] == 1.5
-        eta = darboux.eta
-        assert eta.at(chart.name, b) == eta.at(chart.name, PointEnv(dict(b)))
-    assert bundle.base_env(dict(pts[0][1])).link is None  # an unlinked env's stays so
+    eta = darboux.eta
+    with np.errstate(all="raise", under="ignore"):
+        values = eta.at(chart.name, down)
+    for i, coords in enumerate(points):
+        lone = bundle.base_env(chart.env(coords))
+        assert FIBER not in lone
+        assert point(values, i) == list(eta.at(chart.name, lone))
+    plain = dict(chart.env(points[0]))
+    assert bundle.base_env(plain) is not bundle.base_env(plain)
     shared.prune()
     assert ("base_env",) not in batch.memo

@@ -225,7 +225,7 @@ def test_tol_reaches_every_check(capsys):
 
 
 def test_samples_counts_the_rows_reduced(capsys):
-    """A report's samples is its number of reduced rows, whatever the check."""
+    """A report's samples is its number of reduced points, whatever the check."""
     argv = ["verify", "sphere-5", "--checks", "sasaki,contact_form",
             "--samples", "4", "--json", "-"]
     assert main(argv) == 0
@@ -271,8 +271,8 @@ def test_json_bytes_stable_across_runs(key, tmp_path, capsys):
 
 def _record_chart_envs(monkeypatch):
     """Patch `manifold.sample_domain` to note, for each atlas a sampled
-    check draws, weak references to its envs and whether they are the
-    very envs the entry's first such check got."""
+    check draws, weak references to its groups' batch envs and whether
+    they are the very envs the entry's first such check got."""
     import weakref
 
     from sasaki_lab import manifold
@@ -283,7 +283,7 @@ def _record_chart_envs(monkeypatch):
     def recording(domain, plan):
         groups = draw(domain, plan)
         if isinstance(domain, manifold.Atlas):
-            envs = [env for _, _, pts in groups for _, env in pts]
+            envs = [env for _, _, _, env in groups]
             if seen:
                 first = [ref() for ref in seen[0]]
                 same_as_first.append(
@@ -304,7 +304,7 @@ def test_checks_of_an_entry_share_their_chart_envs(monkeypatch, capsys):
             "--samples", "4"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(seen) == 3 and len(seen[0]) == 8  # two charts, four points
+    assert len(seen) == 3 and len(seen[0]) == 2  # two charts
     assert same_as_first == [True, True]
     # the set goes with the entry's last check, and its envs with it
     gc.collect()

@@ -137,14 +137,17 @@ class TestFrames:
             assert abs(tn.contract_form_vector(ev, v)) < 1e-15
 
     def test_kernel_frames_read_the_plan_sample_set(self):
-        """Under a sample set the frame is read at the env the driver
-        visits first, and at no other."""
+        """Under a sample set the frame is read at the first point of the
+        group the driver reduces, at an env of that point alone: the
+        group's batch env evaluates nothing."""
         C = darboux_contact(1)
         shared = tn.SampleSet(())
-        kernel_frames(C, replace(PLAN, sample_set=shared))
-        first, *rest = shared.envs()
-        assert (C.eta, "O") in first.memo
-        assert not any(env.memo for env in rest)
+        plan = replace(PLAN, sample_set=shared)
+        kernel_frames(C, plan)
+        (batch,) = shared.envs()
+        assert not batch.memo
+        (points, again), = [shared.points(c, plan) for c in C.atlas.charts]
+        assert again is batch and len(points) == PLAN.points_per_chart
 
     def test_frame_degenerates_past_unit_slope(self):
         """On η = dz − p dx with |p| > 1 the frame drops x, and its z-vector

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sasaki_lab import corpus, manifold
+from sasaki_lab import corpus
 from sasaki_lab import numkernel as nk
 from sasaki_lab.bundle import FIBER, loop_sign, symplectize
 from sasaki_lab.corpus import (
@@ -20,7 +20,7 @@ from sasaki_lab.corpus import (
 from sasaki_lab.manifold import SamplePlan
 from sasaki_lab.report import FAIL, PASS
 
-from pointwise import lone_groups, report_bytes
+from pointwise import alone, report_bytes
 
 FAST_PLAN = SamplePlan(seed=11, points_per_chart=4, tolerance=1e-8)
 
@@ -116,7 +116,7 @@ def test_map_check_matches_its_point_by_point_report(key, check, points, monkeyp
     plan = SamplePlan(seed=42, points_per_chart=points)
     rep = job.run(plan)
     assert rep.passed, (key, check)
-    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    alone(monkeypatch)
     assert report_bytes(rep) == report_bytes(job.run(plan))
 
 
@@ -137,7 +137,7 @@ def test_a_perturbed_sphere_frame_fails_embedding_frame(key, monkeypatch):
     plan = SamplePlan(seed=42, points_per_chart=16)
     rep = job.run(plan)
     assert rep.verdict == FAIL and 1e-7 < rep.max_residual < 1e-5
-    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    alone(monkeypatch)
     assert report_bytes(rep) == report_bytes(job.run(plan))
 
 

@@ -9,7 +9,9 @@ A deletion that leaves a definition behind is caught too: each function,
 class and assigned name at the top of a ``src/sasaki_lab/*.py`` module
 must be read by a file of ``src/``, ``tests/`` or ``perfbench/``, outside
 its own statement (`numkernel.solve_linear_info` is read by the
-benchmark's tracer, `corpus.write_golden_files` by the tests).
+benchmark's tracer, `corpus.write_golden_files` by the tests).  The
+definitions that only tests read are pinned, each with its reason, so
+that a helper left alive by its own tests alone fails here.
 """
 
 import ast
@@ -136,6 +138,24 @@ def test_every_top_level_definition_is_read():
     """A definition of the package that nothing in `src/`, `tests/` or
     `perfbench/` reads is dead code: delete it."""
     assert unread_definitions(MODULES, READERS) == []
+
+
+# the definitions of the package that only `tests/` read, and why each stays
+TEST_ONLY = {
+    "bundle.decompose_homogeneous_metric": "acceptance 05: the metric splits "
+                                           "along a calibration and back",
+    "corpus.parse_example_text": "the definition files parse back to their entries",
+    "corpus.write_golden_files": "writes golden/, which the tests compare",
+    "sasaki.pin_battery": "acceptance 04: the four compatibility flags agree",
+}
+
+
+def test_definitions_only_tests_read_are_pinned():
+    """A definition that nothing in `src/` or `perfbench/` reads, but a
+    test does, is library surface kept alive by its tests: each one is in
+    `TEST_ONLY` with its reason, and nothing else is."""
+    readers = [path for path in READERS if "tests" not in path.relative_to(ROOT).parts]
+    assert sorted(unread_definitions(MODULES, readers)) == sorted(TEST_ONLY)
 
 
 def test_the_guard_sees_an_unread_definition(tmp_path):

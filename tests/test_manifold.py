@@ -27,7 +27,7 @@ from sasaki_lab.manifold import (
     sample_points,
 )
 
-from pointwise import lone_groups, report_bytes
+from pointwise import alone, report_bytes
 
 
 def _draw_one(rng, intervals):
@@ -97,10 +97,10 @@ class TestSampling:
         plan = SamplePlan(seed=42, points_per_chart=16)
         a = sample_chart(c1, plan)
         b = sample_chart(c1, plan)
-        assert [p for p, _ in a] == [p for p, _ in b]
+        assert a == b
         other = Chart("U", ("x", "p"), ((-1.0, 1.0), (-1.0, 1.0)))
         c = sample_chart(other, plan)
-        assert [p for p, _ in a] != [p for p, _ in c]
+        assert a != c
 
     def test_margins_and_exclusions_respected(self):
         c = Chart(
@@ -109,17 +109,15 @@ class TestSampling:
             ((-1.0, 1.0), (-2.0, 2.0)),
             excluded=(("s", -0.25, 0.25),),
         )
-        for coords, env in sample_chart(c, SamplePlan(points_per_chart=200)):
-            x, s = coords
+        for x, s in sample_chart(c, SamplePlan(points_per_chart=200)):
             assert -0.95 <= x <= 0.95
             assert 0.3 <= abs(s) <= 1.95
-            assert env == {"x": x, "s": s}
 
     def test_sample_points_covers_all_charts(self):
         atlas = circle_atlas()
         out = sample_points(atlas, SamplePlan(points_per_chart=8))
-        assert [name for name, _ in out] == ["A", "B"]
-        assert all(len(pts) == 8 for _, pts in out)
+        assert [name for name, _, _ in out] == ["A", "B"]
+        assert all(len(points) == 8 for _, points, _ in out)
 
     def test_draws_match_the_per_value_loop(self):
         """One ``rng.random`` call per group draws, bit for bit, what one
@@ -141,15 +139,17 @@ class TestSampling:
         assert fast.random() == slow.random()
 
     def test_a_chart_group_shares_one_batch_env(self):
+        """A chart's sample group is its points and one batch env, whose
+        coordinates are the points' columns; no point has an env."""
         c = Chart("O", ("x", "p"), ((-1.0, 1.0), (-1.0, 1.0)))
-        rows = sample_chart(c, SamplePlan(seed=3, points_per_chart=5))
-        batch = rows[0][1].link[0]
-        for i, (coords, env) in enumerate(rows):
-            assert env.link == (batch, i) and env == dict(zip(c.coords, coords))
-        for k, name in enumerate(c.coords):
-            assert batch[name].dtype == np.float64
-            assert batch[name].tolist() == [coords[k] for coords, _ in rows]
-        assert c.env((0.1, 0.2)).link is None
+        plan = SamplePlan(seed=3, points_per_chart=5)
+        (name, points, batch), = sample_points(Atlas([c]), plan)
+        assert name == "O" and points == sample_chart(c, plan)
+        assert all(type(v) is float for coords in points for v in coords)
+        assert list(batch) == list(c.coords) and not batch.memo
+        for k, coord in enumerate(c.coords):
+            assert batch[coord].dtype == np.float64
+            assert batch[coord].tolist() == [coords[k] for coords in points]
 
     def test_seed_changes_stream(self):
         c = Chart("O", ("x",), ((-1.0, 1.0),))
@@ -198,6 +198,23 @@ class TestTransitions:
         atlas = circle_atlas()
         with pytest.raises(OutOfDomain):
             apply_transition(atlas, Point("A", (7.0,)), "B")
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_a_nan_image_lies_outside_the_target_box(self, batch):
+        """A piece whose forward expression is NaN everywhere carries a
+        point inside both boxes to NaN, which lies in no box: the target's
+        box test raises, as a piece's own does, at a point and at a batch."""
+        nan = (el.parse("(1e400 - 1e400) * x"),)
+        piece = TransitionPiece(((0.0, 1.0),), nan, (el.parse("x"),))
+        atlas = Atlas(
+            [Chart("A", ("x",), ((0.0, 1.0),)), Chart("B", ("x",), ((0.0, 1.0),))],
+            [TransitionMap("A", "B", (piece,))],
+        )
+        x = np.array([0.5, 0.25]) if batch else 0.5
+        assert atlas.chart("A").contains((x,))
+        assert not atlas.chart("B").contains((x * math.nan,))
+        with pytest.raises(OutOfDomain):
+            apply_transition(atlas, Point("A", (x,)), "B")
 
 
 class TestAppendCoordinate:
@@ -310,46 +327,52 @@ def test_round_trips_through_straddled_reverse_pieces_match_point_by_point(
     x = 1, and report byte for byte what they report point by point."""
     atlas = _straddling_atlas()
     plan = SamplePlan(seed=5, points_per_chart=points, tolerance=1e-10)
-    (_, _, pts), *_ = manifold.sample_domain(Overlaps(atlas), plan)
+    (_, _, points, _), *_ = manifold.sample_domain(Overlaps(atlas), plan)
     back = atlas.transition("B", "A")
-    assert {id(back.piece_for(coords)) for coords, _ in pts} == set(map(id, back.pieces))
+    assert {id(back.piece_for(coords)) for coords in points} == set(map(id, back.pieces))
     rep = atlas_consistency_check(atlas, plan)
     assert rep.verdict == "fail" and rep.witness.coords[0] > 1.0
     assert rep.per_chart["A->B"] > 1e-7
-    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    alone(monkeypatch)
     assert report_bytes(rep) == report_bytes(atlas_consistency_check(atlas, plan))
 
 
 def test_a_zero_divisor_at_one_sample_raises_at_that_sample(monkeypatch):
     """A forward expression whose divisor is 0 at the third sample of its
-    group: the samples before it are reduced, and that sample raises the
-    lone evaluation's `EvalDomainError`, with the batch or without."""
+    group: the group goes point by point, the samples before it get their
+    round trips, and that sample raises the lone evaluation's
+    `EvalDomainError`, with the batch or without."""
     from sasaki_lab import report
 
     plan = SamplePlan(seed=5, points_per_chart=6)
-    (_, _, pts), *_ = manifold.sample_domain(Overlaps(_straddling_atlas()), plan)
-    c = pts[2][0][0]
+    (_, _, points, _), *_ = manifold.sample_domain(Overlaps(_straddling_atlas()), plan)
+    c = points[2][0]
     atlas = _straddling_atlas()
     bad = TransitionPiece(((0.0, 2.0),), (el.parse(f"x + (x - {c!r}) / (x - {c!r}) - 1"),),
                           (el.parse("x"),))
     atlas = Atlas(atlas.charts, [TransitionMap("A", "B", (bad,)), atlas.transitions[1]])
-    reduce_residuals = report.reduce_residuals
+    evaluate_group, point_by_point = report.evaluate_group, report.point_by_point
 
-    def outcome():
-        seen = []
+    def outcome(evaluate):
+        seen = []  # (coords, round trip) of each lone point
 
-        def recording(rows, records=None):
-            return reduce_residuals((seen.append(row) or row for row in rows), records)
+        def recording(residual_fn, where, points, env):
+            def noted(where, env):
+                out = residual_fn(where, env)
+                if not isinstance(out, np.ndarray):
+                    seen.append(repr((tuple(env.values()), out)))
+                return out
 
-        monkeypatch.setattr(report, "reduce_residuals", recording)
+            return evaluate(noted, where, points, env)
+
+        monkeypatch.setattr(report, "evaluate_group", recording)
         with pytest.raises(el.EvalDomainError) as exc:
             atlas_consistency_check(atlas, plan)
-        return [repr(row) for row in seen], str(exc.value)
+        return seen, str(exc.value)
 
-    batched = outcome()
+    batched = outcome(evaluate_group)
     assert len(batched[0]) == 2
-    monkeypatch.setattr(manifold, "group_envs", lone_groups)
-    assert outcome() == batched
+    assert outcome(point_by_point) == batched
 
 
 def test_report_json_is_deterministic():

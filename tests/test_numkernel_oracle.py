@@ -30,6 +30,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import exprgen  # noqa: E402
+from pointwise import point  # noqa: E402
 from sasaki_lab import exprlang, manifold, numkernel as nk, tensor as tn  # noqa: E402
 
 # -- the reference: an independent recursive kernel -------------------------
@@ -500,18 +501,6 @@ def test_second_derivatives_match_finite_differences(program, x):
 BATCH_ERRSTATE = {"all": "raise", "under": "ignore"}
 
 
-def point(x, i: int):
-    """Point i of a batch structure: each array leaf read at i as a Python
-    float, each dual rebuilt at its level, every other leaf kept."""
-    if isinstance(x, nk.DScalar):
-        return nk.DScalar(point(x.val, i), tuple(point(t, i) for t in x.tg), x.tag)
-    if isinstance(x, (list, tuple)):
-        return [point(v, i) for v in x]
-    if isinstance(x, np.ndarray):
-        return x.tolist()[i]
-    return x
-
-
 def seeded_levels(columns: list, order: int) -> list:
     """The batch columns seeded `order` times (each level one fresh tag),
     and each point's floats seeded the same way at the same tags:
@@ -724,21 +713,19 @@ CHART = manifold.Chart("O", ("x", "y"), ((-2.0, 2.0),) * 2)
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 6))
 def test_fields_over_a_group_match_lone_points(seed, order, size):
-    """A scalar field of an exprgen program, at the linked envs of a sample
-    group (seeded `order` times), gives at each point, in driver order, the
-    value or the exception (type and message) of the same evaluation at an
-    unlinked copy of that point's env.  Whatever the batch cannot do is
-    evaluated point by point."""
+    """A scalar field of an exprgen program, at the batch env of a sample
+    group (seeded `order` times, each level one tag shared with its
+    points), gives each point the value of the same evaluation at that
+    point's env alone; where the batch raises, some point raises the same
+    exception type or the batch signalled a non-finite step, and the
+    driver evaluates point by point."""
     rng = np.random.default_rng(seed)
     e = exprgen.random_expr(rng, VARIABLES, int(rng.integers(1, 5)))
     T = tn.TensorField.from_exprs("f", manifold.Atlas([CHART]), (0, 0), {"O": {(): e}})
     points = [tuple(exprgen.random_env(rng, VARIABLES).values()) for _ in range(size)]
     points = [(0.0, y) if rng.random() < 0.2 else (x, y) for x, y in points]
-    for _, env in manifold.group_envs(CHART, points):
-        for _ in range(order):
-            env = tn._seeded(CHART, env)[1]
-        alone = manifold.PointEnv(dict(env))
-        assert env.link is not None and alone.link is None
-        assert scalar_outcome(lambda: T.at("O", env)) == scalar_outcome(
-            lambda: T.at("O", alone)
-        ), exprlang.pretty(e)
+    batch, *lone = seeded_levels([list(c) for c in zip(*points)], order)
+    assert_batch_matches_points(
+        lambda *values: T.at("O", manifold.PointEnv(zip(CHART.coords, values))),
+        batch, lone,
+    )

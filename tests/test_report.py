@@ -3,7 +3,10 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sasaki_lab import exprlang as el
 from sasaki_lab import report
@@ -31,6 +34,8 @@ from sasaki_lab.report import (
     verdict_for,
 )
 from sasaki_lab.sasaki import LeviStructure, paired_consistency_check
+
+from pointwise import reduce_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,10 +67,11 @@ def _check(residuals, fail_floor=None):
     """Report on the given residuals, one per sample of a one-chart atlas in
     sample order; also returns the sampled coordinates."""
     plan = SamplePlan(seed=42, points_per_chart=len(residuals), tolerance=1e-9)
-    points = [coords for coords, _ in sample_chart(LINE.charts[0], plan)]
+    points = sample_chart(LINE.charts[0], plan)
     by_coord = dict(zip(points, residuals))
     rep = run_residual_check(
-        "nan_probe", LINE, lambda chart, coords, env: by_coord[coords],
+        "nan_probe", LINE,
+        lambda chart, env: np.array([by_coord[(x,)] for x in env["x"].tolist()]),
         plan, fail_floor,
     )
     return rep, points
@@ -90,7 +96,13 @@ def test_finite_residuals_reduce_as_before():
     assert _check([0.0, 1e-12])[0].verdict == "pass"
 
 
+def _columns(env) -> dict:
+    return {name: v.tolist() for name, v in env.items()}
+
+
 def test_driver_evaluates_the_plans_samples_in_order():
+    """The residual is called once per chart, in plan order, at the batch
+    env that holds its points' columns, and reduces every point."""
     atlas = Atlas([
         Chart("B", ("x", "y"), ((0.0, 1.0), (-2.0, 2.0))),
         Chart("A", ("x", "y"), ((-1.0, 0.0), (0.5, 3.0))),
@@ -98,35 +110,37 @@ def test_driver_evaluates_the_plans_samples_in_order():
     plan = SamplePlan(seed=7, points_per_chart=5)
     seen = []
 
-    def residual(chart, coords, env):
-        seen.append((chart, coords, dict(env)))
+    def residual(chart, env):
+        seen.append((chart, _columns(env)))
         return 0.0
 
     rep = run_residual_check("probe", atlas, residual, plan)
     want = [
-        (chart, coords, dict(env))
-        for chart, pts in sample_points(atlas, plan)
-        for coords, env in pts
+        (chart, {c: [p[k] for p in points] for k, c in enumerate(("x", "y"))})
+        for chart, points, _ in sample_points(atlas, plan)
     ]
-    assert seen == want and rep.samples == len(want) == 10
-    assert [chart for chart, _, _ in seen] == ["B"] * 5 + ["A"] * 5
+    assert seen == want and rep.samples == 10
+    assert [chart for chart, _ in seen] == ["B", "A"]
 
 
-def _clauses(chart, coords, env):
+def _clauses(chart, env):
     """Three named clauses; "tail" is NaN at one point of chart B, where the
     larger finite "head" comes first."""
-    x, y = coords
-    tail = NAN if chart == "B" and 1.4 < x < 1.6 else abs(x * y) / 10.0
-    return {"head": 5.0 + abs(x), "mid": (x - y) ** 2, "tail": tail}
+    x, y = env["x"], env["y"]
+    tail = np.where((chart == "B") & (1.4 < x) & (x < 1.6), NAN, abs(x * y) / 10.0)
+    return {"head": 5.0 + abs(x), "mid": (x - y) * (x - y), "tail": tail}
 
 
 def test_named_clauses_reduce_to_their_nan_ranked_maxima():
     plan = SamplePlan(seed=3, points_per_chart=64, tolerance=1e-9)
     rep = run_residual_check("clauses", TWO_CHARTS, _clauses, plan, details={"x": 1})
     rows = [
-        (chart, coords, _clauses(chart, coords, env))
-        for chart, pts in sample_points(TWO_CHARTS, plan)
-        for coords, env in pts
+        (chart, coords, {
+            name: float(v)
+            for name, v in _clauses(chart, TWO_CHARTS.chart(chart).env(coords)).items()
+        })
+        for chart, points, _ in sample_points(TWO_CHARTS, plan)
+        for coords in points
     ]
     nan_at = next(coords for chart, coords, r in rows if math.isnan(r["tail"]))
     assert sum(math.isnan(r["tail"]) for _, _, r in rows) >= 1
@@ -173,8 +187,8 @@ def test_driver_evaluates_the_overlap_samples_in_order(stream):
     plan = SamplePlan(seed=11, points_per_chart=5)
     seen = []
 
-    def residual(site, coords, env):
-        seen.append((site.transition, site.piece, coords, dict(env)))
+    def residual(site, env):
+        seen.append((site.transition, site.piece, _columns(env)))
         return 0.0
 
     rep = run_residual_check("probe", Overlaps(atlas, stream), residual, plan)
@@ -183,11 +197,12 @@ def test_driver_evaluates_the_overlap_samples_in_order(stream):
         src = atlas.chart(t.source)
         rng = _chart_rng(plan.seed, f"{t.source}->{t.target}" + stream)
         for piece in t.pieces:
-            for coords in _piece_sample(src, piece, plan, rng):
-                want.append((t, piece, coords, dict(zip(src.coords, coords))))
-    assert seen == want and rep.samples == len(want) == 2 * 2 * 5
+            points = _piece_sample(src, piece, plan, rng)
+            columns = {c: [p[k] for p in points] for k, c in enumerate(src.coords)}
+            want.append((t, piece, columns))
+    assert seen == want and rep.samples == 2 * 2 * 5
     assert sorted(rep.per_chart) == ["A->B", "B->A"]
-    assert [t.source for t, _, _, _ in seen] == ["A"] * 10 + ["B"] * 10
+    assert [t.source for t, _, _ in seen] == ["A"] * 2 + ["B"] * 2
 
 
 def test_paired_details_are_the_single_field_checks():
@@ -242,10 +257,10 @@ def test_vanishing_and_agreeing_report_nan_from_any_field(where):
     # the NaN sits after a larger finite component, in any one field
     fields = [_const_field(f"f{k}", [5.0, 0.0]) for k in range(4)]
     fields[where] = _const_field("nan", [0.0, NAN])
-    coords, env = sample_chart(LINE.charts[0], SamplePlan(points_per_chart=1))[0]
-    assert math.isnan(tn.vanishing(*fields)("A", coords, env))
+    env = LINE.charts[0].env(sample_chart(LINE.charts[0], SamplePlan(points_per_chart=1))[0])
+    assert math.isnan(tn.vanishing(*fields)("A", env))
     T1, S1, T2, S2 = fields
-    assert math.isnan(tn.agreeing((T1, S1), (T2, S2))("A", coords, env))
+    assert math.isnan(tn.agreeing((T1, S1), (T2, S2))("A", env))
 
 
 TWO_CHARTS = Atlas([
@@ -264,15 +279,16 @@ def test_builders_equal_the_hand_written_reductions_bit_for_bit():
         "B": {(0, 0): "cos(x) * cos(y)", (1, 0): "x^2", (0, 1): "0.3 * x"},
     })
     agree, vanish = tn.agreeing((T, S)), tn.vanishing(T, S)
-    for chart, pts in sample_points(TWO_CHARTS, SamplePlan(points_per_chart=16)):
-        for coords, env in pts:
+    for chart, points, _ in sample_points(TWO_CHARTS, SamplePlan(points_per_chart=16)):
+        for coords in points:
+            env = TWO_CHARTS.chart(chart).env(coords)
             t, s = T.at(chart, env), S.at(chart, env)
             by_hand = tn.max_abs(
                 [t[i][j] - s[i][j] for i in range(2) for j in range(2)]
             )
             assert by_hand > 0.0
-            assert agree(chart, coords, env).hex() == by_hand.hex()
-            assert vanish(chart, coords, env).hex() == max(
+            assert agree(chart, env).hex() == by_hand.hex()
+            assert vanish(chart, env).hex() == max(
                 tn.max_abs(t), tn.max_abs(s)
             ).hex()
 
@@ -288,14 +304,46 @@ def test_max_or_nan_keeps_plain_max():
     assert max_or_nan([math.inf, -math.inf]) == math.inf
 
 
+def _groups(rows) -> list:
+    """Runs of `rows` with one label and one kind of residual (a number, or
+    a dict of the same names), each as one (label, points, residual)
+    group: float64 arrays, one slot per row."""
+    groups = []
+    for label, coords, r in rows:
+        kind = tuple(r) if isinstance(r, dict) else None
+        if groups and groups[-1][0] == (label, kind):
+            groups[-1][1].append((coords, r))
+        else:
+            groups.append(((label, kind), [(coords, r)]))
+    out = []
+    for (label, kind), members in groups:
+        points = [coords for coords, _ in members]
+        if kind is None:
+            out.append((label, points, np.array([r for _, r in members])))
+        else:
+            out.append((label, points, {
+                name: np.array([r[name] for _, r in members]) for name in kind
+            }))
+    return out
+
+
+def _grouped(rows, records=None):
+    return reduce_residuals(_groups(rows), records)
+
+
+# the row-walking reference, and the group reducer over runs of the rows
+REDUCERS = (reduce_rows, _grouped)
+
+
 def test_reducer_keeps_first_strictly_worst_row():
-    red = reduce_residuals([
-        ("A", (0.1,), 1.0), ("B", (0.2,), 3.0), ("A", (0.3,), 3.0),
-        ("B", (0.4,), NAN), ("A", (0.5,), NAN),
-    ])
-    assert red.count == 5 and math.isnan(red.max_residual)
-    assert math.isnan(red.per_chart["A"]) and math.isnan(red.per_chart["B"])
-    assert red.worst[:2] == ("B", (0.4,))
+    for reducer in REDUCERS:
+        red = reducer([
+            ("A", (0.1,), 1.0), ("B", (0.2,), 3.0), ("A", (0.3,), 3.0),
+            ("B", (0.4,), NAN), ("A", (0.5,), NAN),
+        ])
+        assert red.count == 5 and math.isnan(red.max_residual)
+        assert math.isnan(red.per_chart["A"]) and math.isnan(red.per_chart["B"])
+        assert red.worst[:2] == ("B", (0.4,))
 
 
 PLAN = SamplePlan(points_per_chart=16)
@@ -308,7 +356,7 @@ def test_contact_form_with_nan_component_fails():
     table = {(0,): "-p", (1,): "1e400 - 1e400", (2,): "1"}
     eta = tn.TensorField.from_exprs("nan_eta", DARBOUX_BOX, (0, 1), {"O": table})
     rep = is_contact_form(ContactStructure("nan", DARBOUX_BOX, eta), PLAN)
-    first = sample_chart(DARBOUX_BOX.charts[0], PLAN)[0][0]
+    first = sample_chart(DARBOUX_BOX.charts[0], PLAN)[0]
     assert rep.verdict == "fail" and math.isnan(rep.max_residual)
     assert rep.witness.coords == first and math.isnan(rep.witness.residual)
     assert math.isnan(rep.details["min_coefficient"])
@@ -318,13 +366,13 @@ def test_nan_after_finite_component_is_its_own_witness():
     """J² + id: the (0, 0) entry is 0, the (0, 1) entry NaN where x < 0."""
 
     def j(chart, env):
-        corner = NAN if env["x"] < 0.0 else 0.0
+        corner = np.where(env["x"] < 0.0, NAN, 0.0)
         return [[0.0, -1.0], [1.0, corner]]
 
     rep = almost_complex_check(tn.TensorField("nan_J", SQUARE, (1, 1), j), PLAN)
     pts = sample_chart(SQUARE.charts[0], PLAN)
-    assert pts[0][0][0] >= 0.0  # a finite point comes first
-    first_nan = next(coords for coords, _ in pts if coords[0] < 0.0)
+    assert pts[0][0] >= 0.0  # a finite point comes first
+    first_nan = next(coords for coords in pts if coords[0] < 0.0)
     assert rep.verdict == "fail" and math.isnan(rep.max_residual)
     assert rep.witness.coords == first_nan and math.isnan(rep.witness.residual)
 
@@ -353,7 +401,8 @@ def test_record_reduces_its_declared_way(how, want):
         ("B", (0.2,), {"c": 0.5, "r": -1.0}),
         ("A", (0.3,), {"c": 0.25, "r": 9.0}),
     ]
-    assert reduce_residuals(rows, {"r": how}).named == {"c": 1.0, "r": want}
+    for reducer in REDUCERS:
+        assert reducer(rows, {"r": how}).named == {"c": 1.0, "r": want}
 
 
 @pytest.mark.parametrize("how", [min, max])
@@ -365,9 +414,10 @@ def test_nan_record_sticks(how):
         ("A", (0.3,), {"c": 0.25, "r": -1.0}),
         ("A", (0.4,), {"c": 0.25, "r": 9.0}),
     ]
-    red = reduce_residuals(rows, {"r": how})
-    assert math.isnan(red.named["r"]) and red.named["c"] == 1.0
-    assert red.max_residual == 1.0 and red.worst == ("A", (0.1,), 1.0)
+    for reducer in REDUCERS:
+        red = reducer(rows, {"r": how})
+        assert math.isnan(red.named["r"]) and red.named["c"] == 1.0
+        assert red.max_residual == 1.0 and red.worst == ("A", (0.1,), 1.0)
 
 
 def test_record_never_reaches_the_residual_or_the_witness():
@@ -378,22 +428,23 @@ def test_record_never_reaches_the_residual_or_the_witness():
         ("B", (0.2,), {"c": 2e-3, "big": NAN}),
         ("A", (0.3,), {"c": 5e-4, "big": math.inf}),
     ]
-    red = reduce_residuals(rows, {"big": max})
-    assert red.max_residual == 2e-3 and red.per_chart == {"A": 1e-3, "B": 2e-3}
-    assert red.worst == ("B", (0.2,), 2e-3) and red.count == 3
-    assert list(red.named) == ["c", "big"] and math.isnan(red.named["big"])
+    for reducer in REDUCERS:
+        red = reducer(rows, {"big": max})
+        assert red.max_residual == 2e-3 and red.per_chart == {"A": 1e-3, "B": 2e-3}
+        assert red.worst == ("B", (0.2,), 2e-3) and red.count == 3
+        assert list(red.named) == ["c", "big"] and math.isnan(red.named["big"])
 
     plan = SamplePlan(seed=5, points_per_chart=8, tolerance=1e-9)
 
-    def residual(chart, coords, env):
-        return {None: 0.0, "big": 1e9 + coords[0]}
+    def residual(chart, env):
+        return {None: 0.0, "big": 1e9 + env["x"]}
 
     rep = run_residual_check(
         "records", TWO_CHARTS, residual, plan, details={"x": 1}, records={"big": min}
     )
     assert rep.verdict == "pass" and rep.witness is None
     assert rep.max_residual == 0.0 and rep.per_chart == {"A": 0.0, "B": 0.0}
-    smallest = min(c[0] for _, pts in sample_points(TWO_CHARTS, plan) for c, _ in pts)
+    smallest = min(c[0] for _, points, _ in sample_points(TWO_CHARTS, plan) for c in points)
     assert rep.details == {"x": 1, "big": 1e9 + smallest}
 
 
@@ -401,16 +452,18 @@ def test_record_never_reaches_the_residual_or_the_witness():
 @pytest.mark.parametrize("first", [0.0, -0.0])
 def test_tie_keeps_the_earlier_signed_zero(how, first):
     rows = [("A", (0.1,), {"r": first}), ("A", (0.2,), {"r": -first})]
-    red = reduce_residuals(rows, {"r": how} if how else None)
-    assert math.copysign(1.0, red.named["r"]) == math.copysign(1.0, first)
+    for reducer in REDUCERS:
+        red = reducer(rows, {"r": how} if how else None)
+        assert math.copysign(1.0, red.named["r"]) == math.copysign(1.0, first)
 
 
 def test_name_no_row_produced_is_absent():
     rows = [("A", (0.1,), {"c": 1.0}), ("A", (0.2,), 0.5)]
-    red = reduce_residuals(rows, {"r": min})
-    assert red.named == {"c": 1.0} and red.max_residual == 1.0
+    for reducer in REDUCERS:
+        red = reducer(rows, {"r": min})
+        assert red.named == {"c": 1.0} and red.max_residual == 1.0
 
-    def residual(chart, coords, env):
+    def residual(chart, env):
         return {"c": 1.0, "r": 2.0}
 
     rep = run_residual_check(
@@ -418,3 +471,114 @@ def test_name_no_row_produced_is_absent():
         details={"x": 1}, records={"r": min},
     )
     assert rep.samples == 0 and rep.details == {"x": 1}
+
+
+# -- the group reducer against the row-walking reference ------------------
+
+SPECIAL_RESIDUALS = [NAN, math.inf, -math.inf, 0.0, -0.0, 1.0, 1e-9]
+RESIDUAL = st.one_of(
+    st.sampled_from(SPECIAL_RESIDUALS),  # NaN, ±inf, ±0.0 and ties
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+RECORDS = {"low": min, "high": max}
+
+
+@st.composite
+def _values(draw, size):
+    """One value per point: a number (the same at every point) or a list."""
+    if draw(st.booleans()):
+        return draw(RESIDUAL)
+    return draw(st.lists(RESIDUAL, min_size=size, max_size=size))
+
+
+@st.composite
+def _group_lists(draw):
+    """Groups of 1 to 5 points under labels A, B and C, several groups per
+    label; a residual is a number, a list, or a dict of clauses (None, c1,
+    c2) and records (``low`` by `min`, ``high`` by `max`), each of those a
+    number or a list."""
+    groups = []
+    for k in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, 5))
+        points = [(float(k), float(i)) for i in range(size)]
+        if draw(st.booleans()):
+            residual = draw(_values(size))
+        else:
+            names = draw(st.lists(st.sampled_from([None, "c1", "c2", "low", "high"]),
+                                  min_size=1, max_size=5, unique=True))
+            residual = {name: draw(_values(size)) for name in names}
+        groups.append((draw(st.sampled_from("ABC")), points, residual))
+    return groups
+
+
+def _at(value, i):
+    return value[i] if isinstance(value, list) else value
+
+
+def _array(value):
+    return np.array(value) if isinstance(value, list) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_group_lists())
+def test_group_reducer_equals_the_row_walk(groups):
+    """`reduce_residuals` over sample groups gives, by `repr` of the whole
+    `Reduction` (per-label maxima, witness, count, clauses and records),
+    what the row-walking reference gives over the groups' points in
+    order."""
+    rows = [
+        (label, coords, {n: _at(v, i) for n, v in r.items()} if isinstance(r, dict)
+         else _at(r, i))
+        for label, points, r in groups
+        for i, coords in enumerate(points)
+    ]
+    arrays = [
+        (label, points, {n: _array(v) for n, v in r.items()} if isinstance(r, dict)
+         else _array(r))
+        for label, points, r in groups
+    ]
+    assert repr(reduce_residuals(arrays, RECORDS)) == repr(reduce_rows(rows, RECORDS))
+
+
+def test_a_zero_divisor_at_one_sample_sends_its_group_point_by_point(monkeypatch):
+    """y / (x − c), c the x of chart B's third sample: chart A's group is
+    reduced at its batch, B's batch raises and B goes point by point, its
+    first two points get their lone residuals, and the third raises the
+    lone evaluation's `EvalDomainError`, message included."""
+    plan = SamplePlan(seed=3, points_per_chart=6, tolerance=1e-9)
+    (_, a_points, _), (_, b_points, _) = sample_points(TWO_CHARTS, plan)
+    c = b_points[2][0]
+    T = tn.TensorField.from_exprs("T", TWO_CHARTS, (0, 0), {
+        name: {(): f"y / (x - {c!r})"} for name in ("A", "B")
+    })
+    residual = tn.vanishing(T)
+
+    def lone(chart, coords):
+        return residual(chart, TWO_CHARTS.chart(chart).env(coords))
+
+    with pytest.raises(el.EvalDomainError) as want:
+        lone("B", b_points[2])
+    point_by_point, evaluate_group, groups = report.point_by_point, report.evaluate_group, []
+
+    def recording(residual_fn, where, points, env):
+        out = evaluate_group(residual_fn, where, points, env)
+        groups.append((where, out))
+        return out
+
+    def noted(residual_fn, where, points, env):
+        def each(where, env):
+            out = residual_fn(where, env)
+            groups.append((where, tuple(env.values()), out))
+            return out
+
+        return point_by_point(each, where, points, env)
+
+    monkeypatch.setattr(report, "evaluate_group", recording)
+    monkeypatch.setattr(report, "point_by_point", noted)
+    with pytest.raises(el.EvalDomainError) as got:
+        run_residual_check("divisor", TWO_CHARTS, residual, plan)
+    assert str(got.value) == str(want.value)
+    (where, a_values), *b_rows = groups
+    assert where == "A"
+    assert list(map(repr, a_values.tolist())) == [repr(lone("A", p)) for p in a_points]
+    assert repr(b_rows) == repr([("B", p, lone("B", p)) for p in b_points[:2]])

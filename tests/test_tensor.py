@@ -14,9 +14,10 @@ from sasaki_lab import tensor as tn
 from sasaki_lab.manifold import (
     Atlas, Chart, PointEnv, SamplePlan, TransitionMap, TransitionPiece,
 )
+from sasaki_lab import report
 from sasaki_lab.report import run_residual_check
 
-from pointwise import lone_groups, report_bytes
+from pointwise import alone, point, report_bytes
 
 
 def r3_atlas():
@@ -531,15 +532,14 @@ def test_agreeing_scales_its_second_field():
     T = _field("T", (1, 0), lambda x, y: [1.0, 2.0])
     S = _field("S", (1, 0), lambda x, y: [-1.0, -2.0])
     nan = _field("nan", (1, 0), lambda x, y: [5.0, math.nan])
-    coords = tuple(ENV_EXACT.values())
-    assert tn.agreeing((T, S, -1.0))("O", coords, ENV_EXACT) == 0.0
-    assert tn.agreeing((T, T, -1.0))("O", coords, ENV_EXACT) == 4.0
-    assert tn.agreeing((T, S))("O", coords, ENV_EXACT) == 4.0  # c is 1
-    assert tn.agreeing((T, S, 0.5))("O", coords, ENV_EXACT) == 3.0
+    assert tn.agreeing((T, S, -1.0))("O", ENV_EXACT) == 0.0
+    assert tn.agreeing((T, T, -1.0))("O", ENV_EXACT) == 4.0
+    assert tn.agreeing((T, S))("O", ENV_EXACT) == 4.0  # c is 1
+    assert tn.agreeing((T, S, 0.5))("O", ENV_EXACT) == 3.0
     # a NaN component wins over a larger finite one, in any pair
-    assert math.isnan(tn.agreeing((nan, T, -1.0))("O", coords, ENV_EXACT))
+    assert math.isnan(tn.agreeing((nan, T, -1.0))("O", ENV_EXACT))
     assert math.isnan(
-        tn.agreeing((T, T, 100.0), (T, nan, -2.0))("O", coords, ENV_EXACT)
+        tn.agreeing((T, T, 100.0), (T, nan, -2.0))("O", ENV_EXACT)
     )
 
 
@@ -697,13 +697,13 @@ class TestPointMemo:
         N = tn.nijenhuis(J)
         seen = []
 
-        def residual(chart, coords, env):
+        def residual(chart, env):
             seen.append(weakref.ref(env))
             return tn.max_abs(N.at(chart, env))
 
         plan = SamplePlan(seed=42, points_per_chart=4, tolerance=10.0)
         rep = run_residual_check("memo_release", atlas, residual, plan)
-        assert rep.samples == 4 and len(seen) == 4
+        assert rep.samples == 4 and len(seen) == 1  # the chart's batch env
         gc.collect()
         assert all(ref() is None for ref in seen)
 
@@ -974,44 +974,59 @@ def _partly_zero_source(valence, special):
     return tn.TensorField(f"Z{valence}", TARGET, valence, components)
 
 
-def _group(chart, count, seed=3):
+def _group(chart, count, seed=3) -> list:
+    """`count` points of `chart`, drawn from `seed`."""
     rng = np.random.default_rng(seed)
-    points = [tuple(rng.uniform(-0.9, 0.9, chart.dim).tolist()) for _ in range(count)]
-    return [env for _, env in manifold.group_envs(chart, points)]
+    return [tuple(rng.uniform(-0.9, 0.9, chart.dim).tolist()) for _ in range(count)]
 
 
-def batch_rows(T, env):
-    """The rows kept at the batch of linked env `env` for T on chart O;
-    None where the batch was evaluated point by point."""
-    return env.link[0].memo[(T, "O", "rows")]
+def _levels(chart, points, order):
+    """The batch env of `points` and each point's env, seeded `order` times,
+    each level one tag that the batch shares with its points."""
+    envs = [chart.batch_env(points)] + [chart.env(p) for p in points]
+    for _ in range(order):
+        tag = nk.new_tag()
+        envs = [
+            PointEnv(zip(chart.coords, nk.unit_duals([env[c] for c in chart.coords], tag)))
+            for env in envs
+        ]
+    return envs[0], envs[1:]
+
+
+def at_batch(fn, *args):
+    """``fn(*args)`` under the errstate the driver evaluates a batch in."""
+    with np.errstate(all="raise", under="ignore"):
+        return fn(*args)
 
 
 @pytest.mark.parametrize("special", [False, True], ids=["finite", "nan-inf"])
 @pytest.mark.parametrize("valence,map_key", PULL_CASES)
 def test_pullback_over_a_batch_with_zeros_at_some_points(valence, map_key, special):
-    """At the linked envs of a sample group, each point gets by repr what
-    `reference_pullback` gives at an unlinked copy of its env, at every dual
-    level: the points where a plain term is zero skip it, the others keep
-    it.  The batch does not take both branches at once: it raises
-    `Unmergeable`, and its points are evaluated one by one."""
+    """At the batch env of a sample group, at every dual level, a pullback
+    whose plain terms are zero at some points only does not take both
+    branches at once: it raises (`Unmergeable`, or the signal of 0·inf),
+    and the driver evaluates each point on its own, where the points
+    with a zero term skip it and the others keep it, as
+    `reference_pullback` does.  A scalar is read off, not summed, so its
+    batch gives each point by repr the reference's value there."""
     F = PULL_MAPS[map_key]
     T = _partly_zero_source(valence, special)
     chart = F.source.chart("O")
-    envs = _group(chart, 8)
-    us = [nk.value_of(F.jet("O", env)[0][0]) for env in envs]
+    points = _group(chart, 8)
+    us = [nk.value_of(F.jet("O", chart.env(p))[0][0]) for p in points]
     assert min(us) < 0 < max(us)  # the zero pattern differs across the group
-    for level in range(3):
+    whole = not sum(valence) and not special
+    for order in range(3):
+        batch, envs = _levels(chart, points, order)
         pulled, reference = tn.pullback(F, T), reference_pullback(F, T)
-        for env in envs:
-            alone = PointEnv(dict(env))
-            assert _canon(pulled.at("O", env)) == _canon(reference.at("O", alone))
-        # a scalar is read off, not summed; 0·inf signals in the source
-        whole = not sum(valence) and not special
-        assert (batch_rows(pulled, envs[0]) is not None) == whole
-        if sum(valence) and not special:
-            with pytest.raises(nk.Unmergeable):
-                pulled.at("O", envs[0].link[0])
-        envs = [tn._seeded(chart, env)[1] for env in envs]
+        want = [_canon(reference.at("O", env)) for env in envs]
+        if whole:
+            got = at_batch(pulled.at, "O", batch)
+            assert [_canon(point(got, i)) for i in range(len(envs))] == want
+        else:
+            with pytest.raises(nk.Unmergeable if sum(valence) and not special else Exception):
+                at_batch(pulled.at, "O", batch)
+            assert [_canon(pulled.at("O", PointEnv(env))) for env in envs] == want
 
 
 def _first_failure(T, envs):
@@ -1047,41 +1062,55 @@ def _failing_fields(c: float):
 @pytest.mark.parametrize("kind", ["division", "abs", "sgn", "pivot"])
 def test_a_failing_point_of_a_batch_raises_as_alone(kind):
     """A zero divisor, a kink or a singular pivot at one point of a group
-    raises the lone evaluation's exception, type and message, at the first
-    such point in driver order; the points before it get their values."""
+    makes the batch raise; the driver then evaluates point by point, the
+    points before it get their values, and the first such point in driver
+    order raises the lone evaluation's exception, type and message."""
     chart = r2_atlas().chart("O")
-    envs = _group(chart, 6)
-    c = envs[2]["x"]  # the failing point, repeated later in the group
-    points = [tuple(e.values()) for e in envs] + [(c, -0.3)]
-    linked = [env for _, env in manifold.group_envs(chart, points)]
+    points = _group(chart, 6)
+    c = points[2][0]  # the failing point, repeated later in the group
+    points = points + [(c, -0.3)]
     T = _failing_fields(c)[kind]
-    want = _first_failure(T, [PointEnv(dict(env)) for env in linked])
+    want = _first_failure(T, [chart.env(p) for p in points])
     assert want is not None and want[0] == 2
-    assert _first_failure(T, linked) == want
-    U = _failing_fields(c)[kind]  # a fresh field: no batch row kept yet
-    for env in linked[:2]:
-        assert _canon(U.at("O", env)) == _canon(U.at("O", PointEnv(dict(env))))
+    batch = chart.batch_env(points)
+    with pytest.raises(Exception):
+        at_batch(T.at, "O", batch)
+    U = _failing_fields(c)[kind]  # a fresh field: nothing kept yet
+    seen = []
+
+    def residual(where, env):
+        seen.append(_canon(U.at(where, env)))
+        return 0.0
+
+    with pytest.raises(want[1]) as exc:
+        report.evaluate_group(residual, "O", points, batch)
+    assert (type(exc.value), str(exc.value)) == want[1:]
+    assert seen == [_canon(U.at("O", chart.env(p))) for p in points[:2]]
 
 
 def _leaves(s):
-    if isinstance(s, tuple):
+    if isinstance(s, (list, tuple)):
         return [leaf for x in s for leaf in _leaves(x)]
     return [s]
 
 
 def test_a_group_evaluates_each_field_once():
-    """A field is evaluated at the batch env, once for the group, and each
-    point's memo keeps its own row of Python floats."""
+    """A field is evaluated at the batch env, once for the group, and kept
+    in the batch's memo; each point's slot, read off as Python floats, is
+    its lone evaluation's value."""
     atlas, _, _, J = _solved_structure()
     calls = []
     N = _counted(tn.nijenhuis(J), calls)
-    envs = _group(atlas.chart("O"), 5)
-    rows = [N.at("O", env) for env in envs]
-    assert len(calls) == 1 and calls[0] is envs[0].link[0]
-    for env, row in zip(envs, rows):
-        assert env.memo[(N, "O")] is row
+    chart = atlas.chart("O")
+    points = _group(chart, 5)
+    batch = chart.batch_env(points)
+    got = at_batch(N.at, "O", batch)
+    assert at_batch(N.at, "O", batch) is got is batch.memo[(N, "O")]
+    assert len(calls) == 1 and calls[0] is batch
+    for i, p in enumerate(points):
+        row = point(got, i)
         assert all(type(x) is float for x in _leaves(row))
-        assert _canon(row) == _canon(tn.nijenhuis(J).at("O", dict(env)))
+        assert _canon(row) == _canon(tn.nijenhuis(J).at("O", chart.env(p)))
 
 
 @pytest.mark.parametrize(
@@ -1090,24 +1119,23 @@ def test_a_group_evaluates_each_field_once():
      "main1-family"],
 )
 def test_gallery_entry_evaluates_every_batch_whole(key, monkeypatch, capsys):
-    """At the default plan no field or map of an entry with pullbacks and
+    """At the default plan no sample group of an entry with pullbacks and
     Reeb solves, whose pivot rows differ between points, falls back to
     point-by-point evaluation: a branch the batch cannot take whole would
     show up here, not only as lost time."""
     from sasaki_lab.cli import main
 
-    batch_rows, outcomes = tn._batch_rows, []
+    evaluate_group, groups, fallbacks = report.evaluate_group, [], []
 
-    def recording(batch, key, evaluate):
-        out = batch_rows(batch, key, evaluate)
-        outcomes.append((getattr(key[0], "name", key[0]), key[1], out is not None))
-        return out
+    def recording(residual_fn, where, points, env):
+        groups.append(len(points))
+        return evaluate_group(residual_fn, where, points, env)
 
-    monkeypatch.setattr(tn, "_batch_rows", recording)
+    monkeypatch.setattr(report, "evaluate_group", recording)
+    monkeypatch.setattr(report, "point_by_point", lambda *args: fallbacks.append(args))
     assert main(["verify", key]) == 0
     capsys.readouterr()
-    assert outcomes
-    assert [o for o in outcomes if not o[2]] == []
+    assert groups and fallbacks == []
 
 
 def test_sample_set_prunes_batch_memos_to_declared_fields():
@@ -1116,31 +1144,29 @@ def test_sample_set_prunes_batch_memos_to_declared_fields():
     shared = tn.SampleSet([J])
     plan = SamplePlan(seed=1, points_per_chart=3, sample_set=shared)
     (chart,) = atlas.charts
-    pts = shared.points(chart, plan)
-    for _, env in pts:
-        N.at("O", env)
-        J.at("O", env)
-    batch = pts[0][1].link[0]
+    points, batch = shared.points(chart, plan)
+    at_batch(N.at, "O", batch)
+    at_batch(J.at, "O", batch)
     assert (N, "O") in batch.memo and (J, "O") in batch.memo
+    assert shared.envs() == [batch]
     shared.prune()
-    assert (N, "O") not in batch.memo and (N, "O", "rows") not in batch.memo
-    assert (J, "O") in batch.memo
+    assert (N, "O") not in batch.memo and (J, "O") in batch.memo
     _, dual_batch = batch.memo[("seeded", chart.coords)]
     assert {key[0] for key in dual_batch.memo if key[0] != "seeded"} <= {J}
+    assert shared.points(chart, plan) == (points, batch)
 
 
 def test_a_batch_whose_first_coordinate_is_a_scalar_is_evaluated_whole():
-    """The group size is read off an array-valued coordinate, wherever it
-    stands: a lift that puts its fiber height first is a batch too."""
+    """A batch may hold a scalar beside its arrays, wherever it stands: a
+    lift that puts its fiber height first is a batch too, and gives each
+    point its lone value."""
     atlas = Atlas([Chart("O", ("x", "y", "s"), ((-1.0, 1.0),) * 3)])
     T = tn.TensorField.from_exprs("T", atlas, (0, 1), {"O": {(0,): "x*s", (2,): "y/s"}})
     xs, ys = np.array([0.1, -0.4, 0.7]), np.array([0.5, 0.2, -0.3])
-    batch = PointEnv({"s": 2.0, "x": xs, "y": ys})
+    got = at_batch(T.at, "O", PointEnv({"s": 2.0, "x": xs, "y": ys}))
     for i in range(3):
         env = PointEnv({"s": 2.0, "x": xs[i].item(), "y": ys[i].item()})
-        env.link = (batch, i)
-        assert _canon(T.at("O", env)) == _canon(T.at("O", PointEnv(dict(env))))
-    assert batch.memo[(T, "O", "rows")] is not None
+        assert _canon(point(got, i)) == _canon(T.at("O", env))
 
 
 # -- declared identities reduced at their batch -----------------------------
@@ -1184,39 +1210,41 @@ def _residual_cases(special):
     yield "single_valued", tn.field_overlaps(v), tn.single_valued(v, lambda t, p: -1.0), [v]
 
 
-def _alone(residual):
-    """`residual` at an unlinked copy of each env: the point-by-point path."""
-    return lambda where, coords, env: residual(where, coords, PointEnv(dict(env)))
+def _slots(residual, where, points, batch) -> list:
+    """repr of the residual's value at each point of a group: read off one
+    evaluation at the batch env, and at each point's env alone."""
+    got = at_batch(residual, where, batch)
+    if not isinstance(got, dict):
+        got = np.broadcast_to(np.asarray(got, dtype=float), len(points))
+    lone = [residual(where, PointEnv(zip(batch, p))) for p in points]
+    return [repr(point(got, i)) for i in range(len(points))], list(map(repr, lone))
 
 
 @pytest.mark.parametrize("special", SPECIALS, ids=repr)
 @pytest.mark.parametrize("kind", ["vanishing", "agreeing", "single_valued"])
-def test_identity_residual_over_a_group_matches_lone_points(kind, special):
+def test_identity_residual_over_a_group_matches_lone_points(kind, special, monkeypatch):
     """`vanishing`, `agreeing` (c = −1 against `identity`) and `single_valued`
     (on a piece of sign −1) give each point of a sample group, by repr, the
     residual of its lone evaluation, with components that are NaN, ±inf or
-    −0.0 at some points only.  The group is reduced whole, and the points'
-    memos keep no row of a field only the identity reads.  The report, its
-    witness included (the first strictly-worst row, for ties and NaN), is
-    the point-by-point path's."""
+    −0.0 at some points only.  The group is reduced whole, and the report,
+    its witness included (the first strictly-worst point, for ties and
+    NaN), is the point-by-point path's."""
     name, domain, residual, fields = next(
         c for c in _residual_cases(special) if c[0] == kind
     )
     plan = SamplePlan(seed=5, points_per_chart=9, tolerance=1e-8)
     seen = set()
-    for _, where, pts in manifold.sample_domain(domain, plan):
-        got = [repr(residual(where, coords, env)) for coords, env in pts]
-        want = [repr(residual(where, coords, PointEnv(dict(env)))) for coords, env in pts]
+    for _, where, points, batch in manifold.sample_domain(domain, plan):
+        got, want = _slots(residual, where, points, batch)
         assert got == want
-        assert pts[0][1].link[0].memo[(residual, "residual")] is not None
-        assert not any(key[0] in fields for _, env in pts for key in env.memo)
+        assert all((field, where if kind != "single_valued" else where.transition.source)
+                   in batch.memo for field in fields)
         seen.update(got)
     if special != 0.0:  # NaN or inf, at some points only
         assert repr(abs(special)) in seen and len(seen) > 1
     rep = run_residual_check(name, domain, residual, plan)
-    assert report_bytes(rep) == report_bytes(
-        run_residual_check(name, domain, _alone(residual), plan)
-    )
+    alone(monkeypatch)
+    assert report_bytes(rep) == report_bytes(run_residual_check(name, domain, residual, plan))
 
 
 def _special_metric(atlas, special):
@@ -1250,7 +1278,7 @@ def _nondegeneracy_cases(special):
 
 @pytest.mark.parametrize("special", SPECIALS + ["singular"], ids=repr)
 @pytest.mark.parametrize("kind", ["determinant", "eigenvalue", "every", "scalar"])
-def test_nondegeneracy_residual_over_a_group_matches_lone_points(kind, special):
+def test_nondegeneracy_residual_over_a_group_matches_lone_points(kind, special, monkeypatch):
     """`nondegenerate` of a determinant, of a smallest eigenvalue and of a
     scalar field, with and without its record, and `every`, give each
     point of a sample group, by repr, the residual of its lone evaluation,
@@ -1262,18 +1290,17 @@ def test_nondegeneracy_residual_over_a_group_matches_lone_points(kind, special):
     )
     atlas = r2_atlas()
     plan = SamplePlan(seed=5, points_per_chart=9, tolerance=1e-8)
-    (_, where, pts), = manifold.sample_domain(atlas, plan)
-    got = [repr(residual(where, coords, env)) for coords, env in pts]
-    want = [repr(residual(where, coords, PointEnv(dict(env)))) for coords, env in pts]
+    (_, where, points, batch), = manifold.sample_domain(atlas, plan)
+    got, want = _slots(residual, where, points, batch)
     assert got == want
-    assert pts[0][1].link[0].memo[(residual, "residual")] is not None
     if special == "singular":  # a vanishing value falls short by 1
         assert any("1.0" in r for r in got) and len(set(got)) > 1
     elif kind != "scalar" and special != 0.0:  # an entry not finite is NaN
         assert any("nan" in r for r in got) and len(set(got)) > 1
     rep = run_residual_check(name, atlas, residual, plan, records=records)
+    alone(monkeypatch)
     assert report_bytes(rep) == report_bytes(
-        run_residual_check(name, atlas, _alone(residual), plan, records=records)
+        run_residual_check(name, atlas, residual, plan, records=records)
     )
 
 
@@ -1321,7 +1348,7 @@ def test_declared_gallery_check_matches_its_point_by_point_report(kind, special,
     rep = check(plan)
     harmless = kind == "contact_form" and special == 0.0
     assert rep.verdict == ("pass" if harmless else "fail")
-    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    alone(monkeypatch)
     assert report_bytes(rep) == report_bytes(check(plan))
 
 
@@ -1334,7 +1361,7 @@ def test_slope_recovery_matches_its_point_by_point_report(slope, monkeypatch):
     plan = SamplePlan(seed=5, points_per_chart=16)
     rep = job.run(plan)
     assert rep.passed
-    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    alone(monkeypatch)
     assert report_bytes(rep) == report_bytes(job.run(plan))
 
 
@@ -1353,29 +1380,28 @@ def test_reconstruction_matches_its_point_by_point_report(slope, monkeypatch):
     nan = "1e308" in slope
     assert rep.verdict == ("fail" if nan else "pass")
     assert (rep.details["failed_clauses"] != []) == nan
-    monkeypatch.setattr(manifold, "group_envs", lone_groups)
+    alone(monkeypatch)
     assert report_bytes(rep) == report_bytes(job.run(plan))
 
 
-def test_identity_residual_whose_batch_signals_is_reduced_point_by_point():
+def test_identity_residual_whose_batch_signals_is_reduced_point_by_point(monkeypatch):
     """inf − inf signals in the batch's reduction: each point is reduced on
     its own, to NaN where both fields are inf, and the witness is the
-    first NaN row, as on the point-by-point path."""
+    first NaN point, as on the point-by-point path."""
     atlas = r2_atlas()
     T, S = _special_endo(atlas, math.inf), _special_endo(atlas, math.inf, "S")
     residual = tn.agreeing((T, S))
     plan = SamplePlan(seed=5, points_per_chart=9, tolerance=1e-8)
-    (_, where, pts), = manifold.sample_domain(atlas, plan)
-    got = [repr(residual(where, coords, env)) for coords, env in pts]
-    assert "nan" in got and got == [
-        repr(residual(where, coords, PointEnv(dict(env)))) for coords, env in pts
-    ]
-    assert pts[0][1].link[0].memo[(residual, "residual")] is None
+    (_, where, points, batch), = manifold.sample_domain(atlas, plan)
+    with pytest.raises(FloatingPointError):
+        at_batch(residual, where, batch)
+    got = report.evaluate_group(residual, where, points, batch)
+    want = [repr(residual(where, PointEnv(zip(batch, p)))) for p in points]
+    assert "nan" in want and list(map(repr, got.tolist())) == want
     rep = run_residual_check("inf", atlas, residual, plan)
     assert math.isnan(rep.witness.residual)
-    assert report_bytes(rep) == report_bytes(
-        run_residual_check("inf", atlas, _alone(residual), plan)
-    )
+    alone(monkeypatch)
+    assert report_bytes(rep) == report_bytes(run_residual_check("inf", atlas, residual, plan))
 
 
 @pytest.mark.parametrize("kind", ["division", "sgn"])
@@ -1384,164 +1410,139 @@ def test_identity_residual_at_a_failing_point_raises_as_alone(kind):
     back, the points before it get their residuals, and the point raises
     the lone evaluation's exception, type and message."""
     chart = r2_atlas().chart("O")
-    envs = _group(chart, 6)
-    c = envs[2]["x"]
-    points = [tuple(e.values()) for e in envs]
-    linked = [env for _, env in manifold.group_envs(chart, points)]
+    points = _group(chart, 6)
+    c = points[2][0]
 
-    def outcomes(residual, envs):
+    def outcomes(evaluate):
         out = []
-        for env in envs:
-            try:
-                out.append(repr(residual("O", None, env)))
-            except Exception as exc:
-                return out + [(type(exc), str(exc))]
+
+        def noted(where, env):
+            value = residual(where, env)
+            if not isinstance(value, np.ndarray):
+                out.append(repr(value))
+            return value
+
+        try:
+            evaluate(noted, "O", points, chart.batch_env(points))
+        except Exception as exc:
+            return out + [(type(exc), str(exc))]
         return out
 
-    want = outcomes(tn.vanishing(_failing_fields(c)[kind]),
-                    [PointEnv(dict(env)) for env in linked])
+    residual = tn.vanishing(_failing_fields(c)[kind])
+    want = outcomes(report.point_by_point)
     assert len(want) == 3 and isinstance(want[2], tuple)
     residual = tn.vanishing(_failing_fields(c)[kind])
-    assert outcomes(residual, linked) == want
-    assert linked[0].link[0].memo[(residual, "residual")] is None
+    assert outcomes(report.evaluate_group) == want
 
 
 def test_a_field_that_raises_at_its_batch_is_evaluated_there_once():
     """A zero divisor at one point of a 6-point group: the declared
-    identity's reduction evaluates the field at the batch, once, and the
-    points that fall back evaluate it on their own, not at the batch
-    again (a field built on it included)."""
+    identity evaluates the field at the batch, once, and the points,
+    which fall back, evaluate it on their own, not at the batch again
+    (a field built on it included), up to the point that raises."""
     chart = r2_atlas().chart("O")
-    envs = _group(chart, 6)
-    c = envs[2]["x"]
-    linked = [env for _, env in manifold.group_envs(chart, [tuple(e.values()) for e in envs])]
-    calls = []
+    points = _group(chart, 6)
+    c = points[2][0]
+    calls, envs = [], []
     T = _counted(_failing_fields(c)["division"], calls)
     doubled = tn.tf_scale(T, 2.0)
     residual = tn.vanishing(doubled)
     got = []
-    for env in linked[:2]:
-        got.append(repr(residual("O", None, env)))
-    batch = linked[0].link[0]
-    assert batch.memo[(residual, "residual")] is None
-    # the batch once, then each point (three batch evaluations before)
-    assert [id(env) for env in calls] == [id(batch)] + [id(env) for env in linked[:2]]
-    assert got == [repr(tn.vanishing(doubled)("O", None, PointEnv(dict(env))))
-                   for env in linked[:2]]
+
+    def noted(where, env):
+        envs.append(env)
+        got.append(repr(residual(where, env)))
+        return 0.0
+
+    batch = chart.batch_env(points)
+    with pytest.raises(el.EvalDomainError):
+        report.evaluate_group(noted, "O", points, batch)
+    # the batch once, then each point up to the failing one
+    assert envs[0] is batch and len(envs) == 4
+    assert [id(env) for env in calls] == [id(env) for env in envs]
+    assert got == [repr(tn.vanishing(doubled)("O", chart.env(p))) for p in points[:2]]
 
 
 def test_main1_reconstruction_evaluates_nothing_point_by_point(monkeypatch, capsys):
     """Every field `main1-family` evaluates, at the envs `bundle` derives
-    from a sampled point too, is evaluated at a batch: no evaluation
-    happens at an unlinked env that holds no array."""
+    from a group's batch env too, is evaluated at a batch: no group falls
+    back, and no field is evaluated at an env that holds no array, but for
+    `contact.kernel_frames`' read of η at a chart's first sample."""
+    from sasaki_lab import contact
     from sasaki_lab.cli import main
 
-    at, lone = tn.TensorField.at, []
+    frames, frame_forms = contact.kernel_frames, set()
+
+    def recording_frames(C, plan):
+        frame_forms.add(C.eta.name)
+        return frames(C, plan)
+
+    for mod, name in _bindings(frames):
+        monkeypatch.setattr(mod, name, recording_frames)
+    at, lone, fallbacks = tn.TensorField.at, [], []
 
     def holds_an_array(env):
         return any(type(nk.value_of(v)) is np.ndarray for v in env.values())
 
     def recording_at(self, chart, env):
-        memo = getattr(env, "memo", {})
-        if (self, chart) not in memo and getattr(env, "link", None) is None \
-                and not holds_an_array(env):
-            lone.append((self.name, chart))
+        if (self, chart) not in getattr(env, "memo", {}) and not holds_an_array(env):
+            lone.append(self.name)
         return at(self, chart, env)
 
     monkeypatch.setattr(tn.TensorField, "at", recording_at)
+    monkeypatch.setattr(report, "point_by_point", lambda *args: fallbacks.append(args))
     assert main(["verify", "main1-family", "--param", "a=0.5*x", "--samples", "16"]) == 0
     capsys.readouterr()
-    assert lone == []
+    assert fallbacks == [] and lone and set(lone) == frame_forms
 
 
-# -- which gallery checks reduce at their batch ------------------------------
+# -- every gallery check evaluates its groups at their batch -----------------
 
-# the gallery checks whose residual is evaluated point by point, and why,
-# a table the `tensor` module docstring would repeat; empty since the
-# map-level checks are declared too
-HAND_WRITTEN: dict[str, str] = {}
 UNSAMPLED = {"loop_sign"}  # a product of transition signs, no samples
 
 
-def _field_rows(env):
-    """The fields whose rows `env`'s memo keeps, at every dual level."""
-    out = set()
-    for key, value in env.memo.items():
-        if key[0] == "seeded":
-            out |= _field_rows(value[1])
-        elif isinstance(key[0], tn.TensorField):
-            out.add(key[0])
-    return out
+def test_gallery_checks_evaluate_each_sample_group_once_at_its_batch(monkeypatch):
+    """Every gallery check, at seed 42 and the default plan, hands
+    `run_residual_check` a residual and evaluates it once per sample group,
+    at the group's batch env, with no group falling back to point-by-point
+    evaluation; or, with no sample to draw, evaluates nothing.  A check
+    that samples and falls back, or calls its residual at an env that is
+    not its group's batch, fails here."""
+    from sasaki_lab import corpus
 
-
-def test_gallery_checks_reduce_at_their_batch_but_the_hand_written_table(monkeypatch):
-    """Every gallery check, at 3 points per chart: one outside
-    `HAND_WRITTEN` reduces at its batches (its residual, or the clauses a
-    named-clause dispatch such as `sasaki_check`'s reads), or, with no
-    sample to draw, hands `run_residual_check` declared residuals, and its points'
-    memos keep no field row, but for `contact.kernel_frames`' read of η at
-    a chart's first sample; no residual a check of the table hands
-    `run_residual_check` is reduced at a batch.  A check that changes sides fails here,
-    so the table and the docstring move with it."""
-    from sasaki_lab import contact, corpus, report
-
-    groups, handed, frame_forms = [], [], set()
-    group_envs, run_check, frames = (
-        manifold.group_envs, report.run_residual_check, contact.kernel_frames
-    )
-
-    def recording_groups(chart, points):
-        rows = group_envs(chart, points)
-        groups.append([env for _, env in rows])
-        return rows
+    handed, calls, fallbacks = [], [], []
+    run_check, evaluate_group = report.run_residual_check, report.evaluate_group
 
     def recording_run_check(check, domain, residual_fn, plan, *args, **kwargs):
         handed.append(residual_fn)
         return run_check(check, domain, residual_fn, plan, *args, **kwargs)
 
-    def recording_frames(C, plan):
-        frame_forms.add(C.eta)
-        return frames(C, plan)
+    def recording_group(residual_fn, where, points, env):
+        seen = []
+        calls.append((env, seen))
+        return evaluate_group(lambda w, e: seen.append(e) or residual_fn(w, e),
+                              where, points, env)
 
-    monkeypatch.setattr(manifold, "group_envs", recording_groups)
-    for obj, wrapper in ((run_check, recording_run_check), (frames, recording_frames)):
-        for mod, name in _bindings(obj):
-            monkeypatch.setattr(mod, name, wrapper)
-    assert all(name in tn.__doc__ for name in HAND_WRITTEN)
-    sides = {"declared": 0, "hand": 0, "none": 0}
+    for mod, name in _bindings(run_check):
+        monkeypatch.setattr(mod, name, recording_run_check)
+    monkeypatch.setattr(report, "evaluate_group", recording_group)
+    monkeypatch.setattr(report, "point_by_point", lambda *args: fallbacks.append(args))
+    sides = {"sampled": 0, "unsampled": 0}
     for key in corpus.EXAMPLE_KEYS:
         ex = corpus.build_example(key)
+        shared = tn.SampleSet(f.field for f in ex.fields if f.field is not None)
         for job in ex.checks:
-            groups.clear()
             handed.clear()
-            frame_forms.clear()
-            shared = tn.SampleSet(f.field for f in ex.fields if f.field is not None)
-            job.run(SamplePlan(seed=42, points_per_chart=3, sample_set=shared))
-            batches = [g[0].link[0] for g in groups if g]
-            reduced = [
-                any(batch.memo.get((fn, "residual")) is not None for batch in batches)
-                for fn in handed
-            ]
+            calls.clear()
+            job.run(SamplePlan(seed=42, sample_set=shared))
+            shared.prune()
             where = f"{key}/{job.name}"
             if job.name in UNSAMPLED:
-                assert not handed, where
-                sides["none"] += 1
-            elif job.name in HAND_WRITTEN:
-                assert handed and not any(reduced), where
-                sides["hand"] += 1
-            elif not groups:  # an atlas with no transition samples nothing
-                assert handed and all(hasattr(fn, "reduce_at") for fn in handed), where
-                sides["declared"] += 1
+                assert not handed and not calls, where
+                sides["unsampled"] += 1
             else:
-                assert any(
-                    k[-1] == "residual" and rows is not None
-                    for batch in batches for k, rows in batch.memo.items()
-                ), where
-                rows = {
-                    field for g in groups for i, env in enumerate(g)
-                    for field in _field_rows(env) - (frame_forms if i == 0 else set())
-                }
-                assert not rows, (where, sorted(f.name for f in rows))
-                sides["declared"] += 1
-    assert sides == {"declared": 87, "hand": 0, "none": 2}
-
+                assert handed, where
+                assert all(seen == [env] for env, seen in calls), where
+                sides["sampled"] += 1
+    assert fallbacks == []
+    assert sides == {"sampled": 87, "unsampled": 2}
