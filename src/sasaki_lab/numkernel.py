@@ -47,10 +47,18 @@ the leaf type:
 * `determinant` and `min_eigenvalue` take the (P, n, n) stack of the
   points' matrices;
 * `solve_linear`'s pivot search and its zero skip may come out
-  differently at different points.  Then the batch is split into groups
-  that agree (`groups`), each group is solved on its own (`take`) and the
-  results are merged leaf by leaf (`merge`), which raises `Unmergeable`
-  where a plain leaf would meet a dual one.
+  differently at different points.  One elimination still runs over the
+  whole batch: each point's pivot row is swapped in by a leafwise select
+  (`_where`), and a row update that some points skip (a plain zero below
+  the pivot) is computed and then kept only at the points that make it.
+  Each point thus gets the arithmetic of its own solve.  Two cases fall
+  back to splitting the batch into groups that agree (`groups`), solving
+  each on its own (`take`) and merging the results leaf by leaf
+  (`merge`): a select that would put a plain leaf against a dual, or
+  duals of another level or tangent count (`Unmergeable`, the rule
+  `merge` enforces), and a masked update that signals under its own
+  errstate (``0*inf`` at a point that skips it).  `merge` still raises
+  `Unmergeable` where a plain leaf would meet a dual one.
 
 A batch is evaluated under ``np.errstate(all="raise", under="ignore")``,
 so any step that could signal, or raise, at a point raises for the whole
@@ -84,7 +92,8 @@ class SingularMatrix(ArithmeticError):
 class Unmergeable(Exception):
     """A batch that is not evaluated whole: the groups of a split came out
     with leaves of different kinds, or its points take a branch that is
-    not split (`tensor.pullback`'s plain-zero skip)."""
+    not split (`tensor.pullback`'s plain-zero skip).  `solve_linear`
+    catches it from a per-point select and solves group by group."""
 
 
 def new_tag() -> int:
@@ -365,8 +374,14 @@ def solve_linear(a_rows, b):
 
     Raises SingularMatrix when the best available pivot falls below
     PIVOT_THRESHOLD in absolute value.  The solution has the shape of `b`.
-    A batch whose pivot row, or whose skip of an entry that is already a
-    plain zero, differs from point to point is solved group by group.
+
+    A batch whose pivot row differs from point to point swaps rows point
+    by point (a select on each leaf of the columns still to eliminate);
+    one whose points differ in skipping an entry that is already a plain
+    zero makes the update and keeps the skipped points' old entries.  The
+    batch is solved group by group instead where a select would put a
+    plain leaf against a dual, or duals that differ in level or tangent
+    count, and where the masked update signals under its own errstate.
     """
     n = len(a_rows)
     matrix_rhs = bool(b) and isinstance(b[0], (list, tuple))
@@ -392,26 +407,51 @@ def solve_linear(a_rows, b):
                 f"pivot {best_mag:.3e} below {PIVOT_THRESHOLD:.0e} in column {col}"
             )
         if type(best) is np.ndarray:
-            if (best != best[0]).any():
-                return _solve_in_groups(a_rows, b, best)
-            best = int(best[0])
+            pivots = set(best.tolist())
+            if len(pivots) == 1:
+                best = pivots.pop()
+            else:  # swap rows point by point; the columns left of col are done
+                try:
+                    for r in sorted(pivots - {col}):
+                        pick = best == r
+                        a[col][col:], a[r][col:] = _swapped(pick, a[col][col:], a[r][col:])
+                        rhs[col], rhs[r] = _swapped(pick, rhs[col], rhs[r])
+                except Unmergeable:
+                    return _solve_in_groups(a_rows, b, best)
+                best = col
         if best != col:
             a[col], a[best] = a[best], a[col]
             rhs[col], rhs[best] = rhs[best], rhs[col]
         for r in range(col + 1, n):
+            update = None  # the points that make the update, if not all do
             if type(a[r][col]) is not DScalar:
                 nonzero = value_of(a[r][col]) != 0.0
                 if type(nonzero) is np.ndarray:
-                    if not nonzero.all() and nonzero.any():
-                        return _solve_in_groups(a_rows, b, nonzero)
-                    nonzero = nonzero.all()
+                    if not nonzero.all():
+                        update = nonzero
+                    nonzero = nonzero.any()
                 if not nonzero:
                     continue
-            factor = a[r][col] / a[col][col]
-            for c in range(col + 1, n):
-                a[r][c] = a[r][c] - factor * a[col][c]
-            for c in range(m):
-                rhs[r][c] = rhs[r][c] - factor * rhs[col][c]
+            if update is not None:  # eliminate, then keep the skipped points' entries
+                try:
+                    with np.errstate(all="raise", under="ignore"):
+                        factor = a[r][col] / a[col][col]
+                        a[r][col + 1:] = [
+                            _where(update, a[r][c] - factor * a[col][c], a[r][c])
+                            for c in range(col + 1, n)
+                        ]
+                        rhs[r] = [
+                            _where(update, rhs[r][c] - factor * rhs[col][c], rhs[r][c])
+                            for c in range(m)
+                        ]
+                except (Unmergeable, FloatingPointError):
+                    return _solve_in_groups(a_rows, b, update)
+            else:
+                factor = a[r][col] / a[col][col]
+                for c in range(col + 1, n):
+                    a[r][c] = a[r][c] - factor * a[col][c]
+                for c in range(m):
+                    rhs[r][c] = rhs[r][c] - factor * rhs[col][c]
             a[r][col] = 0.0
 
     x = [[0.0] * m for _ in range(n)]
@@ -433,6 +473,42 @@ def _solve_in_groups(a_rows, b, labels):
     parts = [(idx, solve_linear(take(a_rows, idx), take(b, idx)))
              for idx in groups(labels)]
     return merge(parts, len(labels))
+
+
+def _swapped(pick, x: list, y: list) -> tuple[list, list]:
+    """Rows `x` and `y` exchanged at the points of `pick`, kept elsewhere."""
+    return ([_where(pick, v, u) for u, v in zip(x, y)],
+            [_where(pick, u, v) for u, v in zip(x, y)])
+
+
+def _where(mask, x, y):
+    """``np.where(mask, x, y)`` leaf by leaf through duals: `x` at the points
+    of `mask`, `y` at the others.
+
+    A plain leaf stays plain where both sides are equal to the bit (the
+    same object, or floats of the same value and sign).  Otherwise the
+    rule of `merge` holds: floats and arrays select into an array, duals
+    of one level and tangent count into a dual, and anything else -- a
+    plain leaf against a dual, another leaf type -- raises `Unmergeable`.
+    """
+    if type(x) is DScalar or type(y) is DScalar:
+        if type(x) is not type(y) or x.tag != y.tag or len(x.tg) != len(y.tg):
+            raise Unmergeable("a select puts a dual leaf against another kind of leaf")
+        return DScalar(
+            _where(mask, x.val, y.val),
+            tuple([_where(mask, u, v) for u, v in zip(x.tg, y.tg)]),
+            x.tag,
+        )
+    if x is y:
+        return x
+    plain = (float, np.ndarray)
+    if type(x) not in plain or type(y) not in plain:
+        raise Unmergeable(f"cannot select between leaves of types "
+                          f"{type(x).__name__} and {type(y).__name__}")
+    if type(x) is float and type(y) is float and x == y \
+            and math.copysign(1.0, x) == math.copysign(1.0, y):
+        return x
+    return np.where(mask, x, y)
 
 
 # -- batches that branch ----------------------------------------------

@@ -11,10 +11,14 @@ must be read by a file of ``src/``, ``tests/`` or ``perfbench/``, outside
 its own statement (`numkernel.solve_linear_info` is read by the
 benchmark's tracer, `corpus.write_golden_files` by the tests).  The
 definitions that only tests read are pinned, each with its reason, so
-that a helper left alive by its own tests alone fails here.
+that a helper left alive by its own tests alone fails here.  Last, a
+gallery run must not import ``numpy.ma``, which no report needs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,3 +170,27 @@ def test_the_guard_sees_an_unread_definition(tmp_path):
     (tmp_path / "user.py").write_text("import mod\n\nmod.g()\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert unread_definitions(paths[:1], paths) == ["mod.f", "mod.K"]
+
+
+# -- what a run imports ---------------------------------------------------
+
+VERIFY_IMPORTS = """
+import contextlib, io, sys
+from sasaki_lab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "all", "--samples", "4"])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_verify_all_does_not_import_numpy_ma():
+    """numpy's masked arrays cost import time and resident memory that no
+    report needs.  A 1-d ``np.unique`` imports them, so the solver collects
+    a batch's pivot rows in a set."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_IMPORTS],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

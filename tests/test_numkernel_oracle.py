@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -584,51 +585,94 @@ def test_batch_functions_are_maths_element_by_element(name):
     assert got == want
 
 
-def _system_entry(draw, size: int):
+FINITE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-13, 4.0]
+
+
+def _system_entry(draw, size: int, values):
     """A matrix or rhs entry of a batch: a float shared by every point, an
-    array of per-point values (exact zeros and ties included), or an
-    order-1 dual over such slots."""
-    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-13, 4.0])
+    array of per-point values (exact zeros and ties included), an order-1
+    dual at either level, or an order-2 dual (HIGH over LOW) whose slots
+    are such leaves or LOW duals."""
 
     def slot():
         if draw(st.booleans()):
             return draw(values)
         return np.array([draw(values) for _ in range(size)])
 
-    kind = draw(st.sampled_from(["const", "array", "array", "dual"]))
+    def low():
+        return nk.DScalar(slot(), (slot(), slot()), LOW)
+
+    def inner():
+        return low() if draw(st.booleans()) else slot()
+
+    kind = draw(st.sampled_from(["const", "array", "array", "low", "high", "order2"]))
     if kind == "const":
         return draw(values)
     if kind == "array":
         return slot()
-    return nk.DScalar(slot(), (slot(), slot()), LOW)
+    if kind == "low":
+        return low()
+    if kind == "high":
+        return nk.DScalar(slot(), (slot(),), HIGH)
+    return nk.DScalar(inner(), (inner(),), HIGH)
 
 
 @st.composite
 def batch_systems(draw):
     """(rows, rhs, size): n x n systems over a batch of points whose pivot
-    rows, zero skips and singular columns differ from point to point."""
+    rows, zero skips and singular columns differ from point to point.
+    Half the systems draw their values from a pool with ±inf and NaN."""
     n, size = draw(st.integers(1, 4)), draw(st.integers(2, 6))
-    rows = [[_system_entry(draw, size) for _ in range(n)] for _ in range(n)]
+    pool = FINITE_ENTRIES + ([math.inf, -math.inf, math.nan] if draw(st.booleans()) else [])
+    values = st.sampled_from(pool)
+    rows = [[_system_entry(draw, size, values) for _ in range(n)] for _ in range(n)]
     if draw(st.booleans()):
-        rhs = [[_system_entry(draw, size) for _ in range(2)] for _ in range(n)]
+        rhs = [[_system_entry(draw, size, values) for _ in range(2)] for _ in range(n)]
     else:
-        rhs = [_system_entry(draw, size) for _ in range(n)]
+        rhs = [_system_entry(draw, size, values) for _ in range(n)]
     return rows, rhs, size
 
 
 PIVOTS = np.array([1.0, 3.0, -2.0, 0.5])  # |a00| against |a10| flips by point
 DUAL = nk.DScalar(np.array([2.0, -1.0, 0.25, 3.0]), (1.0, np.array([0.0, -0.0, 2.0, 1.0])), LOW)
+PIVOT_DUAL = nk.DScalar(PIVOTS, (np.array([1.0, -0.0, 2.0, 0.0]), -1.0), LOW)
+NESTED = nk.DScalar(DUAL, (nk.DScalar(-0.0, (1.0, np.array([2.0, 0.0, -1.0, 0.5])), LOW),), HIGH)
+PIVOT_NESTED = nk.DScalar(PIVOT_DUAL, (nk.DScalar(1.0, (0.0, -0.0), LOW),), HIGH)
+# column 0's pivot is row 0, 1 or 2 by point
+THREE_PIVOTS = [
+    [np.array([4.0, 0.5, 1.0, -0.0]), 1.0, -0.0],
+    [PIVOTS, np.array([2.0, -1.0, 0.5, 3.0]), 1.0],
+    [np.array([-3.0, -1.0, 0.5, 2.0]), 0.5, np.array([1.0, math.inf, 2.0, -1.0])],
+]
+# row 1 skips column 0 at point 0, where rhs - (-0.0)·1.0 would give 0.0
+SIGNED_ZERO_SKIP = (
+    [[2.0, 1.0], [np.array([-0.0, 1.0]), np.array([5.0, 3.0])]],
+    [1.0, np.array([-0.0, 1.0])],
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(batch_systems())
-# pivot rows differing by point, with a row of plain constants beside a
-# row of duals
+# pivot rows differing by point, each column of one structure: swapped
+# point by point in one pass
 @example(([[PIVOTS, 1.0], [2.0, -1.0]], [1.0, 0.0], 4))
+@example(([[PIVOTS, 1.0], [2.0, -3.0]], [-0.0, np.array([1.0, 0.0, -0.0, 2.0])], 4))
+@example(([[PIVOT_DUAL, DUAL], [DUAL * 2.0, -DUAL]], [DUAL, DUAL * DUAL], 4))
+@example(([[PIVOT_NESTED, NESTED], [NESTED * 2.0, -NESTED]], [[NESTED, 1.0], [-NESTED, 0.0]], 4))
+@example((THREE_PIVOTS, [np.array([1.0, -0.0, math.nan, 2.0]), 0.0, -1.0], 4))
+# pivot rows differing by point with a plain leaf against a dual in a
+# column: solved group by group
 @example(([[1.5, -0.5], [DUAL, DUAL * 2.0]], [DUAL, -0.0], 4))
 @example(([[2.0, 1.0], [PIVOTS, DUAL]], [[1.0, 0.0], [0.0, 1.0]], 4))
+@example(([[PIVOT_DUAL, NESTED], [2.0, DUAL]], [1.0, DUAL], 4))
 # an entry below the pivot that is a plain zero at some points only
 @example(([[2.0, 1.0], [np.array([0.0, 1.0, -0.0, 2.0]), DUAL]], [DUAL, 1.0], 4))
+@example(([[2.0, DUAL], [np.array([0.0, 1.0, -0.0, 2.0]), DUAL * 2.0]], [DUAL, -DUAL], 4))
+# ... where the skipped point's update would flip a signed zero or
+# spread a NaN of the pivot row, or signal on an inf there
+@example(SIGNED_ZERO_SKIP + (2,))
+@example(([[2.0, np.array([math.nan, 1.0])], [np.array([0.0, 1.0]), 1.0]], [1.0, 1.0], 2))
+@example(([[2.0, np.array([math.inf, 1.0])], [np.array([0.0, 1.0]), 1.0]], [1.0, 1.0], 2))
 # a NaN pivot at one point
 @example(([[np.array([1.0, np.nan, 2.0, 1.0]), 1.0], [1.5, DUAL]], [1.0, 2.0], 4))
 def test_solve_linear_batches_match_their_points(system):
@@ -669,29 +713,104 @@ def test_determinant_and_min_eigenvalue_of_a_batch_match_each_matrix(n):
         assert sum(math.isnan(w) for w in want) >= 3
 
 
-def test_solve_linear_splits_by_pivot_row_and_merges():
-    """Points whose pivot rows differ are solved in groups and merged into
-    one batch: no point by point evaluation is needed."""
+def _groups_spy(monkeypatch) -> list:
+    """The labels of every call to `numkernel._solve_in_groups` from here on."""
+    solve_in_groups, calls = nk._solve_in_groups, []
+
+    def spy(a_rows, b, labels):
+        calls.append(labels)
+        return solve_in_groups(a_rows, b, labels)
+
+    monkeypatch.setattr(nk, "_solve_in_groups", spy)
+    return calls
+
+
+@pytest.mark.parametrize("rows, rhs, size", [
+    ([[PIVOT_DUAL, DUAL], [DUAL * 2.0, -DUAL]], [[DUAL, -0.0], [-DUAL, 2.0]], 4),
+    ([[PIVOT_NESTED, NESTED], [NESTED * 2.0, -NESTED]], [NESTED, -NESTED], 4),
+    ([[PIVOTS, 1.0], [2.0, -3.0]], [-0.0, np.array([1.0, 0.0, -0.0, 2.0])], 4),
+    (THREE_PIVOTS, [[1.0, -0.0], [np.array([0.5, 2.0, -1.0, 0.0]), 1.0], [0.0, 3.0]], 4),
+    ([[2.0, DUAL], [np.array([0.0, 1.0, -0.0, 2.0]), DUAL * 2.0]], [DUAL, -DUAL], 4),
+    SIGNED_ZERO_SKIP + (2,),
+], ids=["pivot-rows-order1", "pivot-rows-order2", "pivot-rows-plain", "three-pivot-rows",
+        "zero-skip", "zero-skip-signed-zero"])
+def test_solve_linear_selects_per_point_in_one_pass(rows, rhs, size, monkeypatch):
+    """Pivot rows that differ by point are swapped point by point, and an
+    update that some points skip keeps their old entries, by a leafwise
+    select: while every column holds leaves of one structure, the batch
+    is eliminated once, with no group solved on its own."""
+    calls = _groups_spy(monkeypatch)
+    with np.errstate(**BATCH_ERRSTATE):
+        got = nk.solve_linear(rows, rhs)
+    assert calls == []
+    for i in range(size):
+        want = nk.solve_linear(point(rows, i), point(rhs, i))
+        assert canon(point(got, i)) == canon(want)
+
+
+def test_where_keeps_a_plain_leaf_plain_only_when_equal_to_the_bit():
+    mask = np.array([True, False])
+    assert nk._where(mask, 1.5, 1.5) == 1.5
+    for x, y in [(0.0, -0.0), (math.nan, -math.nan), (1.0, 2.0)]:
+        got = nk._where(mask, x, y)
+        assert type(got) is np.ndarray and repr(got.tolist()) == repr([x, y])
+    dual = nk._where(mask, nk.DScalar(1.0, (np.array([2.0, 3.0]),), LOW),
+                     nk.DScalar(1.0, (-0.0,), LOW))
+    assert canon(dual) == canon(nk.DScalar(1.0, (np.array([2.0, -0.0]),), LOW))
+    for x, y in [(1.0, nk.DScalar(1.0, (0.0,), LOW)),
+                 (nk.DScalar(1.0, (0.0,), HIGH), nk.DScalar(1.0, (0.0,), LOW)),
+                 (nk.DScalar(1.0, (0.0,), LOW), nk.DScalar(1.0, (0.0, 0.0), LOW)),
+                 (1, 2.0)]:
+        with pytest.raises(nk.Unmergeable):
+            nk._where(mask, x, y)
+
+
+def test_solve_linear_splits_by_pivot_row_and_merges(monkeypatch):
+    """Points whose pivot rows differ, where a swap would put a plain leaf
+    against a dual (row 0's 1.0 against row 1's dual), fall back to a
+    solve per group, merged into one batch: no point by point evaluation
+    is needed."""
+    calls = _groups_spy(monkeypatch)
     rows, rhs = [[PIVOTS, 1.0], [2.0, -DUAL]], [DUAL, 1.0]
     with np.errstate(**BATCH_ERRSTATE):
         got = nk.solve_linear(rows, rhs)
+    assert [labels.tolist() for labels in calls] == [[1, 0, 0, 1]]
     assert all(isinstance(leaf, nk.DScalar) for leaf in got)
     for i in range(4):
         want = nk.solve_linear(point(rows, i), point(rhs, i))
         assert canon(point(got, i)) == canon(want)
 
 
-def test_solve_linear_splits_by_zero_skip_and_merges():
+def test_solve_linear_splits_by_zero_skip_and_merges(monkeypatch):
     """Points where an entry below the pivot is a plain zero skip its
-    elimination, the others do it; the two groups merge into one batch, as
-    in the Reeb solve of ``product-darboux``."""
+    elimination, the others do it.  Here the update would turn the plain
+    rhs entry 1.0 into a dual at the points that make it, so the select
+    falls back to a solve per group, merged into one batch."""
+    calls = _groups_spy(monkeypatch)
     rows, rhs = [[2.0, 1.0], [np.array([0.0, 1.0, -0.0, 2.0]), DUAL]], [DUAL, 1.0]
     with np.errstate(**BATCH_ERRSTATE):
         got = nk.solve_linear(rows, rhs)
+    assert [labels.tolist() for labels in calls] == [[False, True, False, True]]
     assert all(isinstance(leaf, nk.DScalar) for leaf in got)
     for i in range(4):
         want = nk.solve_linear(point(rows, i), point(rhs, i))
         assert canon(point(got, i)) == canon(want)
+
+
+@pytest.mark.parametrize("errstate", [BATCH_ERRSTATE, {"all": "warn"}], ids=["raise", "warn"])
+def test_a_signal_at_a_skipped_point_falls_back_to_groups(errstate, monkeypatch):
+    """An update that some points skip is computed under its own errstate,
+    whatever the caller's: at the skipped point 0, 0·inf signals (its own
+    solve never computes it), and the batch is solved per group instead of
+    raising, warning, or going point by point."""
+    calls = _groups_spy(monkeypatch)
+    rows = [[2.0, np.array([math.inf, 1.0])], [np.array([0.0, 1.0]), 1.0]]
+    with np.errstate(**errstate), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nk.solve_linear(rows, [1.0, 1.0])
+    assert len(calls) == 1
+    assert all(type(leaf) is np.ndarray for leaf in got)
+    assert repr([leaf.tolist() for leaf in got]) == repr([[-math.inf, 0.0], [1.0, 1.0]])
 
 
 def test_merge_refuses_a_plain_leaf_against_a_dual():

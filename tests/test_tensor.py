@@ -1138,6 +1138,29 @@ def test_gallery_entry_evaluates_every_batch_whole(key, monkeypatch, capsys):
     assert groups and fallbacks == []
 
 
+def test_gallery_solves_each_batch_in_one_pass(monkeypatch, capsys):
+    """`verify all` at seed 42 and the default plan evaluates no sample
+    group point by point, and `solve_linear` solves a batch group by group
+    only where a per-point pivot swap would put a plain leaf against a
+    dual: three batches (two Reeb solves and one cone J = Ω⁻¹G).  Pivot
+    rows and zero skips that differ by point are otherwise selected point
+    by point in one elimination."""
+    from sasaki_lab.cli import main
+
+    solve_in_groups, splits, fallbacks = nk._solve_in_groups, [], []
+
+    def counting(a_rows, b, labels):
+        splits.append(labels.dtype.kind)
+        return solve_in_groups(a_rows, b, labels)
+
+    monkeypatch.setattr(nk, "_solve_in_groups", counting)
+    monkeypatch.setattr(report, "point_by_point", lambda *args: fallbacks.append(args))
+    assert main(["verify", "all", "--seed", "42"]) == 0
+    capsys.readouterr()
+    assert fallbacks == []
+    assert splits == ["i", "i", "i"]  # pivot rows; no zero skip splits
+
+
 def test_sample_set_prunes_batch_memos_to_declared_fields():
     atlas, eta, xi, J = _solved_structure()
     N = tn.nijenhuis(J)
