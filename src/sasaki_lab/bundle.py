@@ -1,9 +1,9 @@
 """Scaling bundles over chart atlases: cones, homogeneity, metric splitting.
 
 A bundle here is a base atlas with one extra fiber coordinate ``s`` appended
-last to every chart (`manifold.append_coordinate`).  This module, `kahler`
-and `corpus` rely on that layout: they read the fiber as the last index and
-the base coordinates as the indices before it.  The structure group is
+last to every chart (`manifold.append_coordinate`), read as the last index
+here and in `kahler` and `corpus`; `PrincipalBundle.on_total` reads a base
+field on the total space at each point's base point.  The structure group is
 either the positive reals ("R+", fiber box [0.5, 2]) or the nonzero reals
 ("Rx", fiber box [−2, 2] minus a band around 0); transitions multiply ``s``
 by a locally constant sign — the *sign cocycle* — which is what makes
@@ -18,11 +18,11 @@ non-trivializable examples representable at all.
 A calibration is a positive degree-1 function 𝔰 on the total space, such
 as the fiber coordinate itself (`abs_s_calibration`, |s| on "Rx" cones).
 `decompose_homogeneous_metric` splits a degree-1 positively homogeneous
-metric along a calibration into fiber weight A, mixed one-form μ, and a
-base "shadow" metric; the shadow is invariant under re-calibration, which a
-unit test exercises by decomposing the same metric against two different
-calibrations.  `induced_metric` goes the other way, from a shadow and a
-calibration to the homogeneous metric.
+metric along a calibration, as one field of (g, 𝔰, d𝔰) read at the unit
+lift, into fiber weight A, mixed one-form μ and a base "shadow" metric,
+invariant under re-calibration (a unit test decomposes one metric against
+two calibrations).  `induced_metric` goes the other way, from a shadow
+and a calibration to the homogeneous metric.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
-
-import numpy as np
 
 from . import exprlang, numkernel as nk
 from .contact import ContactStructure
@@ -42,6 +40,7 @@ from .manifold import (
     TransitionMap,
     TransitionPiece,
     append_coordinate,
+    sample_points,
 )
 from .report import CheckReport, run_residual_check
 from .tensor import (
@@ -52,7 +51,7 @@ from .tensor import (
     every,
     exterior_derivative,
     field_jet,
-    max_abs,
+    named,
     nondegenerate,
     pullback,
     tf_combine,
@@ -94,6 +93,17 @@ class PrincipalBundle:
         return _derived(
             env, ("base_env",), lambda env: {c: v for c, v in env.items() if c != FIBER}
         )
+
+    def on_total(self, F: TensorField, fiber=None) -> TensorField:
+        """Base field F as a field on the total space, read at each point's
+        base point (`base_env`): F's base components, and `fiber` appended
+        as a vector's fiber component if given."""
+
+        def components(chart, env):
+            v = F.at(chart.name, self.base_env(env))
+            return v if fiber is None else [*v, fiber]
+
+        return TensorField(f"{F.name}∘π", self.total, F.valence, components, F.chart_names())
 
     def scaling(self, nu: float) -> SmoothMap:
         """h_ν: multiply the fiber coordinate by ν, chart by chart."""
@@ -281,117 +291,86 @@ def decompose_homogeneous_metric(
 ) -> MetricDecomposition:
     """Split g = A·d𝔰²/𝔰 + d𝔰⊗μ + μ⊗d𝔰 + 𝔰·γ and extract the shadow.
 
-    Components are read off on the s=1 lift of each base chart:
+    One field of (g, 𝔰, d𝔰) on the total space gives
 
         A = g(∇,∇)/𝔰,   μ = (i_∇ g − A·d𝔰)/𝔰,   γ = remainder/𝔰,
-        shadow g_M = γ/A − (μ/A)⊗(μ/A).
 
-    The shadow is what all calibrations agree on.  Raises NotHomogeneous /
-    NotPositiveDefinite on bad input; the returned report covers reassembly
-    at total-space samples and s-independence of the extracted base data.
+    and A, μ and the shadow g_M = γ/A − (μ/A)⊗(μ/A), what all
+    calibrations agree on, are read at the unit lift of each base point.
+    Raises NotHomogeneous when g fails its degree-1 law, and
+    NotPositiveDefinite when the shadow's smallest eigenvalue, recorded
+    with |μ| in one run over base samples, is not positive.  The report
+    is one `agreeing` check at total-space samples: g against its
+    reassembly, and A and μ there against their unit-lift values.
     """
     law = homogeneity_check(g, 1, "positive", plan, bundle)
     if not law.passed:
         raise NotHomogeneous(
             f"{g.name}: positive degree-1 law fails at {law.max_residual:.3e}"
         )
+    d_scal = exterior_derivative(scal)
 
-    def pieces_at(chart_name: str, env_total: dict):
-        """A, μ_j, γ_{jk} (full total-index range) at one total point."""
-        dim = bundle.total.chart(chart_name).dim
-        s = env_total[FIBER]
-        gm = g.at(chart_name, env_total)
-        sval, sparts = field_jet(scal, chart_name, env_total)
-        a_val = s * s * gm[-1][-1] / sval
-        i_nabla = [s * x for x in gm[-1]]
-        mu = [
-            (i_nabla[j] - a_val * sparts[j]) / sval for j in range(dim)
-        ]
+    def split(cs, env):  # [A, μ, γ], μ and γ over the total indices
+        gm, sval, ds = cs
+        s = env[FIBER]
+        n = range(len(ds))
+        a = s * s * gm[-1][-1] / sval
+        mu = [(s * x - a * d) / sval for x, d in zip(gm[-1], ds)]
         gamma = [
-            [
-                (
-                    gm[j][k]
-                    - a_val * sparts[j] * sparts[k] / sval
-                    - sparts[j] * mu[k]
-                    - mu[j] * sparts[k]
-                )
-                / sval
-                for k in range(dim)
-            ]
-            for j in range(dim)
+            [(gm[j][k] - a * ds[j] * ds[k] / sval - ds[j] * mu[k] - mu[j] * ds[k]) / sval
+             for k in n]
+            for j in n
         ]
-        return a_val, mu, gamma
+        return [a, mu, gamma]
 
-    def base_field(name: str, valence: tuple[int, int], kind: str) -> TensorField:
-        def components(chart, env):
-            env_t = bundle.lift_env(env)
-            a_val, mu, gamma = pieces_at(chart.name, env_t)
-            n = chart.dim  # the base block of the total indices
-            if kind == "A":
-                return a_val
-            if kind == "mu":
-                return mu[:n]
-            return [
-                [
-                    gamma[j][k] / a_val - (mu[j] / a_val) * (mu[k] / a_val)
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
+    pieces = tf_combine(f"split({g.name})", (0, 0), [g, scal, d_scal], split)
 
-        return TensorField(name, bundle.base, valence, components)
+    def at_unit_lift(name, valence, read):  # read(A, μ, γ, base dim)
+        return TensorField(name, bundle.base, valence, lambda chart, env: read(
+            *pieces.at(chart.name, bundle.lift_env(env)), chart.dim))
 
-    A = base_field("fiber_weight", (0, 0), "A")
-    mu = base_field("mixed_form", (0, 1), "mu")
-    g_M = base_field("shadow_metric", (0, 2), "gM")
+    def shadow(a, mu, gamma, n):
+        return [[gamma[j][k] / a - (mu[j] / a) * (mu[k] / a) for k in range(n)]
+                for j in range(n)]
 
-    # positivity of the shadow, and the size of μ, at base samples
-    def shadow(chart, env):
-        lo = nk.min_eigenvalue(g_M.at(chart, env))
-        if not np.all(lo > 0.0):  # a NaN eigenvalue is no positive one
-            if type(lo) is np.ndarray:  # the driver goes on point by point
-                raise NotPositiveDefinite("shadow metric not positive in the group")
-            raise NotPositiveDefinite(
-                f"shadow metric eigenvalue {lo:.3e} at {tuple(env.values())} in {chart}"
-            )
-        return max_abs(mu.at(chart, env))
+    A = at_unit_lift("fiber_weight", (0, 0), lambda a, mu, gamma, n: a)
+    mu = at_unit_lift("mixed_form", (0, 1), lambda a, mu, gamma, n: mu[:n])
+    g_M = at_unit_lift("shadow_metric", (0, 2), shadow)
 
-    mu_max = run_residual_check("mixed_form", bundle.base, shadow, plan).max_residual
-
-    # reassembly + s-independence of the extracted data
-    def residual(chart_name, env):
-        chart = bundle.total.chart(chart_name)
-        dim = chart.dim
-        a_val, mu_t, gamma = pieces_at(chart_name, env)
-        sval, sparts = field_jet(scal, chart_name, env)
-        gm = g.at(chart_name, env)
-        comps = []
-        for j in range(dim):
-            for k in range(dim):
-                rebuilt = (
-                    a_val * sparts[j] * sparts[k] / sval
-                    + sparts[j] * mu_t[k]
-                    + mu_t[j] * sparts[k]
-                    + sval * gamma[j][k]
-                )
-                comps.append(nk.value_of(rebuilt) - nk.value_of(gm[j][k]))
-        # data read at this fiber height must match the s=1 extraction
-        base_env = bundle.base_env(env)
-        comps.append(nk.value_of(a_val) - nk.value_of(A.at(chart_name, base_env)))
-        mu_base = mu.at(chart_name, base_env)
-        comps += [nk.value_of(x) - nk.value_of(y) for x, y in zip(mu_t, mu_base)]
-        return max_abs(comps)
-
-    rep = run_residual_check("metric_decomposition", bundle.total, residual, plan)
-
-    return MetricDecomposition(
-        A=A,
-        mu=mu,
-        g_M=g_M,
-        calibrated=mu_max <= plan.tolerance,
-        mu_max=mu_max,
-        report=rep,
+    lowest = tf_combine(f"min_eigenvalue({g_M.name})", (0, 0), [g_M],
+                        lambda cs, env: nk.min_eigenvalue(cs[0]))
+    base = run_residual_check(
+        "mixed_form", bundle.base,
+        named(mixed_form=vanishing(mu), min_eigenvalue=lowest.at), plan,
+        records={"min_eigenvalue": min},
     )
+    lo = base.details["min_eigenvalue"] if base.samples else 1.0  # no point, no record
+    if not lo > 0.0:  # a NaN eigenvalue is no positive one
+        chart, point = next(
+            (name, p) for name, points, _ in sample_points(bundle.base, plan)
+            for p in points if not lowest.at(name, bundle.base.chart(name).env(p)) > 0.0)
+        raise NotPositiveDefinite(
+            f"shadow metric eigenvalue {lo:.3e}; not positive at {point} in {chart}")
+
+    def rebuilt(cs, env):  # A·d𝔰²/𝔰 + d𝔰⊗μ + μ⊗d𝔰 + 𝔰·γ
+        (a, mu_t, gamma), sval, ds = cs
+        n = range(len(ds))
+        return [
+            [a * ds[j] * ds[k] / sval + ds[j] * mu_t[k] + mu_t[j] * ds[k] + sval * gamma[j][k]
+             for k in n]
+            for j in n
+        ]
+
+    identities = agreeing(
+        (tf_combine(f"reassembled({g.name})", (0, 2), [pieces, scal, d_scal], rebuilt), g),
+        (tf_combine("fiber_weight_here", (0, 0), [pieces], lambda cs, env: cs[0][0]),
+         bundle.on_total(A)),
+        (tf_combine("mixed_form_here", (0, 1), [pieces], lambda cs, env: cs[0][1][:-1]),
+         bundle.on_total(mu)),
+    )
+    rep = run_residual_check("metric_decomposition", bundle.total, identities, plan)
+    mu_max = base.max_residual
+    return MetricDecomposition(A, mu, g_M, mu_max <= plan.tolerance, mu_max, rep)
 
 
 def induced_metric(

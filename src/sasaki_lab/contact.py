@@ -20,7 +20,8 @@ matrix B = [[0, η], [−ηᵀ, dη]]: the top-form coefficient satisfies
 
 A frame of ker η drops one coordinate index, a choice the contact
 distribution does not make for us; `kernel_frames` makes it once per
-chart, and every frame reader evaluates its fields.
+chart, inside 2n frame fields that each hold on every sampled chart, so
+a frame reader declares its clauses once for the atlas.
 """
 
 from __future__ import annotations
@@ -146,34 +147,37 @@ def is_contact_form(C: ContactStructure, plan: SamplePlan) -> CheckReport:
     )
 
 
-def kernel_frames(C: ContactStructure, plan: SamplePlan) -> dict[str, list]:
-    """Each chart's frame of C = ker η as *fields*: {chart: [F_a, ...]}.
+def kernel_frames(C: ContactStructure, plan: SamplePlan) -> list[TensorField]:
+    """The frame of C = ker η as 2n *fields*, each on every sampled chart.
 
-    F_a = e_a − η_a·ξ for every index a but the chart's dropped one.  That
-    index is chosen here and nowhere else: the largest |η_k| at the chart's
-    first sample of ``plan``, ties going to the lower index.  The sample is
-    read through `sample_points`, so under a sample set it is the first
-    point of the group the driver reduces.  η is evaluated at an env of
-    that point alone, which gives, bit for bit, its slot of the group's
-    batch; the batch env itself is left to the driver, whose errstate
-    keeps a value that signals out of the memo the checks read.  η(F_a) ≡
-    0 holds identically, not just at that point — bracket-based checks
-    (almost-CR flag, CR torsion) depend on that.
+    On a chart, the k-th field is F = e_a − η_a·ξ for a the chart's k-th
+    kept index, named by its distinct kept indices (``frame1``, or
+    ``frame0|1`` where charts differ).  The dropped index is chosen here
+    and nowhere else: the largest |η_k| at the chart's first sample of
+    ``plan``, ties going to the lower index.  The sample is read through
+    `sample_points`, so under a sample set it is the first point of the
+    group the driver reduces.  η is evaluated at an env of that point
+    alone, which gives, bit for bit, its slot of the group's batch; the
+    batch env itself is left to the driver, whose errstate keeps a value
+    that signals out of the memo the checks read.  η(F) ≡ 0 holds
+    identically, not just at that point — bracket-based checks (almost-CR
+    flag, CR torsion) depend on that.
     """
     xi = C.reeb()
-
-    def frame_vector(chart_name, a):
-        def components(chart, env):
-            ev_vals, xv = C.eta.at(chart.name, env), xi.at(chart.name, env)
-            return [(1.0 if k == a else 0.0) - ev_vals[a] * x for k, x in enumerate(xv)]
-
-        return TensorField(f"frame{a}", C.atlas, (1, 0), components, [chart_name])
-
-    frames = {}
+    kept = {}  # chart name -> its kept indices, in order
     for name, points, _ in sample_points(C.atlas, plan):
         if points:
             ev = C.eta.at(name, C.atlas.chart(name).env(points[0]))
             dropped = max(range(len(ev)), key=lambda k: (abs(nk.value_of(ev[k])), -k))
-            kept = [a for a in range(len(ev)) if a != dropped]
-            frames[name] = [frame_vector(name, a) for a in kept]
-    return frames
+            kept[name] = [a for a in range(len(ev)) if a != dropped]
+
+    def frame_field(k):
+        def components(chart, env):
+            a = kept[chart.name][k]
+            ev_vals, xv = C.eta.at(chart.name, env), xi.at(chart.name, env)
+            return [(1.0 if j == a else 0.0) - ev_vals[a] * x for j, x in enumerate(xv)]
+
+        label = "|".join(dict.fromkeys(str(indices[k]) for indices in kept.values()))
+        return TensorField(f"frame{label}", C.atlas, (1, 0), components, kept)
+
+    return [frame_field(k) for k in range(C.dim - 1)]

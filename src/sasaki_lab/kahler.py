@@ -33,6 +33,7 @@ from .tensor import (
     congruence,
     contract_form_vector,
     identity,
+    named,
     nijenhuis,
     tf_combine,
     vanishing,
@@ -152,18 +153,6 @@ class Main1Result:
     report: CheckReport
 
 
-def _at_base(bundle: PrincipalBundle, F: TensorField, fiber=None) -> TensorField:
-    """Base field F as a field on the total space, read at each point's
-    base point (`bundle.base_env`): F's base components, and `fiber`
-    appended as a vector's fiber component if given."""
-
-    def components(chart, env):
-        v = F.at(chart.name, bundle.base_env(env))
-        return v if fiber is None else [*v, fiber]
-
-    return TensorField(f"{F.name}∘π", bundle.total, F.valence, components, F.chart_names())
-
-
 def vertical_frame(
     C: ContactStructure, bundle: PrincipalBundle, g: TensorField
 ) -> tuple[TensorField, TensorField, TensorField]:
@@ -184,7 +173,7 @@ def vertical_frame(
         return [0.0] * (chart.dim - 1) + [env[FIBER]]
 
     return (
-        _at_base(bundle, xi, 0.0),
+        bundle.on_total(xi, 0.0),
         TensorField("scaling", bundle.total, (1, 0), scaling),
         TensorField("vertical_slope", bundle.base, (0, 0), slope),
     )
@@ -202,10 +191,11 @@ def reconstruct_main1(
 
     J is the pair's compatibility tensor.  The vertical plane W is spanned
     by ξ̃ and ∇ (`vertical_frame`), the contact planes by the lifts of the
-    base chart's `kernel_frames` fields, built before any point is
-    evaluated.  Each chart's clauses are declared as `vanishing`/`agreeing`
-    identities of fields; ds/s(v) is v's fiber component over s and η(v)
-    sums over the base components:
+    base's `kernel_frames` fields (`PrincipalBundle.on_total`), built
+    before any point is evaluated.  The clauses are declared once, as
+    `named` `vanishing`/`agreeing` identities of fields on every sampled
+    chart; ds/s(v) is v's fiber component over s and η(v) sums over the
+    base components:
 
     * ``calibration``: g(∂ₛ, ∂ₛ)·s·s = s, i.e. g(∇, ∇) = s;
     * ``square``: J² = −id (`squares_to_minus_id`);
@@ -237,7 +227,7 @@ def reconstruct_main1(
         ]
 
     g_M = TensorField("reconstructed_base_metric", bundle.base, (0, 2), base_metric)
-    eta_t, a_t, g_M_t = (_at_base(bundle, F) for F in (C.eta, slope, g_M))
+    eta_t, a_t, g_M_t = (bundle.on_total(F) for F in (C.eta, slope, g_M))
 
     def w_coords(v, over_s):  # (η(v), ds(v)), or (η(v), ds(v)/s) if `over_s`
         def fn(cs, env):
@@ -288,40 +278,25 @@ def reconstruct_main1(
     j_xi, j_nabla = compose(J, xi_t), compose(J, nabla)
     w_xi, w_nabla = w_coords(j_xi, True), w_coords(j_nabla, True)
 
-    def chart_clauses(frames):
-        lifts = [_at_base(bundle, F, 0.0) for F in frames]
-        return {
-            "calibration": vanishing(tf_combine("g(∇,∇)−s", (0, 0), [g], calibration)),
-            "square": squares_to_minus_id(J),
-            "vertical_matrix": agreeing(
-                (w_xi, tf_combine("(a,−(1+a²))", (1, 0), [a_t], matrix_xi)),
-                (w_nabla, tf_combine("(1,−a)", (1, 0), [a_t], matrix_nabla)),
-            ),
-            "vertical_invariance": vanishing(
-                off_plane(j_xi, w_xi), off_plane(j_nabla, w_nabla)
-            ),
-            "contact_invariance": vanishing(
-                *(w_coords(compose(J, F), False) for F in lifts)
-            ),
-            "reeb_norm": agreeing(
-                (g_of(xi_t, xi_t), tf_combine("s(1+a²)", (0, 0), [a_t], reeb_norm))
-            ),
-            "orthogonality": vanishing(
-                *(g_of(w, F) for F in lifts for w in (xi_t, nabla))
-            ),
-            "reassembly": vanishing(
-                tf_combine("g−reassembled", (0, 2), [g, g_M_t, eta_t, a_t], reassembly)
-            ),
-        }
-
-    clauses = {  # chart name -> {clause: its declared residual}
-        chart: chart_clauses(frames) for chart, frames in kernel_frames(C, plan).items()
-    }
-
-    def residual(chart, env):
-        return {name: fn(chart, env) for name, fn in clauses[chart].items()}
-
-    report = run_residual_check("main_reconstruction", bundle.total, residual, plan)
+    lifts = [bundle.on_total(F, 0.0) for F in kernel_frames(C, plan)]
+    clauses = named(
+        calibration=vanishing(tf_combine("g(∇,∇)−s", (0, 0), [g], calibration)),
+        square=squares_to_minus_id(J),
+        vertical_matrix=agreeing(
+            (w_xi, tf_combine("(a,−(1+a²))", (1, 0), [a_t], matrix_xi)),
+            (w_nabla, tf_combine("(1,−a)", (1, 0), [a_t], matrix_nabla)),
+        ),
+        vertical_invariance=vanishing(off_plane(j_xi, w_xi), off_plane(j_nabla, w_nabla)),
+        contact_invariance=vanishing(*(w_coords(compose(J, F), False) for F in lifts)),
+        reeb_norm=agreeing(
+            (g_of(xi_t, xi_t), tf_combine("s(1+a²)", (0, 0), [a_t], reeb_norm))
+        ),
+        orthogonality=vanishing(*(g_of(w, F) for F in lifts for w in (xi_t, nabla))),
+        reassembly=vanishing(
+            tf_combine("g−reassembled", (0, 2), [g, g_M_t, eta_t, a_t], reassembly)
+        ),
+    )
+    report = run_residual_check("main_reconstruction", bundle.total, clauses, plan)
     report.details["failed_clauses"] = sorted(
         name for name, value in report.details.items() if not value <= plan.tolerance
     )

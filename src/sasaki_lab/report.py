@@ -126,22 +126,23 @@ def residual_rank(r: float) -> tuple[bool, float]:
 
 
 def max_or_nan(values: list) -> float:
-    """max of the values (0.0 if none), NaN above inf above any number.
+    """max of the values (0.0 if none), NaN above inf above any number,
+    the first of equal maxima kept (0.0 against -0.0 keeps the first).
 
-    The sum of the values is NaN when one of them is (or when inf meets
-    -inf); only then does the ranked, slower max run.  Where it is a batch
-    array (see `tensor`), ``np.maximum`` reduces slot by slot, keeping NaN.
+    Numbers alone sum to NaN when one of them is (or when inf meets -inf);
+    only then does the ranked, slower max run.  Where one is a batch array
+    (see `tensor`), they fold slot by slot as ``np.maximum(value,
+    so_far)``, which keeps NaN and gives its second argument on a tie.
     """
-    total = sum(values)
-    if not isinstance(total, (int, float)):  # batch arrays
-        # imported here: `report` is the package's first module, and numpy
-        # loaded before the others compile raises a cold start's peak memory
-        from numpy import maximum
+    if all(isinstance(v, (int, float)) for v in values):
+        if math.isnan(sum(values)):
+            return max(values, key=residual_rank)
+        return max(values, default=0.0)
+    # imported here: `report` is the package's first module, and numpy
+    # loaded before the others compile raises a cold start's peak memory
+    from numpy import maximum
 
-        return reduce(maximum, values)
-    if math.isnan(total):
-        return max(values, key=residual_rank)
-    return max(values, default=0.0)
+    return reduce(lambda so_far, v: maximum(v, so_far), values)
 
 
 @dataclass
@@ -188,7 +189,7 @@ def reduce_residuals(groups: Iterable[tuple], records: dict | None = None) -> Re
                 named[name] = how(named.get(name, best), best, key=keys[how])
                 if name not in records:
                     clauses.append(v)
-            r = _clause_max(clauses)
+            r = max_or_nan(clauses)
         r = np.broadcast_to(np.asarray(r, dtype=float), size)
         i = int(np.argmax(r))
         w = r[i].item()
@@ -199,19 +200,6 @@ def reduce_residuals(groups: Iterable[tuple], records: dict | None = None) -> Re
     named.pop(None, None)
     max_res = max(per_chart.values(), key=residual_rank) if per_chart else 0.0
     return Reduction(max_res, per_chart, worst, count, named)
-
-
-def _clause_max(clauses: list):
-    """`max_or_nan` of the clauses at each point: NaN where one is, else
-    the first of the largest."""
-    import numpy as np
-
-    if not clauses:
-        return 0.0
-    out = clauses[0]
-    for v in clauses[1:]:
-        out = np.where(v > out, v, out)
-    return np.where(np.isnan(clauses).any(axis=0), math.nan, out)
 
 
 def check_report(

@@ -14,7 +14,7 @@ The module offers several independently computed certificates:
 * `sasaki_check`       — normality via the full first structure tensor
                          and, separately, via torsion brackets of honest
                          kernel frame fields, with an agreement check,
-                         its four clauses declared per chart,
+                         its four clauses declared once for the atlas,
 * `theorem54_check`    — the ∇φ = g⊗ξ − η⊗id characterization,
                          declared as one (1,2) field that must vanish,
 * `killing_check`      — the Reeb flow preserves the metric,
@@ -29,8 +29,10 @@ computed torsion is extension-independent.
 
 Every certificate here declares what it certifies (`agreeing`,
 `vanishing`, `nondegenerate`, `single_valued`), each reduced once per
-sample group; `sasaki_check` and `paired_consistency_check` dispatch to
-such clauses at each group, and only the battery's flag rows are hand-made.
+sample group.  The kernel frame fields hold on every sampled chart, so
+`sasaki_check` and the battery's flags declare their `named` clauses once;
+only `paired_consistency_check` dispatches, because each overlap has its
+own clause, and only the battery's flag rows are hand-made.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .tensor import (
     field_overlaps,
     lie_bracket,
     lie_derivative,
+    named,
     nijenhuis,
     nondegenerate,
     single_valued,
@@ -196,43 +199,34 @@ def pin_flag_residuals(
     (3) the form dη(·, φ·) is φ-invariant,
     (4) η([φX, Y] + [X, φY]) = 0 for kernel *fields* X, Y.
 
-    Each flag is a named clause, declared per chart with `agreeing` or
+    Each flag is a named clause, declared once with `agreeing` or
     `vanishing` over the `kernel_frames` fields X, their `phi_images` φX
     and the scalar fields dη(u, v) = ``compose(u, compose(dη, v))``, all
     built before any point is evaluated.  Candidates must map the kernel
     to itself; the fourth flag is the only one needing derivatives.
     """
     d_eta = C.d_eta()
-    flags = {}  # chart name -> {flag: its declared residual}
-    for chart, fields in kernel_frames(C, plan).items():
-        pairs = phi_images(phi, fields)
-        X = [x for x, _ in pairs]
-        PX = [px for _, px in pairs]
-        PPX = [compose(phi, v) for v in PX]
-        lowered = {v: compose(d_eta, v) for v in X + PX + PPX}  # v -> dη(·, v)
+    X, PX = map(list, zip(*phi_images(phi, kernel_frames(C, plan))))
+    PPX = [compose(phi, v) for v in PX]
+    lowered = {v: compose(d_eta, v) for v in X + PX + PPX}  # v -> dη(·, v)
 
-        def levi(u, v):
-            return compose(u, lowered[v])
+    def levi(u, v):
+        return compose(u, lowered[v])
 
-        ordered = list(itertools.product(range(len(X)), repeat=2))
-        distinct = list(itertools.combinations(range(len(X)), 2))
-        flags[chart] = {
-            "invariant_two_form": agreeing(
-                *((levi(PX[a], PX[b]), levi(X[a], X[b])) for a, b in ordered)),
-            "symmetric_levi": agreeing(
-                *((levi(X[a], PX[b]), levi(X[b], PX[a])) for a, b in distinct)),
-            "invariant_levi": agreeing(
-                *((levi(PX[a], PPX[b]), levi(X[a], PX[b])) for a, b in ordered)),
-            "kernel_closed": vanishing(*(
-                compose(C.eta, tf_add(lie_bracket(PX[a], X[b]),
-                                      lie_bracket(X[a], PX[b])))
-                for a, b in distinct)),
-        }
-
-    def residual(chart, env):
-        return {name: flag(chart, env) for name, flag in flags[chart].items()}
-
-    return run_residual_check("pin_flags", C.atlas, residual, plan).details
+    ordered = list(itertools.product(range(len(X)), repeat=2))
+    distinct = list(itertools.combinations(range(len(X)), 2))
+    flags = named(
+        invariant_two_form=agreeing(
+            *((levi(PX[a], PX[b]), levi(X[a], X[b])) for a, b in ordered)),
+        symmetric_levi=agreeing(
+            *((levi(X[a], PX[b]), levi(X[b], PX[a])) for a, b in distinct)),
+        invariant_levi=agreeing(
+            *((levi(PX[a], PPX[b]), levi(X[a], PX[b])) for a, b in ordered)),
+        kernel_closed=vanishing(*(
+            compose(C.eta, tf_add(lie_bracket(PX[a], X[b]), lie_bracket(X[a], PX[b])))
+            for a, b in distinct)),
+    )
+    return run_residual_check("pin_flags", C.atlas, flags, plan).details
 
 
 def frame_conjugations(
@@ -254,8 +248,7 @@ def frame_conjugations(
         """E·diag(1, m)·E⁻¹, by one solve Eᵀ·Aᵀ = (E·diag(1, m))ᵀ."""
 
         def components(chart, env):
-            cols = [xi.at(chart.name, env)]
-            cols += [F.at(chart.name, env) for F in frames[chart.name]]
+            cols = [xi.at(chart.name, env)] + [F.at(chart.name, env) for F in frames]
             rows = _transpose(cols)
             ed = [
                 [row[0]]
@@ -414,6 +407,12 @@ def cr_torsion_field(phi: TensorField, x_pair: tuple, y_pair: tuple) -> TensorFi
     )
 
 
+def extension_factor(atlas) -> TensorField:
+    """u = 1 + 0.3·(the chart's first coordinate): `sasaki_check` rescales
+    two frame fields by it into other extensions of the same kernel vectors."""
+    return TensorField("u", atlas, (0, 0), lambda chart, env: 1.0 + 0.3 * env[chart.coords[0]])
+
+
 def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     """Normality by two routes that must agree, on the sampling driver.
 
@@ -421,16 +420,17 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     Route two brackets kernel frame fields (torsion) and adds the Reeb
     derivative N3 of the endomorphism, which together are equivalent to
     route one.  The frame fields are the `kernel_frames` of the contact
-    structure.  Each chart's four clauses are declared before any point is
-    evaluated, as `vanishing`/`agreeing` identities of fields:
+    structure.  The four clauses are declared once, before any point is
+    evaluated, as `vanishing`/`agreeing` identities of fields on every
+    sampled chart:
 
     * ``route_full_tensor``: N1 vanishes;
     * ``route_frame_torsion``: N3 and every frame torsion vanish;
     * ``route_agreement``: each torsion T_ab equals N1(X_a, X_b), the
       field Σ_ij N1^k_ij·X_a^i·X_b^j (i outer, j inner, from 0.0);
     * ``extension_spot_check``: the torsion of the first two frames
-      rescaled by u = 1 + 0.3·(first chart coordinate), divided by u²,
-      equals their torsion.
+      rescaled by the `extension_factor` u, divided by u², equals their
+      torsion.
 
     The agreement and the spot check are records: ``details`` holds the
     worst of each.  The report fails only when both routes exceed
@@ -442,48 +442,33 @@ def sasaki_check(L: LeviStructure, plan: SamplePlan) -> CheckReport:
     C = L.contact
     tensors = n_tensors(L)
     N1, N3 = tensors["N1"], tensors["N3"]
+    frames = kernel_frames(C, plan)
+    pairs = phi_images(L.phibar, frames)
+    torsions = {
+        (a, b): cr_torsion_field(L.phibar, pairs[a], pairs[b])
+        for a, b in itertools.combinations(range(len(pairs)), 2)
+    }
 
     def n1_on(cs, env):
         n1, xa, xb = cs
         n = range(len(xa))
         return [nk.sum_(n1[k][i][j] * xa[i] * xb[j] for i in n for j in n) for k in n]
 
-    def chart_clauses(chart, frames):
-        pairs = phi_images(L.phibar, frames)
-        torsions = {
-            (a, b): cr_torsion_field(L.phibar, pairs[a], pairs[b])
-            for a, b in itertools.combinations(range(len(pairs)), 2)
-        }
-        coord = C.atlas.chart(chart).coords[0]
-
-        def factor(env):
-            return 1.0 + 0.3 * env[coord]
-
-        def over_u2(cs, env):
-            u = factor(env)
-            return [v / (u * u) for v in cs[0]]
-
-        scaled = [tf_scale(F, factor, name=f"{F.name}_rescaled") for F in frames[:2]]
-        spot = cr_torsion_field(L.phibar, *phi_images(L.phibar, scaled))
-        spot_over_u2 = tf_combine(f"{spot.name}/u^2", (1, 0), [spot], over_u2)
-        return {
-            "route_full_tensor": vanishing(N1),
-            "route_frame_torsion": vanishing(N3, *torsions.values()),
-            "route_agreement": agreeing(*(
-                (T, tf_combine(f"{N1.name}({frames[a].name},{frames[b].name})",
-                               (1, 0), [N1, frames[a], frames[b]], n1_on))
-                for (a, b), T in torsions.items())),
-            "extension_spot_check": agreeing((spot_over_u2, torsions[(0, 1)])),
-        }
-
-    clauses = {  # chart name -> {clause: its declared residual}
-        chart: chart_clauses(chart, frames)
-        for chart, frames in kernel_frames(C, plan).items()
-    }
-
-    def residual(chart, env):
-        return {name: fn(chart, env) for name, fn in clauses[chart].items()}
-
+    u = extension_factor(C.atlas)
+    scaled = [tf_combine(f"{F.name}_rescaled", (1, 0), [u, F],
+                         lambda cs, env: [cs[0] * v for v in cs[1]]) for F in frames[:2]]
+    spot = cr_torsion_field(L.phibar, *phi_images(L.phibar, scaled))
+    spot_over_u2 = tf_combine(f"{spot.name}/u^2", (1, 0), [spot, u],
+                              lambda cs, env: [v / (cs[1] * cs[1]) for v in cs[0]])
+    residual = named(
+        route_full_tensor=vanishing(N1),
+        route_frame_torsion=vanishing(N3, *torsions.values()),
+        route_agreement=agreeing(*(
+            (T, tf_combine(f"{N1.name}({frames[a].name},{frames[b].name})",
+                           (1, 0), [N1, frames[a], frames[b]], n1_on))
+            for (a, b), T in torsions.items())),
+        extension_spot_check=agreeing((spot_over_u2, torsions[(0, 1)])),
+    )
     report = run_residual_check(
         "sasaki", C.atlas, residual, plan, fail_floor=1e-3,
         records=dict.fromkeys(("route_agreement", "extension_spot_check"), max),

@@ -49,12 +49,14 @@ A check declares what it certifies: ``vanishing(*fields)``,
 ``agreeing(*pairs)`` (pairs (T, S) or (T, S, c) for T = c·S),
 ``single_valued(T, sign)`` (T's agreement across the transition pieces
 of ``field_overlaps(T)``), ``nondegenerate(c)`` (the scalar field c
-stays above `NONDEGENERACY_THRESHOLD`) and ``every(*residuals)`` (all of
-them) build the residual (where, env) that `report.run_residual_check`
-evaluates once per sample group it draws.  A map's identities read the
-map as a field (`map_values`, `map_jet`), and
-`manifold.atlas_consistency_check` declares its round trips the same
-way, so every sampled gallery check is declared.
+stays above `NONDEGENERACY_THRESHOLD`), ``every(*residuals)`` (all of
+them) and ``named(**clauses)`` (each clause reduced on its own) build the
+residual (where, env) that `report.run_residual_check` evaluates once
+per sample group it draws.  A declaration reads its fields on whichever
+chart it is sampled, so a check declares its clauses once for the atlas.
+A map's identities read the map as a field (`map_values`, `map_jet`),
+and `manifold.atlas_consistency_check` declares its round trips the
+same way, so every sampled gallery check is declared.
 
 At a batch a declared residual is one reduction of the group's arrays.
 The array leaves go through the IEEE operations a point's floats go
@@ -174,6 +176,13 @@ def nondegenerate(c: TensorField, record: str | None = None) -> Callable:
 def every(*residuals: Callable) -> Callable:
     """Residual of declared residuals taken together: their `max_or_nan`."""
     return lambda where, env: max_or_nan([r(where, env) for r in residuals])
+
+
+def named(**clauses: Callable) -> Callable:
+    """Residual of named clauses, ``{name: clause(where, env)}`` in the
+    order given: each is reduced on its own into a report's ``details``
+    (a record when the check declares it one)."""
+    return lambda where, env: {name: clause(where, env) for name, clause in clauses.items()}
 
 
 class TensorField:
@@ -690,14 +699,14 @@ def tf_add(a: TensorField, b: TensorField, name=None) -> TensorField:
     )
 
 
-def tf_scale(T: TensorField, factor, name=None) -> TensorField:
-    """factor: a constant or an env->scalar callable."""
-    fn = factor if callable(factor) else (lambda env: factor)
+def tf_scale(T: TensorField, factor: float, name=None) -> TensorField:
+    """The constant multiple factor·T; a factor that varies is a scalar
+    field, multiplied in with `tf_combine`."""
     return tf_combine(
         name or f"scale({T.name})",
         T.valence,
         [T],
-        lambda cs, env: map_structure(lambda v: fn(env) * v, cs[0]),
+        lambda cs, env: map_structure(lambda v: factor * v, cs[0]),
     )
 
 

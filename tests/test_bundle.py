@@ -231,6 +231,24 @@ class TestTwoChartCone:
                     assert row == pytest.approx(want_row, rel=1e-12, abs=1e-12)
 
 
+def indefinite_metric(bundle):
+    """s·(η² + dx² − dp²) + ds²/s: a degree-1 metric whose shadow flips the
+    dp² direction."""
+
+    def ev(chart, env):
+        p, s = env["p"], env[FIBER]
+        gm = base_metric_rows(p)
+        gm[1][1] = -1.0  # flip the dp² direction
+        out = [[0.0] * 4 for _ in range(4)]
+        out[3][3] = 1.0 / s
+        for b in range(3):
+            for c in range(3):
+                out[b][c] = s * gm[b][c]
+        return out
+
+    return TensorField("indefinite", bundle.total, (0, 2), ev)
+
+
 class TestDecomposition:
     def test_recovers_weight_mixed_form_and_shadow(self, cone):
         bundle, _ = cone
@@ -301,21 +319,33 @@ class TestDecomposition:
 
     def test_indefinite_shadow_rejected(self, cone):
         bundle, _ = cone
-
-        def ev(chart, env):
-            p, s = env["p"], env[FIBER]
-            gm = base_metric_rows(p)
-            gm[1][1] = -1.0  # flip the dp² direction
-            out = [[0.0] * 4 for _ in range(4)]
-            out[3][3] = 1.0 / s
-            for b in range(3):
-                for c in range(3):
-                    out[b][c] = s * gm[b][c]
-            return out
-
-        g = TensorField("indefinite", bundle.total, (0, 2), ev)
+        g = indefinite_metric(bundle)
         with pytest.raises(NotPositiveDefinite):
             decompose_homogeneous_metric(bundle, g, abs_s_calibration(bundle), PLAN)
+
+    def test_indefinite_shadow_is_rejected_after_its_run(self, cone, monkeypatch):
+        """The metric of `test_indefinite_shadow_rejected` is rejected once
+        the base samples are reduced: no group goes point by point, and the
+        message names the smallest eigenvalue and a sample point."""
+        from sasaki_lab import report
+
+        bundle, _ = cone
+        g = indefinite_metric(bundle)
+        fallbacks, by_point = [], report.point_by_point
+
+        def noted(*args):
+            fallbacks.append(args)
+            return by_point(*args)
+
+        monkeypatch.setattr(report, "point_by_point", noted)
+        with pytest.raises(NotPositiveDefinite) as raised:
+            decompose_homogeneous_metric(bundle, g, abs_s_calibration(bundle), PLAN)
+        assert fallbacks == []
+        (chart,) = bundle.base.charts
+        first = tuple(sample_chart(chart, PLAN)[0])
+        assert str(raised.value) == (
+            f"shadow metric eigenvalue {-1.0:.3e}; not positive at {first} in {chart.name}"
+        )
 
 
 class TestInducedCalibration:

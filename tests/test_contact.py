@@ -119,7 +119,7 @@ def _steep_contact():
 class TestFrames:
     def test_darboux_frame_at_point(self):
         C = darboux_contact(1)
-        flds = kernel_frames(C, PLAN)["O"]
+        flds = kernel_frames(C, PLAN)
         assert [F.name for F in flds] == ["frame0", "frame1"]  # z is dropped
         env = {"x": 0.2, "p": 0.5, "z": 0.0}
         assert flds[0].at("O", env) == pytest.approx([1.0, 0.0, 0.5])  # ∂x + p∂z
@@ -127,7 +127,7 @@ class TestFrames:
 
     def test_frame_fields_track_eta(self):
         C = darboux_contact(1)
-        flds = kernel_frames(C, PLAN)["O"]  # |η_z| = 1 > |p|: z is dropped
+        flds = kernel_frames(C, PLAN)  # |η_z| = 1 > |p|: z is dropped
         env = {"x": -0.4, "p": 0.8, "z": 0.3}
         vals = [f.at("O", env) for f in flds]
         assert vals[0] == pytest.approx([1.0, 0.0, 0.8])
@@ -152,7 +152,7 @@ class TestFrames:
     def test_frame_degenerates_past_unit_slope(self):
         """On η = dz − p dx with |p| > 1 the frame drops x, and its z-vector
         e_z − η_z ξ is exactly 0: the frame does not span."""
-        flds = kernel_frames(_steep_contact(), PLAN)["O"]
+        flds = kernel_frames(_steep_contact(), PLAN)
         env = {"x": 0.3, "p": 2.0, "z": 0.1}
         vals = [list(F.at("O", env)) for F in flds]
         assert vals == [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
@@ -160,8 +160,32 @@ class TestFrames:
     def test_drop_index_follows_largest_entry(self):
         """With |p| > 1 at the chart's first sample, η_x = −p dominates and
         x gets dropped instead."""
-        flds = kernel_frames(_steep_contact(), PLAN)["O"]
+        flds = kernel_frames(_steep_contact(), PLAN)
         assert [F.name for F in flds] == ["frame1", "frame2"]
+
+    @pytest.mark.parametrize("key, seed", [("sphere-5", 42), ("mobius-jet", 2718)])
+    def test_frame_fields_hold_each_charts_own_kept_indices(self, key, seed):
+        """On every sampled chart, the k-th field is e_a − η_a·ξ at the
+        chart's batch, by `repr`, for a the k-th index the chart keeps: all
+        but the largest |η_k| at its first sample.  The charts of both
+        examples drop different indices."""
+        from sasaki_lab.corpus import build_example
+        from sasaki_lab.manifold import sample_points
+
+        C = build_example(key).structure.contact
+        plan = SamplePlan(seed=seed)
+        frames = kernel_frames(C, plan)
+        dropped = {}
+        for name, points, env in sample_points(C.atlas, plan):
+            first = [abs(float(v)) for v in C.eta.at(name, C.atlas.chart(name).env(points[0]))]
+            dropped[name] = first.index(max(first))
+            kept = [a for a in range(C.dim) if a != dropped[name]]
+            eta, xi = C.eta.at(name, env), C.reeb().at(name, env)
+            for F, a in zip(frames, kept, strict=True):
+                want = [(1.0 if j == a else 0.0) - eta[a] * x for j, x in enumerate(xi)]
+                assert repr([v.tolist() for v in F.at(name, env)]) == repr(
+                    [v.tolist() for v in want])
+        assert len(frames) == C.dim - 1 and len(set(dropped.values())) == len(dropped) > 1
 
     def test_contact_exports_no_pointwise_frame(self):
         """`kernel_frames` is the only kernel frame."""

@@ -254,10 +254,7 @@ class TestReconstruction:
 
         def frames_and_reeb(C, plan):
             calls.append(C.name)
-            return {
-                chart: fields + [C.reeb()]
-                for chart, fields in kernel_frames(C, plan).items()
-            }
+            return kernel_frames(C, plan) + [C.reeb()]
 
         L, bundle, omega, g = darboux_cone("0.7")
         assert reconstruct(L, bundle, omega, g).report.passed
@@ -409,7 +406,7 @@ def _hand_reconstruction(C, bundle, g, J, slope, g_M, plan):
 
         # C-invariance: kernel frame vectors stay in ker η ∩ ker ds
         cinv, orth = [], []
-        for F in frames[chart]:
+        for F in frames:
             lift = [nk.value_of(c) for c in F.at(chart, base_env)] + [0.0]
             img = matvec(lift)
             cinv += [eta_of(img), img[n]]

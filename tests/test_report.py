@@ -304,6 +304,18 @@ def test_max_or_nan_keeps_plain_max():
     assert max_or_nan([math.inf, -math.inf]) == math.inf
 
 
+@pytest.mark.parametrize("size", [1, 64])
+def test_max_or_nan_keeps_the_first_of_equal_maxima_at_a_batch(size):
+    """-0.0 before 0.0 gives -0.0 in every slot of a batch, as it does for
+    two numbers: the batch and the lone call agree by `repr`."""
+    lone = repr(max_or_nan([-0.0, 0.0]))
+    batch = max_or_nan([np.full(size, -0.0), np.full(size, 0.0)])
+    assert lone == "-0.0"
+    assert [repr(v) for v in batch.tolist()] == [lone] * size
+    assert [repr(v) for v in max_or_nan([np.full(size, 0.0), np.full(size, -0.0)]).tolist()] == [
+        repr(max_or_nan([0.0, -0.0]))] * size
+
+
 def _groups(rows) -> list:
     """Runs of `rows` with one label and one kind of residual (a number, or
     a dict of the same names), each as one (label, points, residual)

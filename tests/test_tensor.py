@@ -481,7 +481,7 @@ def test_field_algebra_helpers():
     )).at("O", ENV2)) == [2.0, 0.0]
     s = tn.tf_add(a, b)
     assert _leaf_values(s.at("O", ENV2)) == [1.0, 1.0]
-    sc = tn.tf_scale(a, lambda env: env["x"])
+    sc = tn.tf_combine("x·a", (0, 1), [a], lambda cs, env: [env["x"] * v for v in cs[0]])
     assert _leaf_values(sc.at("O", ENV2)) == [0.4, 0.0]
 
 
