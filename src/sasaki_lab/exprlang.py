@@ -262,10 +262,13 @@ def pretty(e: Expr) -> str:
 
 def eval_expr(e: Expr, env: dict):
     """Evaluate over whatever scalar type env holds: floats, the float64
-    arrays of a batch, or duals of either."""
+    arrays of a batch, or duals of either.  A batch raises
+    `FloatingPointError` where a point's float arithmetic would raise."""
     try:
         return _eval(e, env)
-    except (ZeroDivisionError, ValueError, OverflowError, nk.KinkError) as exc:
+    except (
+        ZeroDivisionError, ValueError, OverflowError, FloatingPointError, nk.KinkError
+    ) as exc:
         raise EvalDomainError(str(exc)) from exc
 
 

@@ -39,8 +39,16 @@ point.  float64 ``+ - * /`` on arrays is IEEE elementwise, so a batch
 gives each point bit for bit its own result.  The other sites dispatch on
 the leaf type:
 
-* `powi` and the transcendental functions apply Python's ``**`` and
-  ``math`` element by element (numpy's versions may differ by an ulp);
+* `powi` and `sqrt` make one `np.float_power` or `np.sqrt` call.  The
+  float64 loop of the first is the C ``pow`` that Python's ``**`` calls
+  (`np.power` runs a SIMD loop of its own and differs by an ulp at some
+  values), and a square root is correctly rounded, so each point gets
+  bit for bit its own ``**`` or `math.sqrt`.  Where one of those raises
+  at a point, the call raises `FloatingPointError`, whatever errstate its
+  caller set (`_raising`).  `sin`, `cos`, `exp` and `log` apply `math`
+  element by element (`each`): numpy's `exp` and `log` differ from it by
+  an ulp at some values, and nothing ties numpy's float64 `sin` and `cos`
+  loops to libm, though they matched at every value tried;
 * `value_of` returns the array of a batch leaf;
 * the kink tests of `absolute` and `signum` and `has_zero` (the
   ``exprlang`` zero-divisor test) ask whether any point is at the edge;
@@ -230,10 +238,14 @@ def _div(a, b):
 
 
 def powi(x, n: int):
-    """x ** n for integer n, generic over floats, batch arrays and duals."""
+    """x ** n for integer n, generic over floats, batch arrays and duals.
+
+    A batch leaf is one `np.float_power` call, whose float64 loop is the
+    C ``pow`` that Python's ``**`` calls, under `_raising`.
+    """
     if type(x) is not DScalar:
         if type(x) is np.ndarray:
-            return np.array([v ** n for v in x.tolist()])
+            return _float_power(x, float(n))
         return float(x) ** n
     if n == 0:
         return 1.0
@@ -256,6 +268,24 @@ def has_zero(x) -> bool:
     """Whether the value of `x` is 0.0 (at some point of a batch)."""
     v = value_of(x)
     return bool((v == 0.0).any()) if type(v) is np.ndarray else v == 0.0
+
+
+# Where Python's ``**`` or ``math.sqrt`` raises at a point (a zero to a
+# negative power, an overflow, the root of a negative number), numpy only
+# signals; under this state a batch raises `FloatingPointError` there,
+# whatever state its caller set.  Underflow, which Python never reports, is
+# ignored.
+_raising = np.errstate(all="raise", under="ignore")
+
+
+@_raising
+def _float_power(x: np.ndarray, n: float) -> np.ndarray:
+    return np.float_power(x, n)
+
+
+@_raising
+def _sqrt(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(x)  # correctly rounded, as IEEE 754 requires of math.sqrt too
 
 
 def each(fn, x):
@@ -298,7 +328,9 @@ def sqrt(x):
     if isinstance(x, DScalar):
         v = sqrt(x.val)
         return _chain(x, v, _div(0.5, v))
-    return each(math.sqrt, x)
+    if type(x) is np.ndarray:
+        return _sqrt(x)
+    return math.sqrt(x)
 
 
 def absolute(x):

@@ -190,6 +190,7 @@ _FLAG_TOL = 1e-8  # a flag holds when its residual is at most this
 def pin_flag_residuals(
     C: ContactStructure,
     phi: TensorField,
+    frames: list[TensorField],
     plan: SamplePlan,
 ) -> dict[str, float]:
     """Residuals of the four equivalent compatibility conditions.
@@ -200,13 +201,14 @@ def pin_flag_residuals(
     (4) η([φX, Y] + [X, φY]) = 0 for kernel *fields* X, Y.
 
     Each flag is a named clause, declared once with `agreeing` or
-    `vanishing` over the `kernel_frames` fields X, their `phi_images` φX
-    and the scalar fields dη(u, v) = ``compose(u, compose(dη, v))``, all
-    built before any point is evaluated.  Candidates must map the kernel
-    to itself; the fourth flag is the only one needing derivatives.
+    `vanishing` over the kernel frame fields X (``frames``, the
+    `kernel_frames` of ``plan``), their `phi_images` φX and the scalar
+    fields dη(u, v) = ``compose(u, compose(dη, v))``, all built before any
+    point is evaluated.  Candidates must map the kernel to itself; the
+    fourth flag is the only one needing derivatives.
     """
     d_eta = C.d_eta()
-    X, PX = map(list, zip(*phi_images(phi, kernel_frames(C, plan))))
+    X, PX = map(list, zip(*phi_images(phi, frames)))
     PPX = [compose(phi, v) for v in PX]
     lowered = {v: compose(d_eta, v) for v in X + PX + PPX}  # v -> dη(·, v)
 
@@ -230,19 +232,22 @@ def pin_flag_residuals(
 
 
 def frame_conjugations(
-    C: ContactStructure, phibar: TensorField, count: int, seed: int, plan: SamplePlan
+    C: ContactStructure,
+    phibar: TensorField,
+    frames: list[TensorField],
+    count: int,
+    seed: int,
 ) -> list[TensorField]:
     """Candidate endomorphisms A φ̄ A⁻¹ with A fixing ξ and the kernel.
 
     A = E·diag(1, M)·E⁻¹ in the adapted frame E = (ξ, F₁, …, F₂ₙ), the F
-    the `kernel_frames` fields of ``plan``, for a well-conditioned random
+    the `kernel_frames` fields ``frames``, for a well-conditioned random
     M drawn from ``seed``.  So every candidate still squares to
     −id + ξ⊗η and maps ker η to itself — exactly the precondition the
     four battery flags need.  Candidate 0 is φ̄ itself.
     """
     rng = np.random.default_rng(seed)
-    xi, frames = C.reeb(), kernel_frames(C, plan)
-    k = C.dim - 1
+    xi, k = C.reeb(), C.dim - 1
 
     def frame_map(m: list, label: str) -> TensorField:
         """E·diag(1, m)·E⁻¹, by one solve Eᵀ·Aᵀ = (E·diag(1, m))ᵀ."""
@@ -289,17 +294,21 @@ def pin_battery(
     ``candidates`` that `reduce_residuals` reduces, with the candidate's
     index as coordinates: residual 1.0 when its flags disagree, 0.0 when
     they agree.  ``details`` counts the disagreements and keeps each
-    candidate's flags as a row of T and F.  Every candidate runs under one
-    `SampleSet` that keeps η, ξ and dη and is pruned after each candidate,
-    so each chart is drawn once.  ``seed`` draws the candidates, ``plan``
-    the points.
+    candidate's flags as a row of T and F.  The `kernel_frames` are built
+    once, for the candidates and all their flags.  Every candidate runs
+    under one `SampleSet` that keeps η, ξ, dη and those frames and is
+    pruned after each candidate, so each chart is drawn once.  ``seed``
+    draws the candidates, ``plan`` the points.
     """
-    plan = replace(plan, sample_set=SampleSet((C.eta, C.reeb(), C.d_eta())))
-    candidates = frame_conjugations(C, phibar, count, seed, plan)
+    shared = SampleSet((C.eta, C.reeb(), C.d_eta()))
+    plan = replace(plan, sample_set=shared)
+    frames = kernel_frames(C, plan)  # draws the charts into the set
+    shared.declared |= frozenset(frames)
+    candidates = frame_conjugations(C, phibar, frames, count, seed)
     flag_rows = []
     for cand in candidates:
-        res = pin_flag_residuals(C, cand, plan)  # in the order (1)-(4)
-        plan.sample_set.prune()
+        res = pin_flag_residuals(C, cand, frames, plan)  # in the order (1)-(4)
+        shared.prune()
         flag_rows.append("".join("T" if r <= _FLAG_TOL else "F" for r in res.values()))
     disagree = [len(set(row)) > 1 for row in flag_rows]
     indices = [(float(idx),) for idx in range(len(disagree))]

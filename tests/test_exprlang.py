@@ -70,6 +70,17 @@ def test_eval_errors():
         el.eval_expr(el.parse("abs(x)"), env)
 
 
+@pytest.mark.parametrize("values", [[0.5, 0.0], [-0.0, 2.0]])
+def test_a_negative_power_of_zero_in_a_batch_is_a_domain_error(values):
+    """Like the point at 0.0 on its own, a batch that holds it raises
+    `EvalDomainError`, not inf."""
+    x_minus_2 = el.parse("x^-2")
+    with pytest.raises(el.EvalDomainError):
+        el.eval_expr(x_minus_2, {"x": 0.0})
+    with pytest.raises(el.EvalDomainError):
+        el.eval_expr(x_minus_2, {"x": np.array(values)})
+
+
 def test_eval_matches_python_oracle():
     cases = [
         ("x*x + 2*x + 1", {"x": 1.5}, (1.5 + 1) ** 2),

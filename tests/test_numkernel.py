@@ -1,6 +1,7 @@
 """Kernel tests: dual arithmetic against finite differences, nesting,
 kink semantics, and the pivoted solver's residual guarantee."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -105,6 +106,35 @@ def test_kinks_raise():
     assert nk.absolute(0.0) == 0.0
     assert nk.signum(0.0) == 0.0
     assert nk.signum(-3.0) == -1.0
+
+
+CALLERS = {
+    "no errstate": contextlib.nullcontext,
+    "driver's errstate": lambda: np.errstate(all="raise", under="ignore"),
+    "everything ignored": lambda: np.errstate(all="ignore"),
+}
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+@pytest.mark.parametrize("fn, values", [
+    (lambda x: nk.powi(x, -1), [2.0, 0.0]),
+    (lambda x: nk.powi(x, -2), [-0.0, 3.0]),
+    (lambda x: nk.powi(x, -3), [0.5, -0.0, 0.0]),
+    (lambda x: nk.powi(x, 2), [1.5, 1e200]),
+    (nk.sqrt, [4.0, -1.0]),
+    (nk.sqrt, [-5e-324, 1.0]),
+    (nk.sqrt, [2.0, -math.inf]),
+], ids=["0^-1", "-0^-2", "0^-3", "1e200^2", "sqrt(-1)", "sqrt(-5e-324)", "sqrt(-inf)"])
+def test_a_batch_raises_where_a_point_raises(fn, values, caller):
+    """Where Python's ``**`` or `math.sqrt` raises at some point of a
+    batch (a zero to a negative power, an overflow, the root of a negative
+    number), the batch raises, whatever errstate its caller set, and
+    returns no inf or NaN."""
+    with pytest.raises((ArithmeticError, ValueError)):  # math's domain error
+        for v in values:
+            fn(v)
+    with CALLERS[caller](), pytest.raises(ArithmeticError):
+        fn(np.array(values))
 
 
 def test_sgn_derivative_is_zero_off_kink():

@@ -570,19 +570,53 @@ def test_expression_batches_match_their_points(seed, order, size):
         raise AssertionError(f"{exprlang.pretty(e)} at {points}, order {order}")
 
 
+MATHS_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-160, 1e-160,
+    math.inf, -math.inf, math.nan, -1.0, 1.0, -2.5, 1e154, -1.35e154,
+    5.6e102, -5.7e102, 1e200, -1e200, 1.7976931348623157e308, -1e308, 709.8, -745.2,
+]
+
+
+def _maths_values() -> list[float]:
+    """The edges, then draws: in (0.05, 6), in (−6, −0.05) and of either
+    sign at every magnitude a float has."""
+    rng = np.random.default_rng(5)
+    wide = np.exp(rng.uniform(-744.0, 709.0, 1000)) * rng.choice([-1.0, 1.0], 1000)
+    draws = [rng.uniform(0.05, 6.0, 2000), rng.uniform(-6.0, -0.05, 1000), wide]
+    return MATHS_EDGES + np.concatenate(draws).tolist()
+
+
 @pytest.mark.parametrize("name", ["sin", "cos", "exp", "log", "sqrt", "powi"])
 def test_batch_functions_are_maths_element_by_element(name):
-    """numpy's exp and log differ from ``math`` by an ulp at a few percent
-    of points (and its other functions may elsewhere): a batch applies
-    ``math`` and Python's ``**`` to each element."""
-    xs = np.random.default_rng(5).uniform(0.05, 6.0, 2000)
+    """A batch gives each value what ``math`` or Python's ``**`` gives it,
+    compared by ``repr`` (so ``-0.0`` against ``0.0`` and NaN count), and
+    raises where they raise: one batch of the values at which they
+    return, and each value at which they raise put into a batch of
+    values at which they return.  The values are draws plus the edges:
+    negative bases, ±0.0, subnormals, ±inf, NaN and magnitudes near
+    overflow; `powi` takes n in −8…8 and 31.  numpy's `exp` and `log`
+    differ from ``math`` by an ulp at a few percent of values, and
+    `np.power` from ``**``; `np.float_power`, whose float64 loop is the C
+    ``pow`` that ``**`` calls, and `np.sqrt`, correctly rounded, do not."""
+    values = _maths_values()
     if name == "powi":
-        got = [nk.powi(xs, n).tolist() for n in (-3, -1, 2, 3, 5)]
-        want = [[v ** n for v in xs.tolist()] for n in (-3, -1, 2, 3, 5)]
+        cases = [(lambda x, n=n: nk.powi(x, n), lambda v, n=n: v ** n)
+                 for n in [*range(-8, 9), 31]]
     else:
-        got = getattr(nk, name)(xs).tolist()
-        want = [getattr(math, name)(v) for v in xs.tolist()]
-    assert got == want
+        cases = [(getattr(nk, name), getattr(math, name))]
+    for batch, maths in cases:
+        returning, want, raising = [], [], []
+        for v in values:
+            try:
+                want.append(repr(maths(v)))
+                returning.append(v)
+            except (ArithmeticError, ValueError):
+                raising.append(v)
+        assert [repr(v) for v in batch(np.array(returning)).tolist()] == want
+        for v in raising:
+            with pytest.raises(ArithmeticError if name in ("powi", "sqrt")
+                               else (ArithmeticError, ValueError)):
+                batch(np.array(returning[:3] + [v] + returning[3:9]))
 
 
 FINITE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-13, 4.0]

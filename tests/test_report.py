@@ -35,7 +35,7 @@ from sasaki_lab.report import (
 )
 from sasaki_lab.sasaki import LeviStructure, paired_consistency_check
 
-from pointwise import reduce_rows
+from pointwise import alone, reduce_rows, report_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -594,3 +594,33 @@ def test_a_zero_divisor_at_one_sample_sends_its_group_point_by_point(monkeypatch
     assert where == "A"
     assert list(map(repr, a_values.tolist())) == [repr(lone("A", p)) for p in a_points]
     assert repr(b_rows) == repr([("B", p, lone("B", p)) for p in b_points[:2]])
+
+
+@pytest.mark.parametrize("n", [-2, -1, 2, 3])
+def test_a_power_of_zero_at_one_sample_matches_the_point_by_point_run(n, monkeypatch):
+    """y · (x − c)^n, c the x of chart B's third sample, where the base is
+    exactly 0.0: a negative n raises at that point, so B's batch raises
+    and B goes point by point, and the run raises what a run with every
+    group taken point by point raises; a positive n gives the same report
+    bytes both ways, at the batch."""
+    plan = SamplePlan(seed=3, points_per_chart=6, tolerance=1e-9)
+    c = sample_points(TWO_CHARTS, plan)[1][1][2][0]
+    T = tn.TensorField.from_exprs("T", TWO_CHARTS, (0, 0), {
+        name: {(): f"y * (x - {c!r})^{n}"} for name in ("A", "B")
+    })
+
+    def outcome():
+        try:
+            return report_bytes(run_residual_check("power", TWO_CHARTS, tn.vanishing(T), plan))
+        except el.EvalDomainError as exc:
+            return repr(exc)
+
+    point_by_point, fallbacks = report.point_by_point, []
+    monkeypatch.setattr(
+        report, "point_by_point", lambda *a: fallbacks.append(a[1]) or point_by_point(*a)
+    )
+    batched = outcome()
+    assert fallbacks == (["B"] if n < 0 else [])
+    assert batched.startswith("EvalDomainError(") == (n < 0)
+    alone(monkeypatch)
+    assert outcome() == batched

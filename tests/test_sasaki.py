@@ -201,12 +201,14 @@ class TestStructureTensors:
 
 class TestPinBattery:
     def test_flags_all_pass_on_flat(self, flat):
-        res = pin_flag_residuals(flat.contact, flat.phibar, PLAN)
+        res = pin_flag_residuals(
+            flat.contact, flat.phibar, kernel_frames(flat.contact, PLAN), PLAN
+        )
         assert max(res.values()) < 1e-10
 
     def test_flags_all_pass_on_sheared(self):
         L = sheared_levi("x")
-        res = pin_flag_residuals(L.contact, L.phibar, PLAN)
+        res = pin_flag_residuals(L.contact, L.phibar, kernel_frames(L.contact, PLAN), PLAN)
         assert max(res.values()) < 1e-9
 
     def test_conjugations_preserve_defining_identities(self, flat):
@@ -216,7 +218,7 @@ class TestPinBattery:
         sphere = build_example("sphere-3").structure
         for L in (flat, sphere):
             C = L.contact
-            cands = frame_conjugations(C, L.phibar, 4, seed=5, plan=PLAN)
+            cands = frame_conjugations(C, L.phibar, kernel_frames(C, PLAN), 4, seed=5)
             for cand in cands[1:]:
                 identities = agreeing(
                     (compose(cand, C.reeb()), compose(L.phibar, C.reeb())),
@@ -260,10 +262,38 @@ class TestPinBattery:
                     plan=SamplePlan(seed=42, points_per_chart=2))
         assert sorted(drawn) == sorted(c.name for c in L.atlas.charts)
 
+    @pytest.mark.parametrize("n, rows", [
+        (1, ["TTTT"] * 50),
+        (2, ["TTTT"] + ["FFFF"] * 49),
+    ])
+    def test_battery_builds_the_kernel_frames_once(self, n, rows, monkeypatch):
+        """One `kernel_frames` call serves all 50 candidates and their
+        flags; the details are those of a battery that built the frames
+        afresh for every candidate."""
+        from sasaki_lab import sasaki
+
+        frames, calls = sasaki.kernel_frames, []
+        monkeypatch.setattr(
+            sasaki, "kernel_frames", lambda *a: calls.append(a) or frames(*a)
+        )
+        L = standard_darboux_levi(n)
+        rep = pin_battery(L.contact, L.phibar, count=50, seed=42,
+                          plan=SamplePlan(seed=42, points_per_chart=8))
+        assert len(calls) == 1
+        assert rep.details == {
+            "candidates": 50,
+            "flag_tol": 1e-08,
+            "flag_rows": rows,
+            "all_true": rows.count("TTTT"),
+            "all_false": rows.count("FFFF"),
+            "disagreements": 0,
+        }
+
     def test_first_candidate_is_phibar(self):
         L = build_example("sphere-3").structure
         plan = SamplePlan(seed=42, points_per_chart=4)
-        first = frame_conjugations(L.contact, L.phibar, 3, seed=7, plan=plan)[0]
+        frames = kernel_frames(L.contact, plan)
+        first = frame_conjugations(L.contact, L.phibar, frames, 3, seed=7)[0]
         for chart, points, _ in manifold.sample_points(L.atlas, plan):
             for coords in points:
                 env = L.atlas.chart(chart).env(coords)
@@ -276,8 +306,8 @@ class TestPinBattery:
 
         flags = sasaki.pin_flag_residuals
 
-        def forced(C, phi, plan):
-            res = flags(C, phi, plan)
+        def forced(C, phi, frames, plan):
+            res = flags(C, phi, frames, plan)
             if phi.name == "conjugated_endo_1":
                 res["kernel_closed"] = 1.0
             return res
@@ -360,7 +390,8 @@ class TestSasakiCheck:
         # must be contracted with the bracketed frame fields
         L = build_example("sphere-5").structure
         plan = SamplePlan(points_per_chart=2)
-        cand = frame_conjugations(L.contact, L.phibar, 2, seed=7, plan=plan)[1]
+        frames = kernel_frames(L.contact, plan)
+        cand = frame_conjugations(L.contact, L.phibar, frames, 2, seed=7)[1]
         rep = sasaki_check(LeviStructure("cand", L.contact, cand), plan)
         assert rep.verdict == "fail" and rep.witness is not None
         assert rep.details["route_full_tensor"] > 1e-3
@@ -434,7 +465,9 @@ def test_reduced_values_do_not_depend_on_row_order(monkeypatch):
     jet = build_example("mobius-jet").structure
     runs = {
         "sasaki": lambda: sasaki_check(sphere, plan),
-        "pin_flags": lambda: pin_flag_residuals(sphere.contact, sphere.phibar, plan),
+        "pin_flags": lambda: pin_flag_residuals(
+            sphere.contact, sphere.phibar, kernel_frames(sphere.contact, plan), plan
+        ),
         "paired": lambda: paired_consistency_check(jet, plan),
     }
 
