@@ -231,8 +231,8 @@ def homogeneity_check(
     K: TensorField,
     weight: int,
     mode: str,
-    plan: SamplePlan,
     bundle: PrincipalBundle | ProductBundle,
+    plan: SamplePlan,
 ) -> CheckReport:
     """Compare h_ν-pullbacks of K against the declared scaling law.
 
@@ -303,7 +303,7 @@ def decompose_homogeneous_metric(
     is one `agreeing` check at total-space samples: g against its
     reassembly, and A and μ there against their unit-lift values.
     """
-    law = homogeneity_check(g, 1, "positive", plan, bundle)
+    law = homogeneity_check(g, 1, "positive", bundle, plan)
     if not law.passed:
         raise NotHomogeneous(
             f"{g.name}: positive degree-1 law fails at {law.max_residual:.3e}"

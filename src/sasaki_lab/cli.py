@@ -149,8 +149,8 @@ def _cmd_verify(args) -> int:
     results = []
     for ex in examples:
         # the entry's checks share its chart samples and the memo of its
-        # declared fields; the set goes with the entry's last check
-        shared = SampleSet(f.field for f in ex.fields if f.field is not None)
+        # declared fields and maps; the set goes with the entry's last check
+        shared = SampleSet([*(f.field for f in ex.fields), *(m.map for m in ex.maps)])
         entry_plan = dataclasses.replace(plan, sample_set=shared)
         for job in ex.checks:
             if wanted is None or job.name in wanted:

@@ -16,6 +16,14 @@ expected to produce.  Expected failures are data here, not test-suite
 special cases: an entry whose construction is known to obstruct some
 property declares that check with ``expect="fail"`` and a verification
 run counts the failure as a match.
+
+Every check is declared in one form, ``job(name, tolerance, check,
+*args, expect=PASS)``, which runs ``check(*args, plan)``.  Two batteries
+are stated once, for every entry that declares them: ``job.contact(C)``
+gives ``contact_form`` and ``reeb_residual``, and
+``job.contact_metric(L)`` gives ``structure_axioms``, ``contact_metric``
+and ``sasaki``.  A check name declares one tolerance across the gallery
+(``sasaki`` on `mobius-jet`, at 1e-8, is the one exception).
 """
 
 from __future__ import annotations
@@ -88,14 +96,15 @@ from .tensor import (
     TensorField,
     agreeing,
     compose,
-    cross_chart_consistency,
     every,
     exterior_derivative,
+    field_overlaps,
     lie_bracket,
     lie_derivative,
     map_jet,
     map_values,
     pullback,
+    single_valued,
     tf_add,
     tf_combine,
     tf_scale,
@@ -138,43 +147,54 @@ class CheckJob:
 class _Jobs:
     """Declares the checks of the gallery entry ``key``.
 
-    A check is a function of one `SamplePlan`.  Its job's ``run(plan, tol)``
-    resolves the declared tolerance against ``tol`` once, into the plan the
-    check reads, and stamps ``key`` on the report; nothing else does either.
+    ``job(name, tolerance, check, *args, expect=PASS)`` declares the check
+    ``check(*args, plan)``.  Its job's ``run(plan, tol)`` resolves the
+    declared tolerance against ``tol`` once, into the plan the check
+    reads, and stamps ``key`` on the report; nothing else does either.
     """
 
     key: str
 
     def __call__(
-        self, name: str, tolerance: float, check: Callable, expect: str = PASS
+        self, name: str, tolerance: float, check: Callable, *args, expect: str = PASS
     ) -> CheckJob:
         def run(plan: SamplePlan, tol: float | None = None) -> CheckReport:
             t = tolerance if tol is None else tol
-            rep = check(dataclasses.replace(plan, tolerance=t))
+            rep = check(*args, dataclasses.replace(plan, tolerance=t))
             rep.example = self.key
             return rep
 
         return CheckJob(name, expect, tolerance, run)
 
     def atlas(self, name: str, atlas: Atlas) -> CheckJob:
-        return self(name, 1e-10, lambda plan: atlas_consistency_check(atlas, plan))
+        return self(name, 1e-10, atlas_consistency_check, atlas)
 
     def single_valued(self, label: str, tolerance: float, field) -> CheckJob:
         """``single_valued_<label>``: `field`'s chart data agree on overlaps."""
-        name = f"single_valued({label})"
         return self(
-            f"single_valued_{label}", tolerance,
-            lambda plan: cross_chart_consistency(field, plan, check_name=name),
+            f"single_valued_{label}", tolerance, run_residual_check,
+            f"single_valued({label})", field_overlaps(field), single_valued(field),
         )
 
     def sampled(
         self, name: str, tolerance: float, atlas: Atlas, residual: Callable
     ) -> CheckJob:
         """A job evaluating a pointwise residual over chart samples."""
-        return self(
-            name,
-            tolerance,
-            lambda plan: run_residual_check(name, atlas, residual, plan),
+        return self(name, tolerance, run_residual_check, name, atlas, residual)
+
+    def contact(self, C: ContactStructure) -> tuple[CheckJob, ...]:
+        """The contact condition and the Reeb field's equations."""
+        return (
+            self("contact_form", 0.0, is_contact_form, C),
+            self("reeb_residual", 1e-9, reeb_residual_check, C),
+        )
+
+    def contact_metric(self, L: LeviStructure) -> tuple[CheckJob, ...]:
+        """The structure's axioms, its contact-metric identities and normality."""
+        return (
+            self("structure_axioms", 1e-8, L.validate),
+            self("contact_metric", 1e-7, contact_metric_check, L),
+            self("sasaki", 1e-7, sasaki_check, L),
         )
 
 
@@ -346,7 +366,7 @@ def _build_mobius_band(params: dict) -> Example:
     checks = (
         job.atlas("atlas_consistency", bundle.total),
         job.atlas("base_atlas_consistency", bundle.base),
-        job("loop_sign", 0.0, _loop_check(bundle.total, bundle.transition_sign)),
+        job("loop_sign", 0.0, _loop_check, bundle.total, bundle.transition_sign),
     )
     return Example(
         key=key,
@@ -361,27 +381,15 @@ def _build_mobius_band(params: dict) -> Example:
     )
 
 
-def _scalar_report(
-    name: str, plan: SamplePlan, residual: float, details: dict | None = None
-) -> CheckReport:
-    """Report for a single derived number (no pointwise sampling)."""
+def _loop_check(atlas: Atlas, sign_fn: Callable, plan: SamplePlan) -> CheckReport:
+    """The loop_sign check: `sign_fn` multiplies to −1 around `_LOOP_PATH`,
+    one derived number (no pointwise sampling)."""
+    sign = loop_sign(atlas, sign_fn, _LOOP_PATH)
+    residual = abs(sign - (-1.0))
     return check_report(
-        name, Reduction(residual, {}, ("-", (), residual), 1), plan,
-        details=details,
+        "loop_sign", Reduction(residual, {}, ("-", (), residual), 1), plan,
+        details={"path": [list(step) for step in _LOOP_PATH], "sign": sign},
     )
-
-
-def _loop_check(atlas: Atlas, sign_fn: Callable) -> Callable:
-    """The loop_sign check: `sign_fn` multiplies to −1 around `_LOOP_PATH`."""
-
-    def check(plan: SamplePlan) -> CheckReport:
-        sign = loop_sign(atlas, sign_fn, _LOOP_PATH)
-        return _scalar_report(
-            "loop_sign", plan, abs(sign - (-1.0)),
-            details={"path": [list(step) for step in _LOOP_PATH], "sign": sign},
-        )
-
-    return check
 
 
 # -- darboux -----------------------------------------------------------
@@ -399,15 +407,10 @@ def _build_darboux(n: int, params: dict) -> Example:
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", atlas),
-        job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
-        job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
-        job("structure_axioms", 1e-8, struct.validate),
-        job("contact_metric", 1e-7, lambda plan: contact_metric_check(struct, plan)),
-        job("sasaki", 1e-7, lambda plan: sasaki_check(struct, plan)),
-        job("killing", 1e-8, lambda plan: killing_check(struct, plan)),
-        job(
-            "second_order_identity", 1e-7, lambda plan: theorem54_check(struct, plan)
-        ),
+        *job.contact(contact),
+        *job.contact_metric(struct),
+        job("killing", 1e-8, killing_check, struct),
+        job("second_order_identity", 1e-7, theorem54_check, struct),
         job.sampled(
             "torsion_tensors_vanish", 1e-7, atlas, vanishing(*n_fields.values())
         ),
@@ -554,28 +557,20 @@ def _build_mobius_cotangent(params: dict) -> Example:
         for f in pair_
     ]
 
-    def hom(field, weight, mode):
-        return lambda plan: homogeneity_check(field, weight, mode, plan, pair.bundle)
-
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", total),
         job.atlas("base_atlas_consistency", struct.atlas),
-        job("symplectic_form", 1e-8, lambda plan: symplectic_check(pair.omega, plan)),
+        job("symplectic_form", 1e-8, symplectic_check, pair.omega),
         job.single_valued("two_form", 1e-9, pair.omega),
         job.single_valued("metric", 1e-9, pair.g),
         job.single_valued("complex", 1e-9, jmat),
-        job("homogeneous_two_form", 1e-8, hom(pair.omega, 1, "plain")),
-        job("homogeneous_metric", 1e-8, hom(pair.g, 1, "positive")),
-        job("homogeneous_complex", 1e-8, hom(jmat, 0, "half")),
-        job("almost_complex", 1e-8, lambda plan: almost_complex_check(jmat, plan)),
-        job(
-            "integrability", 1e-8, lambda plan: kahler_integrability_check(jmat, plan)
-        ),
-        job(
-            "compatibility", 1e-8,
-            lambda plan: compatibility_check(pair.omega, pair.g, jmat, plan),
-        ),
+        job("homogeneous_two_form", 1e-8, homogeneity_check, pair.omega, 1, "plain", pair.bundle),
+        job("homogeneous_metric", 1e-8, homogeneity_check, pair.g, 1, "positive", pair.bundle),
+        job("homogeneous_complex", 1e-8, homogeneity_check, jmat, 0, "half", pair.bundle),
+        job("almost_complex", 1e-8, almost_complex_check, jmat),
+        job("integrability", 1e-8, kahler_integrability_check, jmat),
+        job("compatibility", 1e-8, compatibility_check, pair.omega, pair.g, jmat),
         job.sampled(
             "complex_structure_solves_pair", 1e-9, total, agreeing((jmat, pair.J))
         ),
@@ -731,8 +726,7 @@ def _build_mobius_jet(params: dict) -> Example:
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", base),
-        job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
-        job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
+        *job.contact(contact),
         job.sampled("projectable", 1e-9, base, projectable),
         job.sampled(
             "projection_reference", 1e-9, base,
@@ -742,12 +736,9 @@ def _build_mobius_jet(params: dict) -> Example:
                 (metric_proj, metric_here),
             ),
         ),
-        job(
-            "paired_consistency", 1e-8,
-            lambda plan: paired_consistency_check(struct, plan),
-        ),
-        job("sasaki", 1e-8, lambda plan: sasaki_check(struct, plan)),
-        job("loop_sign", 0.0, _loop_check(base, contact.transition_sign)),
+        job("paired_consistency", 1e-8, paired_consistency_check, struct),
+        job("sasaki", 1e-8, sasaki_check, struct),
+        job("loop_sign", 0.0, _loop_check, base, contact.transition_sign),
         job.sampled("sections_global", 1e-9, _CIRCLE, agreeing(glued(sine), glued(cosine))),
         job.sampled("sections_independent", 1e-9, _CIRCLE, sections_independent),
     )
@@ -1001,12 +992,9 @@ def _build_sphere(n: int, params: dict) -> Example:
             "round_metric", 1e-9, atlas, agreeing((metric_here, metric_pulled))
         ),
         job.sampled("reeb_reference", 1e-9, atlas, agreeing((solved_reeb, reeb))),
-        job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
-        job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
+        *job.contact(contact),
         job.single_valued("eta", 1e-8, contact.eta),
-        job("structure_axioms", 1e-8, struct.validate),
-        job("contact_metric", 1e-7, lambda plan: contact_metric_check(struct, plan)),
-        job("sasaki", 1e-7, lambda plan: sasaki_check(struct, plan)),
+        *job.contact_metric(struct),
     )
     fields = [
         EntryField.of("ambient_rotation_form", "ambient", theta),
@@ -1069,25 +1057,16 @@ def _build_product(params: dict) -> Example:
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", atlas),
-        job("contact_form", 0.0, lambda plan: is_contact_form(contact, plan)),
-        job("reeb_residual", 1e-9, lambda plan: reeb_residual_check(contact, plan)),
+        *job.contact(contact),
         job.sampled("reeb_is_sum", 1e-9, atlas, agreeing((contact.reeb(), reeb_sum))),
-        job("structure_axioms", 1e-8, struct.validate),
-        job("contact_metric", 1e-7, lambda plan: contact_metric_check(struct, plan)),
-        job("sasaki", 1e-7, lambda plan: sasaki_check(struct, plan)),
-        job(
-            "reparametrization_routes", 1e-7,
-            lambda plan: product_routes_check(struct, pair, plan),
-        ),
+        *job.contact_metric(struct),
+        job("reparametrization_routes", 1e-7, product_routes_check, struct, pair),
         job.sampled(
             "slope_form_invariant", 1e-9, cone_total,
             vanishing(compose(beta, diag), l_diag_beta),
         ),
         job.sampled("slope_form_closed", 1e-9, cone_total, vanishing(dbeta)),
-        job(
-            "slope_form_homogeneous", 1e-9,
-            lambda plan: homogeneity_check(beta, 0, "plain", plan, pair.bundle),
-        ),
+        job("slope_form_homogeneous", 1e-9, homogeneity_check, beta, 0, "plain", pair.bundle),
     )
     fields = [
         EntryField.of(
@@ -1154,9 +1133,6 @@ def _build_main1(params: dict) -> Example:
     bundle = pair.bundle
     total = bundle.total
 
-    def hom(field, weight, mode):
-        return lambda plan: homogeneity_check(field, weight, mode, plan, bundle)
-
     xi_t, nabla, slope = vertical_frame(contact, bundle, pair.g)
     declared_slope = TensorField.from_exprs(
         "declared_slope", contact.atlas, (0, 0),
@@ -1183,17 +1159,13 @@ def _build_main1(params: dict) -> Example:
     job = _Jobs(key)
     checks = (
         job.atlas("atlas_consistency", total),
-        job("symplectic_form", 1e-8, lambda plan: symplectic_check(pair.omega, plan)),
-        job("homogeneous_two_form", 1e-8, hom(pair.omega, 1, "plain")),
-        job("homogeneous_metric", 1e-8, hom(pair.g, 1, "positive")),
-        job("almost_complex", 1e-8, lambda plan: almost_complex_check(pair.J, plan)),
+        job("symplectic_form", 1e-8, symplectic_check, pair.omega),
+        job("homogeneous_two_form", 1e-8, homogeneity_check, pair.omega, 1, "plain", bundle),
+        job("homogeneous_metric", 1e-8, homogeneity_check, pair.g, 1, "positive", bundle),
+        job("almost_complex", 1e-8, almost_complex_check, pair.J),
+        job("compatibility", 1e-8, compatibility_check, pair.omega, pair.g, pair.J),
         job(
-            "compatibility", 1e-8,
-            lambda plan: compatibility_check(pair.omega, pair.g, pair.J, plan),
-        ),
-        job(
-            "integrability", 1e-8,
-            lambda plan: kahler_integrability_check(pair.J, plan),
+            "integrability", 1e-8, kahler_integrability_check, pair.J,
             expect=PASS if constant else FAIL,
         ),
         job(

@@ -17,7 +17,8 @@ Evaluation is memoized per env.  An env
 
 * `TensorField.at` evaluates each (field, chart) once and keeps the result,
   frozen into nested tuples, and hands out the kept object (a write into
-  it raises ``TypeError``); `field_jet` builds its values and partials anew;
+  it raises ``TypeError``), and `SmoothMap.jet` keeps each (map, chart)
+  jet the same way; `field_jet` builds its values and partials anew;
 * `field_jet` seeds one dual env per set of chart coordinates and evaluates
   through `at` on it, so the jet's components are kept in that dual env's
   own memo, and a jet inside a jet reuses the second level the same way;
@@ -90,7 +91,7 @@ import numpy as np
 from . import exprlang, manifold, numkernel as nk
 from .exprlang import Expr
 from .manifold import Atlas, Chart, Overlaps, PointEnv, SamplePlan
-from .report import CheckReport, max_or_nan, run_residual_check
+from .report import max_or_nan
 
 
 # A component structure nests lists (as built) or tuples (as kept).
@@ -317,12 +318,13 @@ class SampleSet:
     the first request for a (chart, seed, points per chart) and hands out
     the same points and batch env after that, so the entry's checks reuse
     what is memoized there.  `prune`, after each check, keeps only the
-    memo entries of the ``declared`` fields, at every dual level, in the
-    batch envs' memos; derived one-shot fields, jets and derived envs go.
-    The envs go with the set.
+    memo entries of the ``declared`` fields and the jets of the
+    ``declared`` maps, at every dual level, in the batch envs' memos;
+    derived one-shot fields, other jets and derived envs go.  The envs go
+    with the set.
     """
 
-    def __init__(self, declared: Iterable[TensorField]):
+    def __init__(self, declared: Iterable[TensorField | SmoothMap]):
         self.declared = frozenset(declared)
         self._charts = {}  # (id(chart), seed, points) -> (chart, points, env)
 
@@ -342,7 +344,8 @@ class SampleSet:
 
 
 def _keep_declared(memo: dict, declared: frozenset) -> None:
-    """Drop the memo's field entries outside `declared`, at every dual level."""
+    """Drop the memo's field and map entries outside `declared`, at every
+    dual level."""
     for key in list(memo):
         if key[0] == "seeded":
             _keep_declared(memo[key][1].memo, declared)
@@ -420,15 +423,22 @@ class SmoothMap:
         return [exprlang.eval_expr(e, env) for e in exprs]
 
     def jet(self, chart: str, env: dict):
-        """(values, jacobian) with jacobian[j][i] = d target_j / d source_i."""
-        src = self.source.chart(chart)
-        tag, dual_env = _seeded(src, env)
-        img = self.apply(chart, dual_env)
-        vals = [nk.value_at(v, tag) for v in img]
-        jac = [
-            [nk.tangent_at(v, tag, i) for i in range(src.dim)] for v in img
-        ]
-        return vals, jac
+        """(values, jacobian) with jacobian[j][i] = d target_j / d source_i.
+
+        Like `TensorField.at`, computed once per (map, chart) at an env,
+        kept frozen in its memo and handed out after that.
+        """
+        if not isinstance(env, PointEnv):
+            env = PointEnv(env)
+        key = (self, chart)
+        if key not in env.memo:
+            src = self.source.chart(chart)
+            tag, dual_env = _seeded(src, env)
+            img = self.apply(chart, dual_env)
+            vals = [nk.value_at(v, tag) for v in img]
+            jac = [[nk.tangent_at(v, tag, i) for i in range(src.dim)] for v in img]
+            env.memo[key] = _frozen((vals, jac))
+        return env.memo[key]
 
 
 def map_values(F: SmoothMap) -> TensorField:
@@ -794,15 +804,3 @@ def single_valued(T: TensorField, sign_fn=None) -> Callable:
         return max_diff(T.at(t.source, env), back.at(t.source, env), sign)
 
     return residual
-
-
-def cross_chart_consistency(
-    T: TensorField,
-    plan: SamplePlan,
-    sign_fn=None,
-    check_name: str | None = None,
-) -> CheckReport:
-    """T's chart data agree on overlaps: `single_valued` at the samples of
-    `field_overlaps`, per transition ``src->tgt``."""
-    name = check_name or f"cross_chart({T.name})"
-    return run_residual_check(name, field_overlaps(T), single_valued(T, sign_fn), plan)

@@ -156,14 +156,14 @@ class TestSymplectization:
 
     def test_form_is_plain_degree_one(self, darboux):
         bundle, omega = symplectize(signed(darboux))
-        rep = homogeneity_check(omega, 1, "plain", PLAN, bundle=bundle)
+        rep = homogeneity_check(omega, 1, "plain", bundle, PLAN)
         assert rep.passed
         assert rep.details["scales"] == [-2.0, -1.0, 0.5, 2.0]
 
     def test_form_is_not_positively_homogeneous_on_rx(self, darboux):
         # at ν = −1 the pullback is −ω, so the |ν| law misses by 2‖ω‖
         bundle, omega = symplectize(signed(darboux))
-        rep = homogeneity_check(omega, 1, "positive", PLAN, bundle=bundle)
+        rep = homogeneity_check(omega, 1, "positive", bundle, PLAN)
         assert not rep.passed
         assert rep.max_residual > 1.0
 
@@ -175,20 +175,20 @@ class TestHomogeneityModes:
         f = TensorField.from_exprs(
             "fiber_sign", bundle.total, (0, 0), {chart.name: {(): "sgn(s)"}}
         )
-        assert homogeneity_check(f, 0, "half", PLAN, bundle=bundle).passed
-        rep = homogeneity_check(f, 0, "positive", PLAN, bundle=bundle)
+        assert homogeneity_check(f, 0, "half", bundle, PLAN).passed
+        rep = homogeneity_check(f, 0, "positive", bundle, PLAN)
         assert not rep.passed
 
     def test_metric_degree_mismatch_detected(self, cone):
         bundle, _ = cone
         g = cone_metric(bundle)
-        assert homogeneity_check(g, 1, "positive", PLAN, bundle=bundle).passed
-        assert not homogeneity_check(g, 2, "positive", PLAN, bundle=bundle).passed
+        assert homogeneity_check(g, 1, "positive", bundle, PLAN).passed
+        assert not homogeneity_check(g, 2, "positive", bundle, PLAN).passed
 
     def test_unknown_mode_rejected(self, cone):
         bundle, omega = cone
         with pytest.raises(ValueError):
-            homogeneity_check(omega, 1, "orbifold", PLAN, bundle=bundle)
+            homogeneity_check(omega, 1, "orbifold", bundle, PLAN)
 
 
 def two_chart_contact():

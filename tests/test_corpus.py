@@ -162,6 +162,33 @@ def test_declared_checks_match_expectations(key):
             assert rep.witness is not None
 
 
+# The one check declared at another tolerance than elsewhere in the gallery.
+TOLERANCE_EXCEPTIONS = {("mobius-jet", "sasaki"): 1e-8}
+BATTERY = ("structure_axioms", "contact_metric", "sasaki")
+
+
+def test_each_check_is_declared_once_across_the_gallery():
+    """A check name carries one tolerance on every entry that declares it,
+    the listed exceptions aside, and an entry that declares
+    `structure_axioms` declares the rest of the contact-metric battery
+    right after it, in order."""
+    tolerances = {}
+    for key in ALL_KEYS:
+        checks = build_example(key).checks
+        names = [job.name for job in checks]
+        for job in checks:
+            if (key, job.name) in TOLERANCE_EXCEPTIONS:
+                assert job.tolerance == TOLERANCE_EXCEPTIONS[key, job.name], key
+            else:
+                tolerances.setdefault(job.name, {})[key] = job.tolerance
+        if BATTERY[0] in names:
+            at = names.index(BATTERY[0])
+            assert tuple(names[at:at + len(BATTERY)]) == BATTERY, key
+    assert len(tolerances) == 42
+    spread = {name: seen for name, seen in tolerances.items() if len(set(seen.values())) > 1}
+    assert not spread, spread
+
+
 def test_main1_nonconstant_slope_declares_failing_integrability():
     ex = build_example("main1-family", a="x")
     job = ex.check("integrability")

@@ -266,7 +266,7 @@ class TestReconstruction:
     def test_half_invariance_of_j(self):
         L, bundle, omega, g = darboux_cone("0.7")
         J = compatibility_tensor(omega, g)
-        rep = homogeneity_check(J, 0, "half", PLAN, bundle=bundle)
+        rep = homogeneity_check(J, 0, "half", bundle, PLAN)
         assert rep.passed, rep.max_residual
 
 

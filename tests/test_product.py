@@ -211,7 +211,7 @@ class TestSlopeFormAndRoutes:
         )
         beta = invariant_slope_form(K.bundle)
         rep = homogeneity_check(
-            beta, 0, "plain", replace(PLAN, tolerance=1e-9), K.bundle
+            beta, 0, "plain", K.bundle, replace(PLAN, tolerance=1e-9)
         )
         assert rep.passed, rep.max_residual
 

@@ -219,7 +219,9 @@ def test_paired_details_are_the_single_field_checks():
     }
     assert list(rep.details) == list(fields)
     for label, (T, sign_fn) in fields.items():
-        single = tn.cross_chart_consistency(T, plan, sign_fn)
+        single = run_residual_check(
+            label, tn.field_overlaps(T), tn.single_valued(T, sign_fn), plan
+        )
         assert rep.details[label].hex() == single.max_residual.hex(), label
 
 

@@ -418,6 +418,14 @@ class TestPullback:
 
 
 class TestCrossChart:
+    @staticmethod
+    def single_valued(T, sign_fn=None):
+        """T's chart data agree: the driver over `field_overlaps(T)`."""
+        return run_residual_check(
+            f"single_valued({T.name})", tn.field_overlaps(T),
+            tn.single_valued(T, sign_fn), SamplePlan(points_per_chart=8),
+        )
+
     def make_atlas(self):
         a = Chart("A", ("x",), ((0.0, 1.0),))
         b = Chart("B", ("x",), ((0.0, 2.0),))
@@ -434,7 +442,7 @@ class TestCrossChart:
         v = tn.TensorField.from_exprs(
             "v", atlas, (1, 0), {"A": {(0,): "1"}, "B": {(0,): "2"}}
         )
-        rep = tn.cross_chart_consistency(v, SamplePlan(points_per_chart=8))
+        rep = self.single_valued(v)
         assert rep.verdict == "pass"
 
     def test_inconsistent_form_fails(self):
@@ -442,7 +450,7 @@ class TestCrossChart:
         alpha = tn.TensorField.from_exprs(
             "alpha", atlas, (0, 1), {"A": {(0,): "1"}, "B": {(0,): "1"}}
         )
-        rep = tn.cross_chart_consistency(alpha, SamplePlan(points_per_chart=8))
+        rep = self.single_valued(alpha)
         assert rep.verdict == "fail" and rep.witness is not None
 
     def test_sign_fn_allows_paired_data(self):
@@ -451,9 +459,7 @@ class TestCrossChart:
         alpha = tn.TensorField.from_exprs(
             "alpha", atlas, (0, 1), {"A": {(0,): "1"}, "B": {(0,): "-0.5"}}
         )
-        rep = tn.cross_chart_consistency(
-            alpha, SamplePlan(points_per_chart=8), sign_fn=lambda t, piece: -1.0
-        )
+        rep = self.single_valued(alpha, sign_fn=lambda t, piece: -1.0)
         assert rep.verdict == "pass"
 
     def test_nan_components_fail_with_a_nan_witness(self):
@@ -463,7 +469,7 @@ class TestCrossChart:
             "A": {(0,): "1"},
             "B": {(0,): "2 + 1 / ((1 + sgn(x - 1.5)) * 1e400)"},
         })
-        rep = tn.cross_chart_consistency(v, SamplePlan(points_per_chart=8))
+        rep = self.single_valued(v)
         assert rep.verdict == "fail" and math.isnan(rep.max_residual)
         assert math.isnan(rep.witness.residual)
         assert rep.witness.coords[0] < 0.75  # a point mapped below x' = 1.5
@@ -1177,6 +1183,28 @@ def test_sample_set_prunes_batch_memos_to_declared_fields():
     _, dual_batch = batch.memo[("seeded", chart.coords)]
     assert {key[0] for key in dual_batch.memo if key[0] != "seeded"} <= {J}
     assert shared.points(chart, plan) == (points, batch)
+
+
+def test_a_map_jet_is_kept_at_its_env_and_pruned_with_the_declared_maps(monkeypatch):
+    """`SmoothMap.jet` evaluates a (map, chart) once at an env and hands
+    out what it kept; a sample set keeps the jets of its declared maps
+    after a check and drops the others."""
+    F = PULL_MAPS["diffeo"]
+    G = tn.SmoothMap.from_exprs("shift", F.source, TARGET, {"O": ("T", ("x + 1", "p", "z"))})
+    applied = []
+    apply = tn.SmoothMap.apply
+    monkeypatch.setattr(
+        tn.SmoothMap, "apply", lambda self, *args: applied.append(self) or apply(self, *args)
+    )
+    shared = tn.SampleSet([F])
+    chart = F.source.chart("O")
+    _, batch = shared.points(chart, SamplePlan(seed=1, points_per_chart=3, sample_set=shared))
+    kept = at_batch(F.jet, "O", batch)
+    assert at_batch(F.jet, "O", batch) is kept
+    at_batch(G.jet, "O", batch)
+    assert applied == [F, G]
+    shared.prune()
+    assert batch.memo[(F, "O")] is kept and (G, "O") not in batch.memo
 
 
 def test_a_batch_whose_first_coordinate_is_a_scalar_is_evaluated_whole():
