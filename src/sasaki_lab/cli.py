@@ -23,7 +23,6 @@ import sys
 
 from .corpus import EXAMPLE_KEYS, UnknownKey, build_example, emit_example
 from .manifold import SamplePlan
-from .tensor import SampleSet
 
 
 def _int_from(least: int):
@@ -150,7 +149,7 @@ def _cmd_verify(args) -> int:
     for ex in examples:
         # the entry's checks share its chart samples and the memo of its
         # declared fields and maps; the set goes with the entry's last check
-        shared = SampleSet([*(f.field for f in ex.fields), *(m.map for m in ex.maps)])
+        shared = ex.sample_set()
         entry_plan = dataclasses.replace(plan, sample_set=shared)
         for job in ex.checks:
             if wanted is None or job.name in wanted:

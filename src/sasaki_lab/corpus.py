@@ -92,6 +92,7 @@ from .sasaki import (
     theorem54_check,
 )
 from .tensor import (
+    SampleSet,
     SmoothMap,
     TensorField,
     agreeing,
@@ -275,6 +276,12 @@ class Example(EntryDoc):
             if job.name == name:
                 return job
         raise UnknownKey(f"{self.key}: no declared check named {name!r}")
+
+    def sample_set(self) -> SampleSet:
+        """A fresh `SampleSet` for this entry's checks, keeping the memo
+        entries of its declared fields and the jets of its declared maps."""
+        return SampleSet([*(f.field for f in self.fields if f.field is not None),
+                          *(m.map for m in self.maps if m.map is not None)])
 
 
 # -- twisted-wrap atlases (the two-chart circle gluings) ----------------
@@ -881,13 +888,20 @@ _LAST_SIGN = {"N": 1.0, "S": -1.0}
 
 
 def _sphere_fields(atlas: Atlas):
-    """Kernel form, its endomorphism and the rotation field, closed form.
+    """The frame field (y, M, D) of `_sphere_frame`, then the kernel form,
+    the rotation field and the endomorphism, in closed form.
 
     Everything reduces to the conformal frame identity: for a tangent
     vector with ambient image w, the chart components are (D²/64)·Mᵀw.
+    The three read (y, M, D) from the frame field, so an env's memo
+    computes it once for all of them.
     """
     coords = atlas.charts[0].coords
     dimb = len(coords)
+    frame = TensorField(
+        f"sphere{dimb}_frame", atlas, (0, 0),
+        lambda chart, env: _sphere_frame(env, coords, _LAST_SIGN[chart.name]),
+    )
 
     def tangent_components(m, d, w):
         return [
@@ -896,7 +910,7 @@ def _sphere_fields(atlas: Atlas):
         ]
 
     def eta_ev(chart, env):
-        y, m, d = _sphere_frame(env, coords, _LAST_SIGN[chart.name])
+        y, m, d = frame.at(chart.name, env)
         half_turn = _quarter_turn(y)
         # eta(v) = <J0 y, M v>/2: covector entries (Mᵀ J0 y)_i / 2
         return [
@@ -905,11 +919,11 @@ def _sphere_fields(atlas: Atlas):
         ]
 
     def reeb_ev(chart, env):
-        y, m, d = _sphere_frame(env, coords, _LAST_SIGN[chart.name])
+        y, m, d = frame.at(chart.name, env)
         return tangent_components(m, d, [0.5 * w for w in _quarter_turn(y)])
 
     def endo_ev(chart, env):
-        y, m, d = _sphere_frame(env, coords, _LAST_SIGN[chart.name])
+        y, m, d = frame.at(chart.name, env)
         cols = []
         for j in range(dimb):
             img = [m[a][j] for a in range(dimb + 1)]
@@ -922,7 +936,7 @@ def _sphere_fields(atlas: Atlas):
     eta = TensorField("sphere_kernel_form", atlas, (0, 1), eta_ev)
     reeb = TensorField("sphere_rotation_field", atlas, (1, 0), reeb_ev)
     endo = TensorField("sphere_endo", atlas, (1, 1), endo_ev)
-    return eta, reeb, endo
+    return frame, eta, reeb, endo
 
 
 def _build_sphere(n: int, params: dict) -> Example:
@@ -934,8 +948,7 @@ def _build_sphere(n: int, params: dict) -> Example:
     embed = _sphere_embedding(dimb, atlas, ambient)
     theta = _ambient_rotation_form(ambient, n)
     flat = _ambient_flat_metric(ambient)
-    eta, reeb, endo = _sphere_fields(atlas)
-    coords = atlas.charts[0].coords
+    frame, eta, reeb, endo = _sphere_fields(atlas)
 
     contact = ContactStructure(f"sphere{dimb}_contact", atlas, eta, _reeb=reeb)
     struct = LeviStructure(f"sphere{dimb}", contact, endo)
@@ -944,10 +957,6 @@ def _build_sphere(n: int, params: dict) -> Example:
     # Each sum runs over the ambient index a in order, since the residuals
     # are compared bit for bit.
     ambient_range = range(dimb + 1)
-    frame = TensorField(
-        f"sphere{dimb}_frame", atlas, (0, 0),
-        lambda chart, env: _sphere_frame(env, coords, _LAST_SIGN[chart.name]),
-    )
 
     def on_sphere(cs, env):  # |y|² − 4, then Mᵀy
         y, m, _ = cs[0]

@@ -1,7 +1,7 @@
 """Forward-mode dual scalars and small dense linear algebra.
 
 The whole engine evaluates tensor components through this module.  A
-:class:`DScalar` carries a value and a tuple of tangents belonging to one
+:class:`DScalar` carries a value and the tangents belonging to one
 *differentiation level* (its ``tag``).  Levels nest: the value and the
 tangents of a level-``t`` dual may themselves be duals of an earlier (lower)
 level, which is how second derivatives are obtained -- seed once, evaluate,
@@ -16,15 +16,15 @@ Two properties the rest of the package relies on:
   instead of silently returning a one-sided derivative.
 
 The dual arithmetic (``_add``, ``_mul``, ``_div``, ``_neg``, ``powi`` and
-``_chain``) has one path for every operand.  Each function reads its
-operands' levels once (``type(x) is DScalar``) and recurses into the value
-and tangent slots until both operands are leaves, where it applies the
-plain operator: ``x*bv + av*y`` is never reassociated and no zero tangent
-is skipped, so ``0*inf``, NaN and ``-0.0`` come out as plain floats give
-them.  Mixed operands keep the dispatch of the Python operators:
-``float * dual`` runs as ``_mul(dual, float)``, just as
-``DScalar.__rmul__`` does, and so do a numpy scalar (as the Python number
-it holds) and a batch array left of a dual (``DScalar.__array_ufunc__``).
+``_chain``) reads its operands' levels once (``type(x) is DScalar``) and
+recurses into the value and tangent slots until both operands are
+leaves, where it applies the plain operator: ``x*bv + av*y`` is never
+reassociated and no zero tangent is skipped, so ``0*inf``, NaN and
+``-0.0`` come out as plain floats give them.  Mixed operands keep the
+dispatch of the Python operators: ``float * dual`` runs as
+``_mul(dual, float)``, just as ``DScalar.__rmul__`` does, and so do a
+numpy scalar (as the Python number it holds) and a batch array left of a
+dual (``DScalar.__array_ufunc__``).
 
 Linear solves (`solve_linear`) run Gaussian elimination with partial
 pivoting generically over floats and duals, so Jacobian-dependent fields
@@ -36,8 +36,38 @@ A leaf -- a value or tangent slot that is not itself a dual -- is a Python
 holding the same slot for the P points of a sample group (a *batch*).
 Both kinds mix freely in one dual, since a float is the same at every
 point.  float64 ``+ - * /`` on arrays is IEEE elementwise, so a batch
-gives each point bit for bit its own result.  The other sites dispatch on
-the leaf type:
+gives each point bit for bit its own result.
+
+A level's tangents (``tg``) are a tuple, one slot per direction, or at a
+batch a *block*: one float64 array of shape (n, P) whose row i is the
+tangent ∂_i at the P points (vector-mode forward differentiation).  A
+tangent formula whose operands are all plain -- values that are floats
+or arrays, tangents that are blocks or tuples of floats -- and one of
+which is an array runs once on whole blocks (`_blocks`): ``x*bv + av*y``
+with the operands of the slot-by-slot formula in the same order, so each
+point gets what its own tuple of n floats gives it.  The tuple stays
+where a block would change what is computed:
+
+* at a single point (Python-float values), so that a lone evaluation
+  keeps Python's float semantics (``ZeroDivisionError``, a silent
+  ``0*inf``, no numpy signal);
+* at a level whose tangents are duals (the outer level of an order-2
+  jet), which is walked row by row, so blocks never nest and no
+  broadcast can pair one level's axis with another's;
+* for constant tangents: the unit seeds and their combinations at plain
+  floats stay tuples of floats.  Where such a tuple meets a block or an
+  array value it is lifted for that one operation only, as an (n, 1)
+  column (`_lift`), so every block kept is (n, P) and its rows are (P,)
+  arrays, the leaves the slot-by-slot path gives.  A column step can
+  signal under the batch's errstate where the float slots would not
+  (``0*inf``, an overflow); the batch then goes point by point, as any
+  signal sends it.
+
+A tuple holding anything else (a dual, an int, an array) is walked row
+by row, and so is a block against a lower-level dual: each row, a (P,)
+array, meets the dual as a leaf.  `_where`, `take` and `merge` select,
+index and assemble whole blocks.  The other sites dispatch on the leaf
+type:
 
 * `powi` and `sqrt` make one `np.float_power` or `np.sqrt` call.  The
   float64 loop of the first is the C ``pow`` that Python's ``**`` calls
@@ -112,8 +142,9 @@ def new_tag() -> int:
 class DScalar:
     """A scalar with first-order tangents at one differentiation level.
 
-    ``val`` and the entries of ``tg`` may themselves be DScalars of *lower*
-    levels.  Mixing levels in arithmetic treats the lower level as constant
+    ``tg`` is a tuple with one entry per direction, or at a batch an (n, P)
+    block whose rows are those entries.  ``val`` and the entries of a
+    tuple ``tg`` may themselves be DScalars of *lower* levels.  Mixing levels in arithmetic treats the lower level as constant
     with respect to the higher one, which matches the algebraic picture of
     nested dual-number extensions.
     """
@@ -182,9 +213,44 @@ _REFLECTED = {
 }
 
 
+def _blocks(values: tuple, tgs: tuple):
+    """The tangents `tgs` lifted for one block operation of a formula that
+    also reads `values`, or None where the formula runs row by row: when
+    a value is a dual, when no value or tangent is an array (tuples of
+    floats stay tuples), or when a tuple does not lift (`_lift`)."""
+    for v in values:
+        if type(v) is DScalar:
+            return None
+    if np.ndarray not in map(type, tgs) and np.ndarray not in map(type, values):
+        return None
+    out = []
+    for t in tgs:
+        t = _lift(t)
+        if t is None:
+            return None
+        out.append(t)
+    return out
+
+
+def _lift(tg):
+    """A level's tangents as an array: a block as it is, a tuple of floats
+    as an (n, 1) column; None for any other tuple (one that holds a dual,
+    an int or an array)."""
+    if type(tg) is np.ndarray:
+        return tg
+    if set(map(type, tg)) == _FLOATS:
+        return np.array(tg)[:, None]
+    return None
+
+
+_FLOATS = {float}
+
+
 def _neg(x):
     if type(x) is DScalar:
-        return DScalar(_neg(x.val), tuple([_neg(t) for t in x.tg]), x.tag)
+        tg = x.tg
+        tg = -tg if type(tg) is np.ndarray else tuple([_neg(t) for t in tg])
+        return DScalar(_neg(x.val), tg, x.tag)
     return -x
 
 
@@ -197,7 +263,11 @@ def _add(a, b):
     av = a.val if ta >= tb else a
     bv = b.val if tb >= ta else b
     if ta == tb:
-        tg = tuple([_add(x, y) for x, y in zip(a.tg, b.tg)])
+        blocks = _blocks((), (a.tg, b.tg))
+        if blocks is not None:
+            tg = blocks[0] + blocks[1]
+        else:
+            tg = tuple([_add(x, y) for x, y in zip(a.tg, b.tg)])
     else:
         tg = a.tg if ta > tb else b.tg
     return DScalar(_add(av, bv), tg, ta if ta > tb else tb)
@@ -211,11 +281,24 @@ def _mul(a, b):
     av = a.val if ta >= tb else a
     bv = b.val if tb >= ta else b
     if ta == tb:
-        tg = tuple([_add(_mul(x, bv), _mul(av, y)) for x, y in zip(a.tg, b.tg)])
+        blocks = _blocks((av, bv), (a.tg, b.tg))
+        if blocks is not None:
+            x, y = blocks
+            tg = x * bv + av * y
+        else:
+            tg = tuple([_add(_mul(x, bv), _mul(av, y)) for x, y in zip(a.tg, b.tg)])
     elif ta > tb:
-        tg = tuple([_mul(x, bv) for x in a.tg])
+        blocks = _blocks((bv,), (a.tg,))
+        if blocks is not None:
+            tg = blocks[0] * bv
+        else:
+            tg = tuple([_mul(x, bv) for x in a.tg])
     else:
-        tg = tuple([_mul(av, y) for y in b.tg])
+        blocks = _blocks((av,), (b.tg,))
+        if blocks is not None:
+            tg = av * blocks[0]
+        else:
+            tg = tuple([_mul(av, y) for y in b.tg])
     return DScalar(_mul(av, bv), tg, ta if ta > tb else tb)
 
 
@@ -229,11 +312,24 @@ def _div(a, b):
     bv = b.val if tb >= ta else b
     val = _div(av, bv)
     if ta == tb:
-        tg = tuple([_div(_add(x, _neg(_mul(val, y))), bv) for x, y in zip(a.tg, b.tg)])
+        blocks = _blocks((val, bv), (a.tg, b.tg))
+        if blocks is not None:
+            x, y = blocks
+            tg = (x + -(val * y)) / bv
+        else:
+            tg = tuple([_div(_add(x, _neg(_mul(val, y))), bv) for x, y in zip(a.tg, b.tg)])
     elif ta > tb:
-        tg = tuple([_div(x, bv) for x in a.tg])
+        blocks = _blocks((bv,), (a.tg,))
+        if blocks is not None:
+            tg = blocks[0] / bv
+        else:
+            tg = tuple([_div(x, bv) for x in a.tg])
     else:
-        tg = tuple([_div(_neg(_mul(val, y)), bv) for y in b.tg])
+        blocks = _blocks((val, bv), (b.tg,))
+        if blocks is not None:
+            tg = -(val * blocks[0]) / bv
+        else:
+            tg = tuple([_div(_neg(_mul(val, y)), bv) for y in b.tg])
     return DScalar(val, tg, ta if ta > tb else tb)
 
 
@@ -296,6 +392,9 @@ def each(fn, x):
 
 
 def _chain(x: DScalar, val, dval):
+    blocks = _blocks((dval,), (x.tg,))
+    if blocks is not None:
+        return DScalar(val, dval * blocks[0], x.tag)
     return DScalar(val, tuple([_mul(dval, t) for t in x.tg]), x.tag)
 
 
@@ -522,15 +621,20 @@ def _where(mask, x, y):
     rule of `merge` holds: floats and arrays select into an array, duals
     of one level and tangent count into a dual, and anything else -- a
     plain leaf against a dual, another leaf type -- raises `Unmergeable`.
+    Tangents that are one object are kept; a block selects whole, against
+    a block or a tuple of floats.
     """
     if type(x) is DScalar or type(y) is DScalar:
         if type(x) is not type(y) or x.tag != y.tag or len(x.tg) != len(y.tg):
             raise Unmergeable("a select puts a dual leaf against another kind of leaf")
-        return DScalar(
-            _where(mask, x.val, y.val),
-            tuple([_where(mask, u, v) for u, v in zip(x.tg, y.tg)]),
-            x.tag,
-        )
+        tg = x.tg
+        if y.tg is not tg:
+            blocks = _blocks((), (tg, y.tg))
+            if blocks is not None:
+                tg = np.where(mask, blocks[0], blocks[1])
+            else:
+                tg = tuple([_where(mask, u, v) for u, v in zip(tg, y.tg)])
+        return DScalar(_where(mask, x.val, y.val), tg, x.tag)
     if x is y:
         return x
     plain = (float, np.ndarray)
@@ -560,7 +664,9 @@ def take(x, idx: np.ndarray):
     if isinstance(x, (list, tuple)):
         return [take(v, idx) for v in x]
     if type(x) is DScalar:
-        return DScalar(take(x.val, idx), tuple([take(t, idx) for t in x.tg]), x.tag)
+        tg = x.tg
+        tg = tg[:, idx] if type(tg) is np.ndarray else tuple([take(t, idx) for t in tg])
+        return DScalar(take(x.val, idx), tg, x.tag)
     if type(x) is np.ndarray:
         return x[idx]
     return x
@@ -571,8 +677,9 @@ def merge(parts: list, size: int):
     whose index arrays partition the points, leaf by leaf.
 
     Plain leaves (floats, arrays) merge into an array; duals merge when
-    they agree in level and tangent count.  Anything else -- a plain leaf
-    against a dual, another leaf type -- raises `Unmergeable`.
+    they agree in level and tangent count, their tangents into one block
+    where each part's are a block or a tuple of floats.  Anything else --
+    a plain leaf against a dual, another leaf type -- raises `Unmergeable`.
     """
     first = parts[0][1]
     if isinstance(first, (list, tuple)):
@@ -581,11 +688,15 @@ def merge(parts: list, size: int):
         tag, n = first.tag, len(first.tg)
         if any(type(s) is not DScalar or s.tag != tag or len(s.tg) != n for _, s in parts):
             raise Unmergeable("a dual leaf meets another kind of leaf")
-        return DScalar(
-            merge([(idx, s.val) for idx, s in parts], size),
-            tuple([merge([(idx, s.tg[k]) for idx, s in parts], size) for k in range(n)]),
-            tag,
-        )
+        val = merge([(idx, s.val) for idx, s in parts], size)
+        blocks = [_lift(s.tg) for _, s in parts]
+        if any(t is None for t in blocks):
+            tg = tuple([merge([(idx, s.tg[k]) for idx, s in parts], size) for k in range(n)])
+        else:
+            tg = np.empty((n, size))
+            for (idx, _), t in zip(parts, blocks):
+                tg[:, idx] = t
+        return DScalar(val, tg, tag)
     out = np.empty(size)
     for idx, s in parts:
         if type(s) is not float and type(s) is not np.ndarray:

@@ -112,7 +112,7 @@ def test_unwritable_json_path_exits_two_before_any_check(tmp_path, capsys, monke
     def no_checks(*args, **kwargs):
         raise AssertionError("ran checks despite bad input")
 
-    monkeypatch.setattr("sasaki_lab.cli.SampleSet", no_checks)
+    monkeypatch.setattr("sasaki_lab.corpus.Example.sample_set", no_checks)
     for path, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"),
                          (tmp_path, "Is a directory")):
         assert main(["verify", "darboux-1", "--json", str(path)]) == 2

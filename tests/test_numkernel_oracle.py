@@ -14,7 +14,9 @@ Three oracles:
   point, leaf for leaf by ``repr`` with tags and tangents, what the same
   operations give on that point's floats; and a field evaluated over a
   sample group gives at each point the value, or raises the exception, of
-  a lone evaluation there.
+  a lone evaluation there.  A batch level's tangents kept as one (n, P)
+  block give each point what its tuple of n floats gives it, and every
+  block any batch keeps has a row per tangent and a column per point.
 """
 
 from __future__ import annotations
@@ -522,10 +524,34 @@ def scalar_outcome(fn):
         return type(exc).__name__, str(exc)
 
 
+def blocks_in(x):
+    """Every tangent block (a level's tangents as one array) in a structure
+    of lists, tuples, dicts and duals."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, nk.DScalar):
+        if type(x.tg) is np.ndarray:
+            yield x.tg
+        else:
+            yield from blocks_in(list(x.tg))
+        yield from blocks_in(x.val)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from blocks_in(v)
+
+
+def assert_whole_blocks(x, size: int):
+    """Every block in `x` is a float64 (n, size) array: one row per
+    tangent, one column per point, never a column shared by them all."""
+    for tg in blocks_in(x):
+        assert tg.dtype == np.float64 and tg.ndim == 2 and tg.shape[1] == size, tg.shape
+
+
 def assert_batch_matches_points(fn, batch_args, point_args):
     """fn over the batch gives at point i what it gives on point i's
     arguments; where the batch raises, some point raises the same
-    exception type or the batch signalled a non-finite step."""
+    exception type or the batch signalled a non-finite step.  Every block
+    of the result is whole (`assert_whole_blocks`)."""
     want = [scalar_outcome(lambda a=a: fn(*a)) for a in point_args]
     try:
         with np.errstate(**BATCH_ERRSTATE):
@@ -537,6 +563,7 @@ def assert_batch_matches_points(fn, batch_args, point_args):
     except (ArithmeticError, ValueError) as exc:
         assert type(exc).__name__ in {w[0] for w in want if isinstance(w, tuple)}
         return
+    assert_whole_blocks(got, len(point_args))
     for i, w in enumerate(want):
         assert canon(point(got, i)) == w, i
 
@@ -882,3 +909,214 @@ def test_fields_over_a_group_match_lone_points(seed, order, size):
         lambda *values: T.at("O", manifold.PointEnv(zip(CHART.coords, values))),
         batch, lone,
     )
+
+
+# -- blocks: a batch level's tangents as one (n, P) array --------------------
+
+EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def block_operands(draw, kinds):
+    """(size, operands) over a batch of 1 to 5 points, one operand of each
+    of `kinds`:
+
+    * ``plain``: a float shared by every point, or an array of the points';
+    * ``block``: a LOW dual whose tangents are an (n, P) block;
+    * ``floats``: a LOW dual whose tangents are a tuple of floats (a seed);
+    * ``high-block``: a HIGH dual with a block, whose rows meet a LOW dual
+      row by row;
+    * ``order2``: a HIGH dual over a LOW block dual, whose HIGH tangents are
+      LOW block duals.
+
+    Half the cases put an edge (±0.0, NaN, ±inf) in about one slot of eight,
+    so some batches signal and go point by point."""
+    size, d_low, d_high = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    edges = draw(st.booleans())
+    finite = st.floats(-4.0, 4.0)
+
+    def slot():
+        if edges and draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(EDGES))
+        return draw(finite)
+
+    def array():
+        return np.array([slot() for _ in range(size)])
+
+    def value():
+        return array() if draw(st.booleans()) else slot()
+
+    def block(n):
+        return np.array([[slot() for _ in range(size)] for _ in range(n)])
+
+    def low():
+        return nk.DScalar(value(), block(d_low), LOW)
+
+    make = {
+        "plain": value,
+        "block": low,
+        "floats": lambda: nk.DScalar(value(), tuple(slot() for _ in range(d_low)), LOW),
+        "high-block": lambda: nk.DScalar(value(), block(d_high), HIGH),
+        "order2": lambda: nk.DScalar(low(), tuple(low() for _ in range(d_high)), HIGH),
+    }
+    return size, [make[kind]() for kind in kinds]
+
+
+def assert_block_op_matches_points(fn, size, ops):
+    assert_batch_matches_points(fn, ops, [point(ops, i) for i in range(size)])
+
+
+BLOCKS = settings(max_examples=40, deadline=None)
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("kinds", [
+    ("block", "block"), ("block", "floats"), ("floats", "block"), ("floats", "floats"),
+    ("block", "plain"), ("plain", "block"), ("high-block", "block"),
+    ("block", "high-block"), ("order2", "order2"), ("order2", "block"), ("plain", "order2"),
+], ids="-".join)
+@BLOCKS
+@given(data=st.data())
+def test_block_arithmetic_matches_each_point(kinds, data):
+    """Each binary operator over a batch whose tangents are blocks, float
+    tuples, plain leaves and lower-level duals, nested to order 2, gives
+    each point by repr what the tuple path gives on its floats."""
+    size, ops = data.draw(block_operands(kinds))
+    for fn in BINARY:
+        # a zero divisor is refused before dividing, as `exprlang` does with
+        # `has_zero`: numpy's NaN/0 and inf/0 do not signal, where Python's
+        # float division raises
+        if fn is not operator.truediv or not nk.has_zero(ops[1]):
+            assert_block_op_matches_points(fn, size, ops)
+
+
+UNARY = [
+    operator.neg, nk.sin, nk.cos, nk.exp, nk.log, nk.sqrt, nk.absolute, nk.signum,
+    *[lambda x, n=n: nk.powi(x, n) for n in (-2, -1, 2, 3)],
+]
+
+
+@pytest.mark.parametrize("kind", ["block", "floats", "high-block", "order2"])
+@BLOCKS
+@given(data=st.data())
+def test_block_functions_match_each_point(kind, data):
+    """The chain-rule functions, `powi`, `absolute` and `signum` of a batch
+    dual with a block (or a float tuple over array values) match each point."""
+    size, ops = data.draw(block_operands((kind,)))
+    for fn in UNARY:
+        assert_block_op_matches_points(fn, size, ops)
+
+
+def _dual(rng, size: int, n: int, tag: int):
+    return nk.DScalar(rng.normal(size=size), rng.normal(size=(n, size)), tag)
+
+
+def test_a_batch_keeps_blocks_and_constant_tangents_stay_floats():
+    """A level whose tangents meet an array becomes one (n, P) block; seeds
+    and their combinations at plain floats stay tuples of floats; a level
+    whose tangents are duals stays a tuple; a 1-point batch is an (n, 1)
+    block."""
+    rng = np.random.default_rng(0)
+    for size in (1, 4):
+        batch = rng.normal(size=size)
+        seeds = nk.unit_duals([batch, batch * 2.0, 0.5], LOW)
+        constant = seeds[0] * 2.0 + seeds[1] - seeds[2] * 3.0
+        assert constant.tg == (2.0, 1.0, -3.0)
+        product = seeds[0] * seeds[1]
+        assert type(product.tg) is np.ndarray and product.tg.shape == (3, size)
+        assert type(nk.sin(seeds[0]).tg) is np.ndarray
+        outer = nk.DScalar(product, (1.0, 0.0), HIGH) * nk.DScalar(seeds[0], (0.0, 1.0), HIGH)
+        assert type(outer.tg) is tuple and all(type(t) is nk.DScalar for t in outer.tg)
+        assert all(type(t.tg) is np.ndarray for t in outer.tg)
+        assert_whole_blocks(outer, size)
+
+
+def _pointwise_select(mask, x, y, size):
+    return [canon(point(x if mask[i] else y, i)) for i in range(size)]
+
+
+def test_where_take_and_merge_on_blocks_match_each_point():
+    """`_where`, `take` and `merge` over blocks, and over a block against a
+    tuple of floats, give each point its own side, slot or part; a block
+    against a tuple of duals is `Unmergeable`."""
+    rng = np.random.default_rng(1)
+    size = 5
+    x, z = _dual(rng, size, 3, LOW), _dual(rng, size, 3, LOW)
+    x.tg[1, 2] = -0.0
+    seed = nk.DScalar(rng.normal(size=size), (1.0, -0.0, 0.0), LOW)
+    outer_x = nk.DScalar(x, (z, seed), HIGH)
+    outer_z = nk.DScalar(z, (x, x), HIGH)
+    mask = np.array([True, False, False, True, False])
+    for a, b in [(x, z), (x, seed), (seed, x), (outer_x, outer_z)]:
+        got = nk._where(mask, a, b)
+        assert_whole_blocks(got, size)
+        assert [canon(point(got, i)) for i in range(size)] == _pointwise_select(mask, a, b, size)
+    with pytest.raises(nk.Unmergeable):
+        nk._where(mask, nk.DScalar(1.0, x.tg, HIGH), nk.DScalar(1.0, (x, z, x), HIGH))
+
+    idx = np.array([3, 0, 4])
+    for s in (x, seed, outer_x, [x, [seed, outer_z]]):
+        got = nk.take(s, idx)
+        assert_whole_blocks(got, len(idx))
+        assert [canon(point(got, j)) for j in range(len(idx))] == \
+            [canon(point(s, i)) for i in idx.tolist()]
+
+    # the parts of a split: a taken block, a float tuple at a float value
+    split = [np.array([0, 2, 3]), np.array([1, 4])]
+    parts = [(split[0], nk.take(x, split[0])), (split[1], nk.DScalar(-0.0, (1.0, -0.0, 2.0), LOW))]
+    got = nk.merge(parts, size)
+    assert_whole_blocks(got, size)
+    for idx, part in parts:
+        for j, i in enumerate(idx.tolist()):
+            assert canon(point(got, i)) == canon(point(part, j))
+    merged = nk.merge([(split[0], nk.take(outer_x, split[0])),
+                       (split[1], nk.take(outer_z, split[1]))], size)
+    assert_whole_blocks(merged, size)
+    for idx, part in [(split[0], outer_x), (split[1], outer_z)]:
+        for i in idx.tolist():
+            assert canon(point(merged, i)) == canon(point(part, i))
+
+
+def test_every_block_the_gallery_builds_has_a_column_per_point(monkeypatch):
+    """Every tangent block built while the gallery's checks evaluate a
+    sample group of P points, order-2 jets included, is an (n, P) array;
+    inside a solve split into groups (`_solve_in_groups`), P may also be
+    the size of a group.  At P = 2 a block kept as an (n, 1) column, whose
+    rows are (1,)-shaped leaves, fails here."""
+    from sasaki_lab import corpus, report
+    from sasaki_lab.manifold import SamplePlan
+
+    sizes, shapes = [], []
+    init, evaluate_group, solve_in_groups = (
+        nk.DScalar.__init__, report.evaluate_group, nk._solve_in_groups)
+
+    def recording_init(self, val, tg, tag):
+        if type(tg) is np.ndarray:
+            shapes.append((tg.shape, sizes[-1] if sizes else set()))
+        init(self, val, tg, tag)
+
+    def sized(residual_fn, where, points, env):
+        sizes.append({len(points)})
+        try:
+            return evaluate_group(residual_fn, where, points, env)
+        finally:
+            sizes.pop()
+
+    def split(a_rows, b, labels):
+        sizes.append({len(labels), *map(len, nk.groups(labels))})
+        try:
+            return solve_in_groups(a_rows, b, labels)
+        finally:
+            sizes.pop()
+
+    monkeypatch.setattr(nk.DScalar, "__init__", recording_init)
+    monkeypatch.setattr(report, "evaluate_group", sized)
+    monkeypatch.setattr(nk, "_solve_in_groups", split)
+    for key in corpus.EXAMPLE_KEYS:
+        ex = corpus.build_example(key)
+        shared = ex.sample_set()
+        for job in ex.checks:
+            job.run(SamplePlan(seed=42, points_per_chart=2, sample_set=shared))
+            shared.prune()
+    assert len(shapes) > 1000
+    assert all(len(shape) == 2 and shape[1] in allowed for shape, allowed in shapes)

@@ -1581,7 +1581,7 @@ def test_gallery_checks_evaluate_each_sample_group_once_at_its_batch(monkeypatch
     sides = {"sampled": 0, "unsampled": 0}
     for key in corpus.EXAMPLE_KEYS:
         ex = corpus.build_example(key)
-        shared = tn.SampleSet(f.field for f in ex.fields if f.field is not None)
+        shared = ex.sample_set()
         for job in ex.checks:
             handed.clear()
             calls.clear()
